@@ -45,7 +45,8 @@ struct BenchConfig {
   /// reports both totals either way.
   core::MeetingWireMode wire_mode = core::MeetingWireMode::kEstimated;
 
-  /// Parses the standard flags; unknown flags abort.
+  /// Parses the standard flags; malformed input aborts. Unknown flags are
+  /// ignored, so a mistyped flag silently runs with the default.
   static BenchConfig FromFlags(int argc, char** argv);
 };
 

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Bench-regression gate for the CI bench job (stdlib only).
 
-Reads the stdout of micro_meeting_throughput, micro_query_throughput,
-sustained_load, or micro_pagerank --churn (JSON result lines mixed with
-'#' headers), reduces it to a
+Reads the stdout of micro_meeting_throughput, micro_query_throughput, or
+sustained_load (JSON result lines mixed with '#' headers), reduces it to a
 small summary of throughput / cost metrics, writes that summary as JSON,
 and compares it against a committed baseline: the check fails when any
 throughput metric drops by more than --threshold (default 25%), any cost
@@ -146,55 +145,6 @@ def summarize_load(records):
     return summary
 
 
-def summarize_pagerank(records):
-    """Summary of micro_pagerank --churn.
-
-    The trace is seeded, so the *solve counts* per arm are structural: the
-    full arm runs one solve per meeting/churn event and the delta arm
-    splits the same events between push repairs and fallbacks. Total solves
-    per arm are gated exactly. The push/work counters depend on floating-
-    point residual magnitudes near thresholds, so they get the ratio gate
-    instead of an exact one: pushes and work ceilings, and a floor on
-    work_ratio (full work / delta work) — the bench binary itself already
-    exits nonzero unless the delta arm strictly beats the full arm, so the
-    floor only catches gradual erosion. Wall-clock and the cross-arm score
-    agreement are info-only."""
-    exact = {}
-    higher = {}
-    lower = {}
-    info = {}
-    for rec in records:
-        if rec.get("bench") != "pagerank_churn":
-            continue
-        arm = rec.get("arm", "?")
-        if arm == "full":
-            exact["full:solves"] = float(rec.get("full_solves", 0.0))
-            exact["full:iterations"] = float(rec.get("full_iterations", 0.0))
-            exact["full:work_entries"] = float(rec.get("full_work_entries", 0.0))
-            info["full:wall_ms"] = float(rec.get("wall_ms", 0.0))
-        elif arm == "delta":
-            solves = (float(rec.get("incremental_solves", 0.0))
-                      + float(rec.get("full_solves", 0.0)))
-            exact["delta:solves"] = solves
-            lower["delta:fallbacks"] = float(rec.get("fallbacks", 0.0))
-            lower["delta:reseeds"] = float(rec.get("reseeds", 0.0))
-            lower["delta:pushes"] = float(rec.get("pushes", 0.0))
-            lower["delta:push_work_entries"] = float(
-                rec.get("push_work_entries", 0.0))
-            lower["delta:full_work_entries"] = float(
-                rec.get("full_work_entries", 0.0))
-            info["delta:wall_ms"] = float(rec.get("wall_ms", 0.0))
-        elif arm == "compare":
-            higher["work_ratio"] = float(rec.get("work_ratio", 0.0))
-            info["max_score_diff"] = float(rec.get("max_score_diff", 0.0))
-    summary = {"higher_better": dict(sorted(higher.items())),
-               "lower_better": dict(sorted(lower.items())),
-               "exact": dict(sorted(exact.items()))}
-    if info:
-        summary["info"] = dict(sorted(info.items()))
-    return summary
-
-
 def compare(summary, baseline, threshold):
     """Returns a list of regression messages (empty = pass)."""
     failures = []
@@ -242,7 +192,7 @@ def compare(summary, baseline, threshold):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", required=True,
-                        choices=["meeting", "query", "load", "pagerank"])
+                        choices=["meeting", "query", "load"])
     parser.add_argument("--input", required=True,
                         help="captured bench stdout (JSON lines + headers)")
     parser.add_argument("--output", required=True,
@@ -257,8 +207,7 @@ def main():
 
     records = list(parse_json_lines(args.input))
     summarize = {"meeting": summarize_meeting, "query": summarize_query,
-                 "load": summarize_load,
-                 "pagerank": summarize_pagerank}[args.bench]
+                 "load": summarize_load}[args.bench]
     summary = summarize(records)
     if (not summary["higher_better"] and not summary["lower_better"]
             and not summary.get("exact")):

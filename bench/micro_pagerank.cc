@@ -1,32 +1,16 @@
 // Microbenchmarks (google-benchmark) of the computational substrate: graph
 // construction, subgraph induction, the power-iteration kernel, the
 // centralized PageRank, and one JXP meeting.
-//
-// With --churn the binary instead runs the deterministic churn-trace
-// comparison of full re-solve vs incremental delta-update (DESIGN.md §6j):
-// two arms replay the identical meeting + fragment-edit schedule, one with
-// incremental PageRank off and one with it on, and emit JSON result lines
-// with each arm's deterministic work counters. The process self-checks that
-// the arms' final scores agree and that the delta arm did strictly less
-// work, so CI catches a broken or unprofitable incremental path even
-// before the baseline comparison (check_bench_regression.py --bench
-// pagerank) runs.
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "common/timer.h"
 #include "core/jxp_peer.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "markov/gauss_seidel.h"
-#include "obs/json_writer.h"
 #include "pagerank/hits.h"
 #include "pagerank/pagerank.h"
 
@@ -132,217 +116,7 @@ void BM_JxpMeeting(benchmark::State& state) {
 }
 BENCHMARK(BM_JxpMeeting)->Arg(0)->Arg(1);
 
-// ---------------------------------------------------------------------------
-// --churn: full re-solve vs incremental delta-update on a churn trace.
-
-/// One churn round: a fragment edit on one peer followed by a burst of
-/// meetings. The whole trace is precomputed from a fixed seed so both arms
-/// replay bit-identical schedules.
-struct ChurnRound {
-  size_t churn_peer = 0;
-  std::vector<graph::PageId> new_pages;
-  std::vector<std::pair<size_t, size_t>> meetings;
-};
-
-struct ChurnTrace {
-  graph::Graph graph;
-  std::vector<std::vector<graph::PageId>> fragments;
-  std::vector<std::pair<size_t, size_t>> warmup_meetings;
-  std::vector<ChurnRound> rounds;
-};
-
-ChurnTrace MakeChurnTrace() {
-  constexpr size_t kNodes = 6000;
-  constexpr size_t kPeers = 4;
-  constexpr size_t kWarmupMeetings = 1200;
-  constexpr size_t kRounds = 6;
-  constexpr size_t kMeetingsPerRound = 16;
-  constexpr size_t kPagesSwapped = 4;
-
-  ChurnTrace trace;
-  Random rng(20060912);
-  trace.graph = graph::BarabasiAlbert(kNodes, 5, rng);
-  trace.fragments.assign(kPeers, {});
-  for (graph::PageId p = 0; p < kNodes; ++p) {
-    trace.fragments[rng.NextBounded(kPeers)].push_back(p);
-    if (rng.NextBool(0.3)) trace.fragments[rng.NextBounded(kPeers)].push_back(p);
-  }
-  const auto draw_pair = [&] {
-    const size_t a = rng.NextBounded(kPeers);
-    size_t b = rng.NextBounded(kPeers - 1);
-    if (b >= a) ++b;
-    return std::make_pair(a, b);
-  };
-  for (size_t i = 0; i < kWarmupMeetings; ++i) {
-    trace.warmup_meetings.push_back(draw_pair());
-  }
-  // Fragment edits mutate a tracked copy so each round's page set is the
-  // cumulative result of all edits so far.
-  std::vector<std::vector<graph::PageId>> pages = trace.fragments;
-  for (size_t r = 0; r < kRounds; ++r) {
-    ChurnRound round;
-    round.churn_peer = r % kPeers;
-    std::vector<graph::PageId>& held = pages[round.churn_peer];
-    for (size_t k = 0; k < kPagesSwapped && held.size() > 1; ++k) {
-      held.erase(held.begin() + static_cast<ptrdiff_t>(rng.NextBounded(held.size())));
-    }
-    std::vector<bool> is_held(kNodes, false);
-    for (graph::PageId p : held) is_held[p] = true;
-    for (size_t k = 0; k < kPagesSwapped; ++k) {
-      graph::PageId candidate = static_cast<graph::PageId>(rng.NextBounded(kNodes));
-      while (is_held[candidate]) {
-        candidate = static_cast<graph::PageId>((candidate + 1) % kNodes);
-      }
-      is_held[candidate] = true;
-      held.push_back(candidate);
-    }
-    round.new_pages = held;
-    for (size_t i = 0; i < kMeetingsPerRound; ++i) {
-      round.meetings.push_back(draw_pair());
-    }
-    trace.rounds.push_back(std::move(round));
-  }
-  return trace;
-}
-
-struct ChurnArmResult {
-  /// Work counters of the churn phase only (warmup and construction are
-  /// subtracted out), summed over peers.
-  core::IncrementalPrStats stats;
-  double wall_ms = 0;
-  std::vector<std::vector<double>> scores;
-};
-
-ChurnArmResult RunChurnArm(const ChurnTrace& trace, bool incremental) {
-  core::JxpOptions options;
-  options.pr_tolerance = 1e-10;
-  options.pr_max_iterations = 500;
-  options.incremental.enabled = incremental;
-  // The push solver stops on the residual *infinity* norm; 3e-10 leaves it
-  // at comparable solution accuracy to the full solver's 1e-10 L1 stopping
-  // rule (the compare line's max_score_diff verifies the agreement). The
-  // tight 0.05 dirty-set threshold routes the few post-churn meeting solves
-  // whose residual has spread network-wide straight to the fallback (a full
-  // warm-started sweep is cheaper there), keeping pushes for the quiet
-  // solves with a handful of dirty rows, where they win by orders of
-  // magnitude.
-  options.incremental.tolerance = 3e-10;
-  options.incremental.dirty_fallback_fraction = 0.05;
-  std::vector<core::JxpPeer> peers;
-  peers.reserve(trace.fragments.size());
-  for (size_t p = 0; p < trace.fragments.size(); ++p) {
-    peers.emplace_back(static_cast<p2p::PeerId>(p),
-                       graph::Subgraph::Induce(trace.graph, trace.fragments[p]),
-                       trace.graph.NumNodes(), options);
-  }
-  for (const auto& [a, b] : trace.warmup_meetings) {
-    core::JxpPeer::Meet(peers[a], peers[b]);
-  }
-  std::vector<core::IncrementalPrStats> warmup_stats;
-  for (const core::JxpPeer& peer : peers) {
-    warmup_stats.push_back(peer.incremental_stats());
-  }
-  WallTimer wall;
-  for (const ChurnRound& round : trace.rounds) {
-    peers[round.churn_peer].ReplaceFragment(
-        graph::Subgraph::Induce(trace.graph, round.new_pages));
-    for (const auto& [a, b] : round.meetings) {
-      core::JxpPeer::Meet(peers[a], peers[b]);
-    }
-  }
-  ChurnArmResult result;
-  result.wall_ms = wall.ElapsedMillis();
-  for (size_t p = 0; p < peers.size(); ++p) {
-    const core::IncrementalPrStats& total = peers[p].incremental_stats();
-    const core::IncrementalPrStats& before = warmup_stats[p];
-    result.stats.incremental_solves += total.incremental_solves - before.incremental_solves;
-    result.stats.fallbacks += total.fallbacks - before.fallbacks;
-    result.stats.reseeds += total.reseeds - before.reseeds;
-    result.stats.pushes += total.pushes - before.pushes;
-    result.stats.push_work_entries += total.push_work_entries - before.push_work_entries;
-    result.stats.full_solves += total.full_solves - before.full_solves;
-    result.stats.full_iterations += total.full_iterations - before.full_iterations;
-    result.stats.full_work_entries += total.full_work_entries - before.full_work_entries;
-    result.scores.push_back(peers[p].local_scores());
-  }
-  return result;
-}
-
-int RunChurnComparison() {
-  const ChurnTrace trace = MakeChurnTrace();
-  const ChurnArmResult full = RunChurnArm(trace, false);
-  const ChurnArmResult delta = RunChurnArm(trace, true);
-
-  const auto emit = [](const char* arm, const ChurnArmResult& r) {
-    obs::JsonWriter line;
-    line.Field("bench", "pagerank_churn")
-        .Field("arm", arm)
-        .Field("incremental_solves", r.stats.incremental_solves)
-        .Field("fallbacks", r.stats.fallbacks)
-        .Field("reseeds", r.stats.reseeds)
-        .Field("pushes", r.stats.pushes)
-        .Field("push_work_entries", r.stats.push_work_entries)
-        .Field("full_solves", r.stats.full_solves)
-        .Field("full_iterations", r.stats.full_iterations)
-        .Field("full_work_entries", r.stats.full_work_entries)
-        .Field("wall_ms", r.wall_ms);
-    std::printf("%s\n", line.TakeLine().c_str());
-  };
-  emit("full", full);
-  emit("delta", delta);
-
-  double max_score_diff = 0;
-  for (size_t p = 0; p < full.scores.size(); ++p) {
-    if (full.scores[p].size() != delta.scores[p].size()) {
-      std::fprintf(stderr, "FAIL: arms disagree on peer %zu fragment size\n", p);
-      return 1;
-    }
-    for (size_t k = 0; k < full.scores[p].size(); ++k) {
-      max_score_diff =
-          std::max(max_score_diff, std::abs(full.scores[p][k] - delta.scores[p][k]));
-    }
-  }
-  const size_t full_work = full.stats.full_work_entries;
-  const size_t delta_work = delta.stats.push_work_entries + delta.stats.full_work_entries;
-  obs::JsonWriter line;
-  line.Field("bench", "pagerank_churn")
-      .Field("arm", "compare")
-      .Field("work_ratio",
-             delta_work > 0 ? static_cast<double>(full_work) /
-                                  static_cast<double>(delta_work)
-                            : 0.0)
-      .Field("max_score_diff", max_score_diff);
-  std::printf("%s\n", line.TakeLine().c_str());
-  std::fflush(stdout);
-
-  // Self-checks: the incremental path must track the exact solver and must
-  // beat the full re-solve on work, or the arm is broken regardless of what
-  // the baseline says.
-  if (max_score_diff > 1e-6) {
-    std::fprintf(stderr, "FAIL: arms diverged (max score diff %g > 1e-6)\n",
-                 max_score_diff);
-    return 1;
-  }
-  if (delta_work >= full_work) {
-    std::fprintf(stderr,
-                 "FAIL: delta-update work (%zu entries) did not beat full "
-                 "re-solve (%zu entries)\n",
-                 delta_work, full_work);
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace jxp
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--churn") == 0) return jxp::RunChurnComparison();
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -12,8 +12,9 @@ namespace jxp {
 /// Minimal command-line flag parser for bench and example binaries.
 ///
 /// Accepts arguments of the form `--name=value` or `--name value`; a bare
-/// `--name` is treated as the boolean value "true". Unknown flags are kept
-/// and can be rejected by the caller via UnparsedFlags().
+/// `--name` is treated as the boolean value "true". Every flag is kept,
+/// including ones no caller reads: a mistyped flag is silently ignored and
+/// the binary runs with that option's default.
 class Flags {
  public:
   /// Parses argv (argv[0] is skipped). Returns InvalidArgument on malformed

@@ -81,21 +81,6 @@ class ExtendedSystemCache {
   /// called whenever the fragment changes structurally (ReplaceFragment).
   void InvalidateFragment() { local_rows_valid_ = false; }
 
-  /// True when the cached system's local rows are valid and describe a
-  /// fragment of `num_local` pages — i.e. the next Prepare will only rewrite
-  /// the world row in place. The incremental PageRank path uses this to
-  /// decide whether a world-row delta against the cached matrix is sound.
-  bool CachedLocalRowsMatch(size_t num_local) const {
-    return prepared_ && local_rows_valid_ && num_local_ == num_local;
-  }
-
-  /// The cached system of the last Prepare/Rescale. Only valid after a
-  /// Prepare; updated in place by subsequent calls (see Prepare).
-  const ExtendedGraphSystem& system() const {
-    JXP_CHECK(prepared_);
-    return system_;
-  }
-
   /// Moves the built system out (used by the one-shot BuildExtendedSystem).
   ExtendedGraphSystem TakeSystem() && { return std::move(system_); }
 

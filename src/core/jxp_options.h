@@ -84,30 +84,6 @@ enum class CombineMode {
   kTakeMax,
 };
 
-/// The incremental (Gauss–Southwell residual-push) local PageRank path
-/// (DESIGN.md §6j). Off by default: the full power-iteration path then runs
-/// unchanged and every result is bit-identical to builds without the
-/// incremental solver. When enabled, a meeting's score combines and world-row
-/// rewrite seed residual mass only at the touched rows, and pushes repair the
-/// solution to within `tolerance` — falling back to full power iteration when
-/// the dirty set is too large for localized repair to win.
-struct IncrementalPrOptions {
-  bool enabled = false;
-  /// Residual infinity-norm target of the push solver; 0 = reuse
-  /// JxpOptions::pr_tolerance. The published scores then agree with the
-  /// exact solver's fixed point to within tolerance * (n+1) / (1 - damping)
-  /// in L1 (the property suite's oracle bound).
-  double tolerance = 0;
-  /// Fall back to full power iteration when more than this fraction of the
-  /// extended system's states carries residual above tolerance. Values <= 0
-  /// force the fallback on every run (the bit-identity escape hatch the
-  /// fallback-equivalence property test exercises).
-  double dirty_fallback_fraction = 0.25;
-  /// Push budget per solve as a multiple of the state count; exceeding it
-  /// abandons the incremental attempt and falls back.
-  size_t max_push_factor = 64;
-};
-
 /// Options of the JXP computation shared by all peers.
 struct JxpOptions {
   /// Link-following probability epsilon; 1 - damping is the random-jump
@@ -146,9 +122,6 @@ struct JxpOptions {
   bool authoritative_refresh = false;
   /// Whether meeting traffic is byte-accurate (encoded frames) or modeled.
   MeetingWireMode wire_mode = MeetingWireMode::kEstimated;
-  /// Incremental local PageRank (residual push instead of full power
-  /// iteration when the per-meeting change is small).
-  IncrementalPrOptions incremental;
   /// Adversarial behaviour of this peer (kNone for honest peers).
   AttackOptions attack;
   /// Defenses this peer applies to incoming messages.

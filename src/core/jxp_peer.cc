@@ -51,33 +51,6 @@ MeetingMetrics& GetMeetingMetrics() {
   return metrics;
 }
 
-/// Observables of the incremental local PageRank path (DESIGN.md §6j).
-/// Counters and histograms are pure functions of the simulated meetings:
-/// push order is deterministic, so they are bit-identical across runs and
-/// thread counts.
-struct IncrementalPrMetrics {
-  obs::Counter solves =
-      obs::MetricsRegistry::Global().GetCounter("jxp.pr.incremental.solves");
-  obs::Counter pushes =
-      obs::MetricsRegistry::Global().GetCounter("jxp.pr.incremental.pushes");
-  obs::Counter fallbacks =
-      obs::MetricsRegistry::Global().GetCounter("jxp.pr.incremental.fallbacks");
-  obs::Counter reseeds =
-      obs::MetricsRegistry::Global().GetCounter("jxp.pr.incremental.reseeds");
-  obs::Histogram pushes_per_solve = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.pr.incremental.pushes_per_solve",
-      {1, 3, 10, 30, 100, 300, 1000, 3000, 10000});
-  obs::Histogram touched_rows = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.pr.incremental.touched_rows", {1, 2, 5, 10, 20, 50, 100, 200, 500});
-  obs::Histogram dirty_rows = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.pr.incremental.dirty_rows", {1, 2, 5, 10, 20, 50, 100, 200, 500});
-};
-
-IncrementalPrMetrics& GetIncrementalPrMetrics() {
-  static IncrementalPrMetrics metrics;
-  return metrics;
-}
-
 /// Numerical floor for the world score; Theorem 5.3 keeps the true value
 /// well above this, so the floor only guards against pathological inputs.
 constexpr double kWorldScoreFloor = 1e-12;
@@ -764,14 +737,6 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
 }
 
 void JxpPeer::RunLocalPageRank() {
-  if (options_.incremental.enabled) {
-    RunLocalPageRankIncremental();
-  } else {
-    RunLocalPageRankFull();
-  }
-}
-
-void JxpPeer::RunLocalPageRankFull() {
   const size_t n = fragment_.NumLocalPages();
   // The world row's weights are alpha(r)/alpha_w^{t-1} (Eq. 8). Using the
   // *previous run's* world score as the denominator — not the post-combine
@@ -812,8 +777,6 @@ void JxpPeer::RunLocalPageRankFull() {
     result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
                                     init, pi_options);
     total_iterations += result.iterations;
-    incremental_stats_.full_work_entries +=
-        static_cast<size_t>(result.iterations) * system->matrix.NumEntries();
     const double pr_world = result.distribution[n];
     if (pr_world <= denominator + 1e-13) break;
     denominator = pr_world;
@@ -821,8 +784,6 @@ void JxpPeer::RunLocalPageRankFull() {
     system = &extended_cache_.Rescale(denominator);
   }
   last_pr_iterations_ = total_iterations;
-  ++incremental_stats_.full_solves;
-  incremental_stats_.full_iterations += static_cast<size_t>(total_iterations);
 
   const double pr_world = result.distribution[n];
   if (options_.combine_mode == CombineMode::kAverage) {
@@ -831,143 +792,6 @@ void JxpPeer::RunLocalPageRankFull() {
   }
   scores_.assign(result.distribution.begin(), result.distribution.begin() + n);
   world_score_ = pr_world;
-}
-
-void JxpPeer::RunLocalPageRankIncremental() {
-  const size_t n = fragment_.NumLocalPages();
-  const uint32_t world_state = static_cast<uint32_t>(n);
-  double denominator = std::max(world_score_, kWorldScoreFloor);
-
-  // The cheap delta path is sound only when the cached system survives this
-  // Prepare with nothing but its world row rewritten: same fragment (same
-  // state indexing, untouched local rows) and a solver state of matching
-  // dimension. Snapshot the world row before Prepare overwrites it in place.
-  std::vector<markov::MatrixEntry> old_row;
-  double old_row_sum = 0;
-  bool delta_path = incremental_.valid() && incremental_.num_states() == n + 1 &&
-                    extended_cache_.CachedLocalRowsMatch(n);
-  if (delta_path) {
-    const auto row = extended_cache_.system().matrix.Row(world_state);
-    old_row.assign(row.begin(), row.end());
-    old_row_sum = extended_cache_.system().matrix.RowSum(world_state);
-  }
-  const ExtendedGraphSystem* system =
-      &extended_cache_.Prepare(fragment_, world_, denominator, global_size_,
-                               options_.uniform_world_links
-                                   ? WorldLinkWeighting::kUniform
-                                   : WorldLinkWeighting::kScoreProportional);
-  ever_clamped_world_row_ |= system->world_row_clamped;
-  // A moved global-size estimate changes teleport/dangling densely; the
-  // sparse delta cannot express that.
-  if (delta_path && !incremental_.TeleportMatches(system->teleport, system->dangling)) {
-    delta_path = false;
-  }
-
-  pagerank::GaussSouthwellOptions gs;
-  gs.damping = options_.damping;
-  gs.tolerance = options_.incremental.tolerance > 0 ? options_.incremental.tolerance
-                                                    : options_.pr_tolerance;
-  gs.max_pushes = options_.incremental.max_push_factor * (n + 1);
-
-  // dirty_fallback_fraction <= 0 forces the fallback without touching the
-  // solver at all (the fallback-equivalence escape hatch).
-  bool attempt = options_.incremental.dirty_fallback_fraction > 0;
-  if (attempt) {
-    if (delta_path) {
-      // Fold the meeting's changes into the residual: every local score the
-      // combine step moved, then the rewritten world row. Only the world
-      // row changed, so UpdateSolutionEntry reads consistent local rows;
-      // UpdateRow uses x[world], which no combine touches.
-      const std::span<const double> x = incremental_.solution();
-      for (uint32_t i = 0; i < static_cast<uint32_t>(n); ++i) {
-        if (scores_[i] != x[i]) {
-          incremental_.UpdateSolutionEntry(system->matrix, i, scores_[i]);
-        }
-      }
-      incremental_.UpdateRow(system->matrix, world_state, old_row, old_row_sum);
-    } else {
-      double local_mass = 0;
-      for (double s : scores_) local_mass += s;
-      std::vector<double> x0 = scores_;
-      x0.push_back(std::max(1.0 - local_mass, kWorldScoreFloor));
-      incremental_.Reseed(system->matrix, system->teleport, system->dangling, gs,
-                          std::move(x0));
-      ++incremental_stats_.reseeds;
-      incremental_stats_.push_work_entries += system->matrix.NumEntries() + n + 1;
-      if (obs::Enabled()) GetIncrementalPrMetrics().reseeds.Increment();
-    }
-    const size_t dirty = incremental_.CountDirty();
-    const size_t dirty_limit = static_cast<size_t>(
-        options_.incremental.dirty_fallback_fraction * static_cast<double>(n + 1));
-    if (obs::Enabled()) {
-      GetIncrementalPrMetrics().dirty_rows.Observe(static_cast<double>(dirty));
-    }
-    attempt = dirty <= dirty_limit;
-  }
-
-  if (attempt) {
-    size_t total_pushes = 0;
-    size_t total_touched = 0;
-    bool converged = true;
-    // Same self-consistent-denominator guard as the full path: when the
-    // solved world score exceeds the denominator the world row was weighted
-    // with, re-weight the row at the larger value and repair by pushes.
-    for (int guard = 0; guard < 64; ++guard) {
-      const pagerank::GaussSouthwellResult res = incremental_.Solve(system->matrix);
-      total_pushes += res.pushes;
-      total_touched += res.touched_rows;
-      incremental_stats_.push_work_entries += res.work_entries;
-      if (!res.converged) {
-        converged = false;  // Push budget exhausted; fall back.
-        break;
-      }
-      const double pr_world = incremental_.solution()[world_state];
-      if (pr_world <= denominator + 1e-13) break;
-      denominator = pr_world;
-      const auto row = system->matrix.Row(world_state);
-      old_row.assign(row.begin(), row.end());
-      old_row_sum = system->matrix.RowSum(world_state);
-      system = &extended_cache_.Rescale(denominator);
-      ever_clamped_world_row_ |= system->world_row_clamped;
-      incremental_.UpdateRow(system->matrix, world_state, old_row, old_row_sum);
-    }
-    if (converged) {
-      const std::span<const double> x = incremental_.solution();
-      const double pr_world = x[world_state];
-      if (options_.combine_mode == CombineMode::kAverage) {
-        world_.ScaleScores(pr_world / denominator);
-      }
-      scores_.assign(x.begin(), x.begin() + static_cast<ptrdiff_t>(n));
-      // The floor only matters for pathological inputs (the solver's fixed
-      // point has a strictly positive world score); it keeps the next run's
-      // denominator usable without perturbing the solver state.
-      world_score_ = std::max(pr_world, kWorldScoreFloor);
-      last_pr_iterations_ = 0;  // No power iterations ran.
-      ++incremental_stats_.incremental_solves;
-      incremental_stats_.pushes += total_pushes;
-      if (obs::Enabled()) {
-        IncrementalPrMetrics& metrics = GetIncrementalPrMetrics();
-        metrics.solves.Increment();
-        metrics.pushes.Increment(total_pushes);
-        metrics.pushes_per_solve.Observe(static_cast<double>(total_pushes));
-        metrics.touched_rows.Observe(static_cast<double>(total_touched));
-      }
-      return;
-    }
-  }
-
-  // Fallback: exact solve, then reseed the push state from its result so
-  // the next meeting can delta from a converged solution.
-  ++incremental_stats_.fallbacks;
-  if (obs::Enabled()) GetIncrementalPrMetrics().fallbacks.Increment();
-  RunLocalPageRankFull();
-  const ExtendedGraphSystem& solved = extended_cache_.system();
-  std::vector<double> x = scores_;
-  x.push_back(world_score_);
-  incremental_.Reseed(solved.matrix, solved.teleport, solved.dangling, gs, std::move(x));
-  ++incremental_stats_.reseeds;
-  incremental_stats_.push_work_entries += solved.matrix.NumEntries() + n + 1;
-  if (obs::Enabled()) GetIncrementalPrMetrics().reseeds.Increment();
 }
 
 double JxpPeer::MessageWireBytes() const {
@@ -1001,12 +825,10 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
   const std::vector<double> old_scores = std::move(scores_);
   fragment_ = std::move(fragment);
   scores_ = std::move(new_scores);
-  // The cached extended-system local rows describe the old fragment, and the
-  // push solver's state is indexed by the old fragment's local indices: both
-  // must be rebuilt. The next incremental run reseeds densely from the
-  // carried-over scores and repairs by pushes — churn's fast path.
+  // The cached extended-system local rows describe the old fragment and
+  // must be rebuilt; the next local PageRank run warm-starts from the
+  // carried-over scores.
   extended_cache_.InvalidateFragment();
-  incremental_.Invalidate();
   // Drop world knowledge about pages that became local, and in-links aimed
   // at pages we no longer hold.
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {

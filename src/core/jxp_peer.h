@@ -13,7 +13,6 @@
 #include "graph/subgraph.h"
 #include "p2p/faults.h"
 #include "p2p/network.h"
-#include "pagerank/incremental.h"
 #include "synopses/hash_sketch.h"
 
 namespace jxp {
@@ -51,33 +50,6 @@ struct MeetingOutcome {
   double wasted_bytes_partner = 0;
   /// Sum of the two per-side wasted counts.
   double wasted_bytes = 0;
-};
-
-/// Deterministic work counters of a peer's local PageRank runs, split by
-/// solver path (DESIGN.md §6j). Pure functions of the simulated meetings —
-/// bit-identical across runs and thread counts — so tests and the churn
-/// bench can gate on them exactly. `work_entries` counters are in units of
-/// matrix entries (plus dense vector slots) touched, making the incremental
-/// and full paths directly comparable.
-struct IncrementalPrStats {
-  /// Solves completed by residual pushes alone.
-  size_t incremental_solves = 0;
-  /// Solves that fell back to full power iteration (dirty set too large,
-  /// push cap hit, or no valid solver state to delta from).
-  size_t fallbacks = 0;
-  /// Dense residual reseeds of the push solver (first run, fragment churn,
-  /// and after every fallback).
-  size_t reseeds = 0;
-  /// Residual pushes across all incremental solves.
-  size_t pushes = 0;
-  /// Work of the incremental path: pushes + reseeds + dangling flushes.
-  size_t push_work_entries = 0;
-  /// Full power-iteration solves (every solve when incremental is off).
-  size_t full_solves = 0;
-  /// Power iterations summed over full solves.
-  size_t full_iterations = 0;
-  /// Work of the full path: iterations * matrix entries.
-  size_t full_work_entries = 0;
 };
 
 /// Outcome of applying a remotely-received meeting message (the networked
@@ -234,11 +206,6 @@ class JxpPeer {
   /// run refreshes the scores.
   void ReplaceFragment(graph::Subgraph fragment);
 
-  /// Work counters of this peer's local PageRank solves (see
-  /// IncrementalPrStats). Accumulated on both solver paths, so the churn
-  /// bench can compare incremental-on and incremental-off runs.
-  const IncrementalPrStats& incremental_stats() const { return incremental_stats_; }
-
  private:
   /// Immutable snapshot of the state a peer ships in a meeting message.
   struct PeerView {
@@ -288,22 +255,10 @@ class JxpPeer {
   void CombineLocalScore(graph::Subgraph::LocalIndex i, double reported);
 
   /// Recomputes world_score_ as 1 - sum(local scores) (Eq. 1) and runs the
-  /// local PageRank on the extended graph, applying the Eq. 2 / Eq. 3 score
-  /// update rule. Dispatches to the full power-iteration path or, behind
-  /// options().incremental, the Gauss–Southwell delta path.
+  /// local PageRank on the extended graph — power iteration inside the
+  /// self-consistent-denominator guard loop — applying the Eq. 2 / Eq. 3
+  /// score update rule.
   void RunLocalPageRank();
-
-  /// The exact path: power iteration inside the self-consistent-denominator
-  /// guard loop. The only path when options().incremental.enabled is false
-  /// (results bit-identical to builds without the incremental solver), and
-  /// the fallback the incremental path reseeds from.
-  void RunLocalPageRankFull();
-
-  /// The delta path (DESIGN.md §6j): fold the meeting's score combines and
-  /// the regenerated world row into the push solver's residual, repair by
-  /// residual pushes, and fall back to RunLocalPageRankFull when the dirty
-  /// set exceeds the threshold or the push budget is exhausted.
-  void RunLocalPageRankIncremental();
 
   /// Feeds the fragment's pages and known successors into page_sketch_ and,
   /// when estimation is enabled, refreshes global_size_ from it.
@@ -330,12 +285,6 @@ class JxpPeer {
   /// (only ReplaceFragment invalidates them) and the denominator guard loop
   /// of RunLocalPageRank rescales the world row instead of rebuilding.
   ExtendedSystemCache extended_cache_;
-  /// Persistent state of the incremental path: the last solve's solution
-  /// and residual over the cached extended system. Invalidated by
-  /// ReplaceFragment (states are re-indexed); unused when
-  /// options_.incremental.enabled is false.
-  pagerank::GaussSouthwellSolver incremental_;
-  IncrementalPrStats incremental_stats_;
 };
 
 }  // namespace core

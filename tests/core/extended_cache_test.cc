@@ -214,30 +214,6 @@ TEST(ExtendedSystemCacheTest, StationaryDistributionIdenticalToFreshBuild) {
   }
 }
 
-TEST(ExtendedSystemCacheTest, CachedLocalRowsMatchTracksInvalidation) {
-  // The incremental PageRank path delta-updates against the cached matrix
-  // only when CachedLocalRowsMatch says the local rows survived in place;
-  // it must go false on InvalidateFragment and on a fragment-size mismatch.
-  RandomCase c(61);
-  ExtendedSystemCache cache;
-  EXPECT_FALSE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
-  cache.Prepare(c.fragment, c.world, 0.7, c.global_size,
-                WorldLinkWeighting::kScoreProportional);
-  EXPECT_TRUE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
-  // Prepare and Rescale keep the local rows cached.
-  cache.Rescale(0.4);
-  EXPECT_TRUE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
-  // A different fragment size can never match the cached rows.
-  EXPECT_FALSE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages() + 1));
-  // ReplaceFragment semantics: invalidation drops the claim until the next
-  // Prepare rebuilds the rows for the new fragment.
-  cache.InvalidateFragment();
-  EXPECT_FALSE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
-  cache.Prepare(c.fragment, c.world, 0.7, c.global_size,
-                WorldLinkWeighting::kScoreProportional);
-  EXPECT_TRUE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace jxp

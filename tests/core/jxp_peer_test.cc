@@ -190,80 +190,6 @@ TEST(JxpPeerTest, ReplaceFragmentKeepsKnownScores) {
   }
 }
 
-TEST(JxpPeerTest, ReplaceFragmentIncrementalAgreesWithExactTwin) {
-  // Churn with the incremental path on: ReplaceFragment invalidates the
-  // push solver, the next run reseeds densely from the carried-over scores,
-  // and the published scores must stay within the solver's tolerance bound
-  // of an exact-solver twin replaying the identical sequence.
-  const graph::Graph g = SmallGraph();
-  JxpOptions exact_options = TightOptions();
-  JxpOptions incremental_options = TightOptions();
-  incremental_options.incremental.enabled = true;
-  incremental_options.incremental.tolerance = 1e-12;
-  std::vector<JxpPeer> exact;
-  std::vector<JxpPeer> incremental;
-  exact.emplace_back(0, graph::Subgraph::Induce(g, {0, 1, 2}), g.NumNodes(),
-                     exact_options);
-  exact.emplace_back(1, graph::Subgraph::Induce(g, {2, 3, 4}), g.NumNodes(),
-                     exact_options);
-  incremental.emplace_back(0, graph::Subgraph::Induce(g, {0, 1, 2}), g.NumNodes(),
-                           incremental_options);
-  incremental.emplace_back(1, graph::Subgraph::Induce(g, {2, 3, 4}), g.NumNodes(),
-                           incremental_options);
-  const auto replay = [&](std::vector<JxpPeer>& peers) {
-    for (int i = 0; i < 6; ++i) JxpPeer::Meet(peers[0], peers[1]);
-    peers[0].ReplaceFragment(graph::Subgraph::Induce(g, {0, 2, 3}));
-    for (int i = 0; i < 6; ++i) JxpPeer::Meet(peers[0], peers[1]);
-  };
-  replay(exact);
-  replay(incremental);
-  for (size_t p = 0; p < exact.size(); ++p) {
-    for (graph::PageId page = 0; page < g.NumNodes(); ++page) {
-      EXPECT_NEAR(incremental[p].ScoreOfGlobal(page), exact[p].ScoreOfGlobal(page),
-                  1e-8)
-          << "peer " << p << " page " << page;
-    }
-    EXPECT_NEAR(incremental[p].world_score(), exact[p].world_score(), 1e-8);
-  }
-  // The churned peer really took the reseed path (fragment invalidation
-  // reached the solver) and solved incrementally at least once after it.
-  const IncrementalPrStats& stats = incremental[0].incremental_stats();
-  EXPECT_GE(stats.reseeds, 2u);  // Initial seed + post-ReplaceFragment.
-  EXPECT_GT(stats.incremental_solves, 0u);
-}
-
-TEST(JxpPeerTest, IncrementalKnobsInertWhenDisabled) {
-  // With incremental.enabled = false every other incremental knob must be
-  // dead: the peer runs the full solver and publishes bit-identical scores
-  // no matter what the knobs say.
-  const graph::Graph g = SmallGraph();
-  JxpOptions plain = TightOptions();
-  JxpOptions knobbed = TightOptions();
-  knobbed.incremental.enabled = false;
-  knobbed.incremental.tolerance = 0.5;
-  knobbed.incremental.dirty_fallback_fraction = 0.0;
-  knobbed.incremental.max_push_factor = 1;
-  std::vector<JxpPeer> a;
-  std::vector<JxpPeer> b;
-  a.emplace_back(0, graph::Subgraph::Induce(g, {0, 1, 2}), g.NumNodes(), plain);
-  a.emplace_back(1, graph::Subgraph::Induce(g, {2, 3, 4}), g.NumNodes(), plain);
-  b.emplace_back(0, graph::Subgraph::Induce(g, {0, 1, 2}), g.NumNodes(), knobbed);
-  b.emplace_back(1, graph::Subgraph::Induce(g, {2, 3, 4}), g.NumNodes(), knobbed);
-  const auto replay = [&](std::vector<JxpPeer>& peers) {
-    for (int i = 0; i < 4; ++i) JxpPeer::Meet(peers[0], peers[1]);
-    peers[1].ReplaceFragment(graph::Subgraph::Induce(g, {1, 2, 4}));
-    for (int i = 0; i < 4; ++i) JxpPeer::Meet(peers[0], peers[1]);
-  };
-  replay(a);
-  replay(b);
-  for (size_t p = 0; p < a.size(); ++p) {
-    EXPECT_EQ(a[p].local_scores(), b[p].local_scores()) << "peer " << p;
-    EXPECT_EQ(a[p].world_score(), b[p].world_score()) << "peer " << p;
-    EXPECT_EQ(b[p].incremental_stats().incremental_solves, 0u);
-    EXPECT_EQ(b[p].incremental_stats().reseeds, 0u);
-  }
-}
-
 TEST(JxpPeerTest, TracksMeetingCpuTime) {
   const graph::Graph g = SmallGraph();
   JxpPeer a(0, graph::Subgraph::Induce(g, {0, 1, 2}), g.NumNodes(), TightOptions());

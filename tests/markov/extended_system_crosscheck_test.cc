@@ -1,9 +1,9 @@
 // Cross-checks the two stationary solvers — Gauss-Seidel and power
 // iteration — on the *same JXP extended system* (local rows + world row +
 // non-uniform teleport/dangling, paper Eqs. 5-10), not just on plain link
-// matrices. The extended system is the input every local PageRank run and
-// the incremental push solver (DESIGN.md §6j) operate on, so solver
-// agreement here underwrites using either as the oracle of the other.
+// matrices. The extended system is the input every local PageRank run
+// operates on, so solver agreement here underwrites using either as the
+// oracle of the other.
 //
 // Tolerance: each solver stops at L1 residual <= tolerance, which bounds
 // its distance from the exact fixed point by tolerance / (1 - damping)
