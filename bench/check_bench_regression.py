@@ -6,8 +6,9 @@ sustained_load (JSON result lines mixed with '#' headers), reduces it to a
 small summary of throughput / cost metrics, writes that summary as JSON,
 and compares it against a committed baseline: the check fails when any
 throughput metric drops by more than --threshold (default 25%), any cost
-metric grows by more than the same margin, or any "exact" metric (the
-deterministic work counters of sustained_load's batch arm) differs at all.
+metric grows by more than the same margin, any "exact" metric (the
+deterministic work counters of sustained_load's batch arm) differs at all,
+or a gated baseline metric is missing from the run (a bench arm vanished).
 Latency percentiles are never gated — they land in the summary's "info"
 section, which compare() ignores.
 
@@ -65,7 +66,7 @@ def summarize_query(records):
 
     Gated metrics are wall-clock qps of full-work serves (uncached arms on
     the cold trace, best across thread counts) plus deterministic work
-    counters: per-codec compressed bytes per posting, the decode volume of
+    counters: compressed bytes per posting, the decode volume of
     the primed/cached arm on the cold trace, and the Zipfian-trace cache
     hit rate. The qps of the cache-warm Zipfian serve is near-free per
     query and too noisy to gate; it is reported under "info", which
@@ -79,14 +80,13 @@ def summarize_query(records):
             continue
         sweep = rec.get("sweep", "?")
         processor = rec.get("processor", "?")
-        codec = rec.get("codec", "?")
         cached = bool(rec.get("cached", False))
         trace = rec.get("trace", "?")
         qps = float(rec.get("qps", 0.0))
         if rec.get("bytes_per_posting") is not None:
-            lower["bytes_per_posting:%s" % codec] = float(rec["bytes_per_posting"])
+            lower["bytes_per_posting"] = float(rec["bytes_per_posting"])
         if cached:
-            key = "qps:%s:%s:%s:cached:%s" % (sweep, processor, codec, trace)
+            key = "qps:%s:%s:cached:%s" % (sweep, processor, trace)
             info_qps[key] = max(info_qps.get(key, 0.0), qps)
             if trace == "zipf":
                 hit_rates["cache_hit_rate:%s:zipf" % sweep] = float(
@@ -95,7 +95,7 @@ def summarize_query(records):
                 lower["postings_decoded:%s:%s:primed:cold" % (sweep, processor)] = \
                     float(rec["postings_decoded"])
         elif trace == "cold":
-            key = "qps:%s:%s:%s" % (sweep, processor, codec)
+            key = "qps:%s:%s" % (sweep, processor)
             best_qps[key] = max(best_qps.get(key, 0.0), qps)
     higher = dict(sorted(best_qps.items()))
     higher.update(sorted(hit_rates.items()))
@@ -148,6 +148,14 @@ def summarize_load(records):
 def compare(summary, baseline, threshold):
     """Returns a list of regression messages (empty = pass)."""
     failures = []
+    for direction in ("exact", "higher_better", "lower_better"):
+        current = summary.get(direction, {})
+        for name in sorted(baseline.get(direction, {})):
+            if name not in current:
+                print("REGRESSION %s: in the baseline but missing from the run"
+                      % name)
+                failures.append("%s missing from the run (%s baseline key)"
+                                % (name, direction))
     base_exact = baseline.get("exact", {})
     for name, current in summary.get("exact", {}).items():
         if name not in base_exact:

@@ -1,17 +1,16 @@
 // Query-serving throughput over the compressed index: queries/second,
 // postings decoded, and compressed bytes per posting in the Section 6.3
-// Minerva peer layout, for the exhaustive, threshold-algorithm, and
-// MaxScore processors at 1/2/4/8 worker threads. One JSON line per sweep
-// point.
+// Minerva peer layout, for the exhaustive and MaxScore processors at
+// 1/2/4/8 worker threads. One JSON line per sweep point.
 //
 // Two ranking sweeps — pure tf*idf (prior weight 0) and the paper's fused
-// ranking 0.6*tf*idf + 0.4*authority — crossed with a matrix of serving
-// arms: block codec (vbyte vs the bit-packed layout), serving-tier caches
-// plus threshold priming (on/off), and two query traces:
+// ranking 0.6*tf*idf + 0.4*authority — crossed with three serving arms
+// (exhaustive, MaxScore, and MaxScore with the serving-tier caches plus
+// threshold priming) and two query traces:
 //
 //   cold  the distinct query pool served once against a fresh server —
-//         every query misses, so this isolates the codec, live-block
-//         pruning, and term-primer wins;
+//         every query misses, so this isolates the live-block pruning and
+//         term-primer wins;
 //   zipf  --queries draws from the pool under a Zipf(--zipf_s) popularity
 //         law, served against the now-warm server — the repeated-query
 //         mix the result and threshold caches exist for.
@@ -54,7 +53,6 @@ constexpr size_t kBenchBlockSize = 16;
 /// One serving configuration of the arm matrix.
 struct Arm {
   qp::ProcessorKind processor;
-  qp::BlockCodec codec;
   /// Enables the result cache, the threshold cache, and term-level
   /// threshold priming — the full serving tier. Off reproduces the plain
   /// processor (the PR-comparable baseline arm).
@@ -73,8 +71,6 @@ struct ServeTotals {
   size_t dead_ranges = 0;
   size_t candidates_scored = 0;
   size_t docs_pruned = 0;
-  size_t ta_sorted = 0;
-  size_t ta_random = 0;
   size_t cache_hits = 0;
 };
 
@@ -90,8 +86,6 @@ ServeTotals Accumulate(const std::vector<qp::ServedResult>& results) {
     t.dead_ranges += result.stats.dead_ranges;
     t.candidates_scored += result.stats.candidates_scored;
     t.docs_pruned += result.stats.docs_pruned;
-    t.ta_sorted += result.ta_sorted_accesses;
-    t.ta_random += result.ta_random_accesses;
     if (result.cache_hit) ++t.cache_hits;
   }
   return t;
@@ -99,7 +93,7 @@ ServeTotals Accumulate(const std::vector<qp::ServedResult>& results) {
 
 /// Full-decode microbenchmark of one frozen server: walks every posting of
 /// every list (docids and frequencies) through the cursor and reports
-/// nanoseconds per posting — the per-stage decode cost of the arm's codec,
+/// nanoseconds per posting — the per-stage decode cost of the block codec,
 /// independent of query mix and pruning.
 double DecodeNsPerPosting(const qp::QueryServer& server) {
   size_t postings = 0;
@@ -201,7 +195,7 @@ void Run(int argc, char** argv) {
   for (const size_t pick : zipf_picks) zipf_trace.push_back(pool[pick]);
 
   std::printf(
-      "sweep\tprocessor\tcodec\tcached\ttrace\tthreads\tqps\tpostings_decoded\t"
+      "sweep\tprocessor\tcached\ttrace\tthreads\tqps\tpostings_decoded\t"
       "blocks_skipped_live\tcache_hit_rate\tbytes_per_posting\n");
   struct Sweep {
     const char* name;
@@ -218,19 +212,12 @@ void Run(int argc, char** argv) {
     size_t zipf_cache_hits = 0;
 
     const Arm arms[] = {
-        {qp::ProcessorKind::kExhaustive, qp::BlockCodec::kVByte, false},
-        {qp::ProcessorKind::kThresholdAlgorithm, qp::BlockCodec::kVByte, false},
-        {qp::ProcessorKind::kMaxScore, qp::BlockCodec::kVByte, false},
-        {qp::ProcessorKind::kMaxScore, qp::BlockCodec::kPacked, false},
-        {qp::ProcessorKind::kMaxScore, qp::BlockCodec::kPacked, true},
+        {qp::ProcessorKind::kExhaustive, false},
+        {qp::ProcessorKind::kMaxScore, false},
+        {qp::ProcessorKind::kMaxScore, true},
     };
     for (const Arm& arm : arms) {
-      // TA runs over the uncompressed index and has no prior support.
-      if (sweep.prior_weight != 0.0 &&
-          arm.processor == qp::ProcessorKind::kThresholdAlgorithm) {
-        continue;
-      }
-      // Measured once per arm (codec-dependent, thread-count independent).
+      // Measured once per arm (thread-count independent).
       double decode_ns_per_posting = 0;
       for (const size_t threads : {1u, 2u, 4u, 8u}) {
         qp::ServingOptions options;
@@ -245,7 +232,6 @@ void Run(int argc, char** argv) {
         qp::QueryServer server(&corpus, options);
         qp::CompressedIndexOptions copts;
         copts.block_size = kBenchBlockSize;
-        copts.codec = arm.codec;
         copts.prior_weight = sweep.prior_weight;
         for (const auto& index : indexes) {
           server.AddPeer(index.get(),
@@ -299,7 +285,6 @@ void Run(int argc, char** argv) {
             writer.Field("bench", "query_throughput")
                 .Field("sweep", sweep.name)
                 .Field("processor", qp::ProcessorName(arm.processor))
-                .Field("codec", qp::BlockCodecName(arm.codec))
                 .Field("cached", arm.cached)
                 .Field("trace", serve.trace)
                 .Field("zipf_s", config.zipf_s)
@@ -319,8 +304,6 @@ void Run(int argc, char** argv) {
                 .Field("dead_ranges", totals.dead_ranges)
                 .Field("candidates_scored", totals.candidates_scored)
                 .Field("docs_pruned", totals.docs_pruned)
-                .Field("ta_sorted_accesses", totals.ta_sorted)
-                .Field("ta_random_accesses", totals.ta_random)
                 .Field("result_cache_hits", totals.cache_hits)
                 .Field("result_cache_misses", serve.results.size() - totals.cache_hits)
                 .Field("cache_hit_rate", hit_rate)
@@ -333,9 +316,9 @@ void Run(int argc, char** argv) {
           obs::EmitEvent("bench_result", fill);
 
           // The compressed payload must beat the 8-byte uncompressed
-          // posting under either codec. Payload only: the all-in
-          // bytes_per_posting reported above also carries the per-block
-          // metadata, which the fine bench blocks trade for skipping.
+          // posting. Payload only: the all-in bytes_per_posting reported
+          // above also carries the per-block metadata, which the fine bench
+          // blocks trade for skipping.
           const auto& istats = server.index_stats();
           JXP_CHECK_LT(static_cast<double>(istats.docid_bytes + istats.freq_bytes) /
                            static_cast<double>(istats.num_postings),
@@ -343,7 +326,7 @@ void Run(int argc, char** argv) {
 
           // Bit-identity against the exhaustive oracle: the cold serve of
           // the first arm at 1 thread defines the per-pool-query truth;
-          // every later serve — any arm, codec, cache state, thread count,
+          // every later serve — any arm, cache state, thread count,
           // and the zipf trace through its pool picks — must match exactly.
           if (oracle_cold.empty() && is_cold) {
             JXP_CHECK(arm.processor == qp::ProcessorKind::kExhaustive);
@@ -368,7 +351,7 @@ void Run(int argc, char** argv) {
             exhaustive_cold_postings = totals.postings_decoded;
           }
           if (is_cold && arm.processor == qp::ProcessorKind::kMaxScore &&
-              !arm.cached && arm.codec == qp::BlockCodec::kVByte) {
+              !arm.cached) {
             maxscore_cold_postings = totals.postings_decoded;
           }
           if (is_cold && arm.cached) {

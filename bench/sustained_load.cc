@@ -294,8 +294,8 @@ void Run(int argc, char** argv) {
   zipf_trace.reserve(zipf_picks.size());
   for (const size_t pick : zipf_picks) zipf_trace.push_back(pool[pick]);
 
-  // The production-shaped server: MaxScore over the packed codec with the
-  // full serving tier (caches + priming).
+  // The production-shaped server: MaxScore with the full serving tier
+  // (caches + priming).
   qp::ServingOptions options;
   options.processor = qp::ProcessorKind::kMaxScore;
   options.k = 10;
@@ -306,7 +306,6 @@ void Run(int argc, char** argv) {
   qp::QueryServer server(&corpus, options);
   qp::CompressedIndexOptions copts;
   copts.block_size = kBenchBlockSize;
-  copts.codec = qp::BlockCodec::kPacked;
   copts.prior_weight = 0.4;
   for (const auto& index : indexes) server.AddPeer(index.get(), prior, copts);
 

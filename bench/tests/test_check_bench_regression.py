@@ -105,10 +105,22 @@ class ThresholdMathTest(unittest.TestCase):
         summary = {"higher_better": {"brand_new_metric": 42.0}}
         self.assertEqual(self._compare(summary, baseline), [])
 
+    def test_missing_summary_key_fails(self):
+        # A gated baseline key the run no longer produces means a bench arm
+        # vanished; that must fail, in every gated section.
+        for direction in ("higher_better", "lower_better", "exact"):
+            baseline = {direction: {"qps:tfidf:ta": 8000.0}}
+            failures = self._compare({direction: {}}, baseline)
+            self.assertEqual(len(failures), 1, direction)
+            self.assertIn("qps:tfidf:ta", failures[0])
+            self.assertIn("missing", failures[0])
+
     def test_info_section_is_never_gated(self):
         baseline = {"higher_better": {}, "info": {"p99_ms": 1.0}}
         summary = {"higher_better": {}, "info": {"p99_ms": 9999.0}}
         self.assertEqual(self._compare(summary, baseline), [])
+        # Nor is an info key that disappeared from the run.
+        self.assertEqual(self._compare({"higher_better": {}}, baseline), [])
 
 
 class ExactKeyTest(unittest.TestCase):
@@ -154,6 +166,27 @@ class SummarizeMeetingTest(unittest.TestCase):
         summary = cbr.summarize_meeting(records)
         self.assertEqual(summary["higher_better"]["meetings_per_sec"], 300.0)
         self.assertEqual(summary["lower_better"]["merge_cpu_millis_mean_1t"], 2.5)
+
+
+class SummarizeQueryTest(unittest.TestCase):
+    def test_keys_name_sweep_and_processor(self):
+        records = [
+            {"bench": "query_throughput", "sweep": "tfidf",
+             "processor": "exhaustive", "cached": False, "trace": "cold",
+             "qps": 100.0, "bytes_per_posting": 7.2},
+            {"bench": "query_throughput", "sweep": "tfidf",
+             "processor": "exhaustive", "cached": False, "trace": "cold",
+             "qps": 120.0, "bytes_per_posting": 7.2},
+            {"bench": "query_throughput", "sweep": "tfidf",
+             "processor": "maxscore", "cached": True, "trace": "cold",
+             "qps": 150.0, "postings_decoded": 40.0},
+        ]
+        summary = cbr.summarize_query(records)
+        self.assertEqual(summary["higher_better"], {"qps:tfidf:exhaustive": 120.0})
+        self.assertEqual(summary["lower_better"],
+                         {"bytes_per_posting": 7.2,
+                          "postings_decoded:tfidf:maxscore:primed:cold": 40.0})
+        self.assertEqual(summary["info"], {"qps:tfidf:maxscore:cached:cold": 150.0})
 
 
 class EndToEndTest(unittest.TestCase):

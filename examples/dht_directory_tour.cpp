@@ -1,7 +1,7 @@
 // A tour of the structured-overlay machinery under a Minerva-style P2P
 // search network: the Chord ring, the distributed per-term directory built
-// on it, DHT-routed query routing, and threshold-algorithm top-k retrieval
-// inside a peer.
+// on it, DHT-routed query routing, and MaxScore top-k retrieval over the
+// compressed index inside a peer.
 //
 // Build & run:  ./build/examples/dht_directory_tour
 
@@ -10,9 +10,9 @@
 #include "common/random.h"
 #include "datasets/collections.h"
 #include "pagerank/pagerank.h"
+#include "qp/query_processor.h"
 #include "search/directory.h"
 #include "search/engine.h"
-#include "search/threshold_top_k.h"
 
 int main() {
   using namespace jxp;  // NOLINT: example brevity.
@@ -73,23 +73,28 @@ int main() {
   for (size_t i = 0; i < routed.size() && i < 3; ++i) std::printf(" %u", routed[i]);
   std::printf("  (peer 5 hosts that topic)\n\n");
 
-  // Part 4: threshold-algorithm top-k inside the best peer.
+  // Part 4: MaxScore top-k over the best peer's compressed index. Blocks of
+  // 16 let block-max skipping act on a single peer's short lists.
   search::PeerIndex index(routed[0]);
   for (graph::PageId p : fragments[routed[0]]) index.AddDocument(corpus.DocumentFor(p));
-  const search::ThresholdTopKResult ta =
-      search::ThresholdTopK(index, corpus, query, 10);
+  qp::CompressedIndexOptions copts;
+  copts.block_size = 16;
+  const qp::CompressedPeerIndex frozen =
+      qp::CompressedPeerIndex::Freeze(index, corpus, {}, copts);
+  qp::QueryStats stats;
+  const qp::TopKList top = qp::MaxScoreTopK(frozen, query, 10, &stats);
   size_t total_postings = 0;
   for (search::TermId term : query) {
     if (const auto* postings = index.PostingsFor(term)) total_postings += postings->size();
   }
-  std::printf("=== Threshold-algorithm top-10 at peer %u ===\n", routed[0]);
-  std::printf("%zu sorted + %zu random accesses instead of scanning %zu postings "
-              "(early termination: %s)\n",
-              ta.sorted_accesses, ta.random_accesses, total_postings,
-              ta.early_terminated ? "yes" : "no");
-  for (size_t i = 0; i < ta.results.size() && i < 3; ++i) {
-    std::printf("  #%zu page %u (tf*idf %.2f)\n", i + 1, ta.results[i].first,
-                ta.results[i].second);
+  std::printf("=== MaxScore top-10 at peer %u ===\n", routed[0]);
+  std::printf("decoded %zu of %zu postings at %.2f bytes/posting; %zu documents "
+              "scored, %zu ruled out by block upper bounds\n",
+              stats.decode.postings_decoded, total_postings,
+              frozen.stats().CompressedBytesPerPosting(), stats.candidates_scored,
+              stats.docs_pruned);
+  for (size_t i = 0; i < top.size() && i < 3; ++i) {
+    std::printf("  #%zu page %u (tf*idf %.2f)\n", i + 1, top[i].first, top[i].second);
   }
   return 0;
 }

@@ -2,34 +2,20 @@
 
 #include <algorithm>
 
+#include "common/varint.h"
 #include "qp/bitpack.h"
 
 namespace jxp {
 namespace qp {
 
-const char* BlockCodecName(BlockCodec codec) {
-  switch (codec) {
-    case BlockCodec::kVByte:
-      return "vbyte";
-    case BlockCodec::kPacked:
-      return "packed";
-  }
-  return "unknown";
-}
-
 void BlockPostingList::AppendArea(const std::vector<uint32_t>& values) {
-  if (codec_ == BlockCodec::kVByte) {
-    for (uint32_t v : values) VByteEncode(v, bytes_);
-    return;
-  }
-  // kPacked: one width byte, then either fixed-width lanes or (width 0) the
-  // VByte fallback — whichever encodes this area smaller. The choice is a
-  // pure function of the values, so the layout stays deterministic.
+  // The choice between packed lanes and the VByte fallback is a pure
+  // function of the values, so the layout stays deterministic.
   uint32_t width = 1;
   for (uint32_t v : values) width = std::max(width, BitWidth32(v));
   const size_t packed_bytes = (values.size() * width + 7) / 8;
   std::vector<uint8_t> vbyte;
-  for (uint32_t v : values) VByteEncode(v, vbyte);
+  for (uint32_t v : values) VByteEncode32(v, vbyte);
   if (vbyte.size() < packed_bytes) {
     bytes_.push_back(0);
     bytes_.insert(bytes_.end(), vbyte.begin(), vbyte.end());
@@ -43,13 +29,6 @@ void BlockPostingList::DecodeArea(size_t begin, size_t end, uint32_t count,
                                   uint32_t* out) const {
   const uint8_t* data = bytes_.data();
   const size_t size = bytes_.size();
-  if (codec_ == BlockCodec::kVByte) {
-    size_t offset = begin;
-    JXP_CHECK(VByteDecodeArray32(data, size, offset, count, out))
-        << "truncated VByte block area";
-    JXP_CHECK_LE(offset, end);
-    return;
-  }
   JXP_CHECK_LT(begin, end);
   const uint8_t width = data[begin];
   if (width == 0) {
@@ -68,10 +47,9 @@ void BlockPostingList::DecodeArea(size_t begin, size_t end, uint32_t count,
 }
 
 BlockPostingList BlockPostingList::Build(std::span<const PostingIn> postings,
-                                         size_t block_size, BlockCodec codec) {
+                                         size_t block_size) {
   JXP_CHECK_GT(block_size, 0u);
   BlockPostingList list;
-  list.codec_ = codec;
   list.num_postings_ = postings.size();
   if (postings.empty()) return list;
 
@@ -107,8 +85,8 @@ BlockPostingList BlockPostingList::Build(std::span<const PostingIn> postings,
     meta.last_docid = prev;
     meta.freq_begin = static_cast<uint32_t>(list.bytes_.size());
     list.AppendArea(freqs);
-    meta.max_impact = UpperBoundAsFloat(max_impact);
-    meta.max_prior = UpperBoundAsFloat(max_prior);
+    meta.max_impact = UpperBoundFloat(max_impact);
+    meta.max_prior = UpperBoundFloat(max_prior);
     list.max_impact_ = std::max(list.max_impact_, meta.max_impact);
     list.max_prior_ = std::max(list.max_prior_, meta.max_prior);
     list.docid_bytes_ += meta.freq_begin - meta.docid_begin;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/varint.h"
 
 namespace jxp {
 namespace qp {
@@ -38,44 +37,24 @@ struct DecodeStats {
   }
 };
 
-/// How a block's docid deltas and frequencies are compressed.
-enum class BlockCodec : uint8_t {
-  /// VByte byte streams, the PR 4 layout (no per-area header byte).
-  kVByte = 0,
-  /// Fixed-width bit-packed lanes, selected per block: each area starts
-  /// with one width byte (1..32 = packed lane width; 0 = this area fell
-  /// back to VByte because packing would have been larger, e.g. one huge
-  /// delta in an otherwise dense block). Decoding is branch-free per value
-  /// (load, shift, mask) — the SIMD-friendly layout of DESIGN.md §6h.
-  kPacked = 1,
-};
-
-/// Stable lowercase label for JSON output and metrics attributes.
-const char* BlockCodecName(BlockCodec codec);
-
-/// Appends `value` VByte-encoded (7 data bits per byte, high bit set on all
-/// but the final byte) to `out`. Thin alias of the shared common/varint.h
-/// implementation (one codec, two call sites: qp blocks and the wire layer).
-inline void VByteEncode(uint32_t value, std::vector<uint8_t>& out) {
-  VByteEncode32(value, out);
-}
-
-/// Decodes one VByte value starting at `data[offset]`, advancing `offset`.
-inline uint32_t VByteDecode(const uint8_t* data, size_t& offset) {
-  return VByteDecode32(data, offset);
-}
-
-/// Smallest float f with (double)f >= v; the rounding direction that keeps
-/// quantized per-block metadata a true upper bound of the exact doubles it
-/// summarizes (the qp pruning invariant, DESIGN.md §6f).
-inline float UpperBoundAsFloat(double v) { return UpperBoundFloat(v); }
+/// The block compression codec. There is one: bit-packed lanes with a
+/// per-area VByte fallback (see BlockPostingList). The enum and
+/// CompressedIndexOptions::codec remain only so existing callers that name
+/// the codec keep compiling; nothing reads them.
+enum class BlockCodec : uint8_t { kPacked };
 
 /// One term's immutable compressed posting list: docid-sorted postings split
-/// into fixed-size blocks, each block holding VByte-encoded docid deltas
-/// followed by VByte-encoded term frequencies, plus per-block metadata (last
-/// docid, upper-rounded max impact, upper-rounded max static prior). The
-/// metadata makes every block skippable without decompression: a cursor can
-/// rule a block out (by docid range or by score bound) from metadata alone.
+/// into fixed-size blocks, each block holding its docid deltas followed by
+/// its term frequencies, plus per-block metadata (last docid, upper-rounded
+/// max impact, upper-rounded max static prior). The metadata makes every
+/// block skippable without decompression: a cursor can rule a block out (by
+/// docid range or by score bound) from metadata alone.
+///
+/// Each area (deltas, then frequencies) starts with one width byte: 1..32 is
+/// the lane width of fixed-width bit-packed values, decoded branch-free per
+/// value (load, shift, mask — the SIMD-friendly layout of DESIGN.md §6h); 0
+/// means the area is VByte-encoded because packing would have been larger
+/// (e.g. one huge delta in an otherwise dense block).
 class BlockPostingList {
  public:
   /// Postings per block; the last block may be short.
@@ -100,12 +79,10 @@ class BlockPostingList {
 
   /// Freezes `postings` (strictly increasing docids, tf >= 1) into the
   /// compressed layout.
-  static BlockPostingList Build(std::span<const PostingIn> postings, size_t block_size,
-                                BlockCodec codec = BlockCodec::kVByte);
+  static BlockPostingList Build(std::span<const PostingIn> postings, size_t block_size);
 
   size_t num_postings() const { return num_postings_; }
   size_t num_blocks() const { return blocks_.size(); }
-  BlockCodec codec() const { return codec_; }
   /// Upper bound (>=) of every posting's exact impact / document prior.
   float max_impact() const { return max_impact_; }
   float max_prior() const { return max_prior_; }
@@ -196,7 +173,8 @@ class BlockPostingList {
     return block == 0 ? 0 : blocks_[block - 1].last_docid;
   }
 
-  /// Appends one block area (docid deltas or frequencies) under codec_.
+  /// Appends one block area (docid deltas or frequencies): the width byte,
+  /// then packed lanes or the VByte fallback, whichever is smaller.
   void AppendArea(const std::vector<uint32_t>& values);
   /// Decodes the `count` values of the area at bytes_[begin..end) into
   /// `out`. Bounds-checked: a malformed area aborts (JXP_CHECK) instead of
@@ -209,7 +187,6 @@ class BlockPostingList {
   size_t docid_bytes_ = 0;
   float max_impact_ = 0;
   float max_prior_ = 0;
-  BlockCodec codec_ = BlockCodec::kVByte;
 };
 
 }  // namespace qp

@@ -63,7 +63,7 @@ CompressedPeerIndex CompressedPeerIndex::Freeze(
     TermList entry;
     entry.term = term;
     entry.idf = idf;
-    entry.list = BlockPostingList::Build(ins, options.block_size, options.codec);
+    entry.list = BlockPostingList::Build(ins, options.block_size);
     if (options.primer_k > 0 && ins.size() >= options.primer_k) {
       // Per-posting lower bound of the document's fused score (the same
       // double expression shape as the canonical score, so fl-monotonicity

@@ -15,11 +15,9 @@ namespace qp {
 struct CompressedIndexOptions {
   /// Postings per compressed block.
   size_t block_size = BlockPostingList::kDefaultBlockSize;
-  /// Block compression codec (kVByte is the PR 4 layout; kPacked is the
-  /// SIMD-friendly bit-packed layout with per-block VByte fallback). Both
-  /// are lossless, so every processor returns bit-identical results under
-  /// either.
-  BlockCodec codec = BlockCodec::kVByte;
+  /// Unused: there is one block codec. Kept because the end-to-end
+  /// benchmark source (bench/e2e/serve_zipf.cc) still assigns it.
+  BlockCodec codec = BlockCodec::kPacked;
   /// When > 0, Freeze also computes a term-level threshold primer per list
   /// with at least primer_k postings: the primer_k-th largest value of
   ///   (1 - w) * impact(d) + w * prior(d)

@@ -50,8 +50,6 @@ struct QueryStats {
 ///     candidates, heap_ns = top-k heap maintenance + final sort,
 ///     decode_ns = the rest of the descent (cursor advancement, block
 ///     seeks, bound checks) measured as total minus the other two.
-///   - ThresholdTopK (serving's TA arm): not stage-split; the serving
-///     layer reports its whole run under scoring_ns.
 struct StageNanos {
   uint64_t decode_ns = 0;
   uint64_t scoring_ns = 0;
@@ -65,9 +63,8 @@ struct StageNanos {
 };
 
 /// The documented result order: fused score descending, page id ascending on
-/// ties. Every processor (and MinervaEngine's per-peer retrieval) breaks
-/// ties this way, which is what makes top-k results well-defined when
-/// distinct documents score bit-identically.
+/// ties. Both processors break ties this way, which is what makes top-k
+/// results well-defined when distinct documents score bit-identically.
 inline bool BetterResult(double score_a, graph::PageId page_a, double score_b,
                          graph::PageId page_b) {
   if (score_a != score_b) return score_a > score_b;

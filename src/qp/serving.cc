@@ -4,7 +4,6 @@
 
 #include "common/timer.h"
 #include "obs/trace.h"
-#include "search/threshold_top_k.h"
 
 namespace jxp {
 namespace qp {
@@ -58,8 +57,6 @@ const char* ProcessorName(ProcessorKind kind) {
   switch (kind) {
     case ProcessorKind::kExhaustive:
       return "exhaustive";
-    case ProcessorKind::kThresholdAlgorithm:
-      return "ta";
     case ProcessorKind::kMaxScore:
       return "maxscore";
   }
@@ -86,8 +83,6 @@ QueryServer::QueryServer(const search::Corpus* corpus, const ServingOptions& opt
   docs_pruned_ = registry.GetCounter("jxp.qp.docs_pruned");
   live_ranges_ = registry.GetCounter("jxp.qp.live_ranges");
   dead_ranges_ = registry.GetCounter("jxp.qp.dead_ranges");
-  ta_sorted_accesses_ = registry.GetCounter("jxp.qp.ta_sorted_accesses");
-  ta_random_accesses_ = registry.GetCounter("jxp.qp.ta_random_accesses");
   result_cache_hits_ = registry.GetCounter("jxp.qp.result_cache_hits");
   result_cache_misses_ = registry.GetCounter("jxp.qp.result_cache_misses");
   primed_queries_ = registry.GetCounter("jxp.qp.primed_queries");
@@ -106,10 +101,8 @@ void QueryServer::AddPeer(const search::PeerIndex* index,
   JXP_CHECK(index != nullptr);
   CompressedIndexOptions opts = copts;
   if (options_.threshold_priming) opts.primer_k = options_.k;
-  peer_indexes_.push_back(index);
   compressed_.push_back(CompressedPeerIndex::Freeze(*index, *corpus_, jxp_scores, opts));
   index_stats_.MergeFrom(compressed_.back().stats());
-  if (opts.prior_weight != 0.0) priors_disabled_ = false;
   // A per-peer primer stays a valid merged-score bound globally: the merged
   // k-th score dominates every peer's k-th score, which dominates that
   // peer's primer. Take the best across peers per term.
@@ -193,18 +186,6 @@ void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
                              sp);
         break;
       }
-      case ProcessorKind::kThresholdAlgorithm: {
-        // TA is not stage-split (see StageNanos): its whole run reports
-        // under scoring_ns.
-        const uint64_t ta_t0 = prof ? MonotonicNanos() : 0;
-        const search::ThresholdTopKResult ta = search::ThresholdTopK(
-            *peer_indexes_[p], *corpus_, query.terms, options_.k);
-        if (prof) stages.scoring_ns += MonotonicNanos() - ta_t0;
-        local = ta.results;
-        out.ta_sorted_accesses += ta.sorted_accesses;
-        out.ta_random_accesses += ta.random_accesses;
-        break;
-      }
     }
     const uint64_t merge_t0 = prof ? MonotonicNanos() : 0;
     for (const auto& [page, score] : local) best[page] = score;
@@ -233,8 +214,6 @@ void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
   docs_pruned_.Increment(out.stats.docs_pruned);
   live_ranges_.Increment(out.stats.live_ranges);
   dead_ranges_.Increment(out.stats.dead_ranges);
-  ta_sorted_accesses_.Increment(out.ta_sorted_accesses);
-  ta_random_accesses_.Increment(out.ta_random_accesses);
   if (primed_threshold > 0.0) primed_queries_.Increment();
   postings_decoded_per_query_.Observe(
       static_cast<double>(out.stats.decode.postings_decoded));
@@ -264,11 +243,6 @@ void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
 }
 
 std::vector<ServedResult> QueryServer::ServeBatch(std::span<const ServedQuery> queries) {
-  if (options_.processor == ProcessorKind::kThresholdAlgorithm) {
-    // TA ranks by pure tf*idf; a nonzero prior weight would change the
-    // target ranking out from under it.
-    JXP_CHECK(priors_disabled_) << "TA serving requires prior_weight == 0";
-  }
   obs::TraceSpan span("qp.serve_batch");
   if (span.active()) {
     span.AddAttr("processor", ProcessorName(options_.processor));
@@ -381,9 +355,6 @@ std::vector<ServedResult> QueryServer::ServeBatch(std::span<const ServedQuery> q
 
 void QueryServer::ServeConcurrent(const ServedQuery& query, ServedResult& out,
                                   obs::LatencyRecorder* recorder) {
-  if (options_.processor == ProcessorKind::kThresholdAlgorithm) {
-    JXP_CHECK(priors_disabled_) << "TA serving requires prior_weight == 0";
-  }
   const bool trace = options_.trace_queries && obs::Enabled();
   const bool prof = obs::Enabled() && (recorder != nullptr || trace);
   const uint64_t query_id =

@@ -24,10 +24,6 @@ namespace qp {
 enum class ProcessorKind {
   /// Term-at-a-time over compressed lists, every posting decoded (oracle).
   kExhaustive,
-  /// Fagin's Threshold Algorithm over the uncompressed PeerIndex
-  /// (search/threshold_top_k.h); only valid when every frozen index has
-  /// prior_weight == 0, since TA ranks by pure tf*idf.
-  kThresholdAlgorithm,
   /// MaxScore with block-max skipping over compressed lists (fast path).
   kMaxScore,
 };
@@ -77,21 +73,18 @@ struct ServedResult {
   /// Top-k merged across all peers (replicas deduplicated by page), best
   /// first under BetterResult.
   TopKList results;
-  /// Work counters aggregated over the peers (compressed processors only).
+  /// Work counters aggregated over the peers.
   QueryStats stats;
-  /// Threshold-Algorithm accounting (kThresholdAlgorithm only).
-  size_t ta_sorted_accesses = 0;
-  size_t ta_random_accesses = 0;
   /// True when the result came from the result cache (or from an identical
   /// query earlier in the same batch) without running a processor; `stats`
-  /// and the TA counters stay zero — a hit does no decode work, and the
-  /// metrics report work actually performed.
+  /// stays zero — a hit does no decode work, and the metrics report work
+  /// actually performed.
   bool cache_hit = false;
 };
 
 /// A batched query-serving driver: holds every peer's frozen compressed
-/// index (plus a borrowed view of the mutable index for the TA arm) and
-/// evaluates query streams across the deterministic thread pool. Each query
+/// index and evaluates query streams across the deterministic thread pool.
+/// Each query
 /// runs its processor against every registered peer and merges the per-peer
 /// top-k lists; queries are statically partitioned over workers, per-query
 /// work is a pure function of (indexes, query, k), and work counters flow
@@ -99,15 +92,14 @@ struct ServedResult {
 /// non-timing metric snapshots are bit-identical at any thread count.
 class QueryServer {
  public:
-  /// `corpus` must outlive the server (used by the TA arm and for df stats).
+  /// `corpus` must outlive the server (AddPeer reads its df statistics).
   QueryServer(const search::Corpus* corpus, const ServingOptions& options);
 
-  /// Registers one peer: borrows `index` (must outlive the server) for the
-  /// TA arm and freezes it into the compressed layout for the compressed
-  /// arms. When threshold_priming is on, primer_k = k is folded into `copts`
-  /// before freezing and the per-term primer table is refreshed. Both caches
-  /// are invalidated (results may change). Not concurrency-safe against
-  /// ServeBatch.
+  /// Registers one peer by freezing `index` into the compressed layout;
+  /// `index` is read only during the call. When threshold_priming is on,
+  /// primer_k = k is folded into `copts` before freezing and the per-term
+  /// primer table is refreshed. Both caches are invalidated (results may
+  /// change). Not concurrency-safe against ServeBatch.
   void AddPeer(const search::PeerIndex* index,
                const std::unordered_map<graph::PageId, double>& jxp_scores,
                const CompressedIndexOptions& copts);
@@ -167,11 +159,8 @@ class QueryServer {
 
   const search::Corpus* corpus_;
   ServingOptions options_;
-  std::vector<const search::PeerIndex*> peer_indexes_;
   std::vector<CompressedPeerIndex> compressed_;
   CompressedIndexStats index_stats_;
-  /// True while every frozen peer has prior_weight == 0 (TA precondition).
-  bool priors_disabled_ = true;
   std::unique_ptr<ThreadPool> pool_;
 
   /// Stage-latency sink for ServeBatch (see SetLatencyRecorder).
@@ -197,8 +186,6 @@ class QueryServer {
   obs::Counter docs_pruned_;
   obs::Counter live_ranges_;
   obs::Counter dead_ranges_;
-  obs::Counter ta_sorted_accesses_;
-  obs::Counter ta_random_accesses_;
   obs::Counter result_cache_hits_;
   obs::Counter result_cache_misses_;
   obs::Counter primed_queries_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "qp/query_processor.h"
-#include "search/threshold_top_k.h"
 
 namespace jxp {
 namespace search {
@@ -30,15 +29,12 @@ MinervaEngine::MinervaEngine(const Corpus* corpus, const SearchOptions& options)
 void MinervaEngine::AddPeer(p2p::PeerId id, std::span<const graph::PageId> pages) {
   PeerIndex index(id);
   for (graph::PageId page : pages) index.AddDocument(corpus_->DocumentFor(page));
-  if (options_.use_compressed_index) {
-    // Freeze with prior_weight 0: fusion with the JXP prior happens after
-    // the cross-peer merge (with min-max normalization), so the per-peer
-    // retrieval score must stay pure tf*idf — bit-identical to the
-    // exhaustive path.
-    qp::CompressedIndexOptions copts;
-    copts.prior_weight = 0.0;
-    compressed_.push_back(qp::CompressedPeerIndex::Freeze(index, *corpus_, {}, copts));
-  }
+  // Freeze with prior_weight 0: fusion with the JXP prior happens after the
+  // cross-peer merge (with min-max normalization), so the per-peer retrieval
+  // score must stay pure tf*idf, bit-identical to TfIdfScore.
+  qp::CompressedIndexOptions copts;
+  copts.prior_weight = 0.0;
+  compressed_.push_back(qp::CompressedPeerIndex::Freeze(index, *corpus_, {}, copts));
   indexes_.push_back(std::move(index));
 }
 
@@ -102,56 +98,12 @@ std::vector<SearchResult> MinervaEngine::ExecuteQuery(
   // replicas hold identical documents, so any copy scores the same).
   std::unordered_map<graph::PageId, double> tfidf_of;
   for (size_t r = 0; r < fanout; ++r) {
-    // Find the index owned by this peer.
-    const PeerIndex* index = nullptr;
-    size_t index_pos = 0;
-    for (size_t i = 0; i < indexes_.size(); ++i) {
-      if (indexes_[i].owner() == routed[r]) {
-        index = &indexes_[i];
-        index_pos = i;
-        break;
-      }
-    }
-    JXP_CHECK(index != nullptr);
-    if (options_.use_compressed_index) {
-      JXP_CHECK_LT(index_pos, compressed_.size());
-      const qp::TopKList local = qp::MaxScoreTopK(
-          compressed_[index_pos], query, options_.results_per_peer, nullptr);
-      for (const auto& [page, score] : local) tfidf_of[page] = score;
-      continue;
-    }
-    if (options_.use_threshold_algorithm) {
-      const ThresholdTopKResult ta =
-          ThresholdTopK(*index, *corpus_, query, options_.results_per_peer);
-      for (const auto& [page, score] : ta.results) tfidf_of[page] = score;
-      continue;
-    }
-    // Exhaustive: candidate pages are the union of the query terms'
-    // postings; every candidate is fully scored.
-    std::unordered_map<graph::PageId, double> local_scores;
-    for (TermId term : query) {
-      if (const std::vector<Posting>* postings = index->PostingsFor(term)) {
-        for (const Posting& posting : *postings) {
-          if (!local_scores.count(posting.page)) {
-            local_scores[posting.page] = TfIdfScore(query, corpus_->DocumentFor(posting.page));
-          }
-        }
-      }
-    }
-    // Keep the peer's best results_per_peer.
-    std::vector<std::pair<double, graph::PageId>> local(local_scores.size());
-    size_t i = 0;
-    for (const auto& [page, score] : local_scores) local[i++] = {score, page};
-    const size_t keep = std::min(options_.results_per_peer, local.size());
-    // (score desc, page asc) — the documented tie-break; std::greater would
-    // prefer the *larger* page id among tied scores.
-    std::partial_sort(local.begin(), local.begin() + keep, local.end(),
-                      [](const std::pair<double, graph::PageId>& a,
-                         const std::pair<double, graph::PageId>& b) {
-                        return a.first != b.first ? a.first > b.first
-                                                  : a.second < b.second;
-                      });
-    for (size_t j = 0; j < keep; ++j) tfidf_of[local[j].second] = local[j].first;
+    size_t pos = 0;
+    while (pos < compressed_.size() && compressed_[pos].owner() != routed[r]) ++pos;
+    JXP_CHECK_LT(pos, compressed_.size());
+    const qp::TopKList local =
+        qp::MaxScoreTopK(compressed_[pos], query, options_.results_per_peer, nullptr);
+    for (const auto& [page, score] : local) tfidf_of[page] = score;
   }
 
   // Merge and fuse.

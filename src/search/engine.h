@@ -33,17 +33,6 @@ struct SearchOptions {
   /// Fusion weight: final = (1 - jxp_weight) * tfidf + jxp_weight * jxp,
   /// both min-max normalized over the candidate set. The paper uses 0.4.
   double jxp_weight = 0.4;
-  /// Per-peer retrieval strategy: exhaustively score every candidate
-  /// (false) or run Fagin's Threshold Algorithm with early termination
-  /// (true). The result lists are identical; TA touches fewer postings.
-  bool use_threshold_algorithm = false;
-  /// Serve per-peer retrieval from block-compressed posting lists with
-  /// MaxScore dynamic pruning (src/qp/) instead of the uncompressed index.
-  /// Peers added under this option are additionally frozen into the
-  /// compressed layout at AddPeer time. Results are bit-identical to the
-  /// exhaustive path; only the work per query changes. Takes precedence
-  /// over use_threshold_algorithm.
-  bool use_compressed_index = false;
 };
 
 /// One merged search result with its component scores.
@@ -64,7 +53,8 @@ class MinervaEngine {
   /// engine.
   MinervaEngine(const Corpus* corpus, const SearchOptions& options);
 
-  /// Registers a peer hosting `pages`, building its local index.
+  /// Registers a peer hosting `pages`, building its local index and
+  /// freezing it into the compressed layout that retrieval runs on.
   void AddPeer(p2p::PeerId id, std::span<const graph::PageId> pages);
 
   /// Number of registered peers.
@@ -78,7 +68,8 @@ class MinervaEngine {
       RoutingPolicy policy) const;
 
   /// Executes the query: routes it to the top peers, retrieves each peer's
-  /// tf*idf top results, merges duplicates, and computes the fused scores.
+  /// tf*idf top results with qp::MaxScoreTopK, merges duplicates, and
+  /// computes the fused scores.
   /// The returned list is sorted by *fused* score; re-sort by `tfidf` for
   /// the text-only baseline ranking.
   std::vector<SearchResult> ExecuteQuery(
@@ -87,7 +78,8 @@ class MinervaEngine {
       RoutingPolicy policy) const;
 
   /// tf*idf document score for a query: sum over query terms of
-  /// (1 + log tf) * log(N / df) with corpus-wide N and df.
+  /// (1 + log tf) * log(N / df) with corpus-wide N and df. The scalar
+  /// reference the compressed processors reproduce bit for bit.
   double TfIdfScore(std::span<const TermId> query, const Document& doc) const;
 
   /// Publishes every registered peer's per-term statistics (document
@@ -109,9 +101,10 @@ class MinervaEngine {
  private:
   const Corpus* corpus_;
   SearchOptions options_;
+  /// Mutable per-peer indexes, kept for routing and directory publishing.
   std::vector<PeerIndex> indexes_;
-  /// Frozen compressed twin of indexes_[i] (same position), populated only
-  /// when options_.use_compressed_index is set.
+  /// Frozen compressed twin of indexes_[i] (same position); retrieval runs
+  /// on these.
   std::vector<qp::CompressedPeerIndex> compressed_;
 };
 

@@ -1,12 +1,47 @@
 #include "common/varint.h"
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace jxp {
 namespace {
+
+TEST(VByteTest, RoundTripsBoundaryValues) {
+  // Back-to-back values through the trusted (unchecked) scalar decoder.
+  const uint32_t values[] = {0,      1,        127,        128,       16383, 16384,
+                             999999, 0xffffffu, 0x0fffffffu, 0xffffffffu};
+  std::vector<uint8_t> bytes;
+  for (uint32_t v : values) VByteEncode32(v, bytes);
+  size_t offset = 0;
+  for (uint32_t v : values) {
+    EXPECT_EQ(VByteDecode32(bytes.data(), offset), v);
+  }
+  EXPECT_EQ(offset, bytes.size());
+}
+
+TEST(VByteTest, SmallValuesAreOneByte) {
+  std::vector<uint8_t> bytes;
+  VByteEncode32(127, bytes);
+  EXPECT_EQ(bytes.size(), 1u);
+  VByteEncode32(128, bytes);
+  EXPECT_EQ(bytes.size(), 3u);  // 127 took one byte; 128 takes two.
+}
+
+TEST(UpperBoundFloatTest, NeverRoundsBelow) {
+  Random rng(7);
+  for (int i = 0; i < 10000; ++i) {
+    const double v = rng.NextDouble() * std::pow(10.0, rng.NextInRange(-12, 12));
+    const float f = UpperBoundFloat(v);
+    EXPECT_GE(static_cast<double>(f), v);
+  }
+  EXPECT_EQ(UpperBoundFloat(0.0), 0.0f);
+  EXPECT_EQ(UpperBoundFloat(1.0), 1.0f);  // Exactly representable.
+}
 
 TEST(VarintCheckedTest, RoundTrips32) {
   const uint32_t values[] = {0,      1,        0x7fu,      0x80u,

@@ -31,37 +31,6 @@ std::vector<PostingIn> MakePostings(size_t count, uint64_t seed, uint32_t max_ga
   return postings;
 }
 
-TEST(VByteTest, RoundTripsBoundaryValues) {
-  const uint32_t values[] = {0,      1,        127,        128,       16383, 16384,
-                             999999, 0xffffffu, 0x0fffffffu, 0xffffffffu};
-  std::vector<uint8_t> bytes;
-  for (uint32_t v : values) VByteEncode(v, bytes);
-  size_t offset = 0;
-  for (uint32_t v : values) {
-    EXPECT_EQ(VByteDecode(bytes.data(), offset), v);
-  }
-  EXPECT_EQ(offset, bytes.size());
-}
-
-TEST(VByteTest, SmallValuesAreOneByte) {
-  std::vector<uint8_t> bytes;
-  VByteEncode(127, bytes);
-  EXPECT_EQ(bytes.size(), 1u);
-  VByteEncode(128, bytes);
-  EXPECT_EQ(bytes.size(), 3u);  // 127 took one byte; 128 takes two.
-}
-
-TEST(UpperBoundAsFloatTest, NeverRoundsBelow) {
-  Random rng(7);
-  for (int i = 0; i < 10000; ++i) {
-    const double v = rng.NextDouble() * std::pow(10.0, rng.NextInRange(-12, 12));
-    const float f = UpperBoundAsFloat(v);
-    EXPECT_GE(static_cast<double>(f), v);
-  }
-  EXPECT_EQ(UpperBoundAsFloat(0.0), 0.0f);
-  EXPECT_EQ(UpperBoundAsFloat(1.0), 1.0f);  // Exactly representable.
-}
-
 TEST(BlockPostingListTest, CursorReconstructsAllPostings) {
   const auto postings = MakePostings(1000, 11, 50);
   const BlockPostingList list = BlockPostingList::Build(postings, 128);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "qp/bitpack.h"
 #include "qp/block_posting_list.h"
 
@@ -74,11 +75,27 @@ TEST(PackedCodecTest, UnpackRejectsTruncatedBuffer) {
       UnpackBits(bytes.data(), bytes.size(), 0, values.size(), 9, decoded.data()));
 }
 
+/// Bytes the VByte encoding of `values` takes (no width byte).
+size_t VByteBytes(const std::vector<uint32_t>& values) {
+  std::vector<uint8_t> bytes;
+  for (uint32_t v : values) VByteEncode32(v, bytes);
+  return bytes.size();
+}
+
+/// The docid deltas of `postings` (first delta from the implicit base 0).
+std::vector<uint32_t> Deltas(const std::vector<PostingIn>& postings) {
+  std::vector<uint32_t> deltas;
+  uint32_t prev = 0;
+  for (const PostingIn& p : postings) {
+    deltas.push_back(p.docid - prev);
+    prev = p.docid;
+  }
+  return deltas;
+}
+
 TEST(PackedCodecTest, PackedListReconstructsAllPostings) {
   const auto postings = MakePostings(1000, 11, 50);
-  const BlockPostingList list =
-      BlockPostingList::Build(postings, 128, BlockCodec::kPacked);
-  EXPECT_EQ(list.codec(), BlockCodec::kPacked);
+  const BlockPostingList list = BlockPostingList::Build(postings, 128);
   EXPECT_EQ(list.num_postings(), postings.size());
 
   BlockPostingList::Cursor cursor = list.OpenCursor(nullptr);
@@ -93,43 +110,41 @@ TEST(PackedCodecTest, PackedListReconstructsAllPostings) {
 }
 
 TEST(PackedCodecTest, CursorParityWithVByteAcrossSeeks) {
-  // Identical traversal — Next interleaved with NextGEQ jumps — must surface
-  // identical postings under both codecs; only the byte layout may differ.
+  // Next interleaved with NextGEQ jumps must surface exactly the input
+  // postings, whether an area is packed or fell back to VByte.
   for (uint64_t seed : {3u, 17u, 91u}) {
     const auto postings = MakePostings(700, seed, 120);
-    const BlockPostingList vbyte =
-        BlockPostingList::Build(postings, 64, BlockCodec::kVByte);
-    const BlockPostingList packed =
-        BlockPostingList::Build(postings, 64, BlockCodec::kPacked);
+    const BlockPostingList list = BlockPostingList::Build(postings, 64);
 
-    BlockPostingList::Cursor a = vbyte.OpenCursor(nullptr);
-    BlockPostingList::Cursor b = packed.OpenCursor(nullptr);
+    BlockPostingList::Cursor cursor = list.OpenCursor(nullptr);
     Random rng(seed + 1);
-    a.Next();
-    b.Next();
-    while (a.docid() != BlockPostingList::kEndDocid) {
-      ASSERT_EQ(a.docid(), b.docid());
-      ASSERT_EQ(a.freq(), b.freq());
+    size_t pos = 0;
+    cursor.Next();
+    while (pos < postings.size()) {
+      ASSERT_EQ(cursor.docid(), postings[pos].docid);
+      ASSERT_EQ(cursor.freq(), postings[pos].tf);
       if (rng.NextInRange(0, 3) == 0) {
-        const uint32_t target = a.docid() + static_cast<uint32_t>(rng.NextInRange(1, 900));
-        const bool more_a = a.NextGEQ(target);
-        const bool more_b = b.NextGEQ(target);
-        ASSERT_EQ(more_a, more_b);
-        if (!more_a) break;
+        const uint32_t target =
+            cursor.docid() + static_cast<uint32_t>(rng.NextInRange(1, 900));
+        const auto it = std::lower_bound(
+            postings.begin() + static_cast<ptrdiff_t>(pos), postings.end(), target,
+            [](const PostingIn& p, uint32_t t) { return p.docid < t; });
+        ASSERT_EQ(cursor.NextGEQ(target), it != postings.end());
+        pos = static_cast<size_t>(it - postings.begin());
       } else {
-        a.Next();
-        b.Next();
+        cursor.Next();
+        ++pos;
       }
     }
-    EXPECT_EQ(a.docid(), b.docid());
+    EXPECT_EQ(cursor.docid(), BlockPostingList::kEndDocid);
   }
 }
 
 TEST(PackedCodecTest, FallsBackToVByteWhenSmaller) {
-  // One huge delta forces a 32-bit lane width; the remaining small deltas
+  // One huge delta forces a 30-bit lane width; the remaining small deltas
   // make VByte the smaller encoding for that block, so AppendArea must pick
-  // the 0-marker fallback — observable as a packed list no larger than a
-  // plain inflation would be, while still decoding correctly.
+  // the 0-marker fallback: the docid area is the VByte bytes plus the
+  // marker, and it still decodes correctly.
   std::vector<PostingIn> postings;
   uint32_t docid = 0;
   for (size_t i = 0; i < 64; ++i) {
@@ -141,14 +156,10 @@ TEST(PackedCodecTest, FallsBackToVByteWhenSmaller) {
     postings.push_back(p);
     docid += (i == 31) ? 0x20000000u : 1u;  // One 30-bit delta mid-block.
   }
-  const BlockPostingList vbyte =
-      BlockPostingList::Build(postings, 64, BlockCodec::kVByte);
-  const BlockPostingList packed =
-      BlockPostingList::Build(postings, 64, BlockCodec::kPacked);
-  // Fallback payload = VByte payload + one marker byte per area.
-  EXPECT_LE(packed.docid_bytes(), vbyte.docid_bytes() + 1);
+  const BlockPostingList list = BlockPostingList::Build(postings, 64);
+  EXPECT_EQ(list.docid_bytes(), VByteBytes(Deltas(postings)) + 1);
 
-  BlockPostingList::Cursor cursor = packed.OpenCursor(nullptr);
+  BlockPostingList::Cursor cursor = list.OpenCursor(nullptr);
   size_t i = 0;
   for (cursor.Next(); cursor.docid() != BlockPostingList::kEndDocid; cursor.Next()) {
     ASSERT_LT(i, postings.size());
@@ -159,14 +170,11 @@ TEST(PackedCodecTest, FallsBackToVByteWhenSmaller) {
 }
 
 TEST(PackedCodecTest, PackedShrinksDenseLists) {
-  // Dense small deltas pack into a few bits per value; the packed payload
-  // should beat byte-aligned VByte.
+  // Dense small deltas pack into a few bits per value; the packed payload,
+  // width bytes included, should beat byte-aligned VByte.
   const auto postings = MakePostings(2000, 5, 6);
-  const BlockPostingList vbyte =
-      BlockPostingList::Build(postings, 128, BlockCodec::kVByte);
-  const BlockPostingList packed =
-      BlockPostingList::Build(postings, 128, BlockCodec::kPacked);
-  EXPECT_LT(packed.docid_bytes(), vbyte.docid_bytes());
+  const BlockPostingList list = BlockPostingList::Build(postings, 128);
+  EXPECT_LT(list.docid_bytes(), VByteBytes(Deltas(postings)));
 }
 
 }  // namespace

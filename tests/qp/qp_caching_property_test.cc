@@ -99,8 +99,8 @@ std::optional<std::string> CompareBatches(const std::vector<ServedResult>& a,
   return std::nullopt;
 }
 
-/// Caches, threshold priming, and the packed codec must not change a single
-/// bit of any served result — across thread counts and across a trace split
+/// Caches and threshold priming must not change a single bit of any served
+/// result — across thread counts and across a trace split
 /// into two batches (the second reruns against warm caches).
 TEST(QpCachingProperty, CachedPrimedServingIsBitIdenticalToCold) {
   proptest::ForAll<CachingCase>(
@@ -148,8 +148,8 @@ TEST(QpCachingProperty, CachedPrimedServingIsBitIdenticalToCold) {
         const std::span<const ServedQuery> second(trace.data() + split,
                                                   trace.size() - split);
 
-        const auto serve = [&](ProcessorKind kind, size_t threads, BlockCodec codec,
-                               bool caches, bool priming) {
+        const auto serve = [&](ProcessorKind kind, size_t threads, bool caches,
+                               bool priming) {
           ServingOptions options;
           options.processor = kind;
           options.k = c.k;
@@ -161,7 +161,6 @@ TEST(QpCachingProperty, CachedPrimedServingIsBitIdenticalToCold) {
           }
           QueryServer server(&corpus, options);
           CompressedIndexOptions copts;
-          copts.codec = codec;
           copts.prior_weight = c.prior_weight;
           for (const auto& index : indexes) {
             server.AddPeer(index.get(),
@@ -177,20 +176,16 @@ TEST(QpCachingProperty, CachedPrimedServingIsBitIdenticalToCold) {
           return all;
         };
 
-        const auto oracle = serve(ProcessorKind::kExhaustive, 1, BlockCodec::kVByte,
-                                  /*caches=*/false, /*priming=*/false);
+        const auto oracle = serve(ProcessorKind::kExhaustive, 1, /*caches=*/false,
+                                  /*priming=*/false);
         for (const size_t threads : {size_t{1}, size_t{4}}) {
-          for (const BlockCodec codec : {BlockCodec::kVByte, BlockCodec::kPacked}) {
-            for (const bool caches : {false, true}) {
-              std::ostringstream label;
-              label << "maxscore threads=" << threads << " codec="
-                    << BlockCodecName(codec) << " caches=" << caches;
-              const auto arm =
-                  serve(ProcessorKind::kMaxScore, threads, codec, caches,
-                        /*priming=*/true);
-              if (auto mismatch = CompareBatches(oracle, arm, label.str())) {
-                return *mismatch;
-              }
+          for (const bool caches : {false, true}) {
+            std::ostringstream label;
+            label << "maxscore threads=" << threads << " caches=" << caches;
+            const auto arm =
+                serve(ProcessorKind::kMaxScore, threads, caches, /*priming=*/true);
+            if (auto mismatch = CompareBatches(oracle, arm, label.str())) {
+              return *mismatch;
             }
           }
         }

@@ -133,9 +133,10 @@ std::optional<std::string> CompareBatches(const std::vector<ServedResult>& a,
   return std::nullopt;
 }
 
-/// The tentpole equivalence: MaxScore over compressed lists, exhaustive over
-/// compressed lists, TA over the mutable index, and both MinervaEngine
-/// retrieval paths return identical pages AND scores, at 1 and 4 threads.
+/// The query path's equivalence: MaxScore and the exhaustive oracle over
+/// compressed lists return identical pages AND scores at 1 and 4 threads,
+/// and MinervaEngine's merged candidates carry exactly the tf*idf the
+/// oracle assigns on the peers the query is routed to.
 TEST(QpEquivalenceProperty, AllPathsReturnIdenticalTopK) {
   proptest::ForAll<EquivalenceCase>(
       /*default_seed=*/9260612, /*default_cases=*/10, MakeCase,
@@ -145,8 +146,7 @@ TEST(QpEquivalenceProperty, AllPathsReturnIdenticalTopK) {
         // Serving arms at 1 and 4 threads.
         std::vector<std::vector<ServedResult>> arms;
         for (const ProcessorKind kind :
-             {ProcessorKind::kExhaustive, ProcessorKind::kThresholdAlgorithm,
-              ProcessorKind::kMaxScore}) {
+             {ProcessorKind::kExhaustive, ProcessorKind::kMaxScore}) {
           for (const size_t threads : {size_t{1}, size_t{4}}) {
             ServingOptions options;
             options.processor = kind;
@@ -165,21 +165,17 @@ TEST(QpEquivalenceProperty, AllPathsReturnIdenticalTopK) {
           }
         }
 
-        // Engine-level equivalence: the use_compressed_index switch must not
-        // change a single bit of ExecuteQuery's output.
-        search::SearchOptions base;
-        base.jxp_weight = 0.4;
-        search::SearchOptions compressed_options = base;
-        compressed_options.use_compressed_index = true;
-        search::SearchOptions ta_options = base;
-        ta_options.use_threshold_algorithm = true;
-        search::MinervaEngine plain(&built.corpus, base);
-        search::MinervaEngine compressed(&built.corpus, compressed_options);
-        search::MinervaEngine threshold(&built.corpus, ta_options);
+        // Engine against the oracle: the merged pages are the union of
+        // ExhaustiveTopK(results_per_peer) over the routed peers, each with
+        // the oracle's tf*idf bit for bit.
+        search::SearchOptions options;
+        options.jxp_weight = 0.4;
+        search::MinervaEngine engine(&built.corpus, options);
+        std::vector<CompressedPeerIndex> frozen;
         for (size_t peer = 0; peer < built.indexes.size(); ++peer) {
-          plain.AddPeer(static_cast<p2p::PeerId>(peer), built.partitions[peer]);
-          compressed.AddPeer(static_cast<p2p::PeerId>(peer), built.partitions[peer]);
-          threshold.AddPeer(static_cast<p2p::PeerId>(peer), built.partitions[peer]);
+          engine.AddPeer(static_cast<p2p::PeerId>(peer), built.partitions[peer]);
+          frozen.push_back(CompressedPeerIndex::Freeze(
+              *built.indexes[peer], built.corpus, {}, CompressedIndexOptions{}));
         }
         std::unordered_map<graph::PageId, double> jxp_scores;
         Random prng(c.seed + 3);
@@ -187,21 +183,31 @@ TEST(QpEquivalenceProperty, AllPathsReturnIdenticalTopK) {
           jxp_scores[p] = prng.NextDouble() / static_cast<double>(c.num_nodes);
         }
         for (const ServedQuery& query : built.queries) {
-          const auto want =
-              plain.ExecuteQuery(query.terms, jxp_scores, search::RoutingPolicy::kJxpAuthority);
-          for (const auto* engine : {&compressed, &threshold}) {
-            const auto got = engine->ExecuteQuery(query.terms, jxp_scores,
-                                                  search::RoutingPolicy::kJxpAuthority);
-            if (got.size() != want.size()) return std::string("engine: size mismatch");
-            for (size_t i = 0; i < want.size(); ++i) {
-              if (got[i].page != want[i].page || got[i].tfidf != want[i].tfidf ||
-                  got[i].fused != want[i].fused) {
-                std::ostringstream os;
-                os << "engine: rank " << i << " page " << got[i].page << " vs "
-                   << want[i].page << " tfidf " << got[i].tfidf << " vs "
-                   << want[i].tfidf;
-                return os.str();
-              }
+          const auto routed = engine.RoutePeers(query.terms, jxp_scores,
+                                                search::RoutingPolicy::kJxpAuthority);
+          std::unordered_map<graph::PageId, double> want;
+          const size_t fanout = std::min(options.peers_to_route, routed.size());
+          for (size_t r = 0; r < fanout; ++r) {
+            const TopKList local = ExhaustiveTopK(frozen[routed[r]], query.terms,
+                                                  options.results_per_peer, nullptr);
+            for (const auto& [page, tfidf] : local) want[page] = tfidf;
+          }
+          const auto got = engine.ExecuteQuery(query.terms, jxp_scores,
+                                               search::RoutingPolicy::kJxpAuthority);
+          if (got.size() != want.size()) {
+            std::ostringstream os;
+            os << "engine: " << got.size() << " results vs " << want.size()
+               << " from the oracle";
+            return os.str();
+          }
+          for (const search::SearchResult& result : got) {
+            const auto it = want.find(result.page);
+            if (it == want.end() || it->second != result.tfidf) {
+              std::ostringstream os;
+              os << "engine: page " << result.page << " tfidf " << result.tfidf
+                 << (it == want.end() ? " is not in the oracle's union"
+                                      : " differs from the oracle");
+              return os.str();
             }
           }
         }

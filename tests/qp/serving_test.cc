@@ -100,9 +100,7 @@ TEST(QueryServerTest, AllProcessorsAgreeOnResults) {
   ServingFixture fx;
   const auto exhaustive = fx.MakeServer(ProcessorKind::kExhaustive, 1)->ServeBatch(fx.queries);
   const auto maxscore = fx.MakeServer(ProcessorKind::kMaxScore, 1)->ServeBatch(fx.queries);
-  const auto ta = fx.MakeServer(ProcessorKind::kThresholdAlgorithm, 1)->ServeBatch(fx.queries);
   ExpectSameResults(exhaustive, maxscore, "maxscore vs exhaustive");
-  ExpectSameResults(exhaustive, ta, "ta vs exhaustive");
 }
 
 TEST(QueryServerTest, ResultsAreThreadCountInvariant) {
@@ -308,24 +306,6 @@ TEST(QueryServerTest, AddPeerInvalidatesCaches) {
   auto fresh = fx.MakeServerWithOptions(CachedOptions(ProcessorKind::kMaxScore, 1));
   fresh->AddPeer(&extra, fx.jxp_scores, CompressedIndexOptions{});
   ExpectSameResults(refreshed, fresh->ServeBatch(one_query), "post-AddPeer");
-}
-
-TEST(QueryServerTest, PackedCodecServesIdenticalResults) {
-  ServingFixture fx;
-  const auto vbyte = fx.MakeServer(ProcessorKind::kMaxScore, 1)->ServeBatch(fx.queries);
-  ServingOptions options;
-  options.processor = ProcessorKind::kMaxScore;
-  options.k = 10;
-  options.num_threads = 1;
-  auto server = std::make_unique<QueryServer>(&fx.corpus, options);
-  CompressedIndexOptions copts;
-  copts.codec = BlockCodec::kPacked;
-  for (const auto& index : fx.indexes) {
-    server->AddPeer(index.get(), fx.jxp_scores, copts);
-  }
-  ExpectSameResults(vbyte, server->ServeBatch(fx.queries), "packed vs vbyte");
-  EXPECT_LT(server->index_stats().CompressedBytesPerPosting(),
-            CompressedIndexStats::kUncompressedBytesPerPosting);
 }
 
 TEST(QueryServerTest, LatencyLayerDoesNotChangeResultsOrMetrics) {

@@ -150,34 +150,6 @@ TEST(MinervaEngineTest, TfIdfScoreBasics) {
   EXPECT_DOUBLE_EQ(engine.TfIdfScore(absent, doc), 0.0);
 }
 
-TEST(MinervaEngineTest, ThresholdAlgorithmRetrievalIsResultIdentical) {
-  EngineFixture fx;
-  SearchOptions exhaustive_options;
-  exhaustive_options.peers_to_route = 6;
-  SearchOptions ta_options = exhaustive_options;
-  ta_options.use_threshold_algorithm = true;
-  MinervaEngine exhaustive(&fx.corpus, exhaustive_options);
-  MinervaEngine with_ta(&fx.corpus, ta_options);
-  fx.AddStripedPeers(exhaustive, 8);
-  fx.AddStripedPeers(with_ta, 8);
-
-  Random rng(17);
-  for (int trial = 0; trial < 4; ++trial) {
-    const auto query = fx.corpus.SampleQueryTerms(trial % 4, 3, rng);
-    const auto a = exhaustive.ExecuteQuery(query, fx.jxp_scores,
-                                           RoutingPolicy::kDocumentFrequency);
-    const auto b =
-        with_ta.ExecuteQuery(query, fx.jxp_scores, RoutingPolicy::kDocumentFrequency);
-    // The per-peer top lists are identical, so the merged candidate sets
-    // and rankings match.
-    ASSERT_EQ(a.size(), b.size()) << "trial " << trial;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].page, b[i].page) << "trial " << trial << " rank " << i;
-      EXPECT_NEAR(a[i].tfidf, b[i].tfidf, 1e-12);
-    }
-  }
-}
-
 TEST(MinervaEngineTest, EmptyQueryYieldsNoResults) {
   EngineFixture fx;
   MinervaEngine engine(&fx.corpus, SearchOptions());
