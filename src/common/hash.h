@@ -1,6 +1,7 @@
 #ifndef JXP_COMMON_HASH_H_
 #define JXP_COMMON_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -22,14 +23,24 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
 }
 
-/// FNV-1a hash of a byte string; used for term/URL keys.
-inline uint64_t HashString(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
+/// Initial state of a streamed FNV-1a hash.
+inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
+/// Folds `size` bytes into a streamed FNV-1a state: hashing a byte string
+/// in pieces gives the same state as hashing it in one call.
+inline uint64_t Fnv1aUpdate(uint64_t h, const unsigned char* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    h ^= data[i];
     h *= 0x100000001b3ULL;
   }
-  return Mix64(h);
+  return h;
+}
+
+/// FNV-1a hash of a byte string, finalized with Mix64; used for term/URL
+/// keys and frame checksums.
+inline uint64_t HashString(std::string_view s) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(s.data());
+  return Mix64(Fnv1aUpdate(kFnv1aOffset, bytes, s.size()));
 }
 
 }  // namespace jxp

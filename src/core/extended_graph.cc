@@ -61,27 +61,23 @@ void ExtendedSystemCache::RebuildWorldRow(double denominator) {
 
   // World row (Eqs. 8-9), regenerated from the raw terms with the exact
   // arithmetic of a from-scratch build: weight per target
-  // (1/out(r)) * (alpha(r)/alpha_w), generation-order mass accumulation,
-  // clamp-scaling applied per entry before the sort/merge.
-  world_row_.clear();
-  double world_out_mass = 0;
-  for (const WorldTerm& term : terms_) {
+  // (1/out(r)) * (alpha(r)/alpha_w), with the mass accumulated in
+  // (target, page) order.
+  const auto weight = [&](const WorldTerm& term) {
     const double assumed_score = weighting_ == WorldLinkWeighting::kScoreProportional
                                      ? term.score
                                      : denominator * uniform_share_;
-    const double per_target = term.inv_out * (assumed_score / denominator);
-    world_row_.push_back({term.target, per_target});
-    world_out_mass += per_target;
-  }
+    return term.inv_out * (assumed_score / denominator);
+  };
+  double world_out_mass = 0;
+  for (const WorldTerm& term : terms_) world_out_mass += weight(term);
   // Known external dangling pages link (by the uniform-redistribution
   // convention) to every page, so their aggregated score mass flows 1/N to
   // each local page.
-  if (dangling_mass_ > 0 && num_local_ > 0) {
-    const double per_page =
-        (dangling_mass_ / denominator) / static_cast<double>(global_size_);
-    for (uint32_t i = 0; i < num_local_; ++i) world_row_.push_back({i, per_page});
-    world_out_mass += per_page * static_cast<double>(num_local_);
-  }
+  const bool dangling = dangling_mass_ > 0 && num_local_ > 0;
+  const double per_page =
+      dangling ? (dangling_mass_ / denominator) / static_cast<double>(global_size_) : 0.0;
+  if (dangling) world_out_mass += per_page * static_cast<double>(num_local_);
   // Transiently, the stored external scores can exceed the world score
   // (e.g. right after take-max combining but before the local PR re-run);
   // scale the row back into stochasticity instead of producing a negative
@@ -92,10 +88,20 @@ void ExtendedSystemCache::RebuildWorldRow(double denominator) {
     scale = 1.0 / world_out_mass;
     system_.world_row_clamped = true;
   }
-  for (markov::MatrixEntry& e : world_row_) e.weight = e.weight * scale;
+  // One entry per target that has a term (or every target, with dangling
+  // mass): its scaled terms in page order, then the dangling share.
+  world_row_.clear();
+  for (uint32_t i = 0; i < num_local_; ++i) {
+    const uint64_t begin = term_offsets_[i];
+    const uint64_t end = term_offsets_[i + 1];
+    if (begin == end && !dangling) continue;
+    double w = 0;
+    for (uint64_t k = begin; k < end; ++k) w += weight(terms_[k]) * scale;
+    if (dangling) w += per_page * scale;
+    world_row_.push_back({i, w});
+  }
   const double self_loop = 1.0 - std::min(world_out_mass * scale, 1.0);
   if (self_loop > 0) world_row_.push_back({world_state, self_loop});
-  markov::SortAndMergeRow(world_row_);
   system_.matrix.ReplaceLastRow(world_row_);
 }
 
@@ -115,29 +121,30 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
     GetCacheMetrics().hits.Increment();
   }
 
-  // Snapshot the world node's raw link terms, projected onto the fragment.
-  terms_.clear();
+  // Snapshot the world node's raw link terms, projected onto the fragment
+  // and counting-sorted by local target. The world node iterates in page
+  // order, so each target's terms stay in page order: the canonical
+  // (target, page) order, a function of the world node's content alone.
+  const wire::WorldColumns& w = world.columns();
   uniform_share_ =
       world.NumEntries() > 0 ? 1.0 / static_cast<double>(world.NumEntries()) : 0.0;
-  for (const auto& [page, info] : world.entries()) {
-    const double inv_out = 1.0 / static_cast<double>(info.out_degree);
-    for (graph::PageId target : info.targets) {
-      const graph::Subgraph::LocalIndex t = fragment.LocalIndexOf(target);
-      if (t == graph::Subgraph::kNotLocal) continue;  // Target projected away.
-      terms_.push_back({t, inv_out, info.score});
+  link_targets_.resize(w.targets.size());
+  term_offsets_.assign(n + 1, 0);
+  for (size_t l = 0; l < w.targets.size(); ++l) {
+    const graph::Subgraph::LocalIndex t = fragment.LocalIndexOf(w.targets[l]);
+    link_targets_[l] = t;
+    if (t != graph::Subgraph::kNotLocal) ++term_offsets_[t + 1];  // Else projected away.
+  }
+  for (size_t i = 0; i < n; ++i) term_offsets_[i + 1] += term_offsets_[i];
+  terms_.resize(term_offsets_[n]);
+  cursor_.assign(term_offsets_.begin(), term_offsets_.end() - 1);
+  for (size_t e = 0; e < w.NumEntries(); ++e) {
+    const WorldTerm term{1.0 / static_cast<double>(w.out_degrees[e]), w.scores[e]};
+    for (uint64_t l = w.target_offsets[e]; l < w.target_offsets[e + 1]; ++l) {
+      const uint32_t t = link_targets_[l];
+      if (t != graph::Subgraph::kNotLocal) terms_[cursor_[t]++] = term;
     }
   }
-  // Canonical term order. The map's iteration order depends on its insertion
-  // history, which differs between a live peer and the same peer restored
-  // from a state_io file; sorting makes the world row's accumulation order —
-  // and with it every downstream float — a function of the world node's
-  // *content* only, so a saved-and-reloaded peer computes bit-identical
-  // scores.
-  std::sort(terms_.begin(), terms_.end(), [](const WorldTerm& a, const WorldTerm& b) {
-    if (a.target != b.target) return a.target < b.target;
-    if (a.inv_out != b.inv_out) return a.inv_out < b.inv_out;
-    return a.score < b.score;
-  });
   dangling_mass_ = world.TotalDanglingScore();
   global_size_ = global_size;
   weighting_ = weighting;

@@ -48,16 +48,20 @@ struct ExtendedGraphSystem {
 /// - local rows are built once per fragment and reused across meetings;
 ///   they are dropped only by InvalidateFragment() (called on
 ///   ReplaceFragment, the sole structural fragment change);
-/// - Prepare() snapshots the world node's raw link terms (target, 1/out(r),
-///   alpha(r)) and regenerates the world row for the given denominator —
-///   O(world entries), no local-row rebuild, no builder sort of local rows;
+/// - Prepare() snapshots the world node's raw link terms (1/out(r),
+///   alpha(r)) grouped by local target — a counting sort that keeps the
+///   world node's page order within a target — and regenerates the world
+///   row for the given denominator: O(world links), no comparison sort, no
+///   local-row rebuild;
 /// - Rescale() regenerates the world row for a new denominator from the
-///   snapshot — the O(world entries) step JxpPeer's self-consistent
+///   snapshot — the O(world links) step JxpPeer's self-consistent
 ///   denominator guard loop runs instead of a full BuildExtendedSystem.
 ///
 /// The world row is regenerated with arithmetic identical to a fresh
 /// BuildExtendedSystem at the same denominator, so the cached and the
-/// freshly built systems agree bit for bit.
+/// freshly built systems agree bit for bit. Its floats accumulate in
+/// (target, page) order, which depends only on the world node's content:
+/// a peer restored from a state_io file computes bit-identical scores.
 class ExtendedSystemCache {
  public:
   ExtendedSystemCache() = default;
@@ -86,9 +90,9 @@ class ExtendedSystemCache {
 
  private:
   /// One raw world-row term: external page r contributes weight
-  /// (1/out(r)) * alpha(r)/alpha_w to local page `target`.
+  /// (1/out(r)) * alpha(r)/alpha_w to the local page whose term group holds
+  /// it.
   struct WorldTerm {
-    uint32_t target = 0;
     double inv_out = 0;
     double score = 0;
   };
@@ -103,7 +107,14 @@ class ExtendedSystemCache {
   WorldLinkWeighting weighting_ = WorldLinkWeighting::kScoreProportional;
   double uniform_share_ = 0;
   double dangling_mass_ = 0;
+  /// Terms grouped by local target: target i's terms, in page order, are
+  /// terms_[term_offsets_[i], term_offsets_[i + 1]).
   std::vector<WorldTerm> terms_;
+  std::vector<uint64_t> term_offsets_;
+  // Scratch for the counting sort: each world link's local target, and each
+  // target's next fill position.
+  std::vector<uint32_t> link_targets_;
+  std::vector<uint64_t> cursor_;
   std::vector<markov::MatrixEntry> world_row_;  // Scratch, reused per rebuild.
   ExtendedGraphSystem system_;
 };

@@ -60,10 +60,6 @@ constexpr double kWorldScoreFloor = 1e-12;
 constexpr size_t kPageSketchBuckets = 256;
 constexpr uint64_t kPageSketchSeed = 0x9a6e5c0117ULL;
 
-double CombineScores(CombineMode mode, double a, double b) {
-  return mode == CombineMode::kTakeMax ? std::max(a, b) : 0.5 * (a + b);
-}
-
 }  // namespace
 
 JxpPeer::JxpPeer(p2p::PeerId id, graph::Subgraph fragment, size_t global_size,
@@ -125,10 +121,14 @@ double JxpPeer::ScoreOfGlobal(graph::PageId page) const {
 }
 
 std::vector<uint8_t> JxpPeer::EncodeMeetingBytes() const {
+  const synopses::HashSketch* sketch =
+      options_.estimate_global_size ? &page_sketch_ : nullptr;
+  if (options_.attack.type == AttackOptions::Type::kNone) {
+    // An honest peer's message is its own state, encoded in place.
+    return EncodeMeetingMessage(fragment_, scores_, world_, sketch);
+  }
   const PeerView view = MakeView();
-  return EncodeMeetingMessage(*view.fragment, view.scores, view.world,
-                              options_.estimate_global_size ? view.page_sketch
-                                                            : nullptr);
+  return EncodeMeetingMessage(*view.fragment, view.scores, view.world, sketch);
 }
 
 RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
@@ -260,19 +260,13 @@ MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
   span.AddAttr("partner", partner.id_);
   span.AddAttr("wire_mode", "measured");
 
-  PeerView initiator_view = initiator.MakeView();
-  PeerView partner_view = partner.MakeView();
-
-  // Serialize both messages through the wire codec; from here on the bytes
-  // *are* the message, and faults act on them.
+  // Serialize both messages through the wire codec before either side
+  // applies (the exchange is simultaneous); from here on the bytes *are* the
+  // message, and faults act on them.
   std::optional<ThreadCpuTimer> encode_timer;
   if (obs::Enabled()) encode_timer.emplace();
-  const std::vector<uint8_t> initiator_bytes = EncodeMeetingMessage(
-      *initiator_view.fragment, initiator_view.scores, initiator_view.world,
-      initiator.options_.estimate_global_size ? initiator_view.page_sketch : nullptr);
-  const std::vector<uint8_t> partner_bytes = EncodeMeetingMessage(
-      *partner_view.fragment, partner_view.scores, partner_view.world,
-      partner.options_.estimate_global_size ? partner_view.page_sketch : nullptr);
+  const std::vector<uint8_t> initiator_bytes = initiator.EncodeMeetingBytes();
+  const std::vector<uint8_t> partner_bytes = partner.EncodeMeetingBytes();
   if (encode_timer.has_value()) {
     GetMeetingMetrics().wire_encode_ms.Observe(encode_timer->ElapsedMillis());
   }
@@ -281,9 +275,10 @@ MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
   outcome.bytes_sent_initiator = static_cast<double>(initiator_bytes.size());
   outcome.bytes_sent_partner = static_cast<double>(partner_bytes.size());
   outcome.wire_bytes = outcome.bytes_sent_initiator + outcome.bytes_sent_partner;
-  outcome.estimated_bytes_initiator = initiator_view.wire_bytes;
-  outcome.estimated_bytes_partner = partner_view.wire_bytes;
-  outcome.estimated_wire_bytes = initiator_view.wire_bytes + partner_view.wire_bytes;
+  outcome.estimated_bytes_initiator = initiator.EstimatedMessageBytes();
+  outcome.estimated_bytes_partner = partner.EstimatedMessageBytes();
+  outcome.estimated_wire_bytes =
+      outcome.estimated_bytes_initiator + outcome.estimated_bytes_partner;
 
   // Resolves one direction's transport: truncation keeps a byte prefix,
   // corruption flips one bit of what arrives, and the receiver's decoder
@@ -401,25 +396,21 @@ bool JxpPeer::TruncateView(const PeerView& full, double keep_fraction, PeerView&
     out = full;
     return true;
   }
-  // The page table is serialized in local-index order, so the first k
-  // records arrive complete (each with its full successor list).
-  std::vector<graph::PageId> pages;
-  std::vector<std::vector<graph::PageId>> successors;
-  pages.reserve(k);
-  successors.reserve(k);
+  // The page table is serialized in local-index order (ascending page id),
+  // so the first k records arrive complete (each with its full successor
+  // list) and keep their local indices.
+  std::vector<graph::PageId> pages(frag.Pages().begin(), frag.Pages().begin() + k);
+  std::vector<uint64_t> offsets = {0};
+  std::vector<graph::PageId> successors;
+  offsets.reserve(k + 1);
   for (graph::Subgraph::LocalIndex i = 0; i < k; ++i) {
-    pages.push_back(frag.GlobalId(i));
     const auto succ = frag.Successors(i);
-    successors.emplace_back(succ.begin(), succ.end());
+    successors.insert(successors.end(), succ.begin(), succ.end());
+    offsets.push_back(successors.size());
   }
-  auto owned = std::make_shared<graph::Subgraph>(
-      graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors)));
-  out.scores.assign(k, 0.0);
-  for (graph::Subgraph::LocalIndex i = 0; i < k; ++i) {
-    const graph::Subgraph::LocalIndex j = owned->LocalIndexOf(frag.GlobalId(i));
-    JXP_CHECK_NE(j, graph::Subgraph::kNotLocal);
-    out.scores[j] = full.scores[i];
-  }
+  auto owned = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
+      std::move(pages), std::move(offsets), std::move(successors)));
+  out.scores.assign(full.scores.begin(), full.scores.begin() + k);
   out.fragment = owned.get();
   out.owned_fragment = std::move(owned);
   // The world node and page sketch ride at the tail of the message: lost.
@@ -435,10 +426,7 @@ JxpPeer::PeerView JxpPeer::MakeView() const {
   view.scores = scores_;
   view.world = world_;
   view.page_sketch = &page_sketch_;
-  view.wire_bytes = MessageWireBytes();
-  if (options_.estimate_global_size) {
-    view.wire_bytes += static_cast<double>(page_sketch_.SizeBytes());
-  }
+  view.wire_bytes = EstimatedMessageBytes();
   // A cheating peer corrupts its outgoing message (Section 7's open
   // problem; see AttackOptions).
   switch (options_.attack.type) {
@@ -550,6 +538,9 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
   // Fold the partner's local pages into our view: overlapping pages combine
   // score lists; external pages that link into our fragment enter the world
   // node with their out-degree, score, and the in-links they contribute.
+  // The partner's pages arrive in ascending order, so they form a sorted
+  // batch for one merge.
+  WorldNode hosted;
   std::vector<graph::PageId> targets;
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
     const graph::PageId page = other.GlobalId(k);
@@ -562,8 +553,7 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
     if (other.GlobalOutDegree(k) == 0) {
       // External dangling page: its mass reaches us via the uniform
       // redistribution, which the world row models in aggregate.
-      world_.ObserveDangling(page, reported, options_.combine_mode,
-                             options_.authoritative_refresh);
+      hosted.AppendDangling(page, reported);
       continue;
     }
     targets.clear();
@@ -571,35 +561,41 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
       if (fragment_.Contains(successor)) targets.push_back(successor);
     }
     if (!targets.empty()) {
-      world_.Observe(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), reported,
-                     targets, options_.combine_mode, options_.authoritative_refresh);
+      hosted.Append(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), reported,
+                    targets);
     }
   }
   // Fold the partner's world node: entries about our own pages refresh our
   // score list; entries about external pages that link into our fragment
   // extend our world node (the "union of the links represented in them").
-  for (const auto& [page, info] : partner.world.entries()) {
+  const wire::WorldColumns& heard_of = partner.world.columns();
+  WorldNode relayed;
+  for (size_t e = 0; e < heard_of.NumEntries(); ++e) {
+    const graph::PageId page = heard_of.pages[e];
     const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
     if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, info.score);
+      CombineLocalScore(mine, heard_of.scores[e]);
       continue;
     }
     targets.clear();
-    for (graph::PageId target : info.targets) {
+    for (graph::PageId target : heard_of.Targets(e)) {
       if (fragment_.Contains(target)) targets.push_back(target);
     }
     if (!targets.empty()) {
-      world_.Observe(page, info.out_degree, info.score, targets, options_.combine_mode);
+      relayed.Append(page, heard_of.out_degrees[e], heard_of.scores[e], targets);
     }
   }
-  for (const auto& [page, score] : partner.world.dangling_scores()) {
+  for (size_t d = 0; d < heard_of.dangling_pages.size(); ++d) {
+    const graph::PageId page = heard_of.dangling_pages[d];
     const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
     if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, score);
+      CombineLocalScore(mine, heard_of.dangling_scores[d]);
     } else {
-      world_.ObserveDangling(page, score, options_.combine_mode);
+      relayed.AppendDangling(page, heard_of.dangling_scores[d]);
     }
   }
+  world_.Merge(std::move(hosted), options_.combine_mode, options_.authoritative_refresh);
+  world_.Merge(std::move(relayed), options_.combine_mode);
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }
@@ -631,20 +627,12 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   // Merged world node W_M: union of both world nodes minus links that became
   // explicit in G_M (paper: T_M = (T_A ∪ T_B) − E_M; entries whose source
   // page is itself in V_M are dropped because those links are now edges).
-  WorldNode merged_world;
-  const auto absorb_world = [&](const WorldNode& w) {
-    for (const auto& [page, info] : w.entries()) {
-      if (merged.Contains(page)) continue;
-      merged_world.Observe(page, info.out_degree, info.score, info.targets,
-                           options_.combine_mode);
-    }
-    for (const auto& [page, score] : w.dangling_scores()) {
-      if (merged.Contains(page)) continue;
-      merged_world.ObserveDangling(page, score, options_.combine_mode);
-    }
-  };
-  absorb_world(world_);
-  absorb_world(partner.world);
+  const auto in_merged = [&merged](graph::PageId page) { return merged.Contains(page); };
+  WorldNode merged_world = world_;
+  merged_world.EraseIf(in_merged);
+  WorldNode partner_world = partner.world;
+  partner_world.EraseIf(in_merged);
+  merged_world.Merge(std::move(partner_world), options_.combine_mode);
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }
@@ -696,27 +684,20 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   }
   // ... and a new world node: W_M's links into V_A, plus the partner's pages
   // (E_B links) that point into V_A, now valued at their merged PR scores.
-  WorldNode new_world;
+  // The two sets are disjoint (W_M excludes every page of G_M).
+  const auto in_fragment = [this](graph::PageId page) {
+    return fragment_.Contains(page);
+  };
+  WorldNode new_world = std::move(merged_world);
+  new_world.FilterTargets(in_fragment);
+  WorldNode partner_pages;
   std::vector<graph::PageId> targets;
-  for (const auto& [page, info] : merged_world.entries()) {
-    targets.clear();
-    for (graph::PageId t : info.targets) {
-      if (fragment_.Contains(t)) targets.push_back(t);
-    }
-    if (!targets.empty()) {
-      new_world.Observe(page, info.out_degree, info.score, targets, options_.combine_mode);
-    }
-  }
-  for (const auto& [page, score] : merged_world.dangling_scores()) {
-    new_world.ObserveDangling(page, score, options_.combine_mode);
-  }
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
     const graph::PageId page = other.GlobalId(k);
     if (fragment_.Contains(page)) continue;
     const double score = result.distribution[merged.LocalIndexOf(page)];
     if (other.GlobalOutDegree(k) == 0) {
-      new_world.ObserveDangling(page, score, options_.combine_mode,
-                                options_.authoritative_refresh);
+      partner_pages.AppendDangling(page, score);
       continue;
     }
     targets.clear();
@@ -724,10 +705,12 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
       if (fragment_.Contains(successor)) targets.push_back(successor);
     }
     if (!targets.empty()) {
-      new_world.Observe(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), score,
-                        targets, options_.combine_mode, options_.authoritative_refresh);
+      partner_pages.Append(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), score,
+                           targets);
     }
   }
+  new_world.Merge(std::move(partner_pages), options_.combine_mode,
+                  options_.authoritative_refresh);
   world_ = std::move(new_world);
   // The world node again represents *everything* outside V_A (including the
   // partner's pages), so its score is the complement of the local mass.
@@ -794,6 +777,12 @@ void JxpPeer::RunLocalPageRank() {
   world_score_ = pr_world;
 }
 
+double JxpPeer::EstimatedMessageBytes() const {
+  return MessageWireBytes() + (options_.estimate_global_size
+                                   ? static_cast<double>(page_sketch_.SizeBytes())
+                                   : 0.0);
+}
+
 double JxpPeer::MessageWireBytes() const {
   // Page table: id (8) + out-degree (4) + score (8) per local page;
   // successor lists: 8 per link; world node entries as WorldNode::WireBytes.
@@ -811,12 +800,11 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
     const graph::Subgraph::LocalIndex old = fragment_.LocalIndexOf(page);
     if (old != graph::Subgraph::kNotLocal) {
       new_scores[i] = scores_[old];
-    } else if (const ExternalPageInfo* info = world_.Find(page)) {
+    } else if (const auto info = world_.Find(page)) {
       // The page was known through the world node: keep that estimate.
       new_scores[i] = std::max(info->score, 1.0 / static_cast<double>(global_size_));
-    } else if (const auto it = world_.dangling_scores().find(page);
-               it != world_.dangling_scores().end()) {
-      new_scores[i] = std::max(it->second, 1.0 / static_cast<double>(global_size_));
+    } else if (const auto dangling = world_.FindDangling(page)) {
+      new_scores[i] = std::max(*dangling, 1.0 / static_cast<double>(global_size_));
     } else {
       new_scores[i] = 1.0 / static_cast<double>(global_size_);
     }
@@ -831,20 +819,21 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
   extended_cache_.InvalidateFragment();
   // Drop world knowledge about pages that became local, and in-links aimed
   // at pages we no longer hold.
-  for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
-    world_.Erase(fragment_.GlobalId(i));
-  }
-  world_.FilterTargets([this](graph::PageId t) { return fragment_.Contains(t); });
+  const auto in_fragment = [this](graph::PageId page) {
+    return fragment_.Contains(page);
+  };
+  world_.EraseIf(in_fragment);
+  world_.FilterTargets(in_fragment);
   // Retain what the peer learned from crawling the dropped pages: a dropped
   // page that links into the retained set becomes a world-node entry with
   // its last known score.
+  WorldNode dropped;
   std::vector<graph::PageId> targets;
   for (graph::Subgraph::LocalIndex i = 0; i < old_fragment.NumLocalPages(); ++i) {
     const graph::PageId page = old_fragment.GlobalId(i);
     if (fragment_.Contains(page)) continue;
     if (old_fragment.GlobalOutDegree(i) == 0) {
-      world_.ObserveDangling(page, old_scores[i], options_.combine_mode,
-                             options_.authoritative_refresh);
+      dropped.AppendDangling(page, old_scores[i]);
       continue;
     }
     targets.clear();
@@ -852,11 +841,11 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
       if (fragment_.Contains(successor)) targets.push_back(successor);
     }
     if (!targets.empty()) {
-      world_.Observe(page, static_cast<uint32_t>(old_fragment.GlobalOutDegree(i)),
-                     old_scores[i], targets, options_.combine_mode,
-                     options_.authoritative_refresh);
+      dropped.Append(page, static_cast<uint32_t>(old_fragment.GlobalOutDegree(i)),
+                     old_scores[i], targets);
     }
   }
+  world_.Merge(std::move(dropped), options_.combine_mode, options_.authoritative_refresh);
   // The re-crawl may have discovered new pages; the sketch only ever grows
   // (departed pages still exist in the global graph).
   SeedPageSketch();

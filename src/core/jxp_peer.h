@@ -222,7 +222,14 @@ class JxpPeer {
     std::shared_ptr<const synopses::HashSketch> owned_sketch;
   };
 
+  /// Copies the state this peer ships (corrupted per AttackOptions): the
+  /// estimated-wire meeting's snapshot, and the measured path's message of
+  /// a cheating peer.
   PeerView MakeView() const;
+
+  /// MessageWireBytes plus the page sketch when it is shipped: the analytic
+  /// size of this peer's meeting message.
+  double EstimatedMessageBytes() const;
 
   /// The kMeasured meeting path: both views are serialized through the wire
   /// codec, faults (drop / truncation / bit corruption) act on the real

@@ -1,9 +1,6 @@
 #include "core/meeting_wire.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/check.h"
 
 namespace jxp {
 namespace core {
@@ -15,34 +12,8 @@ std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
                                           const wire::EncodeOptions& options) {
   std::vector<uint8_t> out;
   wire::EncodeScoreList(fragment, scores, options, out);
-
-  // The codec wants world records sorted by page id; the world node stores
-  // hash maps, so flatten and sort (targets are already sorted unique).
-  std::vector<wire::WorldEntryIn> entries;
-  entries.reserve(world.NumEntries());
-  for (const auto& [page, info] : world.entries()) {
-    wire::WorldEntryIn entry;
-    entry.page = page;
-    entry.out_degree = info.out_degree;
-    entry.score = info.score;
-    entry.targets = info.targets;
-    entries.push_back(entry);
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const wire::WorldEntryIn& a, const wire::WorldEntryIn& b) {
-              return a.page < b.page;
-            });
-  std::vector<wire::DanglingIn> dangling;
-  dangling.reserve(world.dangling_scores().size());
-  for (const auto& [page, score] : world.dangling_scores()) {
-    dangling.push_back({page, score});
-  }
-  std::sort(dangling.begin(), dangling.end(),
-            [](const wire::DanglingIn& a, const wire::DanglingIn& b) {
-              return a.page < b.page;
-            });
-  wire::EncodeWorldKnowledge(entries, dangling, out);
-
+  // The world node keeps the codec's page-sorted layout: encoded in place.
+  wire::EncodeWorldKnowledge(world.columns(), out);
   if (sketch != nullptr) wire::EncodeSynopsis(*sketch, out);
   return out;
 }
@@ -54,36 +25,18 @@ DecodedMeetingMessage DecodeMeetingMessage(std::span<const uint8_t> bytes) {
   result.resync_offset = decoded.resync_offset;
   result.error = std::move(decoded.error);
 
-  if (!decoded.pages.empty()) {
-    std::vector<graph::PageId> pages;
-    std::vector<std::vector<graph::PageId>> successors;
-    pages.reserve(decoded.pages.size());
-    successors.reserve(decoded.pages.size());
-    result.scores.reserve(decoded.pages.size());
-    for (wire::ScoreListPage& record : decoded.pages) {
-      pages.push_back(record.page);
-      successors.push_back(std::move(record.successors));
-    }
-    auto fragment = std::make_shared<graph::Subgraph>(
-        graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors)));
-    // The page table arrives in ascending-page order, which is exactly the
-    // rebuilt fragment's local-index order; still map defensively.
-    result.scores.assign(fragment->NumLocalPages(), 0.0);
-    for (const wire::ScoreListPage& record : decoded.pages) {
-      const graph::Subgraph::LocalIndex i = fragment->LocalIndexOf(record.page);
-      JXP_CHECK_NE(i, graph::Subgraph::kNotLocal);
-      result.scores[i] = record.score;
-    }
-    result.fragment = std::move(fragment);
+  // The codec validated what it returns (ascending pages, ascending
+  // successor and target lists, 1 <= |targets| <= out-degree), which is
+  // exactly the canonical form the fragment and the world node keep: both
+  // adopt the columns without re-sorting.
+  wire::PageTableColumns& table = decoded.page_table;
+  if (!table.pages.empty()) {
+    result.fragment = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
+        std::move(table.pages), std::move(table.successor_offsets),
+        std::move(table.successors)));
+    result.scores = std::move(table.scores);
   }
-
-  for (const wire::WorldEntryOut& entry : decoded.world_entries) {
-    result.world.Observe(entry.page, entry.out_degree, entry.score, entry.targets,
-                         CombineMode::kTakeMax);
-  }
-  for (const wire::DanglingOut& record : decoded.world_dangling) {
-    result.world.ObserveDangling(record.page, record.score, CombineMode::kTakeMax);
-  }
+  result.world = WorldNode(std::move(decoded.world));
 
   if (decoded.has_synopsis) {
     result.sketch = std::make_shared<synopses::HashSketch>(

@@ -16,8 +16,9 @@ namespace jxp {
 namespace core {
 
 /// Bridge between the peer vocabulary (Subgraph, WorldNode, HashSketch) and
-/// the wire codec (DESIGN.md §6g): the encode side flattens peer state into
-/// the codec's plain records, the decode side rebuilds it. Lives in core —
+/// the wire codec (DESIGN.md §6g): the world node and the decoded page table
+/// already have the codec's page-sorted column layout, so both directions
+/// pass the columns through without flattening or sorting. Lives in core —
 /// not wire — so the wire library never depends on core types.
 
 /// Serializes one complete meeting message: the page table (fragment +

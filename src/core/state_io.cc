@@ -1,7 +1,9 @@
 #include "core/state_io.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <sstream>
 
@@ -38,17 +40,20 @@ Status SavePeerState(const JxpPeer& peer, const std::string& path) {
     body << "\n";
   }
 
-  const WorldNode& world = peer.world_node();
+  // The world node is sorted by page, so the file is a function of the
+  // peer's state, not of the meeting history that produced it.
+  const wire::WorldColumns& world = peer.world_node().columns();
   body << "world_entries " << world.NumEntries() << "\n";
-  for (const auto& [page, info] : world.entries()) {
-    body << page << " " << info.out_degree << " " << info.score << " "
-         << info.targets.size();
-    for (graph::PageId t : info.targets) body << " " << t;
+  for (size_t e = 0; e < world.NumEntries(); ++e) {
+    const std::span<const graph::PageId> targets = world.Targets(e);
+    body << world.pages[e] << " " << world.out_degrees[e] << " " << world.scores[e] << " "
+         << targets.size();
+    for (graph::PageId t : targets) body << " " << t;
     body << "\n";
   }
-  body << "dangling " << world.dangling_scores().size() << "\n";
-  for (const auto& [page, score] : world.dangling_scores()) {
-    body << page << " " << score << "\n";
+  body << "dangling " << world.dangling_pages.size() << "\n";
+  for (size_t d = 0; d < world.dangling_pages.size(); ++d) {
+    body << world.dangling_pages[d] << " " << world.dangling_scores[d] << "\n";
   }
 
   const std::string content = body.str();
@@ -146,15 +151,27 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
       }
     }
     if (count == 0) return Status::Corruption(path + ": world entry without targets");
-    // Validate before WorldNode::Observe: its invariants are JXP_CHECKs,
-    // and a tampered file must surface as Corruption, not a process abort.
+    // Validate before WorldNode::Append/Observe: their invariants are
+    // JXP_CHECKs, and a tampered file must surface as Corruption, not a
+    // process abort.
     if (out_degree == 0) {
       return Status::Corruption(path + ": world entry with zero out-degree");
     }
     if (!(score >= 0)) {
       return Status::Corruption(path + ": negative world entry score");
     }
-    world.Observe(page, out_degree, score, targets, options.combine_mode);
+    // A canonical file lists entries in page order with sorted targets and
+    // loads in one pass; anything else (a file written before the world
+    // node was page-sorted, or a repeated page) folds in one observation
+    // at a time.
+    const std::vector<graph::PageId>& known = world.columns().pages;
+    if ((known.empty() || known.back() < page) && targets.size() <= out_degree &&
+        std::adjacent_find(targets.begin(), targets.end(), std::greater_equal<>()) ==
+            targets.end()) {
+      world.Append(page, out_degree, score, targets);
+    } else {
+      world.Observe(page, out_degree, score, targets, options.combine_mode);
+    }
   }
   size_t num_dangling = 0;
   if (!(parse >> keyword >> num_dangling) || keyword != "dangling") {
@@ -169,7 +186,12 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
     if (!(score >= 0)) {
       return Status::Corruption(path + ": negative dangling score");
     }
-    world.ObserveDangling(page, score, options.combine_mode);
+    const std::vector<graph::PageId>& known = world.columns().dangling_pages;
+    if (known.empty() || known.back() < page) {
+      world.AppendDangling(page, score);
+    } else {
+      world.ObserveDangling(page, score, options.combine_mode);
+    }
   }
 
   if (num_pages == 0) return Status::Corruption(path + ": peer without pages");

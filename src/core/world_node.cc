@@ -1,88 +1,242 @@
 #include "core/world_node.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <utility>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace jxp {
 namespace core {
+
+namespace {
+
+/// Out-degree conflicts resolved by Merge (see its comment). Deterministic:
+/// a pure function of the observed messages.
+obs::Counter& OutDegreeConflicts() {
+  static obs::Counter counter =
+      obs::MetricsRegistry::Global().GetCounter("jxp.world.out_degree_conflicts");
+  return counter;
+}
+
+bool StrictlyAscending(std::span<const graph::PageId> ids) {
+  return std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) == ids.end();
+}
+
+/// Appends entries [from, to) of `src` to the entry columns of `out`.
+void AppendEntries(const wire::WorldColumns& src, size_t from, size_t to,
+                   wire::WorldColumns& out) {
+  out.pages.insert(out.pages.end(), src.pages.begin() + from, src.pages.begin() + to);
+  out.out_degrees.insert(out.out_degrees.end(), src.out_degrees.begin() + from,
+                         src.out_degrees.begin() + to);
+  out.scores.insert(out.scores.end(), src.scores.begin() + from, src.scores.begin() + to);
+  const uint64_t base = out.targets.size() - src.target_offsets[from];
+  out.targets.insert(out.targets.end(), src.targets.begin() + src.target_offsets[from],
+                     src.targets.begin() + src.target_offsets[to]);
+  for (size_t e = from; e < to; ++e) {
+    out.target_offsets.push_back(src.target_offsets[e + 1] + base);
+  }
+}
+
+/// The end of the run of `pages` from `from` on that sorts before `bound`.
+size_t RunBefore(const std::vector<graph::PageId>& pages, size_t from,
+                 graph::PageId bound) {
+  return static_cast<size_t>(
+      std::lower_bound(pages.begin() + from, pages.end(), bound) - pages.begin());
+}
+
+}  // namespace
+
+WorldNode::WorldNode(wire::WorldColumns columns) : columns_(std::move(columns)) {
+  const wire::WorldColumns& c = columns_;
+  const size_t n = c.pages.size();
+  JXP_CHECK(c.out_degrees.size() == n && c.scores.size() == n &&
+            c.target_offsets.size() == n + 1 && c.target_offsets.front() == 0 &&
+            c.target_offsets.back() == c.targets.size())
+      << "malformed world columns";
+  JXP_CHECK(StrictlyAscending(c.pages)) << "world pages not strictly ascending";
+  for (size_t e = 0; e < n; ++e) {
+    const std::span<const graph::PageId> targets = c.Targets(e);
+    JXP_CHECK(!targets.empty() && targets.size() <= c.out_degrees[e]);
+    JXP_CHECK(StrictlyAscending(targets)) << "world targets not strictly ascending";
+    JXP_CHECK_GE(c.scores[e], 0.0);
+  }
+  JXP_CHECK_EQ(c.dangling_pages.size(), c.dangling_scores.size());
+  JXP_CHECK(StrictlyAscending(c.dangling_pages))
+      << "dangling pages not strictly ascending";
+  for (double score : c.dangling_scores) JXP_CHECK_GE(score, 0.0);
+}
+
+void WorldNode::Append(graph::PageId page, uint32_t out_degree, double score,
+                       std::span<const graph::PageId> targets) {
+  wire::WorldColumns& c = columns_;
+  JXP_CHECK(c.pages.empty() || c.pages.back() < page) << "Append out of page order";
+  JXP_CHECK(!targets.empty() && targets.size() <= out_degree)
+      << "page " << page << ": " << targets.size() << " targets, out-degree "
+      << out_degree;
+  JXP_CHECK(StrictlyAscending(targets));
+  JXP_CHECK_GE(score, 0.0);
+  c.pages.push_back(page);
+  c.out_degrees.push_back(out_degree);
+  c.scores.push_back(score);
+  c.targets.insert(c.targets.end(), targets.begin(), targets.end());
+  c.target_offsets.push_back(c.targets.size());
+}
+
+void WorldNode::AppendDangling(graph::PageId page, double score) {
+  wire::WorldColumns& c = columns_;
+  JXP_CHECK(c.dangling_pages.empty() || c.dangling_pages.back() < page)
+      << "AppendDangling out of page order";
+  JXP_CHECK_GE(score, 0.0);
+  c.dangling_pages.push_back(page);
+  c.dangling_scores.push_back(score);
+}
+
+void WorldNode::Merge(WorldNode batch, CombineMode mode, bool authoritative) {
+  const wire::WorldColumns& a = columns_;
+  const wire::WorldColumns& b = batch.columns_;
+  uint64_t conflicts = 0;
+  if (!b.pages.empty()) {
+    wire::WorldColumns out;
+    const size_t entries = a.pages.size() + b.pages.size();
+    out.pages.reserve(entries);
+    out.out_degrees.reserve(entries);
+    out.scores.reserve(entries);
+    out.target_offsets.reserve(entries + 1);
+    out.targets.reserve(a.targets.size() + b.targets.size());
+    size_t i = 0;
+    size_t j = 0;
+    while (i < a.pages.size() && j < b.pages.size()) {
+      if (a.pages[i] < b.pages[j]) {
+        const size_t run = RunBefore(a.pages, i, b.pages[j]);
+        AppendEntries(a, i, run, out);
+        i = run;
+      } else if (b.pages[j] < a.pages[i]) {
+        const size_t run = RunBefore(b.pages, j, a.pages[i]);
+        AppendEntries(b, j, run, out);
+        j = run;
+      } else {
+        // A known page: union the target lists, resolve the out-degree.
+        const std::span<const graph::PageId> known = a.Targets(i);
+        const std::span<const graph::PageId> reported = b.Targets(j);
+        std::set_union(known.begin(), known.end(), reported.begin(), reported.end(),
+                       std::back_inserter(out.targets));
+        const uint64_t num_targets = out.targets.size() - out.target_offsets.back();
+        uint32_t out_degree = std::max(a.out_degrees[i], b.out_degrees[j]);
+        if (a.out_degrees[i] != b.out_degrees[j]) ++conflicts;
+        if (num_targets > out_degree) {
+          out_degree = static_cast<uint32_t>(num_targets);
+          ++conflicts;
+        }
+        const double score =
+            authoritative ? b.scores[j] : CombineScores(mode, a.scores[i], b.scores[j]);
+        out.pages.push_back(a.pages[i]);
+        out.out_degrees.push_back(out_degree);
+        out.scores.push_back(score);
+        out.target_offsets.push_back(out.targets.size());
+        ++i;
+        ++j;
+      }
+    }
+    AppendEntries(a, i, a.pages.size(), out);
+    AppendEntries(b, j, b.pages.size(), out);
+    out.dangling_pages = std::move(columns_.dangling_pages);
+    out.dangling_scores = std::move(columns_.dangling_scores);
+    columns_ = std::move(out);
+  }
+  if (!b.dangling_pages.empty()) {
+    std::vector<graph::PageId> pages;
+    std::vector<double> scores;
+    pages.reserve(a.dangling_pages.size() + b.dangling_pages.size());
+    scores.reserve(a.dangling_pages.size() + b.dangling_pages.size());
+    size_t i = 0;
+    size_t j = 0;
+    while (i < a.dangling_pages.size() && j < b.dangling_pages.size()) {
+      const graph::PageId known = a.dangling_pages[i];
+      const graph::PageId reported = b.dangling_pages[j];
+      if (known < reported) {
+        pages.push_back(known);
+        scores.push_back(a.dangling_scores[i++]);
+      } else if (reported < known) {
+        pages.push_back(reported);
+        scores.push_back(b.dangling_scores[j++]);
+      } else {
+        pages.push_back(known);
+        scores.push_back(authoritative ? b.dangling_scores[j]
+                                       : CombineScores(mode, a.dangling_scores[i],
+                                                       b.dangling_scores[j]));
+        ++i;
+        ++j;
+      }
+    }
+    pages.insert(pages.end(), a.dangling_pages.begin() + i, a.dangling_pages.end());
+    scores.insert(scores.end(), a.dangling_scores.begin() + i, a.dangling_scores.end());
+    pages.insert(pages.end(), b.dangling_pages.begin() + j, b.dangling_pages.end());
+    scores.insert(scores.end(), b.dangling_scores.begin() + j, b.dangling_scores.end());
+    columns_.dangling_pages = std::move(pages);
+    columns_.dangling_scores = std::move(scores);
+  }
+  if (conflicts > 0 && obs::Enabled()) OutDegreeConflicts().Increment(conflicts);
+}
 
 void WorldNode::Observe(graph::PageId page, uint32_t out_degree, double score,
                         std::span<const graph::PageId> targets, CombineMode mode,
                         bool authoritative) {
   JXP_CHECK_GT(out_degree, 0u) << "external in-linking page must have out-links";
-  JXP_CHECK_GE(score, 0.0);
-  auto [it, inserted] = entries_.try_emplace(page);
-  ExternalPageInfo& info = it->second;
-  if (inserted) {
-    info.out_degree = out_degree;
-    info.score = score;
-    info.targets.assign(targets.begin(), targets.end());
-    std::sort(info.targets.begin(), info.targets.end());
-    info.targets.erase(std::unique(info.targets.begin(), info.targets.end()),
-                       info.targets.end());
-    return;
+  std::vector<graph::PageId> sorted(targets.begin(), targets.end());
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  // A report whose own target list outgrows its out-degree resolves like a
+  // conflict between two reports.
+  if (sorted.size() > out_degree) {
+    out_degree = static_cast<uint32_t>(sorted.size());
+    if (obs::Enabled()) OutDegreeConflicts().Increment();
   }
-  JXP_CHECK_EQ(info.out_degree, out_degree)
-      << "conflicting out-degree reports for page " << page;
-  if (authoritative) {
-    info.score = score;
-  } else {
-    info.score = mode == CombineMode::kTakeMax ? std::max(info.score, score)
-                                               : 0.5 * (info.score + score);
-  }
-  // Union the target lists (both sides sorted unique).
-  std::vector<graph::PageId> merged;
-  merged.reserve(info.targets.size() + targets.size());
-  std::vector<graph::PageId> incoming(targets.begin(), targets.end());
-  std::sort(incoming.begin(), incoming.end());
-  std::set_union(info.targets.begin(), info.targets.end(), incoming.begin(), incoming.end(),
-                 std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  info.targets = std::move(merged);
+  WorldNode batch;
+  batch.Append(page, out_degree, score, sorted);
+  Merge(std::move(batch), mode, authoritative);
 }
 
 void WorldNode::ObserveDangling(graph::PageId page, double score, CombineMode mode,
                                 bool authoritative) {
-  JXP_CHECK_GE(score, 0.0);
-  auto [it, inserted] = dangling_scores_.try_emplace(page, score);
-  if (inserted || authoritative) {
-    it->second = score;
-    return;
-  }
-  it->second = mode == CombineMode::kTakeMax ? std::max(it->second, score)
-                                             : 0.5 * (it->second + score);
+  WorldNode batch;
+  batch.AppendDangling(page, score);
+  Merge(std::move(batch), mode, authoritative);
 }
 
 void WorldNode::ScaleScores(double factor) {
   JXP_CHECK_GE(factor, 0.0);
-  for (auto& [page, info] : entries_) info.score *= factor;
-  for (auto& [page, score] : dangling_scores_) score *= factor;
+  for (double& score : columns_.scores) score *= factor;
+  for (double& score : columns_.dangling_scores) score *= factor;
+}
+
+std::optional<ExternalPageInfo> WorldNode::Find(graph::PageId page) const {
+  const auto it = std::lower_bound(columns_.pages.begin(), columns_.pages.end(), page);
+  if (it == columns_.pages.end() || *it != page) return std::nullopt;
+  return Entry(static_cast<size_t>(it - columns_.pages.begin()));
+}
+
+std::optional<double> WorldNode::FindDangling(graph::PageId page) const {
+  const auto& pages = columns_.dangling_pages;
+  const auto it = std::lower_bound(pages.begin(), pages.end(), page);
+  if (it == pages.end() || *it != page) return std::nullopt;
+  return columns_.dangling_scores[static_cast<size_t>(it - pages.begin())];
 }
 
 double WorldNode::TotalDanglingScore() const {
-  // Summed in page-id order, not map order: the map's iteration order
-  // depends on its insertion history, and this sum feeds the world row, so
-  // a peer restored from a state_io file must accumulate it identically.
-  std::vector<std::pair<graph::PageId, double>> sorted(dangling_scores_.begin(),
-                                                       dangling_scores_.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Page order: the sum feeds the world row, so it must depend on the
+  // world node's content only.
   double total = 0;
-  for (const auto& [page, score] : sorted) total += score;
+  for (double score : columns_.dangling_scores) total += score;
   return total;
 }
 
-size_t WorldNode::NumLinks() const {
-  size_t links = 0;
-  for (const auto& [page, info] : entries_) links += info.targets.size();
-  return links;
-}
-
 double WorldNode::WireBytes() const {
-  return static_cast<double>(entries_.size()) * (8 + 4 + 8) +
+  return static_cast<double>(NumEntries()) * (8 + 4 + 8) +
          static_cast<double>(NumLinks()) * 8 +
-         static_cast<double>(dangling_scores_.size()) * (8 + 8);
+         static_cast<double>(NumDangling()) * (8 + 8);
 }
 
 }  // namespace core

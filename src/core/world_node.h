@@ -1,83 +1,118 @@
 #ifndef JXP_CORE_WORLD_NODE_H_
 #define JXP_CORE_WORLD_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/jxp_options.h"
 #include "graph/graph.h"
+#include "wire/meeting_codec.h"
 
 namespace jxp {
 namespace core {
+
+/// The score-combination rule of `mode` (paper Section 4.2): the stored
+/// score `current` meets a newly reported one.
+inline double CombineScores(CombineMode mode, double current, double reported) {
+  return mode == CombineMode::kTakeMax ? std::max(current, reported)
+                                       : 0.5 * (current + reported);
+}
 
 /// What a peer knows about one external page that links into its local
 /// graph: the page's global out-degree, its most recently learned JXP score,
 /// and which local pages it points to. This is the paper's "for every page r
 /// in W we store out(r) and alpha(r), both learned from a previous meeting".
+/// A view into the WorldNode's storage, valid until the node changes.
 struct ExternalPageInfo {
+  graph::PageId page = 0;
   /// Global out-degree of the external page (> 0 by construction: it has at
   /// least one out-link, namely the one into the local graph).
   uint32_t out_degree = 0;
   /// Last learned JXP score of the page.
   double score = 0;
-  /// Local pages (global ids, sorted unique) this external page links to.
-  std::vector<graph::PageId> targets;
+  /// Local pages (global ids, sorted unique, never empty) it links to.
+  std::span<const graph::PageId> targets;
 };
 
 /// The JXP world node: the aggregate of all pages a peer has not crawled.
 ///
 /// It carries the peer's accumulated knowledge of *external in-links*: for
-/// each known external page that points into the local fragment, an
-/// ExternalPageInfo entry. Links from external pages to other external pages
-/// are represented implicitly by the world node's self-loop, whose weight the
-/// extended-graph construction derives as the complement of the outgoing
-/// weights (paper Eq. 9).
+/// each known external page that points into the local fragment, an entry
+/// with the page's out-degree, score and local targets. Links from external
+/// pages to other external pages are represented implicitly by the world
+/// node's self-loop, whose weight the extended-graph construction derives
+/// as the complement of the outgoing weights (paper Eq. 9).
+///
+/// Storage is one flat store sorted by page (wire::WorldColumns): parallel
+/// page / out-degree / score arrays, the targets as one CSR array, and a
+/// sorted dangling array. Every meeting step is a linear pass over it: the
+/// codec encodes it in place and decodes straight into it, and a meeting
+/// folds its observations in with one sorted Merge. Its content — and so
+/// everything computed from it — is a function of what was observed, never
+/// of the order of observation.
 class WorldNode {
  public:
   WorldNode() = default;
 
-  /// Records (or refreshes) knowledge about external page `page`:
-  /// `targets` are local pages it links to (global ids), `score` the
-  /// reporting peer's JXP score for it. On a repeated observation the target
-  /// lists are unioned and the scores combined per `mode` (average / max).
+  /// Adopts columns that satisfy the wire::WorldColumns invariants (as the
+  /// meeting codec decodes them); checks them.
+  explicit WorldNode(wire::WorldColumns columns);
+
+  /// Appends knowledge about external page `page`, which must sort after
+  /// every entry already present: builds a batch for Merge in one pass.
+  /// `targets` must be sorted unique, non-empty and at most `out_degree`.
+  void Append(graph::PageId page, uint32_t out_degree, double score,
+              std::span<const graph::PageId> targets);
+
+  /// Appends an external *dangling* page (out-degree 0), which must sort
+  /// after every dangling page already present. Under the
+  /// uniform-redistribution convention a dangling page effectively links to
+  /// every page, so its score mass flows 1/N to each local page; the
+  /// extended-graph construction adds that flow to the world row.
+  void AppendDangling(graph::PageId page, double score);
+
+  /// Folds `batch` in with one sorted merge. A page new to this node is
+  /// adopted as reported. A known page unions its target lists and combines
+  /// its scores per `mode` — or, for an `authoritative` batch, takes the
+  /// reported score: such a report comes from a peer hosting the page
+  /// *locally* (or from this peer's own crawl of it) and carries its
+  /// current score. This keeps the static-network behaviour of the paper
+  /// (scores only grow there, so max == latest) while letting the network
+  /// self-heal from transient overestimates after re-crawls and churn,
+  /// which take-max would otherwise keep alive forever.
   ///
-  /// `authoritative` marks a report that comes from a peer hosting `page`
-  /// *locally* (or from this peer's own crawl of it): such a report carries
-  /// the page's current score and overwrites the stored one instead of
-  /// combining. This keeps the static-network behaviour of the paper (scores
-  /// only grow there, so max == latest) while letting the network self-heal
-  /// from transient overestimates after re-crawls and churn, which take-max
-  /// would otherwise keep alive forever.
+  /// Conflicting out-degree reports for one page resolve to the larger
+  /// value, which gives the smaller per-link flow alpha(r)/out(r) and so
+  /// keeps Theorem 5.3; so does raising it to the target count when a
+  /// target union outgrows it. Each resolution counts in
+  /// jxp.world.out_degree_conflicts.
+  void Merge(WorldNode batch, CombineMode mode, bool authoritative = false);
+
+  /// One observation of an external page: Merge of a one-entry batch.
+  /// `targets` may be in any order.
   void Observe(graph::PageId page, uint32_t out_degree, double score,
                std::span<const graph::PageId> targets, CombineMode mode,
                bool authoritative = false);
 
-  /// Records (or refreshes) knowledge about an external *dangling* page
-  /// (out-degree 0). Under the uniform-redistribution convention a dangling
-  /// page effectively links to every page, so its score mass flows 1/N to
-  /// each local page; the extended-graph construction adds that flow to the
-  /// world row. Same `mode`/`authoritative` semantics as Observe.
+  /// One observation of an external dangling page; same semantics.
   void ObserveDangling(graph::PageId page, double score, CombineMode mode,
                        bool authoritative = false);
 
-  /// Removes the entry for `page` (used when the page becomes local after a
-  /// full merge). No-op if absent.
-  void Erase(graph::PageId page) {
-    entries_.erase(page);
-    dangling_scores_.erase(page);
+  /// Removes the entries and dangling records of the pages satisfying
+  /// `erase` (pages that became local, or that a merged graph now holds).
+  template <typename Predicate>
+  void EraseIf(Predicate erase) {
+    Compact(erase, [](graph::PageId) { return true; });
   }
 
   /// Drops targets not satisfying `keep` and erases entries left with no
-  /// targets. Used to project a merged world node back onto one fragment.
+  /// targets. Used to project a world node onto a fragment.
   template <typename Predicate>
   void FilterTargets(Predicate keep) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      auto& targets = it->second.targets;
-      std::erase_if(targets, [&keep](graph::PageId t) { return !keep(t); });
-      it = targets.empty() ? entries_.erase(it) : ++it;
-    }
+    Compact([](graph::PageId) { return false; }, keep);
   }
 
   /// Scales every stored external score by `factor` (the Eq. 2 re-weighting
@@ -85,28 +120,30 @@ class WorldNode {
   void ScaleScores(double factor);
 
   /// Number of known external in-linking pages.
-  size_t NumEntries() const { return entries_.size(); }
+  size_t NumEntries() const { return columns_.pages.size(); }
 
   /// Total number of known external in-links (sum of target-list sizes).
-  size_t NumLinks() const;
+  size_t NumLinks() const { return columns_.targets.size(); }
 
-  /// Lookup; nullptr if unknown.
-  const ExternalPageInfo* Find(graph::PageId page) const {
-    const auto it = entries_.find(page);
-    return it == entries_.end() ? nullptr : &it->second;
+  /// Number of known external dangling pages.
+  size_t NumDangling() const { return columns_.dangling_pages.size(); }
+
+  /// Entry `e` in page order, e < NumEntries().
+  ExternalPageInfo Entry(size_t e) const {
+    return {columns_.pages[e], columns_.out_degrees[e], columns_.scores[e],
+            columns_.Targets(e)};
   }
 
-  /// Iteration over all entries (unordered).
-  const std::unordered_map<graph::PageId, ExternalPageInfo>& entries() const {
-    return entries_;
-  }
+  /// Lookup by page; nullopt if unknown.
+  std::optional<ExternalPageInfo> Find(graph::PageId page) const;
 
-  /// Known external dangling pages (page -> score).
-  const std::unordered_map<graph::PageId, double>& dangling_scores() const {
-    return dangling_scores_;
-  }
+  /// Score of a known external dangling page; nullopt if unknown.
+  std::optional<double> FindDangling(graph::PageId page) const;
 
-  /// Sum of the known external dangling pages' scores.
+  /// The flat, page-sorted store.
+  const wire::WorldColumns& columns() const { return columns_; }
+
+  /// Sum of the known external dangling pages' scores, in page order.
   double TotalDanglingScore() const;
 
   /// Wire size in bytes when shipped in a meeting message: per entry one
@@ -115,8 +152,46 @@ class WorldNode {
   double WireBytes() const;
 
  private:
-  std::unordered_map<graph::PageId, ExternalPageInfo> entries_;
-  std::unordered_map<graph::PageId, double> dangling_scores_;
+  /// In-place compaction behind EraseIf and FilterTargets: drops the pages
+  /// satisfying `erase`, then the targets failing `keep`, then the entries
+  /// left without targets.
+  template <typename Erase, typename Keep>
+  void Compact(Erase erase, Keep keep) {
+    wire::WorldColumns& c = columns_;
+    size_t entries = 0;
+    size_t links = 0;
+    uint64_t begin = 0;  // Read ahead of the compaction, which rewrites offsets.
+    for (size_t e = 0; e < c.pages.size(); ++e) {
+      const uint64_t end = c.target_offsets[e + 1];
+      const size_t first = links;
+      if (!erase(c.pages[e])) {
+        for (uint64_t l = begin; l < end; ++l) {
+          if (keep(c.targets[l])) c.targets[links++] = c.targets[l];
+        }
+      }
+      begin = end;
+      if (links == first) continue;
+      c.pages[entries] = c.pages[e];
+      c.out_degrees[entries] = c.out_degrees[e];
+      c.scores[entries] = c.scores[e];
+      c.target_offsets[++entries] = links;
+    }
+    c.pages.resize(entries);
+    c.out_degrees.resize(entries);
+    c.scores.resize(entries);
+    c.target_offsets.resize(entries + 1);
+    c.targets.resize(links);
+    size_t dangling = 0;
+    for (size_t d = 0; d < c.dangling_pages.size(); ++d) {
+      if (erase(c.dangling_pages[d])) continue;
+      c.dangling_pages[dangling] = c.dangling_pages[d];
+      c.dangling_scores[dangling++] = c.dangling_scores[d];
+    }
+    c.dangling_pages.resize(dangling);
+    c.dangling_scores.resize(dangling);
+  }
+
+  wire::WorldColumns columns_;
 };
 
 }  // namespace core

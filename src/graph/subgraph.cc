@@ -54,6 +54,27 @@ Subgraph Subgraph::FromKnowledge(std::vector<PageId> pages,
   return sg;
 }
 
+Subgraph Subgraph::FromSortedCsr(std::vector<PageId> pages,
+                                 std::vector<uint64_t> succ_offsets,
+                                 std::vector<PageId> succ) {
+  JXP_CHECK_EQ(succ_offsets.size(), pages.size() + 1);
+  JXP_CHECK_EQ(succ_offsets.front(), 0u);
+  JXP_CHECK_EQ(succ_offsets.back(), succ.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    JXP_CHECK(i == 0 || pages[i - 1] < pages[i]) << "pages not strictly ascending";
+    JXP_CHECK_LE(succ_offsets[i], succ_offsets[i + 1]);
+    for (uint64_t j = succ_offsets[i] + 1; j < succ_offsets[i + 1]; ++j) {
+      JXP_CHECK_LT(succ[j - 1], succ[j]) << "successors not strictly ascending";
+    }
+  }
+  Subgraph sg;
+  sg.pages_ = std::move(pages);
+  sg.succ_offsets_ = std::move(succ_offsets);
+  sg.succ_ = std::move(succ);
+  sg.BuildDerivedIndexes();
+  return sg;
+}
+
 Subgraph Subgraph::Merge(const Subgraph& a, const Subgraph& b) {
   std::vector<PageId> pages;
   std::vector<std::vector<PageId>> successors;

@@ -42,6 +42,14 @@ class Subgraph {
   static Subgraph FromKnowledge(std::vector<PageId> pages,
                                 std::vector<std::vector<PageId>> successors);
 
+  /// Builds a fragment from out-link knowledge already in canonical form:
+  /// `pages` strictly ascending, and page i's successors the strictly
+  /// ascending ids succ[succ_offsets[i], succ_offsets[i + 1]). Adopts the
+  /// arrays without sorting (the meeting decoder's page table).
+  static Subgraph FromSortedCsr(std::vector<PageId> pages,
+                                std::vector<uint64_t> succ_offsets,
+                                std::vector<PageId> succ);
+
   /// Merges two fragments (the paper's full-merge step): the page set is the
   /// union, and each page keeps its full successor knowledge. Pages known to
   /// both peers must agree on their successor lists, which holds by

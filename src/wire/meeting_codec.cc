@@ -83,8 +83,7 @@ void WriteAscendingIds(ByteWriter& writer, std::span<const graph::PageId> ids) {
   }
 }
 
-Status DecodeScoreChunk(std::span<const uint8_t> payload, DecodedMeeting& out) {
-  ByteReader reader(payload);
+Status ParseScoreChunk(ByteReader& reader, size_t payload_size, PageTableColumns& table) {
   uint32_t first_index = 0;
   uint32_t count = 0;
   if (!reader.GetVarint32(&first_index) || !reader.GetVarint32(&count)) {
@@ -93,29 +92,26 @@ Status DecodeScoreChunk(std::span<const uint8_t> payload, DecodedMeeting& out) {
   if (count == 0) return BadPayload("empty score chunk");
   // Each record is at least 6 bytes (id + score + degree), so a count beyond
   // the payload size cannot be genuine; reject before reserving memory.
-  if (count > payload.size()) return BadPayload("chunk count exceeds payload");
-  if (first_index != out.pages.size()) {
+  if (count > payload_size) return BadPayload("chunk count exceeds payload");
+  if (first_index != table.pages.size()) {
     return BadPayload("score chunk out of sequence");
   }
-  // Parse into a scratch vector so a mid-frame failure leaves `out` with
-  // whole frames only.
-  std::vector<ScoreListPage> records;
-  records.reserve(count);
-  graph::PageId prev_page =
-      out.pages.empty() ? 0 : out.pages.back().page;
-  const bool first_record_of_message = out.pages.empty();
+  table.pages.reserve(table.pages.size() + count);
+  table.scores.reserve(table.scores.size() + count);
+  table.successor_offsets.reserve(table.successor_offsets.size() + count);
+  graph::PageId prev_page = table.pages.empty() ? 0 : table.pages.back();
+  const bool first_record_of_message = table.pages.empty();
   for (uint32_t i = 0; i < count; ++i) {
-    ScoreListPage record;
-    const bool first = first_record_of_message && i == 0;
-    if (!ReadAscendingId(reader, first, prev_page, &record.page)) {
+    graph::PageId page = 0;
+    if (!ReadAscendingId(reader, first_record_of_message && i == 0, prev_page, &page)) {
       return BadPayload("page ids not strictly ascending");
     }
-    prev_page = record.page;
-    if (!ReadScore(reader, &record.score)) return BadPayload("invalid page score");
+    prev_page = page;
+    float score = 0;
+    if (!ReadScore(reader, &score)) return BadPayload("invalid page score");
     uint32_t degree = 0;
     if (!reader.GetVarint32(&degree)) return BadPayload("truncated degree");
-    if (degree > payload.size()) return BadPayload("degree exceeds payload");
-    record.successors.reserve(degree);
+    if (degree > payload_size) return BadPayload("degree exceeds payload");
     graph::PageId prev_succ = 0;
     for (uint32_t j = 0; j < degree; ++j) {
       graph::PageId succ = 0;
@@ -123,14 +119,30 @@ Status DecodeScoreChunk(std::span<const uint8_t> payload, DecodedMeeting& out) {
         return BadPayload("successors not strictly ascending");
       }
       prev_succ = succ;
-      record.successors.push_back(succ);
+      table.successors.push_back(succ);
     }
-    records.push_back(std::move(record));
+    table.pages.push_back(page);
+    table.scores.push_back(score);
+    table.successor_offsets.push_back(table.successors.size());
   }
   if (!reader.AtEnd()) return BadPayload("trailing bytes in score chunk");
-  out.pages.insert(out.pages.end(), std::make_move_iterator(records.begin()),
-                   std::make_move_iterator(records.end()));
   return Status::OK();
+}
+
+Status DecodeScoreChunk(std::span<const uint8_t> payload, DecodedMeeting& out) {
+  PageTableColumns& table = out.page_table;
+  const size_t pages = table.pages.size();
+  const size_t successors = table.successors.size();
+  ByteReader reader(payload);
+  Status status = ParseScoreChunk(reader, payload.size(), table);
+  if (!status.ok()) {
+    // A rejected frame leaves `out` with whole frames only.
+    table.pages.resize(pages);
+    table.scores.resize(pages);
+    table.successor_offsets.resize(pages + 1);
+    table.successors.resize(successors);
+  }
+  return status;
 }
 
 Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& out) {
@@ -138,26 +150,30 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
   uint32_t num_entries = 0;
   if (!reader.GetVarint32(&num_entries)) return BadPayload("truncated world header");
   if (num_entries > payload.size()) return BadPayload("world count exceeds payload");
-  std::vector<WorldEntryOut> entries;
-  entries.reserve(num_entries);
+  WorldColumns world;
+  world.pages.reserve(num_entries);
+  world.out_degrees.reserve(num_entries);
+  world.scores.reserve(num_entries);
+  world.target_offsets.reserve(num_entries + 1);
   graph::PageId prev_page = 0;
   for (uint32_t i = 0; i < num_entries; ++i) {
-    WorldEntryOut entry;
-    if (!ReadAscendingId(reader, i == 0, prev_page, &entry.page)) {
+    graph::PageId page = 0;
+    if (!ReadAscendingId(reader, i == 0, prev_page, &page)) {
       return BadPayload("world pages not strictly ascending");
     }
-    prev_page = entry.page;
-    if (!ReadScore(reader, &entry.score)) return BadPayload("invalid world score");
-    if (!reader.GetVarint32(&entry.out_degree) || entry.out_degree == 0) {
+    prev_page = page;
+    float score = 0;
+    if (!ReadScore(reader, &score)) return BadPayload("invalid world score");
+    uint32_t out_degree = 0;
+    if (!reader.GetVarint32(&out_degree) || out_degree == 0) {
       return BadPayload("invalid world out-degree");
     }
     uint32_t num_targets = 0;
     if (!reader.GetVarint32(&num_targets) || num_targets == 0 ||
-        num_targets > entry.out_degree) {
+        num_targets > out_degree) {
       return BadPayload("world target count out of range");
     }
     if (num_targets > payload.size()) return BadPayload("target count exceeds payload");
-    entry.targets.reserve(num_targets);
     graph::PageId prev_target = 0;
     for (uint32_t j = 0; j < num_targets; ++j) {
       graph::PageId target = 0;
@@ -165,31 +181,35 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
         return BadPayload("world targets not strictly ascending");
       }
       prev_target = target;
-      entry.targets.push_back(target);
+      world.targets.push_back(target);
     }
-    entries.push_back(std::move(entry));
+    world.pages.push_back(page);
+    world.out_degrees.push_back(out_degree);
+    world.scores.push_back(score);
+    world.target_offsets.push_back(world.targets.size());
   }
   uint32_t num_dangling = 0;
   if (!reader.GetVarint32(&num_dangling)) return BadPayload("truncated dangling header");
   if (num_dangling > payload.size()) return BadPayload("dangling count exceeds payload");
-  std::vector<DanglingOut> dangling;
-  dangling.reserve(num_dangling);
+  world.dangling_pages.reserve(num_dangling);
+  world.dangling_scores.reserve(num_dangling);
   prev_page = 0;
   for (uint32_t i = 0; i < num_dangling; ++i) {
-    DanglingOut record;
-    if (!ReadAscendingId(reader, i == 0, prev_page, &record.page)) {
+    graph::PageId page = 0;
+    if (!ReadAscendingId(reader, i == 0, prev_page, &page)) {
       return BadPayload("dangling pages not strictly ascending");
     }
-    prev_page = record.page;
-    if (!ReadScore(reader, &record.score)) return BadPayload("invalid dangling score");
-    dangling.push_back(record);
+    prev_page = page;
+    float score = 0;
+    if (!ReadScore(reader, &score)) return BadPayload("invalid dangling score");
+    world.dangling_pages.push_back(page);
+    world.dangling_scores.push_back(score);
   }
   if (!reader.AtEnd()) return BadPayload("trailing bytes in world frame");
-  if (entries.empty() && dangling.empty()) {
+  if (world.empty()) {
     return BadPayload("empty world frame");  // Empty world knowledge is not framed.
   }
-  out.world_entries = std::move(entries);
-  out.world_dangling = std::move(dangling);
+  out.world = std::move(world);
   return Status::OK();
 }
 
@@ -260,42 +280,40 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
   }
 }
 
-void EncodeWorldKnowledge(std::span<const WorldEntryIn> entries,
-                          std::span<const DanglingIn> dangling,
-                          std::vector<uint8_t>& out) {
-  if (entries.empty() && dangling.empty()) return;
+void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out) {
+  if (world.empty()) return;
   const size_t payload_start = out.size();
   ByteWriter writer(out);
-  writer.PutVarint32(static_cast<uint32_t>(entries.size()));
-  graph::PageId prev = 0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const WorldEntryIn& entry = entries[i];
-    JXP_CHECK_GE(entry.out_degree, 1u);
-    JXP_CHECK_GE(entry.targets.size(), 1u);
-    JXP_CHECK_LE(entry.targets.size(), entry.out_degree);
-    if (i == 0) {
-      writer.PutVarint32(entry.page);
+  const size_t num_entries = world.NumEntries();
+  writer.PutVarint32(static_cast<uint32_t>(num_entries));
+  for (size_t e = 0; e < num_entries; ++e) {
+    const uint32_t out_degree = world.out_degrees[e];
+    const std::span<const graph::PageId> targets = world.Targets(e);
+    JXP_CHECK_GE(out_degree, 1u);
+    JXP_CHECK_GE(targets.size(), 1u);
+    JXP_CHECK_LE(targets.size(), out_degree);
+    if (e == 0) {
+      writer.PutVarint32(world.pages[e]);
     } else {
-      JXP_CHECK_GT(entry.page, prev) << "world entries must be sorted by page";
-      writer.PutVarint32(entry.page - prev);
+      JXP_CHECK_GT(world.pages[e], world.pages[e - 1])
+          << "world entries must be sorted by page";
+      writer.PutVarint32(world.pages[e] - world.pages[e - 1]);
     }
-    prev = entry.page;
-    writer.PutFloat(LowerBoundFloat(entry.score));
-    writer.PutVarint32(entry.out_degree);
-    writer.PutVarint32(static_cast<uint32_t>(entry.targets.size()));
-    WriteAscendingIds(writer, entry.targets);
+    writer.PutFloat(LowerBoundFloat(world.scores[e]));
+    writer.PutVarint32(out_degree);
+    writer.PutVarint32(static_cast<uint32_t>(targets.size()));
+    WriteAscendingIds(writer, targets);
   }
-  writer.PutVarint32(static_cast<uint32_t>(dangling.size()));
-  prev = 0;
-  for (size_t i = 0; i < dangling.size(); ++i) {
-    if (i == 0) {
-      writer.PutVarint32(dangling[i].page);
+  writer.PutVarint32(static_cast<uint32_t>(world.dangling_pages.size()));
+  for (size_t d = 0; d < world.dangling_pages.size(); ++d) {
+    if (d == 0) {
+      writer.PutVarint32(world.dangling_pages[d]);
     } else {
-      JXP_CHECK_GT(dangling[i].page, prev) << "dangling records must be sorted";
-      writer.PutVarint32(dangling[i].page - prev);
+      JXP_CHECK_GT(world.dangling_pages[d], world.dangling_pages[d - 1])
+          << "dangling records must be sorted";
+      writer.PutVarint32(world.dangling_pages[d] - world.dangling_pages[d - 1]);
     }
-    prev = dangling[i].page;
-    writer.PutFloat(LowerBoundFloat(dangling[i].score));
+    writer.PutFloat(LowerBoundFloat(world.dangling_scores[d]));
   }
   SealFrame(MessageType::kWorldKnowledge, payload_start, out);
   if (obs::Enabled()) {

@@ -15,7 +15,7 @@ namespace wire {
 
 /// Encode/Decode pairs for the three meeting payload types (DESIGN.md §6g).
 /// This layer speaks graph/synopses vocabulary only; the core layer bridges
-/// WorldNode and PeerView to/from the plain records here (core depends on
+/// WorldNode and PeerView to/from the plain columns here (core depends on
 /// wire, never the reverse).
 
 /// Encoder options.
@@ -26,54 +26,52 @@ struct EncodeOptions {
   size_t pages_per_chunk = 64;
 };
 
-/// One world-node entry as shipped on the wire (encode side: target list
-/// viewed in place, sorted unique ascending as WorldNode stores it).
-struct WorldEntryIn {
-  graph::PageId page = 0;
-  uint32_t out_degree = 0;
-  double score = 0;
-  std::span<const graph::PageId> targets;
-};
-
-/// Encode-side dangling-page record.
-struct DanglingIn {
-  graph::PageId page = 0;
-  double score = 0;
-};
-
-/// Decode-side page-table record. `score` is the sender's score after the
-/// wire's round-down float quantization.
-struct ScoreListPage {
-  graph::PageId page = 0;
-  float score = 0;
+/// A page table as flat columns, in ascending page order: page i has score
+/// scores[i] and the strictly ascending successor ids
+/// successors[successor_offsets[i], successor_offsets[i + 1]).
+struct PageTableColumns {
+  std::vector<graph::PageId> pages;
+  /// The sender's scores after the wire's round-down float quantization.
+  std::vector<double> scores;
+  std::vector<uint64_t> successor_offsets = {0};
   std::vector<graph::PageId> successors;
 };
 
-/// Decode-side world-node entry.
-struct WorldEntryOut {
-  graph::PageId page = 0;
-  uint32_t out_degree = 0;
-  float score = 0;
+/// World knowledge as flat columns sorted by page: the layout
+/// core::WorldNode keeps, so the encoder reads it in place and the decoder's
+/// output moves straight in. Entry e is page pages[e] with out_degrees[e],
+/// scores[e] and the targets [target_offsets[e], target_offsets[e + 1]);
+/// dangling record d is dangling_pages[d] with dangling_scores[d]. Pages,
+/// each target list and the dangling pages are strictly ascending, and
+/// 1 <= |targets| <= out-degree.
+struct WorldColumns {
+  std::vector<graph::PageId> pages;
+  std::vector<uint32_t> out_degrees;
+  std::vector<double> scores;
+  std::vector<uint64_t> target_offsets = {0};
   std::vector<graph::PageId> targets;
-};
+  std::vector<graph::PageId> dangling_pages;
+  std::vector<double> dangling_scores;
 
-/// Decode-side dangling-page record.
-struct DanglingOut {
-  graph::PageId page = 0;
-  float score = 0;
+  size_t NumEntries() const { return pages.size(); }
+  bool empty() const { return pages.empty() && dangling_pages.empty(); }
+  bool operator==(const WorldColumns&) const = default;
+  std::span<const graph::PageId> Targets(size_t e) const {
+    return std::span<const graph::PageId>(targets).subspan(
+        target_offsets[e], target_offsets[e + 1] - target_offsets[e]);
+  }
 };
 
 /// Everything the decoder recovered from the (possibly truncated or
 /// corrupted) byte stream of one meeting message.
 struct DecodedMeeting {
-  /// Page-table records, in the sender's local-index order (== ascending
-  /// page id). May be a prefix of the sender's table when the stream was
-  /// cut or a later chunk was rejected.
-  std::vector<ScoreListPage> pages;
+  /// The page table, in the sender's local-index order (== ascending page
+  /// id). May be a prefix of the sender's table when the stream was cut or
+  /// a later chunk was rejected.
+  PageTableColumns page_table;
   /// World knowledge; empty when the world frame was absent, lost, or the
   /// sender's world node was empty (an empty world node is not framed).
-  std::vector<WorldEntryOut> world_entries;
-  std::vector<DanglingOut> world_dangling;
+  WorldColumns world;
   /// Page sketch; present iff a synopsis frame arrived intact.
   bool has_synopsis = false;
   uint64_t synopsis_seed = 0;
@@ -102,12 +100,9 @@ struct DecodedMeeting {
 void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
                      const EncodeOptions& options, std::vector<uint8_t>& out);
 
-/// Appends one kWorldKnowledge frame. `entries` and `dangling` must be
-/// sorted by page id ascending (strictly); entries need out_degree >= 1 and
-/// 1 <= |targets| <= out_degree. Appends nothing when both are empty.
-void EncodeWorldKnowledge(std::span<const WorldEntryIn> entries,
-                          std::span<const DanglingIn> dangling,
-                          std::vector<uint8_t>& out);
+/// Appends one kWorldKnowledge frame holding `world` (which must satisfy
+/// the WorldColumns invariants). Appends nothing when it is empty.
+void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out);
 
 /// Appends one kSynopsis frame.
 void EncodeSynopsis(const synopses::HashSketch& sketch, std::vector<uint8_t>& out);

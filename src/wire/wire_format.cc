@@ -7,11 +7,9 @@ namespace jxp {
 namespace wire {
 
 uint64_t ComputeFrameChecksum(const uint8_t* header8, std::span<const uint8_t> payload) {
-  std::string buffer;
-  buffer.reserve(kChecksumOffset + payload.size());
-  buffer.append(reinterpret_cast<const char*>(header8), kChecksumOffset);
-  buffer.append(reinterpret_cast<const char*>(payload.data()), payload.size());
-  return HashString(buffer);
+  // HashString over header8 + payload, streamed without concatenating.
+  const uint64_t h = Fnv1aUpdate(kFnv1aOffset, header8, kChecksumOffset);
+  return Mix64(Fnv1aUpdate(h, payload.data(), payload.size()));
 }
 
 namespace {

@@ -87,8 +87,8 @@ TEST(JxpPeerTest, MeetingTransfersInLinkKnowledge) {
 
   // A now knows that page 3 (out-degree 1) points at its local page 2.
   ASSERT_EQ(a.world_node().NumEntries(), 1u);
-  const ExternalPageInfo* info = a.world_node().Find(3);
-  ASSERT_NE(info, nullptr);
+  const auto info = a.world_node().Find(3);
+  ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->out_degree, 1u);
   ASSERT_EQ(info->targets.size(), 1u);
   EXPECT_EQ(info->targets[0], 2u);
@@ -102,10 +102,10 @@ TEST(JxpPeerTest, MeetingsAreSymmetricInKnowledge) {
   JxpPeer b(1, graph::Subgraph::Induce(g, {2, 3}), g.NumNodes(), TightOptions());
   JxpPeer::Meet(a, b);
   // B learns 0 -> 2 and 1 -> 2 (pages 0 and 1 point into B's page 2).
-  EXPECT_NE(b.world_node().Find(0), nullptr);
-  EXPECT_NE(b.world_node().Find(1), nullptr);
+  EXPECT_TRUE(b.world_node().Find(0).has_value());
+  EXPECT_TRUE(b.world_node().Find(1).has_value());
   // A learns 2 -> 0 (page 2 points into A's page 0).
-  EXPECT_NE(a.world_node().Find(2), nullptr);
+  EXPECT_TRUE(a.world_node().Find(2).has_value());
 }
 
 TEST(JxpPeerTest, RepeatedMeetingsReachAFixpoint) {
@@ -172,8 +172,9 @@ TEST(JxpPeerTest, ReplaceFragmentKeepsKnownScores) {
   // self-heals; see the assertion below.)
   EXPECT_NEAR(a.ScoreOfGlobal(0), score_0, 0.06);
   // World knowledge no longer references dropped pages.
-  for (const auto& [page, info] : a.world_node().entries()) {
-    EXPECT_FALSE(a.fragment().Contains(page));
+  for (size_t e = 0; e < a.world_node().NumEntries(); ++e) {
+    const ExternalPageInfo info = a.world_node().Entry(e);
+    EXPECT_FALSE(a.fragment().Contains(info.page));
     for (graph::PageId t : info.targets) {
       EXPECT_TRUE(a.fragment().Contains(t));
     }

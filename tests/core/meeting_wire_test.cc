@@ -1,5 +1,6 @@
 #include "core/meeting_wire.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -77,11 +78,12 @@ TEST(MeetingWireTest, MessageRoundTripsThroughTheCodec) {
 
   EXPECT_EQ(decoded.world.NumEntries(), a.world_node().NumEntries());
   EXPECT_EQ(decoded.world.NumLinks(), a.world_node().NumLinks());
-  for (const auto& [page, info] : a.world_node().entries()) {
-    const ExternalPageInfo* got = decoded.world.Find(page);
-    ASSERT_NE(got, nullptr) << "world entry " << page;
+  for (size_t e = 0; e < a.world_node().NumEntries(); ++e) {
+    const ExternalPageInfo info = a.world_node().Entry(e);
+    const auto got = decoded.world.Find(info.page);
+    ASSERT_TRUE(got.has_value()) << "world entry " << info.page;
     EXPECT_EQ(got->out_degree, info.out_degree);
-    EXPECT_EQ(got->targets, info.targets);
+    EXPECT_TRUE(std::ranges::equal(got->targets, info.targets));
     EXPECT_LE(got->score, info.score);
   }
 
@@ -91,6 +93,77 @@ TEST(MeetingWireTest, MessageRoundTripsThroughTheCodec) {
   EXPECT_TRUE(std::equal(a.page_sketch().bitmaps().begin(),
                          a.page_sketch().bitmaps().end(),
                          decoded.sketch->bitmaps().begin()));
+}
+
+/// A well-formed message from a sender hosting `sender_pages`, carrying
+/// `world` as its world knowledge.
+std::vector<uint8_t> CraftMessage(const graph::Graph& graph,
+                                  std::vector<graph::PageId> sender_pages,
+                                  const WorldNode& world) {
+  const graph::Subgraph fragment =
+      graph::Subgraph::Induce(graph, std::move(sender_pages));
+  const std::vector<double> scores(fragment.NumLocalPages(), 1e-4);
+  return EncodeMeetingMessage(fragment, scores, world, nullptr);
+}
+
+/// The score invariants an applied message must keep: finite,
+/// non-negative scores and a local mass of at most 1.
+void ExpectScoreInvariants(const JxpPeer& peer) {
+  double mass = 0;
+  for (double s : peer.local_scores()) {
+    EXPECT_TRUE(std::isfinite(s));
+    EXPECT_GE(s, 0.0);
+    mass += s;
+  }
+  EXPECT_LE(mass, 1.0 + 1e-12);
+  EXPECT_GT(peer.world_score(), 0.0);
+  EXPECT_LT(peer.world_score(), 1.0);
+}
+
+TEST(MeetingWireTest, ApplyResolvesConflictingOutDegrees) {
+  // Two well-formed messages report different out-degrees for external page
+  // 260. The receiver must not abort, and the larger out-degree wins.
+  const TwoPeerWorld world = MakeWorld(11);
+  JxpPeer a(0, graph::Subgraph::Induce(world.graph, world.pages_a),
+            world.graph.NumNodes(), WireOptions(MeetingWireMode::kMeasured));
+  WorldNode first;
+  first.Append(260, 2, 1e-4, std::vector<graph::PageId>{5, 6});
+  ASSERT_TRUE(a.ApplyMeetingBytes(CraftMessage(world.graph, {250, 251}, first)).applied);
+  ASSERT_EQ(a.world_node().Find(260)->out_degree, 2u);
+
+  WorldNode second;
+  second.Append(260, 7, 2e-4, std::vector<graph::PageId>{5});
+  const RemoteMeetingApply applied =
+      a.ApplyMeetingBytes(CraftMessage(world.graph, {250, 251}, second));
+  EXPECT_TRUE(applied.applied);
+  EXPECT_FALSE(applied.salvaged);
+  const auto info = a.world_node().Find(260);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->out_degree, 7u);
+  EXPECT_EQ(std::vector<graph::PageId>(info->targets.begin(), info->targets.end()),
+            (std::vector<graph::PageId>{5, 6}));
+  ExpectScoreInvariants(a);
+  // The resolved state still encodes.
+  EXPECT_TRUE(DecodeMeetingMessage(a.EncodeMeetingBytes()).error.ok());
+}
+
+TEST(MeetingWireTest, ApplyAcceptsPageSentAsWorldEntryAndDangling) {
+  // The decoder accepts one page in both world sections; the receiver keeps
+  // both records, as it would from two separate messages.
+  const TwoPeerWorld world = MakeWorld(11);
+  JxpPeer a(0, graph::Subgraph::Induce(world.graph, world.pages_a),
+            world.graph.NumNodes(), WireOptions(MeetingWireMode::kMeasured));
+  WorldNode both;
+  both.Append(260, 2, 1e-4, std::vector<graph::PageId>{5, 6});
+  both.AppendDangling(260, 1e-4);
+  const RemoteMeetingApply applied =
+      a.ApplyMeetingBytes(CraftMessage(world.graph, {250, 251}, both));
+  EXPECT_TRUE(applied.applied);
+  EXPECT_FALSE(applied.salvaged);
+  EXPECT_TRUE(a.world_node().Find(260).has_value());
+  EXPECT_TRUE(a.world_node().FindDangling(260).has_value());
+  ExpectScoreInvariants(a);
+  EXPECT_TRUE(DecodeMeetingMessage(a.EncodeMeetingBytes()).error.ok());
 }
 
 TEST(MeetingWireTest, MeasuredMeetingMatchesEstimatedScoresClosely) {

@@ -1,7 +1,11 @@
 #include "core/state_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -58,12 +62,13 @@ TEST_F(StateIoTest, RoundTripPreservesEverything) {
               original.fragment().GlobalOutDegree(i));
   }
   ASSERT_EQ(loaded->world_node().NumEntries(), original.world_node().NumEntries());
-  for (const auto& [page, info] : original.world_node().entries()) {
-    const ExternalPageInfo* restored = loaded->world_node().Find(page);
-    ASSERT_NE(restored, nullptr) << "page " << page;
+  for (size_t e = 0; e < original.world_node().NumEntries(); ++e) {
+    const ExternalPageInfo info = original.world_node().Entry(e);
+    const auto restored = loaded->world_node().Find(info.page);
+    ASSERT_TRUE(restored.has_value()) << "page " << info.page;
     EXPECT_EQ(restored->out_degree, info.out_degree);
     EXPECT_DOUBLE_EQ(restored->score, info.score);
-    EXPECT_EQ(restored->targets, info.targets);
+    EXPECT_TRUE(std::ranges::equal(restored->targets, info.targets));
   }
   EXPECT_DOUBLE_EQ(loaded->world_node().TotalDanglingScore(),
                    original.world_node().TotalDanglingScore());
@@ -144,6 +149,105 @@ TEST_F(StateIoTest, RejectsWrongMagic) {
   auto loaded = LoadPeerState(path_, JxpOptions());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST_F(StateIoTest, EqualStatesWriteIdenticalFiles) {
+  // Two peers hold the same state, their world knowledge learned in
+  // opposite orders: the checkpoint follows the state, not the history.
+  const JxpPeer warm = MakeWarmPeer();
+  const WorldNode& known = warm.world_node();
+  ASSERT_GT(known.NumEntries(), 1u);
+  WorldNode forward;
+  WorldNode backward;
+  for (size_t e = 0; e < known.NumEntries(); ++e) {
+    const ExternalPageInfo in_order = known.Entry(e);
+    const ExternalPageInfo reversed = known.Entry(known.NumEntries() - 1 - e);
+    forward.Observe(in_order.page, in_order.out_degree, in_order.score, in_order.targets,
+                    CombineMode::kTakeMax);
+    backward.Observe(reversed.page, reversed.out_degree, reversed.score, reversed.targets,
+                     CombineMode::kTakeMax);
+  }
+  const auto& dangling = known.columns();
+  for (size_t d = 0; d < dangling.dangling_pages.size(); ++d) {
+    const size_t r = dangling.dangling_pages.size() - 1 - d;
+    forward.ObserveDangling(dangling.dangling_pages[d], dangling.dangling_scores[d],
+                            CombineMode::kTakeMax);
+    backward.ObserveDangling(dangling.dangling_pages[r], dangling.dangling_scores[r],
+                             CombineMode::kTakeMax);
+  }
+  const auto restore = [&](WorldNode world) {
+    return JxpPeer(warm.id(), warm.fragment(), warm.global_size(), warm.options(),
+                   warm.local_scores(), std::move(world), warm.world_score());
+  };
+  const std::string other = path_ + ".other";
+  ASSERT_TRUE(SavePeerState(restore(std::move(forward)), path_).ok());
+  ASSERT_TRUE(SavePeerState(restore(std::move(backward)), other).ok());
+  const std::string saved = ReadFile(path_);
+  EXPECT_EQ(saved, ReadFile(other));
+  ASSERT_TRUE(SavePeerState(warm, other).ok());
+  EXPECT_EQ(saved, ReadFile(other));
+  std::remove(other.c_str());
+}
+
+TEST_F(StateIoTest, LoadsLegacyFileWithWorldEntriesOutOfPageOrder) {
+  // Files written while the world node was a hash map list entries, their
+  // targets and dangling pages in any order. They still load, into the
+  // same state, and re-save canonically.
+  const JxpPeer original = MakeWarmPeer();
+  ASSERT_GT(original.world_node().NumEntries(), 1u);
+  ASSERT_TRUE(SavePeerState(original, path_).ok());
+  const std::string canonical = ReadFile(path_);
+
+  std::vector<std::string> lines;
+  std::istringstream split(canonical.substr(0, canonical.rfind("checksum ")));
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  const auto section = [&lines](const std::string& prefix) {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind(prefix, 0) == 0) return i;
+    }
+    ADD_FAILURE() << "no " << prefix << " line";
+    return size_t{0};
+  };
+  const size_t entries = section("world_entries ");
+  const size_t num_entries = original.world_node().NumEntries();
+  std::reverse(lines.begin() + static_cast<ptrdiff_t>(entries + 1),
+               lines.begin() + static_cast<ptrdiff_t>(entries + 1 + num_entries));
+  // Reverse the target list of one multi-target entry, if there is one.
+  for (size_t i = entries + 1; i <= entries + num_entries; ++i) {
+    std::istringstream fields(lines[i]);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.size() < 6) continue;
+    std::reverse(tokens.begin() + 4, tokens.end());
+    std::string rewritten;
+    for (const std::string& token : tokens) {
+      rewritten += (rewritten.empty() ? "" : " ") + token;
+    }
+    lines[i] = rewritten;
+    break;
+  }
+  const size_t dangling = section("dangling ");
+  std::reverse(lines.begin() + static_cast<ptrdiff_t>(dangling + 1), lines.end());
+  std::string body;
+  for (const std::string& line : lines) body += line + "\n";
+  ASSERT_NE(body + "checksum " + std::to_string(HashString(body)) + "\n", canonical);
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << body << "checksum " << HashString(body) << "\n";
+  }
+
+  auto loaded = LoadPeerState(path_, original.options());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->world_node().columns() == original.world_node().columns());
+  ASSERT_TRUE(SavePeerState(*loaded, path_).ok());
+  EXPECT_EQ(ReadFile(path_), canonical);
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include "core/world_node.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace jxp {
 namespace core {
@@ -9,16 +14,30 @@ namespace {
 constexpr auto kMax = CombineMode::kTakeMax;
 constexpr auto kAvg = CombineMode::kAverage;
 
+std::vector<graph::PageId> TargetsOf(const WorldNode& w, graph::PageId page) {
+  const auto info = w.Find(page);
+  if (!info.has_value()) return {};
+  return {info->targets.begin(), info->targets.end()};
+}
+
+uint64_t OutDegreeConflicts() {
+  for (const auto& counter : obs::MetricsRegistry::Global().Snapshot().counters) {
+    if (counter.name == "jxp.world.out_degree_conflicts") return counter.value;
+  }
+  return 0;
+}
+
 TEST(WorldNodeTest, FirstObservationStoresEverything) {
   WorldNode w;
   const std::vector<graph::PageId> targets = {5, 3, 5};  // Dup collapses.
   w.Observe(10, 4, 0.2, targets, kMax);
   ASSERT_EQ(w.NumEntries(), 1u);
-  const ExternalPageInfo* info = w.Find(10);
-  ASSERT_NE(info, nullptr);
+  const auto info = w.Find(10);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->page, 10u);
   EXPECT_EQ(info->out_degree, 4u);
   EXPECT_DOUBLE_EQ(info->score, 0.2);
-  EXPECT_EQ(info->targets, (std::vector<graph::PageId>{3, 5}));
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{3, 5}));
   EXPECT_EQ(w.NumLinks(), 2u);
 }
 
@@ -54,7 +73,7 @@ TEST(WorldNodeTest, TargetListsUnion) {
   const std::vector<graph::PageId> t2 = {2, 3};
   w.Observe(10, 5, 0.1, t1, kMax);
   w.Observe(10, 5, 0.1, t2, kMax);
-  EXPECT_EQ(w.Find(10)->targets, (std::vector<graph::PageId>{1, 2, 3}));
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{1, 2, 3}));
 }
 
 TEST(WorldNodeTest, DanglingScores) {
@@ -65,16 +84,20 @@ TEST(WorldNodeTest, DanglingScores) {
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.3);
   w.ObserveDangling(7, 0.05, kMax, /*authoritative=*/true);
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.25);
+  EXPECT_EQ(w.FindDangling(7), 0.05);
+  EXPECT_FALSE(w.FindDangling(9).has_value());
 }
 
 TEST(WorldNodeTest, EraseRemovesBothKinds) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1};
   w.Observe(10, 2, 0.3, t, kMax);
+  w.Observe(12, 2, 0.3, t, kMax);
   w.ObserveDangling(11, 0.2, kMax);
-  w.Erase(10);
-  w.Erase(11);
-  EXPECT_EQ(w.NumEntries(), 0u);
+  w.EraseIf([](graph::PageId page) { return page == 10 || page == 11; });
+  EXPECT_EQ(w.NumEntries(), 1u);
+  EXPECT_FALSE(w.Find(10).has_value());
+  EXPECT_EQ(TargetsOf(w, 12), (std::vector<graph::PageId>{1}));
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.0);
 }
 
@@ -82,12 +105,16 @@ TEST(WorldNodeTest, FilterTargetsDropsEmptyEntries) {
   WorldNode w;
   const std::vector<graph::PageId> t1 = {1, 2};
   const std::vector<graph::PageId> t2 = {3};
+  const std::vector<graph::PageId> t3 = {2, 3};
   w.Observe(10, 4, 0.1, t1, kMax);
   w.Observe(11, 4, 0.1, t2, kMax);
+  w.Observe(12, 4, 0.1, t3, kMax);
   w.FilterTargets([](graph::PageId t) { return t <= 2; });
-  EXPECT_NE(w.Find(10), nullptr);
-  EXPECT_EQ(w.Find(11), nullptr);
-  EXPECT_EQ(w.Find(10)->targets, (std::vector<graph::PageId>{1, 2}));
+  EXPECT_TRUE(w.Find(10).has_value());
+  EXPECT_FALSE(w.Find(11).has_value());
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{1, 2}));
+  EXPECT_EQ(TargetsOf(w, 12), (std::vector<graph::PageId>{2}));
+  EXPECT_EQ(w.NumLinks(), 3u);
 }
 
 TEST(WorldNodeTest, ScaleScores) {
@@ -106,6 +133,54 @@ TEST(WorldNodeTest, WireBytes) {
   w.Observe(10, 4, 0.1, t, kMax);
   w.ObserveDangling(11, 0.2, kMax);
   EXPECT_DOUBLE_EQ(w.WireBytes(), 20 + 3 * 8 + 16);
+}
+
+TEST(WorldNodeTest, StoreStaysSortedByPage) {
+  WorldNode w;
+  for (graph::PageId page : {40u, 10u, 30u, 20u}) {
+    const std::vector<graph::PageId> t = {page + 1};
+    w.Observe(page, 3, 0.1, t, kMax);
+    w.ObserveDangling(page + 2, 0.1, kMax);
+  }
+  EXPECT_EQ(w.columns().pages, (std::vector<graph::PageId>{10, 20, 30, 40}));
+  EXPECT_EQ(w.columns().targets, (std::vector<graph::PageId>{11, 21, 31, 41}));
+  EXPECT_EQ(w.columns().dangling_pages, (std::vector<graph::PageId>{12, 22, 32, 42}));
+}
+
+TEST(WorldNodeTest, MergeFoldsASortedBatch) {
+  WorldNode w;
+  const std::vector<graph::PageId> a = {1, 2};
+  const std::vector<graph::PageId> b = {3};
+  w.Append(10, 4, 0.2, a);
+  w.Append(30, 2, 0.1, b);
+  w.AppendDangling(5, 0.1);
+
+  WorldNode batch;
+  batch.Append(20, 1, 0.3, b);
+  batch.Append(30, 2, 0.4, a);
+  batch.AppendDangling(5, 0.3);
+  batch.AppendDangling(6, 0.2);
+  w.Merge(std::move(batch), kMax);
+
+  EXPECT_EQ(w.columns().pages, (std::vector<graph::PageId>{10, 20, 30}));
+  EXPECT_EQ(TargetsOf(w, 20), (std::vector<graph::PageId>{3}));
+  EXPECT_EQ(TargetsOf(w, 30), (std::vector<graph::PageId>{1, 2, 3}));
+  EXPECT_EQ(w.Find(30)->out_degree, 3u);  // Raised to the target count.
+  EXPECT_DOUBLE_EQ(w.Find(30)->score, 0.4);
+  EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.5);
+}
+
+TEST(WorldNodeTest, ConflictingOutDegreesResolveToTheLarger) {
+  const obs::ScopedEnable telemetry(true);
+  const uint64_t conflicts_before = OutDegreeConflicts();
+  WorldNode w;
+  const std::vector<graph::PageId> t = {1};
+  w.Observe(10, 2, 0.3, t, kMax);
+  w.Observe(10, 5, 0.1, t, kMax);  // Must not abort the receiver.
+  EXPECT_EQ(w.Find(10)->out_degree, 5u);
+  w.Observe(10, 3, 0.1, t, kMax);
+  EXPECT_EQ(w.Find(10)->out_degree, 5u);
+  EXPECT_EQ(OutDegreeConflicts() - conflicts_before, 2u);
 }
 
 }  // namespace

@@ -170,8 +170,7 @@ TEST(WireRoundTripProperty, EncodeDecodeReencodeIsBitIdentical) {
         }
         if (decoded.world.NumEntries() != state.world.NumEntries() ||
             decoded.world.NumLinks() != state.world.NumLinks() ||
-            decoded.world.dangling_scores().size() !=
-                state.world.dangling_scores().size()) {
+            decoded.world.NumDangling() != state.world.NumDangling()) {
           return "world knowledge changed across the wire";
         }
         for (size_t i = 0; i < decoded.scores.size(); ++i) {

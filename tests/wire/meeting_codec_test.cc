@@ -1,7 +1,9 @@
 #include "wire/meeting_codec.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +34,33 @@ graph::Subgraph MakeFragment(size_t n) {
   return graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors));
 }
 
+/// One world entry for MakeWorld.
+struct Entry {
+  graph::PageId page;
+  uint32_t out_degree;
+  double score;
+  std::vector<graph::PageId> targets;
+};
+
+/// World columns holding `entries` and `dangling` (both sorted by page).
+WorldColumns MakeWorld(
+    const std::vector<Entry>& entries,
+    const std::vector<std::pair<graph::PageId, double>>& dangling = {}) {
+  WorldColumns world;
+  for (const Entry& entry : entries) {
+    world.pages.push_back(entry.page);
+    world.out_degrees.push_back(entry.out_degree);
+    world.scores.push_back(entry.score);
+    world.targets.insert(world.targets.end(), entry.targets.begin(), entry.targets.end());
+    world.target_offsets.push_back(world.targets.size());
+  }
+  for (const auto& [page, score] : dangling) {
+    world.dangling_pages.push_back(page);
+    world.dangling_scores.push_back(score);
+  }
+  return world;
+}
+
 std::vector<double> MakeScores(size_t n) {
   std::vector<double> scores(n);
   for (size_t i = 0; i < n; ++i) scores[i] = 1.0 / static_cast<double>(n + i + 1);
@@ -50,15 +79,20 @@ TEST(MeetingCodecTest, ScoreListRoundTripsAcrossChunks) {
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
   EXPECT_EQ(decoded.frames_decoded, (n + 63) / 64);
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-  ASSERT_EQ(decoded.pages.size(), n);
+  const PageTableColumns& table = decoded.page_table;
+  ASSERT_EQ(table.pages.size(), n);
+  ASSERT_EQ(table.scores.size(), n);
+  ASSERT_EQ(table.successor_offsets.size(), n + 1);
   for (size_t i = 0; i < n; ++i) {
     const auto local = static_cast<graph::Subgraph::LocalIndex>(i);
-    EXPECT_EQ(decoded.pages[i].page, fragment.GlobalId(local));
-    EXPECT_EQ(decoded.pages[i].score, LowerBoundFloat(scores[i]));
+    EXPECT_EQ(table.pages[i], fragment.GlobalId(local));
+    EXPECT_EQ(table.scores[i], LowerBoundFloat(scores[i]));
     const auto expected = fragment.Successors(local);
-    ASSERT_EQ(decoded.pages[i].successors.size(), expected.size());
+    ASSERT_EQ(table.successor_offsets[i + 1] - table.successor_offsets[i],
+              expected.size());
     EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                           decoded.pages[i].successors.begin()));
+                           table.successors.begin() +
+                               static_cast<ptrdiff_t>(table.successor_offsets[i])));
   }
 }
 
@@ -72,9 +106,8 @@ TEST(MeetingCodecTest, ScoresAreQuantizedNeverUpward) {
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
   for (size_t i = 0; i < n; ++i) {
     // Theorem 5.3 safety: the wire never reports more than the exact double.
-    EXPECT_LE(static_cast<double>(decoded.pages[i].score), scores[i]);
-    EXPECT_NEAR(static_cast<double>(decoded.pages[i].score), scores[i],
-                scores[i] * 1e-6);
+    EXPECT_LE(decoded.page_table.scores[i], scores[i]);
+    EXPECT_NEAR(decoded.page_table.scores[i], scores[i], scores[i] * 1e-6);
   }
 }
 
@@ -95,32 +128,31 @@ TEST(MeetingCodecTest, CompressionStaysUnderEightBytesPerEntry) {
 TEST(MeetingCodecTest, WorldKnowledgeRoundTrips) {
   const std::vector<graph::PageId> targets1 = {5, 9, 12};
   const std::vector<graph::PageId> targets2 = {7};
-  const std::vector<WorldEntryIn> entries = {
-      {100, 4, 0.001, targets1},
-      {220, 1, 0.25, targets2},
-  };
-  const std::vector<DanglingIn> dangling = {{17, 0.0625}, {400, 0.125}};
+  const WorldColumns world =
+      MakeWorld({{100, 4, 0.001, targets1}, {220, 1, 0.25, targets2}},
+                {{17, 0.0625}, {400, 0.125}});
   std::vector<uint8_t> bytes;
-  EncodeWorldKnowledge(entries, dangling, bytes);
+  EncodeWorldKnowledge(world, bytes);
 
   DecodedMeeting decoded;
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
-  ASSERT_EQ(decoded.world_entries.size(), 2u);
-  EXPECT_EQ(decoded.world_entries[0].page, 100u);
-  EXPECT_EQ(decoded.world_entries[0].out_degree, 4u);
-  EXPECT_EQ(decoded.world_entries[0].score, LowerBoundFloat(0.001));
-  EXPECT_EQ(decoded.world_entries[0].targets, targets1);
-  EXPECT_EQ(decoded.world_entries[1].page, 220u);
-  EXPECT_EQ(decoded.world_entries[1].targets, targets2);
-  ASSERT_EQ(decoded.world_dangling.size(), 2u);
-  EXPECT_EQ(decoded.world_dangling[0].page, 17u);
-  EXPECT_EQ(decoded.world_dangling[0].score, LowerBoundFloat(0.0625));
-  EXPECT_EQ(decoded.world_dangling[1].page, 400u);
+  const WorldColumns& got = decoded.world;
+  ASSERT_EQ(got.NumEntries(), 2u);
+  EXPECT_EQ(got.pages[0], 100u);
+  EXPECT_EQ(got.out_degrees[0], 4u);
+  EXPECT_EQ(got.scores[0], LowerBoundFloat(0.001));
+  EXPECT_TRUE(std::ranges::equal(got.Targets(0), targets1));
+  EXPECT_EQ(got.pages[1], 220u);
+  EXPECT_TRUE(std::ranges::equal(got.Targets(1), targets2));
+  ASSERT_EQ(got.dangling_pages.size(), 2u);
+  EXPECT_EQ(got.dangling_pages[0], 17u);
+  EXPECT_EQ(got.dangling_scores[0], LowerBoundFloat(0.0625));
+  EXPECT_EQ(got.dangling_pages[1], 400u);
 }
 
 TEST(MeetingCodecTest, EmptyWorldKnowledgeIsNotFramed) {
   std::vector<uint8_t> bytes;
-  EncodeWorldKnowledge({}, {}, bytes);
+  EncodeWorldKnowledge(WorldColumns{}, bytes);
   EXPECT_TRUE(bytes.empty());
 }
 
@@ -159,9 +191,10 @@ TEST(MeetingCodecTest, TruncatedTransferSalvagesWholeChunkPrefix) {
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.frames_decoded, 2u);
   EXPECT_EQ(decoded.bytes_consumed, two_chunks);
-  ASSERT_EQ(decoded.pages.size(), 128u);
-  for (size_t i = 0; i < decoded.pages.size(); ++i) {
-    EXPECT_EQ(decoded.pages[i].page,
+  ASSERT_EQ(decoded.page_table.pages.size(), 128u);
+  ASSERT_EQ(decoded.page_table.successor_offsets.size(), 129u);
+  for (size_t i = 0; i < decoded.page_table.pages.size(); ++i) {
+    EXPECT_EQ(decoded.page_table.pages[i],
               fragment.GlobalId(static_cast<graph::Subgraph::LocalIndex>(i)));
   }
 }
@@ -182,32 +215,65 @@ TEST(MeetingCodecTest, BitFlipRejectsOnlyTheDamagedSuffix) {
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.frames_decoded, 1u);
   EXPECT_EQ(decoded.bytes_consumed, first_chunk);
-  EXPECT_EQ(decoded.pages.size(), 64u);
+  EXPECT_EQ(decoded.page_table.pages.size(), 64u);
+  EXPECT_EQ(decoded.page_table.scores.size(), 64u);
+  EXPECT_EQ(decoded.page_table.successor_offsets.size(), 65u);
+  EXPECT_EQ(decoded.page_table.successors.size(),
+            decoded.page_table.successor_offsets.back());
+}
+
+TEST(MeetingCodecTest, RejectedChunkLeavesWholeFramesOnly) {
+  // The second chunk's first record parses, its second is out of order:
+  // the frame is rejected and the page table keeps exactly the first chunk.
+  const graph::Subgraph fragment = MakeFragment(10);
+  std::vector<uint8_t> bytes;
+  EncodeScoreList(fragment, MakeScores(10), EncodeOptions{}, bytes);
+  std::vector<uint8_t> payload;
+  ByteWriter writer(payload);
+  writer.PutVarint32(10);  // first_index
+  writer.PutVarint32(2);   // count
+  writer.PutVarint32(3);   // page 27 + 3 = 30
+  writer.PutFloat(0.01f);
+  writer.PutVarint32(1);   // degree
+  writer.PutVarint32(31);  // successor
+  writer.PutVarint32(0);   // page delta 0: not strictly ascending
+  writer.PutFloat(0.01f);
+  writer.PutVarint32(0);
+  AppendFrame(MessageType::kScoreChunk, payload, bytes);
+
+  const DecodedMeeting decoded = DecodeMeeting(bytes);
+  EXPECT_FALSE(decoded.error.ok());
+  EXPECT_EQ(decoded.frames_decoded, 1u);
+  const PageTableColumns& table = decoded.page_table;
+  ASSERT_EQ(table.pages.size(), 10u);
+  EXPECT_EQ(table.scores.size(), 10u);
+  ASSERT_EQ(table.successor_offsets.size(), 11u);
+  EXPECT_EQ(table.successor_offsets.back(), table.successors.size());
+  EXPECT_EQ(table.successors.size(),
+            fragment.NumLocalEdges() + fragment.NumExternalOutEdges());
 }
 
 TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
   const graph::Subgraph fragment = MakeFragment(40);
-  const std::vector<graph::PageId> targets = {5};
-  const std::vector<WorldEntryIn> entries = {{100, 2, 0.1, targets}};
+  const WorldColumns world = MakeWorld({{100, 2, 0.1, {5}}});
 
   // World frame before the score chunks: the world decodes, the late score
   // chunk is rejected.
   std::vector<uint8_t> bytes;
-  EncodeWorldKnowledge(entries, {}, bytes);
+  EncodeWorldKnowledge(world, bytes);
   EncodeScoreList(fragment, MakeScores(40), EncodeOptions{}, bytes);
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
-  EXPECT_EQ(decoded.world_entries.size(), 1u);
-  EXPECT_TRUE(decoded.pages.empty());
+  EXPECT_EQ(decoded.world.NumEntries(), 1u);
+  EXPECT_TRUE(decoded.page_table.pages.empty());
 }
 
 TEST(MeetingCodecTest, DuplicateWorldAndSynopsisFramesRejected) {
-  const std::vector<graph::PageId> targets = {5};
-  const std::vector<WorldEntryIn> entries = {{100, 2, 0.1, targets}};
+  const WorldColumns world = MakeWorld({{100, 2, 0.1, {5}}});
   {
     std::vector<uint8_t> bytes;
-    EncodeWorldKnowledge(entries, {}, bytes);
-    EncodeWorldKnowledge(entries, {}, bytes);
+    EncodeWorldKnowledge(world, bytes);
+    EncodeWorldKnowledge(world, bytes);
     DecodedMeeting out;
     EXPECT_FALSE(DecodeMeetingStrict(bytes, &out).ok());
   }
@@ -234,7 +300,7 @@ TEST(MeetingCodecTest, CorruptCountsCannotForceHugeAllocations) {
   DecodedMeeting out;
   const Status status = DecodeMeetingStrict(bytes, &out);
   EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(out.pages.empty());
+  EXPECT_TRUE(out.page_table.pages.empty());
 }
 
 TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {
@@ -249,9 +315,8 @@ TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {
   AppendFrame(MessageType::kScoreChunk, payload, bytes);
   const size_t bad_frame_end = bytes.size();
 
-  const std::vector<graph::PageId> targets = {5};
-  const std::vector<WorldEntryIn> entries = {{100, 2, 0.1, targets}};
-  EncodeWorldKnowledge(entries, {}, bytes);
+  const WorldColumns world = MakeWorld({{100, 2, 0.1, {5}}});
+  EncodeWorldKnowledge(world, bytes);
 
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
@@ -262,8 +327,8 @@ TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {
   const DecodedMeeting rest = DecodeMeeting(
       std::span<const uint8_t>(bytes).subspan(decoded.resync_offset));
   EXPECT_TRUE(rest.error.ok()) << rest.error.ToString();
-  ASSERT_EQ(rest.world_entries.size(), 1u);
-  EXPECT_EQ(rest.world_entries[0].page, 100u);
+  ASSERT_EQ(rest.world.NumEntries(), 1u);
+  EXPECT_EQ(rest.world.pages[0], 100u);
 }
 
 TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedWhenFrameUntrustworthy) {
@@ -310,6 +375,50 @@ TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
     DecodedMeeting out;
     EXPECT_FALSE(DecodeMeetingStrict(bytes, &out).ok()) << "score " << bad;
   }
+}
+
+TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
+  // A fixed message — three score-list pages (one dangling), two world
+  // entries plus a dangling record, and a 4-bucket sketch — pinned byte for
+  // byte, checksums included, so any change to the wire format shows here.
+  const graph::Subgraph fragment =
+      graph::Subgraph::FromKnowledge({3, 7, 12}, {{7, 40}, {}, {3, 7, 99}});
+  std::vector<uint8_t> bytes;
+  const std::vector<double> scores = {0.125, 0.0625, 0.25};
+  EncodeScoreList(fragment, scores, EncodeOptions{}, bytes);
+  EncodeWorldKnowledge(
+      MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
+  synopses::HashSketch sketch(4, 0x77);
+  for (uint64_t key = 1; key <= 5; ++key) sketch.Add(key);
+  EncodeSynopsis(sketch, bytes);
+
+  const std::vector<uint8_t> golden = {
+      0x4a, 0x58, 0x01, 0x01, 0x19, 0x00, 0x00, 0x00, 0x42, 0xc5, 0x81, 0xf5,
+      0x80, 0x70, 0x86, 0x84, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x3e, 0x02,
+      0x07, 0x21, 0x04, 0x00, 0x00, 0x80, 0x3d, 0x00, 0x05, 0x00, 0x00, 0x80,
+      0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x01, 0x02, 0x18, 0x00, 0x00,
+      0x00, 0x3c, 0xad, 0x33, 0x10, 0xda, 0xe2, 0x31, 0x49, 0x02, 0x14, 0x0a,
+      0xd7, 0x23, 0x3c, 0x03, 0x02, 0x03, 0x09, 0x15, 0x0a, 0xd7, 0xa3, 0x3b,
+      0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b, 0x4a, 0x58, 0x01,
+      0x03, 0x0d, 0x00, 0x00, 0x00, 0x3e, 0xd6, 0xe1, 0x35, 0x6e, 0xbc, 0x0c,
+      0x8d, 0x77, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x04, 0x00,
+      0x00, 0x0b};
+  EXPECT_EQ(bytes, golden);
+
+  // The three frames and their checksums.
+  const std::vector<std::pair<MessageType, uint64_t>> frames = {
+      {MessageType::kScoreChunk, 0x84867080f581c542ULL},
+      {MessageType::kWorldKnowledge, 0x4931e2da1033ad3cULL},
+      {MessageType::kSynopsis, 0x8d0cbc6e35e1d63eULL}};
+  size_t offset = 0;
+  for (const auto& [type, checksum] : frames) {
+    const uint8_t* header = golden.data() + offset;
+    FrameView frame;
+    ASSERT_TRUE(ParseFrame(golden, offset, frame).ok());
+    EXPECT_EQ(frame.type, type);
+    EXPECT_EQ(ComputeFrameChecksum(header, frame.payload), checksum);
+  }
+  EXPECT_EQ(offset, golden.size());
 }
 
 }  // namespace

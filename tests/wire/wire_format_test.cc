@@ -1,9 +1,12 @@
 #include "wire/wire_format.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/hash.h"
 
 namespace jxp {
 namespace wire {
@@ -24,6 +27,22 @@ TEST(WireFormatTest, AppendAndParseFrameRoundTrips) {
   EXPECT_EQ(offset, buffer.size());
   ASSERT_EQ(frame.payload.size(), payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(), frame.payload.begin()));
+}
+
+TEST(WireFormatTest, ChecksumIsHashStringOfHeaderAndPayload) {
+  // The checksum streams over the two spans; it must equal HashString of
+  // their concatenation, the definition the frame format documents.
+  std::vector<uint8_t> payload(300);
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<uint8_t>(i * 37);
+  const uint8_t header[kChecksumOffset] = {0x4a, 0x58, 0x01, 0x02,
+                                           0x2c, 0x01, 0x00, 0x00};
+  for (size_t len : {size_t{0}, size_t{1}, size_t{300}}) {
+    std::string joined(reinterpret_cast<const char*>(header), kChecksumOffset);
+    joined.append(reinterpret_cast<const char*>(payload.data()), len);
+    EXPECT_EQ(ComputeFrameChecksum(header, std::span<const uint8_t>(payload.data(), len)),
+              HashString(joined))
+        << "payload length " << len;
+  }
 }
 
 TEST(WireFormatTest, SealFrameMatchesAppendFrame) {
