@@ -10,15 +10,20 @@ namespace qp {
 
 void BlockPostingList::AppendArea(const std::vector<uint32_t>& values) {
   // The choice between packed lanes and the VByte fallback is a pure
-  // function of the values, so the layout stays deterministic.
+  // function of the values, so the layout stays deterministic. Both sizes
+  // are computed before anything is written: a VByte value takes one byte
+  // per started 7-bit group of its width.
   uint32_t width = 1;
-  for (uint32_t v : values) width = std::max(width, BitWidth32(v));
+  size_t vbyte_bytes = 0;
+  for (uint32_t v : values) {
+    const uint32_t bits = BitWidth32(v);
+    width = std::max(width, bits);
+    vbyte_bytes += (bits + 6) / 7;
+  }
   const size_t packed_bytes = (values.size() * width + 7) / 8;
-  std::vector<uint8_t> vbyte;
-  for (uint32_t v : values) VByteEncode32(v, vbyte);
-  if (vbyte.size() < packed_bytes) {
+  if (vbyte_bytes < packed_bytes) {
     bytes_.push_back(0);
-    bytes_.insert(bytes_.end(), vbyte.begin(), vbyte.end());
+    for (uint32_t v : values) VByteEncode32(v, bytes_);
   } else {
     bytes_.push_back(static_cast<uint8_t>(width));
     PackBits(values.data(), values.size(), width, bytes_);
@@ -93,6 +98,17 @@ BlockPostingList BlockPostingList::Build(std::span<const PostingIn> postings,
     list.blocks_.push_back(meta);
   }
   return list;
+}
+
+void BlockPostingList::Cursor::Reset(const BlockPostingList* list, DecodeStats* stats) {
+  list_ = list;
+  stats_ = stats;
+  block_ = 0;
+  pos_ = 0;
+  started_ = false;
+  docids_decoded_ = false;
+  freqs_decoded_ = false;
+  docid_ = kEndDocid;
 }
 
 void BlockPostingList::Cursor::DecodeDocids() {

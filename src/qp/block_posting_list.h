@@ -28,6 +28,8 @@ struct DecodeStats {
   /// counter). DESIGN.md §6h.
   size_t blocks_skipped_live = 0;
 
+  bool operator==(const DecodeStats&) const = default;
+
   void MergeFrom(const DecodeStats& other) {
     postings_decoded += other.postings_decoded;
     freqs_decoded += other.freqs_decoded;
@@ -96,8 +98,16 @@ class BlockPostingList {
   /// processing. All decode work is counted into `stats` (optional).
   class Cursor {
    public:
+    /// An unbound cursor; Reset binds it to a list.
+    Cursor() = default;
     Cursor(const BlockPostingList* list, DecodeStats* stats)
         : list_(list), stats_(stats) {}
+
+    /// Rebinds the cursor to the start of `list`, exactly as a fresh
+    /// OpenCursor would be, but keeps the block buffers' storage, so a
+    /// cursor reused across lists stops allocating once its buffers have
+    /// grown to the largest block seen.
+    void Reset(const BlockPostingList* list, DecodeStats* stats);
 
     /// Current docid; kEndDocid once exhausted. Valid only after the first
     /// Next() or NextGEQ() call.
@@ -129,8 +139,8 @@ class BlockPostingList {
     /// Decompresses the docids of blocks_[block_]; leaves pos_ at 0.
     void DecodeDocids();
 
-    const BlockPostingList* list_;
-    DecodeStats* stats_;
+    const BlockPostingList* list_ = nullptr;
+    DecodeStats* stats_ = nullptr;
     size_t block_ = 0;
     size_t pos_ = 0;
     bool started_ = false;

@@ -34,6 +34,11 @@ CompressedPeerIndex CompressedPeerIndex::Freeze(
   terms.reserve(index.postings().size());
   for (const auto& [term, postings] : index.postings()) terms.push_back(term);
   std::sort(terms.begin(), terms.end());
+  // Both lookup tables are sized once: every term gets a list, and a prior
+  // is stored at most once per indexed document.
+  frozen.lists_.reserve(terms.size());
+  frozen.list_of_ = FlatU32Map<uint32_t>(terms.size());
+  if (!jxp_scores.empty()) frozen.priors_ = FlatU32Map<double>(index.NumDocuments());
 
   const double num_docs = static_cast<double>(corpus.NumDocuments());
   const double w = options.prior_weight;
@@ -55,9 +60,7 @@ CompressedPeerIndex CompressedPeerIndex::Freeze(
       in.impact = (1.0 + std::log(static_cast<double>(posting.tf))) * idf;
       const auto it = jxp_scores.find(posting.page);
       in.prior = it == jxp_scores.end() ? 0.0 : it->second;
-      if (in.prior != 0.0 && !frozen.priors_.count(posting.page)) {
-        frozen.priors_.emplace(posting.page, in.prior);
-      }
+      if (in.prior != 0.0) frozen.priors_.TryInsert(posting.page, in.prior);
       ins.push_back(in);
     }
     TermList entry;
@@ -93,7 +96,7 @@ CompressedPeerIndex CompressedPeerIndex::Freeze(
     frozen.stats_.block_metadata_bytes += entry.list.metadata_bytes();
     frozen.stats_.list_metadata_bytes += sizeof(search::TermId) + sizeof(double) + 2 * sizeof(float);
 
-    frozen.list_of_.emplace(term, frozen.lists_.size());
+    frozen.list_of_.TryInsert(term, static_cast<uint32_t>(frozen.lists_.size()));
     frozen.lists_.push_back(std::move(entry));
   }
   frozen.stats_.prior_bytes =

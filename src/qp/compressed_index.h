@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "qp/block_posting_list.h"
+#include "qp/flat_u32_map.h"
 #include "search/corpus.h"
 #include "search/index.h"
 
@@ -99,15 +100,15 @@ class CompressedPeerIndex {
 
   /// The frozen list of a term, or nullptr if the peer has none.
   const TermList* ListFor(search::TermId term) const {
-    const auto it = list_of_.find(term);
-    return it == list_of_.end() ? nullptr : &lists_[it->second];
+    const uint32_t* at = list_of_.Find(term);
+    return at == nullptr ? nullptr : &lists_[*at];
   }
 
   /// Exact static prior of a document (0 when absent). Only consulted when
   /// prior_weight() > 0.
   double PriorOf(graph::PageId page) const {
-    const auto it = priors_.find(page);
-    return it == priors_.end() ? 0.0 : it->second;
+    const double* prior = priors_.Find(page);
+    return prior == nullptr ? 0.0 : *prior;
   }
 
   /// Upper bound (>=) of every document's exact prior.
@@ -122,8 +123,10 @@ class CompressedPeerIndex {
   p2p::PeerId owner_ = p2p::kInvalidPeer;
   double prior_weight_ = 0;
   std::vector<TermList> lists_;
-  std::unordered_map<search::TermId, size_t> list_of_;
-  std::unordered_map<graph::PageId, double> priors_;
+  /// Term -> position in lists_.
+  FlatU32Map<uint32_t> list_of_;
+  /// Page -> exact static prior, for pages whose prior is nonzero.
+  FlatU32Map<double> priors_;
   float max_prior_bound_ = 0;
   CompressedIndexStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "qp/query_processor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -23,15 +24,40 @@ namespace {
 /// selectivity.
 constexpr double kBoundSlack = 1.0 + 1e-12;
 
+/// log(tf) for every tf below kLogTfTableSize. Dynamic initialization on
+/// purpose: each entry is computed by the run-time std::log from a volatile
+/// input, never folded by the compiler (whose constant folding need not
+/// round like the library does). No other translation unit scores during
+/// static initialization, so the table is filled before its first use.
+const std::array<double, kLogTfTableSize> kLogTfTable = [] {
+  std::array<double, kLogTfTableSize> table{};
+  volatile uint32_t opaque_zero = 0;
+  for (uint32_t tf = 0; tf < kLogTfTableSize; ++tf) {
+    table[tf] = std::log(static_cast<double>(tf + opaque_zero));
+  }
+  return table;
+}();
+
 /// Exact impact of the cursor's current posting, the same expression (and
 /// the same double arithmetic) as MinervaEngine::TfIdfScore.
-double Impact(BlockPostingList::Cursor& cursor, double idf) {
+double OracleImpact(BlockPostingList::Cursor& cursor, double idf) {
   return (1.0 + std::log(static_cast<double>(cursor.freq()))) * idf;
+}
+
+/// OracleImpact with the log read through LogTf: the same double.
+double Impact(BlockPostingList::Cursor& cursor, double idf) {
+  return (1.0 + LogTf(cursor.freq())) * idf;
 }
 
 bool BetterPair(const std::pair<double, graph::PageId>& a,
                 const std::pair<double, graph::PageId>& b) {
   return BetterResult(a.first, a.second, b.first, b.second);
+}
+
+/// BetterResult over TopKList entries (page, score).
+bool BetterListed(const std::pair<graph::PageId, double>& a,
+                  const std::pair<graph::PageId, double>& b) {
+  return BetterResult(a.second, a.first, b.second, b.first);
 }
 
 TopKList FinishRanked(std::vector<std::pair<double, graph::PageId>> ranked, size_t k) {
@@ -45,6 +71,10 @@ TopKList FinishRanked(std::vector<std::pair<double, graph::PageId>> ranked, size
 }
 
 }  // namespace
+
+double LogTf(uint32_t tf) {
+  return tf < kLogTfTableSize ? kLogTfTable[tf] : std::log(static_cast<double>(tf));
+}
 
 TopKList ExhaustiveTopK(const CompressedPeerIndex& index,
                         std::span<const search::TermId> query, size_t k,
@@ -69,7 +99,7 @@ TopKList ExhaustiveTopK(const CompressedPeerIndex& index,
     if (entry == nullptr) continue;
     BlockPostingList::Cursor cursor = entry->list.OpenCursor(&s->decode);
     for (cursor.Next(); cursor.docid() != BlockPostingList::kEndDocid; cursor.Next()) {
-      tfidf[cursor.docid()] += Impact(cursor, entry->idf);
+      tfidf[cursor.docid()] += OracleImpact(cursor, entry->idf);
     }
   }
   s->candidates_scored += tfidf.size();
@@ -97,68 +127,28 @@ TopKList ExhaustiveTopK(const CompressedPeerIndex& index,
   return out;
 }
 
-namespace {
-
-struct ListCursor {
-  size_t query_pos;
-  const CompressedPeerIndex::TermList* entry;
-  BlockPostingList::Cursor cursor;
-  double ub;  // Quantized list-level impact upper bound, widened.
-};
-
-/// Per-query live-block computation (DESIGN.md §6h): the docid space is cut
-/// at every block boundary of every query list, and each resulting range is
-/// scored by the sum of the covering blocks' quantized max impacts (plus the
-/// covering max prior under fused ranking). A range whose slack-inflated
-/// bound cannot beat the threshold is *dead*: no document inside it can
-/// enter the top-k, so the candidate loop jumps over it without moving past
-/// one posting. Within a range every list's covering block is constant (the
-/// cuts include all block edges), which is what makes the per-range bound a
-/// true upper bound of any document in it.
-struct LiveRanges {
-  /// Range r covers docids [start[r], start[r+1]) (the last range is open).
-  std::vector<uint32_t> start;
-  std::vector<uint8_t> live;
-  size_t at = 0;
-  bool active = false;
-
-  void Advance(uint32_t d) {
-    while (at + 1 < start.size() && start[at + 1] <= d) ++at;
-  }
-  bool IsLive(uint32_t d) {
-    if (!active) return true;
-    Advance(d);
-    return live[at] != 0;
-  }
-  /// First docid >= d inside a live range (kEndDocid when none remains).
-  uint32_t NextLiveStart(uint32_t d) {
-    Advance(d);
-    for (size_t r = at; r < start.size(); ++r) {
-      if (live[r] != 0) return std::max(d, start[r]);
-    }
-    return BlockPostingList::kEndDocid;
-  }
-};
-
-void BuildLiveRanges(const std::vector<ListCursor>& lists, double w, double theta,
-                     double slack, QueryStats* s, LiveRanges& out) {
-  out.start.clear();
-  out.start.push_back(0);
+void MaxScoreScratch::LiveRanges::Build(std::span<const ListCursor> lists, double w,
+                                        double theta, double slack, QueryStats* s) {
+  size_t cuts = 1;
+  for (const ListCursor& lc : lists) cuts += lc.entry->list.num_blocks();
+  start.clear();
+  start.reserve(cuts);
+  start.push_back(0);
   for (const ListCursor& lc : lists) {
     const BlockPostingList& list = lc.entry->list;
     for (size_t b = 0; b < list.num_blocks(); ++b) {
-      out.start.push_back(list.block_last_docid(b) + 1);
+      start.push_back(list.block_last_docid(b) + 1);
     }
   }
-  std::sort(out.start.begin(), out.start.end());
-  out.start.erase(std::unique(out.start.begin(), out.start.end()), out.start.end());
-  out.live.assign(out.start.size(), 0);
-  out.at = 0;
-  out.active = true;
+  std::sort(start.begin(), start.end());
+  start.erase(std::unique(start.begin(), start.end()), start.end());
+  live.assign(start.size(), 0);
+  at = 0;
+  active = true;
 
-  std::vector<size_t> block_of(lists.size(), 0);
-  for (size_t r = 0; r < out.start.size(); ++r) {
-    const uint32_t first = out.start[r];
+  block_of.assign(lists.size(), 0);
+  for (size_t r = 0; r < start.size(); ++r) {
+    const uint32_t first = start[r];
     double impact_sum = 0;
     double prior_max = 0;
     bool covered = false;
@@ -177,16 +167,14 @@ void BuildLiveRanges(const std::vector<ListCursor>& lists, double w, double thet
     // skipping the range discards only documents the per-document check
     // would also have discarded.
     const double bound = slack * ((1.0 - w) * impact_sum + w * prior_max);
-    out.live[r] = (covered && bound > theta) ? 1 : 0;
-    if (out.live[r] != 0) {
+    live[r] = (covered && bound > theta) ? 1 : 0;
+    if (live[r] != 0) {
       ++s->live_ranges;
     } else {
       ++s->dead_ranges;
     }
   }
 }
-
-}  // namespace
 
 TopKList MaxScoreTopK(const CompressedPeerIndex& index,
                       std::span<const search::TermId> query, size_t k,
@@ -198,6 +186,15 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
                       std::span<const search::TermId> query, size_t k,
                       const MaxScoreOptions& options, QueryStats* stats,
                       StageNanos* stages) {
+  MaxScoreScratch scratch;
+  return MaxScoreTopK(index, query, k, options, scratch, stats, stages);
+}
+
+const TopKList& MaxScoreTopK(const CompressedPeerIndex& index,
+                             std::span<const search::TermId> query, size_t k,
+                             const MaxScoreOptions& options, MaxScoreScratch& scratch,
+                             QueryStats* stats, StageNanos* stages) {
+  using ListCursor = MaxScoreScratch::ListCursor;
   JXP_CHECK_GT(k, 0u);
   QueryStats local;
   QueryStats* s = stats != nullptr ? stats : &local;
@@ -210,15 +207,22 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
   uint64_t scoring_acc = 0;
   uint64_t heap_acc = 0;
 
-  std::vector<ListCursor> lists;
-  lists.reserve(query.size());
+  // Min-heap under BetterResult: front is the current k-th (worst) result.
+  TopKList& heap = scratch.results_;
+  heap.clear();
+  if (scratch.lists_.size() < query.size()) scratch.lists_.resize(query.size());
+  size_t n = 0;
   for (size_t qi = 0; qi < query.size(); ++qi) {
     const CompressedPeerIndex::TermList* entry = index.ListFor(query[qi]);
     if (entry == nullptr || entry->list.num_postings() == 0) continue;
-    lists.push_back(ListCursor{qi, entry, entry->list.OpenCursor(&s->decode),
-                               static_cast<double>(entry->list.max_impact())});
+    ListCursor& lc = scratch.lists_[n++];
+    lc.query_pos = qi;
+    lc.entry = entry;
+    lc.cursor.Reset(&entry->list, &s->decode);
+    lc.ub = static_cast<double>(entry->list.max_impact());
   }
-  if (lists.empty()) return {};
+  if (n == 0) return heap;
+  const std::span<ListCursor> lists(scratch.lists_.data(), n);
 
   // MaxScore order: ascending upper bound, with a deterministic tie-break so
   // the traversal (and thus the decode counters) never depends on input
@@ -228,8 +232,8 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
     if (a.entry->term != b.entry->term) return a.entry->term < b.entry->term;
     return a.query_pos < b.query_pos;
   });
-  const size_t n = lists.size();
-  std::vector<double> prefix_ub(n);
+  std::vector<double>& prefix_ub = scratch.prefix_ub_;
+  prefix_ub.resize(n);
   double running = 0;
   for (size_t i = 0; i < n; ++i) {
     running += lists[i].ub;
@@ -238,15 +242,14 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
   const double prior_ub = w == 0.0 ? 0.0 : static_cast<double>(index.max_prior_bound());
 
   // Canonical-order view for the final rescore of surviving candidates.
-  std::vector<ListCursor*> by_query(n);
+  std::vector<ListCursor*>& by_query = scratch.by_query_;
+  by_query.resize(n);
   for (size_t i = 0; i < n; ++i) by_query[i] = &lists[i];
   std::sort(by_query.begin(), by_query.end(),
             [](const ListCursor* a, const ListCursor* b) { return a->query_pos < b->query_pos; });
 
   for (ListCursor& lc : lists) lc.cursor.Next();
 
-  // Min-heap under BetterResult: front is the current k-th (worst) result.
-  std::vector<std::pair<double, graph::PageId>> heap;
   heap.reserve(k);
   double theta = -std::numeric_limits<double>::infinity();
   // lists[0..essential) are non-essential: their combined upper bound cannot
@@ -264,9 +267,10 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
   // The range set is rebuilt when the threshold first materializes (priming
   // or first heap fill) and whenever a list leaves the essential set — at
   // most n + 2 builds, each a pure function of (index, query, k, options).
-  LiveRanges ranges;
+  MaxScoreScratch::LiveRanges& ranges = scratch.ranges_;
+  ranges.active = false;
   const auto rebuild_live = [&] {
-    if (options.live_blocks) BuildLiveRanges(lists, w, theta, kBoundSlack, s, ranges);
+    if (options.live_blocks) ranges.Build(lists, w, theta, kBoundSlack, s);
   };
 
   if (options.primed_threshold > 0) {
@@ -364,18 +368,18 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
         t0 = t1;
       }
       if (heap.size() < k) {
-        heap.emplace_back(score, d);
-        std::push_heap(heap.begin(), heap.end(), BetterPair);
+        heap.emplace_back(d, score);
+        std::push_heap(heap.begin(), heap.end(), BetterListed);
         if (heap.size() == k) {
-          theta = std::max(theta, heap.front().first);
+          theta = std::max(theta, heap.front().second);
           raise_essential();
           rebuild_live();
         }
-      } else if (BetterResult(score, d, heap.front().first, heap.front().second)) {
-        std::pop_heap(heap.begin(), heap.end(), BetterPair);
-        heap.back() = {score, d};
-        std::push_heap(heap.begin(), heap.end(), BetterPair);
-        theta = std::max(theta, heap.front().first);
+      } else if (BetterResult(score, d, heap.front().second, heap.front().first)) {
+        std::pop_heap(heap.begin(), heap.end(), BetterListed);
+        heap.back() = {d, score};
+        std::push_heap(heap.begin(), heap.end(), BetterListed);
+        theta = std::max(theta, heap.front().second);
         if (raise_essential()) rebuild_live();
       }
       if (prof) heap_acc += MonotonicNanos() - t0;
@@ -387,10 +391,7 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
   }
 
   const uint64_t sort_t0 = prof ? MonotonicNanos() : 0;
-  std::sort(heap.begin(), heap.end(), BetterPair);
-  TopKList out;
-  out.reserve(heap.size());
-  for (const auto& [score, page] : heap) out.emplace_back(page, score);
+  std::sort(heap.begin(), heap.end(), BetterListed);
   if (prof) {
     heap_acc += MonotonicNanos() - sort_t0;
     const uint64_t total = MonotonicNanos() - run_t0;
@@ -401,7 +402,7 @@ TopKList MaxScoreTopK(const CompressedPeerIndex& index,
     // later clock read, so rounding can push accounted past total by a hair.
     stages->decode_ns += total > accounted ? total - accounted : 0;
   }
-  return out;
+  return heap;
 }
 
 }  // namespace qp

@@ -1,6 +1,8 @@
 #ifndef JXP_QP_QUERY_PROCESSOR_H_
 #define JXP_QP_QUERY_PROCESSOR_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -26,6 +28,8 @@ struct QueryStats {
   /// the threshold vs. ranges proven dead (MaxScore only).
   size_t live_ranges = 0;
   size_t dead_ranges = 0;
+
+  bool operator==(const QueryStats&) const = default;
 
   void MergeFrom(const QueryStats& other) {
     decode.MergeFrom(other.decode);
@@ -104,6 +108,94 @@ struct MaxScoreOptions {
   /// list leaves the essential set — a pure function of (index, query, k,
   /// primed_threshold), so DecodeStats stay deterministic.
   bool live_blocks = true;
+};
+
+/// Term frequencies below this read their natural log from LogTf's table.
+inline constexpr uint32_t kLogTfTableSize = 256;
+
+/// std::log(tf), bit for bit. Frequencies below kLogTfTableSize come from a
+/// table filled at program start by std::log itself on inputs the compiler
+/// cannot fold, so each entry is the value the run-time std::log returns;
+/// larger frequencies call std::log. MaxScoreTopK scores with it;
+/// ExhaustiveTopK, the oracle, keeps calling std::log.
+double LogTf(uint32_t tf);
+
+class MaxScoreScratch;
+
+/// MaxScoreTopK into reusable storage: evaluates exactly as the overloads
+/// below and returns the result held in `scratch`, valid until the scratch's
+/// next use. Cursors (with their block buffers), bound arrays, the live-range
+/// set and the top-k heap all live in the scratch, so a warm call allocates
+/// nothing. QueryServer keeps one scratch per query for all its peer calls.
+const TopKList& MaxScoreTopK(const CompressedPeerIndex& index,
+                             std::span<const search::TermId> query, size_t k,
+                             const MaxScoreOptions& options, MaxScoreScratch& scratch,
+                             QueryStats* stats, StageNanos* stages = nullptr);
+
+/// Working storage of MaxScoreTopK, reused across calls. One scratch serves
+/// one call at a time; its contents between calls carry no meaning, so a
+/// result never depends on what the scratch served before.
+class MaxScoreScratch {
+  friend const TopKList& MaxScoreTopK(const CompressedPeerIndex& index,
+                                      std::span<const search::TermId> query, size_t k,
+                                      const MaxScoreOptions& options,
+                                      MaxScoreScratch& scratch, QueryStats* stats,
+                                      StageNanos* stages);
+
+  /// One query list during a call.
+  struct ListCursor {
+    size_t query_pos = 0;
+    const CompressedPeerIndex::TermList* entry = nullptr;
+    BlockPostingList::Cursor cursor;
+    double ub = 0;  // Quantized list-level impact upper bound, widened.
+  };
+
+  /// Per-query live-block computation (DESIGN.md §6h): the docid space is
+  /// cut at every block boundary of every query list, and each resulting
+  /// range is scored by the sum of the covering blocks' quantized max
+  /// impacts (plus the covering max prior under fused ranking). A range
+  /// whose slack-inflated bound cannot beat the threshold is *dead*: no
+  /// document inside it can enter the top-k, so the candidate loop jumps
+  /// over it without moving past one posting. Within a range every list's
+  /// covering block is constant (the cuts include all block edges), which is
+  /// what makes the per-range bound a true upper bound of any document in it.
+  struct LiveRanges {
+    /// Range r covers docids [start[r], start[r+1]) (the last range is open).
+    std::vector<uint32_t> start;
+    std::vector<uint8_t> live;
+    /// Build's per-list block pointer.
+    std::vector<size_t> block_of;
+    size_t at = 0;
+    bool active = false;
+
+    void Build(std::span<const ListCursor> lists, double w, double theta, double slack,
+               QueryStats* s);
+    void Advance(uint32_t d) {
+      while (at + 1 < start.size() && start[at + 1] <= d) ++at;
+    }
+    bool IsLive(uint32_t d) {
+      if (!active) return true;
+      Advance(d);
+      return live[at] != 0;
+    }
+    /// First docid >= d inside a live range (kEndDocid when none remains).
+    uint32_t NextLiveStart(uint32_t d) {
+      Advance(d);
+      for (size_t r = at; r < start.size(); ++r) {
+        if (live[r] != 0) return std::max(d, start[r]);
+      }
+      return BlockPostingList::kEndDocid;
+    }
+  };
+
+  /// One entry per query term seen so far; a call uses lists_[0, n) for its
+  /// n indexed terms, and the rest keep their cursors' buffers.
+  std::vector<ListCursor> lists_;
+  std::vector<double> prefix_ub_;
+  std::vector<ListCursor*> by_query_;
+  LiveRanges ranges_;
+  /// The top-k heap during a call, the sorted result after it.
+  TopKList results_;
 };
 
 /// Fast path: document-at-a-time MaxScore with block-max skipping. Lists are

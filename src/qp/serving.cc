@@ -169,12 +169,18 @@ void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
   // several peers scores bit-identically on each (the score is a pure
   // function of corpus statistics, the query, and the prior table), so any
   // copy stands for all of them — the same dedup MinervaEngine applies.
-  std::unordered_map<graph::PageId, double> best;
+  // Each entry is keyed (page << 32 | arrival): sorting the keys groups a
+  // page's copies in peer order, and the last copy, the last peer's, wins.
+  MaxScoreScratch scratch;
+  std::vector<std::pair<uint64_t, double>> merged;
+  merged.reserve(compressed_.size() * options_.k);
+  TopKList exhaustive;
   for (size_t p = 0; p < compressed_.size(); ++p) {
-    TopKList local;
+    const TopKList* local = &exhaustive;
     switch (options_.processor) {
       case ProcessorKind::kExhaustive:
-        local = ExhaustiveTopK(compressed_[p], query.terms, options_.k, &out.stats, sp);
+        exhaustive =
+            ExhaustiveTopK(compressed_[p], query.terms, options_.k, &out.stats, sp);
         break;
       case ProcessorKind::kMaxScore: {
         MaxScoreOptions mopts;
@@ -182,26 +188,38 @@ void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
         // bounds the *merged* k-th score, and per-peer entries below it can
         // never reach the merged top-k.
         mopts.primed_threshold = primed_threshold;
-        local = MaxScoreTopK(compressed_[p], query.terms, options_.k, mopts, &out.stats,
-                             sp);
+        local = &MaxScoreTopK(compressed_[p], query.terms, options_.k, mopts, scratch,
+                              &out.stats, sp);
         break;
       }
     }
     const uint64_t merge_t0 = prof ? MonotonicNanos() : 0;
-    for (const auto& [page, score] : local) best[page] = score;
+    for (const auto& [page, score] : *local) {
+      merged.emplace_back(uint64_t{page} << 32 | merged.size(), score);
+    }
     if (prof) fan_in_ns += MonotonicNanos() - merge_t0;
   }
   const uint64_t rank_t0 = prof ? MonotonicNanos() : 0;
-  std::vector<std::pair<double, graph::PageId>> ranked;
-  ranked.reserve(best.size());
-  for (const auto& [page, score] : best) ranked.emplace_back(score, page);
-  const size_t keep = std::min(options_.k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<ptrdiff_t>(keep),
-                    ranked.end(), [](const auto& a, const auto& b) {
-                      return BetterResult(a.first, a.second, b.first, b.second);
+  const auto page_of = [](const std::pair<uint64_t, double>& e) {
+    return static_cast<graph::PageId>(e.first >> 32);
+  };
+  std::sort(merged.begin(), merged.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t distinct = 0;
+  for (size_t i = 0; i < merged.size(); ++i) {
+    if (i + 1 < merged.size() && page_of(merged[i + 1]) == page_of(merged[i])) continue;
+    merged[distinct++] = merged[i];
+  }
+  merged.resize(distinct);
+  const size_t keep = std::min(options_.k, merged.size());
+  std::partial_sort(merged.begin(), merged.begin() + static_cast<ptrdiff_t>(keep),
+                    merged.end(), [&](const auto& a, const auto& b) {
+                      return BetterResult(a.second, page_of(a), b.second, page_of(b));
                     });
   out.results.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) out.results.emplace_back(ranked[i].second, ranked[i].first);
+  for (size_t i = 0; i < keep; ++i) {
+    out.results.emplace_back(page_of(merged[i]), merged[i].second);
+  }
   if (prof) fan_in_ns += MonotonicNanos() - rank_t0;
 
   queries_total_.Increment();

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "graph/generators.h"
+#include "qp/flat_u32_map.h"
 
 namespace jxp {
 namespace qp {
@@ -136,6 +137,28 @@ TEST(CompressedIndexStatsTest, MergeAccumulates) {
   a.MergeFrom(b);
   EXPECT_EQ(a.num_postings, 40u);
   EXPECT_DOUBLE_EQ(a.CompressedBytesPerPosting(), (60.0 + 40.0 + 44.0) / 40.0);
+}
+
+TEST(FlatU32MapTest, FindsEveryKeyUpToItsBudget) {
+  EXPECT_EQ(FlatU32Map<double>().Find(0), nullptr);
+
+  // A full budget: a consecutive run (a fragment's docids), a strided run,
+  // and key 0.
+  constexpr size_t kKeys = 200;
+  FlatU32Map<double> map(kKeys);
+  std::vector<uint32_t> keys;
+  for (uint32_t i = 0; i < kKeys / 2; ++i) keys.push_back(i);
+  for (uint32_t i = 1; i <= kKeys / 2; ++i) keys.push_back(i << 20);
+  for (const uint32_t key : keys) EXPECT_TRUE(map.TryInsert(key, key + 0.5));
+  EXPECT_FALSE(map.TryInsert(7, -1.0));  // Present: the first value stays.
+  EXPECT_EQ(map.size(), kKeys);
+  for (const uint32_t key : keys) {
+    const double* value = map.Find(key);
+    ASSERT_NE(value, nullptr) << key;
+    EXPECT_EQ(*value, key + 0.5) << key;
+  }
+  EXPECT_EQ(map.Find(kKeys), nullptr);
+  EXPECT_EQ(map.Find(FlatU32Map<double>::kEmptyKey), nullptr);
 }
 
 }  // namespace

@@ -135,33 +135,55 @@ std::optional<std::string> CompareBatches(const std::vector<ServedResult>& a,
 
 /// The query path's equivalence: MaxScore and the exhaustive oracle over
 /// compressed lists return identical pages AND scores at 1 and 4 threads,
-/// and MinervaEngine's merged candidates carry exactly the tf*idf the
-/// oracle assigns on the peers the query is routed to.
+/// both on plain tf*idf and on serve_zipf's fused layout, and
+/// MinervaEngine's merged candidates carry exactly the tf*idf the oracle
+/// assigns on the peers the query is routed to.
 TEST(QpEquivalenceProperty, AllPathsReturnIdenticalTopK) {
   proptest::ForAll<EquivalenceCase>(
       /*default_seed=*/9260612, /*default_cases=*/10, MakeCase,
       [](const EquivalenceCase& c) -> proptest::CheckResult {
         const BuiltCase built = BuildCase(c);
+        // The fused arm's prior: uniform in [0, 1), near the size of one
+        // term's impact, so it reorders results and MaxScore's bounds must
+        // carry it (a PageRank-sized prior would barely register).
+        std::unordered_map<graph::PageId, double> prior;
+        Random prior_rng(c.seed + 4);
+        for (graph::PageId p = 0; p < c.num_nodes; ++p) prior[p] = prior_rng.NextDouble();
 
-        // Serving arms at 1 and 4 threads.
-        std::vector<std::vector<ServedResult>> arms;
-        for (const ProcessorKind kind :
-             {ProcessorKind::kExhaustive, ProcessorKind::kMaxScore}) {
-          for (const size_t threads : {size_t{1}, size_t{4}}) {
-            ServingOptions options;
-            options.processor = kind;
-            options.k = c.k;
-            options.num_threads = threads;
-            QueryServer server(&built.corpus, options);
-            for (const auto& index : built.indexes) {
-              server.AddPeer(index.get(), {}, CompressedIndexOptions{});
+        // Serving arms at 1 and 4 threads, per layout: plain tf*idf with
+        // the default blocks, and the fused score (w = 0.4, the random
+        // prior table, blocks of 16) that makes MaxScore consult PriorOf.
+        struct Layout {
+          const char* label;
+          double prior_weight;
+          size_t block_size;
+          const std::unordered_map<graph::PageId, double>* prior;
+        };
+        const std::unordered_map<graph::PageId, double> no_prior;
+        for (const Layout layout : {Layout{"plain serving arm", 0.0, 128, &no_prior},
+                                    Layout{"fused serving arm", 0.4, 16, &prior}}) {
+          CompressedIndexOptions copts;
+          copts.prior_weight = layout.prior_weight;
+          copts.block_size = layout.block_size;
+          std::vector<std::vector<ServedResult>> arms;
+          for (const ProcessorKind kind :
+               {ProcessorKind::kExhaustive, ProcessorKind::kMaxScore}) {
+            for (const size_t threads : {size_t{1}, size_t{4}}) {
+              ServingOptions options;
+              options.processor = kind;
+              options.k = c.k;
+              options.num_threads = threads;
+              QueryServer server(&built.corpus, options);
+              for (const auto& index : built.indexes) {
+                server.AddPeer(index.get(), *layout.prior, copts);
+              }
+              arms.push_back(server.ServeBatch(built.queries));
             }
-            arms.push_back(server.ServeBatch(built.queries));
           }
-        }
-        for (size_t arm = 1; arm < arms.size(); ++arm) {
-          if (auto mismatch = CompareBatches(arms[0], arms[arm], "serving arm")) {
-            return *mismatch;
+          for (size_t arm = 1; arm < arms.size(); ++arm) {
+            if (auto mismatch = CompareBatches(arms[0], arms[arm], layout.label)) {
+              return *mismatch;
+            }
           }
         }
 

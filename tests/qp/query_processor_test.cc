@@ -1,7 +1,9 @@
 #include "qp/query_processor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +234,57 @@ TEST(MaxScoreTopKTest, LivenessOffMatchesLivenessOn) {
       EXPECT_EQ(with_ranges[i].first, without[i].first) << "trial " << trial;
       EXPECT_EQ(with_ranges[i].second, without[i].second) << "trial " << trial;
     }
+  }
+}
+
+TEST(MaxScoreTopKTest, ReusedScratchMatchesFreshScratch) {
+  // One scratch through queries of 3, 1, 0 (an unknown term) and 2 lists,
+  // first primed (so live ranges are built early and many are dead), then
+  // cold: whatever an earlier call left in the scratch (more cursors, a
+  // range set, a full heap) must not reach a later result or counter.
+  QpFixture fx(/*prior_weight=*/0.4);
+  Random rng(69);
+  const std::vector<std::vector<search::TermId>> queries = {
+      fx.corpus.SampleQueryTerms(0, 3, rng),
+      fx.corpus.SampleQueryTerms(1, 1, rng),
+      {static_cast<search::TermId>(99999)},
+      fx.corpus.SampleQueryTerms(2, 2, rng),
+  };
+  MaxScoreScratch reused;
+  for (const bool primed : {true, false}) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string label =
+          std::string(primed ? "primed" : "cold") + " query " + std::to_string(q);
+      MaxScoreOptions options;
+      if (primed) {
+        const TopKList cold = MaxScoreTopK(*fx.frozen, queries[q], 10, nullptr);
+        if (cold.size() == 10) {
+          options.primed_threshold = cold.back().second * (1.0 - 1e-12);
+        }
+      }
+      QueryStats reused_stats;
+      QueryStats fresh_stats;
+      const TopKList got =
+          MaxScoreTopK(*fx.frozen, queries[q], 10, options, reused, &reused_stats);
+      MaxScoreScratch fresh;
+      const TopKList want =
+          MaxScoreTopK(*fx.frozen, queries[q], 10, options, fresh, &fresh_stats);
+      EXPECT_EQ(got, want) << label;
+      EXPECT_EQ(got.empty(), q == 2) << label;
+      EXPECT_TRUE(reused_stats == fresh_stats) << label;
+    }
+  }
+}
+
+TEST(LogTfTest, TableMatchesRuntimeLogBitForBit) {
+  // The reference std::log runs on a volatile input, so the compiler cannot
+  // fold it; the check runs one entry past the table, where LogTf calls
+  // std::log itself.
+  volatile uint32_t opaque_zero = 0;
+  for (uint32_t tf = 0; tf <= kLogTfTableSize; ++tf) {
+    const double want = std::log(static_cast<double>(tf + opaque_zero));
+    EXPECT_EQ(std::bit_cast<uint64_t>(LogTf(tf)), std::bit_cast<uint64_t>(want))
+        << "tf " << tf;
   }
 }
 

@@ -416,6 +416,10 @@ TEST(QueryServerTest, ServeConcurrentMatchesServeBatch) {
   for (std::thread& t : threads) t.join();
 
   ExpectSameResults(oracle, concurrent, "concurrent vs batch");
+  // Every work counter too: both paths prime from the same term primers.
+  for (size_t q = 0; q < fx.queries.size(); ++q) {
+    EXPECT_TRUE(concurrent[q].stats == oracle[q].stats) << "query " << q;
+  }
   obs::LatencyRecorder merged;
   for (const auto& r : recorders) merged.MergeFrom(*r);
   EXPECT_EQ(merged.StageSnapshot(obs::LatencyStage::kTotal).count(),
