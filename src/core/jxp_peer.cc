@@ -26,24 +26,24 @@ struct MeetingMetrics {
   obs::Counter merges = obs::MetricsRegistry::Global().GetCounter("jxp.merges");
   obs::Counter merges_rejected =
       obs::MetricsRegistry::Global().GetCounter("jxp.merges_rejected");
-  obs::Histogram wire_bytes = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.meeting.wire_bytes", p2p::WireByteBuckets());
-  obs::Histogram merge_cpu_ms = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.merge.cpu_ms", {0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000, 3000});
-  obs::Histogram pr_iterations = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.merge.pr_iterations", {1, 2, 5, 10, 20, 50, 100, 200, 500});
-  obs::Histogram world_update_ms = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.merge.world_update_ms", {0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100});
+  obs::Histogram wire_bytes =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.meeting.wire_bytes");
+  obs::Histogram merge_cpu_ms =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.merge.cpu_ms");
+  obs::Histogram pr_iterations =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.merge.pr_iterations");
+  obs::Histogram world_update_ms =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.merge.world_update_ms");
   /// Measured-wire-mode observables: per-message encoded size, analytic /
   /// measured compression ratio (both deterministic), and codec CPU.
-  obs::Histogram wire_message_bytes = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.wire.message_bytes", p2p::WireByteBuckets());
-  obs::Histogram wire_compression_ratio = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.wire.compression_ratio", {0.5, 1, 1.5, 2, 2.5, 3, 4, 6, 8, 12});
-  obs::Histogram wire_encode_ms = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.wire.encode_ms", {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10});
-  obs::Histogram wire_decode_ms = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.wire.decode_ms", {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10});
+  obs::Histogram wire_message_bytes =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.wire.message_bytes");
+  obs::Histogram wire_compression_ratio =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.wire.compression_ratio");
+  obs::Histogram wire_encode_ms =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.wire.encode_ms");
+  obs::Histogram wire_decode_ms =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.wire.decode_ms");
 };
 
 MeetingMetrics& GetMeetingMetrics() {

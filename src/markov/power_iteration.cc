@@ -23,16 +23,15 @@ struct PowerIterationMetrics {
       obs::MetricsRegistry::Global().GetCounter("markov.power_iteration.runs");
   obs::Counter iterations_total =
       obs::MetricsRegistry::Global().GetCounter("markov.power_iteration.iterations_total");
-  obs::Histogram iterations = obs::MetricsRegistry::Global().GetHistogram(
-      "markov.power_iteration.iterations", {1, 2, 5, 10, 20, 50, 100, 200, 500});
-  obs::Histogram final_residual = obs::MetricsRegistry::Global().GetHistogram(
-      "markov.power_iteration.final_residual",
-      {1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 1e-1});
-  obs::Histogram run_ms = obs::MetricsRegistry::Global().GetHistogram(
-      "markov.power_iteration.run_ms", {0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000});
-  obs::Histogram iteration_ms = obs::MetricsRegistry::Global().GetHistogram(
-      "markov.power_iteration.iteration_ms",
-      {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10});
+  /// Runs that stopped at max_iterations above the tolerance.
+  obs::Counter unconverged_runs =
+      obs::MetricsRegistry::Global().GetCounter("markov.power_iteration.unconverged_runs");
+  obs::Histogram iterations =
+      obs::MetricsRegistry::Global().GetHistogram("markov.power_iteration.iterations");
+  obs::Histogram run_ms =
+      obs::MetricsRegistry::Global().GetHistogram("markov.power_iteration.run_ms");
+  obs::Histogram iteration_ms =
+      obs::MetricsRegistry::Global().GetHistogram("markov.power_iteration.iteration_ms");
 };
 
 PowerIterationMetrics& GetPowerIterationMetrics() {
@@ -206,7 +205,7 @@ PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
     metrics.runs.Increment();
     metrics.iterations_total.Increment(static_cast<uint64_t>(result.iterations));
     metrics.iterations.Observe(result.iterations);
-    metrics.final_residual.Observe(result.residual);
+    if (!result.converged) metrics.unconverged_runs.Increment();
     const double run_ms = wall->ElapsedMillis();
     metrics.run_ms.Observe(run_ms);
     if (result.iterations > 0) {

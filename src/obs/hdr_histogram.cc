@@ -45,10 +45,16 @@ void HdrHistogram::RecordMany(uint64_t value, uint64_t n) {
 void HdrHistogram::MergeFrom(const HdrHistogram& other) {
   if (other.count_ == 0) return;
   for (size_t i = 0; i < kNumSlots; ++i) counts_[i] += other.counts_[i];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
+  AddMoments(other.count_, other.sum_, other.min_, other.max_);
+}
+
+void HdrHistogram::AddMoments(uint64_t count, unsigned __int128 sum, uint64_t min,
+                              uint64_t max) {
+  if (count == 0) return;
+  if (count_ == 0 || min < min_) min_ = min;
+  if (count_ == 0 || max > max_) max_ = max;
+  count_ += count;
+  sum_ += sum;
 }
 
 void HdrHistogram::Clear() {

@@ -8,11 +8,12 @@
 namespace jxp {
 namespace obs {
 
-/// An HDR-style log-linear histogram over non-negative integer values
-/// (latencies in nanoseconds). Where HistogramData needs bucket bounds
-/// chosen per call site, HdrHistogram covers the whole uint64 range —
-/// nanoseconds through minutes and far beyond — at a fixed relative
-/// resolution, so one layout resolves a p99.9 spanning a ~50 ns cache hit
+/// An HDR-style log-linear histogram over non-negative integer values: the
+/// one histogram type of the system. LatencyRecorder records nanoseconds
+/// into it, and every MetricsRegistry histogram records its samples in
+/// fixed-point units of 2^-20 (see obs::Histogram). It covers the whole
+/// uint64 range at a fixed relative resolution with no bounds chosen per
+/// call site, so one layout resolves a p99.9 spanning a ~50 ns cache hit
 /// and a ~10 ms cold MaxScore descent in the same histogram.
 ///
 /// Layout: values below kSubBucketCount (256) get one slot each (exact).
@@ -21,14 +22,13 @@ namespace obs {
 /// ~2 significant digits of resolution everywhere (relative slot width
 /// 2^-7 ≈ 0.78%).
 ///
-/// Determinism contract (mirrors HistogramData): every accumulated
-/// quantity is an exact integer — slot counts, the total count, the value
-/// sum (128-bit, cannot overflow), and min/max. Recording the same
-/// multiset of values in any order, or split across any number of
-/// histograms later combined with MergeFrom, yields bit-identical state;
-/// MergeFrom is associative and commutative. Not internally synchronized:
-/// record into one histogram per thread and merge, or guard externally
-/// (LatencyRecorder does the latter).
+/// Determinism contract: every accumulated quantity is an exact integer —
+/// slot counts, the total count, the value sum (128-bit, cannot overflow),
+/// and min/max. Recording the same multiset of values in any order, or
+/// split across any number of histograms later combined with MergeFrom,
+/// yields bit-identical state; MergeFrom is associative and commutative.
+/// Not internally synchronized: record into one histogram per thread and
+/// merge, or guard externally (LatencyRecorder does the latter).
 class HdrHistogram {
  public:
   /// log2 of the linear slot count of the lowest (exact) value range.
@@ -84,6 +84,14 @@ class HdrHistogram {
   bool operator==(const HdrHistogram& other) const;
 
  private:
+  friend class MetricsRegistry;
+
+  /// Registry-only raw merge: MetricsRegistry::Snapshot folds each thread
+  /// shard's slot counts and moments in through these two calls (integer
+  /// addition, like MergeFrom). `min`/`max` are ignored when `count` is 0.
+  void AddToSlot(size_t index, uint64_t n) { counts_[index] += n; }
+  void AddMoments(uint64_t count, unsigned __int128 sum, uint64_t min, uint64_t max);
+
   std::vector<uint64_t> counts_;  // kNumSlots.
   uint64_t count_ = 0;
   unsigned __int128 sum_ = 0;

@@ -52,18 +52,6 @@ void LatencyRecorder::MergeFrom(const LatencyRecorder& other) {
   }
 }
 
-uint64_t LatencyRecorder::TotalCount() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t total = 0;
-  for (const HdrHistogram& h : stages_) total += h.count();
-  return total;
-}
-
-void LatencyRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (HdrHistogram& h : stages_) h.Clear();
-}
-
 void LatencyRecorder::WriteJsonFields(JsonWriter& writer, std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string key;

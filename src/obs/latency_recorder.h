@@ -65,11 +65,6 @@ class LatencyRecorder {
   /// Merges another recorder's histograms into this one.
   void MergeFrom(const LatencyRecorder& other);
 
-  /// Samples recorded across all stages.
-  uint64_t TotalCount() const;
-
-  void Clear();
-
   /// Appends per-stage percentile fields to `writer`:
   ///   <prefix><stage>_{count,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,mean_ns}
   /// Empty stages are skipped. Field order follows the stage enum, so the

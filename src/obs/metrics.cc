@@ -13,88 +13,20 @@
 namespace jxp {
 namespace obs {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// HistogramData
-
-HistogramData::HistogramData(std::vector<double> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)),
-      counts_(upper_bounds_.size() + 1, 0),
-      min_(kInf),
-      max_(-kInf) {
-  for (size_t i = 0; i < upper_bounds_.size(); ++i) {
-    JXP_CHECK(std::isfinite(upper_bounds_[i])) << "histogram bound must be finite";
-    if (i > 0) {
-      JXP_CHECK_GT(upper_bounds_[i], upper_bounds_[i - 1])
-          << "histogram bounds must be strictly increasing";
-    }
-  }
-}
-
-int64_t HistogramData::ToSumUnits(double value) {
-  // floor(v * scale + 0.5): deterministic round-half-up; exact integer math
-  // from here on, so partial sums merge associatively.
-  return static_cast<int64_t>(std::floor(value * kSumScale + 0.5));
-}
-
-size_t HistogramData::BucketIndexOf(double value) const {
-  // First bound >= value: bucket i covers (bound[i-1], bound[i]], so a
-  // value exactly on a bound lands in that bound's bucket.
-  return static_cast<size_t>(
-      std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), value) -
-      upper_bounds_.begin());
-}
-
-void HistogramData::Observe(double value) {
-  JXP_CHECK(std::isfinite(value)) << "histogram sample must be finite";
-  JXP_CHECK_LE(std::abs(value), kMaxValue) << "histogram sample out of range";
-  ++counts_[BucketIndexOf(value)];
-  ++count_;
-  sum_units_ += ToSumUnits(value);
-  if (value < min_) min_ = value;
-  if (value > max_) max_ = value;
-}
-
-uint64_t HistogramData::bucket_count(size_t i) const {
-  JXP_CHECK_LT(i, upper_bounds_.size());
-  return counts_[i];
-}
-
-void HistogramData::MergeFrom(const HistogramData& other) {
-  JXP_CHECK(SameBuckets(other)) << "merging histograms with different buckets";
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  sum_units_ += other.sum_units_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-void HistogramData::AccumulateRaw(const uint64_t* bucket_counts, size_t num_counts,
-                                  uint64_t count, int64_t sum_units, double min_value,
-                                  double max_value) {
-  JXP_CHECK_EQ(num_counts, counts_.size());
-  for (size_t i = 0; i < num_counts; ++i) counts_[i] += bucket_counts[i];
-  count_ += count;
-  sum_units_ += sum_units;
-  if (min_value < min_) min_ = min_value;
-  if (max_value > max_) max_ = max_value;
-}
-
-void HistogramData::Clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_units_ = 0;
-  min_ = kInf;
-  max_ = -kInf;
-}
-
 // ---------------------------------------------------------------------------
 // Registry shards
+
+namespace {
+
+/// Single-writer relaxed update: the owning thread is the only writer.
+void Store(std::atomic<uint64_t>& cell, uint64_t value) {
+  cell.store(value, std::memory_order_relaxed);
+}
+uint64_t Load(const std::atomic<uint64_t>& cell) {
+  return cell.load(std::memory_order_relaxed);
+}
+
+}  // namespace
 
 struct MetricsRegistry::GaugeCell {
   std::atomic<uint64_t> bits{0};
@@ -104,20 +36,29 @@ struct MetricsRegistry::GaugeCell {
 struct MetricsRegistry::Shard {
   /// Per-shard accumulators of one histogram. Cells are relaxed atomics
   /// written only by the owning thread (plain load-modify-store, exact) and
-  /// read by Snapshot, so concurrent snapshots are race-free.
+  /// read by Snapshot, so concurrent snapshots are race-free. Slot storage
+  /// is allocated lazily, one 128-slot range (one power of two above 256
+  /// units) at a time: a dense slot array would cost HdrHistogram::kNumSlots
+  /// * 8 B (59 KB) per (thread, histogram) pair, while a metric's samples
+  /// usually touch a few ranges.
   struct HistShard {
-    explicit HistShard(size_t num_buckets) : num_counts(num_buckets + 1) {
-      counts = std::make_unique<std::atomic<uint64_t>[]>(num_counts);
-      for (size_t i = 0; i < num_counts; ++i) counts[i].store(0, std::memory_order_relaxed);
-      min_bits.store(std::bit_cast<uint64_t>(kInf), std::memory_order_relaxed);
-      max_bits.store(std::bit_cast<uint64_t>(-kInf), std::memory_order_relaxed);
+    static constexpr size_t kRangeSlots = HdrHistogram::kSubBucketHalf;
+    static constexpr size_t kNumRanges = HdrHistogram::kNumSlots / kRangeSlots;
+    static_assert(HdrHistogram::kNumSlots % kRangeSlots == 0);
+    using Range = std::array<std::atomic<uint64_t>, kRangeSlots>;
+
+    HistShard() = default;
+    HistShard(const HistShard&) = delete;
+    HistShard& operator=(const HistShard&) = delete;
+    ~HistShard() {
+      for (auto& range : ranges) delete range.load(std::memory_order_relaxed);
     }
-    std::unique_ptr<std::atomic<uint64_t>[]> counts;
-    size_t num_counts;
+    /// Published with release by the owner on first use; null until then.
+    std::array<std::atomic<Range*>, kNumRanges> ranges{};
     std::atomic<uint64_t> count{0};
-    std::atomic<int64_t> sum_units{0};
-    std::atomic<uint64_t> min_bits;
-    std::atomic<uint64_t> max_bits;
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> min{std::numeric_limits<uint64_t>::max()};
+    std::atomic<uint64_t> max{0};
   };
 
   std::array<std::atomic<uint64_t>, kMaxMetrics> counters{};
@@ -147,42 +88,30 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *global;
 }
 
-uint32_t MetricsRegistry::Register(std::string_view name, Kind kind,
-                                   std::vector<double> upper_bounds) {
+uint32_t MetricsRegistry::Register(std::string_view name, Kind kind) {
   JXP_CHECK(!name.empty());
   std::lock_guard<std::mutex> lock(mutex_);
   for (size_t id = 0; id < metrics_.size(); ++id) {
     if (metrics_[id].name != name) continue;
     JXP_CHECK(metrics_[id].kind == kind)
         << "metric '" << metrics_[id].name << "' re-registered with a different kind";
-    if (kind == Kind::kHistogram) {
-      JXP_CHECK(metrics_[id].upper_bounds == upper_bounds)
-          << "histogram '" << metrics_[id].name << "' re-registered with different buckets";
-    }
     return static_cast<uint32_t>(id);
   }
   JXP_CHECK_LT(metrics_.size(), kMaxMetrics) << "metrics registry full";
-  metrics_.push_back({std::string(name), kind, std::move(upper_bounds)});
+  metrics_.push_back({std::string(name), kind});
   return static_cast<uint32_t>(metrics_.size() - 1);
 }
 
 Counter MetricsRegistry::GetCounter(std::string_view name) {
-  return Counter(this, Register(name, Kind::kCounter, {}));
+  return Counter(this, Register(name, Kind::kCounter));
 }
 
 Gauge MetricsRegistry::GetGauge(std::string_view name) {
-  return Gauge(this, Register(name, Kind::kGauge, {}));
+  return Gauge(this, Register(name, Kind::kGauge));
 }
 
-Histogram MetricsRegistry::GetHistogram(std::string_view name,
-                                        std::vector<double> upper_bounds) {
-  const uint32_t id = Register(name, Kind::kHistogram, std::move(upper_bounds));
-  const std::vector<double>* bounds;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    bounds = &metrics_[id].upper_bounds;  // Stable: metrics_ is a deque.
-  }
-  return Histogram(this, id, bounds);
+Histogram MetricsRegistry::GetHistogram(std::string_view name) {
+  return Histogram(this, Register(name, Kind::kHistogram));
 }
 
 MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
@@ -203,7 +132,7 @@ MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
 
 void MetricsRegistry::AddCounter(uint32_t id, uint64_t n) {
   std::atomic<uint64_t>& cell = LocalShard().counters[id];
-  cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  Store(cell, Load(cell) + n);
 }
 
 void MetricsRegistry::SetGauge(uint32_t id, double value) {
@@ -212,34 +141,35 @@ void MetricsRegistry::SetGauge(uint32_t id, double value) {
   cell.set_count.fetch_add(1, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::ObserveHistogram(uint32_t id, const std::vector<double>& bounds,
-                                       double value) {
-  JXP_CHECK(std::isfinite(value)) << "histogram sample must be finite";
-  JXP_CHECK_LE(std::abs(value), HistogramData::kMaxValue)
-      << "histogram sample out of range";
+void MetricsRegistry::ObserveHistogram(uint32_t id, double value) {
+  // The range test also rejects NaN and infinities.
+  JXP_CHECK(value >= 0 && value <= Histogram::kMaxValue)
+      << "histogram sample must be finite and in [0, 1e12]: " << value;
+  // floor(v * 2^20 + 0.5): deterministic round-half-up into integer units;
+  // exact integer math from here on, so shards merge associatively.
+  const auto units =
+      static_cast<uint64_t>(std::floor(value * Histogram::kUnitsPerValue + 0.5));
   Shard& shard = LocalShard();
-  Shard::HistShard* hist = shard.hists[id].load(std::memory_order_acquire);
+  using HistShard = Shard::HistShard;
+  HistShard* hist = shard.hists[id].load(std::memory_order_acquire);
   if (hist == nullptr) {
-    shard.owned.push_back(std::make_unique<Shard::HistShard>(bounds.size()));
+    shard.owned.push_back(std::make_unique<HistShard>());
     hist = shard.owned.back().get();
     shard.hists[id].store(hist, std::memory_order_release);
   }
-  const size_t bucket = static_cast<size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
-  std::atomic<uint64_t>& bucket_cell = hist->counts[bucket];
-  bucket_cell.store(bucket_cell.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  hist->count.store(hist->count.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  hist->sum_units.store(
-      hist->sum_units.load(std::memory_order_relaxed) + HistogramData::ToSumUnits(value),
-      std::memory_order_relaxed);
-  if (value < std::bit_cast<double>(hist->min_bits.load(std::memory_order_relaxed))) {
-    hist->min_bits.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
+  const size_t slot = HdrHistogram::SlotIndexOf(units);
+  std::atomic<HistShard::Range*>& range_cell = hist->ranges[slot / HistShard::kRangeSlots];
+  HistShard::Range* range = range_cell.load(std::memory_order_acquire);
+  if (range == nullptr) {
+    range = new HistShard::Range{};
+    range_cell.store(range, std::memory_order_release);
   }
-  if (value > std::bit_cast<double>(hist->max_bits.load(std::memory_order_relaxed))) {
-    hist->max_bits.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
-  }
+  std::atomic<uint64_t>& cell = (*range)[slot % HistShard::kRangeSlots];
+  Store(cell, Load(cell) + 1);
+  Store(hist->count, Load(hist->count) + 1);
+  Store(hist->sum, Load(hist->sum) + units);
+  if (units < Load(hist->min)) Store(hist->min, units);
+  if (units > Load(hist->max)) Store(hist->max, units);
 }
 
 void Counter::Increment(uint64_t n) {
@@ -254,7 +184,7 @@ void Gauge::Set(double value) {
 
 void Histogram::Observe(double value) {
   if (!Enabled() || registry_ == nullptr) return;
-  registry_->ObserveHistogram(id_, *bounds_, value);
+  registry_->ObserveHistogram(id_, value);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -266,7 +196,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case Kind::kCounter: {
         uint64_t total = 0;
         for (const auto& shard : shards_) {
-          total += shard->counters[id].load(std::memory_order_relaxed);
+          total += Load(shard->counters[id]);
         }
         snapshot.counters.push_back({info.name, total});
         break;
@@ -280,21 +210,22 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         break;
       }
       case Kind::kHistogram: {
-        HistogramData merged{info.upper_bounds};
+        using HistShard = Shard::HistShard;
+        MetricsSnapshot::HistogramValue value{info.name, {}};
         for (const auto& shard : shards_) {
-          const Shard::HistShard* hist = shard->hists[id].load(std::memory_order_acquire);
+          const HistShard* hist = shard->hists[id].load(std::memory_order_acquire);
           if (hist == nullptr) continue;
-          std::vector<uint64_t> counts(hist->num_counts);
-          for (size_t i = 0; i < hist->num_counts; ++i) {
-            counts[i] = hist->counts[i].load(std::memory_order_relaxed);
+          for (size_t r = 0; r < HistShard::kNumRanges; ++r) {
+            const HistShard::Range* range = hist->ranges[r].load(std::memory_order_acquire);
+            if (range == nullptr) continue;
+            for (size_t i = 0; i < HistShard::kRangeSlots; ++i) {
+              value.data.AddToSlot(r * HistShard::kRangeSlots + i, Load((*range)[i]));
+            }
           }
-          merged.AccumulateRaw(
-              counts.data(), counts.size(), hist->count.load(std::memory_order_relaxed),
-              hist->sum_units.load(std::memory_order_relaxed),
-              std::bit_cast<double>(hist->min_bits.load(std::memory_order_relaxed)),
-              std::bit_cast<double>(hist->max_bits.load(std::memory_order_relaxed)));
+          value.data.AddMoments(Load(hist->count), Load(hist->sum), Load(hist->min),
+                                Load(hist->max));
         }
-        snapshot.histograms.push_back({info.name, std::move(merged)});
+        snapshot.histograms.push_back(std::move(value));
         break;
       }
     }
@@ -309,15 +240,17 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& shard : shards_) {
-    for (auto& counter : shard->counters) counter.store(0, std::memory_order_relaxed);
-    for (auto& owned : shard->owned) {
-      for (size_t i = 0; i < owned->num_counts; ++i) {
-        owned->counts[i].store(0, std::memory_order_relaxed);
+    for (auto& counter : shard->counters) Store(counter, 0);
+    for (auto& hist : shard->owned) {
+      for (auto& range : hist->ranges) {
+        Shard::HistShard::Range* slots = range.load(std::memory_order_relaxed);
+        if (slots == nullptr) continue;
+        for (auto& cell : *slots) Store(cell, 0);
       }
-      owned->count.store(0, std::memory_order_relaxed);
-      owned->sum_units.store(0, std::memory_order_relaxed);
-      owned->min_bits.store(std::bit_cast<uint64_t>(kInf), std::memory_order_relaxed);
-      owned->max_bits.store(std::bit_cast<uint64_t>(-kInf), std::memory_order_relaxed);
+      Store(hist->count, 0);
+      Store(hist->sum, 0);
+      Store(hist->min, std::numeric_limits<uint64_t>::max());
+      Store(hist->max, 0);
     }
   }
   for (size_t id = 0; id < metrics_.size(); ++id) {
@@ -390,27 +323,23 @@ std::string MetricsSnapshot::ToJsonLines(bool include_timing) const {
     out.push_back('\n');
   }
   for (const HistogramValue& histogram : histograms) {
+    const HdrHistogram& data = histogram.data;
+    if (data.count() == 0) continue;
     if (!include_timing && IsTimingMetric(histogram.name)) continue;
-    const HistogramData& data = histogram.data;
+    const auto value = [](auto units) {
+      return static_cast<double>(units) / Histogram::kUnitsPerValue;
+    };
     writer.Field("type", "histogram")
         .Field("name", histogram.name)
         .Field("count", data.count())
-        .Field("sum", data.sum());
-    if (data.count() > 0) {
-      writer.Field("mean", data.mean()).Field("min", data.min()).Field("max", data.max());
-    }
-    writer.BeginArray("buckets");
-    for (size_t i = 0; i < data.num_buckets(); ++i) {
-      writer.BeginArrayObject()
-          .Field("le", data.upper_bounds()[i])
-          .Field("count", data.bucket_count(i))
-          .End();
-    }
-    writer.BeginArrayObject()
-        .Field("le", "+Inf")
-        .Field("count", data.overflow_count())
-        .End();
-    writer.End();
+        .Field("sum", value(data.sum()))
+        .Field("mean", value(data.mean()))
+        .Field("min", value(data.min()))
+        .Field("max", value(data.max()))
+        .Field("p50", value(data.ValueAtPercentile(50)))
+        .Field("p90", value(data.ValueAtPercentile(90)))
+        .Field("p99", value(data.ValueAtPercentile(99)))
+        .Field("p999", value(data.ValueAtPercentile(99.9)));
     out += writer.TakeLine();
     out.push_back('\n');
   }

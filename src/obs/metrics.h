@@ -2,97 +2,19 @@
 #define JXP_OBS_METRICS_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/hdr_histogram.h"
 #include "obs/telemetry.h"
 
 namespace jxp {
 namespace obs {
 
 class MetricsRegistry;
-
-/// A fixed-bucket histogram *value*: bucket counts plus count / sum / min /
-/// max of the observed samples. Doubles twice in this layer: it is the
-/// standalone accumulator used outside the registry (e.g.
-/// p2p::PeerTraffic), and it is the merged per-metric result inside a
-/// MetricsSnapshot.
-///
-/// Determinism contract: every accumulated quantity is order-independent —
-/// bucket counts and the sample count are integers, min/max are exact, and
-/// the sum is accumulated in fixed-point units of 2^-20 (kSumScale) so that
-/// merging partial histograms is integer addition and therefore associative
-/// and commutative. Observing the same multiset of values, in any order and
-/// split across any number of threads/shards, yields bit-identical state.
-/// The price is quantization: sums are exact to 2^-20 per sample (values
-/// must stay below 1e12 in magnitude; enforced).
-class HistogramData {
- public:
-  /// Fixed-point scale of the sum accumulator (2^20).
-  static constexpr double kSumScale = 1048576.0;
-  /// Largest |value| Observe accepts (keeps the scaled sum inside int64
-  /// shard accumulators for any realistic sample count).
-  static constexpr double kMaxValue = 1e12;
-
-  /// A histogram with no buckets still tracks count/sum/min/max.
-  HistogramData() : HistogramData(std::vector<double>{}) {}
-  /// `upper_bounds` must be strictly increasing and finite. Bucket i counts
-  /// observations in (upper_bounds[i-1], upper_bounds[i]]; one implicit
-  /// overflow bucket counts observations above the last bound.
-  explicit HistogramData(std::vector<double> upper_bounds);
-
-  /// Records one sample. `value` must be finite and |value| <= kMaxValue.
-  void Observe(double value);
-
-  /// Merges another histogram with identical bucket bounds into this one.
-  void MergeFrom(const HistogramData& other);
-
-  /// Quantizes `value` to the fixed-point sum units (the exact integer a
-  /// single Observe adds to the sum accumulator).
-  static int64_t ToSumUnits(double value);
-
-  uint64_t count() const { return count_; }
-  /// Sum of samples, exact to 2^-20 per sample.
-  double sum() const { return static_cast<double>(sum_units_) / kSumScale; }
-  double mean() const { return count_ == 0 ? 0.0 : sum() / static_cast<double>(count_); }
-  /// Smallest / largest observed sample; +inf / -inf when empty.
-  double min() const { return min_; }
-  double max() const { return max_; }
-
-  size_t num_buckets() const { return upper_bounds_.size(); }
-  const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-  /// Count of bucket i (i < num_buckets()).
-  uint64_t bucket_count(size_t i) const;
-  /// Count of samples above the last bound (all samples when bucketless).
-  uint64_t overflow_count() const { return counts_.back(); }
-  /// Index of the bucket `value` falls into; num_buckets() for overflow.
-  size_t BucketIndexOf(double value) const;
-
-  /// Drops all samples, keeps the bucket layout.
-  void Clear();
-
-  bool SameBuckets(const HistogramData& other) const {
-    return upper_bounds_ == other.upper_bounds_;
-  }
-
- private:
-  friend class MetricsRegistry;
-
-  /// Registry-internal: folds raw shard accumulators into this histogram.
-  void AccumulateRaw(const uint64_t* bucket_counts, size_t num_counts, uint64_t count,
-                     int64_t sum_units, double min_value, double max_value);
-
-  std::vector<double> upper_bounds_;
-  std::vector<uint64_t> counts_;  // num_buckets() + 1; last = overflow.
-  uint64_t count_ = 0;
-  __int128 sum_units_ = 0;
-  double min_;
-  double max_;
-};
 
 /// Handles vended by MetricsRegistry. Cheap to copy; a default-constructed
 /// handle is a no-op. All operations are thread-safe (each thread writes
@@ -125,20 +47,33 @@ class Gauge {
   uint32_t id_ = 0;
 };
 
+/// A distribution of non-negative samples, recorded into HdrHistogram slots
+/// in fixed-point units of 2^-20: Observe(v) records the integer
+/// floor(v * 2^20 + 0.5), so no call site picks bucket bounds.
+///
+/// Determinism contract: slot counts, the sample count, the unit sum and
+/// min/max are integers, so merging thread shards is integer addition —
+/// associative and commutative. Observing the same multiset of values, in
+/// any order and split across any number of threads, yields a bit-identical
+/// snapshot. The price is quantization: each sample is exact to 2^-20, and
+/// percentiles carry HdrHistogram's relative slot width of 2^-7.
 class Histogram {
  public:
+  /// Fixed-point units per value unit (2^20).
+  static constexpr double kUnitsPerValue = 1048576.0;
+  /// Largest value Observe accepts (keeps a shard's unit sum inside uint64
+  /// for any realistic sample count).
+  static constexpr double kMaxValue = 1e12;
+
   Histogram() = default;
+  /// Records one sample; `value` must be finite and in [0, kMaxValue].
   void Observe(double value);
 
  private:
   friend class MetricsRegistry;
-  Histogram(MetricsRegistry* registry, uint32_t id, const std::vector<double>* bounds)
-      : registry_(registry), id_(id), bounds_(bounds) {}
+  Histogram(MetricsRegistry* registry, uint32_t id) : registry_(registry), id_(id) {}
   MetricsRegistry* registry_ = nullptr;
   uint32_t id_ = 0;
-  /// Points into the registry's stable metric table (std::deque), so the
-  /// hot path reads bucket bounds without touching the registry lock.
-  const std::vector<double>* bounds_ = nullptr;
 };
 
 /// A deterministic point-in-time view of a registry: every metric merged
@@ -156,7 +91,8 @@ struct MetricsSnapshot {
   };
   struct HistogramValue {
     std::string name;
-    HistogramData data;
+    /// Samples in units of 2^-20 (Histogram::kUnitsPerValue).
+    HdrHistogram data;
   };
 
   std::vector<CounterValue> counters;
@@ -165,9 +101,12 @@ struct MetricsSnapshot {
 
   /// Serializes the snapshot as JSON lines (one '\n'-terminated line per
   /// metric, metrics sorted by name within each kind, counters first, then
-  /// gauges, then histograms). When `include_timing` is false, metrics under
-  /// the timing naming convention (IsTimingMetric) are skipped — the form
-  /// the cross-thread-count determinism tests compare byte for byte.
+  /// gauges, then histograms). A histogram line carries count, sum, mean,
+  /// min, max, p50, p90, p99 and p999, converted back to value units;
+  /// histograms without samples are skipped. When `include_timing` is
+  /// false, metrics under the timing naming convention (IsTimingMetric) are
+  /// skipped — the form the cross-thread-count determinism tests compare
+  /// byte for byte.
   std::string ToJsonLines(bool include_timing = true) const;
 };
 
@@ -201,8 +140,8 @@ std::string MetricNameViolation(std::string_view name);
 ///
 /// Metric registration (GetCounter/GetGauge/GetHistogram) takes a lock and
 /// may be called from any thread; re-registering the same name returns the
-/// same metric (kind and bucket bounds must match). Capacity is fixed at
-/// kMaxMetrics per registry.
+/// same metric (the kind must match). Capacity is fixed at kMaxMetrics per
+/// registry.
 class MetricsRegistry {
  public:
   static constexpr size_t kMaxMetrics = 256;
@@ -214,7 +153,7 @@ class MetricsRegistry {
 
   Counter GetCounter(std::string_view name);
   Gauge GetGauge(std::string_view name);
-  Histogram GetHistogram(std::string_view name, std::vector<double> upper_bounds);
+  Histogram GetHistogram(std::string_view name);
 
   /// Merges all shards into a deterministic snapshot (see class comment).
   MetricsSnapshot Snapshot() const;
@@ -236,23 +175,20 @@ class MetricsRegistry {
   struct MetricInfo {
     std::string name;
     Kind kind = Kind::kCounter;
-    std::vector<double> upper_bounds;  // Histograms only.
   };
 
   struct Shard;
   struct GaugeCell;
 
-  uint32_t Register(std::string_view name, Kind kind, std::vector<double> upper_bounds);
+  uint32_t Register(std::string_view name, Kind kind);
   Shard& LocalShard();
   void AddCounter(uint32_t id, uint64_t n);
   void SetGauge(uint32_t id, double value);
-  void ObserveHistogram(uint32_t id, const std::vector<double>& bounds, double value);
+  void ObserveHistogram(uint32_t id, double value);
 
   const uint64_t registry_id_;
   mutable std::mutex mutex_;
-  /// deque: stable addresses, so hot paths may read entries lock-free once
-  /// they hold an id.
-  std::deque<MetricInfo> metrics_;
+  std::vector<MetricInfo> metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<GaugeCell[]> gauges_;
 };

@@ -29,12 +29,12 @@ struct FaultMetrics {
       obs::MetricsRegistry::Global().GetCounter("jxp.faults.meetings_abandoned");
   obs::Counter faulty_meetings =
       obs::MetricsRegistry::Global().GetCounter("jxp.faults.faulty_meetings");
-  obs::Histogram wasted_bytes = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.faults.wasted_bytes", WireByteBuckets());
+  obs::Histogram wasted_bytes =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.faults.wasted_bytes");
   /// Simulated (deterministic) backoff, not wall time — hence no "_ms"
   /// timing suffix; values are in simulated milliseconds.
-  obs::Histogram backoff_sim = obs::MetricsRegistry::Global().GetHistogram(
-      "jxp.faults.backoff_sim", {10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
+  obs::Histogram backoff_sim =
+      obs::MetricsRegistry::Global().GetHistogram("jxp.faults.backoff_sim");
 };
 
 FaultMetrics& GetFaultMetrics() {

@@ -5,19 +5,11 @@
 namespace jxp {
 namespace p2p {
 
-const std::vector<double>& WireByteBuckets() {
-  static const std::vector<double> buckets = {256,     1024,    4096,    16384,
-                                              65536,   262144,  1048576, 4194304,
-                                              16777216, 67108864};
-  return buckets;
-}
-
 void PeerTrafficSummary::MergeFrom(const PeerTrafficSummary& other) {
   total_bytes += other.total_bytes;
   max_bytes = std::max(max_bytes, other.max_bytes);
   num_meetings += other.num_meetings;
   wasted_bytes += other.wasted_bytes;
-  bytes_per_meeting.MergeFrom(other.bytes_per_meeting);
   mean_bytes = num_meetings > 0 ? total_bytes / static_cast<double>(num_meetings) : 0;
 }
 
@@ -25,7 +17,6 @@ PeerTrafficSummary PeerTraffic::Summary() const {
   PeerTrafficSummary summary;
   for (double bytes : bytes_per_meeting) {
     summary.max_bytes = std::max(summary.max_bytes, bytes);
-    summary.bytes_per_meeting.Observe(bytes);
   }
   summary.total_bytes = total_bytes;
   summary.wasted_bytes = wasted_bytes;

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/random.h"
-#include "obs/metrics.h"
 
 namespace jxp {
 namespace p2p {
@@ -17,13 +16,7 @@ using PeerId = uint32_t;
 /// Sentinel for "no peer".
 inline constexpr PeerId kInvalidPeer = static_cast<PeerId>(-1);
 
-/// Shared bucket boundaries for message-size histograms: powers of four
-/// from 256 B to 64 MiB. Used both by PeerTraffic::Summary and by the
-/// jxp.meeting.wire_bytes metric so the two views are comparable.
-const std::vector<double>& WireByteBuckets();
-
-/// Aggregate view of a traffic series: totals plus a fixed-bucket
-/// distribution of bytes-per-meeting (buckets: WireByteBuckets()).
+/// Aggregate view of a traffic series: totals over its meetings.
 struct PeerTrafficSummary {
   double total_bytes = 0;
   double mean_bytes = 0;
@@ -34,9 +27,8 @@ struct PeerTrafficSummary {
   /// clean run. Not part of total_bytes' meeting series: probe overhead has
   /// no meeting, while a dropped message's bytes appear in both.
   double wasted_bytes = 0;
-  obs::HistogramData bytes_per_meeting{WireByteBuckets()};
 
-  /// Folds another summary into this one (histograms merge exactly).
+  /// Folds another summary into this one.
   void MergeFrom(const PeerTrafficSummary& other);
 };
 

@@ -86,13 +86,9 @@ QueryServer::QueryServer(const search::Corpus* corpus, const ServingOptions& opt
   result_cache_hits_ = registry.GetCounter("jxp.qp.result_cache_hits");
   result_cache_misses_ = registry.GetCounter("jxp.qp.result_cache_misses");
   primed_queries_ = registry.GetCounter("jxp.qp.primed_queries");
-  postings_decoded_per_query_ = registry.GetHistogram(
-      "jxp.qp.postings_decoded_per_query",
-      {0, 8, 32, 128, 512, 2048, 8192, 32768, 131072});
-  results_per_query_ =
-      registry.GetHistogram("jxp.qp.results_per_query", {0, 1, 2, 5, 10, 20, 50, 100});
-  query_latency_ms_ = registry.GetHistogram(
-      "jxp.qp.query_latency_ms", {0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500});
+  postings_decoded_per_query_ = registry.GetHistogram("jxp.qp.postings_decoded_per_query");
+  results_per_query_ = registry.GetHistogram("jxp.qp.results_per_query");
+  query_latency_ms_ = registry.GetHistogram("jxp.qp.query_latency_ms");
 }
 
 void QueryServer::AddPeer(const search::PeerIndex* index,

@@ -1,9 +1,15 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 
@@ -13,95 +19,24 @@ namespace {
 using obs::Counter;
 using obs::Gauge;
 using obs::Histogram;
-using obs::HistogramData;
+using obs::HdrHistogram;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 
-TEST(HistogramDataTest, BucketBoundariesAreInclusiveUpperBounds) {
-  HistogramData h({1.0, 10.0, 100.0});
-  // Bucket i covers (bound[i-1], bound[i]]; values on a boundary land in
-  // the bucket the boundary closes.
-  EXPECT_EQ(h.BucketIndexOf(1.0), 0u);
-  EXPECT_EQ(h.BucketIndexOf(1.0000001), 1u);
-  EXPECT_EQ(h.BucketIndexOf(10.0), 1u);
-  EXPECT_EQ(h.BucketIndexOf(100.0), 2u);
-  // Below the first bound, including negatives, is bucket 0.
-  EXPECT_EQ(h.BucketIndexOf(0.5), 0u);
-  EXPECT_EQ(h.BucketIndexOf(-5.0), 0u);
-  // Above the last bound is the overflow bucket.
-  EXPECT_EQ(h.BucketIndexOf(100.0001), 3u);
-
-  h.Observe(1.0);
-  h.Observe(10.0);
-  h.Observe(100.0);
-  h.Observe(1000.0);
-  h.Observe(-5.0);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 2u);  // 1.0 and -5.0.
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.overflow_count(), 1u);
-  EXPECT_EQ(h.min(), -5.0);
-  EXPECT_EQ(h.max(), 1000.0);
+/// The integer a registry histogram records for `value`.
+uint64_t Units(double value) {
+  return static_cast<uint64_t>(std::floor(value * Histogram::kUnitsPerValue + 0.5));
 }
 
-TEST(HistogramDataTest, BucketlessHistogramStillTracksMoments) {
-  HistogramData h;
-  EXPECT_EQ(h.num_buckets(), 0u);
-  h.Observe(3.0);
-  h.Observe(5.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.overflow_count(), 2u);
-  EXPECT_EQ(h.sum(), 8.0);
-  EXPECT_EQ(h.mean(), 4.0);
-}
-
-TEST(HistogramDataTest, SumIsQuantizedFixedPoint) {
-  // 0.5 is exactly representable in units of 2^-20; 1/3 is not and gets
-  // rounded to the nearest unit.
-  EXPECT_EQ(HistogramData::ToSumUnits(0.5),
-            static_cast<int64_t>(HistogramData::kSumScale / 2));
-  HistogramData h;
-  h.Observe(0.5);
-  EXPECT_EQ(h.sum(), 0.5);
-  const double third = 1.0 / 3.0;
-  HistogramData g;
-  g.Observe(third);
-  EXPECT_EQ(g.sum(), static_cast<double>(HistogramData::ToSumUnits(third)) /
-                         HistogramData::kSumScale);
-  EXPECT_NEAR(g.sum(), third, 1.0 / HistogramData::kSumScale);
-}
-
-TEST(HistogramDataTest, MergeMatchesSingleAccumulator) {
-  const std::vector<double> bounds = {1.0, 4.0, 16.0};
-  HistogramData whole(bounds);
-  HistogramData part_a(bounds);
-  HistogramData part_b(bounds);
-  const std::vector<double> samples = {0.25, 1.0, 2.5, 4.0, 7.7, 16.0, 30.0, -1.0};
-  for (size_t i = 0; i < samples.size(); ++i) {
-    whole.Observe(samples[i]);
-    (i % 2 == 0 ? part_a : part_b).Observe(samples[i]);
-  }
-  part_a.MergeFrom(part_b);
-  EXPECT_EQ(part_a.count(), whole.count());
-  EXPECT_EQ(part_a.sum(), whole.sum());
-  EXPECT_EQ(part_a.min(), whole.min());
-  EXPECT_EQ(part_a.max(), whole.max());
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    EXPECT_EQ(part_a.bucket_count(i), whole.bucket_count(i)) << "bucket " << i;
-  }
-  EXPECT_EQ(part_a.overflow_count(), whole.overflow_count());
-}
-
-TEST(HistogramDataTest, ClearKeepsLayout) {
-  HistogramData h({2.0, 8.0});
-  h.Observe(1.0);
-  h.Observe(100.0);
-  h.Clear();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.num_buckets(), 2u);
-  EXPECT_EQ(h.overflow_count(), 0u);
+/// Records `values` into a fresh registry histogram and returns its merged
+/// snapshot.
+HdrHistogram ObserveAll(const std::vector<double>& values) {
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("test.hist");
+  for (const double v : values) h.Observe(v);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.histograms.size(), 1u);
+  return snapshot.histograms.at(0).data;
 }
 
 TEST(MetricsRegistryTest, CountersGaugesHistograms) {
@@ -112,7 +47,7 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   Gauge g = registry.GetGauge("test.gauge");
   g.Set(2.5);
   g.Set(7.25);  // Last set wins.
-  Histogram h = registry.GetHistogram("test.hist", {1.0, 10.0});
+  Histogram h = registry.GetHistogram("test.hist");
   h.Observe(0.5);
   h.Observe(5.0);
   h.Observe(50.0);
@@ -125,10 +60,181 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   EXPECT_TRUE(snapshot.gauges[0].set);
   EXPECT_EQ(snapshot.gauges[0].value, 7.25);
   ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].data.count(), 3u);
-  EXPECT_EQ(snapshot.histograms[0].data.bucket_count(0), 1u);
-  EXPECT_EQ(snapshot.histograms[0].data.bucket_count(1), 1u);
-  EXPECT_EQ(snapshot.histograms[0].data.overflow_count(), 1u);
+  const HdrHistogram& data = snapshot.histograms[0].data;
+  EXPECT_EQ(data.count(), 3u);
+  // Each sample sits in the slot of its units.
+  EXPECT_EQ(data.count_at(HdrHistogram::SlotIndexOf(Units(0.5))), 1u);
+  EXPECT_EQ(data.count_at(HdrHistogram::SlotIndexOf(Units(5.0))), 1u);
+  EXPECT_EQ(data.count_at(HdrHistogram::SlotIndexOf(Units(50.0))), 1u);
+  EXPECT_EQ(data.min(), Units(0.5));
+  EXPECT_EQ(data.max(), Units(50.0));
+  // The median is the middle sample to within one slot width.
+  EXPECT_GE(data.ValueAtPercentile(50), Units(5.0));
+  EXPECT_LE(data.ValueAtPercentile(50), Units(5.0) + Units(5.0) / 128);
+}
+
+TEST(MetricsRegistryTest, HistogramRecordsRoundedUnits) {
+  constexpr double kUnit = 1.0 / Histogram::kUnitsPerValue;
+  // 2.5 units round half up to 3; 0.49 units round down to 0.
+  const HdrHistogram data = ObserveAll({1.0, 10.0, 100.0, 1000.0, 0.0, 3 * kUnit,
+                                        2.5 * kUnit, 0.49 * kUnit});
+  EXPECT_EQ(data.count(), 8u);
+  EXPECT_EQ(data.count_at(0), 2u);
+  EXPECT_EQ(data.count_at(3), 2u);
+  for (const double v : {1.0, 10.0, 100.0, 1000.0}) {
+    EXPECT_EQ(data.count_at(HdrHistogram::SlotIndexOf(Units(v))), 1u) << v;
+  }
+  EXPECT_EQ(data.min(), 0u);
+  EXPECT_EQ(data.max(), Units(1000.0));
+  // Below 256 units a slot holds one value, so low percentiles are exact.
+  EXPECT_EQ(data.ValueAtPercentile(25), 0u);
+  EXPECT_EQ(data.ValueAtPercentile(50), 3u);
+}
+
+TEST(MetricsRegistryTest, HistogramTracksMoments) {
+  const HdrHistogram data = ObserveAll({3.0, 5.0});
+  EXPECT_EQ(data.count(), 2u);
+  EXPECT_EQ(data.sum(), 8.0 * Histogram::kUnitsPerValue);
+  EXPECT_EQ(data.mean(), 4.0 * Histogram::kUnitsPerValue);
+  EXPECT_EQ(data.min(), Units(3.0));
+  EXPECT_EQ(data.max(), Units(5.0));
+}
+
+TEST(MetricsRegistryTest, HistogramSumIsQuantizedFixedPoint) {
+  // 0.5 is exactly representable in units of 2^-20; 1/3 is not and gets
+  // rounded to the nearest unit.
+  EXPECT_EQ(Units(0.5), uint64_t{1} << 19);
+  EXPECT_EQ(ObserveAll({0.5}).sum(), static_cast<double>(uint64_t{1} << 19));
+  const double third = 1.0 / 3.0;
+  const double sum = ObserveAll({third}).sum();
+  EXPECT_EQ(sum, static_cast<double>(Units(third)));
+  EXPECT_NEAR(sum / Histogram::kUnitsPerValue, third, 0.5 / Histogram::kUnitsPerValue);
+}
+
+TEST(MetricsRegistryTest, HistogramShardsMergeLikeOneAccumulator) {
+  const std::vector<double> samples = {0.25, 1.0, 2.5, 4.0, 7.7, 16.0, 30.0, 0.0};
+  const HdrHistogram whole = ObserveAll(samples);
+  // The same samples from two threads land in two shards.
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("test.hist");
+  std::vector<std::thread> threads;
+  for (size_t part = 0; part < 2; ++part) {
+    threads.emplace_back([&, part] {
+      for (size_t i = part; i < samples.size(); i += 2) h.Observe(samples[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const HdrHistogram merged = registry.Snapshot().histograms.at(0).data;
+  EXPECT_TRUE(merged == whole);
+  EXPECT_EQ(merged.count(), samples.size());
+  EXPECT_EQ(merged.min(), 0u);
+  EXPECT_EQ(merged.max(), Units(30.0));
+}
+
+TEST(MetricsRegistryTest, ResetClearsPublishedSlotRanges) {
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("test.hist");
+  h.Observe(1.0);
+  h.Observe(100.0);
+  registry.Reset();
+  EXPECT_TRUE(registry.Snapshot().histograms.at(0).data == HdrHistogram());
+  h.Observe(100.0);
+  const HdrHistogram data = registry.Snapshot().histograms.at(0).data;
+  EXPECT_EQ(data.count(), 1u);
+  EXPECT_EQ(data.count_at(HdrHistogram::SlotIndexOf(Units(1.0))), 0u);
+  EXPECT_EQ(data.min(), Units(100.0));
+}
+
+TEST(MetricsRegistryDeathTest, RejectsNegativeSample) {
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("test.hist");
+  EXPECT_DEATH(h.Observe(-1e-9), "histogram sample must be finite and in");
+}
+
+TEST(MetricsRegistryDeathTest, RejectsNaNSample) {
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("test.hist");
+  EXPECT_DEATH(h.Observe(std::numeric_limits<double>::quiet_NaN()),
+               "histogram sample must be finite and in");
+}
+
+// The HdrHistogram error bound holds through the registry: the same
+// samples split over any number of pool workers report percentiles within
+// one relative slot width (2^-7) above the true percentile of the units.
+TEST(MetricsRegistryTest, PercentilesWithinSlotBoundAcrossThreadCounts) {
+  constexpr size_t kSamples = 20000;
+  Random rng(20240607);
+  std::vector<double> values(kSamples);
+  for (double& v : values) {
+    // Log-uniform over ~2^-16 .. 2^24: exact slots, wide slots and the
+    // 256-unit boundary all see samples.
+    v = std::exp2(rng.NextDouble() * 40.0 - 16.0);
+  }
+  std::vector<uint64_t> units(kSamples);
+  unsigned __int128 unit_sum = 0;
+  for (size_t i = 0; i < kSamples; ++i) {
+    units[i] = Units(values[i]);
+    unit_sum += units[i];
+  }
+  std::sort(units.begin(), units.end());
+
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    MetricsRegistry registry;
+    Histogram h = registry.GetHistogram("test.hist");
+    ThreadPool pool(threads);
+    pool.ParallelFor(0, kSamples, 64, [&](size_t i) { h.Observe(values[i]); });
+    const HdrHistogram data = registry.Snapshot().histograms.at(0).data;
+    EXPECT_EQ(data.count(), kSamples) << threads << " threads";
+    EXPECT_EQ(data.sum(), static_cast<double>(unit_sum)) << threads << " threads";
+    for (const double p : {50.0, 90.0, 99.0, 99.9}) {
+      const auto rank = static_cast<size_t>(std::ceil(p / 100.0 * kSamples));
+      const uint64_t truth = units[rank - 1];
+      const uint64_t reported = data.ValueAtPercentile(p);
+      EXPECT_GE(reported, truth) << "p" << p << " at " << threads << " threads";
+      // reported <= truth * (1 + 2^-7), in integers.
+      EXPECT_LE(reported, truth + truth / 128) << "p" << p << " at " << threads
+                                               << " threads";
+    }
+  }
+}
+
+// Writers publish new slot ranges while another thread snapshots: the
+// snapshot reads only atomics (TSan runs this), and each snapshot's count
+// only ever grows.
+TEST(MetricsRegistryTest, SnapshotWhileRecordingIntoFreshSlots) {
+  constexpr size_t kWriters = 4;
+  constexpr size_t kPerWriter = 3000;
+  constexpr int kOctaves = 60;
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("test.hist");
+  std::atomic<size_t> running{kWriters};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        // Octave (i + w) % 60 spans units 2^0 .. 2^59, i.e. values from
+        // 2^-20 to 2^39 (< 1e12), so every writer touches every range.
+        const int octave = static_cast<int>((i + w) % kOctaves);
+        h.Observe(std::ldexp(1.0 + static_cast<double>(i % 7) / 8.0, octave - 20));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last_count = 0;
+  size_t snapshots = 0;
+  while (running.load() > 0 || snapshots == 0) {
+    const HdrHistogram data = registry.Snapshot().histograms.at(0).data;
+    EXPECT_GE(data.count(), last_count);
+    last_count = data.count();
+    ++snapshots;
+  }
+  for (std::thread& t : writers) t.join();
+  const HdrHistogram data = registry.Snapshot().histograms.at(0).data;
+  EXPECT_EQ(data.count(), kWriters * kPerWriter);
+  uint64_t slot_total = 0;
+  for (size_t i = 0; i < HdrHistogram::kNumSlots; ++i) slot_total += data.count_at(i);
+  EXPECT_EQ(slot_total, data.count());
+  EXPECT_EQ(data.min(), Units(std::ldexp(1.0, -20)));
 }
 
 TEST(MetricsRegistryTest, ReRegisteringReturnsSameMetric) {
@@ -157,7 +263,7 @@ TEST(MetricsRegistryTest, SnapshotSortsByName) {
 TEST(MetricsRegistryTest, ResetZeroesEverythingKeepsHandles) {
   MetricsRegistry registry;
   Counter c = registry.GetCounter("c");
-  Histogram h = registry.GetHistogram("h", {1.0});
+  Histogram h = registry.GetHistogram("h");
   Gauge g = registry.GetGauge("g");
   c.Increment();
   h.Observe(0.5);
@@ -240,8 +346,8 @@ TEST(MetricsRegistryTest, SnapshotDeterministicAcrossThreadCounts) {
     MetricsRegistry registry;
     Counter items = registry.GetCounter("det.items");
     Counter weighted = registry.GetCounter("det.weighted");
-    Histogram values = registry.GetHistogram("det.values", {0.25, 0.5, 1.0, 2.0});
-    Histogram wide = registry.GetHistogram("det.wide", {100.0, 10000.0});
+    Histogram values = registry.GetHistogram("det.values");
+    Histogram wide = registry.GetHistogram("det.wide");
     ThreadPool pool(threads);
     pool.ParallelFor(0, kItems, 64, [&](size_t i) {
       items.Increment();
@@ -253,7 +359,7 @@ TEST(MetricsRegistryTest, SnapshotDeterministicAcrossThreadCounts) {
     const std::string lines = registry.Snapshot().ToJsonLines(/*include_timing=*/false);
     if (reference.empty()) {
       reference = lines;
-      ASSERT_FALSE(reference.empty());
+      ASSERT_NE(reference.find("\"p999\""), std::string::npos) << reference;
     } else {
       EXPECT_EQ(lines, reference) << "snapshot differs at " << threads << " threads";
     }
@@ -268,8 +374,7 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndRecording) {
   pool.ParallelFor(0, 512, 1, [&](size_t i) {
     Counter c = registry.GetCounter("concurrent.counter" + std::to_string(i % 16));
     c.Increment();
-    Histogram h =
-        registry.GetHistogram("concurrent.hist" + std::to_string(i % 16), {1.0, 2.0});
+    Histogram h = registry.GetHistogram("concurrent.hist" + std::to_string(i % 16));
     h.Observe(static_cast<double>(i % 3));
   });
   const MetricsSnapshot snapshot = registry.Snapshot();
@@ -285,13 +390,26 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndRecording) {
 TEST(MetricsSnapshotTest, ToJsonLinesFiltersTimingMetrics) {
   MetricsRegistry registry;
   registry.GetCounter("a.count").Increment();
-  registry.GetHistogram("a.cpu_ms", {1.0}).Observe(0.5);
+  registry.GetHistogram("a.cpu_ms").Observe(0.5);
   const MetricsSnapshot snapshot = registry.Snapshot();
   const std::string with_timing = snapshot.ToJsonLines(true);
   const std::string without_timing = snapshot.ToJsonLines(false);
   EXPECT_NE(with_timing.find("a.cpu_ms"), std::string::npos);
   EXPECT_EQ(without_timing.find("a.cpu_ms"), std::string::npos);
   EXPECT_NE(without_timing.find("a.count"), std::string::npos);
+}
+
+// The export format, field order included. Samples 1..4: the median's slot
+// (2^21 units) tops out at 2113535 units; p90 and up clamp to the max.
+TEST(MetricsSnapshotTest, HistogramJsonLineIsGolden) {
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("g.values");
+  for (const double v : {4.0, 1.0, 3.0, 2.0}) h.Observe(v);
+  registry.GetHistogram("g.empty");  // No samples: no line.
+  EXPECT_EQ(registry.Snapshot().ToJsonLines(),
+            "{\"type\":\"histogram\",\"name\":\"g.values\",\"count\":4,\"sum\":10,"
+            "\"mean\":2.5,\"min\":1,\"max\":4,\"p50\":2.0156240463256836,\"p90\":4,"
+            "\"p99\":4,\"p999\":4}\n");
 }
 
 }  // namespace

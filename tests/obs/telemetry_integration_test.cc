@@ -183,6 +183,7 @@ TEST(TelemetryIntegrationTest, SnapshotAndScoresBitIdenticalAcrossThreadCounts) 
       reference_metrics = metrics;
       reference_scores = scores;
       ASSERT_NE(reference_metrics.find("jxp.meetings"), std::string::npos);
+      ASSERT_NE(reference_metrics.find("\"p999\""), std::string::npos);
     } else {
       EXPECT_EQ(metrics, reference_metrics) << "metrics differ at " << threads
                                             << " threads";

@@ -362,7 +362,10 @@ TEST(QueryServerTest, QueryEventsOffByDefault) {
   for (const std::string& line : sink.TakeLines()) {
     EXPECT_EQ(line.find("qp.query"), std::string::npos) << line;
   }
-  EXPECT_EQ(recorder.TotalCount(), fx.queries.size() * obs::kNumLatencyStages);
+  for (size_t s = 0; s < obs::kNumLatencyStages; ++s) {
+    EXPECT_EQ(recorder.StageSnapshot(static_cast<obs::LatencyStage>(s)).count(),
+              fx.queries.size());
+  }
 }
 
 TEST(QueryServerTest, ResultsInvariantWithRecorderAcrossThreadCounts) {
@@ -379,7 +382,7 @@ TEST(QueryServerTest, ResultsInvariantWithRecorderAcrossThreadCounts) {
     const auto served = server->ServeBatch(fx.queries);
     const std::string snapshot =
         obs::MetricsRegistry::Global().Snapshot().ToJsonLines(/*include_timing=*/false);
-    EXPECT_GT(recorder.TotalCount(), 0u);
+    EXPECT_GT(recorder.StageSnapshot(obs::LatencyStage::kTotal).count(), 0u);
     if (threads == 1) {
       reference = served;
       baseline = snapshot;
