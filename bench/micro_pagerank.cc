@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the computational substrate: graph
-// construction, subgraph induction, the power-iteration kernel, the
-// centralized PageRank, and one JXP meeting.
+// construction, subgraph induction, one step of the power-iteration kernel
+// (the system's only stationary solver), the centralized PageRank, HITS, and
+// one JXP meeting.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +11,6 @@
 #include "core/jxp_peer.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
-#include "markov/gauss_seidel.h"
 #include "pagerank/hits.h"
 #include "pagerank/pagerank.h"
 
@@ -71,19 +71,6 @@ void BM_CentralizedPageRank(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentralizedPageRank)->Arg(1000)->Arg(10000);
-
-void BM_GaussSeidelStationary(benchmark::State& state) {
-  const graph::Graph g = MakeGraph(static_cast<size_t>(state.range(0)));
-  const markov::SparseMatrix m = pagerank::BuildLinkMatrix(g);
-  const std::vector<double> uniform(m.NumStates(),
-                                    1.0 / static_cast<double>(m.NumStates()));
-  markov::PowerIterationOptions options;
-  options.tolerance = 1e-10;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GaussSeidelStationary(m, uniform, uniform, {}, options));
-  }
-}
-BENCHMARK(BM_GaussSeidelStationary)->Arg(1000)->Arg(10000);
 
 void BM_Hits(benchmark::State& state) {
   const graph::Graph g = MakeGraph(static_cast<size_t>(state.range(0)));

@@ -41,7 +41,6 @@ JxpSimulation::JxpSimulation(const graph::Graph& global,
   pr_options.damping = config_.jxp.damping;
   pr_options.tolerance = config_.baseline_tolerance;
   pr_options.max_iterations = config_.baseline_max_iterations;
-  pr_options.num_threads = static_cast<int>(config_.baseline_num_threads);
   pagerank::PageRankResult baseline = ComputePageRank(global, pr_options);
   JXP_CHECK(baseline.converged) << "centralized PageRank did not converge";
   global_scores_ = std::move(baseline.scores);

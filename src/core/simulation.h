@@ -56,12 +56,6 @@ struct SimulationConfig {
   /// deterministic in `seed` at every thread count (see DESIGN.md,
   /// "Concurrency model").
   size_t num_threads = 1;
-  /// Worker threads of the centralized-baseline power iteration run at
-  /// construction (it dominates construction on large graphs). Kept
-  /// separate from num_threads because the parallel pull kernel is
-  /// bit-reproducible across thread counts > 1 but not bit-identical with
-  /// the sequential kernel.
-  size_t baseline_num_threads = 1;
   /// Fault-injection plan (all faults off by default). When disabled, no
   /// FaultInjector is created, no fault randomness is drawn, and the run is
   /// bit-identical to a build without the fault layer.

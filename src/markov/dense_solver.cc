@@ -52,6 +52,23 @@ std::vector<std::vector<double>> ToDense(const SparseMatrix& matrix) {
   return dense;
 }
 
+std::vector<std::vector<double>> ToDenseDamped(const SparseMatrix& matrix,
+                                               const std::vector<double>& teleport,
+                                               const std::vector<double>& dangling,
+                                               double damping) {
+  const size_t n = matrix.NumStates();
+  JXP_CHECK_EQ(teleport.size(), n);
+  JXP_CHECK_EQ(dangling.size(), n);
+  std::vector<std::vector<double>> dense = ToDense(matrix);
+  for (uint32_t i = 0; i < n; ++i) {
+    const double lost = 1.0 - matrix.RowSum(i);
+    for (size_t j = 0; j < n; ++j) {
+      dense[i][j] = damping * (dense[i][j] + lost * dangling[j]) + (1 - damping) * teleport[j];
+    }
+  }
+  return dense;
+}
+
 StatusOr<std::vector<double>> ExactStationaryDistribution(
     const std::vector<std::vector<double>>& p) {
   const size_t n = p.size();
@@ -77,6 +94,9 @@ StatusOr<std::vector<double>> ExactStationaryDistribution(
 StatusOr<std::vector<double>> MeanFirstPassageTimes(const std::vector<std::vector<double>>& p,
                                                     uint32_t target) {
   const size_t n = p.size();
+  for (const auto& row : p) {
+    if (row.size() != n) return Status::InvalidArgument("matrix is not square");
+  }
   if (target >= n) return Status::InvalidArgument("target out of range");
   // Unknowns: m_i for i != target. System: m_i - sum_{j != target} p_ij m_j = 1.
   const size_t dim = n - 1;

@@ -22,6 +22,19 @@ StatusOr<std::vector<double>> SolveLinearSystem(std::vector<std::vector<double>>
 /// Converts a sparse transition matrix to dense row-major form.
 std::vector<std::vector<double>> ToDense(const SparseMatrix& matrix);
 
+/// The damped chain StationaryDistribution iterates, materialized as a dense
+/// stochastic matrix:
+///
+///   G[i][j] = damping * (M[i][j] + (1 - RowSum(i)) * dangling[j])
+///             + (1 - damping) * teleport[j]
+///
+/// so that ExactStationaryDistribution(G) is the exact fixed point of the
+/// iteration.
+std::vector<std::vector<double>> ToDenseDamped(const SparseMatrix& matrix,
+                                               const std::vector<double>& teleport,
+                                               const std::vector<double>& dangling,
+                                               double damping);
+
 /// Computes the exact stationary distribution of an irreducible stochastic
 /// matrix P (rows sum to 1) by solving pi (P - I) = 0 with the normalization
 /// sum(pi) = 1 replacing one equation. Returns FailedPrecondition if the
@@ -31,7 +44,8 @@ StatusOr<std::vector<double>> ExactStationaryDistribution(
 
 /// Mean first passage times to the single `target` state: m[i] is the
 /// expected number of steps to first reach `target` from i (m[target] = 0).
-/// Solves m_i = 1 + sum_{j != target} p_ij m_j.
+/// Solves m_i = 1 + sum_{j != target} p_ij m_j. Returns InvalidArgument on a
+/// non-square matrix or an out-of-range target.
 StatusOr<std::vector<double>> MeanFirstPassageTimes(const std::vector<std::vector<double>>& p,
                                                     uint32_t target);
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,7 +15,7 @@ namespace {
 
 /// Power-iteration observables (DESIGN.md §6d). Everything but the "_ms"
 /// histograms is a pure function of the inputs and bit-identical across
-/// runs and thread counts.
+/// runs.
 struct PowerIterationMetrics {
   obs::Counter runs =
       obs::MetricsRegistry::Global().GetCounter("markov.power_iteration.runs");
@@ -38,12 +36,6 @@ PowerIterationMetrics& GetPowerIterationMetrics() {
   static PowerIterationMetrics metrics;
   return metrics;
 }
-
-/// Block size of the parallel kernel. The block partition — and therefore
-/// the order in which blockwise reduction partials are combined — depends
-/// only on this constant, never on the thread count, which is what makes
-/// the parallel path bit-reproducible at any concurrency.
-constexpr size_t kParallelGrain = 1024;
 
 /// Normalizes v to sum 1; falls back to uniform when the sum is 0.
 void NormalizeL1(std::vector<double>& v) {
@@ -67,12 +59,11 @@ double CheckDistribution(const std::vector<double>& v, size_t n, const char* wha
   return sum;
 }
 
-/// The sequential push kernel (the seed implementation, with the
-/// 1 - RowSum(i) complement hoisted out of the per-iteration loop).
-void IterateSequential(const SparseMatrix& matrix, const std::vector<double>& teleport,
-                       const std::vector<double>& dangling,
-                       const std::vector<double>& complement,
-                       const PowerIterationOptions& options, PowerIterationResult& result) {
+/// The push kernel: one LeftMultiply per iteration, with the 1 - RowSum(i)
+/// complement hoisted out of the loop.
+void Iterate(const SparseMatrix& matrix, const std::vector<double>& teleport,
+             const std::vector<double>& dangling, const std::vector<double>& complement,
+             const PowerIterationOptions& options, PowerIterationResult& result) {
   const size_t n = matrix.NumStates();
   std::vector<double>& x = result.distribution;
   std::vector<double> next(n);
@@ -100,57 +91,6 @@ void IterateSequential(const SparseMatrix& matrix, const std::vector<double>& te
   }
 }
 
-/// The parallel pull kernel: each block of kParallelGrain output states is
-/// produced by exactly one worker from the transposed matrix (no scatter
-/// races), and the missing-mass / residual reductions accumulate per block
-/// and combine in block order.
-void IterateParallel(const SparseMatrix& matrix, const std::vector<double>& teleport,
-                     const std::vector<double>& dangling,
-                     const std::vector<double>& complement,
-                     const PowerIterationOptions& options, ThreadPool& pool,
-                     PowerIterationResult& result) {
-  const size_t n = matrix.NumStates();
-  const TransposedMatrix transposed(matrix);
-  std::vector<double>& x = result.distribution;
-  std::vector<double> next(n);
-  const double jump = 1.0 - options.damping;
-  const size_t num_blocks = (n + kParallelGrain - 1) / kParallelGrain;
-  std::vector<double> partial(num_blocks);
-  for (result.iterations = 0; result.iterations < options.max_iterations;) {
-    pool.ParallelForBlocks(0, n, kParallelGrain,
-                           [&](size_t begin, size_t end, size_t block) {
-                             transposed.PullMultiply(x, next, begin, end);
-                             double m = 0;
-                             for (size_t i = begin; i < end; ++i) m += x[i] * complement[i];
-                             partial[block] = m;
-                           });
-    double missing = 0;
-    for (size_t b = 0; b < num_blocks; ++b) missing += partial[b];
-    if (missing < 0) missing = 0;
-    pool.ParallelForBlocks(0, n, kParallelGrain,
-                           [&](size_t begin, size_t end, size_t block) {
-                             double r = 0;
-                             for (size_t i = begin; i < end; ++i) {
-                               const double v = options.damping *
-                                                    (next[i] + missing * dangling[i]) +
-                                                jump * teleport[i];
-                               r += std::abs(v - x[i]);
-                               next[i] = v;
-                             }
-                             partial[block] = r;
-                           });
-    double residual = 0;
-    for (size_t b = 0; b < num_blocks; ++b) residual += partial[b];
-    x.swap(next);
-    ++result.iterations;
-    result.residual = residual;
-    if (residual <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
@@ -167,7 +107,6 @@ PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
 
   obs::TraceSpan span("markov.power_iteration");
   span.AddAttr("states", n);
-  span.AddAttr("threads", options.num_threads);
   std::optional<WallTimer> wall;
   if (obs::Enabled()) wall.emplace();
 
@@ -182,21 +121,11 @@ PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
   }
 
   // The per-row missing-mass complement 1 - RowSum(i), hoisted out of the
-  // iteration loop (both kernels read it every iteration).
+  // iteration loop (the kernel reads it every iteration).
   std::vector<double> complement(n);
   for (size_t i = 0; i < n; ++i) complement[i] = 1.0 - matrix.RowSum(i);
 
-  if (options.num_threads > 1) {
-    ThreadPool* pool = options.pool;
-    std::unique_ptr<ThreadPool> owned;
-    if (pool == nullptr) {
-      owned = std::make_unique<ThreadPool>(static_cast<size_t>(options.num_threads));
-      pool = owned.get();
-    }
-    IterateParallel(matrix, teleport, dangling, complement, options, *pool, result);
-  } else {
-    IterateSequential(matrix, teleport, dangling, complement, options, result);
-  }
+  Iterate(matrix, teleport, dangling, complement, options, result);
   // Counter floating-point drift so downstream sums are exact.
   NormalizeL1(x);
 

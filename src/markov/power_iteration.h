@@ -6,9 +6,6 @@
 #include "markov/sparse_matrix.h"
 
 namespace jxp {
-
-class ThreadPool;
-
 namespace markov {
 
 /// Options for the damped power iteration.
@@ -21,16 +18,6 @@ struct PowerIterationOptions {
   double tolerance = 1e-10;
   /// Iteration cap.
   int max_iterations = 500;
-  /// Worker threads. 1 runs the classic sequential push kernel; > 1 runs
-  /// the pull-based (transposed CSR) kernel, where each thread owns a
-  /// disjoint output range and reductions are combined blockwise, so the
-  /// result is bit-identical at every thread count > 1 (and very close to,
-  /// but not bit-identical with, the sequential kernel).
-  int num_threads = 1;
-  /// Optional externally owned pool to run the parallel kernel on (its size
-  /// governs the concurrency); when null and num_threads > 1, a temporary
-  /// pool of num_threads workers is created for the call.
-  ThreadPool* pool = nullptr;
 };
 
 /// Result of a power iteration run.

@@ -47,37 +47,6 @@ void SparseMatrix::ReplaceLastRow(std::span<const MatrixEntry> entries) {
   row_sums_[last] = sum;
 }
 
-TransposedMatrix::TransposedMatrix(const SparseMatrix& m) {
-  const size_t n = m.NumStates();
-  col_offsets_.assign(n + 1, 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (const MatrixEntry& e : m.Row(i)) ++col_offsets_[e.column + 1];
-  }
-  for (size_t c = 0; c < n; ++c) col_offsets_[c + 1] += col_offsets_[c];
-  entries_.resize(m.NumEntries());
-  std::vector<uint64_t> cursor(col_offsets_.begin(), col_offsets_.end() - 1);
-  // Row-ascending fill keeps each column's in-entries sorted by source row.
-  for (uint32_t i = 0; i < n; ++i) {
-    for (const MatrixEntry& e : m.Row(i)) {
-      entries_[cursor[e.column]++] = {i, e.weight};
-    }
-  }
-}
-
-void TransposedMatrix::PullMultiply(std::span<const double> x, std::span<double> y,
-                                    size_t begin_col, size_t end_col) const {
-  JXP_CHECK_EQ(x.size(), NumStates());
-  JXP_CHECK_EQ(y.size(), NumStates());
-  JXP_CHECK_LE(end_col, NumStates());
-  for (size_t j = begin_col; j < end_col; ++j) {
-    double sum = 0;
-    const MatrixEntry* e = entries_.data() + col_offsets_[j];
-    const MatrixEntry* stop = entries_.data() + col_offsets_[j + 1];
-    for (; e != stop; ++e) sum += x[e->column] * e->weight;
-    y[j] = sum;
-  }
-}
-
 void SparseMatrixBuilder::Add(uint32_t row, uint32_t column, double weight) {
   JXP_CHECK_LT(row, num_states_);
   JXP_CHECK_LT(column, num_states_);

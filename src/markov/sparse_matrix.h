@@ -37,7 +37,12 @@ class SparseMatrix {
   /// Number of stored entries.
   size_t NumEntries() const { return entries_.size(); }
 
-  /// Entries of row `i` (unordered columns, no duplicates).
+  /// Entries of row `i`, in strictly ascending column order:
+  /// SparseMatrixBuilder::Build runs SortAndMergeRow on every row, and
+  /// ReplaceLastRow's callers pass rows in that order. The order is part of
+  /// the contract: row sums accumulate in it, and ExtendedSystemCache's
+  /// cached systems are bit-identical to fresh builds because both store
+  /// rows this way.
   std::span<const MatrixEntry> Row(uint32_t i) const {
     JXP_CHECK_LT(i, NumStates());
     return {entries_.data() + row_offsets_[i], entries_.data() + row_offsets_[i + 1]};
@@ -56,9 +61,9 @@ class SparseMatrix {
 
   /// Replaces the entries of the *last* row in place, leaving every other
   /// row untouched (the extended-system cache keeps the immutable local
-  /// rows and splices in a fresh world row). Columns must be unique and in
-  /// range; the new row sum must stay stochastic. The row sum is recomputed
-  /// by summing the entries in storage order, matching
+  /// rows and splices in a fresh world row). Columns must be strictly
+  /// ascending and in range; the new row sum must stay stochastic. The row
+  /// sum is recomputed by summing the entries in storage order, matching
   /// SparseMatrixBuilder::Build.
   void ReplaceLastRow(std::span<const MatrixEntry> entries);
 
@@ -68,32 +73,6 @@ class SparseMatrix {
   std::vector<uint64_t> row_offsets_ = {0};
   std::vector<MatrixEntry> entries_;
   std::vector<double> row_sums_;
-};
-
-/// Column-major (in-edge) view of a SparseMatrix for pull-based iteration:
-/// y[j] is produced from j's in-entries only, so concurrent PullMultiply
-/// calls on disjoint column ranges are race-free by construction. Within a
-/// column the source rows are stored ascending, so the accumulation order —
-/// and hence the floating-point result — is independent of how the columns
-/// are partitioned across threads.
-class TransposedMatrix {
- public:
-  /// Builds the transposed view in O(entries). The source matrix is copied
-  /// into column-major storage; it need not outlive the view.
-  explicit TransposedMatrix(const SparseMatrix& m);
-
-  /// Number of states (rows == columns).
-  size_t NumStates() const { return col_offsets_.size() - 1; }
-
-  /// Computes y[j] = sum_i x[i] * M(i, j) for j in [begin_col, end_col),
-  /// writing only that range of y.
-  void PullMultiply(std::span<const double> x, std::span<double> y, size_t begin_col,
-                    size_t end_col) const;
-
- private:
-  std::vector<uint64_t> col_offsets_ = {0};
-  // `column` holds the *source row* of the entry.
-  std::vector<MatrixEntry> entries_;
 };
 
 /// Row-by-row builder for SparseMatrix.

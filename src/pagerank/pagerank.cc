@@ -22,7 +22,6 @@ PageRankResult ComputePageRank(const graph::Graph& g, const PageRankOptions& opt
   pi_options.damping = options.damping;
   pi_options.tolerance = options.tolerance;
   pi_options.max_iterations = options.max_iterations;
-  pi_options.num_threads = options.num_threads;
   markov::PowerIterationResult pi = StationaryDistribution(matrix, pi_options);
   PageRankResult result;
   result.scores = std::move(pi.distribution);

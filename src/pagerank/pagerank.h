@@ -18,9 +18,6 @@ struct PageRankOptions {
   double tolerance = 1e-10;
   /// Iteration cap.
   int max_iterations = 500;
-  /// Worker threads of the power iteration (see
-  /// markov::PowerIterationOptions::num_threads); 1 = sequential.
-  int num_threads = 1;
 };
 
 /// Result of a PageRank computation.

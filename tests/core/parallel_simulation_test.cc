@@ -132,24 +132,6 @@ TEST(ParallelSimulationTest, SurvivesChurnDeterministically) {
   EXPECT_EQ(once, run(4));
 }
 
-TEST(ParallelSimulationTest, ParallelBaselineMatchesAccuracyShape) {
-  // baseline_num_threads only affects the centralized reference computation;
-  // the parallel pull kernel converges to the same fixpoint, so evaluation
-  // results stay numerically indistinguishable.
-  ParallelFixture fx;
-  SimulationConfig config;
-  config.seed = 5;
-  config.eval_top_k = 50;
-  JxpSimulation seq(fx.collection.graph, fx.fragments, config);
-  config.baseline_num_threads = 4;
-  JxpSimulation par(fx.collection.graph, fx.fragments, config);
-  ASSERT_EQ(seq.global_scores().size(), par.global_scores().size());
-  for (size_t i = 0; i < seq.global_scores().size(); ++i) {
-    ASSERT_NEAR(seq.global_scores()[i], par.global_scores()[i], 1e-10) << "page " << i;
-  }
-  EXPECT_NEAR(seq.Evaluate().footrule, par.Evaluate().footrule, 1e-6);
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace jxp

@@ -1,15 +1,14 @@
-// Cross-checks the two stationary solvers — Gauss-Seidel and power
-// iteration — on the *same JXP extended system* (local rows + world row +
-// non-uniform teleport/dangling, paper Eqs. 5-10), not just on plain link
-// matrices. The extended system is the input every local PageRank run
-// operates on, so solver agreement here underwrites using either as the
-// oracle of the other.
+// Cross-checks power iteration against the dense oracle on the *JXP
+// extended system* (local rows + world row + non-uniform teleport/dangling,
+// paper Eqs. 5-10), not just on plain link matrices. The extended system is
+// the input every local PageRank run operates on, so agreement here
+// underwrites the one solver the system runs.
 //
-// Tolerance: each solver stops at L1 residual <= tolerance, which bounds
-// its distance from the exact fixed point by tolerance / (1 - damping)
-// (the affine map is a damping-contraction in L1). With tolerance 1e-13
-// and damping 0.85 that is ~6.7e-13 per solver, ~1.4e-12 for the pair;
-// the asserted 1e-10 leaves two orders of margin for rounding noise.
+// Tolerance: power iteration stops at L1 residual <= tolerance, which bounds
+// its distance from the exact fixed point by tolerance / (1 - damping) (the
+// affine map is a damping-contraction in L1). With tolerance 1e-13 and
+// damping 0.85 that is ~6.7e-13; the asserted 1e-10 leaves two orders of
+// margin for the rounding noise of both solvers.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,7 @@
 #include "core/extended_graph.h"
 #include "core/jxp_peer.h"
 #include "graph/generators.h"
-#include "markov/gauss_seidel.h"
+#include "markov/dense_solver.h"
 #include "markov/power_iteration.h"
 
 namespace jxp {
@@ -33,13 +32,13 @@ void ExpectSolversAgree(const core::ExtendedGraphSystem& system) {
   options.max_iterations = 5000;
   const PowerIterationResult power = StationaryDistribution(
       system.matrix, system.teleport, system.dangling, {}, options);
-  const PowerIterationResult gs = GaussSeidelStationary(
-      system.matrix, system.teleport, system.dangling, {}, options);
   ASSERT_TRUE(power.converged);
-  ASSERT_TRUE(gs.converged);
-  ASSERT_EQ(power.distribution.size(), gs.distribution.size());
+  const auto exact = ExactStationaryDistribution(
+      ToDenseDamped(system.matrix, system.teleport, system.dangling, options.damping));
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  ASSERT_EQ(power.distribution.size(), exact.value().size());
   for (size_t i = 0; i < power.distribution.size(); ++i) {
-    EXPECT_NEAR(gs.distribution[i], power.distribution[i], kAgreementTolerance)
+    EXPECT_NEAR(exact.value()[i], power.distribution[i], kAgreementTolerance)
         << "state " << i << " of " << power.distribution.size();
   }
 }

@@ -1,11 +1,16 @@
 #include "markov/power_iteration.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "graph/generators.h"
 #include "markov/dense_solver.h"
 #include "markov/sparse_matrix.h"
+#include "markov/state_aggregation.h"
+#include "pagerank/pagerank.h"
 
 namespace jxp {
 namespace markov {
@@ -82,6 +87,56 @@ TEST(PowerIterationTest, MatchesDenseSolverOnRandomChain) {
   ASSERT_TRUE(exact.ok()) << exact.status();
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_NEAR(iterative.distribution[i], exact.value()[i], 1e-10) << "state " << i;
+  }
+}
+
+TEST(PowerIterationTest, MatchesDenseSolverOnWebGraph) {
+  Random rng(5);
+  const graph::Graph g = graph::BarabasiAlbert(500, 3, rng);
+  const SparseMatrix m = pagerank::BuildLinkMatrix(g);
+  const std::vector<double> uniform(m.NumStates(), 1.0 / static_cast<double>(m.NumStates()));
+  PowerIterationOptions options;
+  options.tolerance = 1e-13;
+  options.max_iterations = 2000;
+  const PowerIterationResult power =
+      StationaryDistribution(m, uniform, uniform, {}, options);
+  ASSERT_TRUE(power.converged);
+  const auto exact =
+      ExactStationaryDistribution(ToDenseDamped(m, uniform, uniform, options.damping));
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  for (size_t i = 0; i < m.NumStates(); ++i) {
+    EXPECT_NEAR(power.distribution[i], exact.value()[i], 1e-9) << "state " << i;
+  }
+}
+
+TEST(PowerIterationTest, MatchesDenseSolverOnSlowlyMixingChain) {
+  // A long directed cycle mixes slowly (its second eigenvalue has magnitude
+  // ~1), so power iteration contracts only by the damping factor per
+  // iteration — the regime of real Web graphs. A chord breaks the symmetry
+  // so the stationary distribution is far from the uniform start.
+  const size_t n = 300;
+  graph::GraphBuilder builder(n);
+  for (graph::PageId u = 0; u < n; ++u) {
+    builder.AddEdge(u, static_cast<graph::PageId>((u + 1) % n));
+  }
+  builder.AddEdge(0, static_cast<graph::PageId>(n / 2));
+  const SparseMatrix m = pagerank::BuildLinkMatrix(builder.Build());
+  const std::vector<double> uniform(n, 1.0 / static_cast<double>(n));
+  for (const double damping : {0.85, 0.99}) {
+    PowerIterationOptions options;
+    options.damping = damping;
+    options.tolerance = 1e-14;
+    options.max_iterations = 5000;
+    const PowerIterationResult power =
+        StationaryDistribution(m, uniform, uniform, {}, options);
+    ASSERT_TRUE(power.converged) << "damping " << damping;
+    const auto exact =
+        ExactStationaryDistribution(ToDenseDamped(m, uniform, uniform, damping));
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(power.distribution[i], exact.value()[i], 1e-10)
+          << "damping " << damping << " state " << i;
+    }
   }
 }
 
@@ -177,6 +232,26 @@ TEST(DenseSolverTest, RejectsDimensionMismatch) {
   auto x = SolveLinearSystem({{1, 2}}, {1, 2});
   EXPECT_FALSE(x.ok());
   EXPECT_EQ(x.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DenseSolverTest, RejectsRaggedMatrix) {
+  // One row too short, one too long: every dense entry point must reject
+  // the shape instead of reading past (or ignoring part of) a row.
+  const std::vector<std::vector<std::vector<double>>> ragged = {
+      {{0.5, 0.5}, {1.0}},
+      {{0.5, 0.5}, {0.2, 0.3, 0.5}},
+  };
+  for (const auto& p : ragged) {
+    auto stationary = ExactStationaryDistribution(p);
+    EXPECT_EQ(stationary.status().code(), StatusCode::kInvalidArgument);
+    auto aggregated = AggregateChain(p, {0.5, 0.5}, {0, 1}, 2);
+    EXPECT_EQ(aggregated.status().code(), StatusCode::kInvalidArgument);
+    for (uint32_t target = 0; target < 2; ++target) {
+      auto passage = MeanFirstPassageTimes(p, target);
+      EXPECT_EQ(passage.status().code(), StatusCode::kInvalidArgument)
+          << "target " << target;
+    }
+  }
 }
 
 }  // namespace
