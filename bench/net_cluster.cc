@@ -200,48 +200,17 @@ int RunDaemon(const ClusterConfig& config, size_t peer_id,
   loop.Run();  // Until SIGTERM -> shutdown_fd -> BeginShutdown -> Stop.
   if (proxy != nullptr) proxy->Stop();
 
-  // Per-peer JSONL telemetry: one line of final daemon (and injector)
-  // accounting, aggregated by the driver after the children exit.
-  const net::DaemonStats& stats = daemon.stats();
+  // Per-peer JSONL telemetry: one line of final accounting, aggregated by
+  // the driver after the children exit. The keys are the net-stats field
+  // names, then the peer's meeting count and world score, then (under
+  // --chaos) the injector's counts.
+  const net::NetStatsReplyMessage net_stats = daemon.BuildNetStats();
   obs::JsonWriter line;
-  line.Field("peer_id", peer_id)
-      .Field("num_meetings", daemon.peer().num_meetings())
-      .Field("world_score", daemon.peer().world_score())
-      .Field("accepts", stats.accepts)
-      .Field("dials", stats.dials)
-      .Field("dial_failures", stats.dial_failures)
-      .Field("meetings_initiated", stats.meetings_initiated)
-      .Field("meetings_accepted", stats.meetings_accepted)
-      .Field("meetings_declined", stats.meetings_declined)
-      .Field("meeting_failures", stats.meeting_failures)
-      .Field("truncations_detected", stats.truncations_detected)
-      .Field("corruptions_detected", stats.corruptions_detected)
-      .Field("bytes_sent", stats.bytes_sent)
-      .Field("bytes_received", stats.bytes_received)
-      .Field("wasted_bytes", stats.wasted_bytes)
-      .Field("checkpoints", stats.checkpoints)
-      .Field("protocol_errors", stats.protocol_errors)
-      .Field("gossip_exchanges", stats.gossip_exchanges);
-  const net::ConnectionPoolStats& pool = daemon.pool().stats();
-  line.Field("pool_reuses", pool.reuses)
-      .Field("pool_half_open", pool.half_open_detected)
-      .Field("pool_redials", pool.redials)
-      .Field("pool_evictions_idle", pool.evictions_idle)
-      .Field("pool_evictions_lru", pool.evictions_lru)
-      .Field("pool_busy_rejections", pool.busy_rejections)
-      .Field("pool_released_broken", pool.released_broken);
-  if (daemon.scheduler() != nullptr) {
-    const net::MeetingSchedulerStats& sched = daemon.scheduler()->stats();
-    line.Field("sched_ticks", sched.ticks)
-        .Field("sched_meetings_started", sched.meetings_started)
-        .Field("sched_meetings_applied", sched.meetings_applied)
-        .Field("sched_declines", sched.declines)
-        .Field("sched_failures", sched.failures)
-        .Field("sched_busy", sched.busy)
-        .Field("sched_skips_no_partner", sched.skips_no_partner)
-        .Field("sched_skips_backoff", sched.skips_backoff)
-        .Field("sched_backoffs_armed", sched.backoffs_armed);
+  for (const net::NetStatsField& field : net::NetStatsFields()) {
+    line.Field(field.name, net_stats.*field.member);
   }
+  line.Field("num_meetings", daemon.peer().num_meetings())
+      .Field("world_score", daemon.peer().world_score());
   if (proxy != nullptr) {
     const net::ChaosProxyStats injected = proxy->stats();
     line.Field("injected_dropped", injected.blobs_dropped)
@@ -501,7 +470,7 @@ int RunSelfScheduled(const ClusterConfig& config) {
     net::NetStatsReplyMessage net_stats;
     if (control.GetNetStats(&net_stats).ok()) {
       check(net_stats.scheduler_state ==
-                static_cast<uint8_t>(net::SchedulerState::kDrained),
+                static_cast<uint64_t>(net::SchedulerState::kDrained),
             "scheduler drained after drain request");
       check(net_stats.pool_open_connections == 0, "pool closed after drain");
     } else {

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "net/net_protocol.h"
+#include "wire/frame_assembler.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
@@ -166,7 +167,7 @@ void ChaosProxy::Pump(Relay* relay, int src, int dst) {
     for (int i = 0; i < 4; ++i) {
       payload_len |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
     }
-    if (payload_len > (1u << 26)) {
+    if (payload_len > wire::FrameAssembler::kDefaultMaxPayloadBytes) {
       (void)WriteAllRaw(dst, header);
       break;
     }

@@ -3,7 +3,10 @@
 #include <errno.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <utility>
+
+#include "common/check.h"
 
 namespace jxp {
 namespace net {
@@ -37,7 +40,7 @@ Status ConnectionPool::DialInto(uint16_t port, int* out_fd) {
   Pooled pooled;
   pooled.fd = std::move(fd);
   pooled.port = port;
-  pooled.in_flight = 1;
+  pooled.leased = true;
   pooled.last_used_ms = clock_ms_();
   lru_.push_front(std::move(pooled));
   by_port_[port] = lru_.begin();
@@ -50,12 +53,9 @@ Status ConnectionPool::Acquire(uint16_t port, int* out_fd, bool* out_reused) {
   const auto found = by_port_.find(port);
   if (found != by_port_.end()) {
     const LruList::iterator it = found->second;
-    if (it->in_flight >= options_.max_in_flight) {
-      ++stats_.busy_rejections;
-      return Status::FailedPrecondition("connection busy (in-flight limit)");
-    }
+    JXP_CHECK(!it->leased) << "second lease of the pooled connection to port " << port;
     if (!LooksDead(it->fd.get())) {
-      ++it->in_flight;
+      it->leased = true;
       it->last_used_ms = clock_ms_();
       lru_.splice(lru_.begin(), lru_, it);  // Move to MRU.
       *out_fd = it->fd.get();
@@ -74,16 +74,11 @@ Status ConnectionPool::Acquire(uint16_t port, int* out_fd, bool* out_reused) {
 
   if (lru_.size() >= options_.max_connections) {
     // Evict the least-recently-used idle connection to make room.
-    auto victim = lru_.end();
-    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      if (it->in_flight == 0) victim = it;  // Last idle hit = closest to LRU end.
-    }
-    if (victim == lru_.end()) {
-      ++stats_.busy_rejections;
-      return Status::FailedPrecondition("connection pool exhausted (all in flight)");
-    }
+    const auto victim = std::find_if(lru_.rbegin(), lru_.rend(),
+                                     [](const Pooled& pooled) { return !pooled.leased; });
+    JXP_CHECK(victim != lru_.rend()) << "every pooled connection is leased";
     ++stats_.evictions_lru;
-    Erase(victim);
+    Erase(std::next(victim).base());
   }
   return DialInto(port, out_fd);
 }
@@ -92,7 +87,7 @@ void ConnectionPool::Release(uint16_t port, bool healthy) {
   const auto found = by_port_.find(port);
   if (found == by_port_.end()) return;
   const LruList::iterator it = found->second;
-  if (it->in_flight > 0) --it->in_flight;
+  it->leased = false;
   if (!healthy) {
     ++stats_.released_broken;
     Erase(it);
@@ -108,7 +103,7 @@ size_t ConnectionPool::SweepIdle() {
   for (auto it = lru_.begin(); it != lru_.end();) {
     const auto next = std::next(it);
     const uint64_t idle = now >= it->last_used_ms ? now - it->last_used_ms : 0;
-    if (it->in_flight == 0 && idle >= options_.idle_timeout_ms) {
+    if (!it->leased && idle >= options_.idle_timeout_ms) {
       ++stats_.evictions_idle;
       Erase(it);
       ++closed;
@@ -122,7 +117,7 @@ size_t ConnectionPool::CloseAll() {
   size_t closed = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     const auto next = std::next(it);
-    if (it->in_flight == 0) {
+    if (!it->leased) {
       Erase(it);
       ++closed;
     }

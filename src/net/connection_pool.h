@@ -13,18 +13,12 @@ namespace jxp {
 namespace net {
 
 struct ConnectionPoolOptions {
-  /// Maximum pooled connections. Acquiring past the cap evicts the
-  /// least-recently-used idle connection; when every pooled connection is
-  /// in flight the acquire is rejected (flow control, not eviction).
+  /// Maximum pooled connections (at least 1). Acquiring past the cap evicts
+  /// the least-recently-used idle connection.
   size_t max_connections = 16;
   /// Idle connections older than this are closed by SweepIdle (the daemon
   /// arms a sweep timer at half this period). 0 = never expire.
   uint64_t idle_timeout_ms = 30000;
-  /// Per-connection in-flight limit: concurrent leases of one connection
-  /// beyond this are rejected with FailedPrecondition ("busy"). The daemon
-  /// runs meetings serially so 1 is the natural limit; the cap exists as
-  /// back-pressure for any future multi-issue caller.
-  uint32_t max_in_flight = 1;
 };
 
 /// Teardown and reuse accounting. A pooled connection that dies *between*
@@ -32,7 +26,7 @@ struct ConnectionPoolOptions {
 /// transparent replacement dial happens) — never a `dial_failures`: the
 /// remote end tearing down an idle connection is normal lifecycle, not a
 /// failed connect, and the two must stay distinguishable in telemetry
-/// (docs/METRICS.md, jxp.net.pool_*).
+/// (the net-stats pool_* fields, docs/METRICS.md).
 struct ConnectionPoolStats {
   /// Fresh TCP connects made on behalf of callers (includes redials).
   uint64_t dials = 0;
@@ -50,8 +44,6 @@ struct ConnectionPoolStats {
   uint64_t evictions_idle = 0;
   /// Idle connections closed to make room under max_connections.
   uint64_t evictions_lru = 0;
-  /// Acquires rejected because the connection hit max_in_flight.
-  uint64_t busy_rejections = 0;
   /// Connections the caller released as unhealthy (mid-meeting IO error).
   uint64_t released_broken = 0;
 };
@@ -63,14 +55,16 @@ struct ConnectionPoolStats {
 /// in the daemon.
 ///
 /// Lifecycle of an acquire:
-///   1. A pooled connection exists and is under its in-flight limit: peek
-///      for half-open (the peer may have closed it while idle). Healthy ->
-///      reuse; dead -> count half_open_detected, close, transparently
-///      re-dial once (counted in both dials and redials).
+///   1. A pooled connection exists: peek for half-open (the peer may have
+///      closed it while idle). Healthy -> reuse; dead -> count
+///      half_open_detected, close, transparently re-dial once (counted in
+///      both dials and redials).
 ///   2. No pooled connection: evict the LRU idle connection when at the
 ///      cap, then dial fresh.
-///   3. The pooled connection is at max_in_flight: reject with
-///      FailedPrecondition (callers treat it as "partner busy" back-off).
+///
+/// A connection carries one lease at a time. The daemon runs each lease
+/// (Acquire, blocking IO, Release) inside one loop callback, so a second
+/// Acquire of a leased connection is a caller bug and aborts.
 class ConnectionPool {
  public:
   /// `clock_ms` supplies the monotonic time used for idle accounting
@@ -79,7 +73,8 @@ class ConnectionPool {
 
   /// Leases a connection to 127.0.0.1:`port`. On OK, `*out_fd` is a
   /// connected blocking socket and `*out_reused` says whether it came from
-  /// the pool. Every successful Acquire must be paired with a Release.
+  /// the pool. Every successful Acquire must be paired with a Release
+  /// before the next Acquire of the same port.
   Status Acquire(uint16_t port, int* out_fd, bool* out_reused);
 
   /// Ends a lease. `healthy=false` closes the connection (the caller hit an
@@ -106,7 +101,7 @@ class ConnectionPool {
   struct Pooled {
     UniqueFd fd;
     uint16_t port = 0;
-    uint32_t in_flight = 0;
+    bool leased = false;
     uint64_t last_used_ms = 0;
   };
   using LruList = std::list<Pooled>;

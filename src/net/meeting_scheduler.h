@@ -27,8 +27,8 @@ struct MeetingSchedulerOptions {
   /// that started together (the thundering-herd of simultaneous mutual
   /// dials resolves by timeout, so fewer collisions = more meetings/sec).
   uint64_t jitter_ms = 25;
-  /// Per-partner back-off after a decline, dial failure, or busy pool
-  /// connection: first skip lasts backoff_initial_ms, doubling (times
+  /// Per-partner back-off after a decline, a failure, or a busy outcome:
+  /// first skip lasts backoff_initial_ms, doubling (times
   /// backoff_multiplier) up to backoff_max_ms; any success clears it.
   uint64_t backoff_initial_ms = 100;
   double backoff_multiplier = 2.0;
@@ -58,7 +58,7 @@ struct MeetingSchedulerStats {
   uint64_t declines = 0;
   /// Dial failures + mid-meeting failures, as reported by the meet callback.
   uint64_t failures = 0;
-  /// Partner's pooled connection at its in-flight limit.
+  /// Meetings the daemon refused to start because it is quiesced.
   uint64_t busy = 0;
   /// Ticks with no live partner in the directory.
   uint64_t skips_no_partner = 0;
@@ -69,11 +69,11 @@ struct MeetingSchedulerStats {
 };
 
 /// What one attempted meeting came to, from the scheduler's point of view.
-/// The daemon maps MeetPeer outcomes (and pool rejections) onto this.
+/// The daemon maps MeetPeer outcomes onto this.
 enum class MeetOutcome {
   kApplied,     // Meeting completed (possibly salvaged under chaos).
   kDeclined,    // Partner is quiesced.
-  kBusy,        // Connection at in-flight limit; try again later.
+  kBusy,        // This daemon is quiesced; the scheduler pauses itself.
   kDialFailed,  // Partner unreachable.
   kFailed,      // Mid-meeting IO/protocol failure.
 };

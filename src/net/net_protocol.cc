@@ -35,6 +35,47 @@ double BitsDouble(uint64_t bits) {
 
 }  // namespace
 
+std::span<const NetStatsField> NetStatsFields() {
+  using M = NetStatsReplyMessage;
+  static constexpr NetStatsField kFields[] = {
+      {"peer_id", &M::peer_id},
+      {"accepts", &M::accepts},
+      {"dials", &M::dials},
+      {"dial_failures", &M::dial_failures},
+      {"meetings_initiated", &M::meetings_initiated},
+      {"meetings_accepted", &M::meetings_accepted},
+      {"meetings_declined", &M::meetings_declined},
+      {"meeting_failures", &M::meeting_failures},
+      {"truncations_detected", &M::truncations_detected},
+      {"corruptions_detected", &M::corruptions_detected},
+      {"bytes_sent", &M::bytes_sent},
+      {"bytes_received", &M::bytes_received},
+      {"wasted_bytes", &M::wasted_bytes},
+      {"gossip_exchanges", &M::gossip_exchanges},
+      {"directory_evictions", &M::directory_evictions},
+      {"checkpoints", &M::checkpoints},
+      {"protocol_errors", &M::protocol_errors},
+      {"pool_reuses", &M::pool_reuses},
+      {"pool_half_open", &M::pool_half_open},
+      {"pool_redials", &M::pool_redials},
+      {"pool_evictions_idle", &M::pool_evictions_idle},
+      {"pool_evictions_lru", &M::pool_evictions_lru},
+      {"pool_released_broken", &M::pool_released_broken},
+      {"pool_open_connections", &M::pool_open_connections},
+      {"scheduler_state", &M::scheduler_state},
+      {"sched_ticks", &M::sched_ticks},
+      {"sched_meetings_started", &M::sched_meetings_started},
+      {"sched_meetings_applied", &M::sched_meetings_applied},
+      {"sched_declines", &M::sched_declines},
+      {"sched_failures", &M::sched_failures},
+      {"sched_busy", &M::sched_busy},
+      {"sched_skips_no_partner", &M::sched_skips_no_partner},
+      {"sched_skips_backoff", &M::sched_skips_backoff},
+      {"sched_backoffs_armed", &M::sched_backoffs_armed},
+  };
+  return kFields;
+}
+
 void AppendHello(const HelloMessage& msg, std::vector<uint8_t>& out) {
   std::vector<uint8_t> payload;
   ByteWriter writer(payload);
@@ -140,36 +181,9 @@ void AppendAck(NetMessageType type, const AckMessage& msg, std::vector<uint8_t>&
 void AppendNetStatsReply(const NetStatsReplyMessage& msg, std::vector<uint8_t>& out) {
   std::vector<uint8_t> payload;
   ByteWriter writer(payload);
-  writer.PutVarint32(msg.peer_id);
-  writer.PutVarint64(msg.accepts);
-  writer.PutVarint64(msg.dials);
-  writer.PutVarint64(msg.dial_failures);
-  writer.PutVarint64(msg.meetings_initiated);
-  writer.PutVarint64(msg.meetings_accepted);
-  writer.PutVarint64(msg.meetings_declined);
-  writer.PutVarint64(msg.meeting_failures);
-  writer.PutVarint64(msg.truncations_detected);
-  writer.PutVarint64(msg.corruptions_detected);
-  writer.PutVarint64(msg.bytes_sent);
-  writer.PutVarint64(msg.bytes_received);
-  writer.PutVarint64(msg.wasted_bytes);
-  writer.PutVarint64(msg.pool_reuses);
-  writer.PutVarint64(msg.pool_half_open);
-  writer.PutVarint64(msg.pool_redials);
-  writer.PutVarint64(msg.pool_evictions_idle);
-  writer.PutVarint64(msg.pool_evictions_lru);
-  writer.PutVarint64(msg.pool_busy_rejections);
-  writer.PutVarint64(msg.pool_open_connections);
-  writer.PutU8(msg.scheduler_state);
-  writer.PutVarint64(msg.sched_ticks);
-  writer.PutVarint64(msg.sched_meetings_started);
-  writer.PutVarint64(msg.sched_meetings_applied);
-  writer.PutVarint64(msg.sched_declines);
-  writer.PutVarint64(msg.sched_failures);
-  writer.PutVarint64(msg.sched_busy);
-  writer.PutVarint64(msg.sched_skips_no_partner);
-  writer.PutVarint64(msg.sched_skips_backoff);
-  writer.PutVarint64(msg.sched_backoffs_armed);
+  for (const NetStatsField& field : NetStatsFields()) {
+    writer.PutVarint64(msg.*field.member);
+  }
   Seal(NetMessageType::kNetStatsReply, payload, out);
 }
 
@@ -214,6 +228,11 @@ Status ParseMeetingHeader(std::span<const uint8_t> payload, MeetingHeader* out) 
   if (!reader.GetVarint32(&out->sender_id) || !reader.GetU32(&out->payload_bytes) ||
       !reader.AtEnd()) {
     return Malformed("meeting header");
+  }
+  // The receiver buffers the announced blob, so the size is the partner's
+  // claim on this process's memory: cap it like any frame payload.
+  if (out->payload_bytes > wire::FrameAssembler::kDefaultMaxPayloadBytes) {
+    return Malformed("meeting header blob size");
   }
   return Status::OK();
 }
@@ -303,35 +322,10 @@ Status ParseAck(std::span<const uint8_t> payload, AckMessage* out) {
 
 Status ParseNetStatsReply(std::span<const uint8_t> payload, NetStatsReplyMessage* out) {
   ByteReader reader(payload);
-  if (!reader.GetVarint32(&out->peer_id) || !reader.GetVarint64(&out->accepts) ||
-      !reader.GetVarint64(&out->dials) || !reader.GetVarint64(&out->dial_failures) ||
-      !reader.GetVarint64(&out->meetings_initiated) ||
-      !reader.GetVarint64(&out->meetings_accepted) ||
-      !reader.GetVarint64(&out->meetings_declined) ||
-      !reader.GetVarint64(&out->meeting_failures) ||
-      !reader.GetVarint64(&out->truncations_detected) ||
-      !reader.GetVarint64(&out->corruptions_detected) ||
-      !reader.GetVarint64(&out->bytes_sent) ||
-      !reader.GetVarint64(&out->bytes_received) ||
-      !reader.GetVarint64(&out->wasted_bytes) ||
-      !reader.GetVarint64(&out->pool_reuses) ||
-      !reader.GetVarint64(&out->pool_half_open) ||
-      !reader.GetVarint64(&out->pool_redials) ||
-      !reader.GetVarint64(&out->pool_evictions_idle) ||
-      !reader.GetVarint64(&out->pool_evictions_lru) ||
-      !reader.GetVarint64(&out->pool_busy_rejections) ||
-      !reader.GetVarint64(&out->pool_open_connections) ||
-      !reader.GetU8(&out->scheduler_state) || !reader.GetVarint64(&out->sched_ticks) ||
-      !reader.GetVarint64(&out->sched_meetings_started) ||
-      !reader.GetVarint64(&out->sched_meetings_applied) ||
-      !reader.GetVarint64(&out->sched_declines) ||
-      !reader.GetVarint64(&out->sched_failures) ||
-      !reader.GetVarint64(&out->sched_busy) ||
-      !reader.GetVarint64(&out->sched_skips_no_partner) ||
-      !reader.GetVarint64(&out->sched_skips_backoff) ||
-      !reader.GetVarint64(&out->sched_backoffs_armed) || !reader.AtEnd()) {
-    return Malformed("net stats reply");
+  for (const NetStatsField& field : NetStatsFields()) {
+    if (!reader.GetVarint64(&(out->*field.member))) return Malformed("net stats reply");
   }
+  if (!reader.AtEnd()) return Malformed("net stats reply trailer");
   return Status::OK();
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "wire/frame_assembler.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
@@ -88,6 +89,8 @@ struct PeerExchangeMessage {
 /// message follow this frame on the stream. Shared by offer and reply.
 struct MeetingHeader {
   uint32_t sender_id = 0;
+  /// At most wire::FrameAssembler::kDefaultMaxPayloadBytes: the parser
+  /// rejects larger announcements before anyone buffers for them.
   uint32_t payload_bytes = 0;
 };
 
@@ -142,12 +145,12 @@ struct AckMessage {
 };
 
 /// Full network-activity accounting of one daemon: connection, meeting,
-/// pool, and scheduler counters (the fig04-analogue driver samples these to
-/// report meetings/sec and dials-vs-reuses). Mirrors DaemonStats +
-/// ConnectionPoolStats + MeetingSchedulerStats; every field rides as a
-/// varint64 in declaration order, so extending it means appending.
+/// pool, and scheduler counters. This is the daemon's only counter surface:
+/// the control protocol serves it, and the cluster driver's per-peer JSONL
+/// writes it. Every field is a uint64 so NetStatsFields() can name them all
+/// with one member-pointer type.
 struct NetStatsReplyMessage {
-  uint32_t peer_id = 0;
+  uint64_t peer_id = 0;
   // DaemonStats.
   uint64_t accepts = 0;
   uint64_t dials = 0;
@@ -161,16 +164,20 @@ struct NetStatsReplyMessage {
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
   uint64_t wasted_bytes = 0;
+  uint64_t gossip_exchanges = 0;
+  uint64_t directory_evictions = 0;
+  uint64_t checkpoints = 0;
+  uint64_t protocol_errors = 0;
   // ConnectionPoolStats.
   uint64_t pool_reuses = 0;
   uint64_t pool_half_open = 0;
   uint64_t pool_redials = 0;
   uint64_t pool_evictions_idle = 0;
   uint64_t pool_evictions_lru = 0;
-  uint64_t pool_busy_rejections = 0;
+  uint64_t pool_released_broken = 0;
   uint64_t pool_open_connections = 0;
   // MeetingSchedulerStats (all zero when autonomous mode is off).
-  uint8_t scheduler_state = 0;  // SchedulerState as its wire byte.
+  uint64_t scheduler_state = 0;  // SchedulerState as its wire byte.
   uint64_t sched_ticks = 0;
   uint64_t sched_meetings_started = 0;
   uint64_t sched_meetings_applied = 0;
@@ -181,6 +188,19 @@ struct NetStatsReplyMessage {
   uint64_t sched_skips_backoff = 0;
   uint64_t sched_backoffs_armed = 0;
 };
+
+/// One net-stats field: its name (in docs/METRICS.md and the cluster
+/// driver's JSONL) and its member.
+struct NetStatsField {
+  const char* name;
+  uint64_t NetStatsReplyMessage::*member;
+};
+
+/// Every NetStatsReplyMessage field in declaration order, which is also the
+/// wire order (each field rides as a varint64). The one field list: the
+/// codec and every report iterate it, so a new field needs only its member
+/// and its row in the table behind this function.
+std::span<const NetStatsField> NetStatsFields();
 
 /// Encoders append one complete frame (header + payload) to `out`.
 void AppendHello(const HelloMessage& msg, std::vector<uint8_t>& out);
@@ -213,8 +233,9 @@ Status ParseNetStatsReply(std::span<const uint8_t> payload, NetStatsReplyMessage
 /// Blocking request/response helpers for control clients (driver side).
 /// ReadFrameBlocking reads one full frame off a blocking socket, verifies
 /// magic/version/checksum, and returns its type byte + payload.
-Status ReadFrameBlocking(int fd, uint8_t* type, std::vector<uint8_t>* payload,
-                         size_t max_payload_bytes = 1u << 26);
+Status ReadFrameBlocking(
+    int fd, uint8_t* type, std::vector<uint8_t>* payload,
+    size_t max_payload_bytes = wire::FrameAssembler::kDefaultMaxPayloadBytes);
 
 }  // namespace net
 }  // namespace jxp

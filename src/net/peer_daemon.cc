@@ -12,89 +12,11 @@
 #include <utility>
 
 #include "core/state_io.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 
 namespace jxp {
 namespace net {
 
 namespace {
-
-/// Process-wide jxp.net.* instrumentation (see docs/METRICS.md). Counters
-/// mirror DaemonStats; the gauge tracks the directory size.
-struct NetMetrics {
-  obs::Counter accepts;
-  obs::Counter dials;
-  obs::Counter dial_failures;
-  obs::Counter meetings_initiated;
-  obs::Counter meetings_accepted;
-  obs::Counter meetings_declined;
-  obs::Counter meeting_failures;
-  obs::Counter truncations_detected;
-  obs::Counter corruptions_detected;
-  obs::Counter bytes_sent;
-  obs::Counter bytes_received;
-  obs::Counter wasted_bytes;
-  obs::Counter gossip_exchanges;
-  obs::Counter directory_evictions;
-  obs::Counter checkpoints;
-  obs::Counter protocol_errors;
-  obs::Gauge directory_peers;
-  // Connection-pool lifecycle (ConnectionPoolStats, synced by delta).
-  obs::Counter pool_reuses;
-  obs::Counter pool_half_open;
-  obs::Counter pool_redials;
-  obs::Counter pool_evictions_idle;
-  obs::Counter pool_evictions_lru;
-  obs::Counter pool_busy_rejections;
-  obs::Counter pool_released_broken;
-  obs::Gauge pool_open_connections;
-  // Autonomous scheduler (MeetingSchedulerStats, synced by delta).
-  obs::Counter sched_ticks;
-  obs::Counter sched_meetings_started;
-  obs::Counter sched_skips_no_partner;
-  obs::Counter sched_skips_backoff;
-  obs::Counter sched_backoffs_armed;
-};
-
-NetMetrics& GetNetMetrics() {
-  static NetMetrics* metrics = [] {
-    auto* m = new NetMetrics();
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    m->accepts = reg.GetCounter("jxp.net.accepts");
-    m->dials = reg.GetCounter("jxp.net.dials");
-    m->dial_failures = reg.GetCounter("jxp.net.dial_failures");
-    m->meetings_initiated = reg.GetCounter("jxp.net.meetings_initiated");
-    m->meetings_accepted = reg.GetCounter("jxp.net.meetings_accepted");
-    m->meetings_declined = reg.GetCounter("jxp.net.meetings_declined");
-    m->meeting_failures = reg.GetCounter("jxp.net.meeting_failures");
-    m->truncations_detected = reg.GetCounter("jxp.net.truncations_detected");
-    m->corruptions_detected = reg.GetCounter("jxp.net.corruptions_detected");
-    m->bytes_sent = reg.GetCounter("jxp.net.bytes_sent");
-    m->bytes_received = reg.GetCounter("jxp.net.bytes_received");
-    m->wasted_bytes = reg.GetCounter("jxp.net.wasted_bytes");
-    m->gossip_exchanges = reg.GetCounter("jxp.net.gossip_exchanges");
-    m->directory_evictions = reg.GetCounter("jxp.net.directory_evictions");
-    m->checkpoints = reg.GetCounter("jxp.net.checkpoints");
-    m->protocol_errors = reg.GetCounter("jxp.net.protocol_errors");
-    m->directory_peers = reg.GetGauge("jxp.net.directory_peers");
-    m->pool_reuses = reg.GetCounter("jxp.net.pool_reuses");
-    m->pool_half_open = reg.GetCounter("jxp.net.pool_half_open");
-    m->pool_redials = reg.GetCounter("jxp.net.pool_redials");
-    m->pool_evictions_idle = reg.GetCounter("jxp.net.pool_evictions_idle");
-    m->pool_evictions_lru = reg.GetCounter("jxp.net.pool_evictions_lru");
-    m->pool_busy_rejections = reg.GetCounter("jxp.net.pool_busy_rejections");
-    m->pool_released_broken = reg.GetCounter("jxp.net.pool_released_broken");
-    m->pool_open_connections = reg.GetGauge("jxp.net.pool_open_connections");
-    m->sched_ticks = reg.GetCounter("jxp.net.sched_ticks");
-    m->sched_meetings_started = reg.GetCounter("jxp.net.sched_meetings_started");
-    m->sched_skips_no_partner = reg.GetCounter("jxp.net.sched_skips_no_partner");
-    m->sched_skips_backoff = reg.GetCounter("jxp.net.sched_skips_backoff");
-    m->sched_backoffs_armed = reg.GetCounter("jxp.net.sched_backoffs_armed");
-    return m;
-  }();
-  return *metrics;
-}
 
 /// Sets SO_RCVTIMEO/SO_SNDTIMEO on a blocking socket.
 void SetIoTimeouts(int fd, uint64_t timeout_ms) {
@@ -162,7 +84,6 @@ Status PeerDaemon::Start(EventLoop* loop) {
   for (const GossipEntry& seed : options_.seed_peers) {
     directory_.ObserveDirect(seed.peer_id, seed.port, now);
   }
-  UpdateDirectoryGauge();
   if (Status status =
           loop_->Add(listener_.get(), EPOLLIN, [this](uint32_t) { OnListenerReadable(); });
       !status.ok()) {
@@ -205,57 +126,14 @@ void PeerDaemon::ArmPoolSweepTimer() {
   if (options_.pool.idle_timeout_ms == 0) return;
   const uint64_t period = std::max<uint64_t>(options_.pool.idle_timeout_ms / 2, 1);
   loop_->AddTimer(period, [this] {
-    if (pool_->SweepIdle() > 0) SyncNetMetrics();
+    pool_->SweepIdle();
     ArmPoolSweepTimer();
   });
 }
 
-void PeerDaemon::SyncNetMetrics() {
-  const ConnectionPoolStats& pool_stats = pool_->stats();
-  // The pool is the only dialer, so the daemon's dial counters are views of
-  // the pool's (goodbye connects were never counted, as before).
-  stats_.dials = pool_stats.dials;
-  stats_.dial_failures = pool_stats.dial_failures;
-  if (obs::Enabled()) {
-    NetMetrics& metrics = GetNetMetrics();
-    auto bump = [](obs::Counter& counter, uint64_t now, uint64_t prev) {
-      if (now > prev) counter.Increment(now - prev);
-    };
-    bump(metrics.dials, pool_stats.dials, pool_synced_.dials);
-    bump(metrics.dial_failures, pool_stats.dial_failures, pool_synced_.dial_failures);
-    bump(metrics.pool_reuses, pool_stats.reuses, pool_synced_.reuses);
-    bump(metrics.pool_half_open, pool_stats.half_open_detected,
-         pool_synced_.half_open_detected);
-    bump(metrics.pool_redials, pool_stats.redials, pool_synced_.redials);
-    bump(metrics.pool_evictions_idle, pool_stats.evictions_idle,
-         pool_synced_.evictions_idle);
-    bump(metrics.pool_evictions_lru, pool_stats.evictions_lru,
-         pool_synced_.evictions_lru);
-    bump(metrics.pool_busy_rejections, pool_stats.busy_rejections,
-         pool_synced_.busy_rejections);
-    bump(metrics.pool_released_broken, pool_stats.released_broken,
-         pool_synced_.released_broken);
-    metrics.pool_open_connections.Set(static_cast<double>(pool_->open_connections()));
-    if (scheduler_ != nullptr) {
-      const MeetingSchedulerStats& sched = scheduler_->stats();
-      bump(metrics.sched_ticks, sched.ticks, sched_synced_.ticks);
-      bump(metrics.sched_meetings_started, sched.meetings_started,
-           sched_synced_.meetings_started);
-      bump(metrics.sched_skips_no_partner, sched.skips_no_partner,
-           sched_synced_.skips_no_partner);
-      bump(metrics.sched_skips_backoff, sched.skips_backoff,
-           sched_synced_.skips_backoff);
-      bump(metrics.sched_backoffs_armed, sched.backoffs_armed,
-           sched_synced_.backoffs_armed);
-    }
-  }
-  pool_synced_ = pool_stats;
-  if (scheduler_ != nullptr) sched_synced_ = scheduler_->stats();
-}
-
 NetStatsReplyMessage PeerDaemon::BuildNetStats() const {
   NetStatsReplyMessage reply;
-  reply.peer_id = static_cast<uint32_t>(peer_->id());
+  reply.peer_id = peer_->id();
   reply.accepts = stats_.accepts;
   const ConnectionPoolStats& pool_stats = pool_->stats();
   reply.dials = pool_stats.dials;
@@ -269,15 +147,19 @@ NetStatsReplyMessage PeerDaemon::BuildNetStats() const {
   reply.bytes_sent = stats_.bytes_sent;
   reply.bytes_received = stats_.bytes_received;
   reply.wasted_bytes = stats_.wasted_bytes;
+  reply.gossip_exchanges = stats_.gossip_exchanges;
+  reply.directory_evictions = stats_.directory_evictions;
+  reply.checkpoints = stats_.checkpoints;
+  reply.protocol_errors = stats_.protocol_errors;
   reply.pool_reuses = pool_stats.reuses;
   reply.pool_half_open = pool_stats.half_open_detected;
   reply.pool_redials = pool_stats.redials;
   reply.pool_evictions_idle = pool_stats.evictions_idle;
   reply.pool_evictions_lru = pool_stats.evictions_lru;
-  reply.pool_busy_rejections = pool_stats.busy_rejections;
+  reply.pool_released_broken = pool_stats.released_broken;
   reply.pool_open_connections = pool_->open_connections();
   if (scheduler_ != nullptr) {
-    reply.scheduler_state = static_cast<uint8_t>(scheduler_->state());
+    reply.scheduler_state = static_cast<uint64_t>(scheduler_->state());
     const MeetingSchedulerStats& sched = scheduler_->stats();
     reply.sched_ticks = sched.ticks;
     reply.sched_meetings_started = sched.meetings_started;
@@ -295,23 +177,10 @@ NetStatsReplyMessage PeerDaemon::BuildNetStats() const {
 void PeerDaemon::ArmGossipTimer() {
   if (options_.gossip_interval_ms == 0) return;
   loop_->AddTimer(options_.gossip_interval_ms, [this] {
-    const size_t evicted = directory_.EvictStale(loop_->NowMs());
-    if (evicted > 0) {
-      stats_.directory_evictions += evicted;
-      if (obs::Enabled()) {
-        GetNetMetrics().directory_evictions.Increment(evicted);
-      }
-    }
+    stats_.directory_evictions += directory_.EvictStale(loop_->NowMs());
     if (!quiesced_) GossipOnce();
-    UpdateDirectoryGauge();
     ArmGossipTimer();
   });
-}
-
-void PeerDaemon::UpdateDirectoryGauge() {
-  if (obs::Enabled()) {
-    GetNetMetrics().directory_peers.Set(static_cast<double>(directory_.size()));
-  }
 }
 
 void PeerDaemon::OnListenerReadable() {
@@ -321,7 +190,6 @@ void PeerDaemon::OnListenerReadable() {
     const Status status = AcceptConnection(listener_.get(), &accepted);
     if (!status.ok() || !accepted) return;
     ++stats_.accepts;
-    if (obs::Enabled()) GetNetMetrics().accepts.Increment();
     const int fd = accepted.get();
     auto conn = std::make_unique<Connection>();
     conn->fd = std::move(accepted);
@@ -360,9 +228,6 @@ void PeerDaemon::OnConnectionReadable(int fd) {
       return;
     }
     stats_.bytes_received += static_cast<uint64_t>(got);
-    if (obs::Enabled()) {
-      GetNetMetrics().bytes_received.Increment(static_cast<uint64_t>(got));
-    }
     size_t off = 0;
     const size_t n = static_cast<size_t>(got);
     while (off < n) {
@@ -387,7 +252,6 @@ void PeerDaemon::OnConnectionReadable(int fd) {
         }
       } else if (conn.assembler.failed() || consumed == 0) {
         ++stats_.protocol_errors;
-        if (obs::Enabled()) GetNetMetrics().protocol_errors.Increment();
         CloseConnection(fd);
         return;
       }
@@ -403,7 +267,6 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
       HelloMessage hello;
       if (!ParseHello(payload, &hello).ok()) break;
       directory_.ObserveDirect(hello.peer_id, hello.listen_port, now);
-      UpdateDirectoryGauge();
       return true;
     }
     case NetMessageType::kPeerExchange: {
@@ -413,8 +276,6 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
         directory_.ObserveGossip(entry, now);
       }
       ++stats_.gossip_exchanges;
-      if (obs::Enabled()) GetNetMetrics().gossip_exchanges.Increment();
-      UpdateDirectoryGauge();
       // Push-pull: answer with our own sample (tombstones included).
       PeerExchangeMessage reply;
       reply.entries = directory_.GossipSample(now, 16, rng_);
@@ -436,7 +297,6 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
       uint32_t sender = 0;
       if (!ParseSenderId(payload, &sender).ok()) break;
       directory_.MarkDeparted(sender, now);
-      UpdateDirectoryGauge();
       return true;
     }
     case NetMessageType::kStatusRequest: {
@@ -509,7 +369,6 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
       if (scheduler_ != nullptr) scheduler_->Drain();
       quiesced_ = true;
       pool_->CloseAll();
-      SyncNetMetrics();
       AckMessage ack;
       ack.ok = true;
       std::vector<uint8_t> out;
@@ -525,7 +384,6 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
       break;
   }
   ++stats_.protocol_errors;
-  if (obs::Enabled()) GetNetMetrics().protocol_errors.Increment();
   return false;
 }
 
@@ -534,16 +392,13 @@ void PeerDaemon::ApplyBlob(Connection& conn) {
   const core::RemoteMeetingApply applied = peer_->ApplyMeetingBytes(conn.blob);
   if (applied.applied) {
     ++stats_.meetings_accepted;
-    if (obs::Enabled()) GetNetMetrics().meetings_accepted.Increment();
   }
   if (complete && (!applied.applied || applied.salvaged)) {
     ++stats_.corruptions_detected;
-    if (obs::Enabled()) GetNetMetrics().corruptions_detected.Increment();
   }
   const uint64_t wasted =
       static_cast<uint64_t>(conn.blob.size() - applied.bytes_consumed);
   stats_.wasted_bytes += wasted;
-  if (obs::Enabled() && wasted > 0) GetNetMetrics().wasted_bytes.Increment(wasted);
 }
 
 void PeerDaemon::OnMeetingBlobComplete(Connection& conn) {
@@ -551,10 +406,6 @@ void PeerDaemon::OnMeetingBlobComplete(Connection& conn) {
   if (conn.decline_meeting) {
     ++stats_.meetings_declined;
     stats_.wasted_bytes += blob_bytes;
-    if (obs::Enabled()) {
-      GetNetMetrics().meetings_declined.Increment();
-      GetNetMetrics().wasted_bytes.Increment(blob_bytes);
-    }
     std::vector<uint8_t> out;
     AppendMeetingDecline(static_cast<uint32_t>(peer_->id()), out);
     (void)SendBytes(conn.fd.get(), out);
@@ -579,10 +430,8 @@ void PeerDaemon::OnMeetingBlobComplete(Connection& conn) {
 
 void PeerDaemon::OnMeetingBlobTruncated(Connection& conn) {
   ++stats_.truncations_detected;
-  if (obs::Enabled()) GetNetMetrics().truncations_detected.Increment();
   if (conn.decline_meeting) {
     stats_.wasted_bytes += conn.blob.size();
-    if (obs::Enabled()) GetNetMetrics().wasted_bytes.Increment(conn.blob.size());
   } else {
     // The initiator's transfer died mid-blob; the connection is gone, so no
     // reply can be sent — this side still salvages the intact prefix (the
@@ -611,7 +460,6 @@ Status PeerDaemon::SendBytes(int fd, std::span<const uint8_t> data) {
     (void)::poll(&pfd, 1, static_cast<int>(deadline - now));
   }
   stats_.bytes_sent += written;
-  if (obs::Enabled()) GetNetMetrics().bytes_sent.Increment(written);
   return Status::OK();
 }
 
@@ -625,20 +473,12 @@ MeetResultMessage PeerDaemon::MeetPeerClassified(uint32_t partner_id, uint16_t p
   MeetResultMessage result;
   *outcome = MeetOutcome::kFailed;
   ++stats_.meetings_initiated;
-  if (obs::Enabled()) GetNetMetrics().meetings_initiated.Increment();
 
   int fd = -1;
   bool reused = false;
   if (Status acquired = pool_->Acquire(port, &fd, &reused); !acquired.ok()) {
-    if (acquired.code() == StatusCode::kFailedPrecondition) {
-      // Connection at its in-flight limit: flow control, not a failure.
-      *outcome = MeetOutcome::kBusy;
-    } else {
-      ++stats_.meeting_failures;
-      if (obs::Enabled()) GetNetMetrics().meeting_failures.Increment();
-      *outcome = MeetOutcome::kDialFailed;
-    }
-    SyncNetMetrics();
+    ++stats_.meeting_failures;
+    *outcome = MeetOutcome::kDialFailed;
     return result;
   }
   if (!reused) SetIoTimeouts(fd, options_.io_timeout_ms);
@@ -654,9 +494,7 @@ MeetResultMessage PeerDaemon::MeetPeerClassified(uint32_t partner_id, uint16_t p
     pool_->NoteRedial();
     if (Status redialed = pool_->Acquire(port, &fd, &reused); !redialed.ok()) {
       ++stats_.meeting_failures;
-      if (obs::Enabled()) GetNetMetrics().meeting_failures.Increment();
       *outcome = MeetOutcome::kDialFailed;
-      SyncNetMetrics();
       return result;
     }
     if (!reused) SetIoTimeouts(fd, options_.io_timeout_ms);
@@ -671,7 +509,6 @@ MeetResultMessage PeerDaemon::MeetPeerClassified(uint32_t partner_id, uint16_t p
   } else {
     *outcome = MeetOutcome::kFailed;
   }
-  SyncNetMetrics();
   return result;
 }
 
@@ -703,7 +540,6 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
       *retryable = true;
     } else {
       ++stats_.meeting_failures;
-      if (obs::Enabled()) GetNetMetrics().meeting_failures.Increment();
     }
     return false;
   }
@@ -711,13 +547,11 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
     // The blob was cut mid-stream: the responder may salvage and APPLY a
     // prefix, so this meeting is committed — never retried.
     ++stats_.meeting_failures;
-    if (obs::Enabled()) GetNetMetrics().meeting_failures.Increment();
     return false;
   }
   const uint64_t sent = frames.size() + message.size();
   result->bytes_sent += sent;
   stats_.bytes_sent += sent;
-  if (obs::Enabled()) GetNetMetrics().bytes_sent.Increment(sent);
 
   uint8_t type = 0;
   std::vector<uint8_t> payload;
@@ -725,13 +559,9 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
     // The transfer (or the proxy) died before any reply frame — our own
     // message may have been cut; the responder does the salvaging.
     ++stats_.meeting_failures;
-    if (obs::Enabled()) GetNetMetrics().meeting_failures.Increment();
     return false;
   }
   stats_.bytes_received += wire::kFrameHeaderBytes + payload.size();
-  if (obs::Enabled()) {
-    GetNetMetrics().bytes_received.Increment(wire::kFrameHeaderBytes + payload.size());
-  }
   if (static_cast<NetMessageType>(type) == NetMessageType::kMeetingDecline) {
     // The responder consumed our blob before declining; the stream is
     // aligned and the connection stays poolable.
@@ -743,10 +573,6 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
       !ParseMeetingHeader(payload, &reply).ok()) {
     ++stats_.protocol_errors;
     ++stats_.meeting_failures;
-    if (obs::Enabled()) {
-      GetNetMetrics().protocol_errors.Increment();
-      GetNetMetrics().meeting_failures.Increment();
-    }
     return false;
   }
   directory_.ObserveDirect(reply.sender_id, port, loop_->NowMs());
@@ -755,24 +581,18 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
   const size_t received = ReadUpTo(fd, reply.payload_bytes, &blob);
   result->bytes_received += received;
   stats_.bytes_received += received;
-  if (obs::Enabled()) GetNetMetrics().bytes_received.Increment(received);
   const bool complete = received == reply.payload_bytes;
   if (!complete) {
     ++stats_.truncations_detected;
-    if (obs::Enabled()) GetNetMetrics().truncations_detected.Increment();
   }
   const core::RemoteMeetingApply applied = peer_->ApplyMeetingBytes(blob);
   result->applied = applied.applied;
   result->salvaged = applied.salvaged || !complete;
   if (complete && (!applied.applied || applied.salvaged)) {
     ++stats_.corruptions_detected;
-    if (obs::Enabled()) GetNetMetrics().corruptions_detected.Increment();
   }
   result->bytes_wasted = received - applied.bytes_consumed;
   stats_.wasted_bytes += result->bytes_wasted;
-  if (obs::Enabled() && result->bytes_wasted > 0) {
-    GetNetMetrics().wasted_bytes.Increment(result->bytes_wasted);
-  }
   // A short blob means the connection died mid-reply; a complete one (even
   // bit-damaged — that's the payload's problem, not the stream's) leaves
   // the stream aligned for the next meeting.
@@ -785,14 +605,9 @@ void PeerDaemon::GossipOnce() {
   int fd = -1;
   bool reused = false;
   if (Status acquired = pool_->Acquire(partner.port, &fd, &reused); !acquired.ok()) {
-    SyncNetMetrics();
-    // Busy = a meeting is on the wire to this partner right now; gossip
-    // just waits for its next tick.
-    if (acquired.code() == StatusCode::kFailedPrecondition) return;
     // An unreachable peer is evidence of departure; the tombstone keeps
     // gossip from re-suggesting it until it reappears first-hand.
     directory_.MarkDeparted(partner.peer_id, loop_->NowMs());
-    UpdateDirectoryGauge();
     return;
   }
   if (!reused) SetIoTimeouts(fd, options_.io_timeout_ms);
@@ -813,7 +628,6 @@ void PeerDaemon::GossipOnce() {
   PeerExchangeMessage reply;
   if (WriteAll(fd, frames).ok()) {
     stats_.bytes_sent += frames.size();
-    if (obs::Enabled()) GetNetMetrics().bytes_sent.Increment(frames.size());
     if (ReadFrameBlocking(fd, &type, &payload).ok() &&
         static_cast<NetMessageType>(type) == NetMessageType::kPeerExchange &&
         ParsePeerExchange(payload, &reply).ok()) {
@@ -823,12 +637,9 @@ void PeerDaemon::GossipOnce() {
         directory_.ObserveGossip(entry, loop_->NowMs());
       }
       ++stats_.gossip_exchanges;
-      if (obs::Enabled()) GetNetMetrics().gossip_exchanges.Increment();
-      UpdateDirectoryGauge();
     }
   }
   pool_->Release(partner.port, healthy);
-  SyncNetMetrics();
 }
 
 Status PeerDaemon::Checkpoint() {
@@ -838,7 +649,6 @@ Status PeerDaemon::Checkpoint() {
   const Status status = core::SavePeerState(*peer_, options_.state_path);
   if (status.ok()) {
     ++stats_.checkpoints;
-    if (obs::Enabled()) GetNetMetrics().checkpoints.Increment();
   }
   return status;
 }
@@ -858,10 +668,7 @@ void PeerDaemon::BeginShutdown() {
   // here on, so the checkpoint below is the peer's final state.
   quiesced_ = true;
   if (scheduler_ != nullptr) scheduler_->Drain();
-  if (pool_ != nullptr) {
-    pool_->CloseAll();
-    SyncNetMetrics();
-  }
+  if (pool_ != nullptr) pool_->CloseAll();
   if (!options_.state_path.empty()) (void)Checkpoint();
   if (options_.goodbye_on_shutdown) {
     std::vector<uint8_t> goodbye;

@@ -61,17 +61,12 @@ struct PeerDaemonOptions {
   bool goodbye_on_shutdown = true;
 };
 
-/// Plain counters of one daemon's network activity. Mirrored into the
-/// jxp.net.* metrics (docs/METRICS.md); kept as plain fields too so the
-/// control protocol and tests can read them without a registry snapshot.
+/// Plain counters of one daemon's network activity. Outbound connects are
+/// counted by the pool alone (ConnectionPoolStats::dials/dial_failures).
+/// BuildNetStats() reports these, the pool's and the scheduler's counters
+/// as net-stats, the daemon's one counter surface (docs/METRICS.md).
 struct DaemonStats {
   uint64_t accepts = 0;
-  /// Fresh outbound TCP connects (pool dials; reused meetings do not count).
-  uint64_t dials = 0;
-  /// Fresh connects that failed. A pooled connection found dead between
-  /// meetings is NOT a dial failure — it lands in the pool's
-  /// half_open_detected/redials accounting (ConnectionPoolStats).
-  uint64_t dial_failures = 0;
   uint64_t meetings_initiated = 0;
   uint64_t meetings_accepted = 0;
   uint64_t meetings_declined = 0;
@@ -152,6 +147,8 @@ class PeerDaemon {
   PeerDirectory& directory() { return directory_; }
   StatusReplyMessage BuildStatus() const;
   ScoresReplyMessage BuildScores() const;
+  /// The kNetStatsRequest reply: DaemonStats + pool + scheduler counters.
+  NetStatsReplyMessage BuildNetStats() const;
 
  private:
   struct Connection {
@@ -181,12 +178,6 @@ class PeerDaemon {
   void ApplyBlob(Connection& conn);
   void ArmGossipTimer();
   void ArmPoolSweepTimer();
-  void UpdateDirectoryGauge();
-  /// Pool + scheduler counters changed: push deltas into the jxp.net.*
-  /// metrics and refresh stats_.dials/dial_failures from the pool (the pool
-  /// is the only dialer now).
-  void SyncNetMetrics();
-  NetStatsReplyMessage BuildNetStats() const;
   /// The guts of one outbound meeting over an already-acquired connection.
   /// `fresh` = the fd came from a fresh dial (Hello still owed). Returns
   /// false with *retryable=true only when nothing was committed to the
@@ -205,10 +196,6 @@ class PeerDaemon {
   DaemonStats stats_;
   std::unique_ptr<ConnectionPool> pool_;
   std::unique_ptr<MeetingScheduler> scheduler_;
-  /// Last pool/scheduler counter snapshots already mirrored into metrics
-  /// (SyncNetMetrics adds only the deltas).
-  ConnectionPoolStats pool_synced_;
-  MeetingSchedulerStats sched_synced_;
   bool quiesced_ = false;
   bool shutdown_begun_ = false;
 };

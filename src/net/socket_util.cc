@@ -106,29 +106,6 @@ Status ConnectLoopback(uint16_t port, UniqueFd* out) {
   return Status::OK();
 }
 
-Status StartConnectLoopback(uint16_t port, UniqueFd* out) {
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0));
-  if (!fd) return ErrnoStatus("socket", errno);
-  sockaddr_in addr = LoopbackAddr(port);
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-      errno != EINPROGRESS) {
-    return ErrnoStatus("connect", errno);
-  }
-  (void)SetNoDelay(fd.get());
-  *out = std::move(fd);
-  return Status::OK();
-}
-
-Status FinishConnect(int fd) {
-  int err = 0;
-  socklen_t len = sizeof(err);
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
-    return ErrnoStatus("getsockopt(SO_ERROR)", errno);
-  }
-  if (err != 0) return ErrnoStatus("connect", err);
-  return Status::OK();
-}
-
 Status WriteAll(int fd, std::span<const uint8_t> data) {
   size_t written = 0;
   while (written < data.size()) {

@@ -68,15 +68,6 @@ Status AcceptConnection(int listener_fd, UniqueFd* out);
 /// clients (driver-side) where a synchronous round trip is the point.
 Status ConnectLoopback(uint16_t port, UniqueFd* out);
 
-/// Starts a *non-blocking* connect to 127.0.0.1:`port`; the socket is
-/// returned immediately (connect may still be in flight — wait for EPOLLOUT
-/// and check SO_ERROR via FinishConnect).
-Status StartConnectLoopback(uint16_t port, UniqueFd* out);
-
-/// Resolves a non-blocking connect after EPOLLOUT: OK when the socket is
-/// connected, IOError with the SO_ERROR detail otherwise.
-Status FinishConnect(int fd);
-
 /// Writes all of `data` to a blocking socket (retrying short writes and
 /// EINTR). IOError on failure.
 Status WriteAll(int fd, std::span<const uint8_t> data);

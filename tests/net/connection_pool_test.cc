@@ -67,7 +67,9 @@ TEST(ConnectionPoolTest, DialThenReuse) {
   EXPECT_EQ(pool.open_connections(), 1u);
 }
 
-TEST(ConnectionPoolTest, InFlightLimitRejectsAsBusy) {
+TEST(ConnectionPoolDeathTest, SecondLeaseOfALeasedConnectionAborts) {
+  // A daemon lease runs Acquire -> blocking IO -> Release inside one loop
+  // callback, so a second Acquire of a leased connection is a caller bug.
   Listener server;
   uint64_t now = 0;
   ConnectionPool pool({}, [&] { return now; });
@@ -75,16 +77,11 @@ TEST(ConnectionPoolTest, InFlightLimitRejectsAsBusy) {
   int fd = -1;
   bool reused = false;
   ASSERT_TRUE(pool.Acquire(server.port, &fd, &reused).ok());
-
-  int fd2 = -1;
-  const Status second = pool.Acquire(server.port, &fd2, &reused);
-  EXPECT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.stats().busy_rejections, 1u);
+  EXPECT_DEATH((void)pool.Acquire(server.port, &fd, &reused), "second lease");
 
   pool.Release(server.port, /*healthy=*/true);
-  ASSERT_TRUE(pool.Acquire(server.port, &fd2, &reused).ok());
-  EXPECT_TRUE(reused);
+  ASSERT_TRUE(pool.Acquire(server.port, &fd, &reused).ok());
+  EXPECT_TRUE(reused) << "a released connection is leasable again";
   pool.Release(server.port, /*healthy=*/true);
 }
 
@@ -210,31 +207,6 @@ TEST(ConnectionPoolTest, LruEvictionPrefersTheColdestIdleConnection) {
   EXPECT_FALSE(reused) << "the evicted connection must need a fresh dial";
   EXPECT_EQ(pool.stats().evictions_lru, 2u);
   pool.Release(s1.port, true);
-}
-
-TEST(ConnectionPoolTest, AcquireFailsWhenEveryConnectionIsInFlight) {
-  Listener s1, s2;
-  ConnectionPoolOptions options;
-  options.max_connections = 1;
-  uint64_t now = 0;
-  ConnectionPool pool(options, [&] { return now; });
-
-  int fd = -1;
-  bool reused = false;
-  ASSERT_TRUE(pool.Acquire(s1.port, &fd, &reused).ok());
-
-  // The only slot is leased: a different port cannot evict it.
-  int fd2 = -1;
-  const Status status = pool.Acquire(s2.port, &fd2, &reused);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.stats().busy_rejections, 1u);
-  EXPECT_EQ(pool.open_connections(), 1u);
-
-  pool.Release(s1.port, true);
-  ASSERT_TRUE(pool.Acquire(s2.port, &fd2, &reused).ok());
-  EXPECT_EQ(pool.stats().evictions_lru, 1u);
-  pool.Release(s2.port, true);
 }
 
 TEST(ConnectionPoolTest, SweepIdleExpiresOnTheInjectedClock) {

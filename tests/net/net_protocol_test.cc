@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -56,7 +58,7 @@ TEST(NetProtocolTest, PeerExchangeRoundTrip) {
 TEST(NetProtocolTest, MeetingHeaderRoundTripBothTypes) {
   MeetingHeader in;
   in.sender_id = 7;
-  in.payload_bytes = 123456789;
+  in.payload_bytes = 12345678;  // Under the 64 MiB blob cap.
   for (const NetMessageType type :
        {NetMessageType::kMeetingOffer, NetMessageType::kMeetingReply}) {
     std::vector<uint8_t> frame;
@@ -64,7 +66,31 @@ TEST(NetProtocolTest, MeetingHeaderRoundTripBothTypes) {
     MeetingHeader out;
     ASSERT_TRUE(ParseMeetingHeader(PayloadOf(frame, type), &out).ok());
     EXPECT_EQ(out.sender_id, 7u);
-    EXPECT_EQ(out.payload_bytes, 123456789u);
+    EXPECT_EQ(out.payload_bytes, 12345678u);
+  }
+}
+
+TEST(NetProtocolTest, MeetingHeaderRejectsOversizedBlob) {
+  // The receiver buffers the announced blob, so the announcement is capped
+  // like any frame payload.
+  MeetingHeader in;
+  in.sender_id = 7;
+  in.payload_bytes = wire::FrameAssembler::kDefaultMaxPayloadBytes;
+  std::vector<uint8_t> frame;
+  AppendMeetingHeader(NetMessageType::kMeetingOffer, in, frame);
+  MeetingHeader out;
+  EXPECT_TRUE(
+      ParseMeetingHeader(PayloadOf(frame, NetMessageType::kMeetingOffer), &out).ok());
+
+  for (const uint32_t oversized :
+       {static_cast<uint32_t>(wire::FrameAssembler::kDefaultMaxPayloadBytes + 1),
+        0xffffffffu}) {
+    in.payload_bytes = oversized;
+    frame.clear();
+    AppendMeetingHeader(NetMessageType::kMeetingReply, in, frame);
+    EXPECT_FALSE(
+        ParseMeetingHeader(PayloadOf(frame, NetMessageType::kMeetingReply), &out).ok())
+        << oversized;
   }
 }
 
@@ -190,6 +216,42 @@ TEST(NetProtocolTest, ParsersRejectTruncatedPayloads) {
   payload.resize(payload.size() / 2);
   StatusReplyMessage status_out;
   EXPECT_FALSE(ParseStatusReply(payload, &status_out).ok());
+}
+
+TEST(NetProtocolTest, NetStatsReplyRoundTripsEveryField) {
+  const std::span<const NetStatsField> fields = NetStatsFields();
+  // The table names every member exactly once.
+  ASSERT_EQ(fields.size() * sizeof(uint64_t), sizeof(NetStatsReplyMessage));
+  NetStatsReplyMessage probe;
+  std::set<std::string> names;
+  std::set<const uint64_t*> members;
+  for (const NetStatsField& field : fields) {
+    EXPECT_TRUE(names.insert(field.name).second) << field.name;
+    EXPECT_TRUE(members.insert(&(probe.*field.member)).second) << field.name;
+  }
+
+  NetStatsReplyMessage in;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    // Distinct values of every varint width, so a swapped or dropped field
+    // cannot round-trip by accident.
+    in.*fields[i].member = (uint64_t{1} << (2 * i % 63)) + i;
+  }
+  std::vector<uint8_t> frame;
+  AppendNetStatsReply(in, frame);
+  const std::vector<uint8_t> payload = PayloadOf(frame, NetMessageType::kNetStatsReply);
+  NetStatsReplyMessage out;
+  ASSERT_TRUE(ParseNetStatsReply(payload, &out).ok());
+  for (const NetStatsField& field : fields) {
+    EXPECT_EQ(out.*field.member, in.*field.member) << field.name;
+  }
+
+  for (size_t size = 0; size < payload.size(); ++size) {
+    const std::span<const uint8_t> prefix(payload.data(), size);
+    EXPECT_FALSE(ParseNetStatsReply(prefix, &out).ok()) << "prefix of " << size;
+  }
+  std::vector<uint8_t> trailing = payload;
+  trailing.push_back(0);
+  EXPECT_FALSE(ParseNetStatsReply(trailing, &out).ok());
 }
 
 TEST(NetProtocolTest, NetTypesAreDisjointFromMeetingPayloadTypes) {

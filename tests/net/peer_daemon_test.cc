@@ -1,5 +1,7 @@
 #include "net/peer_daemon.h"
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -238,6 +240,34 @@ TEST(PeerDaemonTest, QuiescedDaemonDeclinesMeetingsAndCountsWaste) {
   // The initiator's whole blob was received and discarded: pure waste.
   EXPECT_GT(b.daemon.stats().wasted_bytes, 0u);
   EXPECT_EQ(a.daemon.peer().num_meetings(), 0u);
+}
+
+TEST(PeerDaemonTest, OversizedMeetingOfferClosesTheConnection) {
+  const graph::Graph g = SmallGraph();
+  Harness b(MakePeerB(g), {});
+
+  // A partner announcing a blob past the frame payload cap is a protocol
+  // error: the responder must close instead of buffering for it.
+  UniqueFd fd;
+  ASSERT_TRUE(ConnectLoopback(b.daemon.bound_port(), &fd).ok());
+  MeetingHeader offer;
+  offer.sender_id = 0;
+  offer.payload_bytes =
+      static_cast<uint32_t>(wire::FrameAssembler::kDefaultMaxPayloadBytes + 1);
+  std::vector<uint8_t> frame;
+  AppendMeetingHeader(NetMessageType::kMeetingOffer, offer, frame);
+  ASSERT_TRUE(WriteAll(fd.get(), frame).ok());
+
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  uint8_t byte = 0;
+  EXPECT_EQ(::read(fd.get(), &byte, 1), 0) << "the daemon must close the connection";
+
+  b.StopAndJoin();
+  EXPECT_EQ(b.daemon.stats().protocol_errors, 1u);
+  EXPECT_EQ(b.daemon.stats().meetings_accepted, 0u);
+  EXPECT_EQ(b.daemon.peer().num_meetings(), 0u);
 }
 
 TEST(PeerDaemonTest, GossipExchangeSpreadsThirdPartyAndGoodbyeTombstones) {
