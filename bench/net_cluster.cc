@@ -12,9 +12,9 @@
 // had after --meetings meetings (fig. 4 analogue), checking Thm 5.3 at
 // every sample and that pooled dials stay strictly below meetings.
 //
-//   net_cluster --peers=8 --meetings=64 --nodes=400 --seed=7 \
-//       --out-dir=/tmp/net_cluster [--chaos --drop=0.05 --truncate=0.05 \
-//       --corrupt=0.05] [--restart-peer=0] [--self-scheduled \
+//   net_cluster --peers=8 --meetings=64 --nodes=400 --seed=7
+//       --out-dir=/tmp/net_cluster [--chaos --drop=0.05 --truncate=0.05
+//       --corrupt=0.05] [--restart-peer=0] [--self-scheduled
 //       --meet-interval-ms=40 --sample-every-ms=250 --max-wall-ms=60000]
 //
 // Exit code 0 = all checks passed. Per-daemon JSONL telemetry is written to

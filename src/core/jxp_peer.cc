@@ -51,6 +51,33 @@ MeetingMetrics& GetMeetingMetrics() {
   return metrics;
 }
 
+/// Collects external pages into a sorted world batch as `fragment` sees
+/// them: a page without out-links becomes a dangling record, any other page
+/// an entry carrying only its successors inside the fragment (a page with
+/// none is skipped). Pages must arrive in ascending order.
+struct ExternalFold {
+  explicit ExternalFold(const graph::Subgraph& fragment) : fragment(fragment) {}
+
+  const graph::Subgraph& fragment;
+  WorldNode batch;
+  std::vector<graph::PageId> targets;
+
+  void Add(graph::PageId page, size_t out_degree, double score,
+           std::span<const graph::PageId> successors) {
+    if (out_degree == 0) {
+      batch.AppendDangling(page, score);
+      return;
+    }
+    targets.clear();
+    for (graph::PageId successor : successors) {
+      if (fragment.Contains(successor)) targets.push_back(successor);
+    }
+    if (!targets.empty()) {
+      batch.Append(page, static_cast<uint32_t>(out_degree), score, targets);
+    }
+  }
+};
+
 /// Numerical floor for the world score; Theorem 5.3 keeps the true value
 /// well above this, so the floor only guards against pathological inputs.
 constexpr double kWorldScoreFloor = 1e-12;
@@ -137,22 +164,10 @@ RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
   result.bytes_consumed = decoded.bytes_consumed;
   result.salvaged = !decoded.error.ok();
   if (decoded.fragment == nullptr) return result;  // Degenerates to a drop.
-  PeerView view;
-  view.owned_fragment = decoded.fragment;
-  view.fragment = view.owned_fragment.get();
-  view.scores = std::move(decoded.scores);
-  view.world = std::move(decoded.world);
-  view.owned_sketch = decoded.sketch;
-  view.page_sketch = view.owned_sketch.get();
-  view.wire_bytes = static_cast<double>(decoded.bytes_consumed);
-  result.cpu_millis = ProcessMeeting(view);
+  result.cpu_millis = ProcessMeeting(DecodedView(std::move(decoded)));
   result.pr_iterations = last_pr_iterations_;
   result.applied = true;
   return result;
-}
-
-MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner) {
-  return Meet(initiator, partner, p2p::MeetingFaultDecision());
 }
 
 MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
@@ -163,63 +178,67 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
             initiator.options_.combine_mode == partner.options_.combine_mode &&
             initiator.options_.wire_mode == partner.options_.wire_mode)
       << "meeting peers must share JXP options";
-  if (initiator.options_.wire_mode == MeetingWireMode::kMeasured) {
-    return MeetMeasured(initiator, partner, faults);
-  }
+  const bool measured = initiator.options_.wire_mode == MeetingWireMode::kMeasured;
   obs::TraceSpan span("jxp.meeting");
   span.AddAttr("initiator", initiator.id_);
   span.AddAttr("partner", partner.id_);
+  if (measured) span.AddAttr("wire_mode", "measured");
 
-  // Snapshot both messages first: the exchange is simultaneous, so each side
-  // must see the other's pre-meeting state.
-  PeerView initiator_view = initiator.MakeView();
-  PeerView partner_view = partner.MakeView();
-
+  // Snapshot both messages before either side applies: the exchange is
+  // simultaneous, so each side must see the other's pre-meeting state. Then
+  // resolve each direction's transport faults: what (if anything) of the
+  // sender's message reaches the receiver.
   MeetingOutcome outcome;
-  outcome.bytes_sent_initiator = initiator_view.wire_bytes;
-  outcome.bytes_sent_partner = partner_view.wire_bytes;
-  outcome.wire_bytes = initiator_view.wire_bytes + partner_view.wire_bytes;
-  outcome.estimated_bytes_initiator = outcome.bytes_sent_initiator;
-  outcome.estimated_bytes_partner = outcome.bytes_sent_partner;
-  outcome.estimated_wire_bytes = outcome.wire_bytes;
-
-  // Resolve the transport faults of each direction: what (if anything) of
-  // the sender's message reaches the receiver. A truncation so severe that
-  // not even one page arrives degenerates to a drop.
-  PeerView truncated_to_initiator;
-  PeerView truncated_to_partner;
-  const PeerView* message_to_initiator = &partner_view;
-  const PeerView* message_to_partner = &initiator_view;
-  double delivered_to_initiator = faults.drop_to_initiator ? 0.0 : 1.0;
-  double delivered_to_partner = faults.drop_to_partner ? 0.0 : 1.0;
-  if (delivered_to_initiator > 0 && faults.keep_to_initiator < 1.0) {
-    if (TruncateView(partner_view, faults.keep_to_initiator, truncated_to_initiator)) {
-      message_to_initiator = &truncated_to_initiator;
-      delivered_to_initiator = faults.keep_to_initiator;
-    } else {
-      delivered_to_initiator = 0.0;
+  outcome.estimated_bytes_initiator = initiator.EstimatedMessageBytes();
+  outcome.estimated_bytes_partner = partner.EstimatedMessageBytes();
+  Delivery to_initiator;
+  Delivery to_partner;
+  if (measured) {
+    // From here on the bytes *are* the message, and faults act on them.
+    std::optional<ThreadCpuTimer> encode_timer;
+    if (obs::Enabled()) encode_timer.emplace();
+    const std::vector<uint8_t> initiator_bytes = initiator.EncodeMeetingBytes();
+    const std::vector<uint8_t> partner_bytes = partner.EncodeMeetingBytes();
+    if (encode_timer.has_value()) {
+      GetMeetingMetrics().wire_encode_ms.Observe(encode_timer->ElapsedMillis());
     }
-  }
-  if (delivered_to_partner > 0 && faults.keep_to_partner < 1.0) {
-    if (TruncateView(initiator_view, faults.keep_to_partner, truncated_to_partner)) {
-      message_to_partner = &truncated_to_partner;
-      delivered_to_partner = faults.keep_to_partner;
-    } else {
-      delivered_to_partner = 0.0;
+    outcome.bytes_sent_initiator = static_cast<double>(initiator_bytes.size());
+    outcome.bytes_sent_partner = static_cast<double>(partner_bytes.size());
+    std::optional<ThreadCpuTimer> decode_timer;
+    if (obs::Enabled()) decode_timer.emplace();
+    to_initiator = DeliverBytes(partner_bytes, faults.drop_to_initiator,
+                                faults.keep_to_initiator, faults.corrupt_to_initiator,
+                                faults.corrupt_offset_to_initiator,
+                                faults.corrupt_bit_to_initiator);
+    to_partner = DeliverBytes(initiator_bytes, faults.drop_to_partner, faults.keep_to_partner,
+                              faults.corrupt_to_partner, faults.corrupt_offset_to_partner,
+                              faults.corrupt_bit_to_partner);
+    if (decode_timer.has_value()) {
+      GetMeetingMetrics().wire_decode_ms.Observe(decode_timer->ElapsedMillis());
     }
+  } else {
+    outcome.bytes_sent_initiator = outcome.estimated_bytes_initiator;
+    outcome.bytes_sent_partner = outcome.estimated_bytes_partner;
+    to_initiator = DeliverView(partner.MakeView(), faults.drop_to_initiator,
+                               faults.keep_to_initiator);
+    to_partner =
+        DeliverView(initiator.MakeView(), faults.drop_to_partner, faults.keep_to_partner);
   }
+  outcome.wire_bytes = outcome.bytes_sent_initiator + outcome.bytes_sent_partner;
+  outcome.estimated_wire_bytes =
+      outcome.estimated_bytes_initiator + outcome.estimated_bytes_partner;
 
   // A side applies its incoming message only when something was delivered
   // and the side did not crash mid-meeting; a suppressed side's state does
   // not advance at all (no meeting count, no history entry).
-  outcome.applied_initiator = delivered_to_initiator > 0 && !faults.crash_initiator;
-  outcome.applied_partner = delivered_to_partner > 0 && !faults.crash_partner;
+  outcome.applied_initiator = to_initiator.arrived && !faults.crash_initiator;
+  outcome.applied_partner = to_partner.arrived && !faults.crash_partner;
   if (outcome.applied_initiator) {
-    outcome.cpu_millis_initiator = initiator.ProcessMeeting(*message_to_initiator);
+    outcome.cpu_millis_initiator = initiator.ProcessMeeting(to_initiator.message);
     outcome.pr_iterations_initiator = initiator.last_pr_iterations_;
   }
   if (outcome.applied_partner) {
-    outcome.cpu_millis_partner = partner.ProcessMeeting(*message_to_partner);
+    outcome.cpu_millis_partner = partner.ProcessMeeting(to_partner.message);
     outcome.pr_iterations_partner = partner.last_pr_iterations_;
   }
 
@@ -227,146 +246,27 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
   // shipped beyond what the receiver actually applied.
   outcome.wasted_bytes_initiator =
       outcome.bytes_sent_initiator *
-      (1.0 - (outcome.applied_partner ? delivered_to_partner : 0.0));
+      (1.0 - (outcome.applied_partner ? to_partner.fraction : 0.0));
   outcome.wasted_bytes_partner =
       outcome.bytes_sent_partner *
-      (1.0 - (outcome.applied_initiator ? delivered_to_initiator : 0.0));
+      (1.0 - (outcome.applied_initiator ? to_initiator.fraction : 0.0));
   outcome.wasted_bytes = outcome.wasted_bytes_initiator + outcome.wasted_bytes_partner;
 
   if (obs::Enabled()) {
     MeetingMetrics& metrics = GetMeetingMetrics();
     metrics.meetings.Increment();
     metrics.wire_bytes.Observe(outcome.wire_bytes);
-  }
-  if (span.active()) {
-    if (!faults.Clean()) {
-      span.AddAttr("applied_initiator", outcome.applied_initiator);
-      span.AddAttr("applied_partner", outcome.applied_partner);
-      span.AddAttr("wasted_bytes", outcome.wasted_bytes);
-    }
-    span.AddAttr("wire_bytes", outcome.wire_bytes);
-    span.AddAttr("cpu_ms_initiator", outcome.cpu_millis_initiator);
-    span.AddAttr("cpu_ms_partner", outcome.cpu_millis_partner);
-    span.AddAttr("pr_iterations",
-                 outcome.pr_iterations_initiator + outcome.pr_iterations_partner);
-  }
-  return outcome;
-}
-
-MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
-                                     const p2p::MeetingFaultDecision& faults) {
-  obs::TraceSpan span("jxp.meeting");
-  span.AddAttr("initiator", initiator.id_);
-  span.AddAttr("partner", partner.id_);
-  span.AddAttr("wire_mode", "measured");
-
-  // Serialize both messages through the wire codec before either side
-  // applies (the exchange is simultaneous); from here on the bytes *are* the
-  // message, and faults act on them.
-  std::optional<ThreadCpuTimer> encode_timer;
-  if (obs::Enabled()) encode_timer.emplace();
-  const std::vector<uint8_t> initiator_bytes = initiator.EncodeMeetingBytes();
-  const std::vector<uint8_t> partner_bytes = partner.EncodeMeetingBytes();
-  if (encode_timer.has_value()) {
-    GetMeetingMetrics().wire_encode_ms.Observe(encode_timer->ElapsedMillis());
-  }
-
-  MeetingOutcome outcome;
-  outcome.bytes_sent_initiator = static_cast<double>(initiator_bytes.size());
-  outcome.bytes_sent_partner = static_cast<double>(partner_bytes.size());
-  outcome.wire_bytes = outcome.bytes_sent_initiator + outcome.bytes_sent_partner;
-  outcome.estimated_bytes_initiator = initiator.EstimatedMessageBytes();
-  outcome.estimated_bytes_partner = partner.EstimatedMessageBytes();
-  outcome.estimated_wire_bytes =
-      outcome.estimated_bytes_initiator + outcome.estimated_bytes_partner;
-
-  // Resolves one direction's transport: truncation keeps a byte prefix,
-  // corruption flips one bit of what arrives, and the receiver's decoder
-  // salvages the intact frame prefix. Returns false when nothing usable
-  // arrived (drop, or damage so early that no page decoded); the delivered
-  // fraction is measured in decoded bytes over sent bytes.
-  const auto resolve = [](const std::vector<uint8_t>& sent, bool drop, double keep,
-                          bool corrupt, double corrupt_offset, int corrupt_bit,
-                          PeerView& received, double& fraction) -> bool {
-    fraction = 0;
-    if (drop || sent.empty()) return false;
-    std::vector<uint8_t> delivered = sent;
-    if (keep < 1.0) {
-      delivered.resize(static_cast<size_t>(keep * static_cast<double>(delivered.size())));
-      if (delivered.empty()) return false;
-    }
-    if (corrupt) {
-      const size_t at = std::min(
-          delivered.size() - 1,
-          static_cast<size_t>(corrupt_offset * static_cast<double>(delivered.size())));
-      delivered[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
-    }
-    DecodedMeetingMessage decoded = DecodeMeetingMessage(delivered);
-    if (decoded.fragment == nullptr) return false;
-    received.owned_fragment = decoded.fragment;
-    received.fragment = received.owned_fragment.get();
-    received.scores = std::move(decoded.scores);
-    received.world = std::move(decoded.world);
-    received.owned_sketch = decoded.sketch;
-    received.page_sketch = received.owned_sketch.get();
-    received.wire_bytes = static_cast<double>(decoded.bytes_consumed);
-    fraction = static_cast<double>(decoded.bytes_consumed) /
-               static_cast<double>(sent.size());
-    return true;
-  };
-
-  std::optional<ThreadCpuTimer> decode_timer;
-  if (obs::Enabled()) decode_timer.emplace();
-  PeerView to_initiator;
-  PeerView to_partner;
-  double delivered_to_initiator = 0;
-  double delivered_to_partner = 0;
-  const bool initiator_got_message = resolve(
-      partner_bytes, faults.drop_to_initiator, faults.keep_to_initiator,
-      faults.corrupt_to_initiator, faults.corrupt_offset_to_initiator,
-      faults.corrupt_bit_to_initiator, to_initiator, delivered_to_initiator);
-  const bool partner_got_message = resolve(
-      initiator_bytes, faults.drop_to_partner, faults.keep_to_partner,
-      faults.corrupt_to_partner, faults.corrupt_offset_to_partner,
-      faults.corrupt_bit_to_partner, to_partner, delivered_to_partner);
-  if (decode_timer.has_value()) {
-    GetMeetingMetrics().wire_decode_ms.Observe(decode_timer->ElapsedMillis());
-  }
-
-  outcome.applied_initiator = initiator_got_message && !faults.crash_initiator;
-  outcome.applied_partner = partner_got_message && !faults.crash_partner;
-  if (outcome.applied_initiator) {
-    outcome.cpu_millis_initiator = initiator.ProcessMeeting(to_initiator);
-    outcome.pr_iterations_initiator = initiator.last_pr_iterations_;
-  }
-  if (outcome.applied_partner) {
-    outcome.cpu_millis_partner = partner.ProcessMeeting(to_partner);
-    outcome.pr_iterations_partner = partner.last_pr_iterations_;
-  }
-
-  // Same wasted-byte convention as the estimated path, but against measured
-  // sizes: what a sender shipped minus what its receiver decoded and used.
-  outcome.wasted_bytes_initiator =
-      outcome.bytes_sent_initiator *
-      (1.0 - (outcome.applied_partner ? delivered_to_partner : 0.0));
-  outcome.wasted_bytes_partner =
-      outcome.bytes_sent_partner *
-      (1.0 - (outcome.applied_initiator ? delivered_to_initiator : 0.0));
-  outcome.wasted_bytes = outcome.wasted_bytes_initiator + outcome.wasted_bytes_partner;
-
-  if (obs::Enabled()) {
-    MeetingMetrics& metrics = GetMeetingMetrics();
-    metrics.meetings.Increment();
-    metrics.wire_bytes.Observe(outcome.wire_bytes);
-    metrics.wire_message_bytes.Observe(outcome.bytes_sent_initiator);
-    metrics.wire_message_bytes.Observe(outcome.bytes_sent_partner);
-    if (outcome.bytes_sent_initiator > 0) {
-      metrics.wire_compression_ratio.Observe(outcome.estimated_bytes_initiator /
-                                             outcome.bytes_sent_initiator);
-    }
-    if (outcome.bytes_sent_partner > 0) {
-      metrics.wire_compression_ratio.Observe(outcome.estimated_bytes_partner /
-                                             outcome.bytes_sent_partner);
+    if (measured) {
+      metrics.wire_message_bytes.Observe(outcome.bytes_sent_initiator);
+      metrics.wire_message_bytes.Observe(outcome.bytes_sent_partner);
+      if (outcome.bytes_sent_initiator > 0) {
+        metrics.wire_compression_ratio.Observe(outcome.estimated_bytes_initiator /
+                                               outcome.bytes_sent_initiator);
+      }
+      if (outcome.bytes_sent_partner > 0) {
+        metrics.wire_compression_ratio.Observe(outcome.estimated_bytes_partner /
+                                               outcome.bytes_sent_partner);
+      }
     }
   }
   if (span.active()) {
@@ -376,7 +276,7 @@ MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
       span.AddAttr("wasted_bytes", outcome.wasted_bytes);
     }
     span.AddAttr("wire_bytes", outcome.wire_bytes);
-    span.AddAttr("estimated_wire_bytes", outcome.estimated_wire_bytes);
+    if (measured) span.AddAttr("estimated_wire_bytes", outcome.estimated_wire_bytes);
     span.AddAttr("cpu_ms_initiator", outcome.cpu_millis_initiator);
     span.AddAttr("cpu_ms_partner", outcome.cpu_millis_partner);
     span.AddAttr("pr_iterations",
@@ -385,16 +285,19 @@ MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
   return outcome;
 }
 
-bool JxpPeer::TruncateView(const PeerView& full, double keep_fraction, PeerView& out) {
-  const graph::Subgraph& frag = *full.fragment;
+JxpPeer::Delivery JxpPeer::DeliverView(PeerView sent, bool drop, double keep) {
+  Delivery delivery;
+  if (drop) return delivery;
+  const graph::Subgraph& frag = *sent.fragment;
   const size_t n = frag.NumLocalPages();
-  const size_t k =
-      static_cast<size_t>(keep_fraction * static_cast<double>(n));
-  if (k == 0) return false;
+  const size_t k = keep < 1.0 ? static_cast<size_t>(keep * static_cast<double>(n)) : n;
+  if (k == 0) return delivery;
+  delivery.arrived = true;
+  delivery.fraction = std::min(keep, 1.0);
   if (k >= n) {
-    // Nothing was actually cut; the "truncated" message is the full one.
-    out = full;
-    return true;
+    // Nothing was actually cut; the delivered message is the full one.
+    delivery.message = std::move(sent);
+    return delivery;
   }
   // The page table is serialized in local-index order (ascending page id),
   // so the first k records arrive complete (each with its full successor
@@ -408,16 +311,50 @@ bool JxpPeer::TruncateView(const PeerView& full, double keep_fraction, PeerView&
     successors.insert(successors.end(), succ.begin(), succ.end());
     offsets.push_back(successors.size());
   }
-  auto owned = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
+  // The world node and page sketch ride at the tail of the message: the
+  // truncated view carries neither.
+  PeerView& out = delivery.message;
+  out.owned_fragment = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
       std::move(pages), std::move(offsets), std::move(successors)));
-  out.scores.assign(full.scores.begin(), full.scores.begin() + k);
-  out.fragment = owned.get();
-  out.owned_fragment = std::move(owned);
-  // The world node and page sketch ride at the tail of the message: lost.
-  out.world = WorldNode();
-  out.page_sketch = nullptr;
-  out.wire_bytes = full.wire_bytes * keep_fraction;
-  return true;
+  out.fragment = out.owned_fragment.get();
+  out.scores.assign(sent.scores.begin(), sent.scores.begin() + k);
+  return delivery;
+}
+
+JxpPeer::Delivery JxpPeer::DeliverBytes(const std::vector<uint8_t>& sent, bool drop,
+                                        double keep, bool corrupt, double corrupt_offset,
+                                        int corrupt_bit) {
+  Delivery delivery;
+  if (drop || sent.empty()) return delivery;
+  std::vector<uint8_t> delivered = sent;
+  if (keep < 1.0) {
+    delivered.resize(static_cast<size_t>(keep * static_cast<double>(delivered.size())));
+    if (delivered.empty()) return delivery;
+  }
+  if (corrupt) {
+    const size_t at = std::min(
+        delivered.size() - 1,
+        static_cast<size_t>(corrupt_offset * static_cast<double>(delivered.size())));
+    delivered[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
+  }
+  DecodedMeetingMessage decoded = DecodeMeetingMessage(delivered);
+  if (decoded.fragment == nullptr) return delivery;
+  delivery.arrived = true;
+  delivery.fraction =
+      static_cast<double>(decoded.bytes_consumed) / static_cast<double>(sent.size());
+  delivery.message = DecodedView(std::move(decoded));
+  return delivery;
+}
+
+JxpPeer::PeerView JxpPeer::DecodedView(DecodedMeetingMessage decoded) {
+  PeerView view;
+  view.owned_fragment = std::move(decoded.fragment);
+  view.fragment = view.owned_fragment.get();
+  view.scores = std::move(decoded.scores);
+  view.world = std::move(decoded.world);
+  view.owned_sketch = std::move(decoded.sketch);
+  view.page_sketch = view.owned_sketch.get();
+  return view;
 }
 
 JxpPeer::PeerView JxpPeer::MakeView() const {
@@ -426,7 +363,6 @@ JxpPeer::PeerView JxpPeer::MakeView() const {
   view.scores = scores_;
   view.world = world_;
   view.page_sketch = &page_sketch_;
-  view.wire_bytes = EstimatedMessageBytes();
   // A cheating peer corrupts its outgoing message (Section 7's open
   // problem; see AttackOptions).
   switch (options_.attack.type) {
@@ -537,52 +473,32 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
   const graph::Subgraph& other = *partner.fragment;
   // Fold the partner's local pages into our view: overlapping pages combine
   // score lists; external pages that link into our fragment enter the world
-  // node with their out-degree, score, and the in-links they contribute.
-  // The partner's pages arrive in ascending order, so they form a sorted
-  // batch for one merge.
-  WorldNode hosted;
-  std::vector<graph::PageId> targets;
+  // node with their out-degree, score, and the in-links they contribute
+  // (external dangling pages reach us via the uniform redistribution, which
+  // the world row models in aggregate). The partner's pages arrive in
+  // ascending order, so they form a sorted batch for one merge.
+  ExternalFold hosted(fragment_);
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
     const graph::PageId page = other.GlobalId(k);
-    const double reported = partner.scores[k];
     const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
     if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, reported);
-      continue;
-    }
-    if (other.GlobalOutDegree(k) == 0) {
-      // External dangling page: its mass reaches us via the uniform
-      // redistribution, which the world row models in aggregate.
-      hosted.AppendDangling(page, reported);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId successor : other.Successors(k)) {
-      if (fragment_.Contains(successor)) targets.push_back(successor);
-    }
-    if (!targets.empty()) {
-      hosted.Append(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), reported,
-                    targets);
+      CombineLocalScore(mine, partner.scores[k]);
+    } else {
+      hosted.Add(page, other.GlobalOutDegree(k), partner.scores[k], other.Successors(k));
     }
   }
   // Fold the partner's world node: entries about our own pages refresh our
   // score list; entries about external pages that link into our fragment
   // extend our world node (the "union of the links represented in them").
   const wire::WorldColumns& heard_of = partner.world.columns();
-  WorldNode relayed;
+  ExternalFold relayed(fragment_);
   for (size_t e = 0; e < heard_of.NumEntries(); ++e) {
     const graph::PageId page = heard_of.pages[e];
     const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
     if (mine != graph::Subgraph::kNotLocal) {
       CombineLocalScore(mine, heard_of.scores[e]);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId target : heard_of.Targets(e)) {
-      if (fragment_.Contains(target)) targets.push_back(target);
-    }
-    if (!targets.empty()) {
-      relayed.Append(page, heard_of.out_degrees[e], heard_of.scores[e], targets);
+    } else {
+      relayed.Add(page, heard_of.out_degrees[e], heard_of.scores[e], heard_of.Targets(e));
     }
   }
   for (size_t d = 0; d < heard_of.dangling_pages.size(); ++d) {
@@ -591,11 +507,12 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
     if (mine != graph::Subgraph::kNotLocal) {
       CombineLocalScore(mine, heard_of.dangling_scores[d]);
     } else {
-      relayed.AppendDangling(page, heard_of.dangling_scores[d]);
+      relayed.batch.AppendDangling(page, heard_of.dangling_scores[d]);
     }
   }
-  world_.Merge(std::move(hosted), options_.combine_mode, options_.authoritative_refresh);
-  world_.Merge(std::move(relayed), options_.combine_mode);
+  world_.Merge(std::move(hosted.batch), options_.combine_mode,
+               options_.authoritative_refresh);
+  world_.Merge(std::move(relayed.batch), options_.combine_mode);
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }
@@ -609,8 +526,7 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   // Merged graph G_M = union of the two fragments with full out-link
   // knowledge; merged score list L_M combines overlapping pages.
   graph::Subgraph merged = graph::Subgraph::Merge(fragment_, other);
-  const size_t m = merged.NumLocalPages();
-  std::vector<double> merged_scores(m, 0.0);
+  std::vector<double> merged_scores(merged.NumLocalPages(), 0.0);
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
     merged_scores[merged.LocalIndexOf(fragment_.GlobalId(i))] = scores_[i];
   }
@@ -637,79 +553,35 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }
 
-  // World-node score per Eq. 1, then PageRank on G_M + W_M, with the same
-  // self-consistent-denominator guard as RunLocalPageRank.
+  // World-node score per Eq. 1, then PageRank on G_M + W_M. The merged graph
+  // lives only for this meeting, but the guard loop still reuses its local
+  // rows: only the world row is regenerated per denominator.
   double local_mass = 0;
   for (double s : merged_scores) local_mass += s;
-  double denominator = std::max(1.0 - local_mass, kWorldScoreFloor);
-  std::vector<double> init = merged_scores;
-  init.push_back(denominator);
-  markov::PowerIterationOptions pi_options;
-  pi_options.damping = options_.damping;
-  pi_options.tolerance = options_.pr_tolerance;
-  pi_options.max_iterations = options_.pr_max_iterations;
-  markov::PowerIterationResult result;
-  int total_iterations = 0;
-  // The merged graph lives only for this meeting, but the guard loop below
-  // still reuses its local rows: only the world row is regenerated per
-  // denominator.
+  const double denominator = std::max(1.0 - local_mass, kWorldScoreFloor);
+  merged_scores.push_back(denominator);
   ExtendedSystemCache merged_cache;
-  const ExtendedGraphSystem* system =
-      &merged_cache.Prepare(merged, merged_world, denominator, global_size_,
-                            options_.uniform_world_links
-                                ? WorldLinkWeighting::kUniform
-                                : WorldLinkWeighting::kScoreProportional);
-  for (int guard = 0; guard < 64; ++guard) {
-    ever_clamped_world_row_ |= system->world_row_clamped;
-    result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
-                                    init, pi_options);
-    total_iterations += result.iterations;
-    if (result.distribution[m] <= denominator + 1e-13) break;
-    denominator = result.distribution[m];
-    init = result.distribution;
-    system = &merged_cache.Rescale(denominator);
-  }
-  last_pr_iterations_ = total_iterations;
-  const double pr_world = result.distribution[m];
-  // Score update: Eq. 2 re-weights external (world-node) scores in the
-  // baseline mode; Eq. 3 leaves them unchanged in take-max mode.
-  if (options_.combine_mode == CombineMode::kAverage) {
-    merged_world.ScaleScores(pr_world / denominator);
-  }
+  const std::vector<double> distribution = SolveExtended(
+      merged_cache, merged, merged_world, std::move(merged_scores), denominator);
 
   // Project back onto our fragment (the disconnect step of Figure 1):
   // local scores from the merged result ...
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
-    scores_[i] = result.distribution[merged.LocalIndexOf(fragment_.GlobalId(i))];
+    scores_[i] = distribution[merged.LocalIndexOf(fragment_.GlobalId(i))];
   }
   // ... and a new world node: W_M's links into V_A, plus the partner's pages
   // (E_B links) that point into V_A, now valued at their merged PR scores.
   // The two sets are disjoint (W_M excludes every page of G_M).
-  const auto in_fragment = [this](graph::PageId page) {
-    return fragment_.Contains(page);
-  };
   WorldNode new_world = std::move(merged_world);
-  new_world.FilterTargets(in_fragment);
-  WorldNode partner_pages;
-  std::vector<graph::PageId> targets;
+  new_world.FilterTargets([this](graph::PageId page) { return fragment_.Contains(page); });
+  ExternalFold partner_pages(fragment_);
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
     const graph::PageId page = other.GlobalId(k);
     if (fragment_.Contains(page)) continue;
-    const double score = result.distribution[merged.LocalIndexOf(page)];
-    if (other.GlobalOutDegree(k) == 0) {
-      partner_pages.AppendDangling(page, score);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId successor : other.Successors(k)) {
-      if (fragment_.Contains(successor)) targets.push_back(successor);
-    }
-    if (!targets.empty()) {
-      partner_pages.Append(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), score,
-                           targets);
-    }
+    partner_pages.Add(page, other.GlobalOutDegree(k),
+                      distribution[merged.LocalIndexOf(page)], other.Successors(k));
   }
-  new_world.Merge(std::move(partner_pages), options_.combine_mode,
+  new_world.Merge(std::move(partner_pages.batch), options_.combine_mode,
                   options_.authoritative_refresh);
   world_ = std::move(new_world);
   // The world node again represents *everything* outside V_A (including the
@@ -720,12 +592,26 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
 }
 
 void JxpPeer::RunLocalPageRank() {
-  const size_t n = fragment_.NumLocalPages();
   // The world row's weights are alpha(r)/alpha_w^{t-1} (Eq. 8). Using the
   // *previous run's* world score as the denominator — not the post-combine
   // complement 1 - sum(scores), which the take-max combination can push
   // below it — keeps the row's flow per entry at most alpha(r)/out(r).
-  //
+  double local_mass = 0;
+  for (double s : scores_) local_mass += s;
+  std::vector<double> init = scores_;
+  init.push_back(std::max(1.0 - local_mass, kWorldScoreFloor));
+  std::vector<double> distribution =
+      SolveExtended(extended_cache_, fragment_, world_, std::move(init),
+                    std::max(world_score_, kWorldScoreFloor));
+  world_score_ = distribution.back();
+  distribution.pop_back();
+  scores_ = std::move(distribution);
+}
+
+std::vector<double> JxpPeer::SolveExtended(ExtendedSystemCache& cache,
+                                           const graph::Subgraph& fragment,
+                                           WorldNode& world, std::vector<double> init,
+                                           double denominator) {
   // One subtlety the paper's proof glosses over: safety (Theorem 5.3) needs
   // the run's *resulting* world score to stay <= the denominator, otherwise
   // the realized flow alpha_w^t * p_wi exceeds alpha(r)/out(r) and scores
@@ -734,47 +620,37 @@ void JxpPeer::RunLocalPageRank() {
   // the larger value (the map D -> alpha_w(D) is increasing and bounded by
   // 1, so this converges; in the normal monotone regime the first run
   // already satisfies the condition and the loop body executes once).
-  double denominator = std::max(world_score_, kWorldScoreFloor);
-  double local_mass = 0;
-  for (double s : scores_) local_mass += s;
-  std::vector<double> init = scores_;
-  init.push_back(std::max(1.0 - local_mass, kWorldScoreFloor));
-
+  const size_t n = fragment.NumLocalPages();
   markov::PowerIterationOptions pi_options;
   pi_options.damping = options_.damping;
   pi_options.tolerance = options_.pr_tolerance;
   pi_options.max_iterations = options_.pr_max_iterations;
-
   markov::PowerIterationResult result;
   int total_iterations = 0;
-  // The cache keeps the local rows across meetings (the world row is
-  // regenerated per pass, its scores change at every meeting) and the guard
-  // loop below only rescales the world row per denominator.
+  // The cache keeps the local rows; the guard loop only rescales the world
+  // row per denominator.
   const ExtendedGraphSystem* system =
-      &extended_cache_.Prepare(fragment_, world_, denominator, global_size_,
-                               options_.uniform_world_links
-                                   ? WorldLinkWeighting::kUniform
-                                   : WorldLinkWeighting::kScoreProportional);
+      &cache.Prepare(fragment, world, denominator, global_size_,
+                     options_.uniform_world_links ? WorldLinkWeighting::kUniform
+                                                  : WorldLinkWeighting::kScoreProportional);
   for (int guard = 0; guard < 64; ++guard) {
     ever_clamped_world_row_ |= system->world_row_clamped;
     result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
                                     init, pi_options);
     total_iterations += result.iterations;
-    const double pr_world = result.distribution[n];
-    if (pr_world <= denominator + 1e-13) break;
-    denominator = pr_world;
+    if (result.distribution[n] <= denominator + 1e-13) break;
+    denominator = result.distribution[n];
     init = result.distribution;  // Warm start for the re-run.
-    system = &extended_cache_.Rescale(denominator);
+    system = &cache.Rescale(denominator);
   }
   last_pr_iterations_ = total_iterations;
-
-  const double pr_world = result.distribution[n];
+  // Score update: Eq. 2 re-weights external (world-node) scores by
+  // PR(W)/L(W) in the baseline mode; Eq. 3 leaves them unchanged in
+  // take-max mode.
   if (options_.combine_mode == CombineMode::kAverage) {
-    // Eq. 2: external scores are re-weighted by PR(W)/L(W).
-    world_.ScaleScores(pr_world / denominator);
+    world.ScaleScores(result.distribution[n] / denominator);
   }
-  scores_.assign(result.distribution.begin(), result.distribution.begin() + n);
-  world_score_ = pr_world;
+  return std::move(result.distribution);
 }
 
 double JxpPeer::EstimatedMessageBytes() const {
@@ -827,25 +703,15 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
   // Retain what the peer learned from crawling the dropped pages: a dropped
   // page that links into the retained set becomes a world-node entry with
   // its last known score.
-  WorldNode dropped;
-  std::vector<graph::PageId> targets;
+  ExternalFold dropped(fragment_);
   for (graph::Subgraph::LocalIndex i = 0; i < old_fragment.NumLocalPages(); ++i) {
     const graph::PageId page = old_fragment.GlobalId(i);
     if (fragment_.Contains(page)) continue;
-    if (old_fragment.GlobalOutDegree(i) == 0) {
-      dropped.AppendDangling(page, old_scores[i]);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId successor : old_fragment.Successors(i)) {
-      if (fragment_.Contains(successor)) targets.push_back(successor);
-    }
-    if (!targets.empty()) {
-      dropped.Append(page, static_cast<uint32_t>(old_fragment.GlobalOutDegree(i)),
-                     old_scores[i], targets);
-    }
+    dropped.Add(page, old_fragment.GlobalOutDegree(i), old_scores[i],
+                old_fragment.Successors(i));
   }
-  world_.Merge(std::move(dropped), options_.combine_mode, options_.authoritative_refresh);
+  world_.Merge(std::move(dropped.batch), options_.combine_mode,
+               options_.authoritative_refresh);
   // The re-crawl may have discovered new pages; the sketch only ever grows
   // (departed pages still exist in the global graph).
   SeedPageSketch();

@@ -18,6 +18,8 @@
 namespace jxp {
 namespace core {
 
+struct DecodedMeetingMessage;
+
 /// Measurements of one peer meeting.
 struct MeetingOutcome {
   /// Total bytes moved over the wire (both directions). Under
@@ -101,31 +103,34 @@ class JxpPeer {
   /// Performs one meeting: both peers exchange their extended local graphs
   /// and score lists and each recomputes its scores independently (the
   /// paper's asynchronous double-sided update, serialized here). The merge
-  /// procedure and score combination follow the peers' options; both peers
-  /// must share the same options.
-  static MeetingOutcome Meet(JxpPeer& initiator, JxpPeer& partner);
-
-  /// Meeting under an injected fault schedule (see p2p::FaultPlan): lost
-  /// messages and mid-meeting crashes suppress one side's application
-  /// entirely (that peer's state does not change at all), truncated
-  /// messages deliver only a prefix of the sender's page table (the world
-  /// node, at the message tail, is lost). A default-constructed (clean)
-  /// decision performs exactly Meet(initiator, partner). Stale-resume and
+  /// procedure, score combination and wire mode follow the peers' options;
+  /// both peers must share them.
+  ///
+  /// Only the delivery of each direction's message depends on the wire
+  /// mode: under kEstimated the receiver gets a copy of the sender's state,
+  /// under kMeasured the bytes of EncodeMeetingBytes, decoded as
+  /// ApplyMeetingBytes decodes them. `faults` (see p2p::FaultPlan) acts on
+  /// that delivery: lost messages and mid-meeting crashes suppress one
+  /// side's application entirely (that peer's state does not change at
+  /// all); a truncated message delivers only a prefix of the sender's page
+  /// table (the world node, at the message tail, is lost); under kMeasured
+  /// a flipped bit makes the receiver apply the intact frame prefix. The
+  /// default (clean) decision runs the unfaulted exchange. Stale-resume and
   /// retry faults are handled by the caller (JxpSimulation) before this
   /// runs.
   static MeetingOutcome Meet(JxpPeer& initiator, JxpPeer& partner,
-                             const p2p::MeetingFaultDecision& faults);
+                             const p2p::MeetingFaultDecision& faults = {});
 
   /// Serializes this peer's meeting message exactly as the in-process
-  /// kMeasured meeting path does (same codec, same sketch gating), so a
-  /// networked exchange of these bytes is bit-identical to MeetMeasured.
+  /// kMeasured meeting does (same codec, same sketch gating), so a networked
+  /// exchange of these bytes is bit-identical to Meet().
   /// Snapshot semantics: callers exchanging messages must encode BOTH sides
   /// before applying either (the meeting is a simultaneous exchange).
   std::vector<uint8_t> EncodeMeetingBytes() const;
 
   /// Applies a meeting message received as raw bytes: runs the
   /// fault-tolerant decode salvage, then this peer's half of the meeting
-  /// (merge + local PageRank). Mirrors one side of MeetMeasured, so a
+  /// (merge + local PageRank). Mirrors one side of a kMeasured Meet(), so a
   /// daemon pair doing Encode/exchange/Apply matches Meet() exactly.
   RemoteMeetingApply ApplyMeetingBytes(std::span<const uint8_t> bytes);
 
@@ -213,13 +218,22 @@ class JxpPeer {
     std::vector<double> scores;  // By the fragment's local index.
     WorldNode world;
     const synopses::HashSketch* page_sketch = nullptr;
-    double wire_bytes = 0;
     /// Storage backing `fragment` for truncated (fault-injected) and
     /// wire-decoded views; the clean path points `fragment` at the sender's
     /// own fragment instead.
     std::shared_ptr<const graph::Subgraph> owned_fragment;
     /// Storage backing `page_sketch` for wire-decoded views.
     std::shared_ptr<const synopses::HashSketch> owned_sketch;
+  };
+
+  /// What one direction of a meeting delivers to its receiver.
+  struct Delivery {
+    /// False when nothing usable arrived (drop, or damage so early that not
+    /// even one page did); `message` is then empty.
+    bool arrived = false;
+    /// Share of the sender's message the receiver got to use.
+    double fraction = 0;
+    PeerView message;
   };
 
   /// Copies the state this peer ships (corrupted per AttackOptions): the
@@ -231,18 +245,23 @@ class JxpPeer {
   /// size of this peer's meeting message.
   double EstimatedMessageBytes() const;
 
-  /// The kMeasured meeting path: both views are serialized through the wire
-  /// codec, faults (drop / truncation / bit corruption) act on the real
-  /// bytes, and each receiver applies whatever its decoder salvages.
-  static MeetingOutcome MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
-                                     const p2p::MeetingFaultDecision& faults);
+  /// The kEstimated delivery of `sent`: a transfer that aborted after
+  /// `keep` of the message carries the prefix of the page table that fully
+  /// arrived, without the world node and page sketch (they ride at the
+  /// message tail); a cut so early that not even one page arrived
+  /// degenerates to a drop.
+  static Delivery DeliverView(PeerView sent, bool drop, double keep);
 
-  /// Models a transfer that aborted after `keep_fraction` of the message: a
-  /// view carrying the prefix of the page table that fully arrived, without
-  /// the world node and page sketch (they ride at the message tail).
-  /// Returns false (leaving `out` untouched) when not even one page
-  /// arrived — the truncation then degenerates to a full message drop.
-  static bool TruncateView(const PeerView& full, double keep_fraction, PeerView& out);
+  /// The kMeasured delivery of `sent`: truncation keeps a byte prefix,
+  /// corruption flips bit `corrupt_bit` of the byte at `corrupt_offset` of
+  /// what arrives, and the receiver applies what its decoder salvages. The
+  /// delivered fraction is decoded bytes over sent bytes.
+  static Delivery DeliverBytes(const std::vector<uint8_t>& sent, bool drop, double keep,
+                               bool corrupt, double corrupt_offset, int corrupt_bit);
+
+  /// The view a receiver applies from a decoded message whose fragment is
+  /// non-null.
+  static PeerView DecodedView(DecodedMeetingMessage decoded);
 
   /// One side of a meeting: absorb the partner's message, recompute.
   /// Returns CPU milliseconds spent.
@@ -261,11 +280,20 @@ class JxpPeer {
   /// Combines a partner-reported score for a *local* page into scores_[i].
   void CombineLocalScore(graph::Subgraph::LocalIndex i, double reported);
 
-  /// Recomputes world_score_ as 1 - sum(local scores) (Eq. 1) and runs the
-  /// local PageRank on the extended graph — power iteration inside the
-  /// self-consistent-denominator guard loop — applying the Eq. 2 / Eq. 3
-  /// score update rule.
+  /// Runs the local PageRank on the extended graph from the current scores
+  /// and applies the Eq. 2 / Eq. 3 score update rule (SolveExtended).
   void RunLocalPageRank();
+
+  /// The Eq. 8 solve shared by both merge procedures: power iteration on
+  /// `fragment` plus `world`, whose world row weighs each entry by
+  /// alpha(r)/`denominator`, from `init` (local scores, world score last),
+  /// inside the self-consistent-denominator guard loop. Under kAverage it
+  /// then re-weights `world`'s scores by PR(W)/L(W) (Eq. 2). Records the
+  /// clamp flag and the iteration count; returns the stationary
+  /// distribution, world node last.
+  std::vector<double> SolveExtended(ExtendedSystemCache& cache,
+                                    const graph::Subgraph& fragment, WorldNode& world,
+                                    std::vector<double> init, double denominator);
 
   /// Feeds the fragment's pages and known successors into page_sketch_ and,
   /// when estimation is enabled, refreshes global_size_ from it.
@@ -290,7 +318,7 @@ class JxpPeer {
   synopses::HashSketch page_sketch_;
   /// Cached extended-system CSR: the local rows survive across meetings
   /// (only ReplaceFragment invalidates them) and the denominator guard loop
-  /// of RunLocalPageRank rescales the world row instead of rebuilding.
+  /// of SolveExtended rescales the world row instead of rebuilding.
   ExtendedSystemCache extended_cache_;
 };
 

@@ -8,10 +8,9 @@ namespace core {
 std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
                                           std::span<const double> scores,
                                           const WorldNode& world,
-                                          const synopses::HashSketch* sketch,
-                                          const wire::EncodeOptions& options) {
+                                          const synopses::HashSketch* sketch) {
   std::vector<uint8_t> out;
-  wire::EncodeScoreList(fragment, scores, options, out);
+  wire::EncodeScoreList(fragment, scores, out);
   // The world node keeps the codec's page-sorted layout: encoded in place.
   wire::EncodeWorldKnowledge(world.columns(), out);
   if (sketch != nullptr) wire::EncodeSynopsis(*sketch, out);

@@ -27,8 +27,7 @@ namespace core {
 std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
                                           std::span<const double> scores,
                                           const WorldNode& world,
-                                          const synopses::HashSketch* sketch,
-                                          const wire::EncodeOptions& options = {});
+                                          const synopses::HashSketch* sketch);
 
 /// What a receiver recovers from a (possibly truncated or corrupted)
 /// meeting message.

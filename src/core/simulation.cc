@@ -133,35 +133,13 @@ void JxpSimulation::RunMeetings(size_t count) {
     const p2p::PeerId initiator = network_.RandomAlivePeer(rng_, p2p::kInvalidPeer);
     const SelectionResult selection = selector_->SelectPartner(initiator, network_, rng_);
     JXP_CHECK(selection.partner != initiator && network_.IsAlive(selection.partner));
-    p2p::MeetingFaultDecision faults;
-    if (injector_ != nullptr) {
-      faults = injector_->NextMeeting(initiator, selection.partner);
-      AccountProbes(faults, initiator);
-      // An abandoned attempt consumes the schedule slot (the initiator
-      // spent its meeting opportunity on failed contacts) but no meeting
-      // happens and meetings_done_ does not advance.
-      if (faults.abandoned) continue;
-      ApplyStaleResume(faults, initiator, selection.partner);
-    }
-    if (config_.record_meeting_log) {
-      meeting_log_.emplace_back(initiator, selection.partner);
-    }
-    MeetingOutcome outcome =
-        JxpPeer::Meet(peers_[initiator], peers_[selection.partner], faults);
-    const double extra = selector_->AfterMeeting(initiator, selection.partner, network_) +
-                         selection.synopsis_bytes;
-    // Attribute to each participant the bytes it sent plus half of the
-    // selection/synopsis overhead.
-    network_.RecordMeetingTraffic(initiator, outcome.bytes_sent_initiator + extra / 2);
-    network_.RecordMeetingTraffic(selection.partner,
-                                  outcome.bytes_sent_partner + extra / 2);
-    total_estimated_traffic_bytes_ += outcome.estimated_wire_bytes + extra;
-    if (injector_ != nullptr) {
-      AccountWasted(outcome, initiator, selection.partner);
-      MaybeCheckpoint(initiator);
-      MaybeCheckpoint(selection.partner);
-    }
-    ++meetings_done_;
+    const p2p::MeetingFaultDecision faults = PlanFaults(initiator, selection.partner);
+    // An abandoned attempt consumes the schedule slot (the initiator spent
+    // its meeting opportunity on failed contacts) but no meeting happens and
+    // meetings_done_ does not advance.
+    if (faults.abandoned) continue;
+    FinishMeeting(initiator, selection,
+                  JxpPeer::Meet(peers_[initiator], peers_[selection.partner], faults));
     MaybeMonitor();
   }
 }
@@ -199,20 +177,12 @@ void JxpSimulation::RunMeetingsParallel(size_t count) {
       JXP_CHECK(selection.partner != initiator && network_.IsAlive(selection.partner));
       if (used[selection.partner]) continue;  // Greedy matching: drop the pick.
       used[initiator] = used[selection.partner] = 1;
-      PlannedMeeting planned{initiator, selection, {}};
-      if (injector_ != nullptr) {
-        // Fault schedules are drawn here, at planning time, so the fault
-        // sequence — like the meeting schedule — is consumed on the
-        // scheduling thread and independent of the thread count. Stale
-        // resumes mutate peer state and therefore also apply now, before
-        // the round executes (the pair is disjoint from every other pair).
-        planned.faults = injector_->NextMeeting(initiator, selection.partner);
-        AccountProbes(planned.faults, initiator);
-        if (!planned.faults.abandoned) {
-          ApplyStaleResume(planned.faults, initiator, selection.partner);
-        }
-      }
-      round.push_back(std::move(planned));
+      // Fault schedules are drawn here, at planning time, so the fault
+      // sequence — like the meeting schedule — is consumed on the scheduling
+      // thread and independent of the thread count. Stale resumes mutate
+      // peer state and therefore also apply now, before the round executes
+      // (the pair is disjoint from every other pair).
+      round.push_back({initiator, selection, PlanFaults(initiator, selection.partner)});
     }
     JXP_CHECK(!round.empty());
     // Disjoint pairs share no mutable peer state, so one round's meetings
@@ -228,24 +198,7 @@ void JxpSimulation::RunMeetingsParallel(size_t count) {
     // run sequentially, in round order.
     for (size_t i = 0; i < round.size(); ++i) {
       if (round[i].faults.abandoned) continue;
-      if (config_.record_meeting_log) {
-        meeting_log_.emplace_back(round[i].initiator, round[i].selection.partner);
-      }
-      const double extra =
-          selector_->AfterMeeting(round[i].initiator, round[i].selection.partner,
-                                  network_) +
-          round[i].selection.synopsis_bytes;
-      network_.RecordMeetingTraffic(round[i].initiator,
-                                    outcomes[i].bytes_sent_initiator + extra / 2);
-      network_.RecordMeetingTraffic(round[i].selection.partner,
-                                    outcomes[i].bytes_sent_partner + extra / 2);
-      total_estimated_traffic_bytes_ += outcomes[i].estimated_wire_bytes + extra;
-      if (injector_ != nullptr) {
-        AccountWasted(outcomes[i], round[i].initiator, round[i].selection.partner);
-        MaybeCheckpoint(round[i].initiator);
-        MaybeCheckpoint(round[i].selection.partner);
-      }
-      ++meetings_done_;
+      FinishMeeting(round[i].initiator, round[i].selection, outcomes[i]);
     }
     remaining -= round.size();
     // One sample per cadence crossing; a round that jumps several multiples
@@ -280,9 +233,17 @@ void JxpSimulation::MaybeCheckpoint(p2p::PeerId peer) {
   }
 }
 
-void JxpSimulation::ApplyStaleResume(const p2p::MeetingFaultDecision& faults,
-                                     p2p::PeerId initiator, p2p::PeerId partner) {
-  if (!faults.stale_resume_initiator && !faults.stale_resume_partner) return;
+p2p::MeetingFaultDecision JxpSimulation::PlanFaults(p2p::PeerId initiator,
+                                                   p2p::PeerId partner) {
+  if (injector_ == nullptr) return {};
+  const p2p::MeetingFaultDecision faults = injector_->NextMeeting(initiator, partner);
+  const double probes =
+      static_cast<double>(faults.failed_attempts) * config_.faults.probe_bytes;
+  if (probes > 0) {
+    network_.RecordWastedTraffic(initiator, probes);
+    injector_->RecordWasted(probes);
+  }
+  if (faults.abandoned) return faults;
   const auto restore = [&](p2p::PeerId peer) {
     StatusOr<JxpPeer> restored =
         LoadPeerState(PeerStatePath(config_.fault_checkpoint_dir, peer),
@@ -296,24 +257,30 @@ void JxpSimulation::ApplyStaleResume(const p2p::MeetingFaultDecision& faults,
   };
   if (faults.stale_resume_initiator) restore(initiator);
   if (faults.stale_resume_partner) restore(partner);
+  return faults;
 }
 
-void JxpSimulation::AccountProbes(const p2p::MeetingFaultDecision& faults,
-                                  p2p::PeerId initiator) {
-  if (faults.failed_attempts == 0) return;
-  const double probes =
-      static_cast<double>(faults.failed_attempts) * config_.faults.probe_bytes;
-  if (probes <= 0) return;
-  network_.RecordWastedTraffic(initiator, probes);
-  injector_->RecordWasted(probes);
-}
-
-void JxpSimulation::AccountWasted(const MeetingOutcome& outcome, p2p::PeerId initiator,
-                                  p2p::PeerId partner) {
-  if (outcome.wasted_bytes <= 0) return;
-  network_.RecordWastedTraffic(initiator, outcome.wasted_bytes_initiator);
-  network_.RecordWastedTraffic(partner, outcome.wasted_bytes_partner);
-  injector_->RecordWasted(outcome.wasted_bytes);
+void JxpSimulation::FinishMeeting(p2p::PeerId initiator, const SelectionResult& selection,
+                                  const MeetingOutcome& outcome) {
+  const p2p::PeerId partner = selection.partner;
+  if (config_.record_meeting_log) meeting_log_.emplace_back(initiator, partner);
+  // Attribute to each participant the bytes it sent plus half of the
+  // selection/synopsis overhead.
+  const double extra =
+      selector_->AfterMeeting(initiator, partner, network_) + selection.synopsis_bytes;
+  network_.RecordMeetingTraffic(initiator, outcome.bytes_sent_initiator + extra / 2);
+  network_.RecordMeetingTraffic(partner, outcome.bytes_sent_partner + extra / 2);
+  total_estimated_traffic_bytes_ += outcome.estimated_wire_bytes + extra;
+  if (injector_ != nullptr) {
+    if (outcome.wasted_bytes > 0) {
+      network_.RecordWastedTraffic(initiator, outcome.wasted_bytes_initiator);
+      network_.RecordWastedTraffic(partner, outcome.wasted_bytes_partner);
+      injector_->RecordWasted(outcome.wasted_bytes);
+    }
+    MaybeCheckpoint(initiator);
+    MaybeCheckpoint(partner);
+  }
+  ++meetings_done_;
 }
 
 Status JxpSimulation::SaveAllPeerStates(const std::string& dir) const {

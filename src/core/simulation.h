@@ -191,14 +191,17 @@ class JxpSimulation {
   /// Re-checkpoints a participant that applied >= checkpoint_every meetings
   /// since its last checkpoint (no-op unless stale resume is configured).
   void MaybeCheckpoint(p2p::PeerId peer);
-  /// Applies the decision's stale-resume faults: rolls the flagged sides
-  /// back to their last checkpoint before the meeting runs.
-  void ApplyStaleResume(const p2p::MeetingFaultDecision& faults, p2p::PeerId initiator,
-                        p2p::PeerId partner);
-  /// Charges failed-contact probe bytes and (post-meeting) wasted bytes.
-  void AccountProbes(const p2p::MeetingFaultDecision& faults, p2p::PeerId initiator);
-  void AccountWasted(const MeetingOutcome& outcome, p2p::PeerId initiator,
-                     p2p::PeerId partner);
+  /// Pre-meeting bookkeeping shared by both meeting loops: draws the
+  /// meeting's fault schedule, charges the initiator's failed-contact probe
+  /// bytes and, unless the attempt was abandoned, rolls the sides flagged
+  /// for a stale resume back to their last checkpoint. Returns a clean
+  /// decision when fault injection is off.
+  p2p::MeetingFaultDecision PlanFaults(p2p::PeerId initiator, p2p::PeerId partner);
+  /// Post-meeting bookkeeping shared by both meeting loops: the meeting log,
+  /// the selector, traffic (each side's bytes plus half the selection
+  /// overhead), wasted bytes, checkpoints and the meeting count.
+  void FinishMeeting(p2p::PeerId initiator, const SelectionResult& selection,
+                     const MeetingOutcome& outcome);
   /// Appends a ConvergencePoint for the current state and emits it as a
   /// "convergence" trace event + gauge updates.
   void RecordConvergencePoint();

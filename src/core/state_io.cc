@@ -94,6 +94,12 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
   }
 
   std::istringstream parse(body);
+  // Every announced record takes at least one byte of the body, so a count
+  // beyond the unread bytes cannot be honest; it fails before allocating.
+  const auto exceeds_unread = [&](size_t count) {
+    const std::streamoff at = parse.tellg();  // -1 once the body is used up.
+    return count > (at < 0 ? 0 : body.size() - static_cast<size_t>(at));
+  };
   std::string line;
   if (!std::getline(parse, line) || line != kMagic) {
     return Status::Corruption(path + ": bad magic");
@@ -115,6 +121,7 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
   if (!(parse >> keyword >> num_pages) || keyword != "pages") {
     return Status::Corruption(path + ": bad pages line");
   }
+  if (exceeds_unread(num_pages)) return Status::Corruption(path + ": truncated page table");
   std::vector<graph::PageId> pages(num_pages);
   std::vector<double> scores(num_pages);
   std::vector<std::vector<graph::PageId>> successors(num_pages);
@@ -122,6 +129,9 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
     size_t count = 0;
     if (!(parse >> pages[i] >> scores[i] >> count)) {
       return Status::Corruption(path + ": bad page record");
+    }
+    if (exceeds_unread(count)) {
+      return Status::Corruption(path + ": truncated successor list");
     }
     successors[i].resize(count);
     for (size_t j = 0; j < count; ++j) {
@@ -144,6 +154,7 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
     if (!(parse >> page >> out_degree >> score >> count)) {
       return Status::Corruption(path + ": bad world entry");
     }
+    if (exceeds_unread(count)) return Status::Corruption(path + ": truncated world targets");
     std::vector<graph::PageId> targets(count);
     for (size_t j = 0; j < count; ++j) {
       if (!(parse >> targets[j])) {

@@ -411,8 +411,8 @@ void PeerDaemon::OnMeetingBlobComplete(Connection& conn) {
     (void)SendBytes(conn.fd.get(), out);
   } else {
     // Simultaneous-exchange semantics: serialize our message BEFORE
-    // applying the initiator's, exactly like MeetMeasured snapshots both
-    // views up front. This is what keeps a networked meeting bit-identical
+    // applying the initiator's, exactly like JxpPeer::Meet encodes both
+    // messages up front. This is what keeps a networked meeting bit-identical
     // to the in-process one.
     const std::vector<uint8_t> reply = peer_->EncodeMeetingBytes();
     MeetingHeader header;

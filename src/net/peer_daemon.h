@@ -92,10 +92,10 @@ struct DaemonStats {
 /// an EventLoop. Single-threaded — every callback runs on the loop thread,
 /// so the peer needs no locks.
 ///
-/// Meeting semantics mirror the in-process kMeasured path bit for bit: a
-/// meeting is a simultaneous exchange, so BOTH sides serialize their
-/// message before applying the other's. The responder therefore encodes
-/// its reply before calling ApplyMeetingBytes on the initiator's blob.
+/// Meeting semantics mirror an in-process kMeasured JxpPeer::Meet bit for
+/// bit: a meeting is a simultaneous exchange, so BOTH sides serialize their
+/// message before applying the other's. The responder therefore encodes its
+/// reply before calling ApplyMeetingBytes on the initiator's blob.
 class PeerDaemon {
  public:
   PeerDaemon(std::unique_ptr<core::JxpPeer> peer, PeerDaemonOptions options);

@@ -240,14 +240,13 @@ Status DecodeSynopsis(std::span<const uint8_t> payload, DecodedMeeting& out) {
 }  // namespace
 
 void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
-                     const EncodeOptions& options, std::vector<uint8_t>& out) {
+                     std::vector<uint8_t>& out) {
   JXP_CHECK_EQ(scores.size(), fragment.NumLocalPages());
-  JXP_CHECK_GT(options.pages_per_chunk, 0u);
   const size_t start = out.size();
   const size_t n = fragment.NumLocalPages();
   size_t frames = 0;
-  for (size_t begin = 0; begin < n; begin += options.pages_per_chunk) {
-    const size_t end = std::min(begin + options.pages_per_chunk, n);
+  for (size_t begin = 0; begin < n; begin += kPagesPerChunk) {
+    const size_t end = std::min(begin + kPagesPerChunk, n);
     const size_t payload_start = out.size();
     ByteWriter writer(out);
     writer.PutVarint32(static_cast<uint32_t>(begin));

@@ -18,13 +18,10 @@ namespace wire {
 /// WorldNode and PeerView to/from the plain columns here (core depends on
 /// wire, never the reverse).
 
-/// Encoder options.
-struct EncodeOptions {
-  /// Page-table records per kScoreChunk frame. Smaller chunks lose less to
-  /// a torn transfer but pay 16 header bytes each; 64 keeps the overhead
-  /// at a fraction of a byte per page.
-  size_t pages_per_chunk = 64;
-};
+/// Page-table records per kScoreChunk frame. Smaller chunks lose less to a
+/// torn transfer but pay 16 header bytes each; 64 keeps the overhead at a
+/// fraction of a byte per page.
+inline constexpr size_t kPagesPerChunk = 64;
 
 /// A page table as flat columns, in ascending page order: page i has score
 /// scores[i] and the strictly ascending successor ids
@@ -98,7 +95,7 @@ struct DecodedMeeting {
 /// Appends the page-table frames (kScoreChunk) for `fragment` + `scores`
 /// (by local index) to `out`.
 void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
-                     const EncodeOptions& options, std::vector<uint8_t>& out);
+                     std::vector<uint8_t>& out);
 
 /// Appends one kWorldKnowledge frame holding `world` (which must satisfy
 /// the WorldColumns invariants). Appends nothing when it is empty.

@@ -1,7 +1,11 @@
 #include "core/simulation.h"
 
+#include <iomanip>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "crawler/partitioner.h"
 #include "graph/generators.h"
@@ -140,6 +144,100 @@ TEST(JxpSimulationTest, ReplaceFragmentIntegration) {
   EXPECT_EQ(sim.peers()[0].fragment().NumLocalPages(), 120u);
   sim.RunMeetings(100);  // Keeps running after the change.
   EXPECT_GT(sim.meetings_done(), 0u);
+}
+
+
+/// Streams the bytes of `column` into an FNV-1a state.
+template <typename T>
+uint64_t HashColumn(uint64_t h, const std::vector<T>& column) {
+  return Fnv1aUpdate(h, reinterpret_cast<const unsigned char*>(column.data()),
+                     column.size() * sizeof(T));
+}
+
+struct FrozenMode {
+  MergeMode merge;
+  CombineMode combine;
+  MeetingWireMode wire;
+  bool faults;
+  uint64_t digest;
+};
+
+TEST(SimulationTest, EveryMeetingModeIsFrozen) {
+  // One pinned digest per merge x combine x wire mode, with and without a
+  // fault plan. Each run drives both meeting loops and one re-crawl, then
+  // hashes every peer's scores and world node plus the traffic totals, so
+  // any change to what a meeting computes under any mode moves a digest.
+  constexpr MergeMode kLight = MergeMode::kLightWeight;
+  constexpr MergeMode kFull = MergeMode::kFullMerge;
+  constexpr CombineMode kMax = CombineMode::kTakeMax;
+  constexpr CombineMode kAvg = CombineMode::kAverage;
+  constexpr MeetingWireMode kEst = MeetingWireMode::kEstimated;
+  constexpr MeetingWireMode kMeas = MeetingWireMode::kMeasured;
+  const FrozenMode modes[] = {
+      {kLight, kMax, kEst, false, 0xdd2012609909b2d1ULL},
+      {kLight, kMax, kEst, true, 0x6a497a7d58e0cca1ULL},
+      {kLight, kMax, kMeas, false, 0x6fe21c3a92e49c43ULL},
+      {kLight, kMax, kMeas, true, 0x2646ae805172080aULL},
+      {kLight, kAvg, kEst, false, 0x56164d405ad44cf3ULL},
+      {kLight, kAvg, kEst, true, 0x1e582fc05c55c2adULL},
+      {kLight, kAvg, kMeas, false, 0x03d91d65f125869fULL},
+      {kLight, kAvg, kMeas, true, 0x6683626b8655ba37ULL},
+      {kFull, kMax, kEst, false, 0x42f7e4e66736ba2cULL},
+      {kFull, kMax, kEst, true, 0x7bd8b3480fc4022aULL},
+      {kFull, kMax, kMeas, false, 0xb28902caed5ab126ULL},
+      {kFull, kMax, kMeas, true, 0x969c94af88856715ULL},
+      {kFull, kAvg, kEst, false, 0x3f8c14bfbd550e65ULL},
+      {kFull, kAvg, kEst, true, 0x62aef9002cdc6513ULL},
+      {kFull, kAvg, kMeas, false, 0xa627eaf3d5f417c7ULL},
+      {kFull, kAvg, kMeas, true, 0x850eea3635843d58ULL},
+  };
+  SimFixture fx;
+  // Peer 0's re-crawl keeps two thirds of its pages and picks up some of
+  // peer 1's, so the fold of dropped pages runs too.
+  std::vector<graph::PageId> recrawl(fx.fragments[0].begin(),
+                                     fx.fragments[0].begin() + fx.fragments[0].size() * 2 / 3);
+  recrawl.insert(recrawl.end(), fx.fragments[1].begin(), fx.fragments[1].begin() + 10);
+  for (size_t m = 0; m < std::size(modes); ++m) {
+    const FrozenMode& mode = modes[m];
+    SimulationConfig config;
+    config.seed = 41;
+    config.eval_top_k = 20;
+    config.num_threads = 2;
+    config.jxp.merge_mode = mode.merge;
+    config.jxp.combine_mode = mode.combine;
+    config.jxp.wire_mode = mode.wire;
+    if (mode.faults) {
+      config.faults.message_drop_probability = 0.15;
+      config.faults.truncation_probability = 0.15;
+      config.faults.crash_probability = 0.1;
+      config.faults.unavailable_probability = 0.1;
+      config.faults.stale_resume_probability = 0.05;
+      if (mode.wire == kMeas) config.faults.corruption_probability = 0.15;
+      config.fault_checkpoint_dir =
+          ::testing::TempDir() + "jxp_frozen_mode_" + std::to_string(m);
+      config.checkpoint_every = 4;
+    }
+    JxpSimulation sim(fx.collection.graph, fx.fragments, config);
+    sim.RunMeetings(40);
+    sim.ReplaceFragment(0, recrawl);
+    sim.RunMeetingsParallel(20);
+
+    uint64_t h = kFnv1aOffset;
+    for (const JxpPeer& peer : sim.peers()) {
+      const wire::WorldColumns& world = peer.world_node().columns();
+      h = HashColumn(h, peer.local_scores());
+      h = HashColumn(h, std::vector<double>{peer.world_score()});
+      h = HashColumn(h, world.pages);
+      h = HashColumn(h, world.scores);
+      h = HashColumn(h, world.dangling_pages);
+      h = HashColumn(h, world.dangling_scores);
+    }
+    h = HashColumn(h, std::vector<double>{sim.network().TotalTrafficBytes(),
+                                          sim.network().TotalWastedBytes(),
+                                          sim.total_estimated_traffic_bytes()});
+    EXPECT_EQ(h, mode.digest) << "mode " << m << ": digest 0x" << std::hex
+                              << std::setw(16) << std::setfill('0') << h;
+  }
 }
 
 }  // namespace

@@ -219,6 +219,27 @@ TEST_F(StateIoCorruptionTest, TruncatedWorldTargets) {
   ExpectCorruption("truncated world targets");
 }
 
+TEST_F(StateIoCorruptionTest, HugeCountsAreCorruption) {
+  // The checksum is unkeyed, so a crafted file can announce counts no file
+  // of its size could hold; each must fail as Corruption before the loader
+  // allocates for it.
+  const std::string huge = "2000000000000";
+  Mutate([&](std::vector<std::string>& lines) { lines[FindLine("pages ")] = "pages " + huge; });
+  ExpectCorruption("truncated page table");
+  Mutate([&](std::vector<std::string>& lines) {
+    std::string& record = lines[FindLine("pages ") + 1];
+    std::istringstream in(record);
+    std::string page, score;
+    in >> page >> score;
+    record = page + " " + score + " " + huge;
+  });
+  ExpectCorruption("truncated successor list");
+  Mutate([&](std::vector<std::string>& lines) {
+    InsertWorldEntry(lines, FindLine("world_entries "), "5 3 0.1 " + huge + " 7");
+  });
+  ExpectCorruption("truncated world targets");
+}
+
 TEST_F(StateIoCorruptionTest, WorldEntryWithoutTargets) {
   Mutate([this](std::vector<std::string>& lines) {
     InsertWorldEntry(lines, FindLine("world_entries "), "5 3 0.1 0");

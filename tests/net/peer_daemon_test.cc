@@ -30,9 +30,9 @@ using core::MeetingWireMode;
 
 JxpOptions NetOptions() {
   JxpOptions options;
-  // kMeasured is the mode the networked runtime mirrors: the in-process
-  // MeetMeasured path and the daemon's encode-then-apply exchange must be
-  // bit-identical.
+  // kMeasured is the mode the networked runtime mirrors: an in-process
+  // kMeasured JxpPeer::Meet and the daemon's encode-then-apply exchange
+  // must be bit-identical.
   options.wire_mode = MeetingWireMode::kMeasured;
   return options;
 }

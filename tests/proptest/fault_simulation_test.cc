@@ -2,7 +2,8 @@
 //  - the fault-off path is bit-identical to a configuration without a fault
 //    plan, sequentially and in parallel at every thread count;
 //  - with faults enabled, runs are bit-identical across repeats and across
-//    thread counts (fault schedules are drawn on the scheduling thread);
+//    thread counts under both wire modes (fault schedules are drawn on the
+//    scheduling thread);
 //  - abandoned meetings consume schedule slots but never peer state;
 //  - wasted-byte accounting agrees between Network and FaultInjector;
 //  - the jxp.faults.* metrics mirror the injector's stats.
@@ -125,11 +126,18 @@ TEST(FaultSimulation, FaultsOnDeterministicAcrossThreadCounts) {
         return c;
       },
       [](const FaultCase& c) -> CheckResult {
-        const auto run = [&](size_t threads, bool parallel, const std::string& tag) {
+        // Each case runs under both transports; the measured one also flips
+        // bits, so the salvaging decode is swept across thread counts too.
+        const auto run = [&](core::MeetingWireMode wire_mode, size_t threads, bool parallel,
+                             const std::string& tag) {
           GeneratedWorld world = BuildWorld(c);
           SimulationConfig config = BaseConfig(c);
           config.num_threads = threads;
+          config.jxp.wire_mode = wire_mode;
           config.faults = c.plan;
+          if (wire_mode == core::MeetingWireMode::kMeasured) {
+            config.faults.corruption_probability = 0.2;
+          }
           if (c.plan.stale_resume_probability > 0) {
             config.fault_checkpoint_dir = ::testing::TempDir() + "jxp_det_" +
                                           std::to_string(c.seed) + "_" + tag;
@@ -143,13 +151,20 @@ TEST(FaultSimulation, FaultsOnDeterministicAcrossThreadCounts) {
           }
           return FingerprintOf(sim);
         };
-        if (CheckResult r = CompareFingerprints(run(1, false, "s1"), run(1, false, "s2"),
-                                                "sequential repeat")) {
-          return r;
-        }
-        if (CheckResult r = CompareFingerprints(run(1, true, "p1"), run(4, true, "p4"),
-                                                "parallel 1 vs 4 threads")) {
-          return r;
+        for (const core::MeetingWireMode wire_mode :
+             {core::MeetingWireMode::kEstimated, core::MeetingWireMode::kMeasured}) {
+          const std::string mode =
+              wire_mode == core::MeetingWireMode::kMeasured ? "measured" : "estimated";
+          if (CheckResult r = CompareFingerprints(run(wire_mode, 1, false, mode + "_s1"),
+                                                  run(wire_mode, 1, false, mode + "_s2"),
+                                                  mode + " sequential repeat")) {
+            return r;
+          }
+          if (CheckResult r = CompareFingerprints(run(wire_mode, 1, true, mode + "_p1"),
+                                                  run(wire_mode, 4, true, mode + "_p4"),
+                                                  mode + " parallel 1 vs 4 threads")) {
+            return r;
+          }
         }
         return std::nullopt;
       });

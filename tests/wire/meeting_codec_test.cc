@@ -68,12 +68,12 @@ std::vector<double> MakeScores(size_t n) {
 }
 
 TEST(MeetingCodecTest, ScoreListRoundTripsAcrossChunks) {
-  const size_t n = 150;  // > 2 chunks at the default 64 pages per chunk.
+  const size_t n = 150;  // > 2 chunks of kPagesPerChunk (64) pages.
   const graph::Subgraph fragment = MakeFragment(n);
   const std::vector<double> scores = MakeScores(n);
 
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, scores, EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, scores, bytes);
 
   DecodedMeeting decoded;
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
@@ -101,7 +101,7 @@ TEST(MeetingCodecTest, ScoresAreQuantizedNeverUpward) {
   const graph::Subgraph fragment = MakeFragment(n);
   const std::vector<double> scores = MakeScores(n);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, scores, EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, scores, bytes);
   DecodedMeeting decoded;
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
   for (size_t i = 0; i < n; ++i) {
@@ -121,7 +121,7 @@ TEST(MeetingCodecTest, CompressionStaysUnderEightBytesPerEntry) {
   const graph::Subgraph fragment = graph::Subgraph::FromKnowledge(
       std::move(pages), std::vector<std::vector<graph::PageId>>(n));
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(n), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(n), bytes);
   EXPECT_LT(static_cast<double>(bytes.size()) / static_cast<double>(n), 8.0);
 }
 
@@ -175,7 +175,7 @@ TEST(MeetingCodecTest, TruncatedTransferSalvagesWholeChunkPrefix) {
   const size_t n = 150;
   const graph::Subgraph fragment = MakeFragment(n);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(n), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(n), bytes);
 
   // Find the second chunk boundary by parsing two frames.
   size_t offset = 0;
@@ -203,7 +203,7 @@ TEST(MeetingCodecTest, BitFlipRejectsOnlyTheDamagedSuffix) {
   const size_t n = 150;
   const graph::Subgraph fragment = MakeFragment(n);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(n), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(n), bytes);
   size_t offset = 0;
   FrameView frame;
   ASSERT_TRUE(ParseFrame(bytes, offset, frame).ok());
@@ -227,7 +227,7 @@ TEST(MeetingCodecTest, RejectedChunkLeavesWholeFramesOnly) {
   // the frame is rejected and the page table keeps exactly the first chunk.
   const graph::Subgraph fragment = MakeFragment(10);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(10), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(10), bytes);
   std::vector<uint8_t> payload;
   ByteWriter writer(payload);
   writer.PutVarint32(10);  // first_index
@@ -261,7 +261,7 @@ TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
   // chunk is rejected.
   std::vector<uint8_t> bytes;
   EncodeWorldKnowledge(world, bytes);
-  EncodeScoreList(fragment, MakeScores(40), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(40), bytes);
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.world.NumEntries(), 1u);
@@ -336,7 +336,7 @@ TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedWhenFrameUntrustworthy) {
   // resynchronization point exists past the salvaged prefix.
   const graph::Subgraph fragment = MakeFragment(100);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(100), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(100), bytes);
   size_t offset = 0;
   FrameView frame;
   ASSERT_TRUE(ParseFrame(bytes, offset, frame).ok());
@@ -353,7 +353,7 @@ TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedWhenFrameUntrustworthy) {
 TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedOnCleanDecode) {
   const graph::Subgraph fragment = MakeFragment(10);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(10), EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, MakeScores(10), bytes);
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_TRUE(decoded.error.ok());
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
@@ -385,7 +385,7 @@ TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
       graph::Subgraph::FromKnowledge({3, 7, 12}, {{7, 40}, {}, {3, 7, 99}});
   std::vector<uint8_t> bytes;
   const std::vector<double> scores = {0.125, 0.0625, 0.25};
-  EncodeScoreList(fragment, scores, EncodeOptions{}, bytes);
+  EncodeScoreList(fragment, scores, bytes);
   EncodeWorldKnowledge(
       MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
   synopses::HashSketch sketch(4, 0x77);
