@@ -23,7 +23,7 @@ void Run(int argc, char** argv) {
   for (const size_t attackers : {0u, 5u, 15u, 30u}) {
     for (const bool defended : {false, true}) {
       core::SimulationConfig sim_config;
-      sim_config.jxp = BenchJxpOptions();
+      sim_config.jxp = BenchJxpOptions(config);
       sim_config.jxp.defense.enabled = defended;
       sim_config.seed = config.seed;
       sim_config.eval_top_k = config.top_k;

@@ -50,7 +50,7 @@ void Run(int argc, char** argv) {
 
   // JXP on overlapping crawls.
   core::SimulationConfig sim_config;
-  sim_config.jxp = BenchJxpOptions();
+  sim_config.jxp = BenchJxpOptions(config);
   sim_config.seed = config.seed;
   sim_config.eval_top_k = config.top_k;
   core::JxpSimulation sim(collection.data.graph,

@@ -17,7 +17,7 @@ void Run(int argc, char** argv) {
   std::printf("random_every_k\tfootrule\tlinear_error\n");
   for (const size_t k : {2u, 5u, 10u, 25u, 100u}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.strategy = core::SelectionStrategy::kPreMeetings;
     sim_config.pre_meeting.random_every_k = k;
     sim_config.seed = config.seed;

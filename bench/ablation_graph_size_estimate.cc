@@ -17,7 +17,7 @@ void Run(int argc, char** argv) {
   std::printf("estimate_over_true_N\tfootrule\tlinear_error\n");
   for (const double factor : {0.5, 0.75, 1.0, 1.5, 2.0}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.seed = config.seed;
     sim_config.eval_top_k = config.top_k;
     sim_config.global_size_estimate =

@@ -17,7 +17,7 @@ void Run(int argc, char** argv) {
   std::printf("series\tmeetings\tfootrule\tlinear_error\n");
   for (const bool uniform : {false, true}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.jxp.uniform_world_links = uniform;
     sim_config.seed = config.seed;
     sim_config.eval_top_k = config.top_k;

@@ -128,11 +128,12 @@ std::vector<std::vector<graph::PageId>> PaperPartition(
   return CrawlBasedPartition(collection.data, options, rng);
 }
 
-core::JxpOptions BenchJxpOptions() {
+core::JxpOptions BenchJxpOptions(const BenchConfig& config) {
   core::JxpOptions options;
   options.damping = 0.85;
   options.pr_tolerance = 1e-11;
   options.pr_max_iterations = 300;
+  options.wire_mode = config.wire_mode;
   return options;
 }
 

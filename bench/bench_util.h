@@ -60,9 +60,10 @@ datasets::Collection MakeCollection(const std::string& name, const BenchConfig& 
 std::vector<std::vector<graph::PageId>> PaperPartition(
     const datasets::Collection& collection, const BenchConfig& config, uint64_t seed);
 
-/// JXP options used by the benches: the paper's epsilon = 0.85 and a
-/// tolerance tight enough for the error metrics yet fast.
-core::JxpOptions BenchJxpOptions();
+/// JXP options used by the benches: the paper's epsilon = 0.85, a
+/// tolerance tight enough for the error metrics yet fast, and --wire's
+/// meeting wire mode.
+core::JxpOptions BenchJxpOptions(const BenchConfig& config);
 
 /// Prints "k v1 v2 ..." rows; helpers to keep bench output uniform.
 void PrintHeader(const std::string& title, const datasets::Collection& collection,

@@ -15,7 +15,7 @@ void Run(int argc, char** argv) {
               config);
 
   core::SimulationConfig sim_config;
-  sim_config.jxp = BenchJxpOptions();
+  sim_config.jxp = BenchJxpOptions(config);
   // The baseline JXP of Figures 4/5: full merging, averaged score lists,
   // random meetings.
   sim_config.jxp.merge_mode = core::MergeMode::kFullMerge;

@@ -14,7 +14,7 @@ void Run(int argc, char** argv) {
               config);
 
   core::SimulationConfig sim_config;
-  sim_config.jxp = BenchJxpOptions();
+  sim_config.jxp = BenchJxpOptions(config);
   sim_config.jxp.merge_mode = core::MergeMode::kFullMerge;
   sim_config.jxp.combine_mode = core::CombineMode::kAverage;
   sim_config.seed = config.seed;

@@ -15,7 +15,7 @@ void Run(int argc, char** argv) {
   for (const core::MergeMode mode :
        {core::MergeMode::kFullMerge, core::MergeMode::kLightWeight}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.jxp.merge_mode = mode;
     sim_config.jxp.combine_mode = core::CombineMode::kAverage;
     sim_config.seed = config.seed;

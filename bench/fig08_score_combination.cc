@@ -18,7 +18,7 @@ void Run(int argc, char** argv) {
     for (const core::CombineMode mode :
          {core::CombineMode::kAverage, core::CombineMode::kTakeMax}) {
       core::SimulationConfig sim_config;
-      sim_config.jxp = BenchJxpOptions();
+      sim_config.jxp = BenchJxpOptions(config);
       sim_config.jxp.merge_mode = core::MergeMode::kLightWeight;
       sim_config.jxp.combine_mode = mode;
       sim_config.seed = config.seed;

@@ -23,7 +23,7 @@ void Run(int argc, char** argv) {
   for (const core::SelectionStrategy strategy :
        {core::SelectionStrategy::kRandom, core::SelectionStrategy::kPreMeetings}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.strategy = strategy;
     sim_config.seed = config.seed;
     sim_config.eval_top_k = config.top_k;

@@ -35,8 +35,7 @@ void Run(int argc, char** argv) {
   for (const core::SelectionStrategy strategy :
        {core::SelectionStrategy::kRandom, core::SelectionStrategy::kPreMeetings}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
-    sim_config.jxp.wire_mode = config.wire_mode;
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.strategy = strategy;
     sim_config.seed = config.seed;
     sim_config.eval_top_k = 100;

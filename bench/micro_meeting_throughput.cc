@@ -23,7 +23,7 @@ void Run(int argc, char** argv) {
 
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     core::SimulationConfig sim_config;
-    sim_config.jxp = BenchJxpOptions();
+    sim_config.jxp = BenchJxpOptions(config);
     sim_config.seed = config.seed;
     sim_config.eval_top_k = 100;
     sim_config.num_threads = threads;

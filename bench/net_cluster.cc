@@ -161,7 +161,6 @@ int RunDaemon(const ClusterConfig& config, size_t peer_id,
     options.seed_peers = seeds;
     options.gossip_interval_ms = config.gossip_interval_ms;
     options.scheduler.enabled = true;
-    options.scheduler.autostart = false;  // Driver starts the whole cluster.
     options.scheduler.interval_ms = config.meet_interval_ms;
     options.scheduler.jitter_ms = config.meet_jitter_ms;
   }
@@ -202,15 +201,14 @@ int RunDaemon(const ClusterConfig& config, size_t peer_id,
 
   // Per-peer JSONL telemetry: one line of final accounting, aggregated by
   // the driver after the children exit. The keys are the net-stats field
-  // names, then the peer's meeting count and world score, then (under
-  // --chaos) the injector's counts.
+  // names, then the peer's world score, then (under --chaos) the
+  // injector's counts.
   const net::NetStatsReplyMessage net_stats = daemon.BuildNetStats();
   obs::JsonWriter line;
   for (const net::NetStatsField& field : net::NetStatsFields()) {
     line.Field(field.name, net_stats.*field.member);
   }
-  line.Field("num_meetings", daemon.peer().num_meetings())
-      .Field("world_score", daemon.peer().world_score());
+  line.Field("world_score", daemon.peer().world_score());
   if (proxy != nullptr) {
     const net::ChaosProxyStats injected = proxy->stats();
     line.Field("injected_dropped", injected.blobs_dropped)

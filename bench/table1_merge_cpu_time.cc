@@ -33,7 +33,7 @@ void Run(int argc, char** argv) {
     for (const core::MergeMode mode :
          {core::MergeMode::kFullMerge, core::MergeMode::kLightWeight}) {
       core::SimulationConfig sim_config;
-      sim_config.jxp = BenchJxpOptions();
+      sim_config.jxp = BenchJxpOptions(config);
       sim_config.jxp.merge_mode = mode;
       sim_config.seed = config.seed;
       sim_config.eval_top_k = 100;

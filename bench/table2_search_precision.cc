@@ -40,7 +40,7 @@ void Run(int argc, char** argv) {
 
   // Converge JXP scores with the optimized algorithm.
   core::SimulationConfig sim_config;
-  sim_config.jxp = BenchJxpOptions();
+  sim_config.jxp = BenchJxpOptions(config);
   sim_config.strategy = core::SelectionStrategy::kPreMeetings;
   sim_config.seed = config.seed;
   sim_config.eval_top_k = 200;

@@ -21,7 +21,6 @@ DecodedMeetingMessage DecodeMeetingMessage(std::span<const uint8_t> bytes) {
   wire::DecodedMeeting decoded = wire::DecodeMeeting(bytes);
   DecodedMeetingMessage result;
   result.bytes_consumed = decoded.bytes_consumed;
-  result.resync_offset = decoded.resync_offset;
   result.error = std::move(decoded.error);
 
   // The codec validated what it returns (ascending pages, ascending

@@ -44,10 +44,6 @@ struct DecodedMeetingMessage {
   std::shared_ptr<const synopses::HashSketch> sketch;
   /// Bytes of fully-decoded frames.
   size_t bytes_consumed = 0;
-  /// Stream-reuse point after a salvaged decode (see
-  /// wire::DecodedMeeting::resync_offset): one past the rejected frame when
-  /// its extent was still trustworthy, else == bytes_consumed.
-  size_t resync_offset = 0;
   /// OK when the entire buffer decoded; otherwise why decoding stopped.
   Status error;
 };

@@ -1,64 +1,17 @@
 #include "net/chaos_proxy.h"
 
-#include <errno.h>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "net/net_protocol.h"
-#include "wire/frame_assembler.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
 namespace net {
-
-namespace {
-
-/// Clears O_NONBLOCK (accepted sockets come back non-blocking; the relay
-/// pumps are blocking threads).
-void SetBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-}
-
-/// Reads exactly `n` bytes unless EOF/error cuts the stream short; returns
-/// the bytes actually read.
-size_t ReadUpTo(int fd, size_t n, std::vector<uint8_t>* out) {
-  out->clear();
-  out->reserve(n);
-  uint8_t buf[16384];
-  while (out->size() < n) {
-    const size_t want = std::min(sizeof(buf), n - out->size());
-    const ssize_t got = ::read(fd, buf, want);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (got == 0) break;
-    out->insert(out->end(), buf, buf + got);
-  }
-  return out->size();
-}
-
-bool WriteAllRaw(int fd, std::span<const uint8_t> data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 ChaosProxy::ChaosProxy(ChaosProxyOptions options)
     : options_(std::move(options)), rng_(options_.seed) {}
@@ -112,7 +65,8 @@ void ChaosProxy::AcceptLoop() {
     if (!ConnectLoopback(options_.target_port, &server).ok()) {
       continue;  // Target gone; refuse by dropping the client.
     }
-    SetBlocking(client.get());
+    // Accepted sockets come back non-blocking; the relay pumps block.
+    (void)SetBlocking(client.get(), true);
     connections_.fetch_add(1);
     auto relay = std::make_unique<Relay>();
     relay->client = std::move(client);
@@ -157,26 +111,21 @@ void ChaosProxy::Pump(Relay* relay, int src, int dst) {
     // Forwarded verbatim — the proxy never re-serializes, so clean paths
     // are byte-identical to a direct connection.
     if (ReadUpTo(src, header.size(), &header) != wire::kFrameHeaderBytes) break;
-    if (header[0] != wire::kMagic0 || header[1] != wire::kMagic1) {
-      // Not a frame boundary; the stream is garbage. Pass the bytes on and
-      // stop relaying structurally (the receiver's assembler will reject).
-      (void)WriteAllRaw(dst, header);
+    wire::FrameHeader decoded;
+    if (!wire::DecodeFrameHeader(header.data(), &decoded).ok()) {
+      // Not a frame boundary (bad magic or version, or an over-cap length):
+      // the stream is garbage. Pass the bytes on and stop relaying
+      // structurally (the receiver's assembler will reject).
+      (void)WriteAll(dst, header);
       break;
     }
-    uint32_t payload_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      payload_len |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-    }
-    if (payload_len > wire::FrameAssembler::kDefaultMaxPayloadBytes) {
-      (void)WriteAllRaw(dst, header);
-      break;
-    }
-    const bool payload_complete = ReadUpTo(src, payload_len, &payload) == payload_len;
-    if (!WriteAllRaw(dst, header) || !WriteAllRaw(dst, payload)) break;
+    const bool payload_complete =
+        ReadUpTo(src, decoded.payload_len, &payload) == decoded.payload_len;
+    if (!WriteAll(dst, header).ok() || !WriteAll(dst, payload).ok()) break;
     if (!payload_complete) break;
     frames_forwarded_.fetch_add(1);
 
-    const uint8_t type = header[3];
+    const uint8_t type = decoded.type;
     const bool is_blob_header =
         type == static_cast<uint8_t>(NetMessageType::kMeetingOffer) ||
         type == static_cast<uint8_t>(NetMessageType::kMeetingReply);
@@ -188,7 +137,7 @@ void ChaosProxy::Pump(Relay* relay, int src, int dst) {
     const size_t got = ReadUpTo(src, announce.payload_bytes, &blob);
     if (got < announce.payload_bytes) {
       // Upstream died mid-blob on its own; pass through what arrived.
-      (void)WriteAllRaw(dst, blob);
+      (void)WriteAll(dst, blob);
       break;
     }
     switch (blob.empty() ? BlobFault::kNone : DrawFault()) {
@@ -202,7 +151,7 @@ void ChaosProxy::Pump(Relay* relay, int src, int dst) {
         const double keep = std::clamp(options_.plan.truncation_keep_fraction, 0.0, 1.0);
         const size_t kept = std::min(
             blob.size() - 1, static_cast<size_t>(std::floor(keep * blob.size())));
-        (void)WriteAllRaw(dst, std::span<const uint8_t>(blob.data(), kept));
+        (void)WriteAll(dst, std::span<const uint8_t>(blob.data(), kept));
         ShutdownBoth(relay);
         return;
       }
@@ -210,11 +159,11 @@ void ChaosProxy::Pump(Relay* relay, int src, int dst) {
         blobs_corrupted_.fetch_add(1);
         const uint64_t bit = DrawBitIndex(static_cast<uint64_t>(blob.size()) * 8);
         blob[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        if (!WriteAllRaw(dst, blob)) return;
+        if (!WriteAll(dst, blob).ok()) return;
         break;
       }
       case BlobFault::kNone:
-        if (!WriteAllRaw(dst, blob)) return;
+        if (!WriteAll(dst, blob).ok()) return;
         if (!blob.empty()) blobs_forwarded_.fetch_add(1);
         break;
     }

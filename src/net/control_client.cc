@@ -1,8 +1,5 @@
 #include "net/control_client.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-
 #include <string>
 
 namespace jxp {
@@ -11,11 +8,7 @@ namespace net {
 Status ControlClient::Connect(uint16_t port, uint64_t io_timeout_ms) {
   fd_.reset();
   if (Status status = ConnectLoopback(port, &fd_); !status.ok()) return status;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(io_timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((io_timeout_ms % 1000) * 1000);
-  ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  SetIoTimeouts(fd_.get(), io_timeout_ms);
   return Status::OK();
 }
 
@@ -31,45 +24,6 @@ Status ControlClient::RoundTrip(const std::vector<uint8_t>& request,
   if (type != static_cast<uint8_t>(expect)) {
     return Status::Internal("unexpected control reply type " + std::to_string(type));
   }
-  return Status::OK();
-}
-
-Status ControlClient::GetStatus(StatusReplyMessage* out) {
-  std::vector<uint8_t> request;
-  AppendEmpty(NetMessageType::kStatusRequest, request);
-  std::vector<uint8_t> payload;
-  if (Status status = RoundTrip(request, NetMessageType::kStatusReply, &payload);
-      !status.ok()) {
-    return status;
-  }
-  return ParseStatusReply(payload, out);
-}
-
-Status ControlClient::Checkpoint() {
-  std::vector<uint8_t> request;
-  AppendEmpty(NetMessageType::kCheckpointRequest, request);
-  std::vector<uint8_t> payload;
-  if (Status status = RoundTrip(request, NetMessageType::kCheckpointReply, &payload);
-      !status.ok()) {
-    return status;
-  }
-  AckMessage ack;
-  if (Status status = ParseAck(payload, &ack); !status.ok()) return status;
-  if (!ack.ok) return Status::Internal("checkpoint failed: " + ack.detail);
-  return Status::OK();
-}
-
-Status ControlClient::Quiesce() {
-  std::vector<uint8_t> request;
-  AppendEmpty(NetMessageType::kQuiesceRequest, request);
-  std::vector<uint8_t> payload;
-  if (Status status = RoundTrip(request, NetMessageType::kQuiesceReply, &payload);
-      !status.ok()) {
-    return status;
-  }
-  AckMessage ack;
-  if (Status status = ParseAck(payload, &ack); !status.ok()) return status;
-  if (!ack.ok) return Status::Internal("quiesce failed: " + ack.detail);
   return Status::OK();
 }
 
@@ -104,11 +58,6 @@ Status ControlClient::AckRoundTrip(NetMessageType request_type,
 Status ControlClient::StartScheduler() {
   return AckRoundTrip(NetMessageType::kStartRequest, NetMessageType::kStartReply,
                       "start");
-}
-
-Status ControlClient::PauseScheduler() {
-  return AckRoundTrip(NetMessageType::kPauseRequest, NetMessageType::kPauseReply,
-                      "pause");
 }
 
 Status ControlClient::Drain() {

@@ -11,11 +11,12 @@
 namespace jxp {
 namespace net {
 
-/// Blocking request/response client for a PeerDaemon's control protocol
-/// (the 0x2x message types). One connection per client; the cluster driver
-/// holds one ControlClient per daemon. Synchronous on purpose — the driver
-/// replays meetings serially to match the oracle's schedule, so a blocking
-/// round trip is exactly the flow control needed.
+/// Blocking request/response client for a PeerDaemon's control protocol:
+/// the five request/reply pairs meet, scores, net-stats, start and drain.
+/// One connection per client; the cluster driver holds one ControlClient
+/// per daemon. Synchronous on purpose — the driver replays meetings
+/// serially to match the oracle's schedule, so a blocking round trip is
+/// exactly the flow control needed.
 class ControlClient {
  public:
   ControlClient() = default;
@@ -26,27 +27,19 @@ class ControlClient {
   bool connected() const { return fd_.valid(); }
   void Close() { fd_.reset(); }
 
-  Status GetStatus(StatusReplyMessage* out);
-  /// Asks the daemon to SavePeerState to its configured state path.
-  Status Checkpoint();
-  /// Stops the daemon from initiating or accepting further meetings.
-  Status Quiesce();
   /// Commands one meeting with `partner_id`, dialed at `port` (the
   /// partner's advertised port — under chaos, the proxy's). Blocks until
   /// the meeting completes; the daemon reports its outcome in `*out`.
   Status Meet(uint32_t partner_id, uint16_t port, MeetResultMessage* out);
   /// Dumps the daemon's local scores as exact doubles.
   Status GetScores(ScoresReplyMessage* out);
-  /// Autonomous mode: starts (or resumes) the daemon's meeting scheduler.
+  /// Dumps the daemon's status: peer state and every counter.
+  Status GetNetStats(NetStatsReplyMessage* out);
+  /// Autonomous mode: starts the daemon's meeting scheduler.
   Status StartScheduler();
-  /// Pauses the scheduler; pooled connections stay warm, inbound meetings
-  /// still accepted.
-  Status PauseScheduler();
   /// Drain-and-quiesce: terminal scheduler stop + quiesce + pool close.
   /// The daemon still answers control traffic afterwards.
   Status Drain();
-  /// Dumps connection/meeting/pool/scheduler counters.
-  Status GetNetStats(NetStatsReplyMessage* out);
 
  private:
   /// Sends `request` (complete frames) and reads one reply frame, checking

@@ -20,18 +20,9 @@ MeetingScheduler::~MeetingScheduler() {
 }
 
 void MeetingScheduler::Start() {
-  if (state_ == SchedulerState::kDrained || state_ == SchedulerState::kRunning) return;
+  if (state_ != SchedulerState::kIdle) return;
   state_ = SchedulerState::kRunning;
   Arm();
-}
-
-void MeetingScheduler::Pause() {
-  if (state_ != SchedulerState::kRunning) return;
-  state_ = SchedulerState::kPaused;
-  if (timer_ != 0) {
-    loop_->CancelTimer(timer_);
-    timer_ = 0;
-  }
 }
 
 void MeetingScheduler::Drain() {
@@ -58,12 +49,10 @@ void MeetingScheduler::Arm() {
 
 void MeetingScheduler::ArmBackoff(uint32_t partner_id) {
   Backoff& backoff = backoff_[partner_id];
-  backoff.window_ms = backoff.window_ms == 0
-                          ? options_.backoff_initial_ms
-                          : std::min<uint64_t>(
-                                static_cast<uint64_t>(static_cast<double>(
-                                    backoff.window_ms) * options_.backoff_multiplier),
-                                options_.backoff_max_ms);
+  backoff.window_ms =
+      backoff.window_ms == 0
+          ? options_.backoff_initial_ms
+          : std::min(backoff.window_ms * kBackoffMultiplier, kBackoffMaxMs);
   backoff.until_ms = loop_->NowMs() + backoff.window_ms;
   ++stats_.backoffs_armed;
 }
@@ -93,10 +82,6 @@ void MeetingScheduler::Tick() {
       break;
     case MeetOutcome::kDeclined:
       ++stats_.declines;
-      ArmBackoff(partner.peer_id);
-      break;
-    case MeetOutcome::kBusy:
-      ++stats_.busy;
       ArmBackoff(partner.peer_id);
       break;
     case MeetOutcome::kDialFailed:

@@ -15,11 +15,10 @@ namespace net {
 struct MeetingSchedulerOptions {
   /// Autonomous mode master switch: when false the daemon never constructs
   /// a scheduler and meetings happen only on kMeetCommand (driver replay).
+  /// An enabled scheduler sits in kIdle until a kStartRequest control frame
+  /// arrives, which lets a driver bring a whole cluster up before any
+  /// meeting fires.
   bool enabled = false;
-  /// Start ticking as soon as the daemon starts. When false the scheduler
-  /// sits in kIdle until a kStartRequest control frame arrives, which lets
-  /// a driver bring a whole cluster up before any meeting fires.
-  bool autostart = false;
   /// Base cadence between meeting attempts.
   uint64_t interval_ms = 50;
   /// Uniform jitter in [0, jitter_ms] added to every interval, drawn from
@@ -27,27 +26,27 @@ struct MeetingSchedulerOptions {
   /// that started together (the thundering-herd of simultaneous mutual
   /// dials resolves by timeout, so fewer collisions = more meetings/sec).
   uint64_t jitter_ms = 25;
-  /// Per-partner back-off after a decline, a failure, or a busy outcome:
-  /// first skip lasts backoff_initial_ms, doubling (times
-  /// backoff_multiplier) up to backoff_max_ms; any success clears it.
+  /// Per-partner back-off after a decline or a failure: the first skip
+  /// lasts backoff_initial_ms, each further one kBackoffMultiplier times
+  /// longer, up to kBackoffMaxMs; any success clears it.
   uint64_t backoff_initial_ms = 100;
-  double backoff_multiplier = 2.0;
-  uint64_t backoff_max_ms = 2000;
 };
+
+inline constexpr uint64_t kBackoffMultiplier = 2;
+inline constexpr uint64_t kBackoffMaxMs = 2000;
 
 /// Autonomous-mode state machine (DESIGN.md §6l):
 ///
-///   kIdle --Start()--> kRunning <--Start()/Pause()--> kPaused
-///     |                   |                              |
-///     +-------------------+----------Drain()------------+--> kDrained
+///   kIdle --Start()--> kRunning --Drain()--> kDrained
+///     |                                          ^
+///     +------------------Drain()-----------------+
 ///
 /// kDrained is terminal: a drained scheduler never meets again (the daemon
 /// pairs it with quiesce, so inbound meetings decline too).
 enum class SchedulerState : uint8_t {
   kIdle = 0,
   kRunning = 1,
-  kPaused = 2,
-  kDrained = 3,
+  kDrained = 2,
 };
 
 struct MeetingSchedulerStats {
@@ -58,22 +57,19 @@ struct MeetingSchedulerStats {
   uint64_t declines = 0;
   /// Dial failures + mid-meeting failures, as reported by the meet callback.
   uint64_t failures = 0;
-  /// Meetings the daemon refused to start because it is quiesced.
-  uint64_t busy = 0;
   /// Ticks with no live partner in the directory.
   uint64_t skips_no_partner = 0;
   /// Ticks whose drawn partner was inside its back-off window.
   uint64_t skips_backoff = 0;
-  /// Back-off windows armed (declines + failures + busy).
+  /// Back-off windows armed (declines + failures).
   uint64_t backoffs_armed = 0;
 };
 
 /// What one attempted meeting came to, from the scheduler's point of view.
-/// The daemon maps MeetPeer outcomes onto this.
+/// The daemon's MeetPeer classifies its outcome as one of these.
 enum class MeetOutcome {
   kApplied,     // Meeting completed (possibly salvaged under chaos).
   kDeclined,    // Partner is quiesced.
-  kBusy,        // This daemon is quiesced; the scheduler pauses itself.
   kDialFailed,  // Partner unreachable.
   kFailed,      // Mid-meeting IO/protocol failure.
 };
@@ -96,12 +92,9 @@ class MeetingScheduler {
   MeetingScheduler(const MeetingScheduler&) = delete;
   MeetingScheduler& operator=(const MeetingScheduler&) = delete;
 
-  /// kIdle/kPaused -> kRunning: arms the next tick. No-op when already
-  /// running; a drained scheduler stays drained.
+  /// kIdle -> kRunning: arms the next tick. No-op when already running; a
+  /// drained scheduler stays drained.
   void Start();
-  /// kRunning -> kPaused: cancels the pending tick. Meetings stop but the
-  /// daemon keeps serving inbound traffic and pooled connections stay warm.
-  void Pause();
   /// Terminal stop. Cancels the pending tick; with the daemon's quiesce
   /// this completes drain-and-quiesce (no new meetings out, declines in).
   void Drain();

@@ -39,6 +39,11 @@ std::span<const NetStatsField> NetStatsFields() {
   using M = NetStatsReplyMessage;
   static constexpr NetStatsField kFields[] = {
       {"peer_id", &M::peer_id},
+      {"num_meetings", &M::num_meetings},
+      {"local_pages", &M::local_pages},
+      {"world_entries", &M::world_entries},
+      {"directory_size", &M::directory_size},
+      {"quiesced", &M::quiesced},
       {"accepts", &M::accepts},
       {"dials", &M::dials},
       {"dial_failures", &M::dial_failures},
@@ -68,7 +73,6 @@ std::span<const NetStatsField> NetStatsFields() {
       {"sched_meetings_applied", &M::sched_meetings_applied},
       {"sched_declines", &M::sched_declines},
       {"sched_failures", &M::sched_failures},
-      {"sched_busy", &M::sched_busy},
       {"sched_skips_no_partner", &M::sched_skips_no_partner},
       {"sched_skips_backoff", &M::sched_skips_backoff},
       {"sched_backoffs_armed", &M::sched_backoffs_armed},
@@ -142,19 +146,6 @@ void AppendMeetResult(const MeetResultMessage& msg, std::vector<uint8_t>& out) {
   writer.PutVarint64(msg.bytes_received);
   writer.PutVarint64(msg.bytes_wasted);
   Seal(NetMessageType::kMeetResult, payload, out);
-}
-
-void AppendStatusReply(const StatusReplyMessage& msg, std::vector<uint8_t>& out) {
-  std::vector<uint8_t> payload;
-  ByteWriter writer(payload);
-  writer.PutVarint32(msg.peer_id);
-  writer.PutVarint64(msg.num_meetings);
-  writer.PutVarint64(msg.meetings_accepted);
-  writer.PutVarint32(msg.local_pages);
-  writer.PutVarint32(msg.world_entries);
-  writer.PutVarint32(msg.directory_size);
-  writer.PutU8(msg.quiesced ? 1 : 0);
-  Seal(NetMessageType::kStatusReply, payload, out);
 }
 
 void AppendScoresReply(const ScoresReplyMessage& msg, std::vector<uint8_t>& out) {
@@ -231,7 +222,7 @@ Status ParseMeetingHeader(std::span<const uint8_t> payload, MeetingHeader* out) 
   }
   // The receiver buffers the announced blob, so the size is the partner's
   // claim on this process's memory: cap it like any frame payload.
-  if (out->payload_bytes > wire::FrameAssembler::kDefaultMaxPayloadBytes) {
+  if (out->payload_bytes > wire::kMaxFramePayloadBytes) {
     return Malformed("meeting header blob size");
   }
   return Status::OK();
@@ -265,21 +256,6 @@ Status ParseMeetResult(std::span<const uint8_t> payload, MeetResultMessage* out)
   out->applied = (flags & 1) != 0;
   out->salvaged = (flags & 2) != 0;
   out->declined = (flags & 4) != 0;
-  return Status::OK();
-}
-
-Status ParseStatusReply(std::span<const uint8_t> payload, StatusReplyMessage* out) {
-  ByteReader reader(payload);
-  uint8_t quiesced = 0;
-  if (!reader.GetVarint32(&out->peer_id) || !reader.GetVarint64(&out->num_meetings) ||
-      !reader.GetVarint64(&out->meetings_accepted) ||
-      !reader.GetVarint32(&out->local_pages) ||
-      !reader.GetVarint32(&out->world_entries) ||
-      !reader.GetVarint32(&out->directory_size) || !reader.GetU8(&quiesced) ||
-      !reader.AtEnd()) {
-    return Malformed("status reply");
-  }
-  out->quiesced = quiesced != 0;
   return Status::OK();
 }
 
@@ -329,33 +305,24 @@ Status ParseNetStatsReply(std::span<const uint8_t> payload, NetStatsReplyMessage
   return Status::OK();
 }
 
-Status ReadFrameBlocking(int fd, uint8_t* type, std::vector<uint8_t>* payload,
-                         size_t max_payload_bytes) {
+Status ReadFrameBlocking(int fd, uint8_t* type, std::vector<uint8_t>* payload) {
   uint8_t header[wire::kFrameHeaderBytes];
   if (Status status = ReadExact(fd, header, sizeof(header)); !status.ok()) {
     return status;
   }
-  if (header[0] != wire::kMagic0 || header[1] != wire::kMagic1) {
-    return Status::Corruption("bad frame magic");
+  wire::FrameHeader decoded;
+  if (Status status = wire::DecodeFrameHeader(header, &decoded); !status.ok()) {
+    return status;
   }
-  if (header[2] != wire::kVersion) return Status::Corruption("bad frame version");
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) length |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-  if (length > max_payload_bytes) return Status::OutOfRange("frame too large");
-  uint64_t checksum = 0;
-  for (int i = 0; i < 8; ++i) {
-    checksum |= static_cast<uint64_t>(header[wire::kChecksumOffset + i]) << (8 * i);
+  payload->assign(decoded.payload_len, 0);
+  if (Status status = ReadExact(fd, payload->data(), payload->size()); !status.ok()) {
+    return status;
   }
-  payload->assign(length, 0);
-  if (length > 0) {
-    if (Status status = ReadExact(fd, payload->data(), length); !status.ok()) {
-      return status;
-    }
+  if (Status status = wire::VerifyFrameChecksum(header, decoded, *payload);
+      !status.ok()) {
+    return status;
   }
-  if (wire::ComputeFrameChecksum(header, *payload) != checksum) {
-    return Status::Corruption("frame checksum mismatch");
-  }
-  *type = header[3];
+  *type = decoded.type;
   return Status::OK();
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "wire/frame_assembler.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
@@ -20,7 +19,7 @@ namespace net {
 /// mistaken for meeting content and vice versa.
 ///
 /// Peer-to-peer types (0x10..0x1f) flow between daemons; control types
-/// (0x20..0x2f) flow between the cluster driver and a daemon. A meeting
+/// (0x26..0x31) flow between the cluster driver and a daemon. A meeting
 /// transfer itself is NOT framed per chunk on the socket: a kMeetingOffer /
 /// kMeetingReply frame announces `payload_bytes`, then exactly that many
 /// raw bytes of encoded meeting message follow. The receiver buffers the
@@ -33,32 +32,25 @@ enum class NetMessageType : uint8_t {
   kPeerExchange = 0x11,   // Gossip: a sample of the sender's directory.
   kMeetingOffer = 0x12,   // Initiator -> responder; blob of payload_bytes follows.
   kMeetingReply = 0x13,   // Responder -> initiator; blob of payload_bytes follows.
-  kMeetingDecline = 0x14, // Responder is quiesced/busy; no blob.
+  kMeetingDecline = 0x14, // Responder is quiesced; no blob.
   kGoodbye = 0x15,        // Sender is departing; directory tombstone.
 
-  // Driver <-> daemon control.
-  kStatusRequest = 0x20,
-  kStatusReply = 0x21,
-  kCheckpointRequest = 0x22,  // Save peer state to the daemon's state path.
-  kCheckpointReply = 0x23,
-  kQuiesceRequest = 0x24,     // Stop initiating/accepting meetings.
-  kQuiesceReply = 0x25,
-  kMeetCommand = 0x26,        // Initiate one meeting with the given peer now.
+  // Driver <-> daemon control: the five request/reply pairs the drivers
+  // send. The gaps (0x20..0x25, 0x2c..0x2d) are retired type bytes; values
+  // never move, so a stale driver's frame is rejected, not misread.
+  kMeetCommand = 0x26,      // Initiate one meeting with the given peer now.
   kMeetResult = 0x27,
-  kScoresRequest = 0x28,      // Dump local scores (exact doubles).
+  kScoresRequest = 0x28,    // Dump local scores (exact doubles).
   kScoresReply = 0x29,
-
-  // Autonomous-mode control (DESIGN.md §6l). Start/pause flip the meeting
-  // scheduler's state machine; drain is terminal: scheduler drained, daemon
-  // quiesced, pooled connections closed — the daemon keeps answering
-  // control traffic but will never meet again.
+  // Autonomous-mode control (DESIGN.md §6l). Start arms the meeting
+  // scheduler; drain is terminal: scheduler drained, daemon quiesced,
+  // pooled connections closed — the daemon keeps answering control traffic
+  // but will never meet again.
   kStartRequest = 0x2a,
   kStartReply = 0x2b,
-  kPauseRequest = 0x2c,
-  kPauseReply = 0x2d,
   kDrainRequest = 0x2e,
   kDrainReply = 0x2f,
-  kNetStatsRequest = 0x30,    // Dump DaemonStats + pool + scheduler counters.
+  kNetStatsRequest = 0x30,  // Dump the daemon's net-stats (NetStatsReplyMessage).
   kNetStatsReply = 0x31,
 };
 
@@ -89,8 +81,8 @@ struct PeerExchangeMessage {
 /// message follow this frame on the stream. Shared by offer and reply.
 struct MeetingHeader {
   uint32_t sender_id = 0;
-  /// At most wire::FrameAssembler::kDefaultMaxPayloadBytes: the parser
-  /// rejects larger announcements before anyone buffers for them.
+  /// At most wire::kMaxFramePayloadBytes: the parser rejects larger
+  /// announcements before anyone buffers for them.
   uint32_t payload_bytes = 0;
 };
 
@@ -115,16 +107,6 @@ struct MeetResultMessage {
   uint64_t bytes_wasted = 0;
 };
 
-struct StatusReplyMessage {
-  uint32_t peer_id = 0;
-  uint64_t num_meetings = 0;
-  uint64_t meetings_accepted = 0;
-  uint32_t local_pages = 0;
-  uint32_t world_entries = 0;
-  uint32_t directory_size = 0;
-  bool quiesced = false;
-};
-
 /// One local page's exact score. Doubles cross as raw IEEE-754 bits so the
 /// driver's oracle comparison is exact, not quantized.
 struct ScoreEntry {
@@ -138,19 +120,26 @@ struct ScoresReplyMessage {
   double world_score = 0;
 };
 
-/// Generic ack payload for checkpoint/quiesce/start/pause/drain replies.
+/// Generic ack payload for the start and drain replies.
 struct AckMessage {
   bool ok = false;
   std::string detail;
 };
 
-/// Full network-activity accounting of one daemon: connection, meeting,
-/// pool, and scheduler counters. This is the daemon's only counter surface:
-/// the control protocol serves it, and the cluster driver's per-peer JSONL
-/// writes it. Every field is a uint64 so NetStatsFields() can name them all
-/// with one member-pointer type.
+/// One daemon's status and full network-activity accounting: peer state,
+/// connection, meeting, pool, and scheduler counters. This is the daemon's
+/// only status surface: the control protocol serves it, and the cluster
+/// driver's per-peer JSONL writes it. Every field is a uint64 so
+/// NetStatsFields() can name them all with one member-pointer type.
 struct NetStatsReplyMessage {
   uint64_t peer_id = 0;
+  // Peer state. num_meetings counts meetings applied on either side;
+  // quiesced is 1 once the daemon drained or began shutdown.
+  uint64_t num_meetings = 0;
+  uint64_t local_pages = 0;
+  uint64_t world_entries = 0;
+  uint64_t directory_size = 0;
+  uint64_t quiesced = 0;
   // DaemonStats.
   uint64_t accepts = 0;
   uint64_t dials = 0;
@@ -183,7 +172,6 @@ struct NetStatsReplyMessage {
   uint64_t sched_meetings_applied = 0;
   uint64_t sched_declines = 0;
   uint64_t sched_failures = 0;
-  uint64_t sched_busy = 0;
   uint64_t sched_skips_no_partner = 0;
   uint64_t sched_skips_backoff = 0;
   uint64_t sched_backoffs_armed = 0;
@@ -212,7 +200,6 @@ void AppendGoodbye(uint32_t sender_id, std::vector<uint8_t>& out);
 void AppendEmpty(NetMessageType type, std::vector<uint8_t>& out);
 void AppendMeetCommand(const MeetCommandMessage& msg, std::vector<uint8_t>& out);
 void AppendMeetResult(const MeetResultMessage& msg, std::vector<uint8_t>& out);
-void AppendStatusReply(const StatusReplyMessage& msg, std::vector<uint8_t>& out);
 void AppendScoresReply(const ScoresReplyMessage& msg, std::vector<uint8_t>& out);
 void AppendAck(NetMessageType type, const AckMessage& msg, std::vector<uint8_t>& out);
 void AppendNetStatsReply(const NetStatsReplyMessage& msg, std::vector<uint8_t>& out);
@@ -225,17 +212,15 @@ Status ParseMeetingHeader(std::span<const uint8_t> payload, MeetingHeader* out);
 Status ParseSenderId(std::span<const uint8_t> payload, uint32_t* out);
 Status ParseMeetCommand(std::span<const uint8_t> payload, MeetCommandMessage* out);
 Status ParseMeetResult(std::span<const uint8_t> payload, MeetResultMessage* out);
-Status ParseStatusReply(std::span<const uint8_t> payload, StatusReplyMessage* out);
 Status ParseScoresReply(std::span<const uint8_t> payload, ScoresReplyMessage* out);
 Status ParseAck(std::span<const uint8_t> payload, AckMessage* out);
 Status ParseNetStatsReply(std::span<const uint8_t> payload, NetStatsReplyMessage* out);
 
 /// Blocking request/response helpers for control clients (driver side).
-/// ReadFrameBlocking reads one full frame off a blocking socket, verifies
-/// magic/version/checksum, and returns its type byte + payload.
-Status ReadFrameBlocking(
-    int fd, uint8_t* type, std::vector<uint8_t>* payload,
-    size_t max_payload_bytes = wire::FrameAssembler::kDefaultMaxPayloadBytes);
+/// ReadFrameBlocking reads one full frame off a blocking socket through
+/// wire::DecodeFrameHeader and wire::VerifyFrameChecksum, and returns its
+/// type byte + payload.
+Status ReadFrameBlocking(int fd, uint8_t* type, std::vector<uint8_t>* payload);
 
 }  // namespace net
 }  // namespace jxp

@@ -16,43 +16,10 @@
 namespace jxp {
 namespace net {
 
-namespace {
-
-/// Sets SO_RCVTIMEO/SO_SNDTIMEO on a blocking socket.
-void SetIoTimeouts(int fd, uint64_t timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-/// Reads up to `n` bytes from a blocking socket, stopping early at EOF (the
-/// torn-transfer case). Returns bytes read; a read error counts as EOF at
-/// the bytes received so far.
-size_t ReadUpTo(int fd, size_t n, std::vector<uint8_t>* out) {
-  out->clear();
-  out->reserve(n);
-  uint8_t buf[16384];
-  while (out->size() < n) {
-    const size_t want = std::min(sizeof(buf), n - out->size());
-    const ssize_t got = ::read(fd, buf, want);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (got == 0) break;
-    out->insert(out->end(), buf, buf + got);
-  }
-  return out->size();
-}
-
-}  // namespace
-
 PeerDaemon::PeerDaemon(std::unique_ptr<core::JxpPeer> peer, PeerDaemonOptions options)
     : peer_(std::move(peer)),
       options_(std::move(options)),
-      directory_(static_cast<uint32_t>(peer_->id()), options_.directory_staleness_ms),
+      directory_(static_cast<uint32_t>(peer_->id())),
       rng_(options_.rng_seed) {}
 
 PeerDaemon::~PeerDaemon() {
@@ -105,17 +72,10 @@ Status PeerDaemon::Start(EventLoop* loop) {
         loop_, &directory_, options_.scheduler,
         options_.rng_seed * 0x9e3779b97f4a7c15ULL + 1,
         [this](const PeerDirectory::Entry& partner) {
-          if (quiesced_) {
-            // Quiesce without drain: stop initiating too. kStartRequest
-            // resumes the cadence if the driver un-drains by restarting.
-            scheduler_->Pause();
-            return MeetOutcome::kBusy;
-          }
           MeetOutcome outcome = MeetOutcome::kFailed;
-          (void)MeetPeerClassified(partner.peer_id, partner.port, &outcome);
+          (void)MeetPeer(partner.port, &outcome);
           return outcome;
         });
-    if (options_.scheduler.autostart) scheduler_->Start();
   }
   ArmGossipTimer();
   ArmPoolSweepTimer();
@@ -134,6 +94,11 @@ void PeerDaemon::ArmPoolSweepTimer() {
 NetStatsReplyMessage PeerDaemon::BuildNetStats() const {
   NetStatsReplyMessage reply;
   reply.peer_id = peer_->id();
+  reply.num_meetings = peer_->num_meetings();
+  reply.local_pages = peer_->fragment().NumLocalPages();
+  reply.world_entries = peer_->world_node().NumEntries();
+  reply.directory_size = directory_.size();
+  reply.quiesced = quiesced_ ? 1 : 0;
   reply.accepts = stats_.accepts;
   const ConnectionPoolStats& pool_stats = pool_->stats();
   reply.dials = pool_stats.dials;
@@ -166,7 +131,6 @@ NetStatsReplyMessage PeerDaemon::BuildNetStats() const {
     reply.sched_meetings_applied = sched.meetings_applied;
     reply.sched_declines = sched.declines;
     reply.sched_failures = sched.failures;
-    reply.sched_busy = sched.busy;
     reply.sched_skips_no_partner = sched.skips_no_partner;
     reply.sched_skips_backoff = sched.skips_backoff;
     reply.sched_backoffs_armed = sched.backoffs_armed;
@@ -299,37 +263,16 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
       directory_.MarkDeparted(sender, now);
       return true;
     }
-    case NetMessageType::kStatusRequest: {
-      std::vector<uint8_t> out;
-      AppendStatusReply(BuildStatus(), out);
-      return SendBytes(conn.fd.get(), out).ok();
-    }
     case NetMessageType::kScoresRequest: {
       std::vector<uint8_t> out;
       AppendScoresReply(BuildScores(), out);
       return SendBytes(conn.fd.get(), out).ok();
     }
-    case NetMessageType::kCheckpointRequest: {
-      const Status status = Checkpoint();
-      AckMessage ack;
-      ack.ok = status.ok();
-      if (!status.ok()) ack.detail = status.ToString();
-      std::vector<uint8_t> out;
-      AppendAck(NetMessageType::kCheckpointReply, ack, out);
-      return SendBytes(conn.fd.get(), out).ok();
-    }
-    case NetMessageType::kQuiesceRequest: {
-      quiesced_ = true;
-      AckMessage ack;
-      ack.ok = true;
-      std::vector<uint8_t> out;
-      AppendAck(NetMessageType::kQuiesceReply, ack, out);
-      return SendBytes(conn.fd.get(), out).ok();
-    }
     case NetMessageType::kMeetCommand: {
       MeetCommandMessage command;
       if (!ParseMeetCommand(payload, &command).ok()) break;
-      const MeetResultMessage result = MeetPeer(command.partner_id, command.port);
+      MeetOutcome outcome = MeetOutcome::kFailed;
+      const MeetResultMessage result = MeetPeer(command.port, &outcome);
       std::vector<uint8_t> out;
       AppendMeetResult(result, out);
       return SendBytes(conn.fd.get(), out).ok();
@@ -341,26 +284,11 @@ bool PeerDaemon::HandleFrame(Connection& conn, uint8_t type,
       } else if (scheduler_->state() == SchedulerState::kDrained) {
         ack.detail = "scheduler drained";
       } else {
-        quiesced_ = false;  // Start after a pause-by-quiesce resumes fully.
         scheduler_->Start();
         ack.ok = true;
       }
       std::vector<uint8_t> out;
       AppendAck(NetMessageType::kStartReply, ack, out);
-      return SendBytes(conn.fd.get(), out).ok();
-    }
-    case NetMessageType::kPauseRequest: {
-      AckMessage ack;
-      if (scheduler_ == nullptr) {
-        ack.detail = "autonomous mode disabled";
-      } else if (scheduler_->state() == SchedulerState::kDrained) {
-        ack.detail = "scheduler drained";
-      } else {
-        scheduler_->Pause();
-        ack.ok = true;
-      }
-      std::vector<uint8_t> out;
-      AppendAck(NetMessageType::kPauseReply, ack, out);
       return SendBytes(conn.fd.get(), out).ok();
     }
     case NetMessageType::kDrainRequest: {
@@ -463,13 +391,7 @@ Status PeerDaemon::SendBytes(int fd, std::span<const uint8_t> data) {
   return Status::OK();
 }
 
-MeetResultMessage PeerDaemon::MeetPeer(uint32_t partner_id, uint16_t port) {
-  MeetOutcome outcome = MeetOutcome::kFailed;
-  return MeetPeerClassified(partner_id, port, &outcome);
-}
-
-MeetResultMessage PeerDaemon::MeetPeerClassified(uint32_t partner_id, uint16_t port,
-                                                 MeetOutcome* outcome) {
+MeetResultMessage PeerDaemon::MeetPeer(uint16_t port, MeetOutcome* outcome) {
   MeetResultMessage result;
   *outcome = MeetOutcome::kFailed;
   ++stats_.meetings_initiated;
@@ -483,7 +405,6 @@ MeetResultMessage PeerDaemon::MeetPeerClassified(uint32_t partner_id, uint16_t p
   }
   if (!reused) SetIoTimeouts(fd, options_.io_timeout_ms);
 
-  (void)partner_id;  // The wire identifies the partner; the id is for logs.
   bool retryable = false;
   bool healthy = RunMeetingOnConnection(fd, !reused, port, &result, &retryable);
   if (!healthy && retryable) {
@@ -642,17 +563,6 @@ void PeerDaemon::GossipOnce() {
   pool_->Release(partner.port, healthy);
 }
 
-Status PeerDaemon::Checkpoint() {
-  if (options_.state_path.empty()) {
-    return Status::FailedPrecondition("no state path configured");
-  }
-  const Status status = core::SavePeerState(*peer_, options_.state_path);
-  if (status.ok()) {
-    ++stats_.checkpoints;
-  }
-  return status;
-}
-
 void PeerDaemon::OnShutdownFdReadable() {
   // One read only: the fd may be a blocking pipe, and a drain loop would
   // block the loop thread once the signal byte is consumed.
@@ -669,7 +579,10 @@ void PeerDaemon::BeginShutdown() {
   quiesced_ = true;
   if (scheduler_ != nullptr) scheduler_->Drain();
   if (pool_ != nullptr) pool_->CloseAll();
-  if (!options_.state_path.empty()) (void)Checkpoint();
+  if (!options_.state_path.empty() &&
+      core::SavePeerState(*peer_, options_.state_path).ok()) {
+    ++stats_.checkpoints;
+  }
   if (options_.goodbye_on_shutdown) {
     std::vector<uint8_t> goodbye;
     AppendGoodbye(static_cast<uint32_t>(peer_->id()), goodbye);
@@ -682,18 +595,6 @@ void PeerDaemon::BeginShutdown() {
     }
   }
   loop_->Stop();
-}
-
-StatusReplyMessage PeerDaemon::BuildStatus() const {
-  StatusReplyMessage status;
-  status.peer_id = static_cast<uint32_t>(peer_->id());
-  status.num_meetings = peer_->num_meetings();
-  status.meetings_accepted = stats_.meetings_accepted;
-  status.local_pages = static_cast<uint32_t>(peer_->fragment().NumLocalPages());
-  status.world_entries = static_cast<uint32_t>(peer_->world_node().NumEntries());
-  status.directory_size = static_cast<uint32_t>(directory_.size());
-  status.quiesced = quiesced_;
-  return status;
 }
 
 ScoresReplyMessage PeerDaemon::BuildScores() const {

@@ -31,8 +31,8 @@ struct PeerDaemonOptions {
   uint16_t advertised_port = 0;
   /// Initial directory contents (the seed list).
   std::vector<GossipEntry> seed_peers;
-  /// Checkpoint target of kCheckpointRequest and the SIGTERM path; empty =
-  /// checkpointing disabled.
+  /// Checkpoint target of the shutdown path; empty = checkpointing
+  /// disabled.
   std::string state_path;
   /// Autonomous meeting mode (DESIGN.md §6l). scheduler.enabled=false is
   /// the driver-replay mode the oracle bit-identity comparison uses:
@@ -42,10 +42,9 @@ struct PeerDaemonOptions {
   /// keyed by partner port). Always on — the pool with max_connections=0 is
   /// not a supported configuration; use a large idle_timeout instead.
   ConnectionPoolOptions pool;
-  /// Gossip (kPeerExchange) cadence; 0 = off. Staleness eviction runs on
-  /// the same tick.
+  /// Gossip (kPeerExchange) cadence; 0 = off. Staleness eviction
+  /// (kDirectoryStalenessMs) runs on the same tick.
   uint64_t gossip_interval_ms = 0;
-  uint64_t directory_staleness_ms = 30000;
   /// Deadline of each blocking outbound dial (meetings, gossip) and of
   /// reply writes. A two-daemon dial collision resolves as one side's
   /// timeout (counted as a failed meeting), never a deadlock.
@@ -119,23 +118,18 @@ class PeerDaemon {
   /// One outbound meeting with the daemon at `port`, over a pooled
   /// connection (fresh dial only when none is pooled; blocking IO with
   /// io_timeout_ms). Both the kMeetCommand handler and the autonomous
-  /// scheduler land here. A reused connection that turns out dead on the
-  /// first write is replaced by one transparent re-dial.
-  MeetResultMessage MeetPeer(uint32_t partner_id, uint16_t port);
-  /// MeetPeer plus the scheduler's classification of what happened.
-  MeetResultMessage MeetPeerClassified(uint32_t partner_id, uint16_t port,
-                                       MeetOutcome* outcome);
+  /// scheduler land here; `*outcome` is the scheduler's classification of
+  /// what happened. A reused connection that turns out dead on the first
+  /// write is replaced by one transparent re-dial.
+  MeetResultMessage MeetPeer(uint16_t port, MeetOutcome* outcome);
 
   /// One push-pull gossip exchange with a random live directory peer, over
   /// the same connection pool as meetings.
   void GossipOnce();
 
-  void Quiesce() { quiesced_ = true; }
   bool quiesced() const { return quiesced_; }
-  /// SavePeerState to options.state_path.
-  Status Checkpoint();
-  /// Graceful shutdown: quiesce, checkpoint, best-effort goodbyes, stop
-  /// the loop. Idempotent.
+  /// Graceful shutdown: quiesce, checkpoint to options.state_path,
+  /// best-effort goodbyes, stop the loop. Idempotent.
   void BeginShutdown();
 
   const core::JxpPeer& peer() const { return *peer_; }
@@ -145,9 +139,9 @@ class PeerDaemon {
   const MeetingScheduler* scheduler() const { return scheduler_.get(); }
   const PeerDirectory& directory() const { return directory_; }
   PeerDirectory& directory() { return directory_; }
-  StatusReplyMessage BuildStatus() const;
   ScoresReplyMessage BuildScores() const;
-  /// The kNetStatsRequest reply: DaemonStats + pool + scheduler counters.
+  /// The kNetStatsRequest reply: peer state, DaemonStats, pool and
+  /// scheduler counters.
   NetStatsReplyMessage BuildNetStats() const;
 
  private:

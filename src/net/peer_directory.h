@@ -31,9 +31,12 @@ namespace net {
 ///
 /// Clocks never cross process boundaries: gossip carries *ages* relative to
 /// the sender, rebased onto the local clock on receipt.
+/// The daemons' staleness horizon: a peer silent this long is evicted.
+inline constexpr uint64_t kDirectoryStalenessMs = 30000;
+
 class PeerDirectory {
  public:
-  explicit PeerDirectory(uint32_t self_id, uint64_t staleness_ms = 30000)
+  explicit PeerDirectory(uint32_t self_id, uint64_t staleness_ms = kDirectoryStalenessMs)
       : self_id_(self_id), staleness_ms_(staleness_ms) {}
 
   struct Entry {

@@ -7,8 +7,10 @@
 #include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 
 namespace jxp {
@@ -35,13 +37,20 @@ void UniqueFd::reset(int fd) {
   fd_ = fd;
 }
 
-Status SetNonBlocking(int fd) {
+Status SetBlocking(int fd, bool blocking) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)", errno);
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return ErrnoStatus("fcntl(F_SETFL)", errno);
-  }
+  const int updated = blocking ? flags & ~O_NONBLOCK : flags | O_NONBLOCK;
+  if (::fcntl(fd, F_SETFL, updated) < 0) return ErrnoStatus("fcntl(F_SETFL)", errno);
   return Status::OK();
+}
+
+void SetIoTimeouts(int fd, uint64_t timeout_ms) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 Status SetNoDelay(int fd) {
@@ -64,7 +73,7 @@ Status CreateLoopbackListener(uint16_t port, UniqueFd* out, uint16_t* bound_port
     return ErrnoStatus("bind", errno);
   }
   if (::listen(fd.get(), SOMAXCONN) < 0) return ErrnoStatus("listen", errno);
-  if (Status status = SetNonBlocking(fd.get()); !status.ok()) return status;
+  if (Status status = SetBlocking(fd.get(), false); !status.ok()) return status;
   if (bound_port != nullptr) {
     sockaddr_in actual{};
     socklen_t len = sizeof(actual);
@@ -86,7 +95,7 @@ Status AcceptConnection(int listener_fd, UniqueFd* out) {
     return ErrnoStatus("accept", errno);
   }
   UniqueFd accepted(fd);
-  if (Status status = SetNonBlocking(fd); !status.ok()) return status;
+  if (Status status = SetBlocking(fd, false); !status.ok()) return status;
   (void)SetNoDelay(fd);  // Best-effort.
   *out = std::move(accepted);
   return Status::OK();
@@ -131,6 +140,23 @@ Status ReadExact(int fd, uint8_t* buf, size_t n) {
     done += static_cast<size_t>(got);
   }
   return Status::OK();
+}
+
+size_t ReadUpTo(int fd, size_t n, std::vector<uint8_t>* out) {
+  out->clear();
+  out->reserve(n);
+  uint8_t buf[16384];
+  while (out->size() < n) {
+    const size_t want = std::min(sizeof(buf), n - out->size());
+    const ssize_t got = ::read(fd, buf, want);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (got == 0) break;
+    out->insert(out->end(), buf, buf + got);
+  }
+  return out->size();
 }
 
 }  // namespace net

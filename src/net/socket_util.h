@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/status.h"
 
@@ -46,8 +47,12 @@ class UniqueFd {
   int fd_ = -1;
 };
 
-/// Puts `fd` into non-blocking mode.
-Status SetNonBlocking(int fd);
+/// Sets or clears O_NONBLOCK on `fd`.
+Status SetBlocking(int fd, bool blocking);
+
+/// Sets SO_RCVTIMEO/SO_SNDTIMEO on a blocking socket, so a stalled partner
+/// fails the read or write after `timeout_ms` instead of blocking forever.
+void SetIoTimeouts(int fd, uint64_t timeout_ms);
 
 /// Disables Nagle on a TCP socket (meeting handshakes are small
 /// request/reply frames; coalescing them only adds latency).
@@ -75,6 +80,11 @@ Status WriteAll(int fd, std::span<const uint8_t> data);
 /// Reads exactly `n` bytes into `buf` from a blocking socket. IOError on
 /// failure or premature EOF.
 Status ReadExact(int fd, uint8_t* buf, size_t n);
+
+/// Reads up to `n` bytes into `*out` from a blocking socket, stopping early
+/// at EOF (the torn-transfer case). Returns the bytes read; a read error
+/// counts as EOF at the bytes received so far.
+size_t ReadUpTo(int fd, size_t n, std::vector<uint8_t>* out);
 
 }  // namespace net
 }  // namespace jxp

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
+#include <utility>
 
 namespace jxp {
 namespace wire {
@@ -24,12 +24,12 @@ size_t FrameAssembler::Feed(std::span<const uint8_t> data) {
         break;
       }
       case State::kPayload: {
-        const size_t want = payload_expected_ - payload_.size();
+        const size_t want = decoded_.payload_len - payload_.size();
         const size_t take = std::min(want, data.size() - consumed);
         payload_.insert(payload_.end(), data.data() + consumed,
                         data.data() + consumed + take);
         consumed += take;
-        if (payload_.size() == payload_expected_) OnPayloadComplete();
+        if (payload_.size() == decoded_.payload_len) OnPayloadComplete();
         break;
       }
     }
@@ -38,45 +38,26 @@ size_t FrameAssembler::Feed(std::span<const uint8_t> data) {
 }
 
 void FrameAssembler::OnHeaderComplete() {
-  if (header_[0] != kMagic0 || header_[1] != kMagic1) {
-    error_ = Status::Corruption("bad frame magic");
-    state_ = State::kFailed;
-    return;
-  }
-  if (header_[2] != kVersion) {
-    error_ = Status::Corruption("unsupported wire version " + std::to_string(header_[2]));
-    state_ = State::kFailed;
-    return;
-  }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(header_[4 + i]) << (8 * i);
-  }
-  // Reject before reserving: the length field is untrusted input, and this
-  // is the only place it could turn into an allocation.
-  if (payload_len > max_payload_bytes_) {
-    error_ = Status::OutOfRange("frame payload length " + std::to_string(payload_len) +
-                                " exceeds cap " + std::to_string(max_payload_bytes_));
+  // Rejects an over-cap length before reserving: the length field is
+  // untrusted input, and this is the only place it could turn into an
+  // allocation.
+  if (Status status = DecodeFrameHeader(header_, &decoded_); !status.ok()) {
+    error_ = std::move(status);
     state_ = State::kFailed;
     return;
   }
   payload_.clear();
-  payload_expected_ = payload_len;
-  if (payload_expected_ == 0) {
+  if (decoded_.payload_len == 0) {
     OnPayloadComplete();
   } else {
-    payload_.reserve(payload_expected_);
+    payload_.reserve(decoded_.payload_len);
     state_ = State::kPayload;
   }
 }
 
 void FrameAssembler::OnPayloadComplete() {
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(header_[kChecksumOffset + i]) << (8 * i);
-  }
-  if (stored != ComputeFrameChecksum(header_, payload_)) {
-    error_ = Status::Corruption("frame checksum mismatch");
+  if (Status status = VerifyFrameChecksum(header_, decoded_, payload_); !status.ok()) {
+    error_ = std::move(status);
     state_ = State::kFailed;
     return;
   }
@@ -86,30 +67,8 @@ void FrameAssembler::OnPayloadComplete() {
 void FrameAssembler::ConsumeFrame() {
   if (state_ != State::kFrameReady) return;
   payload_.clear();
-  payload_expected_ = 0;
   header_filled_ = 0;
   state_ = State::kHeader;
-}
-
-void FrameAssembler::Reset() {
-  payload_.clear();
-  payload_expected_ = 0;
-  header_filled_ = 0;
-  error_ = Status::OK();
-  state_ = State::kHeader;
-}
-
-size_t FrameAssembler::buffered_bytes() const {
-  switch (state_) {
-    case State::kHeader:
-      return header_filled_;
-    case State::kPayload:
-    case State::kFrameReady:
-      return kFrameHeaderBytes + payload_.size();
-    case State::kFailed:
-      return 0;
-  }
-  return 0;
 }
 
 }  // namespace wire

@@ -13,11 +13,11 @@ namespace wire {
 
 /// Incremental reassembly of wire frames from a byte stream that arrives in
 /// arbitrary pieces (partial socket reads). The assembler accumulates the
-/// 16-byte header, validates magic / version / payload length as soon as
-/// the header is complete — an oversized length is rejected *before* any
-/// payload allocation, so a corrupt or hostile length field can never make
-/// the receiver reserve memory — then accumulates the payload and verifies
-/// the checksum when it is complete.
+/// 16-byte header and runs DecodeFrameHeader on it as soon as it is
+/// complete — an over-cap length is rejected *before* any payload
+/// allocation, so a corrupt or hostile length field can never make the
+/// receiver reserve memory — then accumulates the payload and runs
+/// VerifyFrameChecksum when it is complete.
 ///
 /// Unlike ParseFrame (which decodes a complete in-memory message and
 /// restricts types to the meeting payload set), the assembler passes the
@@ -33,16 +33,9 @@ namespace wire {
 ///
 /// Errors are sticky: once a header fails validation or a checksum
 /// mismatches, the stream's frame boundaries cannot be trusted, so every
-/// further Feed() consumes nothing until Reset().
+/// further Feed() consumes nothing; the owner closes the stream.
 class FrameAssembler {
  public:
-  /// Default payload cap. Control-plane consumers should pass something far
-  /// smaller; this default merely bounds the worst case.
-  static constexpr size_t kDefaultMaxPayloadBytes = 1u << 26;  // 64 MiB
-
-  explicit FrameAssembler(size_t max_payload_bytes = kDefaultMaxPayloadBytes)
-      : max_payload_bytes_(max_payload_bytes) {}
-
   /// Consumes bytes from `data` until a complete frame is assembled, an
   /// error is detected, or `data` is exhausted. Returns the number of bytes
   /// consumed (0 when a frame is already pending or the assembler is in the
@@ -55,7 +48,7 @@ class FrameAssembler {
 
   /// Type byte and payload of the pending frame. Valid only while
   /// HasFrame(); the payload view is invalidated by ConsumeFrame().
-  uint8_t frame_type() const { return header_[3]; }
+  uint8_t frame_type() const { return decoded_.type; }
   std::span<const uint8_t> frame_payload() const { return payload_; }
 
   /// Releases the pending frame and starts assembling the next one.
@@ -64,14 +57,6 @@ class FrameAssembler {
   /// Sticky error state; OK while the stream is healthy.
   const Status& error() const { return error_; }
   bool failed() const { return !error_.ok(); }
-
-  /// Clears all state (buffered bytes and error), e.g. after the caller
-  /// resynchronized the stream out-of-band.
-  void Reset();
-
-  /// Bytes of the current partial frame buffered so far (header + payload);
-  /// 0 when idle. Exposed for accounting and tests.
-  size_t buffered_bytes() const;
 
  private:
   enum class State { kHeader, kPayload, kFrameReady, kFailed };
@@ -83,12 +68,11 @@ class FrameAssembler {
   /// Verifies the checksum of the completed frame; kFrameReady or kFailed.
   void OnPayloadComplete();
 
-  size_t max_payload_bytes_;
   State state_ = State::kHeader;
   uint8_t header_[kFrameHeaderBytes] = {};
   size_t header_filled_ = 0;
+  FrameHeader decoded_;
   std::vector<uint8_t> payload_;
-  size_t payload_expected_ = 0;
   Status error_ = Status::OK();
 };
 

@@ -346,10 +346,6 @@ DecodedMeeting DecodeMeeting(std::span<const uint8_t> data) {
   while (offset < data.size()) {
     FrameView frame;
     Status status = ParseFrame(data, offset, frame);
-    // ParseFrame advances `offset` past the frame exactly when the frame was
-    // syntactically delimited (header + checksum valid); a payload-semantics
-    // rejection below then still leaves a trustworthy resync point there.
-    const bool frame_delimited = status.ok();
     if (status.ok()) {
       switch (frame.type) {
         case MessageType::kScoreChunk:
@@ -372,16 +368,12 @@ DecodedMeeting DecodeMeeting(std::span<const uint8_t> data) {
     if (!status.ok()) {
       // Frame boundaries past a bad frame cannot be trusted (the length
       // field itself may be the corrupted byte), so decoding stops here.
-      // When only the payload semantics were rejected the frame's extent is
-      // still known, and a streaming caller can resume right after it.
       result.error = status;
-      result.resync_offset = frame_delimited ? offset : result.bytes_consumed;
       break;
     }
     last_section = frame.type;
     ++result.frames_decoded;
     result.bytes_consumed = offset;
-    result.resync_offset = offset;
   }
   if (obs::Enabled()) {
     WireMetrics& metrics = GetWireMetrics();
@@ -390,13 +382,6 @@ DecodedMeeting DecodeMeeting(std::span<const uint8_t> data) {
     if (!result.error.ok()) metrics.frames_rejected.Increment();
   }
   return result;
-}
-
-Status DecodeMeetingStrict(std::span<const uint8_t> data, DecodedMeeting* out) {
-  DecodedMeeting result = DecodeMeeting(data);
-  if (!result.error.ok()) return result.error;
-  *out = std::move(result);
-  return Status::OK();
 }
 
 }  // namespace wire

@@ -75,16 +75,6 @@ struct DecodedMeeting {
   std::vector<uint64_t> synopsis_bitmaps;
   /// Bytes of fully-decoded frames (what the receiver actually consumed).
   size_t bytes_consumed = 0;
-  /// Where the next frame would start if the caller wants to reuse the
-  /// stream after a salvaged decode. When the rejected frame was still
-  /// syntactically delimited — header magic/version/length valid and the
-  /// checksum matching, i.e. only the *payload semantics* were rejected —
-  /// this points one past that frame, so the caller can resynchronize and
-  /// decode what follows as a fresh message. When the frame header itself
-  /// was untrustworthy (bad magic, corrupt length, checksum mismatch) no
-  /// boundary is knowable and this equals bytes_consumed. Equals
-  /// bytes_consumed on a fully-clean decode too.
-  size_t resync_offset = 0;
   size_t frames_decoded = 0;
   /// Why decoding stopped early; OK when the whole buffer decoded. At most
   /// one frame is rejected — everything after a bad frame is undecodable
@@ -110,11 +100,6 @@ void EncodeSynopsis(const synopses::HashSketch& sketch, std::vector<uint8_t>& ou
 /// counts, non-finite or negative scores, non-ascending ids, duplicate or
 /// out-of-order frames all reject the frame.
 DecodedMeeting DecodeMeeting(std::span<const uint8_t> data);
-
-/// Strict whole-message decode for round-trip tests and future transports:
-/// any rejected frame or trailing garbage is an error and `out` is left in
-/// an unspecified state.
-Status DecodeMeetingStrict(std::span<const uint8_t> data, DecodedMeeting* out);
 
 }  // namespace wire
 }  // namespace jxp

@@ -12,6 +12,39 @@ uint64_t ComputeFrameChecksum(const uint8_t* header8, std::span<const uint8_t> p
   return Mix64(Fnv1aUpdate(h, payload.data(), payload.size()));
 }
 
+Status DecodeFrameHeader(const uint8_t* header, FrameHeader* out) {
+  if (header[0] != kMagic0 || header[1] != kMagic1) {
+    return Status::Corruption("bad frame magic");
+  }
+  if (header[2] != kVersion) {
+    return Status::Corruption("unsupported wire version " + std::to_string(header[2]));
+  }
+  uint32_t payload_len = 0;
+  for (int i = 0; i < 4; ++i) {
+    payload_len |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
+  }
+  if (payload_len > kMaxFramePayloadBytes) {
+    return Status::OutOfRange("frame payload length " + std::to_string(payload_len) +
+                              " exceeds cap " + std::to_string(kMaxFramePayloadBytes));
+  }
+  uint64_t checksum = 0;
+  for (int i = 0; i < 8; ++i) {
+    checksum |= static_cast<uint64_t>(header[kChecksumOffset + i]) << (8 * i);
+  }
+  out->type = header[3];
+  out->payload_len = payload_len;
+  out->checksum = checksum;
+  return Status::OK();
+}
+
+Status VerifyFrameChecksum(const uint8_t* header, const FrameHeader& decoded,
+                           std::span<const uint8_t> payload) {
+  if (decoded.checksum != ComputeFrameChecksum(header, payload)) {
+    return Status::Corruption("frame checksum mismatch");
+  }
+  return Status::OK();
+}
+
 namespace {
 
 bool ValidType(uint8_t type) {
@@ -105,35 +138,23 @@ Status ParseFrame(std::span<const uint8_t> data, size_t& offset, FrameView& fram
                               " of " + std::to_string(kFrameHeaderBytes) + " bytes)");
   }
   const uint8_t* header = data.data() + offset;
-  if (header[0] != kMagic0 || header[1] != kMagic1) {
-    return Status::Corruption("bad frame magic");
+  FrameHeader decoded;
+  if (Status status = DecodeFrameHeader(header, &decoded); !status.ok()) return status;
+  if (!ValidType(decoded.type)) {
+    return Status::Corruption("unknown message type " + std::to_string(decoded.type));
   }
-  if (header[2] != kVersion) {
-    return Status::Corruption("unsupported wire version " + std::to_string(header[2]));
-  }
-  if (!ValidType(header[3])) {
-    return Status::Corruption("unknown message type " + std::to_string(header[3]));
-  }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-  }
-  if (payload_len > available - kFrameHeaderBytes) {
+  if (decoded.payload_len > available - kFrameHeaderBytes) {
     return Status::Corruption("frame payload runs past buffer (" +
-                              std::to_string(payload_len) + " > " +
+                              std::to_string(decoded.payload_len) + " > " +
                               std::to_string(available - kFrameHeaderBytes) + ")");
   }
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(header[kChecksumOffset + i]) << (8 * i);
+  const std::span<const uint8_t> payload(header + kFrameHeaderBytes, decoded.payload_len);
+  if (Status status = VerifyFrameChecksum(header, decoded, payload); !status.ok()) {
+    return status;
   }
-  const std::span<const uint8_t> payload(header + kFrameHeaderBytes, payload_len);
-  if (stored != ComputeFrameChecksum(header, payload)) {
-    return Status::Corruption("frame checksum mismatch");
-  }
-  frame.type = static_cast<MessageType>(header[3]);
+  frame.type = static_cast<MessageType>(decoded.type);
   frame.payload = payload;
-  offset += kFrameHeaderBytes + payload_len;
+  offset += kFrameHeaderBytes + decoded.payload_len;
   return Status::OK();
 }
 

@@ -59,6 +59,10 @@ inline constexpr uint8_t kVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Offset of the checksum field within the header.
 inline constexpr size_t kChecksumOffset = 8;
+/// The largest payload length a header may announce. The length field is
+/// untrusted input, so every reader rejects a larger one before it buffers
+/// a single payload byte.
+inline constexpr size_t kMaxFramePayloadBytes = size_t{1} << 26;  // 64 MiB
 
 /// Little-endian byte sink for payloads. Appends to an external buffer so a
 /// whole message (many frames) lives in one allocation.
@@ -142,11 +146,29 @@ struct FrameView {
   std::span<const uint8_t> payload;
 };
 
+/// The fields of a validated frame header.
+struct FrameHeader {
+  uint8_t type = 0;
+  uint32_t payload_len = 0;
+  uint64_t checksum = 0;  // As stored; see VerifyFrameChecksum.
+};
+
+/// The one header check every frame reader runs (ParseFrame, FrameAssembler,
+/// net::ReadFrameBlocking, the chaos proxy): validates the 16 bytes at
+/// `header` — magic, version (Corruption otherwise) and a payload length of
+/// at most kMaxFramePayloadBytes (OutOfRange otherwise) — and decodes them
+/// into `out`. The type byte is passed through; each consumer checks it
+/// against its own type space.
+Status DecodeFrameHeader(const uint8_t* header, FrameHeader* out);
+
 /// The frame checksum: common FNV-1a/Mix64 over the 8 pre-checksum header
-/// bytes plus the payload. Exposed so incremental reassemblers
-/// (FrameAssembler) and other transports can verify frames without
-/// re-implementing the hash.
+/// bytes plus the payload.
 uint64_t ComputeFrameChecksum(const uint8_t* header8, std::span<const uint8_t> payload);
+
+/// Corruption unless `payload` matches the checksum stored in `header`
+/// (already decoded by DecodeFrameHeader).
+Status VerifyFrameChecksum(const uint8_t* header, const FrameHeader& decoded,
+                           std::span<const uint8_t> payload);
 
 /// Appends one frame (header + `payload`) to `out`.
 void AppendFrame(MessageType type, std::span<const uint8_t> payload,
@@ -167,7 +189,8 @@ void SealFrame(MessageType type, size_t payload_start, std::vector<uint8_t>& out
 /// Parses the frame starting at `data[offset]`. On success advances
 /// `offset` past the frame and fills `frame`. On failure (truncated header,
 /// bad magic/version/type, payload running past the buffer, checksum
-/// mismatch) returns a Corruption/OutOfRange Status and leaves `offset`
+/// mismatch) returns a Corruption Status — OutOfRange for a length over
+/// kMaxFramePayloadBytes or an offset past the buffer — and leaves `offset`
 /// untouched.
 Status ParseFrame(std::span<const uint8_t> data, size_t& offset, FrameView& frame);
 

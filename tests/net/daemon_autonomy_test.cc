@@ -70,12 +70,11 @@ struct Harness {
 
 void Settle() { std::this_thread::sleep_for(std::chrono::milliseconds(100)); }
 
-/// Autonomous daemon options: a fast scheduler that waits for the control
-/// plane's kStartRequest (autostart off, as the cluster driver runs it).
+/// Autonomous daemon options: a fast scheduler, which waits for the control
+/// plane's kStartRequest.
 PeerDaemonOptions AutonomousOptions() {
   PeerDaemonOptions options;
   options.scheduler.enabled = true;
-  options.scheduler.autostart = false;
   options.scheduler.interval_ms = 10;
   options.scheduler.jitter_ms = 5;
   options.io_timeout_ms = 2000;
@@ -100,7 +99,7 @@ TEST(DaemonAutonomyTest, SchedulerControlLifecycle) {
   ControlClient control;
   ASSERT_TRUE(control.Connect(a.daemon.bound_port()).ok());
 
-  // autostart=false: the scheduler sits idle until commanded.
+  // The scheduler sits idle until commanded.
   NetStatsReplyMessage stats;
   ASSERT_TRUE(control.GetNetStats(&stats).ok());
   EXPECT_EQ(stats.scheduler_state, static_cast<uint8_t>(SchedulerState::kIdle));
@@ -117,27 +116,26 @@ TEST(DaemonAutonomyTest, SchedulerControlLifecycle) {
   EXPECT_EQ(stats.dial_failures, 0u);
   EXPECT_EQ(stats.pool_reuses, stats.meetings_initiated - 1);
   EXPECT_EQ(stats.pool_open_connections, 1u);
+  EXPECT_EQ(stats.quiesced, 0u);
 
-  ASSERT_TRUE(control.PauseScheduler().ok());
-  ASSERT_TRUE(control.GetNetStats(&stats).ok());
-  EXPECT_EQ(stats.scheduler_state, static_cast<uint8_t>(SchedulerState::kPaused));
-  const uint64_t started_at_pause = stats.sched_meetings_started;
+  // A second start is a no-op on a running scheduler.
+  ASSERT_TRUE(control.StartScheduler().ok());
+  const uint64_t started_before = stats.sched_meetings_started;
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   ASSERT_TRUE(control.GetNetStats(&stats).ok());
-  EXPECT_EQ(stats.sched_meetings_started, started_at_pause)
-      << "a paused scheduler must not meet";
-  EXPECT_EQ(stats.pool_open_connections, 1u)
-      << "pooled connections stay warm across a pause";
-
-  ASSERT_TRUE(control.StartScheduler().ok());  // Resume.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  ASSERT_TRUE(control.GetNetStats(&stats).ok());
-  EXPECT_GT(stats.sched_meetings_started, started_at_pause);
+  EXPECT_EQ(stats.scheduler_state, static_cast<uint8_t>(SchedulerState::kRunning));
+  EXPECT_GT(stats.sched_meetings_started, started_before);
 
   ASSERT_TRUE(control.Drain().ok());
   ASSERT_TRUE(control.GetNetStats(&stats).ok());
   EXPECT_EQ(stats.scheduler_state, static_cast<uint8_t>(SchedulerState::kDrained));
   EXPECT_EQ(stats.pool_open_connections, 0u) << "drain closes the pool";
+  EXPECT_EQ(stats.quiesced, 1u);
+  const uint64_t started_at_drain = stats.sched_meetings_started;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(control.GetNetStats(&stats).ok());
+  EXPECT_EQ(stats.sched_meetings_started, started_at_drain)
+      << "a drained scheduler must not meet";
 
   // Drained is terminal, and the daemon is quiesced: restart is refused and
   // inbound meetings decline.
@@ -160,7 +158,6 @@ TEST(DaemonAutonomyTest, SchedulerControlRejectedWhenAutonomousModeOff) {
   ControlClient control;
   ASSERT_TRUE(control.Connect(a.daemon.bound_port()).ok());
   EXPECT_FALSE(control.StartScheduler().ok());
-  EXPECT_FALSE(control.PauseScheduler().ok());
   // Drain still succeeds: it quiesces the daemon and closes the pool even
   // without a scheduler.
   EXPECT_TRUE(control.Drain().ok());

@@ -35,20 +35,22 @@ TEST(MeetingSchedulerTest, StateMachine) {
   EXPECT_EQ(scheduler.state(), SchedulerState::kIdle);
   scheduler.Start();
   EXPECT_EQ(scheduler.state(), SchedulerState::kRunning);
-  scheduler.Pause();
-  EXPECT_EQ(scheduler.state(), SchedulerState::kPaused);
-  scheduler.Pause();  // Idempotent.
-  EXPECT_EQ(scheduler.state(), SchedulerState::kPaused);
-  scheduler.Start();  // Resume.
+  scheduler.Start();  // Idempotent.
   EXPECT_EQ(scheduler.state(), SchedulerState::kRunning);
+  EXPECT_EQ(loop.pending_timers(), 1u) << "a running scheduler arms one tick";
   scheduler.Drain();
   EXPECT_EQ(scheduler.state(), SchedulerState::kDrained);
+  EXPECT_EQ(loop.pending_timers(), 0u);
 
-  // kDrained is terminal: neither Start nor Pause moves a drained scheduler.
+  // kDrained is terminal: Start does not move a drained scheduler.
   scheduler.Start();
   EXPECT_EQ(scheduler.state(), SchedulerState::kDrained);
-  scheduler.Pause();
-  EXPECT_EQ(scheduler.state(), SchedulerState::kDrained);
+
+  // An idle scheduler drains directly.
+  MeetingScheduler idle(&loop, &directory, FastOptions(), /*rng_seed=*/2,
+                        [](const PeerDirectory::Entry&) { return MeetOutcome::kApplied; });
+  idle.Drain();
+  EXPECT_EQ(idle.state(), SchedulerState::kDrained);
 }
 
 TEST(MeetingSchedulerTest, TicksMeetPartnersFromTheDirectory) {
@@ -165,28 +167,28 @@ TEST(MeetingSchedulerTest, AppliedMeetingClearsTheBackoff) {
   EXPECT_GE(stats.meetings_applied, 5u);
 }
 
-TEST(MeetingSchedulerTest, PauseInsideTheMeetCallbackStopsRearming) {
+TEST(MeetingSchedulerTest, DrainInsideTheMeetCallbackStopsRearming) {
   EventLoop loop;
   PeerDirectory directory(/*self_id=*/0);
   directory.ObserveDirect(1, 1111, 0);
 
-  // The daemon pauses the scheduler from inside MeetFn when it finds itself
-  // quiesced mid-tick; the tick must not re-arm afterwards.
+  // A scheduler drained while its meeting runs must not re-arm the tick
+  // that meeting came from.
   MeetingScheduler* handle = nullptr;
   MeetingScheduler scheduler(&loop, &directory, FastOptions(), /*rng_seed=*/13,
                              [&](const PeerDirectory::Entry&) {
-                               handle->Pause();
-                               return MeetOutcome::kBusy;
+                               handle->Drain();
+                               return MeetOutcome::kApplied;
                              });
   handle = &scheduler;
   scheduler.Start();
   RunLoopFor(loop, 150);
 
-  EXPECT_EQ(scheduler.state(), SchedulerState::kPaused);
+  EXPECT_EQ(scheduler.state(), SchedulerState::kDrained);
   EXPECT_EQ(scheduler.stats().ticks, 1u);
   EXPECT_EQ(scheduler.stats().meetings_started, 1u);
-  EXPECT_EQ(scheduler.stats().busy, 1u);
-  EXPECT_EQ(loop.pending_timers(), 0u) << "a paused scheduler leaves no timer armed";
+  EXPECT_EQ(scheduler.stats().meetings_applied, 1u);
+  EXPECT_EQ(loop.pending_timers(), 0u) << "a drained scheduler leaves no timer armed";
 }
 
 }  // namespace

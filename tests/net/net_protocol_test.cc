@@ -5,9 +5,13 @@
 #include <set>
 #include <string>
 
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
+#include "net/socket_util.h"
 #include "wire/frame_assembler.h"
+#include "wire/wire_format.h"
 
 namespace jxp {
 namespace net {
@@ -75,7 +79,7 @@ TEST(NetProtocolTest, MeetingHeaderRejectsOversizedBlob) {
   // like any frame payload.
   MeetingHeader in;
   in.sender_id = 7;
-  in.payload_bytes = wire::FrameAssembler::kDefaultMaxPayloadBytes;
+  in.payload_bytes = wire::kMaxFramePayloadBytes;
   std::vector<uint8_t> frame;
   AppendMeetingHeader(NetMessageType::kMeetingOffer, in, frame);
   MeetingHeader out;
@@ -83,7 +87,7 @@ TEST(NetProtocolTest, MeetingHeaderRejectsOversizedBlob) {
       ParseMeetingHeader(PayloadOf(frame, NetMessageType::kMeetingOffer), &out).ok());
 
   for (const uint32_t oversized :
-       {static_cast<uint32_t>(wire::FrameAssembler::kDefaultMaxPayloadBytes + 1),
+       {static_cast<uint32_t>(wire::kMaxFramePayloadBytes + 1),
         0xffffffffu}) {
     in.payload_bytes = oversized;
     frame.clear();
@@ -127,29 +131,6 @@ TEST(NetProtocolTest, MeetCommandAndResultRoundTrip) {
   EXPECT_EQ(result_out.bytes_wasted, 33u);
 }
 
-TEST(NetProtocolTest, StatusReplyRoundTrip) {
-  StatusReplyMessage in;
-  in.peer_id = 9;
-  in.num_meetings = 1ull << 33;
-  in.meetings_accepted = 17;
-  in.local_pages = 1000;
-  in.world_entries = 2000;
-  in.directory_size = 7;
-  in.quiesced = true;
-  std::vector<uint8_t> frame;
-  AppendStatusReply(in, frame);
-  StatusReplyMessage out;
-  ASSERT_TRUE(
-      ParseStatusReply(PayloadOf(frame, NetMessageType::kStatusReply), &out).ok());
-  EXPECT_EQ(out.peer_id, 9u);
-  EXPECT_EQ(out.num_meetings, 1ull << 33);
-  EXPECT_EQ(out.meetings_accepted, 17u);
-  EXPECT_EQ(out.local_pages, 1000u);
-  EXPECT_EQ(out.world_entries, 2000u);
-  EXPECT_EQ(out.directory_size, 7u);
-  EXPECT_TRUE(out.quiesced);
-}
-
 TEST(NetProtocolTest, ScoresReplyRoundTripsDoublesBitExactly) {
   ScoresReplyMessage in;
   in.entries.push_back({0, 0.15234567891234567});
@@ -177,9 +158,9 @@ TEST(NetProtocolTest, AckRoundTrip) {
   in.ok = false;
   in.detail = "disk full";
   std::vector<uint8_t> frame;
-  AppendAck(NetMessageType::kCheckpointReply, in, frame);
+  AppendAck(NetMessageType::kDrainReply, in, frame);
   AckMessage out;
-  ASSERT_TRUE(ParseAck(PayloadOf(frame, NetMessageType::kCheckpointReply), &out).ok());
+  ASSERT_TRUE(ParseAck(PayloadOf(frame, NetMessageType::kDrainReply), &out).ok());
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.detail, "disk full");
 }
@@ -209,13 +190,14 @@ TEST(NetProtocolTest, ParsersRejectTruncatedPayloads) {
   PeerExchangeMessage out;
   EXPECT_FALSE(ParsePeerExchange(payload, &out).ok());
 
-  StatusReplyMessage status;
+  ScoresReplyMessage scores;
+  scores.entries.push_back({3, 0.25});
   frame.clear();
-  AppendStatusReply(status, frame);
-  payload = PayloadOf(frame, NetMessageType::kStatusReply);
+  AppendScoresReply(scores, frame);
+  payload = PayloadOf(frame, NetMessageType::kScoresReply);
   payload.resize(payload.size() / 2);
-  StatusReplyMessage status_out;
-  EXPECT_FALSE(ParseStatusReply(payload, &status_out).ok());
+  ScoresReplyMessage scores_out;
+  EXPECT_FALSE(ParseScoresReply(payload, &scores_out).ok());
 }
 
 TEST(NetProtocolTest, NetStatsReplyRoundTripsEveryField) {
@@ -261,12 +243,91 @@ TEST(NetProtocolTest, NetTypesAreDisjointFromMeetingPayloadTypes) {
        {NetMessageType::kHello, NetMessageType::kPeerExchange,
         NetMessageType::kMeetingOffer, NetMessageType::kMeetingReply,
         NetMessageType::kMeetingDecline, NetMessageType::kGoodbye,
-        NetMessageType::kStatusRequest, NetMessageType::kStatusReply,
-        NetMessageType::kCheckpointRequest, NetMessageType::kCheckpointReply,
-        NetMessageType::kQuiesceRequest, NetMessageType::kQuiesceReply,
         NetMessageType::kMeetCommand, NetMessageType::kMeetResult,
-        NetMessageType::kScoresRequest, NetMessageType::kScoresReply}) {
+        NetMessageType::kScoresRequest, NetMessageType::kScoresReply,
+        NetMessageType::kStartRequest, NetMessageType::kStartReply,
+        NetMessageType::kDrainRequest, NetMessageType::kDrainReply,
+        NetMessageType::kNetStatsRequest, NetMessageType::kNetStatsReply}) {
     EXPECT_GE(static_cast<uint8_t>(type), 0x10);
+  }
+}
+
+/// What one frame reader made of a byte stream: its status code and, on
+/// success, the frame's payload.
+struct ReadOutcome {
+  StatusCode code = StatusCode::kOk;
+  std::vector<uint8_t> payload;
+  bool operator==(const ReadOutcome&) const = default;
+};
+
+ReadOutcome ViaParseFrame(const std::vector<uint8_t>& bytes) {
+  size_t offset = 0;
+  wire::FrameView frame;
+  const Status status = wire::ParseFrame(bytes, offset, frame);
+  if (!status.ok()) return {status.code(), {}};
+  return {StatusCode::kOk, {frame.payload.begin(), frame.payload.end()}};
+}
+
+ReadOutcome ViaAssembler(const std::vector<uint8_t>& bytes) {
+  wire::FrameAssembler assembler;
+  assembler.Feed(bytes);
+  if (!assembler.HasFrame()) return {assembler.error().code(), {}};
+  return {StatusCode::kOk,
+          {assembler.frame_payload().begin(), assembler.frame_payload().end()}};
+}
+
+ReadOutcome ViaReadFrameBlocking(const std::vector<uint8_t>& bytes) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UniqueFd reader(fds[0]);
+  UniqueFd writer(fds[1]);
+  EXPECT_TRUE(WriteAll(writer.get(), bytes).ok());
+  writer.reset();  // EOF after the bytes.
+  uint8_t type = 0;
+  std::vector<uint8_t> payload;
+  const Status status = ReadFrameBlocking(reader.get(), &type, &payload);
+  if (!status.ok()) return {status.code(), {}};
+  return {StatusCode::kOk, payload};
+}
+
+TEST(NetProtocolTest, AllThreeFrameReadersAgree) {
+  // The batch parser, the incremental assembler and the blocking socket
+  // reader share one header check and one checksum verify, so every input
+  // gets the same verdict from all three.
+  const std::vector<uint8_t> payload = {1, 2, 3, 0x80, 0xff, 42};
+  std::vector<uint8_t> valid;
+  wire::AppendFrame(wire::MessageType::kScoreChunk, payload, valid);
+
+  std::vector<uint8_t> bad_magic = valid;
+  bad_magic[0] ^= 0xff;
+  std::vector<uint8_t> bad_version = valid;
+  bad_version[2] = wire::kVersion + 1;
+  // A header alone, announcing one byte over the cap.
+  std::vector<uint8_t> over_cap(valid.begin(), valid.begin() + wire::kFrameHeaderBytes);
+  const uint32_t oversized = static_cast<uint32_t>(wire::kMaxFramePayloadBytes + 1);
+  for (int i = 0; i < 4; ++i) over_cap[4 + i] = static_cast<uint8_t>(oversized >> (8 * i));
+  std::vector<uint8_t> bad_checksum = valid;
+  bad_checksum[wire::kChecksumOffset + 3] ^= 0x10;
+  std::vector<uint8_t> bad_payload = valid;
+  bad_payload.back() ^= 0x01;
+
+  const struct {
+    const char* name;
+    const std::vector<uint8_t>& bytes;
+    ReadOutcome expected;
+  } cases[] = {
+      {"valid frame", valid, {StatusCode::kOk, payload}},
+      {"bad magic", bad_magic, {StatusCode::kCorruption, {}}},
+      {"bad version", bad_version, {StatusCode::kCorruption, {}}},
+      {"length one over the cap", over_cap, {StatusCode::kOutOfRange, {}}},
+      {"flipped checksum byte", bad_checksum, {StatusCode::kCorruption, {}}},
+      {"flipped payload byte", bad_payload, {StatusCode::kCorruption, {}}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(ViaParseFrame(c.bytes), c.expected) << "ParseFrame: " << c.name;
+    EXPECT_EQ(ViaAssembler(c.bytes), c.expected) << "FrameAssembler: " << c.name;
+    EXPECT_EQ(ViaReadFrameBlocking(c.bytes), c.expected)
+        << "ReadFrameBlocking: " << c.name;
   }
 }
 

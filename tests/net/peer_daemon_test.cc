@@ -1,7 +1,5 @@
 #include "net/peer_daemon.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -134,10 +132,14 @@ TEST(PeerDaemonTest, TwoDaemonMeetingMatchesInProcessOracle) {
   ExpectScoresMatch(scores_a, oracle_a);
   ExpectScoresMatch(scores_b, oracle_b);
 
-  StatusReplyMessage status;
-  ASSERT_TRUE(control_a.GetStatus(&status).ok());
+  NetStatsReplyMessage status;
+  ASSERT_TRUE(control_a.GetNetStats(&status).ok());
   EXPECT_EQ(status.peer_id, 0u);
   EXPECT_EQ(status.num_meetings, 2u);
+  EXPECT_EQ(status.local_pages, 3u);
+  EXPECT_EQ(status.world_entries, oracle_a.world_node().NumEntries());
+  EXPECT_EQ(status.directory_size, 1u) << "A learned B from their meetings";
+  EXPECT_EQ(status.quiesced, 0u);
 
   a.StopAndJoin();
   b.StopAndJoin();
@@ -222,17 +224,19 @@ TEST(PeerDaemonTest, QuiescedDaemonDeclinesMeetingsAndCountsWaste) {
   ControlClient control_a, control_b;
   ASSERT_TRUE(control_a.Connect(a.daemon.bound_port()).ok());
   ASSERT_TRUE(control_b.Connect(b.daemon.bound_port()).ok());
-  ASSERT_TRUE(control_b.Quiesce().ok());
+  // Drain quiesces a daemon even without a scheduler.
+  ASSERT_TRUE(control_b.Drain().ok());
 
   MeetResultMessage result;
   ASSERT_TRUE(control_a.Meet(1, b.daemon.bound_port(), &result).ok());
   EXPECT_TRUE(result.declined);
   EXPECT_FALSE(result.applied);
 
-  StatusReplyMessage status;
-  ASSERT_TRUE(control_b.GetStatus(&status).ok());
-  EXPECT_TRUE(status.quiesced);
+  NetStatsReplyMessage status;
+  ASSERT_TRUE(control_b.GetNetStats(&status).ok());
+  EXPECT_EQ(status.quiesced, 1u);
   EXPECT_EQ(status.num_meetings, 0u);
+  EXPECT_EQ(status.meetings_declined, 1u);
 
   a.StopAndJoin();
   b.StopAndJoin();
@@ -252,15 +256,12 @@ TEST(PeerDaemonTest, OversizedMeetingOfferClosesTheConnection) {
   ASSERT_TRUE(ConnectLoopback(b.daemon.bound_port(), &fd).ok());
   MeetingHeader offer;
   offer.sender_id = 0;
-  offer.payload_bytes =
-      static_cast<uint32_t>(wire::FrameAssembler::kDefaultMaxPayloadBytes + 1);
+  offer.payload_bytes = static_cast<uint32_t>(wire::kMaxFramePayloadBytes + 1);
   std::vector<uint8_t> frame;
   AppendMeetingHeader(NetMessageType::kMeetingOffer, offer, frame);
   ASSERT_TRUE(WriteAll(fd.get(), frame).ok());
 
-  timeval timeout{};
-  timeout.tv_sec = 5;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  SetIoTimeouts(fd.get(), 5000);
   uint8_t byte = 0;
   EXPECT_EQ(::read(fd.get(), &byte, 1), 0) << "the daemon must close the connection";
 

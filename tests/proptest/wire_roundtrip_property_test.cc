@@ -212,9 +212,7 @@ TEST(WireRoundTripProperty, AnySingleByteCorruptionIsRejected) {
           const uint8_t flip = static_cast<uint8_t>(1u << rng.NextBounded(8));
           corrupt[at] ^= flip;
 
-          wire::DecodedMeeting strict;
-          const Status status = wire::DecodeMeetingStrict(corrupt, &strict);
-          if (status.ok()) {
+          if (wire::DecodeMeeting(corrupt).error.ok()) {
             std::ostringstream os;
             os << "corruption at byte " << at << " (bit "
                << static_cast<int>(flip) << ") was not detected";

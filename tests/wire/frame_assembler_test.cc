@@ -106,21 +106,29 @@ TEST(FrameAssemblerTest, StopsConsumingAtFrameBoundary) {
   const size_t consumed = assembler.Feed(data);
   EXPECT_EQ(consumed, data.size() - blob.size());
   ASSERT_TRUE(assembler.HasFrame());
+  // A pending frame holds the stream: nothing more is consumed.
+  EXPECT_EQ(assembler.Feed(blob), 0u);
   assembler.ConsumeFrame();
-  // The trailing blob bytes were never touched by the assembler.
-  EXPECT_EQ(assembler.buffered_bytes(), 0u);
+  // The trailing blob bytes were never touched by the assembler: the next
+  // frame assembles from scratch.
+  const std::vector<uint8_t> next = OneFrame(0x15, {7});
+  EXPECT_EQ(assembler.Feed(next), next.size());
+  ASSERT_TRUE(assembler.HasFrame());
+  EXPECT_EQ(assembler.frame_type(), 0x15);
 }
 
 TEST(FrameAssemblerTest, OversizedLengthRejectedBeforeAllocation) {
-  FrameAssembler assembler(/*max_payload_bytes=*/64);
-  std::vector<uint8_t> data = OneFrame(0x10, std::vector<uint8_t>(65, 1));
+  // A header announcing one byte over the cap, followed by payload bytes.
+  std::vector<uint8_t> data = OneFrame(0x10, std::vector<uint8_t>(64, 1));
+  const uint32_t oversized = static_cast<uint32_t>(kMaxFramePayloadBytes + 1);
+  for (int i = 0; i < 4; ++i) data[4 + i] = static_cast<uint8_t>(oversized >> (8 * i));
+  FrameAssembler assembler;
   const size_t consumed = assembler.Feed(data);
   // The assembler stops at the header: the bogus payload is never buffered.
   EXPECT_EQ(consumed, kFrameHeaderBytes);
   EXPECT_TRUE(assembler.failed());
   EXPECT_EQ(assembler.error().code(), StatusCode::kOutOfRange)
       << assembler.error().ToString();
-  EXPECT_EQ(assembler.buffered_bytes(), 0u);
   // Sticky: further input is refused.
   EXPECT_EQ(assembler.Feed(data), 0u);
 }
@@ -173,19 +181,6 @@ TEST(FrameAssemblerTest, ArbitraryTypeBytesPassThrough) {
     ASSERT_TRUE(assembler.HasFrame()) << int(type);
     EXPECT_EQ(assembler.frame_type(), type);
   }
-}
-
-TEST(FrameAssemblerTest, ResetRecoversFromError) {
-  std::vector<uint8_t> bad = OneFrame(0x10, SamplePayload());
-  bad[0] ^= 0xff;
-  FrameAssembler assembler;
-  assembler.Feed(bad);
-  ASSERT_TRUE(assembler.failed());
-  assembler.Reset();
-  EXPECT_TRUE(assembler.error().ok());
-  const std::vector<uint8_t> good = OneFrame(0x11, SamplePayload());
-  EXPECT_EQ(assembler.Feed(good), good.size());
-  EXPECT_TRUE(assembler.HasFrame());
 }
 
 TEST(FrameAssemblerTest, ParsesFrameStreamIdenticallyToParseFrame) {

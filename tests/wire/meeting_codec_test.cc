@@ -75,8 +75,8 @@ TEST(MeetingCodecTest, ScoreListRoundTripsAcrossChunks) {
   std::vector<uint8_t> bytes;
   EncodeScoreList(fragment, scores, bytes);
 
-  DecodedMeeting decoded;
-  ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
+  const DecodedMeeting decoded = DecodeMeeting(bytes);
+  ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   EXPECT_EQ(decoded.frames_decoded, (n + 63) / 64);
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
   const PageTableColumns& table = decoded.page_table;
@@ -102,8 +102,8 @@ TEST(MeetingCodecTest, ScoresAreQuantizedNeverUpward) {
   const std::vector<double> scores = MakeScores(n);
   std::vector<uint8_t> bytes;
   EncodeScoreList(fragment, scores, bytes);
-  DecodedMeeting decoded;
-  ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
+  const DecodedMeeting decoded = DecodeMeeting(bytes);
+  ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   for (size_t i = 0; i < n; ++i) {
     // Theorem 5.3 safety: the wire never reports more than the exact double.
     EXPECT_LE(decoded.page_table.scores[i], scores[i]);
@@ -134,8 +134,8 @@ TEST(MeetingCodecTest, WorldKnowledgeRoundTrips) {
   std::vector<uint8_t> bytes;
   EncodeWorldKnowledge(world, bytes);
 
-  DecodedMeeting decoded;
-  ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
+  const DecodedMeeting decoded = DecodeMeeting(bytes);
+  ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   const WorldColumns& got = decoded.world;
   ASSERT_EQ(got.NumEntries(), 2u);
   EXPECT_EQ(got.pages[0], 100u);
@@ -162,8 +162,8 @@ TEST(MeetingCodecTest, SynopsisRoundTrips) {
   std::vector<uint8_t> bytes;
   EncodeSynopsis(sketch, bytes);
 
-  DecodedMeeting decoded;
-  ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
+  const DecodedMeeting decoded = DecodeMeeting(bytes);
+  ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   ASSERT_TRUE(decoded.has_synopsis);
   EXPECT_EQ(decoded.synopsis_seed, sketch.seed());
   ASSERT_EQ(decoded.synopsis_bitmaps.size(), sketch.num_buckets());
@@ -274,8 +274,7 @@ TEST(MeetingCodecTest, DuplicateWorldAndSynopsisFramesRejected) {
     std::vector<uint8_t> bytes;
     EncodeWorldKnowledge(world, bytes);
     EncodeWorldKnowledge(world, bytes);
-    DecodedMeeting out;
-    EXPECT_FALSE(DecodeMeetingStrict(bytes, &out).ok());
+    EXPECT_FALSE(DecodeMeeting(bytes).error.ok());
   }
   {
     synopses::HashSketch sketch(8, 0x99);
@@ -283,8 +282,7 @@ TEST(MeetingCodecTest, DuplicateWorldAndSynopsisFramesRejected) {
     std::vector<uint8_t> bytes;
     EncodeSynopsis(sketch, bytes);
     EncodeSynopsis(sketch, bytes);
-    DecodedMeeting out;
-    EXPECT_FALSE(DecodeMeetingStrict(bytes, &out).ok());
+    EXPECT_FALSE(DecodeMeeting(bytes).error.ok());
   }
 }
 
@@ -297,67 +295,9 @@ TEST(MeetingCodecTest, CorruptCountsCannotForceHugeAllocations) {
   writer.PutVarint32(0x0fffffff);  // absurd record count
   std::vector<uint8_t> bytes;
   AppendFrame(MessageType::kScoreChunk, payload, bytes);
-  DecodedMeeting out;
-  const Status status = DecodeMeetingStrict(bytes, &out);
-  EXPECT_FALSE(status.ok());
+  const DecodedMeeting out = DecodeMeeting(bytes);
+  EXPECT_FALSE(out.error.ok());
   EXPECT_TRUE(out.page_table.pages.empty());
-}
-
-TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {
-  // A checksum-valid frame whose payload semantics are rejected (absurd
-  // record count) still has a trustworthy extent: resync_offset must point
-  // one past it so a stream reader can recover what follows.
-  std::vector<uint8_t> payload;
-  ByteWriter writer(payload);
-  writer.PutVarint32(0);           // first_index
-  writer.PutVarint32(0x0fffffff);  // absurd record count
-  std::vector<uint8_t> bytes;
-  AppendFrame(MessageType::kScoreChunk, payload, bytes);
-  const size_t bad_frame_end = bytes.size();
-
-  const WorldColumns world = MakeWorld({{100, 2, 0.1, {5}}});
-  EncodeWorldKnowledge(world, bytes);
-
-  const DecodedMeeting decoded = DecodeMeeting(bytes);
-  EXPECT_FALSE(decoded.error.ok());
-  EXPECT_EQ(decoded.bytes_consumed, 0u);
-  EXPECT_EQ(decoded.resync_offset, bad_frame_end);
-
-  // Resynchronizing past the rejected frame recovers the world knowledge.
-  const DecodedMeeting rest = DecodeMeeting(
-      std::span<const uint8_t>(bytes).subspan(decoded.resync_offset));
-  EXPECT_TRUE(rest.error.ok()) << rest.error.ToString();
-  ASSERT_EQ(rest.world.NumEntries(), 1u);
-  EXPECT_EQ(rest.world.pages[0], 100u);
-}
-
-TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedWhenFrameUntrustworthy) {
-  // A checksum mismatch means the declared length cannot be trusted, so no
-  // resynchronization point exists past the salvaged prefix.
-  const graph::Subgraph fragment = MakeFragment(100);
-  std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(100), bytes);
-  size_t offset = 0;
-  FrameView frame;
-  ASSERT_TRUE(ParseFrame(bytes, offset, frame).ok());
-  const size_t first_chunk = offset;
-
-  std::vector<uint8_t> corrupt = bytes;
-  corrupt[first_chunk + 20] ^= 0x04;  // Inside the second frame.
-  const DecodedMeeting decoded = DecodeMeeting(corrupt);
-  EXPECT_FALSE(decoded.error.ok());
-  EXPECT_EQ(decoded.bytes_consumed, first_chunk);
-  EXPECT_EQ(decoded.resync_offset, first_chunk);
-}
-
-TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedOnCleanDecode) {
-  const graph::Subgraph fragment = MakeFragment(10);
-  std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(10), bytes);
-  const DecodedMeeting decoded = DecodeMeeting(bytes);
-  EXPECT_TRUE(decoded.error.ok());
-  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-  EXPECT_EQ(decoded.resync_offset, bytes.size());
 }
 
 TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
@@ -372,8 +312,7 @@ TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
     writer.PutVarint32(0);  // degree
     std::vector<uint8_t> bytes;
     AppendFrame(MessageType::kScoreChunk, payload, bytes);
-    DecodedMeeting out;
-    EXPECT_FALSE(DecodeMeetingStrict(bytes, &out).ok()) << "score " << bad;
+    EXPECT_FALSE(DecodeMeeting(bytes).error.ok()) << "score " << bad;
   }
 }
 
