@@ -46,8 +46,8 @@ Trial MakeTrial(size_t size_a, size_t size_b, double containment, Random& rng) {
 void Run(int argc, char** argv) {
   Flags flags;
   JXP_CHECK_OK(flags.Parse(argc, argv));
-  const size_t trials = static_cast<size_t>(flags.GetInt("trials", 40));
-  const size_t set_size = static_cast<size_t>(flags.GetInt("set-size", 2000));
+  const size_t trials = flags.GetCount("trials", 40);
+  const size_t set_size = flags.GetCount("set-size", 2000);
   Random rng(static_cast<uint64_t>(flags.GetInt("seed", 5)));
 
   std::printf("# Ablation A1: containment estimation error vs synopsis bytes\n");

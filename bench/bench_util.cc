@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/check.h"
+#include "metrics/summary.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -78,22 +79,14 @@ BenchConfig BenchConfig::FromFlags(int argc, char** argv) {
     config.amazon_scale = flags.GetDouble("scale", 1.0);
     config.web_scale = flags.GetDouble("scale", 1.0);
   }
-  config.peers_per_category =
-      static_cast<size_t>(flags.GetInt("peers-per-category",
-                                       static_cast<int64_t>(config.peers_per_category)));
-  config.meetings = static_cast<size_t>(
-      flags.GetInt("meetings", static_cast<int64_t>(config.meetings)));
-  config.eval_every = static_cast<size_t>(
-      flags.GetInt("eval-every", static_cast<int64_t>(config.eval_every)));
-  config.top_k =
-      static_cast<size_t>(flags.GetInt("topk", static_cast<int64_t>(config.top_k)));
-  config.queries =
-      static_cast<size_t>(flags.GetInt("queries", static_cast<int64_t>(config.queries)));
+  config.peers_per_category = flags.GetCount("peers-per-category", config.peers_per_category);
+  config.meetings = flags.GetCount("meetings", config.meetings);
+  config.eval_every = flags.GetCount("eval-every", config.eval_every);
+  config.top_k = flags.GetCount("topk", config.top_k);
+  config.queries = flags.GetCount("queries", config.queries);
   config.zipf_s = flags.GetDouble("zipf_s", config.zipf_s);
-  config.zipf_s = flags.GetDouble("zipf-s", config.zipf_s);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", static_cast<int64_t>(config.seed)));
   config.metrics_out = flags.GetString("metrics_out", config.metrics_out);
-  config.metrics_out = flags.GetString("metrics-out", config.metrics_out);
   const std::string wire = flags.GetString("wire", "estimated");
   if (wire == "measured") {
     config.wire_mode = core::MeetingWireMode::kMeasured;
@@ -202,6 +195,21 @@ void PrintTrafficSummary(const core::JxpSimulation& sim) {
         .Field("measured_over_estimated",
                estimated > 0 ? traffic.total_bytes / estimated : 0.0);
   });
+}
+
+void PrintMessageSizeSeries(const core::JxpSimulation& sim, const char* label,
+                            size_t max_meetings_per_peer) {
+  for (size_t m = 0; m < max_meetings_per_peer; ++m) {
+    std::vector<double> kbytes;
+    for (p2p::PeerId p = 0; p < sim.network().NumPeers(); ++p) {
+      const auto& series = sim.network().TrafficOf(p).bytes_per_meeting;
+      if (m < series.size()) kbytes.push_back(series[m] / 1024.0);
+    }
+    if (kbytes.size() < 4) break;  // Too few peers reached this meeting count.
+    const metrics::Summary s = metrics::Summarize(kbytes);
+    std::printf("%s\t%zu\t%.1f\t%.1f\t%.1f\t%zu\n", label, m + 1, s.q1, s.median, s.q3,
+                s.count);
+  }
 }
 
 }  // namespace bench

@@ -30,14 +30,14 @@ struct BenchConfig {
   /// Query batch size of the query-serving benches (--queries=N).
   size_t queries = 200;
   /// Zipf exponent of the repeated-query trace of micro_query_throughput
-  /// (--zipf_s / --zipf-s): the i-th distinct query of the pool is drawn
+  /// (--zipf_s): the i-th distinct query of the pool is drawn
   /// with probability proportional to 1/(i+1)^zipf_s, the skew real web
   /// query logs show and the regime the serving-tier caches exist for.
   double zipf_s = 1.0;
   uint64_t seed = 7;
   /// Telemetry output: when non-empty, a JSON-lines trace sink is installed
   /// at this path (spans, events, and — at exit — a metrics snapshot).
-  /// Flag spellings --metrics_out=PATH and --metrics-out=PATH both work.
+  /// Flag: --metrics_out=PATH.
   std::string metrics_out;
   /// Meeting byte accounting: --wire=estimated (the paper's analytic model,
   /// the default) or --wire=measured (encode every meeting through the
@@ -80,6 +80,13 @@ void RunConvergenceSeries(core::JxpSimulation& sim, const BenchConfig& config,
 /// over N meetings, mean ... KB / max ... KB per meeting") from
 /// Network::AggregateTraffic, and emits it as a "traffic_summary" event.
 void PrintTrafficSummary(const core::JxpSimulation& sim);
+
+/// Prints one "label meetings_per_peer q1_kb median_kb q3_kb peers" row per
+/// meeting index (Figures 11-12): quartiles, across peers, of the size of
+/// each peer's m-th message, up to `max_meetings_per_peer` or until fewer
+/// than 4 peers reached that meeting count.
+void PrintMessageSizeSeries(const core::JxpSimulation& sim, const char* label,
+                            size_t max_meetings_per_peer);
 
 }  // namespace bench
 }  // namespace jxp

@@ -6,29 +6,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "metrics/summary.h"
 
 namespace jxp {
 namespace bench {
-
-namespace {
-
-void PrintMessageSizeSeries(const core::JxpSimulation& sim, const char* label,
-                            size_t max_meetings_per_peer) {
-  for (size_t m = 0; m < max_meetings_per_peer; ++m) {
-    std::vector<double> kbytes;
-    for (p2p::PeerId p = 0; p < sim.network().NumPeers(); ++p) {
-      const auto& series = sim.network().TrafficOf(p).bytes_per_meeting;
-      if (m < series.size()) kbytes.push_back(series[m] / 1024.0);
-    }
-    if (kbytes.size() < 4) break;
-    const metrics::Summary s = metrics::Summarize(kbytes);
-    std::printf("%s\t%zu\t%.1f\t%.1f\t%.1f\t%zu\n", label, m + 1, s.q1, s.median, s.q3,
-                s.count);
-  }
-}
-
-}  // namespace
 
 void Run(int argc, char** argv) {
   const BenchConfig config = BenchConfig::FromFlags(argc, argv);

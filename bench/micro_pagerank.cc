@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the computational substrate: graph
 // construction, subgraph induction, one step of the power-iteration kernel
-// (the system's only stationary solver), the centralized PageRank, HITS, and
-// one JXP meeting.
+// (the system's only stationary solver), the centralized PageRank, and one
+// JXP meeting.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "core/jxp_peer.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
-#include "pagerank/hits.h"
 #include "pagerank/pagerank.h"
 
 namespace jxp {
@@ -71,16 +70,6 @@ void BM_CentralizedPageRank(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentralizedPageRank)->Arg(1000)->Arg(10000);
-
-void BM_Hits(benchmark::State& state) {
-  const graph::Graph g = MakeGraph(static_cast<size_t>(state.range(0)));
-  pagerank::HitsOptions options;
-  options.tolerance = 1e-10;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeHits(g, options));
-  }
-}
-BENCHMARK(BM_Hits)->Arg(1000)->Arg(10000);
 
 void BM_JxpMeeting(benchmark::State& state) {
   const graph::Graph g = MakeGraph(4000);

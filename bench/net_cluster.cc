@@ -732,12 +732,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   jxp::ClusterConfig config;
-  config.peers = static_cast<size_t>(flags.GetInt("peers", 8));
-  config.meetings = static_cast<size_t>(flags.GetInt("meetings", 64));
-  config.nodes = static_cast<size_t>(flags.GetInt("nodes", 400));
+  config.peers = flags.GetCount("peers", 8);
+  config.meetings = flags.GetCount("meetings", 64);
+  config.nodes = flags.GetCount("nodes", 400);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   config.out_dir = flags.GetString("out-dir", flags.GetString("out_dir", "/tmp/net_cluster"));
-  config.check_every = static_cast<size_t>(flags.GetInt("check-every", 16));
+  config.check_every = flags.GetCount("check-every", 16);
   config.restart_peer = flags.GetInt("restart-peer", 0);
   config.chaos = flags.GetBool("chaos", false);
   config.drop = flags.GetDouble("drop", 0.05);
@@ -745,15 +745,12 @@ int main(int argc, char** argv) {
   config.corrupt = flags.GetDouble("corrupt", 0.05);
   config.self_scheduled =
       flags.GetBool("self-scheduled", flags.GetBool("self_scheduled", false));
-  config.meet_interval_ms =
-      static_cast<uint64_t>(flags.GetInt("meet-interval-ms", 40));
-  config.meet_jitter_ms = static_cast<uint64_t>(flags.GetInt("meet-jitter-ms", 40));
-  config.gossip_interval_ms =
-      static_cast<uint64_t>(flags.GetInt("gossip-interval-ms", 100));
-  config.sample_every_ms =
-      static_cast<uint64_t>(flags.GetInt("sample-every-ms", 250));
-  config.max_wall_ms = static_cast<uint64_t>(flags.GetInt("max-wall-ms", 60000));
+  config.meet_interval_ms = flags.GetCount("meet-interval-ms", 40);
+  config.meet_jitter_ms = flags.GetCount("meet-jitter-ms", 40);
+  config.gossip_interval_ms = flags.GetCount("gossip-interval-ms", 100);
+  config.sample_every_ms = flags.GetCount("sample-every-ms", 250);
+  config.max_wall_ms = flags.GetCount("max-wall-ms", 60000);
   config.target_slack = flags.GetDouble("target-slack", 1.10);
-  config.io_timeout_ms = static_cast<uint64_t>(flags.GetInt("io-timeout-ms", 0));
+  config.io_timeout_ms = flags.GetCount("io-timeout-ms", 0);
   return jxp::RunDriver(config);
 }

@@ -90,8 +90,7 @@ LoadFlags ParseLoadFlags(int argc, char** argv) {
     f.max_levels = 2;
     f.threads = 2;
   }
-  f.threads = static_cast<size_t>(
-      flags.GetInt("threads", static_cast<int64_t>(f.threads)));
+  f.threads = flags.GetCount("threads", f.threads);
   f.duration_seconds = flags.GetDouble("duration_seconds", f.duration_seconds);
   f.duration_seconds = flags.GetDouble("duration-seconds", f.duration_seconds);
   f.slo_ms = flags.GetDouble("slo_ms", f.slo_ms);
@@ -100,8 +99,7 @@ LoadFlags ParseLoadFlags(int argc, char** argv) {
   f.qps_start = flags.GetDouble("qps-start", f.qps_start);
   f.qps_ramp = flags.GetDouble("qps_ramp", f.qps_ramp);
   f.qps_ramp = flags.GetDouble("qps-ramp", f.qps_ramp);
-  f.max_levels = static_cast<size_t>(
-      flags.GetInt("max_levels", static_cast<int64_t>(f.max_levels)));
+  f.max_levels = flags.GetCount("max_levels", f.max_levels);
   JXP_CHECK_GT(f.threads, 0u);
   JXP_CHECK_GT(f.qps_start, 0.0);
   JXP_CHECK_GT(f.qps_ramp, 1.0);

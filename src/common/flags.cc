@@ -41,6 +41,13 @@ int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   return v;
 }
 
+uint64_t Flags::GetCount(const std::string& name, uint64_t def) const {
+  if (!Has(name)) return def;
+  const int64_t v = GetInt(name, 0);
+  JXP_CHECK(v >= 0) << "flag --" << name << " is not a count: " << v;
+  return static_cast<uint64_t>(v);
+}
+
 double Flags::GetDouble(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;

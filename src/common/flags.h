@@ -28,6 +28,12 @@ class Flags {
   /// unparsable values (bench binaries want loud failures).
   int64_t GetInt(const std::string& name, int64_t def) const;
 
+  /// Returns the flag value as a count (meetings, top-k, milliseconds, ...),
+  /// or `def` when absent. Aborts like GetInt on an unparsable value and on a
+  /// negative one, which a cast to an unsigned type would wrap to a huge
+  /// count.
+  uint64_t GetCount(const std::string& name, uint64_t def) const;
+
   /// Returns the flag value parsed as double, or `def` when absent.
   double GetDouble(const std::string& name, double def) const;
 

@@ -52,20 +52,4 @@ std::vector<size_t> Random::SampleWithoutReplacement(size_t n, size_t k) {
   return out;
 }
 
-size_t WeightedPick(const std::vector<double>& weights, Random& rng) {
-  JXP_CHECK(!weights.empty());
-  double total = 0;
-  for (double w : weights) {
-    JXP_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  JXP_CHECK_GT(total, 0.0);
-  double r = rng.NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0) return i;
-  }
-  return weights.size() - 1;  // Guard against accumulated rounding.
-}
-
 }  // namespace jxp

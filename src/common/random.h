@@ -86,11 +86,6 @@ class Random {
   uint64_t state_[4];
 };
 
-/// Draws an index in [0, weights.size()) with probability proportional to
-/// weights[i]. Requires a non-empty vector with non-negative entries and a
-/// positive total.
-size_t WeightedPick(const std::vector<double>& weights, Random& rng);
-
 }  // namespace jxp
 
 #endif  // JXP_COMMON_RANDOM_H_

@@ -455,14 +455,6 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
   return millis;
 }
 
-bool JxpPeer::HasLocallyConverged(size_t window, double tolerance) const {
-  JXP_CHECK_GT(window, 0u);
-  JXP_CHECK_GE(tolerance, 0.0);
-  if (world_score_history_.size() < window) return false;
-  const double oldest = world_score_history_[world_score_history_.size() - window];
-  return std::abs(oldest - world_score_) <= tolerance;
-}
-
 void JxpPeer::CombineLocalScore(graph::Subgraph::LocalIndex i, double reported) {
   scores_[i] = CombineScores(options_.combine_mode, scores_[i], reported);
 }

@@ -170,15 +170,6 @@ class JxpPeer {
   /// implausible (see DefenseOptions).
   size_t rejected_meetings() const { return rejected_meetings_; }
 
-  /// Local convergence heuristic. A peer cannot observe the global error,
-  /// but it can watch its own world-node score: the score is monotonically
-  /// non-increasing (Theorem 5.1) and converges to pi_w (Theorem 5.4), so
-  /// once it has moved by less than `tolerance` over the peer's last
-  /// `window` meetings, the peer's local view has (heuristically) settled
-  /// and it can throttle its meeting rate. Returns false until the peer has
-  /// had at least `window` meetings.
-  bool HasLocallyConverged(size_t window, double tolerance) const;
-
   /// World score after each of this peer's meetings, in meeting order.
   const std::vector<double>& world_score_history() const {
     return world_score_history_;

@@ -25,23 +25,6 @@ size_t DrawOutDegree(double mean, Random& rng) {
 
 }  // namespace
 
-Graph ErdosRenyi(size_t num_nodes, size_t num_edges, Random& rng) {
-  JXP_CHECK_GE(num_nodes, 2u);
-  const size_t max_edges = num_nodes * (num_nodes - 1);
-  JXP_CHECK_LE(num_edges, max_edges);
-  GraphBuilder builder(num_nodes);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(num_edges * 2);
-  while (seen.size() < num_edges) {
-    const PageId u = static_cast<PageId>(rng.NextBounded(num_nodes));
-    const PageId v = static_cast<PageId>(rng.NextBounded(num_nodes));
-    if (u == v) continue;
-    const uint64_t key = (static_cast<uint64_t>(u) << 32) | v;
-    if (seen.insert(key).second) builder.AddEdge(u, v);
-  }
-  return builder.Build();
-}
-
 Graph BarabasiAlbert(size_t num_nodes, size_t out_degree, Random& rng) {
   JXP_CHECK_GE(num_nodes, out_degree + 1);
   GraphBuilder builder(num_nodes);

@@ -91,35 +91,5 @@ StatusOr<std::vector<double>> ExactStationaryDistribution(
   return pi;
 }
 
-StatusOr<std::vector<double>> MeanFirstPassageTimes(const std::vector<std::vector<double>>& p,
-                                                    uint32_t target) {
-  const size_t n = p.size();
-  for (const auto& row : p) {
-    if (row.size() != n) return Status::InvalidArgument("matrix is not square");
-  }
-  if (target >= n) return Status::InvalidArgument("target out of range");
-  // Unknowns: m_i for i != target. System: m_i - sum_{j != target} p_ij m_j = 1.
-  const size_t dim = n - 1;
-  auto reduced_index = [target](size_t i) { return i < target ? i : i - 1; };
-  std::vector<std::vector<double>> a(dim, std::vector<double>(dim, 0.0));
-  std::vector<double> b(dim, 1.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == target) continue;
-    const size_t ri = reduced_index(i);
-    a[ri][ri] += 1.0;
-    for (size_t j = 0; j < n; ++j) {
-      if (j == target) continue;
-      a[ri][reduced_index(j)] -= p[i][j];
-    }
-  }
-  JXP_ASSIGN_OR_RETURN(std::vector<double> reduced,
-                       SolveLinearSystem(std::move(a), std::move(b)));
-  std::vector<double> m(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (i != target) m[i] = reduced[reduced_index(i)];
-  }
-  return m;
-}
-
 }  // namespace markov
 }  // namespace jxp

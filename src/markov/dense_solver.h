@@ -42,13 +42,6 @@ std::vector<std::vector<double>> ToDenseDamped(const SparseMatrix& matrix,
 StatusOr<std::vector<double>> ExactStationaryDistribution(
     const std::vector<std::vector<double>>& p);
 
-/// Mean first passage times to the single `target` state: m[i] is the
-/// expected number of steps to first reach `target` from i (m[target] = 0).
-/// Solves m_i = 1 + sum_{j != target} p_ij m_j. Returns InvalidArgument on a
-/// non-square matrix or an out-of-range target.
-StatusOr<std::vector<double>> MeanFirstPassageTimes(const std::vector<std::vector<double>>& p,
-                                                    uint32_t target);
-
 }  // namespace markov
 }  // namespace jxp
 

@@ -1,6 +1,5 @@
 #include "metrics/error.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace jxp {
@@ -23,15 +22,6 @@ double LinearScoreError(std::span<const ScoredItem> global_top_k,
     sum += std::abs(true_score - ApproxScore(approx_scores, page));
   }
   return sum / static_cast<double>(global_top_k.size());
-}
-
-double MaxScoreError(std::span<const ScoredItem> global_top_k,
-                     const std::unordered_map<uint32_t, double>& approx_scores) {
-  double worst = 0;
-  for (const auto& [page, true_score] : global_top_k) {
-    worst = std::max(worst, std::abs(true_score - ApproxScore(approx_scores, page)));
-  }
-  return worst;
 }
 
 }  // namespace metrics

@@ -18,11 +18,6 @@ namespace metrics {
 double LinearScoreError(std::span<const ScoredItem> global_top_k,
                         const std::unordered_map<uint32_t, double>& approx_scores);
 
-/// Maximum absolute score difference over the same pages; a stricter
-/// convergence diagnostic used by tests.
-double MaxScoreError(std::span<const ScoredItem> global_top_k,
-                     const std::unordered_map<uint32_t, double>& approx_scores);
-
 }  // namespace metrics
 }  // namespace jxp
 

@@ -63,39 +63,6 @@ double SpearmanFootrule(std::span<const ScoredItem> ranking1,
   return sum / (static_cast<double>(k) * static_cast<double>(k + 1));
 }
 
-double KendallTauDistance(std::span<const ScoredItem> ranking1,
-                          std::span<const ScoredItem> ranking2) {
-  const size_t k = std::max(ranking1.size(), ranking2.size());
-  if (k == 0) return 0.0;
-  const auto pos1 = PositionsOf(ranking1);
-  const auto pos2 = PositionsOf(ranking2);
-  // Union of item ids.
-  std::vector<uint32_t> items;
-  items.reserve(pos1.size() + pos2.size());
-  for (const auto& [id, p] : pos1) items.push_back(id);
-  for (const auto& [id, p] : pos2) {
-    if (!pos1.count(id)) items.push_back(id);
-  }
-  auto position = [k](const std::unordered_map<uint32_t, size_t>& pos, uint32_t id) {
-    const auto it = pos.find(id);
-    return it == pos.end() ? k + 1 : it->second;
-  };
-  size_t discordant = 0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    for (size_t j = i + 1; j < items.size(); ++j) {
-      const auto a1 = position(pos1, items[i]);
-      const auto b1 = position(pos1, items[j]);
-      const auto a2 = position(pos2, items[i]);
-      const auto b2 = position(pos2, items[j]);
-      if (a1 == b1 || a2 == b2) continue;  // Tied (both off-list): no order info.
-      ++pairs;
-      if ((a1 < b1) != (a2 < b2)) ++discordant;
-    }
-  }
-  return pairs == 0 ? 0.0 : static_cast<double>(discordant) / static_cast<double>(pairs);
-}
-
 double PrecisionAtK(std::span<const uint32_t> retrieved,
                     const std::unordered_set<uint32_t>& relevant, size_t k) {
   JXP_CHECK_GT(k, 0u);
@@ -106,34 +73,6 @@ double PrecisionAtK(std::span<const uint32_t> retrieved,
     if (relevant.count(retrieved[i])) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(limit);
-}
-
-double NdcgAtK(std::span<const uint32_t> retrieved,
-               const std::unordered_set<uint32_t>& relevant, size_t k) {
-  JXP_CHECK_GT(k, 0u);
-  const size_t limit = std::min(k, retrieved.size());
-  double dcg = 0;
-  for (size_t i = 0; i < limit; ++i) {
-    if (relevant.count(retrieved[i])) {
-      dcg += 1.0 / std::log2(static_cast<double>(i) + 2.0);
-    }
-  }
-  const size_t ideal_hits = std::min(k, relevant.size());
-  double ideal = 0;
-  for (size_t i = 0; i < ideal_hits; ++i) {
-    ideal += 1.0 / std::log2(static_cast<double>(i) + 2.0);
-  }
-  return ideal == 0 ? 0.0 : dcg / ideal;
-}
-
-double ReciprocalRank(std::span<const uint32_t> retrieved,
-                      const std::unordered_set<uint32_t>& relevant, size_t k) {
-  JXP_CHECK_GT(k, 0u);
-  const size_t limit = std::min(k, retrieved.size());
-  for (size_t i = 0; i < limit; ++i) {
-    if (relevant.count(retrieved[i])) return 1.0 / static_cast<double>(i + 1);
-  }
-  return 0.0;
 }
 
 }  // namespace metrics

@@ -33,29 +33,11 @@ std::vector<ScoredItem> TopK(const std::unordered_map<uint32_t, double>& scores,
 double SpearmanFootrule(std::span<const ScoredItem> ranking1,
                         std::span<const ScoredItem> ranking2);
 
-/// Kendall's tau-a distance between two top-k rankings over the union of
-/// their items (missing items at position k+1), normalized to [0, 1]:
-/// fraction of discordant pairs.
-double KendallTauDistance(std::span<const ScoredItem> ranking1,
-                          std::span<const ScoredItem> ranking2);
-
 /// Precision at k: fraction of the first k retrieved ids that are relevant.
 /// Uses min(k, retrieved.size()) as the denominator's cap partner — if fewer
 /// than k items were retrieved, precision is computed over what exists.
 double PrecisionAtK(std::span<const uint32_t> retrieved,
                     const std::unordered_set<uint32_t>& relevant, size_t k);
-
-/// Normalized discounted cumulative gain at k with binary relevance:
-/// DCG = sum over relevant positions i (1-based) of 1/log2(i + 1),
-/// normalized by the ideal DCG (all of the first min(k, |relevant|)
-/// positions relevant). 0 when nothing relevant was retrievable.
-double NdcgAtK(std::span<const uint32_t> retrieved,
-               const std::unordered_set<uint32_t>& relevant, size_t k);
-
-/// Reciprocal rank of the first relevant result within the top k
-/// (1 for rank 1, 1/2 for rank 2, ...); 0 when none appears.
-double ReciprocalRank(std::span<const uint32_t> retrieved,
-                      const std::unordered_set<uint32_t>& relevant, size_t k);
 
 }  // namespace metrics
 }  // namespace jxp

@@ -39,15 +39,5 @@ Summary Summarize(std::span<const double> values) {
   return s;
 }
 
-double StdDev(std::span<const double> values) {
-  if (values.size() < 2) return 0;
-  double mean = 0;
-  for (double v : values) mean += v;
-  mean /= static_cast<double>(values.size());
-  double ss = 0;
-  for (double v : values) ss += (v - mean) * (v - mean);
-  return std::sqrt(ss / static_cast<double>(values.size() - 1));
-}
-
 }  // namespace metrics
 }  // namespace jxp

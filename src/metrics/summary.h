@@ -22,9 +22,6 @@ struct Summary {
 /// Quartiles use linear interpolation between order statistics (type 7).
 Summary Summarize(std::span<const double> values);
 
-/// Sample standard deviation (n-1 denominator); 0 for n < 2.
-double StdDev(std::span<const double> values);
-
 }  // namespace metrics
 }  // namespace jxp
 

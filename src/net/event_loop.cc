@@ -52,17 +52,6 @@ Status EventLoop::Add(int fd, uint32_t events, FdCallback callback) {
   return Status::OK();
 }
 
-Status EventLoop::Modify(int fd, uint32_t events) {
-  if (fds_.count(fd) == 0) return Status::NotFound("fd not registered");
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.fd = fd;
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
-    return Status::IOError(std::string("epoll_ctl(MOD): ") + strerror(errno));
-  }
-  return Status::OK();
-}
-
 Status EventLoop::Remove(int fd) {
   if (fds_.erase(fd) == 0) return Status::NotFound("fd not registered");
   if (::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr) < 0) {

@@ -46,8 +46,6 @@ class EventLoop {
   /// on every poll where the fd is ready, with the ready mask. The loop
   /// never closes registered fds; ownership stays with the caller.
   Status Add(int fd, uint32_t events, FdCallback callback);
-  /// Changes the interest mask of a registered fd.
-  Status Modify(int fd, uint32_t events);
   /// Unregisters `fd`. Safe to call from inside any callback (including the
   /// fd's own): dispatch re-checks registration before each callback.
   Status Remove(int fd);

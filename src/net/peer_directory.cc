@@ -116,13 +116,5 @@ const PeerDirectory::Entry* PeerDirectory::Find(uint32_t peer_id) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-size_t PeerDirectory::num_alive() const {
-  size_t n = 0;
-  for (const auto& [id, entry] : entries_) {
-    if (!entry.departed) ++n;
-  }
-  return n;
-}
-
 }  // namespace net
 }  // namespace jxp

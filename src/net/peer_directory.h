@@ -78,7 +78,6 @@ class PeerDirectory {
 
   const Entry* Find(uint32_t peer_id) const;
   size_t size() const { return entries_.size(); }
-  size_t num_alive() const;
   uint64_t staleness_ms() const { return staleness_ms_; }
 
  private:

@@ -52,13 +52,6 @@ void JsonWriter::AppendEscaped(std::string& out, std::string_view s) {
   }
 }
 
-std::string JsonWriter::Escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  AppendEscaped(out, s);
-  return out;
-}
-
 void JsonWriter::AppendDouble(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
@@ -141,14 +134,6 @@ JsonWriter& JsonWriter::BeginArray(std::string_view key) {
   BeginValue(key);
   out_.push_back('[');
   scopes_.push_back(false);
-  has_member_.push_back(false);
-  return *this;
-}
-
-JsonWriter& JsonWriter::BeginArrayObject() {
-  BeginElement();
-  out_.push_back('{');
-  scopes_.push_back(true);
   has_member_.push_back(false);
   return *this;
 }

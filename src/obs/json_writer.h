@@ -20,9 +20,7 @@ namespace obs {
 /// Usage:
 ///   JsonWriter w;
 ///   w.Field("bench", "meeting_throughput").Field("threads", 4);
-///   w.BeginArray("buckets");
-///   w.BeginArrayObject().Field("le", 10.0).Field("count", 3).End();
-///   w.End();
+///   w.BeginArray("ps").Element(50.0).Element(99.0).End();
 ///   std::string line = w.TakeLine();  // {"bench":"meeting_throughput",...}
 ///
 /// Doubles are written with the shortest representation that round-trips
@@ -53,8 +51,6 @@ class JsonWriter {
   /// Containers. End() closes the innermost open object or array.
   JsonWriter& BeginObject(std::string_view key);
   JsonWriter& BeginArray(std::string_view key);
-  /// An object element of the innermost (open) array.
-  JsonWriter& BeginArrayObject();
   /// Scalar elements of the innermost (open) array.
   JsonWriter& Element(double value);
   JsonWriter& Element(std::string_view value);
@@ -66,8 +62,6 @@ class JsonWriter {
 
   /// Appends `s` JSON-escaped (without surrounding quotes) to `out`.
   static void AppendEscaped(std::string& out, std::string_view s);
-  /// Returns `s` JSON-escaped, without surrounding quotes.
-  static std::string Escape(std::string_view s);
   /// Appends the shortest round-trip decimal representation of `v`
   /// ("null" when non-finite).
   static void AppendDouble(std::string& out, double v);

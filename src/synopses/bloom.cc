@@ -25,16 +25,6 @@ void BloomFilter::Add(uint64_t key) {
   }
 }
 
-bool BloomFilter::MayContain(uint64_t key) const {
-  const uint64_t h1 = Mix64(key ^ seed_);
-  const uint64_t h2 = Mix64(key + 0x9e3779b97f4a7c15ULL + seed_) | 1;
-  for (size_t i = 0; i < num_hashes_; ++i) {
-    const uint64_t bit = (h1 + i * h2) % num_bits_;
-    if ((words_[bit / 64] & (uint64_t{1} << (bit % 64))) == 0) return false;
-  }
-  return true;
-}
-
 size_t BloomFilter::PopCount() const {
   size_t count = 0;
   for (uint64_t w : words_) count += static_cast<size_t>(std::popcount(w));

@@ -9,8 +9,8 @@
 namespace jxp {
 namespace synopses {
 
-/// Classic Bloom filter over 64-bit keys, with cardinality and set-overlap
-/// estimation from fill ratios (Swamidass & Baldi). Provided as an
+/// Bloom filter over 64-bit keys used as a set sketch: cardinality and
+/// set-overlap estimation from fill ratios (Swamidass & Baldi). Provided as an
 /// alternative synopsis for the pre-meetings strategy (ablation A1); the
 /// paper itself uses MIPs.
 class BloomFilter {
@@ -21,9 +21,6 @@ class BloomFilter {
 
   /// Inserts a key.
   void Add(uint64_t key);
-
-  /// True if the key may be in the set; false means definitely absent.
-  bool MayContain(uint64_t key) const;
 
   /// Number of set bits.
   size_t PopCount() const;

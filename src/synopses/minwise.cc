@@ -60,14 +60,6 @@ MinWiseSignature MinWiseFamily::Sign(std::span<const uint32_t> keys) const {
   return MinWiseSignature(std::move(minima), keys.size());
 }
 
-MinWiseSignature MinWiseSignature::Union(const MinWiseSignature& a, const MinWiseSignature& b) {
-  JXP_CHECK_EQ(a.NumPermutations(), b.NumPermutations());
-  std::vector<uint64_t> minima(a.NumPermutations());
-  for (size_t i = 0; i < minima.size(); ++i) minima[i] = std::min(a.minima_[i], b.minima_[i]);
-  const uint64_t size = static_cast<uint64_t>(EstimateUnionSize(a, b) + 0.5);
-  return MinWiseSignature(std::move(minima), size);
-}
-
 double EstimateResemblance(const MinWiseSignature& a, const MinWiseSignature& b) {
   JXP_CHECK_EQ(a.NumPermutations(), b.NumPermutations());
   JXP_CHECK_GT(a.NumPermutations(), 0u);

@@ -33,10 +33,6 @@ class MinWiseSignature {
   /// True iff the summarized set was empty.
   bool IsEmpty() const { return set_size_ == 0; }
 
-  /// Signature of the union of the two summarized sets (element-wise min).
-  /// The union size stored is the estimate from EstimateUnionSize.
-  static MinWiseSignature Union(const MinWiseSignature& a, const MinWiseSignature& b);
-
   /// Serialized wire size in bytes: 8 per minimum + 8 for the set size.
   size_t SizeBytes() const { return minima_.size() * 8 + 8; }
 

@@ -51,6 +51,14 @@ TEST(FlagsTest, NegativeNumbers) {
   EXPECT_EQ(f.GetInt("offset", 0), -5);
 }
 
+TEST(FlagsTest, CountRejectsNegative) {
+  Flags f = ParseOk({"--meetings=-1", "--zero=0", "--topk=25"});
+  EXPECT_EQ(f.GetCount("zero", 7), 0u);
+  EXPECT_EQ(f.GetCount("topk", 7), 25u);
+  EXPECT_EQ(f.GetCount("missing", 7), 7u);
+  EXPECT_DEATH(f.GetCount("meetings", 7), "flag --meetings is not a count: -1");
+}
+
 TEST(FlagsTest, BoolLiterals) {
   Flags f = ParseOk({"--a=true", "--b=false", "--c=1", "--d=0"});
   EXPECT_TRUE(f.GetBool("a", false));

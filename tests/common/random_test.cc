@@ -108,16 +108,6 @@ TEST(RandomTest, ReseedRestartsStream) {
   EXPECT_EQ(rng.NextUint64(), first);
 }
 
-TEST(WeightedPickTest, RespectsWeights) {
-  Random rng(23);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  int counts[3] = {};
-  for (int i = 0; i < 40000; ++i) counts[WeightedPick(weights, rng)]++;
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[0] / 40000.0, 0.25, 0.02);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.75, 0.02);
-}
-
 TEST(SplitMix64Test, KnownSequenceIsStable) {
   SplitMix64 sm(0);
   const uint64_t a = sm.Next();

@@ -202,6 +202,38 @@ TEST(JxpPeerTest, TracksMeetingCpuTime) {
   EXPECT_GE(a.meeting_cpu_millis()[0], 0.0);
 }
 
+TEST(ConvergenceDetectionTest, HistoryIsMonotoneAndMatchesCount) {
+  // A peer's world score after each meeting never rises (Theorem 5.1).
+  Random rng(91);
+  const graph::Graph g = graph::BarabasiAlbert(100, 3, rng);
+  std::vector<std::vector<graph::PageId>> fragments(3);
+  for (graph::PageId p = 0; p < g.NumNodes(); ++p) {
+    fragments[rng.NextBounded(3)].push_back(p);
+    if (rng.NextBool(0.3)) fragments[rng.NextBounded(3)].push_back(p);
+  }
+  JxpOptions options;
+  options.pr_tolerance = 1e-12;
+  std::vector<JxpPeer> peers;
+  for (size_t i = 0; i < 3; ++i) {
+    peers.emplace_back(static_cast<p2p::PeerId>(i), graph::Subgraph::Induce(g, fragments[i]),
+                       g.NumNodes(), options);
+  }
+  Random schedule(92);
+  for (int m = 0; m < 100; ++m) {
+    const size_t a = schedule.NextBounded(3);
+    size_t b = schedule.NextBounded(2);
+    if (b >= a) ++b;
+    JxpPeer::Meet(peers[a], peers[b]);
+  }
+  for (const JxpPeer& peer : peers) {
+    const auto& history = peer.world_score_history();
+    EXPECT_EQ(history.size(), peer.num_meetings());
+    for (size_t i = 1; i < history.size(); ++i) {
+      EXPECT_LE(history[i], history[i - 1] + 1e-9);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace jxp

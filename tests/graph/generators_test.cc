@@ -8,16 +8,6 @@ namespace jxp {
 namespace graph {
 namespace {
 
-TEST(ErdosRenyiTest, ExactEdgeCount) {
-  Random rng(1);
-  const Graph g = ErdosRenyi(50, 200, rng);
-  EXPECT_EQ(g.NumNodes(), 50u);
-  EXPECT_EQ(g.NumEdges(), 200u);
-  for (PageId u = 0; u < g.NumNodes(); ++u) {
-    EXPECT_FALSE(g.HasEdge(u, u));
-  }
-}
-
 TEST(BarabasiAlbertTest, StructureAndDegrees) {
   Random rng(2);
   const size_t out_degree = 3;

@@ -186,31 +186,6 @@ TEST(PowerIterationTest, InitDoesNotChangeFixpoint) {
   EXPECT_NEAR(from_uniform.distribution[0], from_skewed.distribution[0], 1e-10);
 }
 
-TEST(MeanFirstPassageTest, TwoStateClosedForm) {
-  // m_{0->1} = 1 / P(0->1) for a two-state chain leaving 0 with prob q.
-  const double q = 0.25;
-  std::vector<std::vector<double>> p = {{1 - q, q}, {0.5, 0.5}};
-  auto m = MeanFirstPassageTimes(p, 1);
-  ASSERT_TRUE(m.ok()) << m.status();
-  EXPECT_NEAR(m.value()[0], 1.0 / q, 1e-10);
-  EXPECT_DOUBLE_EQ(m.value()[1], 0.0);
-}
-
-TEST(MeanFirstPassageTest, MatchesSimulationStructure) {
-  // Line chain 0 -> 1 -> 2 (absorbing-ish walk to the right with return).
-  std::vector<std::vector<double>> p = {
-      {0.5, 0.5, 0.0},
-      {0.25, 0.25, 0.5},
-      {0.0, 0.0, 1.0},
-  };
-  auto m = MeanFirstPassageTimes(p, 2);
-  ASSERT_TRUE(m.ok()) << m.status();
-  // Solve by hand: m1 = 1 + 0.25 m0 + 0.25 m1; m0 = 1 + 0.5 m0 + 0.5 m1
-  // => m0 = 2 + m1; m1 = 1 + 0.25(2 + m1) + 0.25 m1 => 0.5 m1 = 1.5 => m1=3.
-  EXPECT_NEAR(m.value()[1], 3.0, 1e-10);
-  EXPECT_NEAR(m.value()[0], 5.0, 1e-10);
-}
-
 TEST(DenseSolverTest, SolvesRegularSystem) {
   std::vector<std::vector<double>> a = {{2, 1}, {1, 3}};
   std::vector<double> b = {3, 5};
@@ -246,11 +221,6 @@ TEST(DenseSolverTest, RejectsRaggedMatrix) {
     EXPECT_EQ(stationary.status().code(), StatusCode::kInvalidArgument);
     auto aggregated = AggregateChain(p, {0.5, 0.5}, {0, 1}, 2);
     EXPECT_EQ(aggregated.status().code(), StatusCode::kInvalidArgument);
-    for (uint32_t target = 0; target < 2; ++target) {
-      auto passage = MeanFirstPassageTimes(p, target);
-      EXPECT_EQ(passage.status().code(), StatusCode::kInvalidArgument)
-          << "target " << target;
-    }
   }
 }
 

@@ -1,7 +1,5 @@
 #include "metrics/ranking.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace jxp {
@@ -73,20 +71,6 @@ TEST(FootruleTest, EmptyRankings) {
   EXPECT_DOUBLE_EQ(SpearmanFootrule(empty, empty), 0.0);
 }
 
-TEST(KendallTest, IdenticalIsZeroReversedIsOne) {
-  const auto r1 = MakeRanking({1, 2, 3, 4});
-  const auto r2 = MakeRanking({4, 3, 2, 1});
-  EXPECT_DOUBLE_EQ(KendallTauDistance(r1, r1), 0.0);
-  EXPECT_DOUBLE_EQ(KendallTauDistance(r1, r2), 1.0);
-}
-
-TEST(KendallTest, PartialDisagreement) {
-  const auto r1 = MakeRanking({1, 2, 3});
-  const auto r2 = MakeRanking({1, 3, 2});
-  // One discordant pair of three.
-  EXPECT_NEAR(KendallTauDistance(r1, r2), 1.0 / 3, 1e-12);
-}
-
 TEST(PrecisionTest, Basics) {
   const std::vector<uint32_t> retrieved = {1, 2, 3, 4, 5};
   const std::unordered_set<uint32_t> relevant = {2, 4, 9};
@@ -103,41 +87,6 @@ TEST(PrecisionTest, FewerRetrievedThanK) {
 TEST(PrecisionTest, EmptyRetrievedIsZero) {
   const std::vector<uint32_t> retrieved;
   EXPECT_DOUBLE_EQ(PrecisionAtK(retrieved, {1}, 10), 0.0);
-}
-
-TEST(NdcgTest, PerfectRankingIsOne) {
-  const std::vector<uint32_t> retrieved = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(NdcgAtK(retrieved, {1, 2, 3}, 3), 1.0);
-}
-
-TEST(NdcgTest, EarlyHitsScoreHigher) {
-  const std::vector<uint32_t> early = {1, 9, 8};
-  const std::vector<uint32_t> late = {9, 8, 1};
-  const std::unordered_set<uint32_t> relevant = {1};
-  EXPECT_GT(NdcgAtK(early, relevant, 3), NdcgAtK(late, relevant, 3));
-}
-
-TEST(NdcgTest, KnownValue) {
-  // Relevant at positions 1 and 3 of 3; two relevant items exist.
-  const std::vector<uint32_t> retrieved = {1, 9, 2};
-  const std::unordered_set<uint32_t> relevant = {1, 2};
-  const double dcg = 1.0 / std::log2(2.0) + 1.0 / std::log2(4.0);
-  const double ideal = 1.0 / std::log2(2.0) + 1.0 / std::log2(3.0);
-  EXPECT_NEAR(NdcgAtK(retrieved, relevant, 3), dcg / ideal, 1e-12);
-}
-
-TEST(NdcgTest, NoRelevantIsZero) {
-  const std::vector<uint32_t> retrieved = {1, 2};
-  EXPECT_DOUBLE_EQ(NdcgAtK(retrieved, {}, 5), 0.0);
-}
-
-TEST(ReciprocalRankTest, Basics) {
-  const std::vector<uint32_t> retrieved = {9, 8, 3, 7};
-  EXPECT_DOUBLE_EQ(ReciprocalRank(retrieved, {3}, 10), 1.0 / 3);
-  EXPECT_DOUBLE_EQ(ReciprocalRank(retrieved, {9}, 10), 1.0);
-  EXPECT_DOUBLE_EQ(ReciprocalRank(retrieved, {42}, 10), 0.0);
-  // Outside the top-k window: not counted.
-  EXPECT_DOUBLE_EQ(ReciprocalRank(retrieved, {7}, 3), 0.0);
 }
 
 }  // namespace

@@ -44,17 +44,6 @@ TEST(SummaryTest, InterpolatedMedian) {
   EXPECT_DOUBLE_EQ(Summarize(v).median, 2.5);
 }
 
-TEST(StdDevTest, KnownValue) {
-  const std::vector<double> v = {2, 4, 4, 4, 5, 5, 7, 9};
-  EXPECT_NEAR(StdDev(v), 2.138, 0.001);
-}
-
-TEST(StdDevTest, DegenerateInputs) {
-  EXPECT_DOUBLE_EQ(StdDev({}), 0.0);
-  const std::vector<double> one = {3.0};
-  EXPECT_DOUBLE_EQ(StdDev(one), 0.0);
-}
-
 TEST(LinearScoreErrorTest, ExactMatchIsZero) {
   const std::vector<ScoredItem> top = {{0, 0.5}, {1, 0.3}};
   const std::unordered_map<uint32_t, double> approx = {{0, 0.5}, {1, 0.3}};
@@ -65,7 +54,6 @@ TEST(LinearScoreErrorTest, MissingPagesScoreZero) {
   const std::vector<ScoredItem> top = {{0, 0.5}, {1, 0.3}};
   const std::unordered_map<uint32_t, double> approx = {{0, 0.5}};
   EXPECT_DOUBLE_EQ(LinearScoreError(top, approx), 0.15);
-  EXPECT_DOUBLE_EQ(MaxScoreError(top, approx), 0.3);
 }
 
 TEST(LinearScoreErrorTest, AveragesOverTopK) {

@@ -49,7 +49,7 @@ TEST(PeerDirectoryTest, StalenessEvictionNeverResurrectsDepartedPeers) {
   // The freshest possible "alive" rumor does not resurrect.
   directory.ObserveGossip(Rumor(1, 5000, 0), 30);
   EXPECT_TRUE(directory.Find(1)->departed);
-  EXPECT_EQ(directory.num_alive(), 0u);
+  EXPECT_TRUE(directory.AlivePeers().empty());
 
   // Eviction far past the horizon removes live entries, not tombstones...
   directory.ObserveDirect(2, 6000, 30);

@@ -67,21 +67,22 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
 TEST(JsonWriterTest, NestedContainers) {
   JsonWriter writer;
   writer.Field("name", "h");
-  writer.BeginArray("buckets");
-  writer.BeginArrayObject().Field("le", 10.0).Field("count", 3).End();
-  writer.BeginArrayObject().Field("le", "+Inf").Field("count", 1).End();
+  writer.BeginObject("meta").Field("kind", "histogram");
+  writer.BeginArray("ps").Element(50.0).Element(99.0).End();
   writer.End();
-  writer.BeginObject("meta").Field("kind", "histogram").End();
+  writer.BeginObject("empty").End();
   const std::string line = writer.TakeLine();
   EXPECT_EQ(line,
-            "{\"name\":\"h\",\"buckets\":[{\"le\":10,\"count\":3},"
-            "{\"le\":\"+Inf\",\"count\":1}],\"meta\":{\"kind\":\"histogram\"}}");
+            "{\"name\":\"h\",\"meta\":{\"kind\":\"histogram\",\"ps\":[50,99]},"
+            "\"empty\":{}}");
   JsonValue parsed;
   ASSERT_TRUE(ParseJson(line, parsed));
-  const JsonValue* buckets = parsed.Find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  ASSERT_EQ(buckets->array.size(), 2u);
-  EXPECT_EQ(buckets->array[0].Num("count"), 3);
+  const JsonValue* meta = parsed.Find("meta");
+  ASSERT_NE(meta, nullptr);
+  const JsonValue* ps = meta->Find("ps");
+  ASSERT_NE(ps, nullptr);
+  ASSERT_EQ(ps->array.size(), 2u);
+  EXPECT_EQ(ps->array[1].number, 99);
 }
 
 TEST(JsonWriterTest, TakeLineClosesOpenScopesAndResets) {

@@ -6,22 +6,6 @@ namespace jxp {
 namespace synopses {
 namespace {
 
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter filter(4096, 4);
-  for (uint64_t k = 0; k < 200; ++k) filter.Add(k * 7);
-  for (uint64_t k = 0; k < 200; ++k) EXPECT_TRUE(filter.MayContain(k * 7));
-}
-
-TEST(BloomFilterTest, LowFalsePositiveRateWhenSized) {
-  BloomFilter filter(8192, 5);
-  for (uint64_t k = 0; k < 500; ++k) filter.Add(k);
-  int false_positives = 0;
-  for (uint64_t k = 10000; k < 12000; ++k) {
-    if (filter.MayContain(k)) ++false_positives;
-  }
-  EXPECT_LT(false_positives, 60);  // ~3% at this load.
-}
-
 TEST(BloomFilterTest, CardinalityEstimate) {
   BloomFilter filter(16384, 4);
   for (uint64_t k = 0; k < 1000; ++k) filter.Add(k);

@@ -57,18 +57,6 @@ TEST(MinWiseTest, ContainmentIsAsymmetric) {
   EXPECT_NEAR(EstimateContainment(b, a), 0.25, 0.1);
 }
 
-TEST(MinWiseTest, UnionSignatureMatchesSignatureOfUnion) {
-  MinWiseFamily family(64, 5);
-  const auto k1 = Range(0, 300);
-  const auto k2 = Range(200, 500);
-  const auto ku = Range(0, 500);
-  const MinWiseSignature a = family.Sign(std::span<const uint64_t>(k1));
-  const MinWiseSignature b = family.Sign(std::span<const uint64_t>(k2));
-  const MinWiseSignature u = MinWiseSignature::Union(a, b);
-  const MinWiseSignature direct = family.Sign(std::span<const uint64_t>(ku));
-  EXPECT_EQ(u.minima(), direct.minima());
-}
-
 TEST(MinWiseTest, EmptySets) {
   MinWiseFamily family(32, 6);
   const std::vector<uint64_t> empty;
