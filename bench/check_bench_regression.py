@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Bench-regression gate for the CI bench job (stdlib only).
 
-Reads the stdout of micro_meeting_throughput, micro_query_throughput, or
-sustained_load (JSON result lines mixed with '#' headers), reduces it to a
-small summary of throughput / cost metrics, writes that summary as JSON,
-and compares it against a committed baseline: the check fails when any
-throughput metric drops by more than --threshold (default 25%), any cost
-metric grows by more than the same margin, any "exact" metric (the
-deterministic work counters of sustained_load's batch arm) differs at all,
-or a gated baseline metric is missing from the run (a bench arm vanished).
-Latency percentiles are never gated — they land in the summary's "info"
-section, which compare() ignores.
+Reads the stdout of micro_meeting_throughput or micro_query_throughput
+(JSON result lines mixed with '#' headers), reduces it to a small summary
+of throughput / cost metrics, writes that summary as JSON, and compares it
+against a committed baseline: the check fails when any throughput metric
+drops by more than --threshold (default 25%), any cost metric grows by more
+than the same margin, any "exact" metric (the deterministic work counters
+of micro_query_throughput's primed/cached arm) differs at all, or a gated
+baseline metric is missing from the run (a bench arm vanished). Wall-clock
+numbers too noisy to gate land in the summary's "info" section, which
+compare() ignores.
 
 Usage:
   check_bench_regression.py --bench meeting --input meeting.log \
@@ -65,16 +65,20 @@ def summarize_query(records):
     """Summary of micro_query_throughput.
 
     Gated metrics are wall-clock qps of full-work serves (uncached arms on
-    the cold trace, best across thread counts) plus deterministic work
-    counters: compressed bytes per posting, the decode volume of
-    the primed/cached arm on the cold trace, and the Zipfian-trace cache
-    hit rate. The qps of the cache-warm Zipfian serve is near-free per
-    query and too noisy to gate; it is reported under "info", which
-    compare() ignores."""
+    the cold trace, best across thread counts), compressed bytes per
+    posting, and the Zipfian-trace cache hit rate. The primed/cached arm's
+    work counters are pure functions of (collection, seed, trace) and are
+    gated exactly, per trace: queries served, result-cache hits and misses,
+    and postings decoded. A counter that differs across thread counts is
+    recorded as NaN, which never equals its baseline. The qps of the
+    cached arm is near-free per query on the cache-warm Zipfian trace and
+    too noisy to gate; it is reported under "info", which compare()
+    ignores."""
     best_qps = {}
     info_qps = {}
     hit_rates = {}
     lower = {}
+    exact = {}
     for rec in records:
         if rec.get("bench") != "query_throughput":
             continue
@@ -91,57 +95,23 @@ def summarize_query(records):
             if trace == "zipf":
                 hit_rates["cache_hit_rate:%s:zipf" % sweep] = float(
                     rec.get("cache_hit_rate", 0.0))
-            if trace == "cold" and rec.get("postings_decoded") is not None:
-                lower["postings_decoded:%s:%s:primed:cold" % (sweep, processor)] = \
-                    float(rec["postings_decoded"])
+            for counter in ("queries", "result_cache_hits",
+                            "result_cache_misses", "postings_decoded"):
+                if rec.get(counter) is None:
+                    continue
+                name = "%s:%s:%s:primed:%s" % (counter, sweep, processor, trace)
+                value = float(rec[counter])
+                exact[name] = value if exact.get(name, value) == value \
+                    else float("nan")
         elif trace == "cold":
             key = "qps:%s:%s" % (sweep, processor)
             best_qps[key] = max(best_qps.get(key, 0.0), qps)
     higher = dict(sorted(best_qps.items()))
     higher.update(sorted(hit_rates.items()))
-    summary = {"higher_better": higher, "lower_better": dict(sorted(lower.items()))}
+    summary = {"higher_better": higher, "lower_better": dict(sorted(lower.items())),
+               "exact": dict(sorted(exact.items()))}
     if info_qps:
         summary["info"] = dict(sorted(info_qps.items()))
-    return summary
-
-
-def summarize_load(records):
-    """Summary of sustained_load.
-
-    The batch arm's work counters are pure functions of (collection, seed,
-    trace) and are gated exactly — any drift means serving behavior changed,
-    not that the machine was slow. Everything wall-clock — the open-loop
-    ramp's percentiles, achieved qps, max_sustainable_qps — is info-only:
-    one-core CI runners make latency gates pure noise."""
-    exact = {}
-    info = {}
-    for rec in records:
-        if rec.get("bench") != "sustained_load":
-            continue
-        arm = rec.get("arm", "?")
-        if arm == "batch":
-            for key in ("queries", "cold_postings_decoded",
-                        "warm_postings_decoded", "warm_cache_hits",
-                        "warm_cache_misses"):
-                if rec.get(key) is not None:
-                    exact["batch:%s" % key] = float(rec[key])
-        elif arm == "open":
-            prefix = "open:qps%g" % float(rec.get("target_qps", 0.0))
-            for key in ("achieved_qps", "p50_ms", "p99_ms", "p999_ms",
-                        "met_slo"):
-                if rec.get(key) is not None:
-                    info["%s:%s" % (prefix, key)] = float(rec[key])
-        elif arm == "closed":
-            for key in ("achieved_qps", "p50_ms", "p99_ms"):
-                if rec.get(key) is not None:
-                    info["closed:%s" % key] = float(rec[key])
-        elif arm == "summary":
-            info["max_sustainable_qps"] = float(
-                rec.get("max_sustainable_qps", 0.0))
-    summary = {"higher_better": {}, "lower_better": {},
-               "exact": dict(sorted(exact.items()))}
-    if info:
-        summary["info"] = dict(sorted(info.items()))
     return summary
 
 
@@ -200,7 +170,7 @@ def compare(summary, baseline, threshold):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", required=True,
-                        choices=["meeting", "query", "load"])
+                        choices=["meeting", "query"])
     parser.add_argument("--input", required=True,
                         help="captured bench stdout (JSON lines + headers)")
     parser.add_argument("--output", required=True,
@@ -214,8 +184,7 @@ def main():
     args = parser.parse_args()
 
     records = list(parse_json_lines(args.input))
-    summarize = {"meeting": summarize_meeting, "query": summarize_query,
-                 "load": summarize_load}[args.bench]
+    summarize = {"meeting": summarize_meeting, "query": summarize_query}[args.bench]
     summary = summarize(records)
     if (not summary["higher_better"] and not summary["lower_better"]
             and not summary.get("exact")):

@@ -736,15 +736,14 @@ int main(int argc, char** argv) {
   config.meetings = flags.GetCount("meetings", 64);
   config.nodes = flags.GetCount("nodes", 400);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  config.out_dir = flags.GetString("out-dir", flags.GetString("out_dir", "/tmp/net_cluster"));
+  config.out_dir = flags.GetString("out-dir", "/tmp/net_cluster");
   config.check_every = flags.GetCount("check-every", 16);
   config.restart_peer = flags.GetInt("restart-peer", 0);
   config.chaos = flags.GetBool("chaos", false);
   config.drop = flags.GetDouble("drop", 0.05);
   config.truncate = flags.GetDouble("truncate", 0.05);
   config.corrupt = flags.GetDouble("corrupt", 0.05);
-  config.self_scheduled =
-      flags.GetBool("self-scheduled", flags.GetBool("self_scheduled", false));
+  config.self_scheduled = flags.GetBool("self-scheduled", false);
   config.meet_interval_ms = flags.GetCount("meet-interval-ms", 40);
   config.meet_jitter_ms = flags.GetCount("meet-jitter-ms", 40);
   config.gossip_interval_ms = flags.GetCount("gossip-interval-ms", 100);

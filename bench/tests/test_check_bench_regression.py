@@ -179,14 +179,46 @@ class SummarizeQueryTest(unittest.TestCase):
              "qps": 120.0, "bytes_per_posting": 7.2},
             {"bench": "query_throughput", "sweep": "tfidf",
              "processor": "maxscore", "cached": True, "trace": "cold",
-             "qps": 150.0, "postings_decoded": 40.0},
+             "qps": 150.0, "queries": 60, "result_cache_hits": 0,
+             "result_cache_misses": 60, "postings_decoded": 40.0},
+            {"bench": "query_throughput", "sweep": "tfidf",
+             "processor": "maxscore", "cached": True, "trace": "zipf",
+             "qps": 9000.0, "queries": 60, "result_cache_hits": 60,
+             "result_cache_misses": 0, "postings_decoded": 0,
+             "cache_hit_rate": 1.0},
         ]
         summary = cbr.summarize_query(records)
-        self.assertEqual(summary["higher_better"], {"qps:tfidf:exhaustive": 120.0})
-        self.assertEqual(summary["lower_better"],
-                         {"bytes_per_posting": 7.2,
-                          "postings_decoded:tfidf:maxscore:primed:cold": 40.0})
-        self.assertEqual(summary["info"], {"qps:tfidf:maxscore:cached:cold": 150.0})
+        self.assertEqual(summary["higher_better"],
+                         {"qps:tfidf:exhaustive": 120.0,
+                          "cache_hit_rate:tfidf:zipf": 1.0})
+        self.assertEqual(summary["lower_better"], {"bytes_per_posting": 7.2})
+        self.assertEqual(summary["exact"], {
+            "postings_decoded:tfidf:maxscore:primed:cold": 40.0,
+            "postings_decoded:tfidf:maxscore:primed:zipf": 0.0,
+            "queries:tfidf:maxscore:primed:cold": 60.0,
+            "queries:tfidf:maxscore:primed:zipf": 60.0,
+            "result_cache_hits:tfidf:maxscore:primed:cold": 0.0,
+            "result_cache_hits:tfidf:maxscore:primed:zipf": 60.0,
+            "result_cache_misses:tfidf:maxscore:primed:cold": 60.0,
+            "result_cache_misses:tfidf:maxscore:primed:zipf": 0.0,
+        })
+        self.assertEqual(summary["info"],
+                         {"qps:tfidf:maxscore:cached:cold": 150.0,
+                          "qps:tfidf:maxscore:cached:zipf": 9000.0})
+
+    def test_exact_counter_must_agree_across_thread_counts(self):
+        def row(threads, postings):
+            return {"bench": "query_throughput", "sweep": "fused",
+                    "processor": "maxscore", "cached": True, "trace": "cold",
+                    "threads": threads, "qps": 1.0, "postings_decoded": postings}
+        key = "postings_decoded:fused:maxscore:primed:cold"
+        agreed = cbr.summarize_query([row(1, 38460), row(8, 38460)])
+        self.assertEqual(agreed["exact"][key], 38460.0)
+        split = cbr.summarize_query([row(1, 38460), row(2, 38461), row(8, 38460)])
+        with redirect_stdout(io.StringIO()):
+            failures = cbr.compare(split, {"exact": {key: 38460.0}}, 0.25)
+        self.assertEqual(len(failures), 1)
+        self.assertIn(key, failures[0])
 
 
 class EndToEndTest(unittest.TestCase):

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <string_view>
 
@@ -34,10 +36,12 @@ std::string Flags::GetString(const std::string& name, const std::string& def) co
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  JXP_CHECK(end != nullptr && *end == '\0') << "flag --" << name << " is not an integer: "
-                                            << it->second;
+  errno = 0;
+  const int64_t v = std::strtoll(text, &end, 10);
+  JXP_CHECK(end != text && *end == '\0' && errno != ERANGE)
+      << "flag --" << name << " is not an integer: " << it->second;
   return v;
 }
 
@@ -51,10 +55,12 @@ uint64_t Flags::GetCount(const std::string& name, uint64_t def) const {
 double Flags::GetDouble(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  JXP_CHECK(end != nullptr && *end == '\0') << "flag --" << name << " is not a number: "
-                                            << it->second;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  JXP_CHECK(end != text && *end == '\0' && errno != ERANGE && std::isfinite(v))
+      << "flag --" << name << " is not a number: " << it->second;
   return v;
 }
 

@@ -25,7 +25,8 @@ class Flags {
   std::string GetString(const std::string& name, const std::string& def) const;
 
   /// Returns the flag value parsed as int64, or `def` when absent. Aborts on
-  /// unparsable values (bench binaries want loud failures).
+  /// an empty, unparsable or out-of-range value (bench binaries want loud
+  /// failures).
   int64_t GetInt(const std::string& name, int64_t def) const;
 
   /// Returns the flag value as a count (meetings, top-k, milliseconds, ...),
@@ -34,7 +35,8 @@ class Flags {
   /// count.
   uint64_t GetCount(const std::string& name, uint64_t def) const;
 
-  /// Returns the flag value parsed as double, or `def` when absent.
+  /// Returns the flag value parsed as double, or `def` when absent. Aborts
+  /// like GetInt, and on a non-finite value ("inf", "nan").
   double GetDouble(const std::string& name, double def) const;
 
   /// Returns the flag value parsed as bool ("true"/"1"/"false"/"0").

@@ -4,8 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <string_view>
 
 #include "obs/hdr_histogram.h"
 #include "obs/telemetry.h"
@@ -13,16 +11,12 @@
 namespace jxp {
 namespace obs {
 
-class JsonWriter;
-
 /// The serving pipeline's per-query stages, in pipeline order. Fixed here
 /// (not stringly-typed) so recording is an array index and every producer
 /// and consumer agrees on the same stage set.
 enum class LatencyStage : uint8_t {
-  /// Result-cache probe (batch phase 1, or the concurrent path's probe).
-  kCacheLookup = 0,
-  /// Threshold priming: term primers + threshold-cache lookups.
-  kPriming,
+  /// Threshold priming from the per-term primer table.
+  kPriming = 0,
   /// Posting decode: cursor advancement, block seeks, and bound checks
   /// (MaxScore reports it as descent time minus scoring and heap time).
   kDecode,
@@ -36,10 +30,7 @@ enum class LatencyStage : uint8_t {
   /// End-to-end service time of one query (all stages plus glue).
   kTotal,
 };
-inline constexpr size_t kNumLatencyStages = 7;
-
-/// Stable lowercase label ("cache_lookup", "priming", ...).
-const char* LatencyStageName(LatencyStage stage);
+inline constexpr size_t kNumLatencyStages = 6;
 
 /// Owns one HdrHistogram per LatencyStage. Record() is thread-safe
 /// (mutex-guarded — recording is a handful of calls per query, not a
@@ -64,12 +55,6 @@ class LatencyRecorder {
 
   /// Merges another recorder's histograms into this one.
   void MergeFrom(const LatencyRecorder& other);
-
-  /// Appends per-stage percentile fields to `writer`:
-  ///   <prefix><stage>_{count,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,mean_ns}
-  /// Empty stages are skipped. Field order follows the stage enum, so the
-  /// same recorder state always serializes to the same bytes.
-  void WriteJsonFields(JsonWriter& writer, std::string_view prefix = "") const;
 
  private:
   mutable std::mutex mutex_;

@@ -26,31 +26,6 @@ constexpr double kPrimeDeflate = 1.0 - 1e-12;
 
 constexpr size_t kNotDup = static_cast<size_t>(-1);
 
-/// One "qp.query" trace line. All *_ns fields are wall nanoseconds of this
-/// query; stage semantics follow obs::LatencyStage. Emitted from pool
-/// workers (misses) and the serial phase 3 (cache hits) alike — the sink is
-/// thread-safe, and line order is scheduling-dependent like every trace.
-void EmitQueryEvent(uint64_t query_id, const std::vector<search::TermId>& terms,
-                    bool cache_hit, size_t postings_decoded, uint64_t cache_lookup_ns,
-                    uint64_t priming_ns, const StageNanos& stages, uint64_t fan_in_ns,
-                    uint64_t total_ns) {
-  obs::EmitEvent("qp.query", [&](obs::JsonWriter& w) {
-    w.Field("query_id", query_id);
-    w.BeginArray("terms");
-    for (search::TermId term : terms) w.Element(static_cast<double>(term));
-    w.End();
-    w.Field("cache_hit", cache_hit);
-    w.Field("postings_decoded", static_cast<uint64_t>(postings_decoded));
-    w.Field("cache_lookup_ns", cache_lookup_ns);
-    w.Field("priming_ns", priming_ns);
-    w.Field("decode_ns", stages.decode_ns);
-    w.Field("scoring_ns", stages.scoring_ns);
-    w.Field("heap_ns", stages.heap_ns);
-    w.Field("fan_in_ns", fan_in_ns);
-    w.Field("total_ns", total_ns);
-  });
-}
-
 }  // namespace
 
 const char* ProcessorName(ProcessorKind kind) {
@@ -150,12 +125,10 @@ double QueryServer::PrimedThreshold(const std::vector<search::TermId>& terms) {
 }
 
 void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
-                           uint64_t query_id, uint64_t cache_lookup_ns,
                            uint64_t priming_ns, obs::LatencyRecorder* recorder,
                            ServedResult& out) {
   WallTimer timer;
-  const bool trace = options_.trace_queries && obs::Enabled();
-  const bool prof = obs::Enabled() && (recorder != nullptr || trace);
+  const bool prof = obs::Enabled() && recorder != nullptr;
   StageNanos stages;
   StageNanos* sp = prof ? &stages : nullptr;
   uint64_t fan_in_ns = 0;
@@ -236,23 +209,14 @@ void QueryServer::ServeOne(const ServedQuery& query, double primed_threshold,
 
   if (prof) {
     // Total covers the stages plus glue (cursor setup, metric flushes);
-    // cache lookup and priming happened in the caller's serial phase and are
-    // reported alongside, not inside, the total.
-    const uint64_t total_ns = MonotonicNanos() - total_t0;
-    if (recorder != nullptr) {
-      recorder->Record(obs::LatencyStage::kCacheLookup, cache_lookup_ns);
-      recorder->Record(obs::LatencyStage::kPriming, priming_ns);
-      recorder->Record(obs::LatencyStage::kDecode, stages.decode_ns);
-      recorder->Record(obs::LatencyStage::kScoring, stages.scoring_ns);
-      recorder->Record(obs::LatencyStage::kHeap, stages.heap_ns);
-      recorder->Record(obs::LatencyStage::kFanIn, fan_in_ns);
-      recorder->Record(obs::LatencyStage::kTotal, total_ns);
-    }
-    if (trace) {
-      EmitQueryEvent(query_id, query.terms, /*cache_hit=*/false,
-                     out.stats.decode.postings_decoded, cache_lookup_ns, priming_ns,
-                     stages, fan_in_ns, total_ns);
-    }
+    // priming happened in the caller and is reported alongside, not inside,
+    // the total.
+    recorder->Record(obs::LatencyStage::kPriming, priming_ns);
+    recorder->Record(obs::LatencyStage::kDecode, stages.decode_ns);
+    recorder->Record(obs::LatencyStage::kScoring, stages.scoring_ns);
+    recorder->Record(obs::LatencyStage::kHeap, stages.heap_ns);
+    recorder->Record(obs::LatencyStage::kFanIn, fan_in_ns);
+    recorder->Record(obs::LatencyStage::kTotal, MonotonicNanos() - total_t0);
   }
 }
 
@@ -267,53 +231,30 @@ std::vector<ServedResult> QueryServer::ServeBatch(std::span<const ServedQuery> q
   }
   std::vector<ServedResult> results(queries.size());
   const bool use_result_cache = result_cache_.capacity() > 0;
-  const bool trace = options_.trace_queries && obs::Enabled();
-  const bool prof = obs::Enabled() && (latency_recorder_ != nullptr || trace);
-  // Query ids label trace events with the query's position in the server's
-  // lifetime stream; claimed up front so phase 2 needs no synchronization.
-  const uint64_t id_base =
-      queries_served_.fetch_add(queries.size(), std::memory_order_relaxed);
 
   // Phase 1 (serial): result-cache lookups, in-batch dedup by exact term
   // sequence, and threshold priming. Everything that touches cache recency
   // happens here in query order, so cache state — and with it every primed
   // threshold and work counter — is a pure function of the query sequence.
-  // When profiling, the phase also clocks each query's lookup and priming;
-  // the samples ride into ServeOne (misses) or phase 3 (hits).
   std::vector<size_t> misses;
   std::vector<double> primed(queries.size(), 0.0);
   std::vector<size_t> dup_of(queries.size(), kNotDup);
-  std::vector<uint64_t> lookup_ns;
-  std::vector<uint64_t> prime_ns;
-  if (prof) {
-    lookup_ns.assign(queries.size(), 0);
-    prime_ns.assign(queries.size(), 0);
-  }
   std::unordered_map<std::vector<search::TermId>, size_t, TermSequenceHash> first_of;
   for (size_t i = 0; i < queries.size(); ++i) {
-    uint64_t t0 = prof ? MonotonicNanos() : 0;
     if (use_result_cache) {
       if (const CachedResult* hit = result_cache_.Get(queries[i].terms)) {
         results[i].results = hit->results;
         results[i].cache_hit = true;
-        if (prof) lookup_ns[i] = MonotonicNanos() - t0;
         continue;
       }
       const auto [it, inserted] = first_of.try_emplace(queries[i].terms, i);
       if (!inserted) {
         dup_of[i] = it->second;
-        if (prof) lookup_ns[i] = MonotonicNanos() - t0;
         continue;
       }
       result_cache_misses_.Increment();
     }
-    if (prof) {
-      const uint64_t t1 = MonotonicNanos();
-      lookup_ns[i] = t1 - t0;
-      t0 = t1;
-    }
     primed[i] = PrimedThreshold(queries[i].terms);
-    if (prof) prime_ns[i] = MonotonicNanos() - t0;
     misses.push_back(i);
   }
 
@@ -321,13 +262,11 @@ std::vector<ServedResult> QueryServer::ServeBatch(std::span<const ServedQuery> q
   // is the exact PR 4 loop over all queries.
   pool_->ParallelFor(0, misses.size(), kServeGrain, [&](size_t j) {
     const size_t i = misses[j];
-    ServeOne(queries[i], primed[i], id_base + i, prof ? lookup_ns[i] : 0,
-             prof ? prime_ns[i] : 0, latency_recorder_, results[i]);
+    ServeOne(queries[i], primed[i], /*priming_ns=*/0, /*recorder=*/nullptr, results[i]);
   });
 
   // Phase 3 (serial, query order): fan results out to in-batch duplicates,
-  // record hit metrics and hit latency profiles, and admit new entries into
-  // both caches.
+  // record hit metrics, and admit new entries into both caches.
   for (size_t i = 0; i < queries.size(); ++i) {
     if (dup_of[i] != kNotDup) {
       results[i].results = results[dup_of[i]].results;
@@ -337,20 +276,6 @@ std::vector<ServedResult> QueryServer::ServeBatch(std::span<const ServedQuery> q
       queries_total_.Increment();
       result_cache_hits_.Increment();
       results_per_query_.Observe(static_cast<double>(results[i].results.size()));
-      if (prof) {
-        // A hit's whole service is the cache probe; the decode/scoring/heap
-        // stages record no sample (no work happened), keeping stage counts
-        // equal to the number of queries that actually ran that stage.
-        if (latency_recorder_ != nullptr) {
-          latency_recorder_->Record(obs::LatencyStage::kCacheLookup, lookup_ns[i]);
-          latency_recorder_->Record(obs::LatencyStage::kTotal, lookup_ns[i]);
-        }
-        if (trace) {
-          EmitQueryEvent(id_base + i, queries[i].terms, /*cache_hit=*/true,
-                         /*postings_decoded=*/0, lookup_ns[i], /*priming_ns=*/0,
-                         StageNanos{}, /*fan_in_ns=*/0, /*total_ns=*/lookup_ns[i]);
-        }
-      }
       continue;
     }
     if (use_result_cache) {
@@ -369,10 +294,7 @@ std::vector<ServedResult> QueryServer::ServeBatch(std::span<const ServedQuery> q
 
 void QueryServer::ServeConcurrent(const ServedQuery& query, ServedResult& out,
                                   obs::LatencyRecorder* recorder) {
-  const bool trace = options_.trace_queries && obs::Enabled();
-  const bool prof = obs::Enabled() && (recorder != nullptr || trace);
-  const uint64_t query_id =
-      queries_served_.fetch_add(1, std::memory_order_relaxed);
+  const bool prof = obs::Enabled() && recorder != nullptr;
 
   // Priming uses only the immutable per-term primer table — never the
   // threshold cache, whose recency list is single-writer. The primer is
@@ -389,7 +311,7 @@ void QueryServer::ServeConcurrent(const ServedQuery& query, ServedResult& out,
   const double primed = theta > 0.0 ? theta * kPrimeDeflate : 0.0;
   const uint64_t prime_ns = prof ? MonotonicNanos() - prime_t0 : 0;
 
-  ServeOne(query, primed, query_id, /*cache_lookup_ns=*/0, prime_ns, recorder, out);
+  ServeOne(query, primed, prime_ns, recorder, out);
 }
 
 }  // namespace qp

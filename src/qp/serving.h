@@ -1,7 +1,6 @@
 #ifndef JXP_QP_SERVING_H_
 #define JXP_QP_SERVING_H_
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -55,12 +54,6 @@ struct ServingOptions {
   /// queries start their heap from the best primer among their terms. Works
   /// with or without the caches; bit-identity is unconditional.
   bool threshold_priming = true;
-  /// Emit one "qp.query" trace event per served query (query id, terms,
-  /// cache_hit, postings decoded, per-stage nanoseconds) to the installed
-  /// TraceSink. Off by default: per-query events are high-volume and would
-  /// distort throughput benches. Like all telemetry, gated on
-  /// JXP_OBS_ENABLED / obs::Enabled() and never affects results.
-  bool trace_queries = false;
 };
 
 /// One query of a batch.
@@ -117,18 +110,13 @@ class QueryServer {
   /// only from the immutable per-term primer table, so results match a
   /// cache-less server bit for bit. Stage latencies go to `recorder` when
   /// non-null (pass a per-worker recorder and MergeFrom afterwards for
-  /// contention-free recording). This is the open-loop load harness' entry
-  /// point (bench/sustained_load.cc).
+  /// contention-free recording); this is the one profiled serving path, and
+  /// no clock is read without a recorder. Latencies are diagnostics only:
+  /// results and non-timing metrics are bit-identical with or without one.
+  /// This is the open-loop load harness' entry point (bench/e2e's
+  /// serve_zipf).
   void ServeConcurrent(const ServedQuery& query, ServedResult& out,
                        obs::LatencyRecorder* recorder = nullptr);
-
-  /// Installs the stage-latency sink ServeBatch records into (nullptr =
-  /// none, the default — no clocks are read). Borrowed; must outlive the
-  /// server or be reset. Latencies are diagnostics only: results and
-  /// non-timing metrics are bit-identical with or without a recorder.
-  void SetLatencyRecorder(obs::LatencyRecorder* recorder) {
-    latency_recorder_ = recorder;
-  }
 
   size_t num_peers() const { return compressed_.size(); }
   const CompressedPeerIndex& compressed(size_t i) const { return compressed_[i]; }
@@ -143,14 +131,10 @@ class QueryServer {
     TopKList results;
   };
 
-  /// `query_id` is the query's serial position in the server's lifetime
-  /// stream (assigned in ServeBatch phase 1 / ServeConcurrent issue order);
-  /// it only labels trace events. `cache_lookup_ns` / `priming_ns` were
-  /// measured by the caller's serial phase and are recorded/emitted here so
-  /// each query's stage profile lands in one place. `recorder` receives one
-  /// sample per stage when non-null.
-  void ServeOne(const ServedQuery& query, double primed_threshold, uint64_t query_id,
-                uint64_t cache_lookup_ns, uint64_t priming_ns,
+  /// `recorder` receives one sample per stage when non-null; `priming_ns`
+  /// was measured by the caller and is recorded here so each query's stage
+  /// profile lands in one place.
+  void ServeOne(const ServedQuery& query, double primed_threshold, uint64_t priming_ns,
                 obs::LatencyRecorder* recorder, ServedResult& out);
   /// Strict lower bound of the query's merged k-th score from term primers
   /// and the threshold cache (deflated), or 0 when nothing can prime.
@@ -162,12 +146,6 @@ class QueryServer {
   std::vector<CompressedPeerIndex> compressed_;
   CompressedIndexStats index_stats_;
   std::unique_ptr<ThreadPool> pool_;
-
-  /// Stage-latency sink for ServeBatch (see SetLatencyRecorder).
-  obs::LatencyRecorder* latency_recorder_ = nullptr;
-  /// Lifetime query counter, the source of trace-event query ids. Atomic
-  /// only for ServeConcurrent; ServeBatch claims ids serially in phase 1.
-  std::atomic<uint64_t> queries_served_{0};
 
   /// Best (max) freeze-time threshold primer of each term across peers.
   std::unordered_map<search::TermId, double> term_primers_;

@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace jxp {
@@ -57,6 +60,23 @@ TEST(FlagsTest, CountRejectsNegative) {
   EXPECT_EQ(f.GetCount("topk", 7), 25u);
   EXPECT_EQ(f.GetCount("missing", 7), 7u);
   EXPECT_DEATH(f.GetCount("meetings", 7), "flag --meetings is not a count: -1");
+}
+
+TEST(FlagsTest, RejectsMalformedNumbers) {
+  // An empty, out-of-range or non-finite value fails like a non-number
+  // instead of parsing as 0, a clamped integer or an infinity.
+  Flags f = ParseOk({"--meetings=", "--word=abc", "--seed=99999999999999999999",
+                     "--low=-99999999999999999999", "--max=9223372036854775807",
+                     "--scale=", "--big=1e999", "--tiny=1e-999", "--inf=inf",
+                     "--ninf=-inf", "--nan=nan"});
+  EXPECT_EQ(f.GetInt("max", 0), INT64_MAX);
+  for (const char* name : {"meetings", "word", "seed", "low"}) {
+    EXPECT_DEATH(f.GetInt(name, 7), std::string("flag --") + name + " is not an integer");
+  }
+  EXPECT_DEATH(f.GetCount("meetings", 7), "flag --meetings is not an integer");
+  for (const char* name : {"scale", "word", "big", "tiny", "inf", "ninf", "nan"}) {
+    EXPECT_DEATH(f.GetDouble(name, 1.0), std::string("flag --") + name + " is not a number");
+  }
 }
 
 TEST(FlagsTest, BoolLiterals) {

@@ -308,125 +308,55 @@ TEST(QueryServerTest, AddPeerInvalidatesCaches) {
   ExpectSameResults(refreshed, fresh->ServeBatch(one_query), "post-AddPeer");
 }
 
-TEST(QueryServerTest, LatencyLayerDoesNotChangeResultsOrMetrics) {
-  ServingFixture fx;
-  // Reference run: no recorder, no per-query tracing.
-  obs::MetricsRegistry::Global().Reset();
-  const auto off = fx.MakeServer(ProcessorKind::kMaxScore, 2)->ServeBatch(fx.queries);
-  const std::string metrics_off =
-      obs::MetricsRegistry::Global().Snapshot().ToJsonLines(/*include_timing=*/false);
-
-  // Instrumented run: recorder installed, qp.query events on.
-  obs::MetricsRegistry::Global().Reset();
-  ServingOptions options;
-  options.processor = ProcessorKind::kMaxScore;
-  options.k = 10;
-  options.num_threads = 2;
-  options.trace_queries = true;
-  auto server = fx.MakeServerWithOptions(options);
-  obs::LatencyRecorder recorder;
-  server->SetLatencyRecorder(&recorder);
-  obs::StringTraceSink sink;
-  std::vector<ServedResult> on;
-  {
-    obs::ScopedTraceSink scoped(&sink);
-    on = server->ServeBatch(fx.queries);
-  }
-  const std::string metrics_on =
-      obs::MetricsRegistry::Global().Snapshot().ToJsonLines(/*include_timing=*/false);
-
-  ExpectSameResults(off, on, "latency layer on vs off");
-  EXPECT_EQ(metrics_on, metrics_off);
-
-  // One end-to-end sample and one qp.query event per query.
-  EXPECT_EQ(recorder.StageSnapshot(obs::LatencyStage::kTotal).count(),
-            fx.queries.size());
-  size_t events = 0;
-  for (const std::string& line : sink.TakeLines()) {
-    if (line.find("qp.query") != std::string::npos) ++events;
-  }
-  EXPECT_EQ(events, fx.queries.size());
-  obs::MetricsRegistry::Global().Reset();
-}
-
-TEST(QueryServerTest, QueryEventsOffByDefault) {
-  ServingFixture fx;
-  auto server = fx.MakeServer(ProcessorKind::kMaxScore, 1);
-  obs::LatencyRecorder recorder;
-  server->SetLatencyRecorder(&recorder);  // Recorder alone must not emit events.
-  obs::StringTraceSink sink;
-  {
-    obs::ScopedTraceSink scoped(&sink);
-    server->ServeBatch(fx.queries);
-  }
-  for (const std::string& line : sink.TakeLines()) {
-    EXPECT_EQ(line.find("qp.query"), std::string::npos) << line;
-  }
-  for (size_t s = 0; s < obs::kNumLatencyStages; ++s) {
-    EXPECT_EQ(recorder.StageSnapshot(static_cast<obs::LatencyStage>(s)).count(),
-              fx.queries.size());
-  }
-}
-
-TEST(QueryServerTest, ResultsInvariantWithRecorderAcrossThreadCounts) {
-  // The property the load harness leans on: installing a recorder at any
-  // thread count changes neither results nor any non-timing metric.
-  ServingFixture fx;
-  std::vector<ServedResult> reference;
-  std::string baseline;
-  for (size_t threads : {1u, 2u, 4u}) {
-    obs::MetricsRegistry::Global().Reset();
-    auto server = fx.MakeServerWithOptions(CachedOptions(ProcessorKind::kMaxScore, threads));
-    obs::LatencyRecorder recorder;
-    server->SetLatencyRecorder(&recorder);
-    const auto served = server->ServeBatch(fx.queries);
-    const std::string snapshot =
-        obs::MetricsRegistry::Global().Snapshot().ToJsonLines(/*include_timing=*/false);
-    EXPECT_GT(recorder.StageSnapshot(obs::LatencyStage::kTotal).count(), 0u);
-    if (threads == 1) {
-      reference = served;
-      baseline = snapshot;
-    } else {
-      ExpectSameResults(reference, served, "recorder-instrumented thread sweep");
-      EXPECT_EQ(snapshot, baseline) << threads << " threads";
-    }
-  }
-  obs::MetricsRegistry::Global().Reset();
-}
-
 TEST(QueryServerTest, ServeConcurrentMatchesServeBatch) {
   ServingFixture fx;
   auto server = fx.MakeServer(ProcessorKind::kMaxScore, 1);
   const auto oracle = server->ServeBatch(fx.queries);
 
-  // Real threads, interleaved ownership, per-worker recorders (the TSan CI
-  // job runs this). ServeConcurrent bypasses the LRU caches, so against a
-  // cache-less server it must reproduce ServeBatch bit for bit.
+  // Real threads, interleaved ownership (the TSan CI job runs this), served
+  // once with per-worker recorders and once without. ServeConcurrent
+  // bypasses the LRU caches, so against a cache-less server it must
+  // reproduce ServeBatch bit for bit; and the recorder, the one profiled
+  // serving path, must change neither results nor any non-timing metric.
   constexpr size_t kThreads = 4;
-  std::vector<ServedResult> concurrent(fx.queries.size());
-  std::vector<std::unique_ptr<obs::LatencyRecorder>> recorders;
-  for (size_t t = 0; t < kThreads; ++t) {
-    recorders.push_back(std::make_unique<obs::LatencyRecorder>());
-  }
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t i = t; i < fx.queries.size(); i += kThreads) {
-        server->ServeConcurrent(fx.queries[i], concurrent[i], recorders[t].get());
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  const auto serve = [&](bool recorded, std::vector<ServedResult>& out) {
+    std::vector<std::unique_ptr<obs::LatencyRecorder>> recorders;
+    for (size_t t = 0; recorded && t < kThreads; ++t) {
+      recorders.push_back(std::make_unique<obs::LatencyRecorder>());
+    }
+    out.assign(fx.queries.size(), ServedResult{});
+    obs::MetricsRegistry::Global().Reset();
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < fx.queries.size(); i += kThreads) {
+          server->ServeConcurrent(fx.queries[i], out[i],
+                                  recorded ? recorders[t].get() : nullptr);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    obs::LatencyRecorder merged;
+    for (const auto& r : recorders) merged.MergeFrom(*r);
+    EXPECT_EQ(merged.StageSnapshot(obs::LatencyStage::kTotal).count(),
+              recorded ? fx.queries.size() : 0u);
+    return obs::MetricsRegistry::Global().Snapshot().ToJsonLines(/*include_timing=*/false);
+  };
+  std::vector<ServedResult> recorded;
+  std::vector<ServedResult> unrecorded;
+  const std::string metrics_recorded = serve(true, recorded);
+  const std::string metrics_unrecorded = serve(false, unrecorded);
 
-  ExpectSameResults(oracle, concurrent, "concurrent vs batch");
+  ExpectSameResults(oracle, recorded, "concurrent vs batch");
+  ExpectSameResults(recorded, unrecorded, "recorder on vs off");
   // Every work counter too: both paths prime from the same term primers.
   for (size_t q = 0; q < fx.queries.size(); ++q) {
-    EXPECT_TRUE(concurrent[q].stats == oracle[q].stats) << "query " << q;
+    EXPECT_TRUE(recorded[q].stats == oracle[q].stats) << "query " << q;
+    EXPECT_TRUE(unrecorded[q].stats == oracle[q].stats) << "query " << q;
   }
-  obs::LatencyRecorder merged;
-  for (const auto& r : recorders) merged.MergeFrom(*r);
-  EXPECT_EQ(merged.StageSnapshot(obs::LatencyStage::kTotal).count(),
-            fx.queries.size());
+  EXPECT_EQ(metrics_recorded, metrics_unrecorded);
+  EXPECT_NE(metrics_recorded.find("jxp.qp.postings_decoded"), std::string::npos);
+  obs::MetricsRegistry::Global().Reset();
 }
 
 TEST(QueryServerTest, ServingMetricNamesConformToConvention) {
