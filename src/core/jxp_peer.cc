@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "common/timer.h"
 #include "core/extended_graph.h"
@@ -326,16 +327,21 @@ JxpPeer::Delivery JxpPeer::DeliverBytes(const std::vector<uint8_t>& sent, bool d
                                         int corrupt_bit) {
   Delivery delivery;
   if (drop || sent.empty()) return delivery;
-  std::vector<uint8_t> delivered = sent;
+  // What arrives is a prefix of `sent`; only a bit flip edits the bytes, so
+  // only a corrupted delivery decodes a copy.
+  std::span<const uint8_t> delivered = sent;
   if (keep < 1.0) {
-    delivered.resize(static_cast<size_t>(keep * static_cast<double>(delivered.size())));
+    delivered = delivered.first(static_cast<size_t>(keep * static_cast<double>(sent.size())));
     if (delivered.empty()) return delivery;
   }
+  std::vector<uint8_t> corrupted;
   if (corrupt) {
+    corrupted.assign(delivered.begin(), delivered.end());
     const size_t at = std::min(
-        delivered.size() - 1,
-        static_cast<size_t>(corrupt_offset * static_cast<double>(delivered.size())));
-    delivered[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
+        corrupted.size() - 1,
+        static_cast<size_t>(corrupt_offset * static_cast<double>(corrupted.size())));
+    corrupted[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
+    delivered = corrupted;
   }
   DecodedMeetingMessage decoded = DecodeMeetingMessage(delivered);
   if (decoded.fragment == nullptr) return delivery;

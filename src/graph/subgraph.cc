@@ -38,11 +38,10 @@ Subgraph Subgraph::FromKnowledge(std::vector<PageId> pages,
 
   Subgraph sg;
   sg.succ_offsets_ = {0};
-  PageId prev = kInvalidPage;
   for (size_t rank = 0; rank < order.size(); ++rank) {
     const size_t src = order[rank];
-    if (pages[src] == prev) continue;  // Deduplicate pages.
-    prev = pages[src];
+    // Deduplicate pages. No sentinel: every 32-bit id is a legal page.
+    if (!sg.pages_.empty() && pages[src] == sg.pages_.back()) continue;
     sg.pages_.push_back(pages[src]);
     std::vector<PageId>& succ = successors[src];
     std::sort(succ.begin(), succ.end());
@@ -101,9 +100,17 @@ std::vector<PageId> Subgraph::AllSuccessors() const {
 }
 
 void Subgraph::BuildDerivedIndexes() {
-  local_index_.clear();
-  local_index_.reserve(pages_.size() * 2);
-  for (LocalIndex i = 0; i < pages_.size(); ++i) local_index_[pages_[i]] = i;
+  JXP_CHECK_LT(pages_.size(), size_t{kNotLocal});
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * pages_.size()) ++bits;
+  index_shift_ = 64 - bits;
+  index_.assign(size_t{1} << bits, IndexSlot{});
+  const size_t mask = index_.size() - 1;
+  for (LocalIndex i = 0; i < pages_.size(); ++i) {
+    size_t s = HomeSlot(pages_[i]);
+    while (index_[s].local != kNotLocal) s = (s + 1) & mask;
+    index_[s] = {pages_[i], i};
+  }
 
   local_out_offsets_.assign(pages_.size() + 1, 0);
   local_out_targets_.clear();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -76,12 +75,16 @@ class Subgraph {
 
   /// Local index of a global page, or kNotLocal.
   LocalIndex LocalIndexOf(PageId global) const {
-    const auto it = local_index_.find(global);
-    return it == local_index_.end() ? kNotLocal : it->second;
+    if (index_.empty()) return kNotLocal;
+    const size_t mask = index_.size() - 1;
+    for (size_t s = HomeSlot(global);; s = (s + 1) & mask) {
+      const IndexSlot& slot = index_[s];
+      if (slot.local == kNotLocal || slot.page == global) return slot.local;
+    }
   }
 
   /// True iff the fragment contains `global`.
-  bool Contains(PageId global) const { return local_index_.count(global) > 0; }
+  bool Contains(PageId global) const { return LocalIndexOf(global) != kNotLocal; }
 
   /// The complete successor list (global ids, sorted) of local page `i` —
   /// the page's true global out-links.
@@ -110,11 +113,27 @@ class Subgraph {
   std::vector<PageId> AllSuccessors() const;
 
  private:
-  /// Rebuilds local_index_ and the local adjacency CSR from pages_ / succ_.
+  /// One slot of the page index; `local == kNotLocal` marks an empty slot,
+  /// so every 32-bit id (0xFFFFFFFF included) is a legal key.
+  struct IndexSlot {
+    PageId page = 0;
+    LocalIndex local = kNotLocal;
+  };
+
+  /// Home slot of `global`: a multiplicative hash, top bits of the product.
+  size_t HomeSlot(PageId global) const {
+    return static_cast<size_t>((uint64_t{global} * 0x9E3779B97F4A7C15ull) >> index_shift_);
+  }
+
+  /// Rebuilds index_ and the local adjacency CSR from pages_ / succ_.
   void BuildDerivedIndexes();
 
   std::vector<PageId> pages_;
-  std::unordered_map<PageId, LocalIndex> local_index_;
+  // Page id -> local index: open addressing with linear probing over a
+  // power-of-two table of at least 2 * pages_.size() slots (so probes always
+  // meet an empty slot). Empty for a default-constructed fragment.
+  std::vector<IndexSlot> index_;
+  int index_shift_ = 63;
   // CSR over pages_ of complete successor lists (global ids, sorted).
   std::vector<uint64_t> succ_offsets_ = {0};
   std::vector<PageId> succ_;

@@ -24,10 +24,22 @@ void SparseMatrix::LeftMultiply(std::span<const double> x, std::span<double> y) 
   JXP_CHECK_EQ(x.size(), NumStates());
   JXP_CHECK_EQ(y.size(), NumStates());
   std::fill(y.begin(), y.end(), 0.0);
-  for (uint32_t i = 0; i < NumStates(); ++i) {
-    const double xi = x[i];
+  // Raw CSR walk: the sizes were checked above and every stored column is
+  // below NumStates() (Add and ReplaceLastRow check it), so no per-row or
+  // per-entry check is needed. Rows and entries go in storage order, so
+  // each y[c] accumulates its terms in the same order as a Row(i) loop.
+  const size_t n = NumStates();
+  const double* xs = x.data();
+  double* ys = y.data();
+  const uint64_t* offsets = row_offsets_.data();
+  const MatrixEntry* entries = entries_.data();
+  for (size_t i = 0; i < n; ++i) {
+    const double xi = xs[i];
     if (xi == 0) continue;
-    for (const MatrixEntry& e : Row(i)) y[e.column] += xi * e.weight;
+    const MatrixEntry* end = entries + offsets[i + 1];
+    for (const MatrixEntry* e = entries + offsets[i]; e != end; ++e) {
+      ys[e->column] += xi * e->weight;
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "markov/power_iteration.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +49,46 @@ TEST(SparseMatrixTest, LeftMultiply) {
   m.LeftMultiply(x, y);
   EXPECT_DOUBLE_EQ(y[0], 0.5);
   EXPECT_DOUBLE_EQ(y[1], 0.5);
+}
+
+TEST(SparseMatrixTest, LeftMultiplyMatchesRowLoopBitForBit) {
+  Random rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = 1 + rng.NextBounded(300);
+    SparseMatrixBuilder builder(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (rng.NextBool(0.2)) continue;  // Empty (dangling) row.
+      const size_t degree = 1 + rng.NextBounded(12);
+      const double mass = rng.NextDouble();  // Substochastic row sum.
+      for (size_t k = 0; k < degree; ++k) {
+        builder.Add(i, static_cast<uint32_t>(rng.NextBounded(n)),
+                    mass / static_cast<double>(degree));
+      }
+    }
+    SparseMatrix m = builder.Build();
+    if (trial % 2 == 1) {
+      // A dense last row, as the extended-system cache splices in.
+      std::vector<MatrixEntry> last;
+      for (uint32_t c = 0; c < n; ++c) {
+        last.push_back({c, rng.NextDouble() / static_cast<double>(n)});
+      }
+      m.ReplaceLastRow(last);
+    }
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.NextBool(0.3) ? 0.0 : rng.NextDouble();
+    std::vector<double> y(n, -1.0);
+    m.LeftMultiply(x, y);
+
+    std::vector<double> reference(n, 0.0);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (x[i] == 0) continue;
+      for (const MatrixEntry& e : m.Row(i)) reference[e.column] += x[i] * e.weight;
+    }
+    for (size_t c = 0; c < n; ++c) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(y[c]), std::bit_cast<uint64_t>(reference[c]))
+          << "trial " << trial << " column " << c;
+    }
+  }
 }
 
 TEST(PowerIterationTest, UndampedTwoStateChain) {
