@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Bench-regression gate for the CI bench job (stdlib only).
 
-Reads the stdout of micro_meeting_throughput or micro_query_throughput
-(JSON result lines mixed with '#' headers), reduces it to a small summary
-of throughput / cost metrics, writes that summary as JSON, and compares it
-against a committed baseline: the check fails when any throughput metric
-drops by more than --threshold (default 25%), any cost metric grows by more
-than the same margin, any "exact" metric (the deterministic work counters
-of micro_query_throughput's primed/cached arm) differs at all, or a gated
-baseline metric is missing from the run (a bench arm vanished). Wall-clock
-numbers too noisy to gate land in the summary's "info" section, which
-compare() ignores.
+Reads the stdout of micro_query_throughput (JSON result lines mixed with
+'#' headers), reduces it to a small summary of throughput / cost metrics,
+writes that summary as JSON, and compares it against a committed baseline:
+the check fails when any throughput metric drops by more than --threshold
+(default 25%), any cost metric grows by more than the same margin, any
+"exact" metric (the deterministic work counters of the primed/cached arm)
+differs at all, or a gated baseline metric is missing from the run (a bench
+arm vanished). Wall-clock numbers too noisy to gate land in the summary's
+"info" section, which compare() ignores.
 
 Usage:
-  check_bench_regression.py --bench meeting --input meeting.log \
-      --output BENCH_MEETING.json [--baseline bench/baselines/BENCH_MEETING.json]
+  check_bench_regression.py --input query.log \
+      --output BENCH_QUERY.json [--baseline bench/baselines/BENCH_QUERY.json]
       [--threshold 0.25] [--update-baseline]
 
 With --update-baseline the summary is also written to the baseline path
@@ -39,26 +38,6 @@ def parse_json_lines(path):
                 continue
             if isinstance(obj, dict):
                 yield obj
-
-
-def summarize_meeting(records):
-    """Summary of micro_meeting_throughput: best meetings/sec across thread
-    counts (wall-clock noise is absorbed by taking the max) and the
-    single-thread per-merge CPU cost."""
-    best_rate = 0.0
-    merge_cpu_1t = None
-    for rec in records:
-        if rec.get("bench") != "meeting_throughput":
-            continue
-        best_rate = max(best_rate, float(rec.get("meetings_per_sec", 0.0)))
-        if rec.get("threads") == 1:
-            merge_cpu_1t = float(rec.get("merge_cpu_millis_mean", 0.0))
-    summary = {"higher_better": {}, "lower_better": {}}
-    if best_rate > 0:
-        summary["higher_better"]["meetings_per_sec"] = best_rate
-    if merge_cpu_1t is not None and merge_cpu_1t > 0:
-        summary["lower_better"]["merge_cpu_millis_mean_1t"] = merge_cpu_1t
-    return summary
 
 
 def summarize_query(records):
@@ -169,8 +148,6 @@ def compare(summary, baseline, threshold):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bench", required=True,
-                        choices=["meeting", "query"])
     parser.add_argument("--input", required=True,
                         help="captured bench stdout (JSON lines + headers)")
     parser.add_argument("--output", required=True,
@@ -184,8 +161,7 @@ def main():
     args = parser.parse_args()
 
     records = list(parse_json_lines(args.input))
-    summarize = {"meeting": summarize_meeting, "query": summarize_query}[args.bench]
-    summary = summarize(records)
+    summary = summarize_query(records)
     if (not summary["higher_better"] and not summary["lower_better"]
             and not summary.get("exact")):
         print("error: no bench_result lines found in %s" % args.input)

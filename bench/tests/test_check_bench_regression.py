@@ -43,13 +43,13 @@ class ParseJsonLinesTest(unittest.TestCase):
             path = os.path.join(tmp, "log")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write("# header line\n")
-                handle.write('{"bench": "meeting_throughput", "threads": 1}\n')
+                handle.write('{"bench": "query_throughput", "threads": 1}\n')
                 handle.write("{not json\n")
                 handle.write("[1, 2, 3]\n")  # JSON, but not an object.
                 handle.write('  {"bench": "other"}  \n')  # Leading whitespace.
             records = list(cbr.parse_json_lines(path))
         self.assertEqual(len(records), 2)
-        self.assertEqual(records[0]["bench"], "meeting_throughput")
+        self.assertEqual(records[0]["bench"], "query_throughput")
         self.assertEqual(records[1]["bench"], "other")
 
 
@@ -154,20 +154,6 @@ class ExactKeyTest(unittest.TestCase):
         self.assertEqual(self._compare(summary, baseline), [])
 
 
-class SummarizeMeetingTest(unittest.TestCase):
-    def test_best_rate_and_single_thread_cost(self):
-        records = [
-            {"bench": "meeting_throughput", "threads": 1,
-             "meetings_per_sec": 100.0, "merge_cpu_millis_mean": 2.5},
-            {"bench": "meeting_throughput", "threads": 4,
-             "meetings_per_sec": 300.0, "merge_cpu_millis_mean": 3.0},
-            {"bench": "unrelated", "meetings_per_sec": 9999.0},
-        ]
-        summary = cbr.summarize_meeting(records)
-        self.assertEqual(summary["higher_better"]["meetings_per_sec"], 300.0)
-        self.assertEqual(summary["lower_better"]["merge_cpu_millis_mean_1t"], 2.5)
-
-
 class SummarizeQueryTest(unittest.TestCase):
     def test_keys_name_sweep_and_processor(self):
         records = [
@@ -234,27 +220,28 @@ class EndToEndTest(unittest.TestCase):
     def _path(self, name):
         return os.path.join(self.dir, name)
 
-    def _write_meeting_log(self, rate):
-        path = self._path("meeting.log")
+    def _write_query_log(self, qps):
+        path = self._path("query.log")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# micro_meeting_throughput\n")
+            handle.write("# micro_query_throughput\n")
             handle.write(json.dumps({
-                "bench": "meeting_throughput", "threads": 1,
-                "meetings_per_sec": rate, "merge_cpu_millis_mean": 2.0}) + "\n")
+                "bench": "query_throughput", "sweep": "tfidf",
+                "processor": "maxscore", "cached": False, "trace": "cold",
+                "threads": 1, "qps": qps}) + "\n")
         return path
 
     def test_update_baseline_then_pass(self):
-        log = self._write_meeting_log(100.0)
+        log = self._write_query_log(100.0)
         baseline = self._path("BASE.json")
-        code, _ = run_main(["--bench", "meeting", "--input", log,
+        code, _ = run_main(["--input", log,
                             "--output", self._path("out.json"),
                             "--baseline", baseline, "--update-baseline"])
         self.assertEqual(code, 0)
         with open(baseline, encoding="utf-8") as handle:
             written = json.load(handle)
-        self.assertEqual(written["higher_better"]["meetings_per_sec"], 100.0)
+        self.assertEqual(written["higher_better"]["qps:tfidf:maxscore"], 100.0)
 
-        code, out = run_main(["--bench", "meeting", "--input", log,
+        code, out = run_main(["--input", log,
                               "--output", self._path("out2.json"),
                               "--baseline", baseline])
         self.assertEqual(code, 0)
@@ -262,21 +249,18 @@ class EndToEndTest(unittest.TestCase):
 
     def test_regression_exits_one(self):
         baseline = self._path("BASE.json")
-        run_main(["--bench", "meeting",
-                  "--input", self._write_meeting_log(100.0),
+        run_main(["--input", self._write_query_log(100.0),
                   "--output", self._path("out.json"),
                   "--baseline", baseline, "--update-baseline"])
-        code, out = run_main(["--bench", "meeting",
-                              "--input", self._write_meeting_log(50.0),
+        code, out = run_main(["--input", self._write_query_log(50.0),
                               "--output", self._path("out2.json"),
                               "--baseline", baseline])
         self.assertEqual(code, 1)
         self.assertIn("FAIL", out)
-        self.assertIn("meetings_per_sec", out)
+        self.assertIn("qps:tfidf:maxscore", out)
 
     def test_missing_baseline_exits_two(self):
-        code, out = run_main(["--bench", "meeting",
-                              "--input", self._write_meeting_log(100.0),
+        code, out = run_main(["--input", self._write_query_log(100.0),
                               "--output", self._path("out.json"),
                               "--baseline", self._path("NOPE.json")])
         self.assertEqual(code, 2)
@@ -286,14 +270,13 @@ class EndToEndTest(unittest.TestCase):
         log = self._path("empty.log")
         with open(log, "w", encoding="utf-8") as handle:
             handle.write("# nothing but headers\n")
-        code, out = run_main(["--bench", "meeting", "--input", log,
+        code, out = run_main(["--input", log,
                               "--output", self._path("out.json")])
         self.assertEqual(code, 2)
         self.assertIn("no bench_result lines", out)
 
     def test_update_baseline_without_baseline_path_exits_two(self):
-        code, out = run_main(["--bench", "meeting",
-                              "--input", self._write_meeting_log(100.0),
+        code, out = run_main(["--input", self._write_query_log(100.0),
                               "--output", self._path("out.json"),
                               "--update-baseline"])
         self.assertEqual(code, 2)
@@ -301,8 +284,7 @@ class EndToEndTest(unittest.TestCase):
 
     def test_no_baseline_writes_summary_and_passes(self):
         out_path = self._path("out.json")
-        code, out = run_main(["--bench", "meeting",
-                              "--input", self._write_meeting_log(100.0),
+        code, out = run_main(["--input", self._write_query_log(100.0),
                               "--output", out_path])
         self.assertEqual(code, 0)
         self.assertIn("nothing compared", out)

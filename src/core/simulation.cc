@@ -1,34 +1,13 @@
 #include "core/simulation.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
 #include "core/state_io.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace jxp {
 namespace core {
-
-namespace {
-
-/// Convergence gauges (last recorded sample). Set only from the simulation
-/// thread (single writer), as the Gauge contract requires.
-struct ConvergenceMetrics {
-  obs::Gauge footrule =
-      obs::MetricsRegistry::Global().GetGauge("jxp.convergence.footrule");
-  obs::Gauge linear_error =
-      obs::MetricsRegistry::Global().GetGauge("jxp.convergence.linear_error");
-};
-
-ConvergenceMetrics& GetConvergenceMetrics() {
-  static ConvergenceMetrics metrics;
-  return metrics;
-}
-
-}  // namespace
 
 JxpSimulation::JxpSimulation(const graph::Graph& global,
                              std::vector<std::vector<graph::PageId>> fragments,
@@ -84,46 +63,6 @@ JxpSimulation::JxpSimulation(const graph::Graph& global,
       for (const JxpPeer& peer : peers_) CheckpointPeer(peer.id());
     }
   }
-
-  if (config_.monitor_every > 0) {
-    next_monitor_at_ = config_.monitor_every;
-    RecordConvergencePoint();  // The meetings=0 baseline sample.
-  }
-}
-
-void JxpSimulation::RecordConvergencePoint() {
-  ConvergencePoint point;
-  point.meetings = meetings_done_;
-  point.accuracy = Evaluate();
-  point.total_traffic_bytes = network_.TotalTrafficBytes();
-  double world_sum = 0;
-  size_t alive = 0;
-  for (const JxpPeer& peer : peers_) {
-    if (!network_.IsAlive(peer.id())) continue;
-    world_sum += peer.world_score();
-    ++alive;
-  }
-  point.mean_world_score = alive > 0 ? world_sum / static_cast<double>(alive) : 0;
-  convergence_series_.push_back(point);
-
-  if (obs::Enabled()) {
-    ConvergenceMetrics& metrics = GetConvergenceMetrics();
-    metrics.footrule.Set(point.accuracy.footrule);
-    metrics.linear_error.Set(point.accuracy.linear_error);
-  }
-  obs::EmitEvent("convergence", [&](obs::JsonWriter& writer) {
-    writer.Field("meetings", point.meetings)
-        .Field("footrule", point.accuracy.footrule)
-        .Field("linear_error", point.accuracy.linear_error)
-        .Field("total_traffic_bytes", point.total_traffic_bytes)
-        .Field("mean_world_score", point.mean_world_score);
-  });
-}
-
-void JxpSimulation::MaybeMonitor() {
-  if (config_.monitor_every == 0 || meetings_done_ < next_monitor_at_) return;
-  while (next_monitor_at_ <= meetings_done_) next_monitor_at_ += config_.monitor_every;
-  RecordConvergencePoint();
 }
 
 void JxpSimulation::RunMeetings(size_t count) {
@@ -140,72 +79,6 @@ void JxpSimulation::RunMeetings(size_t count) {
     if (faults.abandoned) continue;
     FinishMeeting(initiator, selection,
                   JxpPeer::Meet(peers_[initiator], peers_[selection.partner], faults));
-    MaybeMonitor();
-  }
-}
-
-void JxpSimulation::RunMeetingsParallel(size_t count) {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(std::max<size_t>(1, config_.num_threads));
-  }
-  struct PlannedMeeting {
-    p2p::PeerId initiator = p2p::kInvalidPeer;
-    SelectionResult selection;
-    p2p::MeetingFaultDecision faults;
-  };
-  std::vector<PlannedMeeting> round;
-  std::vector<MeetingOutcome> outcomes;
-  std::vector<char> used;
-  size_t remaining = count;
-  while (remaining > 0) {
-    if (churn_ != nullptr) churn_->Step(network_);
-    JXP_CHECK_GE(network_.NumAlive(), 2u) << "network too small to meet";
-    // Draw a round of pairwise-disjoint meetings: a greedy random matching
-    // over the alive peers. All RNG and selector state is consumed here, on
-    // the simulation thread, so the schedule is a pure function of the seed
-    // — independent, in particular, of the thread count.
-    round.clear();
-    used.assign(network_.NumPeers(), 0);
-    std::vector<p2p::PeerId> order = network_.AlivePeers();
-    rng_.Shuffle(order);
-    const size_t max_pairs = std::min(remaining, order.size() / 2);
-    for (const p2p::PeerId initiator : order) {
-      if (round.size() >= max_pairs) break;
-      if (used[initiator]) continue;
-      const SelectionResult selection =
-          selector_->SelectPartner(initiator, network_, rng_);
-      JXP_CHECK(selection.partner != initiator && network_.IsAlive(selection.partner));
-      if (used[selection.partner]) continue;  // Greedy matching: drop the pick.
-      used[initiator] = used[selection.partner] = 1;
-      // Fault schedules are drawn here, at planning time, so the fault
-      // sequence — like the meeting schedule — is consumed on the scheduling
-      // thread and independent of the thread count. Stale resumes mutate
-      // peer state and therefore also apply now, before the round executes
-      // (the pair is disjoint from every other pair).
-      round.push_back({initiator, selection, PlanFaults(initiator, selection.partner)});
-    }
-    JXP_CHECK(!round.empty());
-    // Disjoint pairs share no mutable peer state, so one round's meetings
-    // run concurrently without locks. Abandoned attempts hold their slot in
-    // the round (the slot was spent on failed contacts) but do not meet.
-    outcomes.assign(round.size(), MeetingOutcome{});
-    pool_->ParallelFor(0, round.size(), 1, [&](size_t i) {
-      if (round[i].faults.abandoned) return;
-      outcomes[i] = JxpPeer::Meet(peers_[round[i].initiator],
-                                  peers_[round[i].selection.partner], round[i].faults);
-    });
-    // Selector bookkeeping and traffic accounting mutate shared state; they
-    // run sequentially, in round order.
-    for (size_t i = 0; i < round.size(); ++i) {
-      if (round[i].faults.abandoned) continue;
-      FinishMeeting(round[i].initiator, round[i].selection, outcomes[i]);
-    }
-    remaining -= round.size();
-    // One sample per cadence crossing; a round that jumps several multiples
-    // still yields one point (at the round boundary), and because the round
-    // structure is a pure function of the seed the series is identical at
-    // every thread count.
-    MaybeMonitor();
   }
 }
 

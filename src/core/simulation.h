@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/evaluation.h"
 #include "core/jxp_options.h"
 #include "core/jxp_peer.h"
@@ -52,10 +51,6 @@ struct SimulationConfig {
   /// `num_attackers` peers run `attack`; all peers apply jxp.defense.
   size_t num_attackers = 0;
   AttackOptions attack;
-  /// Worker threads for RunMeetingsParallel's meeting rounds. Results are
-  /// deterministic in `seed` at every thread count (see DESIGN.md,
-  /// "Concurrency model").
-  size_t num_threads = 1;
   /// Fault-injection plan (all faults off by default). When disabled, no
   /// FaultInjector is created, no fault randomness is drawn, and the run is
   /// bit-identical to a build without the fault layer.
@@ -68,34 +63,12 @@ struct SimulationConfig {
   /// since its last checkpoint (so a stale resume rolls it back by at most
   /// this many meetings).
   size_t checkpoint_every = 8;
-  /// Convergence monitoring cadence: when > 0, the simulation records a
-  /// ConvergencePoint (accuracy vs the centralized baseline, cumulative
-  /// traffic, mean world score) at construction and then each time
-  /// meetings_done() crosses a multiple of this value, also emitting a
-  /// "convergence" trace event and updating the jxp.convergence.* gauges.
-  /// Monitoring reads only sequentially-owned state, so the recorded series
-  /// is identical between RunMeetings and RunMeetingsParallel schedules at
-  /// matching meeting counts, and across thread counts. 0 = off.
-  size_t monitor_every = 0;
   /// When true, every executed meeting's (initiator, partner) pair is
   /// recorded in meeting_log(), in execution order. External drivers replay
   /// the exact schedule elsewhere — the networked cluster driver feeds it
   /// to its daemons and compares their converged scores against this
   /// simulation as an oracle.
   bool record_meeting_log = false;
-};
-
-/// One sample of the convergence monitor (see SimulationConfig::monitor_every).
-struct ConvergencePoint {
-  /// Meetings executed when the sample was taken.
-  size_t meetings = 0;
-  /// Accuracy against centralized PageRank at that moment.
-  AccuracyPoint accuracy;
-  /// Cumulative network traffic (Network::TotalTrafficBytes convention).
-  double total_traffic_bytes = 0;
-  /// Mean world score over alive peers — the paper's Theorem 5.3 monotone
-  /// quantity, a cheap scalar proxy of global convergence.
-  double mean_world_score = 0;
 };
 
 /// A complete JXP network simulation: the global graph, one JxpPeer per
@@ -111,28 +84,11 @@ class JxpSimulation {
   /// Executes `count` meetings (each meeting updates both participants).
   void RunMeetings(size_t count);
 
-  /// Executes `count` meetings in rounds of pairwise-disjoint peer pairs (a
-  /// greedy random matching drawn from the configured selector), running
-  /// each round's meetings concurrently on config.num_threads workers.
-  /// Disjointness means no two concurrent meetings share peer state, so no
-  /// locks are needed, and the whole run — schedule, scores, traffic — is a
-  /// pure function of the seed, bit-identical at every thread count. The
-  /// meeting *schedule* differs from RunMeetings (rounds cannot revisit a
-  /// peer; churn steps once per round), but both schedules are fair and
-  /// converge per Theorem 5.4.
-  void RunMeetingsParallel(size_t count);
-
   /// Compares the current network-wide JXP snapshot against centralized PR.
   AccuracyPoint Evaluate() const;
 
   /// Number of meetings executed so far.
   size_t meetings_done() const { return meetings_done_; }
-
-  /// Samples recorded by the convergence monitor (empty when
-  /// config.monitor_every == 0).
-  const std::vector<ConvergencePoint>& convergence_series() const {
-    return convergence_series_;
-  }
 
   /// Executed meetings in order (empty unless config.record_meeting_log).
   const std::vector<std::pair<p2p::PeerId, p2p::PeerId>>& meeting_log() const {
@@ -191,22 +147,16 @@ class JxpSimulation {
   /// Re-checkpoints a participant that applied >= checkpoint_every meetings
   /// since its last checkpoint (no-op unless stale resume is configured).
   void MaybeCheckpoint(p2p::PeerId peer);
-  /// Pre-meeting bookkeeping shared by both meeting loops: draws the
-  /// meeting's fault schedule, charges the initiator's failed-contact probe
-  /// bytes and, unless the attempt was abandoned, rolls the sides flagged
-  /// for a stale resume back to their last checkpoint. Returns a clean
-  /// decision when fault injection is off.
+  /// Pre-meeting bookkeeping: draws the meeting's fault schedule, charges
+  /// the initiator's failed-contact probe bytes and, unless the attempt was
+  /// abandoned, rolls the sides flagged for a stale resume back to their
+  /// last checkpoint. Returns a clean decision when fault injection is off.
   p2p::MeetingFaultDecision PlanFaults(p2p::PeerId initiator, p2p::PeerId partner);
-  /// Post-meeting bookkeeping shared by both meeting loops: the meeting log,
-  /// the selector, traffic (each side's bytes plus half the selection
-  /// overhead), wasted bytes, checkpoints and the meeting count.
+  /// Post-meeting bookkeeping: the meeting log, the selector, traffic (each
+  /// side's bytes plus half the selection overhead), wasted bytes,
+  /// checkpoints and the meeting count.
   void FinishMeeting(p2p::PeerId initiator, const SelectionResult& selection,
                      const MeetingOutcome& outcome);
-  /// Appends a ConvergencePoint for the current state and emits it as a
-  /// "convergence" trace event + gauge updates.
-  void RecordConvergencePoint();
-  /// Records a point if meetings_done_ crossed the monitoring cadence.
-  void MaybeMonitor();
 
   const graph::Graph& global_;
   SimulationConfig config_;
@@ -215,21 +165,16 @@ class JxpSimulation {
   std::vector<JxpPeer> peers_;
   std::unique_ptr<PeerSelector> selector_;
   std::unique_ptr<p2p::ChurnModel> churn_;
-  /// Created only when config.faults.Enabled(); all draws happen on the
-  /// scheduling thread (RunMeetingsParallel draws each round's schedules at
-  /// planning time), so fault sequences are thread-count independent.
+  /// Created only when config.faults.Enabled().
   std::unique_ptr<p2p::FaultInjector> injector_;
   /// Meeting count of each peer at its last stale-resume checkpoint; empty
   /// unless stale resume is configured.
   std::vector<size_t> meetings_at_checkpoint_;
-  std::unique_ptr<ThreadPool> pool_;  // Lazily created by RunMeetingsParallel.
   std::vector<double> global_scores_;
   std::vector<metrics::ScoredItem> global_top_k_;
   size_t meetings_done_ = 0;
   double total_estimated_traffic_bytes_ = 0;
   std::vector<std::pair<p2p::PeerId, p2p::PeerId>> meeting_log_;
-  std::vector<ConvergencePoint> convergence_series_;
-  size_t next_monitor_at_ = 0;  // Next meetings_done_ threshold to sample at.
 };
 
 }  // namespace core

@@ -88,7 +88,9 @@ void EventLoop::FireExpiredTimers(uint64_t now_ms) {
   const uint64_t now_tick = now_ms / kTickMs;
   // Sweep at most one full wheel revolution: every slot that could hold an
   // expired timer is covered, and deadlines further out re-park in place.
-  const uint64_t first = last_tick_ + 1;
+  // The last swept tick is swept again: a sweep early in a tick leaves that
+  // tick's later deadlines parked in its slot.
+  const uint64_t first = last_tick_;
   const uint64_t span = now_tick >= first ? now_tick - first + 1 : 0;
   const uint64_t sweeps = std::min<uint64_t>(span, kWheelSlots);
   // Expired callbacks may AddTimer (re-arm); collect first, then run, so a

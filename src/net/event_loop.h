@@ -88,8 +88,8 @@ class EventLoop {
   size_t SlotOf(uint64_t deadline_ms) const {
     return static_cast<size_t>(deadline_ms / kTickMs) % kWheelSlots;
   }
-  /// Fires every timer with deadline <= now, sweeping the slots between the
-  /// last processed tick and now's tick.
+  /// Fires every timer with deadline <= now, sweeping the slots from the
+  /// last processed tick through now's tick.
   void FireExpiredTimers(uint64_t now_ms);
   /// Milliseconds until the earliest pending deadline (0 when overdue);
   /// `fallback_ms` when no timers are pending.

@@ -19,9 +19,9 @@ namespace obs {
 ///
 /// Usage:
 ///   JsonWriter w;
-///   w.Field("bench", "meeting_throughput").Field("threads", 4);
+///   w.Field("bench", "query_throughput").Field("threads", 4);
 ///   w.BeginArray("ps").Element(50.0).Element(99.0).End();
-///   std::string line = w.TakeLine();  // {"bench":"meeting_throughput",...}
+///   std::string line = w.TakeLine();  // {"bench":"query_throughput",...}
 ///
 /// Doubles are written with the shortest representation that round-trips
 /// (std::to_chars); non-finite doubles become null (JSON has no NaN/Inf).

@@ -132,7 +132,7 @@ std::string MetricNameViolation(std::string_view name);
 ///
 /// Writes go to thread-local shards: each (thread, registry) pair owns a
 /// shard, so recording needs no locks and no cross-thread RMW contention —
-/// safe inside ThreadPool::ParallelFor / JxpSimulation::RunMeetingsParallel.
+/// safe inside ThreadPool::ParallelFor.
 /// Shard cells are relaxed atomics (single writer each), so Snapshot() may
 /// run concurrently with writers without data races; for a *deterministic*
 /// snapshot, call it from a point with a happens-before edge to the writers

@@ -48,15 +48,6 @@ void Network::Rejoin(PeerId peer) {
   ++num_alive_;
 }
 
-std::vector<PeerId> Network::AlivePeers() const {
-  std::vector<PeerId> peers;
-  peers.reserve(num_alive_);
-  for (PeerId p = 0; p < alive_.size(); ++p) {
-    if (alive_[p]) peers.push_back(p);
-  }
-  return peers;
-}
-
 PeerId Network::RandomAlivePeer(Random& rng, PeerId exclude) const {
   size_t eligible = num_alive_;
   if (exclude != kInvalidPeer && exclude < alive_.size() && alive_[exclude]) --eligible;

@@ -83,9 +83,6 @@ class Network {
   /// Number of currently alive peers.
   size_t NumAlive() const { return num_alive_; }
 
-  /// Ids of all currently alive peers, ascending.
-  std::vector<PeerId> AlivePeers() const;
-
   /// A uniformly random alive peer different from `exclude` (pass
   /// kInvalidPeer for no exclusion). Requires at least one eligible peer.
   PeerId RandomAlivePeer(Random& rng, PeerId exclude) const;

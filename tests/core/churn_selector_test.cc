@@ -122,8 +122,7 @@ TEST(ChurnSelectorTest, SelectorNeverProposesDepartedPeerUnderHeavyChurn) {
 
 TEST(ChurnSelectorTest, SimulationWithChurnAndPreMeetingsCompletes) {
   // End-to-end regression: the simulation's own invariant (JXP_CHECK on
-  // every proposal) runs under churn with the pre-meetings strategy, in
-  // both the sequential and the parallel driver.
+  // every proposal) runs under churn with the pre-meetings strategy.
   Random rng(23);
   const graph::Graph graph = graph::BarabasiAlbert(150, 3, rng);
   std::vector<std::vector<graph::PageId>> fragments(10);
@@ -137,11 +136,9 @@ TEST(ChurnSelectorTest, SimulationWithChurnAndPreMeetingsCompletes) {
   config.churn.join_probability = 0.3;
   config.churn.min_alive = 4;
   config.seed = 7;
-  config.num_threads = 4;
   JxpSimulation sim(graph, std::move(fragments), config);
 
-  sim.RunMeetings(300);
-  sim.RunMeetingsParallel(200);
+  sim.RunMeetings(500);
   EXPECT_EQ(sim.meetings_done(), 500u);
   for (const JxpPeer& peer : sim.peers()) {
     EXPECT_GT(peer.world_score(), 0.0);

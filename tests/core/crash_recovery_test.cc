@@ -81,25 +81,6 @@ TEST_F(CrashRecoveryTest, SequentialResumeIsBitIdentical) {
   ExpectIdenticalScores(uninterrupted, interrupted);
 }
 
-TEST_F(CrashRecoveryTest, ParallelResumeIsBitIdentical) {
-  SimulationConfig config = Config();
-  config.num_threads = 4;
-  // The parallel driver schedules in rounds, so a 100+100 split truncates
-  // the round sequence differently than one 200-meeting call would; the
-  // reference run splits at the same boundary to isolate the reload effect.
-  JxpSimulation uninterrupted = MakeSim(config);
-  uninterrupted.RunMeetingsParallel(100);
-  uninterrupted.RunMeetingsParallel(100);
-
-  JxpSimulation interrupted = MakeSim(config);
-  interrupted.RunMeetingsParallel(100);
-  ASSERT_TRUE(interrupted.SaveAllPeerStates(dir_).ok());
-  ASSERT_TRUE(interrupted.LoadAllPeerStates(dir_).ok());
-  interrupted.RunMeetingsParallel(100);
-
-  ExpectIdenticalScores(uninterrupted, interrupted);
-}
-
 TEST_F(CrashRecoveryTest, CrossObjectRestoreMatchesSavedState) {
   JxpSimulation original = MakeSim(Config());
   original.RunMeetings(120);

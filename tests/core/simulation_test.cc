@@ -54,15 +54,26 @@ TEST(JxpSimulationTest, ErrorDecreasesWithMeetings) {
 
 TEST(JxpSimulationTest, DeterministicInSeed) {
   SimFixture fx;
-  SimulationConfig config;
-  config.seed = 9;
-  config.eval_top_k = 30;
-  JxpSimulation a(fx.collection.graph, fx.fragments, config);
-  JxpSimulation b(fx.collection.graph, fx.fragments, config);
-  a.RunMeetings(50);
-  b.RunMeetings(50);
-  EXPECT_DOUBLE_EQ(a.Evaluate().linear_error, b.Evaluate().linear_error);
-  EXPECT_DOUBLE_EQ(a.network().TotalTrafficBytes(), b.network().TotalTrafficBytes());
+  SimulationConfig random;
+  random.seed = 9;
+  random.eval_top_k = 30;
+  SimulationConfig pre_meetings = random;
+  pre_meetings.strategy = SelectionStrategy::kPreMeetings;
+  SimulationConfig churn = random;
+  churn.churn.leave_probability = 0.02;
+  churn.churn.join_probability = 0.05;
+  churn.churn.min_alive = 3;
+  for (const SimulationConfig& config : {random, pre_meetings, churn}) {
+    JxpSimulation a(fx.collection.graph, fx.fragments, config);
+    JxpSimulation b(fx.collection.graph, fx.fragments, config);
+    a.RunMeetings(50);
+    b.RunMeetings(50);
+    EXPECT_DOUBLE_EQ(a.Evaluate().linear_error, b.Evaluate().linear_error);
+    EXPECT_DOUBLE_EQ(a.network().TotalTrafficBytes(), b.network().TotalTrafficBytes());
+    for (size_t p = 0; p < a.peers().size(); ++p) {
+      EXPECT_EQ(a.peers()[p].world_score(), b.peers()[p].world_score()) << "peer " << p;
+    }
+  }
 }
 
 TEST(JxpSimulationTest, RecordsTrafficForBothParticipants) {
@@ -164,7 +175,7 @@ struct FrozenMode {
 
 TEST(SimulationTest, EveryMeetingModeIsFrozen) {
   // One pinned digest per merge x combine x wire mode, with and without a
-  // fault plan. Each run drives both meeting loops and one re-crawl, then
+  // fault plan. Each run holds meetings before and after one re-crawl, then
   // hashes every peer's scores and world node plus the traffic totals, so
   // any change to what a meeting computes under any mode moves a digest.
   constexpr MergeMode kLight = MergeMode::kLightWeight;
@@ -174,22 +185,22 @@ TEST(SimulationTest, EveryMeetingModeIsFrozen) {
   constexpr MeetingWireMode kEst = MeetingWireMode::kEstimated;
   constexpr MeetingWireMode kMeas = MeetingWireMode::kMeasured;
   const FrozenMode modes[] = {
-      {kLight, kMax, kEst, false, 0xdd2012609909b2d1ULL},
-      {kLight, kMax, kEst, true, 0x6a497a7d58e0cca1ULL},
-      {kLight, kMax, kMeas, false, 0x6fe21c3a92e49c43ULL},
-      {kLight, kMax, kMeas, true, 0x2646ae805172080aULL},
-      {kLight, kAvg, kEst, false, 0x56164d405ad44cf3ULL},
-      {kLight, kAvg, kEst, true, 0x1e582fc05c55c2adULL},
-      {kLight, kAvg, kMeas, false, 0x03d91d65f125869fULL},
-      {kLight, kAvg, kMeas, true, 0x6683626b8655ba37ULL},
-      {kFull, kMax, kEst, false, 0x42f7e4e66736ba2cULL},
-      {kFull, kMax, kEst, true, 0x7bd8b3480fc4022aULL},
-      {kFull, kMax, kMeas, false, 0xb28902caed5ab126ULL},
-      {kFull, kMax, kMeas, true, 0x969c94af88856715ULL},
-      {kFull, kAvg, kEst, false, 0x3f8c14bfbd550e65ULL},
-      {kFull, kAvg, kEst, true, 0x62aef9002cdc6513ULL},
-      {kFull, kAvg, kMeas, false, 0xa627eaf3d5f417c7ULL},
-      {kFull, kAvg, kMeas, true, 0x850eea3635843d58ULL},
+      {kLight, kMax, kEst, false, 0xbb05e81d6cc9924eULL},
+      {kLight, kMax, kEst, true, 0xbae0458bcab99913ULL},
+      {kLight, kMax, kMeas, false, 0x58012fff9c02e55aULL},
+      {kLight, kMax, kMeas, true, 0x96f06d91a305b3e6ULL},
+      {kLight, kAvg, kEst, false, 0x403f2e3ef58eb67dULL},
+      {kLight, kAvg, kEst, true, 0xb51dbbd02cd3d492ULL},
+      {kLight, kAvg, kMeas, false, 0xd9d1fce036a8374eULL},
+      {kLight, kAvg, kMeas, true, 0x10e64587defba68bULL},
+      {kFull, kMax, kEst, false, 0xebb6626c1a91d713ULL},
+      {kFull, kMax, kEst, true, 0x165673fe1c4fefebULL},
+      {kFull, kMax, kMeas, false, 0x4504c3fce7faa3e0ULL},
+      {kFull, kMax, kMeas, true, 0x20db119f01dfeeb6ULL},
+      {kFull, kAvg, kEst, false, 0x5daa9932b2ac3e39ULL},
+      {kFull, kAvg, kEst, true, 0x877dcfb69f6fee6cULL},
+      {kFull, kAvg, kMeas, false, 0xae3a5e8237c6bc3cULL},
+      {kFull, kAvg, kMeas, true, 0x86614fe25e6925c6ULL},
   };
   SimFixture fx;
   // Peer 0's re-crawl keeps two thirds of its pages and picks up some of
@@ -202,7 +213,6 @@ TEST(SimulationTest, EveryMeetingModeIsFrozen) {
     SimulationConfig config;
     config.seed = 41;
     config.eval_top_k = 20;
-    config.num_threads = 2;
     config.jxp.merge_mode = mode.merge;
     config.jxp.combine_mode = mode.combine;
     config.jxp.wire_mode = mode.wire;
@@ -220,7 +230,7 @@ TEST(SimulationTest, EveryMeetingModeIsFrozen) {
     JxpSimulation sim(fx.collection.graph, fx.fragments, config);
     sim.RunMeetings(40);
     sim.ReplaceFragment(0, recrawl);
-    sim.RunMeetingsParallel(20);
+    sim.RunMeetings(20);
 
     uint64_t h = kFnv1aOffset;
     for (const JxpPeer& peer : sim.peers()) {

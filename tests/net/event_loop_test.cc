@@ -75,6 +75,54 @@ TEST(EventLoopTest, FarTimerDoesNotFireEarly) {
   EXPECT_EQ(loop.pending_timers(), 1u);
 }
 
+TEST(EventLoopTest, WakeupBeforeDeadlineInItsTickDoesNotDelayTheTimer) {
+  // An fd wakes the loop inside the timer's 4 ms tick but before its
+  // deadline. The sweep then leaves the timer parked, and the next sweep
+  // must still reach its slot: a wheel that moves past it fires the timer
+  // one revolution (~1 s) late. A sweep lands in that window only when the
+  // thread is not preempted, so attempts repeat until one does.
+  constexpr uint64_t kSlackMs = 2 * EventLoop::kTickMs;
+  EventLoop loop;
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  ASSERT_TRUE(loop.Add(pipe_fds[0], EPOLLIN, [&](uint32_t) {
+    uint8_t byte;
+    (void)!::read(pipe_fds[0], &byte, 1);
+  }).ok());
+  bool landed = false;
+  for (int attempt = 0; attempt < 200 && !landed; ++attempt) {
+    // A deadline on the last millisecond of its tick leaves a 3 ms window.
+    const uint64_t now = loop.NowMs();
+    const uint64_t deadline = (now / EventLoop::kTickMs + 5) * EventLoop::kTickMs + 3;
+    uint64_t fired_at = 0;
+    const EventLoop::TimerId id =
+        loop.AddTimer(deadline - now, [&] { fired_at = loop.NowMs(); });
+    if (loop.NowMs() != now) {  // The deadline is not the one computed.
+      loop.CancelTimer(id);
+      continue;
+    }
+    const uint64_t tick_start = deadline - deadline % EventLoop::kTickMs;
+    while (loop.NowMs() < tick_start) {
+    }
+    const uint8_t byte = 1;
+    ASSERT_EQ(::write(pipe_fds[1], &byte, 1), 1);
+    loop.RunOnce(1000);
+    if (fired_at != 0 || loop.NowMs() >= deadline) {  // Missed the window.
+      loop.CancelTimer(id);
+      continue;
+    }
+    landed = true;
+    while (fired_at == 0 && loop.NowMs() <= deadline + 200) loop.RunOnce(1000);
+    ASSERT_NE(fired_at, 0u) << "timer due at " << deadline << " ms did not fire";
+    EXPECT_LE(fired_at, deadline + kSlackMs);
+  }
+  EXPECT_TRUE(landed) << "no wakeup landed before the deadline in its tick";
+  EXPECT_EQ(loop.pending_timers(), 0u);
+  ASSERT_TRUE(loop.Remove(pipe_fds[0]).ok());
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+}
+
 TEST(EventLoopTest, FdCallbackRunsWhenReadable) {
   EventLoop loop;
   int pipe_fds[2];

@@ -1,17 +1,12 @@
-// Property tests of the local PageRank under randomized churn schedules
+// Property test of the local PageRank under randomized churn schedules
 // (meetings interleaved with fragment add/remove/edit events applied through
-// JxpPeer::ReplaceFragment):
-//
-//   Safety        (Thm 5.3): scores never overestimate the true PageRank
-//                 after lower-bound rounding (a slack covering the
-//                 churn-transient overshoot — see kSafetySlack);
-//   Determinism:  a full churn schedule replays bit-identically at 1 and 4
-//                 threads.
+// JxpPeer::ReplaceFragment): scores never overestimate the true PageRank
+// after lower-bound rounding (Thm 5.3, with a slack covering the
+// churn-transient overshoot — see kSafetySlack).
 //
 // Failures print a one-line JXP_PROPTEST_SEED repro with the case's
 // generator parameters.
 
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/jxp_peer.h"
-#include "core/simulation.h"
 #include "generators.h"
 #include "graph/subgraph.h"
 #include "pagerank/pagerank.h"
@@ -31,8 +25,6 @@ namespace {
 
 using core::JxpOptions;
 using core::JxpPeer;
-using core::JxpSimulation;
-using core::SimulationConfig;
 
 /// Solve tolerance of every local PageRank run.
 constexpr double kPrTolerance = 1e-13;
@@ -86,27 +78,6 @@ CheckResult ReplaySchedule(const ChurnCase& c, const GeneratedWorld& world,
   return std::nullopt;
 }
 
-/// Bit-exact peer-state comparison (scores and world score) between two
-/// arms; `label` names the arms in the failure message.
-CheckResult ComparePeersExactly(const std::vector<JxpPeer>& a,
-                                const std::vector<JxpPeer>& b, const char* label,
-                                size_t event) {
-  for (size_t p = 0; p < a.size(); ++p) {
-    const std::vector<double>& sa = a[p].local_scores();
-    const std::vector<double>& sb = b[p].local_scores();
-    const double wa = a[p].world_score();
-    const double wb = b[p].world_score();
-    if (sa.size() != sb.size() ||
-        std::memcmp(sa.data(), sb.data(), sa.size() * sizeof(double)) != 0 ||
-        std::memcmp(&wa, &wb, sizeof(double)) != 0) {
-      std::ostringstream os;
-      os << label << ": peer " << p << " diverged bit-wise after event " << event;
-      return os.str();
-    }
-  }
-  return std::nullopt;
-}
-
 TEST(ChurnProperty, NeverOverestimatesUnderChurn) {
   ForAll<ChurnCase>(
       0x16c45afe, 30, [](uint64_t seed) { return GenerateChurnCase(seed); },
@@ -142,49 +113,6 @@ TEST(ChurnProperty, NeverOverestimatesUnderChurn) {
           }
           return std::nullopt;
         });
-      });
-}
-
-/// Replays the case's schedule through JxpSimulation (meeting runs batched
-/// through RunMeetingsParallel, fragment events through
-/// JxpSimulation::ReplaceFragment) and returns the final simulation.
-JxpSimulation ReplayParallel(const ChurnCase& c, const GeneratedWorld& world,
-                             size_t num_threads) {
-  SimulationConfig config;
-  config.jxp = BaseOptions(c);
-  config.seed = c.seed;
-  config.num_threads = num_threads;
-  config.baseline_tolerance = 1e-12;
-  JxpSimulation sim(world.graph, world.fragments, config);
-  std::vector<std::vector<graph::PageId>> pages = world.fragments;
-  size_t pending_meetings = 0;
-  for (const ChurnEvent& e : BuildChurnSchedule(c)) {
-    if (e.kind == ChurnEvent::Kind::kMeeting) {
-      // The simulation draws its own meeting pairs; only the count matters
-      // for determinism, so meetings batch into parallel rounds.
-      ++pending_meetings;
-      continue;
-    }
-    if (pending_meetings > 0) {
-      sim.RunMeetingsParallel(pending_meetings);
-      pending_meetings = 0;
-    }
-    pages[e.peer_a] = ApplyChurnEvent(e, c.num_nodes, std::move(pages[e.peer_a]));
-    sim.ReplaceFragment(static_cast<p2p::PeerId>(e.peer_a), pages[e.peer_a]);
-  }
-  if (pending_meetings > 0) sim.RunMeetingsParallel(pending_meetings);
-  return sim;
-}
-
-TEST(ChurnProperty, ChurnScheduleBitIdenticalAcrossThreadCounts) {
-  ForAll<ChurnCase>(
-      0x16c47eed, 12, [](uint64_t seed) { return GenerateChurnCase(seed); },
-      [](const ChurnCase& c) -> CheckResult {
-        const GeneratedWorld world = BuildWorld(c);
-        const JxpSimulation one = ReplayParallel(c, world, 1);
-        const JxpSimulation four = ReplayParallel(c, world, 4);
-        return ComparePeersExactly(one.peers(), four.peers(), "1 vs 4 threads",
-                                   c.num_events);
       });
 }
 

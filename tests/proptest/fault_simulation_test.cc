@@ -1,9 +1,8 @@
 // Simulation-level guarantees of the fault-injection layer:
 //  - the fault-off path is bit-identical to a configuration without a fault
-//    plan, sequentially and in parallel at every thread count;
-//  - with faults enabled, runs are bit-identical across repeats and across
-//    thread counts under both wire modes (fault schedules are drawn on the
-//    scheduling thread);
+//    plan;
+//  - with faults enabled, runs are bit-identical across repeats under both
+//    wire modes;
 //  - abandoned meetings consume schedule slots but never peer state;
 //  - wasted-byte accounting agrees between Network and FaultInjector;
 //  - the jxp.faults.* metrics mirror the injector's stats.
@@ -80,10 +79,9 @@ TEST(FaultSimulation, FaultOffPathBitIdentical) {
         return c;
       },
       [](const FaultCase& c) -> CheckResult {
-        const auto run = [&](bool with_plan, size_t threads, bool parallel) {
+        const auto run = [&](bool with_plan) {
           GeneratedWorld world = BuildWorld(c);
           SimulationConfig config = BaseConfig(c);
-          config.num_threads = threads;
           if (with_plan) {
             config.faults = c.plan;          // All-zero probabilities.
             config.faults.seed = 0xdeadbeef; // Must be irrelevant when disabled.
@@ -92,26 +90,14 @@ TEST(FaultSimulation, FaultOffPathBitIdentical) {
           if (sim.fault_stats() != nullptr) {
             ADD_FAILURE() << "disabled plan created an injector";
           }
-          if (parallel) {
-            sim.RunMeetingsParallel(c.num_meetings);
-          } else {
-            sim.RunMeetings(c.num_meetings);
-          }
+          sim.RunMeetings(c.num_meetings);
           return FingerprintOf(sim);
         };
-        if (CheckResult r = CompareFingerprints(run(false, 1, false), run(true, 1, false),
-                                                "sequential no-plan vs disabled plan")) {
-          return r;
-        }
-        if (CheckResult r = CompareFingerprints(run(true, 1, true), run(false, 4, true),
-                                                "parallel 1 thread vs 4 threads")) {
-          return r;
-        }
-        return std::nullopt;
+        return CompareFingerprints(run(false), run(true), "no plan vs disabled plan");
       });
 }
 
-TEST(FaultSimulation, FaultsOnDeterministicAcrossThreadCounts) {
+TEST(FaultSimulation, FaultsOnDeterministicAcrossRepeats) {
   PlanLimits limits;
   limits.max_drop = 0.3;
   limits.max_truncation = 0.3;
@@ -127,12 +113,10 @@ TEST(FaultSimulation, FaultsOnDeterministicAcrossThreadCounts) {
       },
       [](const FaultCase& c) -> CheckResult {
         // Each case runs under both transports; the measured one also flips
-        // bits, so the salvaging decode is swept across thread counts too.
-        const auto run = [&](core::MeetingWireMode wire_mode, size_t threads, bool parallel,
-                             const std::string& tag) {
+        // bits, so the salvaging decode is swept too.
+        const auto run = [&](core::MeetingWireMode wire_mode, const std::string& tag) {
           GeneratedWorld world = BuildWorld(c);
           SimulationConfig config = BaseConfig(c);
-          config.num_threads = threads;
           config.jxp.wire_mode = wire_mode;
           config.faults = c.plan;
           if (wire_mode == core::MeetingWireMode::kMeasured) {
@@ -144,25 +128,16 @@ TEST(FaultSimulation, FaultsOnDeterministicAcrossThreadCounts) {
             config.checkpoint_every = 4;
           }
           JxpSimulation sim(world.graph, std::move(world.fragments), config);
-          if (parallel) {
-            sim.RunMeetingsParallel(c.num_meetings);
-          } else {
-            sim.RunMeetings(c.num_meetings);
-          }
+          sim.RunMeetings(c.num_meetings);
           return FingerprintOf(sim);
         };
         for (const core::MeetingWireMode wire_mode :
              {core::MeetingWireMode::kEstimated, core::MeetingWireMode::kMeasured}) {
           const std::string mode =
               wire_mode == core::MeetingWireMode::kMeasured ? "measured" : "estimated";
-          if (CheckResult r = CompareFingerprints(run(wire_mode, 1, false, mode + "_s1"),
-                                                  run(wire_mode, 1, false, mode + "_s2"),
-                                                  mode + " sequential repeat")) {
-            return r;
-          }
-          if (CheckResult r = CompareFingerprints(run(wire_mode, 1, true, mode + "_p1"),
-                                                  run(wire_mode, 4, true, mode + "_p4"),
-                                                  mode + " parallel 1 vs 4 threads")) {
+          if (CheckResult r = CompareFingerprints(run(wire_mode, mode + "_1"),
+                                                  run(wire_mode, mode + "_2"),
+                                                  mode + " repeat")) {
             return r;
           }
         }
@@ -191,12 +166,6 @@ TEST(FaultSimulation, AbandonedMeetingsConsumeSlotsWithoutPeerState) {
   EXPECT_EQ(sim.fault_stats()->unavailable_retries, 30u);
   EXPECT_EQ(sim.network().TotalWastedBytes(), 10 * 3 * 64.0);
   EXPECT_EQ(sim.network().TotalTrafficBytes(), 0.0);
-
-  // The parallel path must terminate too (abandoned attempts consume their
-  // round slots), still without any meeting.
-  sim.RunMeetingsParallel(6);
-  EXPECT_EQ(sim.meetings_done(), 0u);
-  EXPECT_EQ(sim.fault_stats()->meetings_abandoned, 16u);
 }
 
 TEST(FaultSimulation, WastedBytesAgreeBetweenNetworkAndInjector) {
