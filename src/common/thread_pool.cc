@@ -27,7 +27,7 @@ void ThreadPool::RunAssignedBlocks(const Launch& launch, size_t worker,
   for (size_t b = worker; b < launch.num_blocks; b += num_threads) {
     const size_t block_begin = launch.begin + b * launch.grain;
     const size_t block_end = std::min(launch.end, block_begin + launch.grain);
-    (*launch.body)(block_begin, block_end, b);
+    for (size_t i = block_begin; i < block_end; ++i) (*launch.fn)(i);
   }
 }
 
@@ -46,13 +46,12 @@ void ThreadPool::WorkerLoop(size_t worker) {
   }
 }
 
-void ThreadPool::ParallelForBlocks(
-    size_t begin, size_t end, size_t grain,
-    const std::function<void(size_t, size_t, size_t)>& body) {
+void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
+                             const std::function<void(size_t)>& fn) {
   if (end <= begin) return;
   JXP_CHECK_GE(grain, 1u);
   Launch launch;
-  launch.body = &body;
+  launch.fn = &fn;
   launch.begin = begin;
   launch.end = end;
   launch.grain = grain;
@@ -73,14 +72,6 @@ void ThreadPool::ParallelForBlocks(
   RunAssignedBlocks(launch, 0, num_threads_);
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return workers_done_ == num_threads_ - 1; });
-}
-
-void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
-                             const std::function<void(size_t)>& fn) {
-  ParallelForBlocks(begin, end, grain,
-                    [&fn](size_t block_begin, size_t block_end, size_t) {
-                      for (size_t i = block_begin; i < block_end; ++i) fn(i);
-                    });
 }
 
 }  // namespace jxp

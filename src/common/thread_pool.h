@@ -13,14 +13,12 @@ namespace jxp {
 /// A small fixed-size thread pool built for *deterministic* data
 /// parallelism.
 ///
-/// ParallelFor / ParallelForBlocks split [begin, end) into fixed-size
-/// blocks of `grain` indices. Block boundaries depend only on
-/// (begin, end, grain) — never on the thread count — and blocks are
-/// assigned statically (block b runs on worker b % num_threads, no work
-/// stealing). Any computation whose writes are disjoint per index, plus any
-/// reduction that accumulates per block and combines the block partials in
-/// block order, therefore produces bit-identical results at every thread
-/// count, including 1.
+/// ParallelFor splits [begin, end) into fixed-size blocks of `grain`
+/// indices. Block boundaries depend only on (begin, end, grain) — never on
+/// the thread count — and blocks are assigned statically (block b runs on
+/// worker b % num_threads, no work stealing). Any computation whose writes
+/// are disjoint per index therefore produces bit-identical results at every
+/// thread count, including 1.
 ///
 /// The calling thread participates as worker 0, so a pool of size T spawns
 /// T - 1 background threads (ThreadPool(1) spawns none and runs everything
@@ -39,22 +37,17 @@ class ThreadPool {
   /// Number of workers, including the calling thread.
   size_t num_threads() const { return num_threads_; }
 
-  /// Runs `body(block_begin, block_end, block_index)` once per block of the
-  /// fixed partition of [begin, end) into blocks of `grain` indices (the
-  /// last block may be short). Blocks are executed round-robin across
-  /// workers; the call returns after every block has finished.
-  void ParallelForBlocks(size_t begin, size_t end, size_t grain,
-                         const std::function<void(size_t, size_t, size_t)>& body);
-
-  /// Per-index convenience wrapper: runs `fn(i)` for every i in [begin, end)
-  /// using the same deterministic block partition.
+  /// Runs `fn(i)` for every i in [begin, end). The range is cut into the
+  /// fixed partition of blocks of `grain` indices (the last block may be
+  /// short); blocks are executed round-robin across workers, each block's
+  /// indices in order. The call returns after every block has finished.
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t)>& fn);
 
  private:
-  /// The immutable description of one ParallelForBlocks launch.
+  /// The immutable description of one ParallelFor launch.
   struct Launch {
-    const std::function<void(size_t, size_t, size_t)>* body = nullptr;
+    const std::function<void(size_t)>* fn = nullptr;
     size_t begin = 0;
     size_t end = 0;
     size_t grain = 1;

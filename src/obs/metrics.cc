@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -27,11 +26,6 @@ uint64_t Load(const std::atomic<uint64_t>& cell) {
 }
 
 }  // namespace
-
-struct MetricsRegistry::GaugeCell {
-  std::atomic<uint64_t> bits{0};
-  std::atomic<uint64_t> set_count{0};
-};
 
 struct MetricsRegistry::Shard {
   /// Per-shard accumulators of one histogram. Cells are relaxed atomics
@@ -76,8 +70,7 @@ std::atomic<uint64_t> g_next_registry_id{1};
 }  // namespace
 
 MetricsRegistry::MetricsRegistry()
-    : registry_id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)),
-      gauges_(std::make_unique<GaugeCell[]>(kMaxMetrics)) {}
+    : registry_id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
@@ -106,10 +99,6 @@ Counter MetricsRegistry::GetCounter(std::string_view name) {
   return Counter(this, Register(name, Kind::kCounter));
 }
 
-Gauge MetricsRegistry::GetGauge(std::string_view name) {
-  return Gauge(this, Register(name, Kind::kGauge));
-}
-
 Histogram MetricsRegistry::GetHistogram(std::string_view name) {
   return Histogram(this, Register(name, Kind::kHistogram));
 }
@@ -133,12 +122,6 @@ MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
 void MetricsRegistry::AddCounter(uint32_t id, uint64_t n) {
   std::atomic<uint64_t>& cell = LocalShard().counters[id];
   Store(cell, Load(cell) + n);
-}
-
-void MetricsRegistry::SetGauge(uint32_t id, double value) {
-  GaugeCell& cell = gauges_[id];
-  cell.bits.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
-  cell.set_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::ObserveHistogram(uint32_t id, double value) {
@@ -177,11 +160,6 @@ void Counter::Increment(uint64_t n) {
   registry_->AddCounter(id_, n);
 }
 
-void Gauge::Set(double value) {
-  if (!Enabled() || registry_ == nullptr) return;
-  registry_->SetGauge(id_, value);
-}
-
 void Histogram::Observe(double value) {
   if (!Enabled() || registry_ == nullptr) return;
   registry_->ObserveHistogram(id_, value);
@@ -199,14 +177,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
           total += Load(shard->counters[id]);
         }
         snapshot.counters.push_back({info.name, total});
-        break;
-      }
-      case Kind::kGauge: {
-        const GaugeCell& cell = gauges_[id];
-        const bool set = cell.set_count.load(std::memory_order_relaxed) > 0;
-        snapshot.gauges.push_back(
-            {info.name, std::bit_cast<double>(cell.bits.load(std::memory_order_relaxed)),
-             set});
         break;
       }
       case Kind::kHistogram: {
@@ -232,7 +202,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
-  std::sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);
   std::sort(snapshot.histograms.begin(), snapshot.histograms.end(), by_name);
   return snapshot;
 }
@@ -252,10 +221,6 @@ void MetricsRegistry::Reset() {
       Store(hist->min, std::numeric_limits<uint64_t>::max());
       Store(hist->max, 0);
     }
-  }
-  for (size_t id = 0; id < metrics_.size(); ++id) {
-    gauges_[id].bits.store(0, std::memory_order_relaxed);
-    gauges_[id].set_count.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -308,17 +273,6 @@ std::string MetricsSnapshot::ToJsonLines(bool include_timing) const {
     if (!include_timing && IsTimingMetric(counter.name)) continue;
     writer.Field("type", "counter").Field("name", counter.name).Field("value",
                                                                       counter.value);
-    out += writer.TakeLine();
-    out.push_back('\n');
-  }
-  for (const GaugeValue& gauge : gauges) {
-    if (!include_timing && IsTimingMetric(gauge.name)) continue;
-    writer.Field("type", "gauge").Field("name", gauge.name);
-    if (gauge.set) {
-      writer.Field("value", gauge.value);
-    } else {
-      writer.FieldRawJson("value", "null");
-    }
     out += writer.TakeLine();
     out.push_back('\n');
   }

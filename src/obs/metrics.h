@@ -31,22 +31,6 @@ class Counter {
   uint32_t id_ = 0;
 };
 
-/// A settable value. Unlike counters and histograms, gauges are stored in
-/// one registry-level cell (last Set wins), so they are deterministic only
-/// under single-writer use; set them from sequential code (e.g. the
-/// simulation thread), not from pool workers.
-class Gauge {
- public:
-  Gauge() = default;
-  void Set(double value);
-
- private:
-  friend class MetricsRegistry;
-  Gauge(MetricsRegistry* registry, uint32_t id) : registry_(registry), id_(id) {}
-  MetricsRegistry* registry_ = nullptr;
-  uint32_t id_ = 0;
-};
-
 /// A distribution of non-negative samples, recorded into HdrHistogram slots
 /// in fixed-point units of 2^-20: Observe(v) records the integer
 /// floor(v * 2^20 + 0.5), so no call site picks bucket bounds.
@@ -83,12 +67,6 @@ struct MetricsSnapshot {
     std::string name;
     uint64_t value = 0;
   };
-  struct GaugeValue {
-    std::string name;
-    double value = 0;
-    /// False until the first Set (the exporter then emits null).
-    bool set = false;
-  };
   struct HistogramValue {
     std::string name;
     /// Samples in units of 2^-20 (Histogram::kUnitsPerValue).
@@ -96,12 +74,11 @@ struct MetricsSnapshot {
   };
 
   std::vector<CounterValue> counters;
-  std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
 
   /// Serializes the snapshot as JSON lines (one '\n'-terminated line per
   /// metric, metrics sorted by name within each kind, counters first, then
-  /// gauges, then histograms). A histogram line carries count, sum, mean,
+  /// histograms). A histogram line carries count, sum, mean,
   /// min, max, p50, p90, p99 and p999, converted back to value units;
   /// histograms without samples are skipped. When `include_timing` is
   /// false, metrics under the timing naming convention (IsTimingMetric) are
@@ -128,7 +105,7 @@ bool IsTimingMetric(std::string_view name);
 /// tests/qp/serving_test.cc).
 std::string MetricNameViolation(std::string_view name);
 
-/// A registry of named counters, gauges, and histograms.
+/// A registry of named counters and histograms.
 ///
 /// Writes go to thread-local shards: each (thread, registry) pair owns a
 /// shard, so recording needs no locks and no cross-thread RMW contention —
@@ -138,7 +115,7 @@ std::string MetricNameViolation(std::string_view name);
 /// snapshot, call it from a point with a happens-before edge to the writers
 /// (e.g. after ParallelFor returns — the pool joins every block).
 ///
-/// Metric registration (GetCounter/GetGauge/GetHistogram) takes a lock and
+/// Metric registration (GetCounter/GetHistogram) takes a lock and
 /// may be called from any thread; re-registering the same name returns the
 /// same metric (the kind must match). Capacity is fixed at kMaxMetrics per
 /// registry.
@@ -152,7 +129,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter GetCounter(std::string_view name);
-  Gauge GetGauge(std::string_view name);
   Histogram GetHistogram(std::string_view name);
 
   /// Merges all shards into a deterministic snapshot (see class comment).
@@ -167,10 +143,9 @@ class MetricsRegistry {
 
  private:
   friend class Counter;
-  friend class Gauge;
   friend class Histogram;
 
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   struct MetricInfo {
     std::string name;
@@ -178,19 +153,16 @@ class MetricsRegistry {
   };
 
   struct Shard;
-  struct GaugeCell;
 
   uint32_t Register(std::string_view name, Kind kind);
   Shard& LocalShard();
   void AddCounter(uint32_t id, uint64_t n);
-  void SetGauge(uint32_t id, double value);
   void ObserveHistogram(uint32_t id, double value);
 
   const uint64_t registry_id_;
   mutable std::mutex mutex_;
   std::vector<MetricInfo> metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<GaugeCell[]> gauges_;
 };
 
 }  // namespace obs

@@ -131,45 +131,6 @@ std::vector<SearchResult> MinervaEngine::ExecuteQuery(
   return results;
 }
 
-void MinervaEngine::PublishToDirectory(
-    DhtDirectory& directory,
-    const std::unordered_map<graph::PageId, double>& jxp_scores) const {
-  for (const PeerIndex& index : indexes_) {
-    for (const auto& [term, postings] : index.postings()) {
-      TermPost post;
-      post.peer = index.owner();
-      post.document_frequency = static_cast<uint32_t>(postings.size());
-      for (const Posting& posting : postings) {
-        post.jxp_mass += JxpScoreOf(jxp_scores, posting.page);
-      }
-      directory.Publish(term, post);
-    }
-  }
-}
-
-std::vector<p2p::PeerId> MinervaEngine::RoutePeersViaDirectory(
-    std::span<const TermId> query, const DhtDirectory& directory,
-    p2p::PeerId asking_peer, RoutingPolicy policy) const {
-  std::unordered_map<p2p::PeerId, double> goodness;
-  for (TermId term : query) {
-    for (const TermPost& post : directory.Lookup(term, asking_peer)) {
-      goodness[post.peer] += policy == RoutingPolicy::kDocumentFrequency
-                                 ? static_cast<double>(post.document_frequency)
-                                 : post.jxp_mass;
-    }
-  }
-  std::vector<std::pair<double, p2p::PeerId>> ranked;
-  ranked.reserve(goodness.size());
-  for (const auto& [peer, score] : goodness) ranked.emplace_back(score, peer);
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  std::vector<p2p::PeerId> peers;
-  peers.reserve(ranked.size());
-  for (const auto& [score, peer] : ranked) peers.push_back(peer);
-  return peers;
-}
-
 std::vector<graph::PageId> RankByTfIdf(std::vector<SearchResult> results, size_t k) {
   std::sort(results.begin(), results.end(), [](const SearchResult& a, const SearchResult& b) {
     return a.tfidf != b.tfidf ? a.tfidf > b.tfidf : a.page < b.page;

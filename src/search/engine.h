@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "qp/compressed_index.h"
-#include "search/directory.h"
 #include "search/index.h"
 
 namespace jxp {
@@ -82,26 +81,10 @@ class MinervaEngine {
   /// reference the compressed processors reproduce bit for bit.
   double TfIdfScore(std::span<const TermId> query, const Document& doc) const;
 
-  /// Publishes every registered peer's per-term statistics (document
-  /// frequency and JXP authority mass) into the distributed directory, as
-  /// Minerva peers do after indexing. Peers must already be on the
-  /// directory's ring.
-  void PublishToDirectory(
-      DhtDirectory& directory,
-      const std::unordered_map<graph::PageId, double>& jxp_scores) const;
-
-  /// Directory-backed routing: ranks peers for the query from the posts
-  /// fetched out of the DHT (instead of the omniscient RoutePeers). Only
-  /// peers with at least one post for a query term are returned.
-  std::vector<p2p::PeerId> RoutePeersViaDirectory(std::span<const TermId> query,
-                                                  const DhtDirectory& directory,
-                                                  p2p::PeerId asking_peer,
-                                                  RoutingPolicy policy) const;
-
  private:
   const Corpus* corpus_;
   SearchOptions options_;
-  /// Mutable per-peer indexes, kept for routing and directory publishing.
+  /// Mutable per-peer indexes, kept for routing.
   std::vector<PeerIndex> indexes_;
   /// Frozen compressed twin of indexes_[i] (same position); retrieval runs
   /// on these.

@@ -1,9 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -47,54 +47,39 @@ TEST(ThreadPoolTest, OffsetRange) {
 }
 
 TEST(ThreadPoolTest, BlockPartitionIndependentOfThreadCount) {
-  // The block boundaries seen by the body must depend only on
-  // (begin, end, grain) — this is what makes blockwise reductions
-  // bit-reproducible at any thread count.
-  using Block = std::tuple<size_t, size_t, size_t>;
-  auto collect = [](size_t threads) {
+  // The fixed partition: block b covers [3 + 64 b, min(1003, 3 + 64 (b+1)))
+  // whatever the thread count T, and runs whole on worker b % T, the caller
+  // being worker 0.
+  const size_t begin = 3, end = 1003, grain = 64;
+  const size_t num_blocks = (end - begin + grain - 1) / grain;
+  ASSERT_EQ(num_blocks, 16u);
+  for (const size_t threads : {2u, 5u, 8u}) {
     ThreadPool pool(threads);
-    std::mutex mu;
-    std::vector<Block> blocks;
-    pool.ParallelForBlocks(3, 1003, 64, [&](size_t b, size_t e, size_t idx) {
-      std::lock_guard<std::mutex> lock(mu);
-      blocks.emplace_back(b, e, idx);
-    });
-    std::sort(blocks.begin(), blocks.end(),
-              [](const Block& a, const Block& b) { return std::get<2>(a) < std::get<2>(b); });
-    return blocks;
-  };
-  const auto one = collect(1);
-  EXPECT_EQ(one, collect(2));
-  EXPECT_EQ(one, collect(5));
-  EXPECT_EQ(one, collect(8));
-  // Fixed partition: block i covers [3 + 64 i, min(1003, 3 + 64 (i+1))).
-  ASSERT_EQ(one.size(), 16u);
-  EXPECT_EQ(std::get<0>(one.front()), 3u);
-  EXPECT_EQ(std::get<1>(one.back()), 1003u);
-}
-
-TEST(ThreadPoolTest, BlockwiseReductionIsBitReproducible) {
-  // A reduction that accumulates per block and combines partials in block
-  // order must give bit-identical results at every thread count.
-  const size_t n = 10000;
-  std::vector<double> values(n);
-  for (size_t i = 0; i < n; ++i) values[i] = 1.0 / static_cast<double>(i + 3);
-  auto reduce = [&](size_t threads) {
-    ThreadPool pool(threads);
-    const size_t grain = 128;
-    std::vector<double> partial((n + grain - 1) / grain, 0.0);
-    pool.ParallelForBlocks(0, n, grain, [&](size_t b, size_t e, size_t idx) {
-      double s = 0;
-      for (size_t i = b; i < e; ++i) s += values[i];
-      partial[idx] = s;
-    });
-    double sum = 0;
-    for (double p : partial) sum += p;
-    return sum;
-  };
-  const double expected = reduce(1);
-  EXPECT_EQ(expected, reduce(2));
-  EXPECT_EQ(expected, reduce(8));
+    std::vector<std::thread::id> ran_on(end);
+    pool.ParallelFor(begin, end, grain,
+                     [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    std::vector<std::thread::id> block_thread(num_blocks);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const size_t block_begin = begin + b * grain;
+      const size_t block_end = std::min(end, block_begin + grain);
+      block_thread[b] = ran_on[block_begin];
+      for (size_t i = block_begin; i < block_end; ++i) {
+        ASSERT_EQ(ran_on[i], block_thread[b])
+            << "threads=" << threads << " block=" << b << " index=" << i;
+      }
+    }
+    EXPECT_EQ(block_thread[0], std::this_thread::get_id()) << "threads=" << threads;
+    for (size_t b = 0; b + threads < num_blocks; ++b) {
+      EXPECT_EQ(block_thread[b], block_thread[b + threads])
+          << "threads=" << threads << " block=" << b;
+    }
+    for (size_t b = 0; b < threads; ++b) {
+      for (size_t c = b + 1; c < threads; ++c) {
+        EXPECT_NE(block_thread[b], block_thread[c])
+            << "threads=" << threads << " blocks " << b << " and " << c;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ReusableAcrossManyLaunches) {

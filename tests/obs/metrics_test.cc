@@ -17,7 +17,6 @@ namespace jxp {
 namespace {
 
 using obs::Counter;
-using obs::Gauge;
 using obs::Histogram;
 using obs::HdrHistogram;
 using obs::MetricsRegistry;
@@ -39,14 +38,11 @@ HdrHistogram ObserveAll(const std::vector<double>& values) {
   return snapshot.histograms.at(0).data;
 }
 
-TEST(MetricsRegistryTest, CountersGaugesHistograms) {
+TEST(MetricsRegistryTest, CountersAndHistograms) {
   MetricsRegistry registry;
   Counter c = registry.GetCounter("test.counter");
   c.Increment();
   c.Increment(41);
-  Gauge g = registry.GetGauge("test.gauge");
-  g.Set(2.5);
-  g.Set(7.25);  // Last set wins.
   Histogram h = registry.GetHistogram("test.hist");
   h.Observe(0.5);
   h.Observe(5.0);
@@ -56,9 +52,6 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   ASSERT_EQ(snapshot.counters.size(), 1u);
   EXPECT_EQ(snapshot.counters[0].name, "test.counter");
   EXPECT_EQ(snapshot.counters[0].value, 42u);
-  ASSERT_EQ(snapshot.gauges.size(), 1u);
-  EXPECT_TRUE(snapshot.gauges[0].set);
-  EXPECT_EQ(snapshot.gauges[0].value, 7.25);
   ASSERT_EQ(snapshot.histograms.size(), 1u);
   const HdrHistogram& data = snapshot.histograms[0].data;
   EXPECT_EQ(data.count(), 3u);
@@ -264,15 +257,12 @@ TEST(MetricsRegistryTest, ResetZeroesEverythingKeepsHandles) {
   MetricsRegistry registry;
   Counter c = registry.GetCounter("c");
   Histogram h = registry.GetHistogram("h");
-  Gauge g = registry.GetGauge("g");
   c.Increment();
   h.Observe(0.5);
-  g.Set(9.0);
   registry.Reset();
   MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.counters[0].value, 0u);
   EXPECT_EQ(snapshot.histograms[0].data.count(), 0u);
-  EXPECT_FALSE(snapshot.gauges[0].set);
   // Handles stay live after Reset.
   c.Increment();
   h.Observe(0.5);
@@ -328,9 +318,6 @@ TEST(MetricsRegistryTest, GlobalRegistryNamesConformToConvention) {
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   for (const auto& c : snapshot.counters) {
     EXPECT_EQ(obs::MetricNameViolation(c.name), "") << c.name;
-  }
-  for (const auto& g : snapshot.gauges) {
-    EXPECT_EQ(obs::MetricNameViolation(g.name), "") << g.name;
   }
   for (const auto& h : snapshot.histograms) {
     EXPECT_EQ(obs::MetricNameViolation(h.name), "") << h.name;

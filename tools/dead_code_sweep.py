@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Dead-code sweep: library functions that no bench, example or e2e binary keeps.
+"""Dead-code sweep: library functions that no bench or e2e binary keeps.
 
-Builds every bench and example of the repository, and bench/e2e's
-`e2e_bench` (configured from outside; bench/e2e itself is only read), with
+The roots are the experiments: every bench of the repository and bench/e2e's
+`e2e_bench` (configured from outside; bench/e2e itself is only read).
+Examples are not roots, so library code that only an example calls counts
+as unreached. The sweep builds the roots with
 
     -O0 -fno-inline -ffunction-sections -fdata-sections -Wl,--gc-sections
 
@@ -14,10 +16,9 @@ template instantiations -- are emitted by whichever library function uses
 them, so an unreached one only echoes an unreached `T` caller (e.g.
 `StatusOr<Graph>::ok` behind a dead loader) and is not listed. The list is
 compared with the committed allowlist: the unreached functions the
-repository keeps on purpose, each with its reason (a test oracle, a test
-hook, or a deletion deferred to a named ROADMAP item). Any difference -- a
-newly unreached function, or an allowlisted one that is gone or reached
-again -- fails the sweep.
+repository keeps on purpose, each with its reason (a test oracle or a test
+hook). Any difference -- a newly unreached function, or an allowlisted one
+that is gone or reached again -- fails the sweep.
 
 Usage:
     python3 tools/dead_code_sweep.py            # build, sweep, compare
@@ -56,10 +57,9 @@ def configure(source, build):
 
 def build(build_dir, e2e_dir, jobs):
     configure(REPO, build_dir)
-    # Each directory's `all` builds its executables and the libraries they
-    # link, never the test binaries.
-    for sub in ("bench", "examples"):
-        run(["make", "-C", os.path.join(build_dir, sub), "-j", str(jobs)])
+    # The bench directory's `all` builds its executables and the libraries
+    # they link, never the test binaries or the examples.
+    run(["make", "-C", os.path.join(build_dir, "bench"), "-j", str(jobs)])
     configure(os.path.join(REPO, "bench", "e2e"), e2e_dir)
     run(["make", "-C", e2e_dir, "-j", str(jobs), "e2e_bench"])
 
@@ -112,7 +112,6 @@ def unreached(build_dir, e2e_dir):
             if entry.startswith("libjxp_") and entry.endswith(".a"):
                 library |= defined_symbols(os.path.join(unit_dir, entry), {"T"})
     binaries = (executables(os.path.join(build_dir, "bench")) +
-                executables(os.path.join(build_dir, "examples")) +
                 [os.path.join(e2e_dir, "e2e_bench")])
     kept = set()
     for binary in binaries:
@@ -160,8 +159,9 @@ def main():
     for name in stale:
         print(f"allowlisted but no longer unreached: {name}")
     if new or stale:
-        print("Delete the new functions (with their tests), or allowlist each "
-              "with its reason; drop stale allowlist entries.")
+        print("No bench or e2e_bench reaches the new functions: delete them "
+              "(with their tests, and any example that calls them), or "
+              "allowlist each with its reason; drop stale allowlist entries.")
         return 1
     print("sweep matches the allowlist")
     return 0
