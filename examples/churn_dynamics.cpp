@@ -2,8 +2,8 @@
 // implemented here): peers leave and re-join the overlay while others
 // re-crawl and change their fragments. JXP is designed to cope with such
 // dynamics; this example shows the accuracy dip after a perturbation and
-// the re-convergence that follows, using the authoritative-refresh
-// extension (see core::JxpOptions) so stale knowledge can heal.
+// the re-convergence that follows, with the paper's take-max score
+// combination unchanged.
 //
 // Build & run:  ./build/examples/churn_dynamics
 
@@ -29,7 +29,6 @@ int main() {
   core::SimulationConfig config;
   config.seed = 13;
   config.eval_top_k = 200;
-  config.jxp.authoritative_refresh = true;  // Churn-robust refresh semantics.
   // Background churn: occasional departures and returns.
   config.churn.leave_probability = 0.002;
   config.churn.join_probability = 0.01;

@@ -18,11 +18,6 @@ inline uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-/// Combines a hash with a new value, boost::hash_combine style but 64-bit.
-inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
-}
-
 /// Initial state of a streamed FNV-1a hash.
 inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 

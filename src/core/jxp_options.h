@@ -97,29 +97,11 @@ struct JxpOptions {
   MergeMode merge_mode = MergeMode::kLightWeight;
   /// Score combination policy.
   CombineMode combine_mode = CombineMode::kTakeMax;
-  /// Drops the "N is known" assumption (Section 3): when true, peers
-  /// estimate the global page count themselves with Flajolet-Martin hash
-  /// sketches of the page-id sets, unioned at every meeting — the
-  /// "efficient techniques for distributed counting with duplicate
-  /// elimination" the paper alludes to. The constructor's global_size
-  /// parameter is then only used as the initial guess. Best combined with
-  /// authoritative_refresh, since the early N underestimates inflate early
-  /// scores, which must be allowed to heal.
-  bool estimate_global_size = false;
   /// Ablation knob (DESIGN.md A2): when true, the world row ignores the
   /// learned external scores and spreads the world mass uniformly over the
   /// known in-linking pages. The paper's weighting (false) is both more
   /// accurate and required for the convergence proof.
   bool uniform_world_links = false;
-  /// Churn-robustness extension (not in the paper): when true, a score
-  /// reported by a peer that hosts the page *locally* overwrites the stored
-  /// estimate instead of being combined. In a static network scores only
-  /// grow, so this matches take-max in the limit; under churn and re-crawls
-  /// it lets the network shed transient overestimates that take-max would
-  /// keep alive forever. It sacrifices the strict world-score monotonicity
-  /// of Theorem 5.1 (overlapping peers may report at different knowledge
-  /// levels), hence the default preserves the paper's semantics.
-  bool authoritative_refresh = false;
   /// Whether meeting traffic is byte-accurate (encoded frames) or modeled.
   MeetingWireMode wire_mode = MeetingWireMode::kEstimated;
   /// Adversarial behaviour of this peer (kNone for honest peers).

@@ -83,11 +83,6 @@ struct ExternalFold {
 /// well above this, so the floor only guards against pathological inputs.
 constexpr double kWorldScoreFloor = 1e-12;
 
-/// Network-wide constants of the distributed page-count sketch; all peers
-/// must share them for sketch unions to be meaningful.
-constexpr size_t kPageSketchBuckets = 256;
-constexpr uint64_t kPageSketchSeed = 0x9a6e5c0117ULL;
-
 }  // namespace
 
 JxpPeer::JxpPeer(p2p::PeerId id, graph::Subgraph fragment, size_t global_size,
@@ -95,12 +90,9 @@ JxpPeer::JxpPeer(p2p::PeerId id, graph::Subgraph fragment, size_t global_size,
     : id_(id),
       fragment_(std::move(fragment)),
       global_size_(global_size),
-      options_(options),
-      page_sketch_(kPageSketchBuckets, kPageSketchSeed) {
+      options_(options) {
   JXP_CHECK_GT(fragment_.NumLocalPages(), 0u) << "peer with empty fragment";
   JXP_CHECK_GE(global_size_, fragment_.NumLocalPages());
-  SeedPageSketch();
-  RefreshGlobalSizeEstimate();
   // Algorithm 1: uniform initial scores, then one local PR run.
   scores_.assign(fragment_.NumLocalPages(), 1.0 / static_cast<double>(global_size_));
   RunLocalPageRank();
@@ -115,32 +107,12 @@ JxpPeer::JxpPeer(p2p::PeerId id, graph::Subgraph fragment, size_t global_size,
       options_(options),
       scores_(std::move(scores)),
       world_score_(world_score),
-      world_(std::move(world)),
-      page_sketch_(kPageSketchBuckets, kPageSketchSeed) {
+      world_(std::move(world)) {
   JXP_CHECK_GT(fragment_.NumLocalPages(), 0u);
   JXP_CHECK_EQ(scores_.size(), fragment_.NumLocalPages());
   JXP_CHECK_GE(global_size_, fragment_.NumLocalPages());
   JXP_CHECK_GT(world_score_, 0.0);
   JXP_CHECK_LT(world_score_, 1.0);
-  SeedPageSketch();
-}
-
-void JxpPeer::SeedPageSketch() {
-  // A crawler knows its own pages plus every link target it saw; both count
-  // as distinct pages of the global graph.
-  for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
-    page_sketch_.Add(fragment_.GlobalId(i));
-    for (graph::PageId successor : fragment_.Successors(i)) {
-      page_sketch_.Add(successor);
-    }
-  }
-}
-
-void JxpPeer::RefreshGlobalSizeEstimate() {
-  if (!options_.estimate_global_size) return;
-  const double estimate = page_sketch_.EstimateCardinality();
-  global_size_ = std::max<size_t>(fragment_.NumLocalPages() + 1,
-                                  static_cast<size_t>(estimate + 0.5));
 }
 
 double JxpPeer::ScoreOfGlobal(graph::PageId page) const {
@@ -149,14 +121,12 @@ double JxpPeer::ScoreOfGlobal(graph::PageId page) const {
 }
 
 std::vector<uint8_t> JxpPeer::EncodeMeetingBytes() const {
-  const synopses::HashSketch* sketch =
-      options_.estimate_global_size ? &page_sketch_ : nullptr;
   if (options_.attack.type == AttackOptions::Type::kNone) {
     // An honest peer's message is its own state, encoded in place.
-    return EncodeMeetingMessage(fragment_, scores_, world_, sketch);
+    return EncodeMeetingMessage(fragment_, scores_, world_);
   }
   const PeerView view = MakeView();
-  return EncodeMeetingMessage(*view.fragment, view.scores, view.world, sketch);
+  return EncodeMeetingMessage(*view.fragment, view.scores, view.world);
 }
 
 RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
@@ -190,8 +160,8 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
   // resolve each direction's transport faults: what (if anything) of the
   // sender's message reaches the receiver.
   MeetingOutcome outcome;
-  outcome.estimated_bytes_initiator = initiator.EstimatedMessageBytes();
-  outcome.estimated_bytes_partner = partner.EstimatedMessageBytes();
+  outcome.estimated_bytes_initiator = initiator.MessageWireBytes();
+  outcome.estimated_bytes_partner = partner.MessageWireBytes();
   Delivery to_initiator;
   Delivery to_partner;
   if (measured) {
@@ -312,8 +282,8 @@ JxpPeer::Delivery JxpPeer::DeliverView(PeerView sent, bool drop, double keep) {
     successors.insert(successors.end(), succ.begin(), succ.end());
     offsets.push_back(successors.size());
   }
-  // The world node and page sketch ride at the tail of the message: the
-  // truncated view carries neither.
+  // The world node rides at the tail of the message: the truncated view
+  // does not carry it.
   PeerView& out = delivery.message;
   out.owned_fragment = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
       std::move(pages), std::move(offsets), std::move(successors)));
@@ -358,8 +328,6 @@ JxpPeer::PeerView JxpPeer::DecodedView(DecodedMeetingMessage decoded) {
   view.fragment = view.owned_fragment.get();
   view.scores = std::move(decoded.scores);
   view.world = std::move(decoded.world);
-  view.owned_sketch = std::move(decoded.sketch);
-  view.page_sketch = view.owned_sketch.get();
   return view;
 }
 
@@ -368,7 +336,6 @@ JxpPeer::PeerView JxpPeer::MakeView() const {
   view.fragment = &fragment_;
   view.scores = scores_;
   view.world = world_;
-  view.page_sketch = &page_sketch_;
   // A cheating peer corrupts its outgoing message (Section 7's open
   // problem; see AttackOptions).
   switch (options_.attack.type) {
@@ -433,10 +400,6 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
     if (obs::Enabled()) GetMeetingMetrics().merges_rejected.Increment();
     span.AddAttr("rejected", true);
     return meeting_cpu_millis_.back();
-  }
-  if (options_.estimate_global_size && partner.page_sketch != nullptr) {
-    page_sketch_.UnionWith(*partner.page_sketch);
-    RefreshGlobalSizeEstimate();
   }
   if (options_.merge_mode == MergeMode::kLightWeight) {
     ProcessLightWeight(partner);
@@ -508,8 +471,7 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
       relayed.batch.AppendDangling(page, heard_of.dangling_scores[d]);
     }
   }
-  world_.Merge(std::move(hosted.batch), options_.combine_mode,
-               options_.authoritative_refresh);
+  world_.Merge(std::move(hosted.batch), options_.combine_mode);
   world_.Merge(std::move(relayed.batch), options_.combine_mode);
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
@@ -579,8 +541,7 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
     partner_pages.Add(page, other.GlobalOutDegree(k),
                       distribution[merged.LocalIndexOf(page)], other.Successors(k));
   }
-  new_world.Merge(std::move(partner_pages.batch), options_.combine_mode,
-                  options_.authoritative_refresh);
+  new_world.Merge(std::move(partner_pages.batch), options_.combine_mode);
   world_ = std::move(new_world);
   // The world node again represents *everything* outside V_A (including the
   // partner's pages), so its score is the complement of the local mass.
@@ -632,7 +593,6 @@ std::vector<double> JxpPeer::SolveExtended(ExtendedSystemCache& cache,
                      options_.uniform_world_links ? WorldLinkWeighting::kUniform
                                                   : WorldLinkWeighting::kScoreProportional);
   for (int guard = 0; guard < 64; ++guard) {
-    ever_clamped_world_row_ |= system->world_row_clamped;
     result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
                                     init, pi_options);
     total_iterations += result.iterations;
@@ -649,12 +609,6 @@ std::vector<double> JxpPeer::SolveExtended(ExtendedSystemCache& cache,
     world.ScaleScores(result.distribution[n] / denominator);
   }
   return std::move(result.distribution);
-}
-
-double JxpPeer::EstimatedMessageBytes() const {
-  return MessageWireBytes() + (options_.estimate_global_size
-                                   ? static_cast<double>(page_sketch_.SizeBytes())
-                                   : 0.0);
 }
 
 double JxpPeer::MessageWireBytes() const {
@@ -708,12 +662,7 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
     dropped.Add(page, old_fragment.GlobalOutDegree(i), old_scores[i],
                 old_fragment.Successors(i));
   }
-  world_.Merge(std::move(dropped.batch), options_.combine_mode,
-               options_.authoritative_refresh);
-  // The re-crawl may have discovered new pages; the sketch only ever grows
-  // (departed pages still exist in the global graph).
-  SeedPageSketch();
-  RefreshGlobalSizeEstimate();
+  world_.Merge(std::move(dropped.batch), options_.combine_mode);
   RunLocalPageRank();
 }
 

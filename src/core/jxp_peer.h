@@ -13,7 +13,6 @@
 #include "graph/subgraph.h"
 #include "p2p/faults.h"
 #include "p2p/network.h"
-#include "synopses/hash_sketch.h"
 
 namespace jxp {
 namespace core {
@@ -122,8 +121,8 @@ class JxpPeer {
                              const p2p::MeetingFaultDecision& faults = {});
 
   /// Serializes this peer's meeting message exactly as the in-process
-  /// kMeasured meeting does (same codec, same sketch gating), so a networked
-  /// exchange of these bytes is bit-identical to Meet().
+  /// kMeasured meeting does (same codec), so a networked exchange of these
+  /// bytes is bit-identical to Meet().
   /// Snapshot semantics: callers exchanging messages must encode BOTH sides
   /// before applying either (the meeting is a simultaneous exchange).
   std::vector<uint8_t> EncodeMeetingBytes() const;
@@ -163,9 +162,6 @@ class JxpPeer {
   /// meeting order (Table 1 reports the per-peer average).
   const std::vector<double>& meeting_cpu_millis() const { return meeting_cpu_millis_; }
 
-  /// Iterations of the most recent local PageRank run.
-  int last_pr_iterations() const { return last_pr_iterations_; }
-
   /// Number of meetings whose incoming message this peer rejected as
   /// implausible (see DefenseOptions).
   size_t rejected_meetings() const { return rejected_meetings_; }
@@ -175,21 +171,11 @@ class JxpPeer {
     return world_score_history_;
   }
 
-  /// True if any extended-system build had to clamp the world row (see
-  /// ExtendedGraphSystem::world_row_clamped).
-  bool ever_clamped_world_row() const { return ever_clamped_world_row_; }
-
   /// The options (shared network-wide).
   const JxpOptions& options() const { return options_; }
 
-  /// The global page count estimate N. With
-  /// options().estimate_global_size this evolves as the peer's page sketch
-  /// absorbs other peers' sketches.
+  /// The global page count estimate N.
   size_t global_size() const { return global_size_; }
-
-  /// The peer's distinct-page sketch (all page ids it has ever seen or
-  /// heard of); drives the N estimate when estimate_global_size is on.
-  const synopses::HashSketch& page_sketch() const { return page_sketch_; }
 
   /// Wire size of this peer's meeting message: fragment structure + score
   /// list + world node (Section 6.2's message accounting: ids, degrees and
@@ -208,13 +194,10 @@ class JxpPeer {
     const graph::Subgraph* fragment = nullptr;
     std::vector<double> scores;  // By the fragment's local index.
     WorldNode world;
-    const synopses::HashSketch* page_sketch = nullptr;
     /// Storage backing `fragment` for truncated (fault-injected) and
     /// wire-decoded views; the clean path points `fragment` at the sender's
     /// own fragment instead.
     std::shared_ptr<const graph::Subgraph> owned_fragment;
-    /// Storage backing `page_sketch` for wire-decoded views.
-    std::shared_ptr<const synopses::HashSketch> owned_sketch;
   };
 
   /// What one direction of a meeting delivers to its receiver.
@@ -232,15 +215,10 @@ class JxpPeer {
   /// a cheating peer.
   PeerView MakeView() const;
 
-  /// MessageWireBytes plus the page sketch when it is shipped: the analytic
-  /// size of this peer's meeting message.
-  double EstimatedMessageBytes() const;
-
   /// The kEstimated delivery of `sent`: a transfer that aborted after
   /// `keep` of the message carries the prefix of the page table that fully
-  /// arrived, without the world node and page sketch (they ride at the
-  /// message tail); a cut so early that not even one page arrived
-  /// degenerates to a drop.
+  /// arrived, without the world node (it rides at the message tail); a cut
+  /// so early that not even one page arrived degenerates to a drop.
   static Delivery DeliverView(PeerView sent, bool drop, double keep);
 
   /// The kMeasured delivery of `sent`: truncation keeps a byte prefix,
@@ -280,16 +258,10 @@ class JxpPeer {
   /// alpha(r)/`denominator`, from `init` (local scores, world score last),
   /// inside the self-consistent-denominator guard loop. Under kAverage it
   /// then re-weights `world`'s scores by PR(W)/L(W) (Eq. 2). Records the
-  /// clamp flag and the iteration count; returns the stationary
-  /// distribution, world node last.
+  /// iteration count; returns the stationary distribution, world node last.
   std::vector<double> SolveExtended(ExtendedSystemCache& cache,
                                     const graph::Subgraph& fragment, WorldNode& world,
                                     std::vector<double> init, double denominator);
-
-  /// Feeds the fragment's pages and known successors into page_sketch_ and,
-  /// when estimation is enabled, refreshes global_size_ from it.
-  void SeedPageSketch();
-  void RefreshGlobalSizeEstimate();
 
   p2p::PeerId id_;
   graph::Subgraph fragment_;
@@ -305,8 +277,6 @@ class JxpPeer {
   std::vector<double> meeting_cpu_millis_;
   std::vector<double> world_score_history_;
   int last_pr_iterations_ = 0;
-  bool ever_clamped_world_row_ = false;
-  synopses::HashSketch page_sketch_;
   /// Cached extended-system CSR: the local rows survive across meetings
   /// (only ReplaceFragment invalidates them) and the denominator guard loop
   /// of SolveExtended rescales the world row instead of rebuilding.

@@ -7,13 +7,11 @@ namespace core {
 
 std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
                                           std::span<const double> scores,
-                                          const WorldNode& world,
-                                          const synopses::HashSketch* sketch) {
+                                          const WorldNode& world) {
   std::vector<uint8_t> out;
   wire::EncodeScoreList(fragment, scores, out);
   // The world node keeps the codec's page-sorted layout: encoded in place.
   wire::EncodeWorldKnowledge(world.columns(), out);
-  if (sketch != nullptr) wire::EncodeSynopsis(*sketch, out);
   return out;
 }
 
@@ -35,12 +33,6 @@ DecodedMeetingMessage DecodeMeetingMessage(std::span<const uint8_t> bytes) {
     result.scores = std::move(table.scores);
   }
   result.world = WorldNode(std::move(decoded.world));
-
-  if (decoded.has_synopsis) {
-    result.sketch = std::make_shared<synopses::HashSketch>(
-        synopses::HashSketch::FromBitmaps(decoded.synopsis_seed,
-                                          std::move(decoded.synopsis_bitmaps)));
-  }
   return result;
 }
 

@@ -9,25 +9,22 @@
 #include "common/status.h"
 #include "core/world_node.h"
 #include "graph/subgraph.h"
-#include "synopses/hash_sketch.h"
 #include "wire/meeting_codec.h"
 
 namespace jxp {
 namespace core {
 
-/// Bridge between the peer vocabulary (Subgraph, WorldNode, HashSketch) and
+/// Bridge between the peer vocabulary (Subgraph, WorldNode) and
 /// the wire codec (DESIGN.md §6g): the world node and the decoded page table
 /// already have the codec's page-sorted column layout, so both directions
 /// pass the columns through without flattening or sorting. Lives in core —
 /// not wire — so the wire library never depends on core types.
 
 /// Serializes one complete meeting message: the page table (fragment +
-/// scores, chunked), the world knowledge (skipped when empty), and, when
-/// `sketch` is non-null, the page sketch.
+/// scores, chunked) and the world knowledge (skipped when empty).
 std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
                                           std::span<const double> scores,
-                                          const WorldNode& world,
-                                          const synopses::HashSketch* sketch);
+                                          const WorldNode& world);
 
 /// What a receiver recovers from a (possibly truncated or corrupted)
 /// meeting message.
@@ -40,8 +37,6 @@ struct DecodedMeetingMessage {
   std::vector<double> scores;
   /// World knowledge; empty when the world frame was absent or lost.
   WorldNode world;
-  /// Page sketch; null when the synopsis frame was absent or lost.
-  std::shared_ptr<const synopses::HashSketch> sketch;
   /// Bytes of fully-decoded frames.
   size_t bytes_consumed = 0;
   /// OK when the entire buffer decoded; otherwise why decoding stopped.

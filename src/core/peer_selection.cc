@@ -84,23 +84,23 @@ SelectionResult PreMeetingSelector::SelectPartner(p2p::PeerId initiator,
   // Fairness: every k-th pick is uniformly random (Section 5.3), and so is
   // the very first one (nothing is known yet).
   if (options_.random_every_k > 0 && state.selections % options_.random_every_k == 0) {
-    return {network.RandomAlivePeer(rng, initiator), 0.0};
+    return {network.RandomAlivePeer(rng, initiator)};
   }
   // Best live candidate, if any.
   while (!state.candidates.empty()) {
     const p2p::PeerId best = state.candidates.back().first;
     state.candidates.pop_back();  // Dropped from the temporary list once used.
-    if (network.IsAlive(best) && best != initiator) return {best, 0.0};
+    if (network.IsAlive(best) && best != initiator) return {best};
   }
   // Cached peers are re-visited with smaller probability; otherwise random.
   if (!state.cached.empty() && rng.NextBool(options_.revisit_probability)) {
     // Prefer recently confirmed entries (back of the list).
     for (size_t i = state.cached.size(); i-- > 0;) {
       const p2p::PeerId cached = state.cached[i];
-      if (network.IsAlive(cached) && cached != initiator) return {cached, 0.0};
+      if (network.IsAlive(cached) && cached != initiator) return {cached};
     }
   }
-  return {network.RandomAlivePeer(rng, initiator), 0.0};
+  return {network.RandomAlivePeer(rng, initiator)};
 }
 
 double PreMeetingSelector::AfterMeeting(p2p::PeerId a, p2p::PeerId b,

@@ -16,9 +16,6 @@ namespace core {
 /// Outcome of a partner selection.
 struct SelectionResult {
   p2p::PeerId partner = p2p::kInvalidPeer;
-  /// Synopsis bytes the selection itself moved (pre-meetings, Section 4.3);
-  /// zero for the random strategy.
-  double synopsis_bytes = 0;
 };
 
 /// Strategy interface for choosing the next meeting partner (Section 4.3).
@@ -49,7 +46,7 @@ class RandomPeerSelector : public PeerSelector {
 
   SelectionResult SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
                                 Random& rng) override {
-    return {network.RandomAlivePeer(rng, initiator), 0.0};
+    return {network.RandomAlivePeer(rng, initiator)};
   }
 
   double AfterMeeting(p2p::PeerId, p2p::PeerId, const p2p::Network&) override { return 0; }

@@ -139,8 +139,7 @@ void JxpSimulation::FinishMeeting(p2p::PeerId initiator, const SelectionResult& 
   if (config_.record_meeting_log) meeting_log_.emplace_back(initiator, partner);
   // Attribute to each participant the bytes it sent plus half of the
   // selection/synopsis overhead.
-  const double extra =
-      selector_->AfterMeeting(initiator, partner, network_) + selection.synopsis_bytes;
+  const double extra = selector_->AfterMeeting(initiator, partner, network_);
   network_.RecordMeetingTraffic(initiator, outcome.bytes_sent_initiator + extra / 2);
   network_.RecordMeetingTraffic(partner, outcome.bytes_sent_partner + extra / 2);
   total_estimated_traffic_bytes_ += outcome.estimated_wire_bytes + extra;

@@ -94,7 +94,7 @@ void WorldNode::AppendDangling(graph::PageId page, double score) {
   c.dangling_scores.push_back(score);
 }
 
-void WorldNode::Merge(WorldNode batch, CombineMode mode, bool authoritative) {
+void WorldNode::Merge(WorldNode batch, CombineMode mode) {
   const wire::WorldColumns& a = columns_;
   const wire::WorldColumns& b = batch.columns_;
   uint64_t conflicts = 0;
@@ -130,11 +130,9 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode, bool authoritative) {
           out_degree = static_cast<uint32_t>(num_targets);
           ++conflicts;
         }
-        const double score =
-            authoritative ? b.scores[j] : CombineScores(mode, a.scores[i], b.scores[j]);
         out.pages.push_back(a.pages[i]);
         out.out_degrees.push_back(out_degree);
-        out.scores.push_back(score);
+        out.scores.push_back(CombineScores(mode, a.scores[i], b.scores[j]));
         out.target_offsets.push_back(out.targets.size());
         ++i;
         ++j;
@@ -164,9 +162,7 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode, bool authoritative) {
         scores.push_back(b.dangling_scores[j++]);
       } else {
         pages.push_back(known);
-        scores.push_back(authoritative ? b.dangling_scores[j]
-                                       : CombineScores(mode, a.dangling_scores[i],
-                                                       b.dangling_scores[j]));
+        scores.push_back(CombineScores(mode, a.dangling_scores[i], b.dangling_scores[j]));
         ++i;
         ++j;
       }
@@ -182,8 +178,7 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode, bool authoritative) {
 }
 
 void WorldNode::Observe(graph::PageId page, uint32_t out_degree, double score,
-                        std::span<const graph::PageId> targets, CombineMode mode,
-                        bool authoritative) {
+                        std::span<const graph::PageId> targets, CombineMode mode) {
   JXP_CHECK_GT(out_degree, 0u) << "external in-linking page must have out-links";
   std::vector<graph::PageId> sorted(targets.begin(), targets.end());
   std::sort(sorted.begin(), sorted.end());
@@ -196,14 +191,13 @@ void WorldNode::Observe(graph::PageId page, uint32_t out_degree, double score,
   }
   WorldNode batch;
   batch.Append(page, out_degree, score, sorted);
-  Merge(std::move(batch), mode, authoritative);
+  Merge(std::move(batch), mode);
 }
 
-void WorldNode::ObserveDangling(graph::PageId page, double score, CombineMode mode,
-                                bool authoritative) {
+void WorldNode::ObserveDangling(graph::PageId page, double score, CombineMode mode) {
   WorldNode batch;
   batch.AppendDangling(page, score);
-  Merge(std::move(batch), mode, authoritative);
+  Merge(std::move(batch), mode);
 }
 
 void WorldNode::ScaleScores(double factor) {

@@ -76,30 +76,22 @@ class WorldNode {
 
   /// Folds `batch` in with one sorted merge. A page new to this node is
   /// adopted as reported. A known page unions its target lists and combines
-  /// its scores per `mode` — or, for an `authoritative` batch, takes the
-  /// reported score: such a report comes from a peer hosting the page
-  /// *locally* (or from this peer's own crawl of it) and carries its
-  /// current score. This keeps the static-network behaviour of the paper
-  /// (scores only grow there, so max == latest) while letting the network
-  /// self-heal from transient overestimates after re-crawls and churn,
-  /// which take-max would otherwise keep alive forever.
+  /// its scores per `mode`.
   ///
   /// Conflicting out-degree reports for one page resolve to the larger
   /// value, which gives the smaller per-link flow alpha(r)/out(r) and so
   /// keeps Theorem 5.3; so does raising it to the target count when a
   /// target union outgrows it. Each resolution counts in
   /// jxp.world.out_degree_conflicts.
-  void Merge(WorldNode batch, CombineMode mode, bool authoritative = false);
+  void Merge(WorldNode batch, CombineMode mode);
 
   /// One observation of an external page: Merge of a one-entry batch.
   /// `targets` may be in any order.
   void Observe(graph::PageId page, uint32_t out_degree, double score,
-               std::span<const graph::PageId> targets, CombineMode mode,
-               bool authoritative = false);
+               std::span<const graph::PageId> targets, CombineMode mode);
 
   /// One observation of an external dangling page; same semantics.
-  void ObserveDangling(graph::PageId page, double score, CombineMode mode,
-                       bool authoritative = false);
+  void ObserveDangling(graph::PageId page, double score, CombineMode mode);
 
   /// Removes the entries and dangling records of the pages satisfying
   /// `erase` (pages that became local, or that a merged graph now holds).

@@ -70,13 +70,10 @@ class EventLoop {
   /// RunOnce until Stop().
   void Run();
   /// Makes Run()/RunOnce() return. Safe from any callback; also safe from
-  /// another thread or a signal handler via the wakeup fd (write is
-  /// async-signal-safe).
+  /// another thread or a signal handler (it only writes a byte to the
+  /// wakeup pipe, which is async-signal-safe).
   void Stop();
   bool stopped() const { return stopped_; }
-  /// The fd a signal handler may write a byte to, to wake and stop the
-  /// loop. (The daemon's SIGTERM handler writes here.)
-  int wakeup_fd() const { return wakeup_writer_.get(); }
 
  private:
   struct Timer {

@@ -1,7 +1,5 @@
 #include "p2p/faults.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -31,10 +29,6 @@ struct FaultMetrics {
       obs::MetricsRegistry::Global().GetCounter("jxp.faults.faulty_meetings");
   obs::Histogram wasted_bytes =
       obs::MetricsRegistry::Global().GetHistogram("jxp.faults.wasted_bytes");
-  /// Simulated (deterministic) backoff, not wall time — hence no "_ms"
-  /// timing suffix; values are in simulated milliseconds.
-  obs::Histogram backoff_sim =
-      obs::MetricsRegistry::Global().GetHistogram("jxp.faults.backoff_sim");
 };
 
 FaultMetrics& GetFaultMetrics() {
@@ -56,21 +50,14 @@ MeetingFaultDecision FaultInjector::NextMeeting(PeerId initiator, PeerId partner
   ++stats_.meetings_planned;
   if (!enabled_) return decision;
 
-  // Contact phase: retry with capped exponential backoff until the partner
-  // answers or the retry budget is exhausted.
+  // Contact phase: retry until the partner answers or the retry budget is
+  // exhausted.
   if (plan_.unavailable_probability > 0) {
-    double backoff = plan_.backoff_base_ms;
     for (int attempt = 0; attempt <= plan_.max_retries; ++attempt) {
       if (!rng_.NextBool(plan_.unavailable_probability)) break;
       ++decision.failed_attempts;
-      if (attempt == plan_.max_retries) {
-        decision.abandoned = true;
-        break;
-      }
-      stats_.backoff_sim_ms += backoff;
-      if (obs::Enabled()) GetFaultMetrics().backoff_sim.Observe(backoff);
-      backoff = std::min(backoff * 2, plan_.backoff_cap_ms);
     }
+    decision.abandoned = decision.failed_attempts > plan_.max_retries;
   }
   stats_.unavailable_retries += static_cast<uint64_t>(decision.failed_attempts);
   if (decision.abandoned) {

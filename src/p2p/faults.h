@@ -27,8 +27,8 @@ namespace p2p {
 ///  - stale-state resume: a crashed peer restarts from an earlier state_io
 ///    checkpoint — it re-enters an earlier state of its own safe trajectory
 ///    (world-score monotonicity restarts from there, safety is unaffected);
-///  - transient partner-unavailable: the initiator retries with capped
-///    exponential backoff; exhausted retries abandon the attempt entirely.
+///  - transient partner-unavailable: the initiator retries up to
+///    max_retries times; exhausted retries abandon the attempt entirely.
 struct FaultPlan {
   /// Per-direction probability that a meeting message is lost in transit.
   double message_drop_probability = 0;
@@ -57,9 +57,6 @@ struct FaultPlan {
   /// Retries after the first failed contact attempt before the meeting is
   /// abandoned (so at most 1 + max_retries attempts).
   int max_retries = 3;
-  /// Simulated backoff before retry k (0-based): base * 2^k, capped.
-  double backoff_base_ms = 10;
-  double backoff_cap_ms = 1000;
   /// Wire cost of one failed contact attempt (handshake probe), charged to
   /// the initiator as wasted traffic.
   double probe_bytes = 64;
@@ -132,8 +129,6 @@ struct FaultStats {
   uint64_t stale_resumes = 0;
   uint64_t unavailable_retries = 0;
   uint64_t meetings_abandoned = 0;
-  /// Total simulated backoff the retry loop spent waiting.
-  double backoff_sim_ms = 0;
   /// Bytes moved over the wire to no effect: dropped messages, truncated
   /// tails, messages applied by nobody because the receiver crashed, and
   /// probe messages of failed contact attempts.

@@ -22,13 +22,6 @@ HashSketch::HashSketch(size_t num_buckets, uint64_t seed) : seed_(seed) {
   bitmaps_.assign(num_buckets, 0);
 }
 
-HashSketch HashSketch::FromBitmaps(uint64_t seed, std::vector<uint64_t> bitmaps) {
-  JXP_CHECK_GT(bitmaps.size(), 0u);
-  HashSketch sketch(bitmaps.size(), seed);
-  sketch.bitmaps_ = std::move(bitmaps);
-  return sketch;
-}
-
 void HashSketch::Add(uint64_t key) {
   const uint64_t h = Mix64(key ^ seed_);
   const size_t bucket = static_cast<size_t>(h % bitmaps_.size());

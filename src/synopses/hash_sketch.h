@@ -2,7 +2,6 @@
 #define JXP_SYNOPSES_HASH_SKETCH_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -33,15 +32,6 @@ class HashSketch {
 
   /// Wire size in bytes (bitmaps only).
   size_t SizeBytes() const { return bitmaps_.size() * 8; }
-
-  size_t num_buckets() const { return bitmaps_.size(); }
-  uint64_t seed() const { return seed_; }
-
-  /// Raw bucket bitmaps, for serialization (the wire codec ships them).
-  std::span<const uint64_t> bitmaps() const { return bitmaps_; }
-
-  /// Rebuilds a sketch from serialized state (the wire codec's decode side).
-  static HashSketch FromBitmaps(uint64_t seed, std::vector<uint64_t> bitmaps);
 
  private:
   uint64_t seed_;

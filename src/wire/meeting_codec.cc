@@ -21,8 +21,6 @@ struct WireMetrics {
       obs::MetricsRegistry::Global().GetCounter("jxp.wire.score_bytes");
   obs::Counter world_bytes =
       obs::MetricsRegistry::Global().GetCounter("jxp.wire.world_bytes");
-  obs::Counter synopsis_bytes =
-      obs::MetricsRegistry::Global().GetCounter("jxp.wire.synopsis_bytes");
   obs::Counter frames_encoded =
       obs::MetricsRegistry::Global().GetCounter("jxp.wire.frames_encoded");
   obs::Counter frames_decoded =
@@ -37,11 +35,6 @@ WireMetrics& GetWireMetrics() {
   static WireMetrics metrics;
   return metrics;
 }
-
-/// Hard cap on a decoded synopsis's bucket count; real sketches use a few
-/// hundred buckets, and the cap bounds the allocation a corrupt count can
-/// request before per-element reads start failing.
-constexpr uint32_t kMaxSynopsisBuckets = 1u << 20;
 
 Status BadPayload(const char* what) {
   return Status::Corruption(std::string("bad frame payload: ") + what);
@@ -213,30 +206,6 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
   return Status::OK();
 }
 
-Status DecodeSynopsis(std::span<const uint8_t> payload, DecodedMeeting& out) {
-  ByteReader reader(payload);
-  uint64_t seed = 0;
-  uint32_t num_buckets = 0;
-  if (!reader.GetU64(&seed) || !reader.GetVarint32(&num_buckets)) {
-    return BadPayload("truncated synopsis header");
-  }
-  if (num_buckets == 0 || num_buckets > kMaxSynopsisBuckets) {
-    return BadPayload("synopsis bucket count out of range");
-  }
-  std::vector<uint64_t> bitmaps;
-  bitmaps.reserve(std::min<size_t>(num_buckets, payload.size()));
-  for (uint32_t i = 0; i < num_buckets; ++i) {
-    uint64_t bitmap = 0;
-    if (!reader.GetVarint64(&bitmap)) return BadPayload("truncated synopsis bitmap");
-    bitmaps.push_back(bitmap);
-  }
-  if (!reader.AtEnd()) return BadPayload("trailing bytes in synopsis frame");
-  out.has_synopsis = true;
-  out.synopsis_seed = seed;
-  out.synopsis_bitmaps = std::move(bitmaps);
-  return Status::OK();
-}
-
 }  // namespace
 
 void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
@@ -322,25 +291,10 @@ void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out) 
   }
 }
 
-void EncodeSynopsis(const synopses::HashSketch& sketch, std::vector<uint8_t>& out) {
-  const size_t payload_start = out.size();
-  ByteWriter writer(out);
-  writer.PutU64(sketch.seed());
-  writer.PutVarint32(static_cast<uint32_t>(sketch.num_buckets()));
-  for (uint64_t bitmap : sketch.bitmaps()) writer.PutVarint64(bitmap);
-  SealFrame(MessageType::kSynopsis, payload_start, out);
-  if (obs::Enabled()) {
-    WireMetrics& metrics = GetWireMetrics();
-    metrics.synopsis_bytes.Increment(out.size() - payload_start);
-    metrics.frames_encoded.Increment();
-  }
-}
-
 DecodedMeeting DecodeMeeting(std::span<const uint8_t> data) {
   DecodedMeeting result;
-  // Frames arrive in a fixed section order (score chunks, then world, then
-  // synopsis); a frame of an earlier section after a later one is corrupt.
-  MessageType last_section = MessageType::kScoreChunk;
+  // Frames arrive in a fixed section order (score chunks, then world); a
+  // score chunk after the world frame is corrupt.
   bool seen_world = false;
   size_t offset = 0;
   while (offset < data.size()) {
@@ -349,19 +303,13 @@ DecodedMeeting DecodeMeeting(std::span<const uint8_t> data) {
     if (status.ok()) {
       switch (frame.type) {
         case MessageType::kScoreChunk:
-          status = last_section != MessageType::kScoreChunk
-                       ? BadPayload("score chunk after later section")
-                       : DecodeScoreChunk(frame.payload, result);
+          status = seen_world ? BadPayload("score chunk after world frame")
+                              : DecodeScoreChunk(frame.payload, result);
           break;
         case MessageType::kWorldKnowledge:
-          status = (seen_world || last_section == MessageType::kSynopsis)
-                       ? BadPayload("duplicate or misplaced world frame")
-                       : DecodeWorldKnowledge(frame.payload, result);
-          seen_world = seen_world || status.ok();
-          break;
-        case MessageType::kSynopsis:
-          status = result.has_synopsis ? BadPayload("duplicate synopsis frame")
-                                       : DecodeSynopsis(frame.payload, result);
+          status = seen_world ? BadPayload("duplicate world frame")
+                              : DecodeWorldKnowledge(frame.payload, result);
+          seen_world = status.ok();
           break;
       }
     }
@@ -371,7 +319,6 @@ DecodedMeeting DecodeMeeting(std::span<const uint8_t> data) {
       result.error = status;
       break;
     }
-    last_section = frame.type;
     ++result.frames_decoded;
     result.bytes_consumed = offset;
   }

@@ -7,14 +7,13 @@
 
 #include "common/status.h"
 #include "graph/subgraph.h"
-#include "synopses/hash_sketch.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
 namespace wire {
 
-/// Encode/Decode pairs for the three meeting payload types (DESIGN.md §6g).
-/// This layer speaks graph/synopses vocabulary only; the core layer bridges
+/// Encode/Decode pairs for the two meeting payload types (DESIGN.md §6g).
+/// This layer speaks graph vocabulary only; the core layer bridges
 /// WorldNode and PeerView to/from the plain columns here (core depends on
 /// wire, never the reverse).
 
@@ -69,10 +68,6 @@ struct DecodedMeeting {
   /// World knowledge; empty when the world frame was absent, lost, or the
   /// sender's world node was empty (an empty world node is not framed).
   WorldColumns world;
-  /// Page sketch; present iff a synopsis frame arrived intact.
-  bool has_synopsis = false;
-  uint64_t synopsis_seed = 0;
-  std::vector<uint64_t> synopsis_bitmaps;
   /// Bytes of fully-decoded frames (what the receiver actually consumed).
   size_t bytes_consumed = 0;
   size_t frames_decoded = 0;
@@ -90,9 +85,6 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
 /// Appends one kWorldKnowledge frame holding `world` (which must satisfy
 /// the WorldColumns invariants). Appends nothing when it is empty.
 void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out);
-
-/// Appends one kSynopsis frame.
-void EncodeSynopsis(const synopses::HashSketch& sketch, std::vector<uint8_t>& out);
 
 /// Decodes the longest valid frame prefix of `data` (the fault-tolerant
 /// entry point: a truncated or bit-flipped transfer yields the intact

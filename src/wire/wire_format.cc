@@ -49,8 +49,7 @@ namespace {
 
 bool ValidType(uint8_t type) {
   return type == static_cast<uint8_t>(MessageType::kScoreChunk) ||
-         type == static_cast<uint8_t>(MessageType::kWorldKnowledge) ||
-         type == static_cast<uint8_t>(MessageType::kSynopsis);
+         type == static_cast<uint8_t>(MessageType::kWorldKnowledge);
 }
 
 void WriteHeader(uint8_t type, std::span<const uint8_t> payload, uint8_t* header) {
@@ -67,42 +66,6 @@ void WriteHeader(uint8_t type, std::span<const uint8_t> payload, uint8_t* header
 }
 
 }  // namespace
-
-bool ByteReader::GetVarint32(uint32_t* v) {
-  uint64_t wide = 0;
-  const size_t saved = pos_;
-  if (!GetVarint64(&wide) || wide > 0xffffffffull) {
-    pos_ = saved;
-    return false;
-  }
-  *v = static_cast<uint32_t>(wide);
-  return true;
-}
-
-bool ByteReader::GetVarint64(uint64_t* v) {
-  const size_t saved = pos_;
-  uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (pos_ >= data_.size()) {
-      pos_ = saved;
-      return false;
-    }
-    const uint8_t byte = data_[pos_++];
-    const uint64_t bits = byte & 0x7fu;
-    // The 10th byte may only carry the final bit of a 64-bit value.
-    if (shift == 63 && bits > 1) {
-      pos_ = saved;
-      return false;
-    }
-    value |= bits << shift;
-    if ((byte & 0x80u) == 0) {
-      *v = value;
-      return true;
-    }
-  }
-  pos_ = saved;
-  return false;
-}
 
 void AppendFrame(MessageType type, std::span<const uint8_t> payload,
                  std::vector<uint8_t>& out) {

@@ -48,9 +48,8 @@ enum class MessageType : uint8_t {
   /// dangling scores). Rides behind the score chunks, so a truncated
   /// transfer loses it first.
   kWorldKnowledge = 2,
-  /// The sender's distinct-page hash sketch (only shipped when global-size
-  /// estimation is on). Last in the message.
-  kSynopsis = 3,
+  // Type byte 3 is retired; values never move, so a frame carrying it is
+  // rejected, not misread.
 };
 
 inline constexpr uint8_t kMagic0 = 0x4a;  // 'J'
@@ -119,10 +118,15 @@ class ByteReader {
     *v = out;
     return true;
   }
-  /// Varint decode with strict bounds and width checks: rejects encodings
-  /// that run off the buffer or carry more than 32/64 value bits.
-  bool GetVarint32(uint32_t* v);
-  bool GetVarint64(uint64_t* v);
+  /// Varint decode with strict bounds and width checks
+  /// (VByteDecode32Checked / VByteDecode64Checked): rejects encodings that
+  /// run off the buffer or carry more than 32/64 value bits.
+  bool GetVarint32(uint32_t* v) {
+    return VByteDecode32Checked(data_.data(), data_.size(), pos_, v);
+  }
+  bool GetVarint64(uint64_t* v) {
+    return VByteDecode64Checked(data_.data(), data_.size(), pos_, v);
+  }
   bool GetFloat(float* v) {
     uint32_t bits = 0;
     if (!GetU32(&bits)) return false;

@@ -21,12 +21,6 @@ TEST(HashTest, Mix64SpreadsNearbyKeys) {
   EXPECT_LT(same_top_byte, 30);
 }
 
-TEST(HashTest, HashCombineOrderSensitive) {
-  const uint64_t ab = HashCombine(HashCombine(0, 1), 2);
-  const uint64_t ba = HashCombine(HashCombine(0, 2), 1);
-  EXPECT_NE(ab, ba);
-}
-
 TEST(HashTest, HashStringBasics) {
   EXPECT_EQ(HashString("pagerank"), HashString("pagerank"));
   EXPECT_NE(HashString("pagerank"), HashString("pagerang"));

@@ -154,10 +154,7 @@ TEST(JxpPeerTest, MessageWireBytesGrowWithWorldKnowledge) {
 
 TEST(JxpPeerTest, ReplaceFragmentKeepsKnownScores) {
   const graph::Graph g = SmallGraph();
-  // Churn scenario: use the authoritative-refresh extension so transient
-  // over-estimates introduced by the re-crawl can heal (see JxpOptions).
-  JxpOptions options = TightOptions();
-  options.authoritative_refresh = true;
+  const JxpOptions options = TightOptions();
   JxpPeer a(0, graph::Subgraph::Induce(g, {0, 1, 2}), g.NumNodes(), options);
   JxpPeer b(1, graph::Subgraph::Induce(g, {2, 3, 4}), g.NumNodes(), options);
   for (int i = 0; i < 10; ++i) JxpPeer::Meet(a, b);

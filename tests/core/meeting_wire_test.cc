@@ -54,8 +54,8 @@ TEST(MeetingWireTest, MessageRoundTripsThroughTheCodec) {
   JxpPeer::Meet(a, b);  // Populate a's world node with real knowledge.
   ASSERT_GT(a.world_node().NumEntries(), 0u);
 
-  const std::vector<uint8_t> bytes = EncodeMeetingMessage(
-      a.fragment(), a.local_scores(), a.world_node(), &a.page_sketch());
+  const std::vector<uint8_t> bytes =
+      EncodeMeetingMessage(a.fragment(), a.local_scores(), a.world_node());
   const DecodedMeetingMessage decoded = DecodeMeetingMessage(bytes);
   ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
@@ -86,13 +86,6 @@ TEST(MeetingWireTest, MessageRoundTripsThroughTheCodec) {
     EXPECT_TRUE(std::ranges::equal(got->targets, info.targets));
     EXPECT_LE(got->score, info.score);
   }
-
-  ASSERT_NE(decoded.sketch, nullptr);
-  EXPECT_EQ(decoded.sketch->seed(), a.page_sketch().seed());
-  ASSERT_EQ(decoded.sketch->num_buckets(), a.page_sketch().num_buckets());
-  EXPECT_TRUE(std::equal(a.page_sketch().bitmaps().begin(),
-                         a.page_sketch().bitmaps().end(),
-                         decoded.sketch->bitmaps().begin()));
 }
 
 /// A well-formed message from a sender hosting `sender_pages`, carrying
@@ -103,7 +96,7 @@ std::vector<uint8_t> CraftMessage(const graph::Graph& graph,
   const graph::Subgraph fragment =
       graph::Subgraph::Induce(graph, std::move(sender_pages));
   const std::vector<double> scores(fragment.NumLocalPages(), 1e-4);
-  return EncodeMeetingMessage(fragment, scores, world, nullptr);
+  return EncodeMeetingMessage(fragment, scores, world);
 }
 
 /// The score invariants an applied message must keep: finite,

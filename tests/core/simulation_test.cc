@@ -145,7 +145,6 @@ TEST(JxpSimulationTest, ReplaceFragmentIntegration) {
   SimulationConfig config;
   config.seed = 31;
   config.strategy = SelectionStrategy::kPreMeetings;
-  config.jxp.authoritative_refresh = true;
   JxpSimulation sim(fx.collection.graph, fx.fragments, config);
   sim.RunMeetings(100);
   // Peer 0 re-crawls: new random fragment.

@@ -59,14 +59,6 @@ TEST(WorldNodeTest, AverageCombines) {
   EXPECT_DOUBLE_EQ(w.Find(10)->score, 0.3);
 }
 
-TEST(WorldNodeTest, AuthoritativeOverwrites) {
-  WorldNode w;
-  const std::vector<graph::PageId> t = {1};
-  w.Observe(10, 2, 0.5, t, kMax);
-  w.Observe(10, 2, 0.1, t, kMax, /*authoritative=*/true);
-  EXPECT_DOUBLE_EQ(w.Find(10)->score, 0.1);
-}
-
 TEST(WorldNodeTest, TargetListsUnion) {
   WorldNode w;
   const std::vector<graph::PageId> t1 = {1, 3};
@@ -82,9 +74,7 @@ TEST(WorldNodeTest, DanglingScores) {
   w.ObserveDangling(8, 0.2, kMax);
   w.ObserveDangling(7, 0.05, kMax);  // Smaller: ignored.
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.3);
-  w.ObserveDangling(7, 0.05, kMax, /*authoritative=*/true);
-  EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.25);
-  EXPECT_EQ(w.FindDangling(7), 0.05);
+  EXPECT_EQ(w.FindDangling(7), 0.1);
   EXPECT_FALSE(w.FindDangling(9).has_value());
 }
 

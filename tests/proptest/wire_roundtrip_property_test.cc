@@ -15,27 +15,24 @@
 #include "core/world_node.h"
 #include "graph/subgraph.h"
 #include "proptest.h"
-#include "synopses/hash_sketch.h"
 
 namespace jxp {
 namespace proptest {
 namespace {
 
-/// One randomized wire case: sizes only; the fragment, scores, world node
-/// and sketch are all derived from `seed` as a pure function.
+/// One randomized wire case: sizes only; the fragment, scores and world
+/// node are all derived from `seed` as a pure function.
 struct WireCase {
   uint64_t seed = 0;
   size_t num_pages = 32;
   size_t max_degree = 6;
   size_t num_world = 8;
   size_t num_dangling = 2;
-  bool with_sketch = true;
 
   std::string Describe() const {
     std::ostringstream os;
     os << "seed=" << seed << " pages=" << num_pages << " max_degree=" << max_degree
-       << " world=" << num_world << " dangling=" << num_dangling
-       << " sketch=" << (with_sketch ? "yes" : "no");
+       << " world=" << num_world << " dangling=" << num_dangling;
     return os.str();
   }
 
@@ -59,9 +56,6 @@ struct WireCase {
     if (num_dangling > 0) {
       candidates.push_back(with([](WireCase& c) { c.num_dangling = 0; }));
     }
-    if (with_sketch) {
-      candidates.push_back(with([](WireCase& c) { c.with_sketch = false; }));
-    }
     return candidates;
   }
 };
@@ -74,7 +68,6 @@ WireCase GenerateWireCase(uint64_t seed) {
   c.max_degree = rng.NextBounded(9);         // 0..8
   c.num_world = rng.NextBounded(30);         // 0..29
   c.num_dangling = rng.NextBounded(5);       // 0..4
-  c.with_sketch = rng.NextBool(0.7);
   return c;
 }
 
@@ -94,7 +87,6 @@ struct WireState {
   graph::Subgraph fragment;
   std::vector<double> scores;
   core::WorldNode world;
-  std::shared_ptr<synopses::HashSketch> sketch;
 };
 
 WireState BuildState(const WireCase& c) {
@@ -136,18 +128,11 @@ WireState BuildState(const WireCase& c) {
     state.world.ObserveDangling(world_pages[c.num_world + i], rng.NextDouble(),
                                 core::CombineMode::kTakeMax);
   }
-
-  if (c.with_sketch) {
-    state.sketch = std::make_shared<synopses::HashSketch>(32);
-    const size_t keys = 1 + rng.NextBounded(300);
-    for (size_t i = 0; i < keys; ++i) state.sketch->Add(rng.NextUint64());
-  }
   return state;
 }
 
 std::vector<uint8_t> Encode(const WireState& state) {
-  return core::EncodeMeetingMessage(state.fragment, state.scores, state.world,
-                                    state.sketch.get());
+  return core::EncodeMeetingMessage(state.fragment, state.scores, state.world);
 }
 
 TEST(WireRoundTripProperty, EncodeDecodeReencodeIsBitIdentical) {
@@ -187,9 +172,6 @@ TEST(WireRoundTripProperty, EncodeDecodeReencodeIsBitIdentical) {
         rebuilt.fragment = *decoded.fragment;
         rebuilt.scores = decoded.scores;
         rebuilt.world = decoded.world;
-        if (decoded.sketch != nullptr) {
-          rebuilt.sketch = std::make_shared<synopses::HashSketch>(*decoded.sketch);
-        }
         const std::vector<uint8_t> again = Encode(rebuilt);
         if (again != bytes) return "re-encoded bytes differ from the original";
         return std::nullopt;

@@ -190,7 +190,7 @@ TEST(FrameAssemblerTest, ParsesFrameStreamIdenticallyToParseFrame) {
   const std::vector<uint8_t> world_payload = {5, 5, 5, 5};
   AppendFrame(MessageType::kScoreChunk, SamplePayload(), data);
   AppendFrame(MessageType::kWorldKnowledge, world_payload, data);
-  AppendFrame(MessageType::kSynopsis, std::vector<uint8_t>{}, data);
+  AppendFrame(MessageType::kWorldKnowledge, std::vector<uint8_t>{}, data);
 
   std::vector<std::pair<uint8_t, std::vector<uint8_t>>> streamed;
   FrameAssembler assembler;

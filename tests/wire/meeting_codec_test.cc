@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "common/varint.h"
 #include "graph/subgraph.h"
-#include "synopses/hash_sketch.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
@@ -156,21 +155,6 @@ TEST(MeetingCodecTest, EmptyWorldKnowledgeIsNotFramed) {
   EXPECT_TRUE(bytes.empty());
 }
 
-TEST(MeetingCodecTest, SynopsisRoundTrips) {
-  synopses::HashSketch sketch(32, 0x1234);
-  for (uint64_t key = 0; key < 500; ++key) sketch.Add(key * 977);
-  std::vector<uint8_t> bytes;
-  EncodeSynopsis(sketch, bytes);
-
-  const DecodedMeeting decoded = DecodeMeeting(bytes);
-  ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
-  ASSERT_TRUE(decoded.has_synopsis);
-  EXPECT_EQ(decoded.synopsis_seed, sketch.seed());
-  ASSERT_EQ(decoded.synopsis_bitmaps.size(), sketch.num_buckets());
-  EXPECT_TRUE(std::equal(sketch.bitmaps().begin(), sketch.bitmaps().end(),
-                         decoded.synopsis_bitmaps.begin()));
-}
-
 TEST(MeetingCodecTest, TruncatedTransferSalvagesWholeChunkPrefix) {
   const size_t n = 150;
   const graph::Subgraph fragment = MakeFragment(n);
@@ -268,22 +252,12 @@ TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
   EXPECT_TRUE(decoded.page_table.pages.empty());
 }
 
-TEST(MeetingCodecTest, DuplicateWorldAndSynopsisFramesRejected) {
+TEST(MeetingCodecTest, DuplicateWorldFrameRejected) {
   const WorldColumns world = MakeWorld({{100, 2, 0.1, {5}}});
-  {
-    std::vector<uint8_t> bytes;
-    EncodeWorldKnowledge(world, bytes);
-    EncodeWorldKnowledge(world, bytes);
-    EXPECT_FALSE(DecodeMeeting(bytes).error.ok());
-  }
-  {
-    synopses::HashSketch sketch(8, 0x99);
-    sketch.Add(7);
-    std::vector<uint8_t> bytes;
-    EncodeSynopsis(sketch, bytes);
-    EncodeSynopsis(sketch, bytes);
-    EXPECT_FALSE(DecodeMeeting(bytes).error.ok());
-  }
+  std::vector<uint8_t> bytes;
+  EncodeWorldKnowledge(world, bytes);
+  EncodeWorldKnowledge(world, bytes);
+  EXPECT_FALSE(DecodeMeeting(bytes).error.ok());
 }
 
 TEST(MeetingCodecTest, CorruptCountsCannotForceHugeAllocations) {
@@ -317,9 +291,9 @@ TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
 }
 
 TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
-  // A fixed message — three score-list pages (one dangling), two world
-  // entries plus a dangling record, and a 4-bucket sketch — pinned byte for
-  // byte, checksums included, so any change to the wire format shows here.
+  // A fixed message — three score-list pages (one dangling) and two world
+  // entries plus a dangling record — pinned byte for byte, checksums
+  // included, so any change to the wire format shows here.
   const graph::Subgraph fragment =
       graph::Subgraph::FromKnowledge({3, 7, 12}, {{7, 40}, {}, {3, 7, 99}});
   std::vector<uint8_t> bytes;
@@ -327,9 +301,6 @@ TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
   EncodeScoreList(fragment, scores, bytes);
   EncodeWorldKnowledge(
       MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
-  synopses::HashSketch sketch(4, 0x77);
-  for (uint64_t key = 1; key <= 5; ++key) sketch.Add(key);
-  EncodeSynopsis(sketch, bytes);
 
   const std::vector<uint8_t> golden = {
       0x4a, 0x58, 0x01, 0x01, 0x19, 0x00, 0x00, 0x00, 0x42, 0xc5, 0x81, 0xf5,
@@ -338,17 +309,13 @@ TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
       0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x01, 0x02, 0x18, 0x00, 0x00,
       0x00, 0x3c, 0xad, 0x33, 0x10, 0xda, 0xe2, 0x31, 0x49, 0x02, 0x14, 0x0a,
       0xd7, 0x23, 0x3c, 0x03, 0x02, 0x03, 0x09, 0x15, 0x0a, 0xd7, 0xa3, 0x3b,
-      0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b, 0x4a, 0x58, 0x01,
-      0x03, 0x0d, 0x00, 0x00, 0x00, 0x3e, 0xd6, 0xe1, 0x35, 0x6e, 0xbc, 0x0c,
-      0x8d, 0x77, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x04, 0x00,
-      0x00, 0x0b};
+      0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b};
   EXPECT_EQ(bytes, golden);
 
-  // The three frames and their checksums.
+  // The two frames and their checksums.
   const std::vector<std::pair<MessageType, uint64_t>> frames = {
       {MessageType::kScoreChunk, 0x84867080f581c542ULL},
-      {MessageType::kWorldKnowledge, 0x4931e2da1033ad3cULL},
-      {MessageType::kSynopsis, 0x8d0cbc6e35e1d63eULL}};
+      {MessageType::kWorldKnowledge, 0x4931e2da1033ad3cULL}};
   size_t offset = 0;
   for (const auto& [type, checksum] : frames) {
     const uint8_t* header = golden.data() + offset;

@@ -64,12 +64,12 @@ TEST(WireFormatTest, SealFrameMatchesAppendFrame) {
 
 TEST(WireFormatTest, EmptyPayloadFrameRoundTrips) {
   std::vector<uint8_t> buffer;
-  AppendFrame(MessageType::kSynopsis, {}, buffer);
+  AppendFrame(MessageType::kWorldKnowledge, {}, buffer);
   EXPECT_EQ(buffer.size(), kFrameHeaderBytes);
   size_t offset = 0;
   FrameView frame;
   ASSERT_TRUE(ParseFrame(buffer, offset, frame).ok());
-  EXPECT_EQ(frame.type, MessageType::kSynopsis);
+  EXPECT_EQ(frame.type, MessageType::kWorldKnowledge);
   EXPECT_TRUE(frame.payload.empty());
 }
 
@@ -146,6 +146,17 @@ TEST(WireFormatTest, UnknownVersionAndTypeRejected) {
     FrameView frame;
     EXPECT_FALSE(ParseFrame(unknown, offset, frame).ok());
   }
+  {
+    // Type byte 3 is retired: a frame carrying it, checksum intact, is
+    // rejected with an error Status.
+    std::vector<uint8_t> retired;
+    AppendFrameRaw(3, SamplePayload(), retired);
+    size_t offset = 0;
+    FrameView frame;
+    const Status status = ParseFrame(retired, offset, frame);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_EQ(offset, 0u);
+  }
 }
 
 TEST(WireFormatTest, PayloadLengthPastBufferRejectedBeforeChecksum) {
@@ -219,6 +230,15 @@ TEST(WireFormatTest, VarintRejectsValueOverflow) {
     uint64_t v = 0;
     ASSERT_TRUE(reader.GetVarint64(&v));
     EXPECT_EQ(v, 1ULL << 32);
+  }
+  // Zero padded to six bytes: a value within 32 bits, but longer than the
+  // five bytes a 32-bit varint can take. No encoder emits it.
+  const std::vector<uint8_t> padded = {0x80, 0x80, 0x80, 0x80, 0x80, 0x00};
+  {
+    ByteReader reader(padded);
+    uint32_t v = 0;
+    EXPECT_FALSE(reader.GetVarint32(&v));
+    EXPECT_EQ(reader.position(), 0u);
   }
   // A 10th byte carrying more than the final 64-bit value bit.
   const std::vector<uint8_t> overlong = {0x80, 0x80, 0x80, 0x80, 0x80,
