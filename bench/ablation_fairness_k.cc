@@ -1,8 +1,9 @@
 // Ablation A3: the fairness knob of the biased peer-selection strategy.
 // Section 5.3 requires every k-th selection to be uniformly random for the
 // convergence proof to apply; this bench sweeps k and reports the accuracy
-// reached after a fixed meeting budget. Too small a k wastes the bias; too
-// large a k risks starving peers that the cache chains never reach.
+// reached after a fixed meeting budget. Too small a k wastes the bias; a
+// large k relies on the random fallback (no candidate queued) to reach the
+// peers no candidate list names.
 
 #include "bench/bench_util.h"
 

@@ -471,8 +471,11 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
       relayed.batch.AppendDangling(page, heard_of.dangling_scores[d]);
     }
   }
+  // An honest partner's pages and world node are disjoint, so the two
+  // batches share no entry and one merge into the world node suffices (a
+  // forged message that repeats a page has its two reports combined first).
+  hosted.batch.Merge(std::move(relayed.batch), options_.combine_mode);
   world_.Merge(std::move(hosted.batch), options_.combine_mode);
-  world_.Merge(std::move(relayed.batch), options_.combine_mode);
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }

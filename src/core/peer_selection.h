@@ -13,11 +13,6 @@
 namespace jxp {
 namespace core {
 
-/// Outcome of a partner selection.
-struct SelectionResult {
-  p2p::PeerId partner = p2p::kInvalidPeer;
-};
-
 /// Strategy interface for choosing the next meeting partner (Section 4.3).
 ///
 /// Implementations may keep per-peer state (caches, candidate lists) and may
@@ -29,8 +24,8 @@ class PeerSelector {
   virtual ~PeerSelector() = default;
 
   /// Chooses an alive partner != initiator.
-  virtual SelectionResult SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
-                                        Random& rng) = 0;
+  virtual p2p::PeerId SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
+                                    Random& rng) = 0;
 
   /// Hook called after peers `a` and `b` finished a meeting.
   virtual double AfterMeeting(p2p::PeerId a, p2p::PeerId b, const p2p::Network& network) = 0;
@@ -44,9 +39,9 @@ class RandomPeerSelector : public PeerSelector {
  public:
   RandomPeerSelector() = default;
 
-  SelectionResult SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
-                                Random& rng) override {
-    return {network.RandomAlivePeer(rng, initiator)};
+  p2p::PeerId SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
+                            Random& rng) override {
+    return network.RandomAlivePeer(rng, initiator);
   }
 
   double AfterMeeting(p2p::PeerId, p2p::PeerId, const p2p::Network&) override { return 0; }
@@ -65,11 +60,13 @@ class RandomPeerSelector : public PeerSelector {
 ///   (resemblance above `overlap_threshold`), they exchange their cached-id
 ///   lists; the received ids become *candidates*, each measured by a
 ///   pre-meeting that transfers only the candidate's successors signature;
-/// - at selection time the best-scored candidate is taken; every k-th
-///   selection falls back to a uniformly random peer so the meeting sequence
-///   stays fair (the precondition of Theorem 5.4), and with probability
-///   `revisit_probability` a cached peer is re-visited to keep the cache
-///   fresh.
+/// - at selection time the best-scored candidate is taken, and dropped from
+///   the list; with no candidate queued the pick is a uniformly random peer.
+///   Every k-th selection is uniformly random as well, so the meeting
+///   sequence stays fair (the precondition of Theorem 5.4).
+///
+/// The cache is not a selection source: it only feeds the other peers'
+/// candidate lists through the exchange.
 class PreMeetingSelector : public PeerSelector {
  public:
   struct Options {
@@ -87,17 +84,14 @@ class PreMeetingSelector : public PeerSelector {
     size_t max_candidates = 20;
     /// Every k-th selection is uniformly random (fairness knob).
     size_t random_every_k = 10;
-    /// Probability of picking a cached peer (rather than random) when no
-    /// candidate is available.
-    double revisit_probability = 0.5;
   };
 
   /// `peers` must outlive the selector and hold one JxpPeer per network
   /// peer, indexed by PeerId.
   PreMeetingSelector(const Options& options, const std::vector<JxpPeer>* peers);
 
-  SelectionResult SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
-                                Random& rng) override;
+  p2p::PeerId SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
+                            Random& rng) override;
   double AfterMeeting(p2p::PeerId a, p2p::PeerId b, const p2p::Network& network) override;
   void OnFragmentChanged(p2p::PeerId peer) override;
 

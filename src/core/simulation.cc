@@ -70,15 +70,14 @@ void JxpSimulation::RunMeetings(size_t count) {
     if (churn_ != nullptr) churn_->Step(network_);
     JXP_CHECK_GE(network_.NumAlive(), 2u) << "network too small to meet";
     const p2p::PeerId initiator = network_.RandomAlivePeer(rng_, p2p::kInvalidPeer);
-    const SelectionResult selection = selector_->SelectPartner(initiator, network_, rng_);
-    JXP_CHECK(selection.partner != initiator && network_.IsAlive(selection.partner));
-    const p2p::MeetingFaultDecision faults = PlanFaults(initiator, selection.partner);
+    const p2p::PeerId partner = selector_->SelectPartner(initiator, network_, rng_);
+    JXP_CHECK(partner != initiator && network_.IsAlive(partner));
+    const p2p::MeetingFaultDecision faults = PlanFaults(initiator, partner);
     // An abandoned attempt consumes the schedule slot (the initiator spent
     // its meeting opportunity on failed contacts) but no meeting happens and
     // meetings_done_ does not advance.
     if (faults.abandoned) continue;
-    FinishMeeting(initiator, selection,
-                  JxpPeer::Meet(peers_[initiator], peers_[selection.partner], faults));
+    FinishMeeting(initiator, partner, JxpPeer::Meet(peers_[initiator], peers_[partner], faults));
   }
 }
 
@@ -133,9 +132,8 @@ p2p::MeetingFaultDecision JxpSimulation::PlanFaults(p2p::PeerId initiator,
   return faults;
 }
 
-void JxpSimulation::FinishMeeting(p2p::PeerId initiator, const SelectionResult& selection,
+void JxpSimulation::FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
                                   const MeetingOutcome& outcome) {
-  const p2p::PeerId partner = selection.partner;
   if (config_.record_meeting_log) meeting_log_.emplace_back(initiator, partner);
   // Attribute to each participant the bytes it sent plus half of the
   // selection/synopsis overhead.

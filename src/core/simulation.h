@@ -155,7 +155,7 @@ class JxpSimulation {
   /// Post-meeting bookkeeping: the meeting log, the selector, traffic (each
   /// side's bytes plus half the selection overhead), wasted bytes,
   /// checkpoints and the meeting count.
-  void FinishMeeting(p2p::PeerId initiator, const SelectionResult& selection,
+  void FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
                      const MeetingOutcome& outcome);
 
   const graph::Graph& global_;

@@ -24,17 +24,15 @@ std::vector<std::vector<graph::PageId>> CrawlBasedPartition(
       fragments.push_back(ThematicCrawl(collection, cat, crawl, rng));
     }
   }
-  if (options.ensure_coverage) {
-    std::unordered_set<graph::PageId> covered;
-    for (const auto& fragment : fragments) covered.insert(fragment.begin(), fragment.end());
-    for (graph::PageId p = 0; p < collection.graph.NumNodes(); ++p) {
-      if (covered.count(p)) continue;
-      // Assign to a random peer of the page's own category.
-      const size_t base = static_cast<size_t>(collection.category[p]) *
-                          options.peers_per_category;
-      const size_t peer = base + rng.NextBounded(options.peers_per_category);
-      fragments[peer].push_back(p);
-    }
+  std::unordered_set<graph::PageId> covered;
+  for (const auto& fragment : fragments) covered.insert(fragment.begin(), fragment.end());
+  for (graph::PageId p = 0; p < collection.graph.NumNodes(); ++p) {
+    if (covered.count(p)) continue;
+    // Assign to a random peer of the page's own category.
+    const size_t base = static_cast<size_t>(collection.category[p]) *
+                        options.peers_per_category;
+    const size_t peer = base + rng.NextBounded(options.peers_per_category);
+    fragments[peer].push_back(p);
   }
   return fragments;
 }

@@ -20,18 +20,14 @@ struct PartitionOptions {
   /// collections show a ~20x size range between the biggest and smallest
   /// peers (Table 1).
   double budget_spread = 1.0;
-  /// If true, every page left uncovered by all crawls is appended to a
-  /// random peer of its own category, so the union of the fragments covers
-  /// the collection (as the paper's collections do — they *are* the union
-  /// of the peers' crawls).
-  bool ensure_coverage = true;
 };
 
 /// The paper's Section 6.1 setup: peers_per_category autonomous thematic
-/// crawlers per category. Fragments overlap arbitrarily; with
-/// ensure_coverage they jointly cover the collection. Returns one page list
-/// per peer (num_categories * peers_per_category entries, grouped by
-/// category).
+/// crawlers per category. Fragments overlap arbitrarily and jointly cover
+/// the collection, as the paper's collections do (they *are* the union of
+/// the peers' crawls): every page left uncovered by all crawls is appended
+/// to a random peer of its own category. Returns one page list per peer
+/// (num_categories * peers_per_category entries, grouped by category).
 std::vector<std::vector<graph::PageId>> CrawlBasedPartition(
     const graph::CategorizedGraph& collection, const PartitionOptions& options, Random& rng);
 

@@ -47,36 +47,37 @@ TEST(ChurnSelectorTest, CachedAndCandidatePeersAreFilteredWhenDeparted) {
   // memory fills with ids regardless of fragment statistics.
   selector_options.containment_threshold = -1.0;
   selector_options.overlap_threshold = -1.0;
-  selector_options.revisit_probability = 1.0;  // Always try the cache first.
-  selector_options.random_every_k = 0;         // No forced-random picks.
+  selector_options.random_every_k = 0;  // No forced-random picks.
   PreMeetingSelector selector(selector_options, &peers);
 
   p2p::Network network;
   for (size_t p = 0; p < peers.size(); ++p) network.AddPeer();
 
-  // Peer 0 meets everyone: its cache now holds 1, 2, 3.
-  for (p2p::PeerId partner = 1; partner < 4; ++partner) {
-    JxpPeer::Meet(peers[0], peers[partner]);
-    selector.AfterMeeting(0, partner, network);
+  // Peer 1 meets 2 and 3 and caches both; its meeting with peer 0 then
+  // queues 2 and 3 as peer 0's candidates.
+  for (p2p::PeerId partner = 2; partner < 4; ++partner) {
+    JxpPeer::Meet(peers[1], peers[partner]);
+    selector.AfterMeeting(1, partner, network);
   }
+  JxpPeer::Meet(peers[0], peers[1]);
+  selector.AfterMeeting(0, 1, network);
 
-  // Depart the two most recently cached peers — the ones the revisit loop
-  // prefers — and select repeatedly: only the remaining alive peer may come
-  // back, from the cache or the random fallback.
+  // Depart both candidates and select repeatedly: only the remaining alive
+  // peer may come back, through the random fallback.
   network.Leave(2);
   network.Leave(3);
   for (int i = 0; i < 50; ++i) {
-    const SelectionResult result = selector.SelectPartner(0, network, rng);
-    ASSERT_NE(result.partner, p2p::kInvalidPeer);
-    EXPECT_EQ(result.partner, 1u) << "proposed a departed peer";
-    EXPECT_TRUE(network.IsAlive(result.partner));
+    const p2p::PeerId partner = selector.SelectPartner(0, network, rng);
+    ASSERT_NE(partner, p2p::kInvalidPeer);
+    EXPECT_EQ(partner, 1u) << "proposed a departed peer";
+    EXPECT_TRUE(network.IsAlive(partner));
   }
 
   // A departed peer that rejoins is proposable again.
   network.Rejoin(3);
   bool saw_rejoined = false;
   for (int i = 0; i < 50 && !saw_rejoined; ++i) {
-    saw_rejoined = selector.SelectPartner(0, network, rng).partner == 3;
+    saw_rejoined = selector.SelectPartner(0, network, rng) == 3;
   }
   EXPECT_TRUE(saw_rejoined) << "rejoined peer never proposed again";
 }
@@ -110,13 +111,13 @@ TEST(ChurnSelectorTest, SelectorNeverProposesDepartedPeerUnderHeavyChurn) {
       network.Rejoin(departed[rng.NextBounded(departed.size())]);
     }
     const p2p::PeerId initiator = network.RandomAlivePeer(rng, p2p::kInvalidPeer);
-    const SelectionResult result = selector.SelectPartner(initiator, network, rng);
-    ASSERT_NE(result.partner, p2p::kInvalidPeer) << "step " << step;
-    ASSERT_NE(result.partner, initiator) << "step " << step;
-    ASSERT_TRUE(network.IsAlive(result.partner))
-        << "step " << step << ": departed peer " << result.partner << " proposed";
-    JxpPeer::Meet(peers[initiator], peers[result.partner]);
-    selector.AfterMeeting(initiator, result.partner, network);
+    const p2p::PeerId partner = selector.SelectPartner(initiator, network, rng);
+    ASSERT_NE(partner, p2p::kInvalidPeer) << "step " << step;
+    ASSERT_NE(partner, initiator) << "step " << step;
+    ASSERT_TRUE(network.IsAlive(partner))
+        << "step " << step << ": departed peer " << partner << " proposed";
+    JxpPeer::Meet(peers[initiator], peers[partner]);
+    selector.AfterMeeting(initiator, partner, network);
   }
 }
 

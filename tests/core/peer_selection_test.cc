@@ -55,9 +55,9 @@ TEST(RandomPeerSelectorTest, NeverPicksInitiatorOrDeadPeers) {
   RandomPeerSelector selector;
   Random rng(1);
   for (int i = 0; i < 200; ++i) {
-    const SelectionResult r = selector.SelectPartner(0, fx.network, rng);
-    EXPECT_NE(r.partner, 0u);
-    EXPECT_NE(r.partner, 3u);
+    const p2p::PeerId partner = selector.SelectPartner(0, fx.network, rng);
+    EXPECT_NE(partner, 0u);
+    EXPECT_NE(partner, 3u);
   }
 }
 
@@ -66,18 +66,20 @@ TEST(PreMeetingSelectorTest, CachesHighContainmentPeers) {
   PreMeetingSelector::Options options;
   options.mips_permutations = 128;
   options.containment_threshold = 0.3;
+  options.random_every_k = 1000;  // Effectively disable for this test.
   PreMeetingSelector selector(options, &fx.peers);
-  // Peer 0 meets peer 2 (whose successors cover all of peer 0's pages).
-  const double bytes = selector.AfterMeeting(0, 2, fx.network);
-  EXPECT_GT(bytes, 0.0);
-  // Subsequent non-random selections should favor the cached peer 2.
+  // Peer 0 meets peer 2 (whose successors cover all of peer 0's pages) and
+  // peer 3 (whose pages link nowhere near peer 0's): only 2 is cached.
+  EXPECT_GT(selector.AfterMeeting(0, 2, fx.network), 0.0);
+  selector.AfterMeeting(0, 3, fx.network);
+  // The cache is seen through the exchange with the overlapping peer 1: the
+  // meeting moves four signatures, the cached-id lists (peer 1 caches 0;
+  // peer 0 caches 2 and now 1) and one pre-meeting, against candidate 2. A
+  // cached 3 would add an id and a second pre-meeting.
+  const double signature = selector.SignatureBytes();
+  EXPECT_DOUBLE_EQ(selector.AfterMeeting(1, 0, fx.network), 5 * signature + 3 * 8);
   Random rng(7);
-  int picked_2 = 0;
-  for (int i = 0; i < 50; ++i) {
-    const SelectionResult r = selector.SelectPartner(0, fx.network, rng);
-    if (r.partner == 2) ++picked_2;
-  }
-  EXPECT_GT(picked_2, 10);
+  EXPECT_EQ(selector.SelectPartner(1, fx.network, rng), 2u);
 }
 
 TEST(PreMeetingSelectorTest, OverlapTriggersCacheExchange) {
@@ -87,7 +89,6 @@ TEST(PreMeetingSelectorTest, OverlapTriggersCacheExchange) {
   options.containment_threshold = 0.3;
   options.overlap_threshold = 0.5;
   options.random_every_k = 1000;  // Effectively disable for this test.
-  options.revisit_probability = 0.0;
   PreMeetingSelector selector(options, &fx.peers);
   // Peer 1 learns that peer 2 is a good in-link donor.
   selector.AfterMeeting(1, 2, fx.network);
@@ -96,25 +97,33 @@ TEST(PreMeetingSelectorTest, OverlapTriggersCacheExchange) {
   selector.AfterMeeting(0, 1, fx.network);
   // ...and pick it next.
   Random rng(3);
-  const SelectionResult r = selector.SelectPartner(0, fx.network, rng);
-  EXPECT_EQ(r.partner, 2u);
+  EXPECT_EQ(selector.SelectPartner(0, fx.network, rng), 2u);
 }
 
 TEST(PreMeetingSelectorTest, EveryKthSelectionIsRandom) {
   SelectorFixture fx;
   PreMeetingSelector::Options options;
   options.random_every_k = 2;
-  options.revisit_probability = 1.0;
-  options.containment_threshold = 0.0;  // Cache everyone.
+  options.containment_threshold = -1.0;  // Cache everyone.
   PreMeetingSelector selector(options, &fx.peers);
-  selector.AfterMeeting(0, 2, fx.network);
+  // Peer 1 caches peers 2 and 3. Each meeting of peers 0 and 1 then queues
+  // both as peer 0's candidates (peer 0 never meets them, so never caches
+  // them); 2, whose pages link into peer 0's, ranks first.
+  selector.AfterMeeting(1, 2, fx.network);
+  selector.AfterMeeting(1, 3, fx.network);
   Random rng(11);
-  // With k = 2 every second pick is uniform; over many picks all peers must
-  // appear (fairness precondition of Theorem 5.4).
-  std::vector<int> counts(4, 0);
-  for (int i = 0; i < 300; ++i) counts[selector.SelectPartner(0, fx.network, rng).partner]++;
-  EXPECT_GT(counts[1], 0);
-  EXPECT_GT(counts[3], 0);
+  // With k = 2 the odd picks take the best candidate, and the even picks are
+  // uniform although candidate 3 is still queued: over many rounds they
+  // reach every peer (fairness precondition of Theorem 5.4).
+  std::vector<int> kth_counts(4, 0);
+  for (int i = 0; i < 150; ++i) {
+    selector.AfterMeeting(0, 1, fx.network);
+    ASSERT_EQ(selector.SelectPartner(0, fx.network, rng), 2u) << "round " << i;
+    kth_counts[selector.SelectPartner(0, fx.network, rng)]++;
+  }
+  EXPECT_GT(kth_counts[1], 0);
+  EXPECT_GT(kth_counts[2], 0);
+  EXPECT_GT(kth_counts[3], 0);
 }
 
 TEST(PreMeetingSelectorTest, FragmentChangeClearsState) {
@@ -122,7 +131,6 @@ TEST(PreMeetingSelectorTest, FragmentChangeClearsState) {
   PreMeetingSelector::Options options;
   options.containment_threshold = 0.0;
   options.random_every_k = 1000;
-  options.revisit_probability = 1.0;
   PreMeetingSelector selector(options, &fx.peers);
   selector.AfterMeeting(0, 2, fx.network);
   selector.OnFragmentChanged(0);
@@ -130,7 +138,7 @@ TEST(PreMeetingSelectorTest, FragmentChangeClearsState) {
   // random (works without crashing, never picks self).
   Random rng(5);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_NE(selector.SelectPartner(0, fx.network, rng).partner, 0u);
+    EXPECT_NE(selector.SelectPartner(0, fx.network, rng), 0u);
   }
 }
 
@@ -140,16 +148,15 @@ TEST(PreMeetingSelectorTest, SkipsDeadCandidates) {
   options.containment_threshold = 0.0;
   options.overlap_threshold = 0.5;
   options.random_every_k = 1000;
-  options.revisit_probability = 0.0;
   PreMeetingSelector selector(options, &fx.peers);
   selector.AfterMeeting(1, 2, fx.network);
   selector.AfterMeeting(0, 1, fx.network);
   fx.network.Leave(2);
   Random rng(9);
   for (int i = 0; i < 50; ++i) {
-    const SelectionResult r = selector.SelectPartner(0, fx.network, rng);
-    EXPECT_NE(r.partner, 2u);
-    EXPECT_NE(r.partner, 0u);
+    const p2p::PeerId partner = selector.SelectPartner(0, fx.network, rng);
+    EXPECT_NE(partner, 2u);
+    EXPECT_NE(partner, 0u);
   }
 }
 

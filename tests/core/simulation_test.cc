@@ -165,6 +165,7 @@ uint64_t HashColumn(uint64_t h, const std::vector<T>& column) {
 }
 
 struct FrozenMode {
+  SelectionStrategy strategy;
   MergeMode merge;
   CombineMode combine;
   MeetingWireMode wire;
@@ -174,9 +175,13 @@ struct FrozenMode {
 
 TEST(SimulationTest, EveryMeetingModeIsFrozen) {
   // One pinned digest per merge x combine x wire mode, with and without a
-  // fault plan. Each run holds meetings before and after one re-crawl, then
-  // hashes every peer's scores and world node plus the traffic totals, so
-  // any change to what a meeting computes under any mode moves a digest.
+  // fault plan, plus one pre-meetings run. Each run holds meetings before
+  // and after one re-crawl, then hashes every peer's scores and world node
+  // plus the traffic totals, so any change to what a meeting computes under
+  // any mode, or to the partners the pre-meetings selector picks, moves a
+  // digest.
+  constexpr SelectionStrategy kRand = SelectionStrategy::kRandom;
+  constexpr SelectionStrategy kPre = SelectionStrategy::kPreMeetings;
   constexpr MergeMode kLight = MergeMode::kLightWeight;
   constexpr MergeMode kFull = MergeMode::kFullMerge;
   constexpr CombineMode kMax = CombineMode::kTakeMax;
@@ -184,22 +189,23 @@ TEST(SimulationTest, EveryMeetingModeIsFrozen) {
   constexpr MeetingWireMode kEst = MeetingWireMode::kEstimated;
   constexpr MeetingWireMode kMeas = MeetingWireMode::kMeasured;
   const FrozenMode modes[] = {
-      {kLight, kMax, kEst, false, 0xbb05e81d6cc9924eULL},
-      {kLight, kMax, kEst, true, 0xbae0458bcab99913ULL},
-      {kLight, kMax, kMeas, false, 0x58012fff9c02e55aULL},
-      {kLight, kMax, kMeas, true, 0x96f06d91a305b3e6ULL},
-      {kLight, kAvg, kEst, false, 0x403f2e3ef58eb67dULL},
-      {kLight, kAvg, kEst, true, 0xb51dbbd02cd3d492ULL},
-      {kLight, kAvg, kMeas, false, 0xd9d1fce036a8374eULL},
-      {kLight, kAvg, kMeas, true, 0x10e64587defba68bULL},
-      {kFull, kMax, kEst, false, 0xebb6626c1a91d713ULL},
-      {kFull, kMax, kEst, true, 0x165673fe1c4fefebULL},
-      {kFull, kMax, kMeas, false, 0x4504c3fce7faa3e0ULL},
-      {kFull, kMax, kMeas, true, 0x20db119f01dfeeb6ULL},
-      {kFull, kAvg, kEst, false, 0x5daa9932b2ac3e39ULL},
-      {kFull, kAvg, kEst, true, 0x877dcfb69f6fee6cULL},
-      {kFull, kAvg, kMeas, false, 0xae3a5e8237c6bc3cULL},
-      {kFull, kAvg, kMeas, true, 0x86614fe25e6925c6ULL},
+      {kRand, kLight, kMax, kEst, false, 0xbb05e81d6cc9924eULL},
+      {kRand, kLight, kMax, kEst, true, 0xbae0458bcab99913ULL},
+      {kRand, kLight, kMax, kMeas, false, 0x58012fff9c02e55aULL},
+      {kRand, kLight, kMax, kMeas, true, 0x96f06d91a305b3e6ULL},
+      {kRand, kLight, kAvg, kEst, false, 0x403f2e3ef58eb67dULL},
+      {kRand, kLight, kAvg, kEst, true, 0xb51dbbd02cd3d492ULL},
+      {kRand, kLight, kAvg, kMeas, false, 0xd9d1fce036a8374eULL},
+      {kRand, kLight, kAvg, kMeas, true, 0x10e64587defba68bULL},
+      {kRand, kFull, kMax, kEst, false, 0xebb6626c1a91d713ULL},
+      {kRand, kFull, kMax, kEst, true, 0x165673fe1c4fefebULL},
+      {kRand, kFull, kMax, kMeas, false, 0x4504c3fce7faa3e0ULL},
+      {kRand, kFull, kMax, kMeas, true, 0x20db119f01dfeeb6ULL},
+      {kRand, kFull, kAvg, kEst, false, 0x5daa9932b2ac3e39ULL},
+      {kRand, kFull, kAvg, kEst, true, 0x877dcfb69f6fee6cULL},
+      {kRand, kFull, kAvg, kMeas, false, 0xae3a5e8237c6bc3cULL},
+      {kRand, kFull, kAvg, kMeas, true, 0x86614fe25e6925c6ULL},
+      {kPre, kLight, kMax, kEst, false, 0x40d3bde2fa606a8cULL},
   };
   SimFixture fx;
   // Peer 0's re-crawl keeps two thirds of its pages and picks up some of
@@ -212,6 +218,7 @@ TEST(SimulationTest, EveryMeetingModeIsFrozen) {
     SimulationConfig config;
     config.seed = 41;
     config.eval_top_k = 20;
+    config.strategy = mode.strategy;
     config.jxp.merge_mode = mode.merge;
     config.jxp.combine_mode = mode.combine;
     config.jxp.wire_mode = mode.wire;

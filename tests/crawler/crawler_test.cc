@@ -80,19 +80,6 @@ TEST(CrawlBasedPartitionTest, ShapeAndCoverage) {
   EXPECT_EQ(covered.size(), collection.graph.NumNodes());
 }
 
-TEST(CrawlBasedPartitionTest, WithoutCoverageGuaranteeMayLeaveGaps) {
-  const auto collection = SmallCollection();
-  Random rng(6);
-  PartitionOptions options;
-  options.peers_per_category = 1;
-  options.crawler.max_pages = 30;
-  options.ensure_coverage = false;
-  const auto fragments = CrawlBasedPartition(collection, options, rng);
-  size_t total = 0;
-  for (const auto& fragment : fragments) total += fragment.size();
-  EXPECT_LT(total, collection.graph.NumNodes());
-}
-
 TEST(CrawlBasedPartitionTest, FragmentsOverlap) {
   const auto collection = SmallCollection();
   Random rng(7);
