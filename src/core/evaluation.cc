@@ -6,11 +6,10 @@ namespace jxp {
 namespace core {
 
 std::unordered_map<graph::PageId, double> BuildGlobalJxpScores(
-    const std::vector<JxpPeer>& peers, const p2p::Network* network) {
+    const std::vector<JxpPeer>& peers, const p2p::Network*) {
   std::unordered_map<graph::PageId, double> sum;
   std::unordered_map<graph::PageId, uint32_t> count;
   for (const JxpPeer& peer : peers) {
-    if (network != nullptr && !network->IsAlive(peer.id())) continue;
     const graph::Subgraph& fragment = peer.fragment();
     const std::vector<double>& scores = peer.local_scores();
     for (graph::Subgraph::LocalIndex i = 0; i < fragment.NumLocalPages(); ++i) {

@@ -15,10 +15,10 @@ namespace core {
 /// Builds the network-wide JXP score table used for evaluation (Section
 /// 6.2): page -> average of the page's JXP scores over all peers that hold
 /// it locally. (The paper notes this total ranking exists only for the
-/// evaluation; the real P2P system never materializes it.) When `network`
-/// is non-null, departed peers are excluded.
+/// evaluation; the real P2P system never materializes it.)
+/// The second parameter is unused; it keeps bench/e2e's (peers, nullptr) call.
 std::unordered_map<graph::PageId, double> BuildGlobalJxpScores(
-    const std::vector<JxpPeer>& peers, const p2p::Network* network);
+    const std::vector<JxpPeer>& peers, const p2p::Network*);
 
 /// Accuracy of a JXP snapshot against the centralized PageRank baseline.
 struct AccuracyPoint {

@@ -4,12 +4,22 @@
 
 namespace jxp {
 namespace core {
+namespace {
+
+/// Shared seed of the permutation family (network-wide constant).
+constexpr uint64_t kMipsSeed = 0xa11ce5eedULL;
+/// Cache capacity per peer (oldest evicted first).
+constexpr size_t kMaxCachedPeers = 20;
+/// Candidate list capacity per peer.
+constexpr size_t kMaxCandidates = 20;
+
+}  // namespace
 
 PreMeetingSelector::PreMeetingSelector(const Options& options,
                                        const std::vector<JxpPeer>* peers)
     : options_(options),
       peers_(peers),
-      family_(options.mips_permutations, options.mips_seed) {
+      family_(options.mips_permutations, kMipsSeed) {
   JXP_CHECK(peers_ != nullptr);
   states_.resize(peers_->size());
 }
@@ -44,7 +54,7 @@ void PreMeetingSelector::CachePeer(PeerState& state, p2p::PeerId peer) {
   if (it != state.cached.end()) {
     // Refresh recency: move to the back.
     state.cached.erase(it);
-  } else if (state.cached.size() >= options_.max_cached_peers) {
+  } else if (state.cached.size() >= kMaxCachedPeers) {
     state.cached.erase(state.cached.begin());
   }
   state.cached.push_back(peer);
@@ -74,7 +84,7 @@ double PreMeetingSelector::ConsiderCandidate(p2p::PeerId owner, PeerState& state
   state.candidates.emplace_back(candidate, containment);
   std::sort(state.candidates.begin(), state.candidates.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
-  if (state.candidates.size() > options_.max_candidates) {
+  if (state.candidates.size() > kMaxCandidates) {
     state.candidates.erase(state.candidates.begin());
   }
   return SignatureBytes();
@@ -87,19 +97,18 @@ p2p::PeerId PreMeetingSelector::SelectPartner(p2p::PeerId initiator,
   // Fairness: every k-th pick is uniformly random (Section 5.3), and so is
   // the very first one (nothing is known yet).
   if (options_.random_every_k > 0 && state.selections % options_.random_every_k == 0) {
-    return network.RandomAlivePeer(rng, initiator);
+    return network.RandomPeer(rng, initiator);
   }
-  // Best live candidate, if any.
+  // Best candidate, if any.
   while (!state.candidates.empty()) {
     const p2p::PeerId best = state.candidates.back().first;
     state.candidates.pop_back();  // Dropped from the temporary list once used.
-    if (network.IsAlive(best) && best != initiator) return best;
+    if (best != initiator) return best;
   }
-  return network.RandomAlivePeer(rng, initiator);
+  return network.RandomPeer(rng, initiator);
 }
 
-double PreMeetingSelector::AfterMeeting(p2p::PeerId a, p2p::PeerId b,
-                                        const p2p::Network& network) {
+double PreMeetingSelector::AfterMeeting(p2p::PeerId a, p2p::PeerId b) {
   EnsureSignatures(a);
   EnsureSignatures(b);
   PeerState& sa = StateOf(a);
@@ -124,14 +133,10 @@ double PreMeetingSelector::AfterMeeting(p2p::PeerId a, p2p::PeerId b,
     const std::vector<p2p::PeerId> from_b = sb.cached;  // Copy: Consider mutates.
     const std::vector<p2p::PeerId> from_a = sa.cached;
     for (p2p::PeerId candidate : from_b) {
-      if (candidate != b && network.IsAlive(candidate)) {
-        bytes += ConsiderCandidate(a, sa, candidate);
-      }
+      if (candidate != b) bytes += ConsiderCandidate(a, sa, candidate);
     }
     for (p2p::PeerId candidate : from_a) {
-      if (candidate != a && network.IsAlive(candidate)) {
-        bytes += ConsiderCandidate(b, sb, candidate);
-      }
+      if (candidate != a) bytes += ConsiderCandidate(b, sb, candidate);
     }
   }
   return bytes;

@@ -23,28 +23,28 @@ class PeerSelector {
  public:
   virtual ~PeerSelector() = default;
 
-  /// Chooses an alive partner != initiator.
+  /// Chooses a partner != initiator.
   virtual p2p::PeerId SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
                                     Random& rng) = 0;
 
   /// Hook called after peers `a` and `b` finished a meeting.
-  virtual double AfterMeeting(p2p::PeerId a, p2p::PeerId b, const p2p::Network& network) = 0;
+  virtual double AfterMeeting(p2p::PeerId a, p2p::PeerId b) = 0;
 
-  /// Hook called when a peer's fragment changed (churn / re-crawl).
+  /// Hook called when a peer's fragment changed (re-crawl).
   virtual void OnFragmentChanged(p2p::PeerId peer) = 0;
 };
 
-/// The baseline strategy: uniformly random alive partner.
+/// The baseline strategy: uniformly random partner.
 class RandomPeerSelector : public PeerSelector {
  public:
   RandomPeerSelector() = default;
 
   p2p::PeerId SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
                             Random& rng) override {
-    return network.RandomAlivePeer(rng, initiator);
+    return network.RandomPeer(rng, initiator);
   }
 
-  double AfterMeeting(p2p::PeerId, p2p::PeerId, const p2p::Network&) override { return 0; }
+  double AfterMeeting(p2p::PeerId, p2p::PeerId) override { return 0; }
   void OnFragmentChanged(p2p::PeerId) override {}
 };
 
@@ -72,16 +72,10 @@ class PreMeetingSelector : public PeerSelector {
   struct Options {
     /// Signature length (number of permutations).
     size_t mips_permutations = 64;
-    /// Shared seed of the permutation family (network-wide constant).
-    uint64_t mips_seed = 0xa11ce5eedULL;
     /// Cache a met peer whose successors->local containment exceeds this.
     double containment_threshold = 0.05;
     /// Exchange cached-id lists when local-set resemblance exceeds this.
     double overlap_threshold = 0.2;
-    /// Cache capacity per peer (oldest evicted first).
-    size_t max_cached_peers = 20;
-    /// Candidate list capacity per peer.
-    size_t max_candidates = 20;
     /// Every k-th selection is uniformly random (fairness knob).
     size_t random_every_k = 10;
   };
@@ -92,7 +86,7 @@ class PreMeetingSelector : public PeerSelector {
 
   p2p::PeerId SelectPartner(p2p::PeerId initiator, const p2p::Network& network,
                             Random& rng) override;
-  double AfterMeeting(p2p::PeerId a, p2p::PeerId b, const p2p::Network& network) override;
+  double AfterMeeting(p2p::PeerId a, p2p::PeerId b) override;
   void OnFragmentChanged(p2p::PeerId peer) override;
 
   /// Wire size of one signature (vector of 8-byte minima + set size).

@@ -44,11 +44,6 @@ JxpSimulation::JxpSimulation(const graph::Graph& global,
     selector_ = std::make_unique<RandomPeerSelector>();
   }
 
-  // Churn (off unless probabilities are set).
-  if (config_.churn.leave_probability > 0 || config_.churn.join_probability > 0) {
-    churn_ = std::make_unique<p2p::ChurnModel>(config_.churn, config_.seed ^ 0xc0ffee);
-  }
-
   // Fault injection (off unless the plan enables a fault). Stale-resume
   // faults roll peers back to their last checkpoint, so every peer gets an
   // initial checkpoint up front.
@@ -67,11 +62,9 @@ JxpSimulation::JxpSimulation(const graph::Graph& global,
 
 void JxpSimulation::RunMeetings(size_t count) {
   for (size_t m = 0; m < count; ++m) {
-    if (churn_ != nullptr) churn_->Step(network_);
-    JXP_CHECK_GE(network_.NumAlive(), 2u) << "network too small to meet";
-    const p2p::PeerId initiator = network_.RandomAlivePeer(rng_, p2p::kInvalidPeer);
+    const p2p::PeerId initiator = network_.RandomPeer(rng_, p2p::kInvalidPeer);
     const p2p::PeerId partner = selector_->SelectPartner(initiator, network_, rng_);
-    JXP_CHECK(partner != initiator && network_.IsAlive(partner));
+    JXP_CHECK(partner != initiator);
     const p2p::MeetingFaultDecision faults = PlanFaults(initiator, partner);
     // An abandoned attempt consumes the schedule slot (the initiator spent
     // its meeting opportunity on failed contacts) but no meeting happens and
@@ -137,7 +130,7 @@ void JxpSimulation::FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
   if (config_.record_meeting_log) meeting_log_.emplace_back(initiator, partner);
   // Attribute to each participant the bytes it sent plus half of the
   // selection/synopsis overhead.
-  const double extra = selector_->AfterMeeting(initiator, partner, network_);
+  const double extra = selector_->AfterMeeting(initiator, partner);
   network_.RecordMeetingTraffic(initiator, outcome.bytes_sent_initiator + extra / 2);
   network_.RecordMeetingTraffic(partner, outcome.bytes_sent_partner + extra / 2);
   total_estimated_traffic_bytes_ += outcome.estimated_wire_bytes + extra;

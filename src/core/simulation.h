@@ -11,7 +11,6 @@
 #include "core/jxp_options.h"
 #include "core/jxp_peer.h"
 #include "core/peer_selection.h"
-#include "p2p/churn.h"
 #include "p2p/faults.h"
 #include "p2p/network.h"
 #include "pagerank/pagerank.h"
@@ -34,8 +33,6 @@ struct SimulationConfig {
   /// Options of the pre-meetings strategy (used when strategy ==
   /// kPreMeetings).
   PreMeetingSelector::Options pre_meeting;
-  /// Churn model; default = no churn (the paper's main setting).
-  p2p::ChurnModel::Options churn;
   /// Master seed; the whole run is deterministic in it.
   uint64_t seed = 1;
   /// Size of the top-k rankings compared in Evaluate() (the paper uses
@@ -73,7 +70,7 @@ struct SimulationConfig {
 
 /// A complete JXP network simulation: the global graph, one JxpPeer per
 /// fragment, a meeting loop with pluggable partner selection, traffic
-/// accounting, optional churn, and evaluation against centralized PageRank.
+/// accounting, and evaluation against centralized PageRank.
 class JxpSimulation {
  public:
   /// `fragments[p]` lists the global pages crawled by peer p (fragments may
@@ -98,7 +95,7 @@ class JxpSimulation {
   /// The peers, indexed by PeerId.
   const std::vector<JxpPeer>& peers() const { return peers_; }
 
-  /// Overlay membership and traffic statistics.
+  /// Traffic statistics.
   const p2p::Network& network() const { return network_; }
 
   /// Cumulative *analytic* estimate of all meeting traffic (the kEstimated
@@ -115,13 +112,8 @@ class JxpSimulation {
 
   /// Current network-wide JXP score table (averaged over replicas).
   std::unordered_map<graph::PageId, double> GlobalJxpScores() const {
-    return BuildGlobalJxpScores(peers_, &network_);
+    return BuildGlobalJxpScores(peers_, nullptr);
   }
-
-  /// Forces a peer to depart / rejoin (used by churn experiments beyond the
-  /// probabilistic model).
-  void ForceLeave(p2p::PeerId peer) { network_.Leave(peer); }
-  void ForceRejoin(p2p::PeerId peer) { network_.Rejoin(peer); }
 
   /// Replaces a peer's fragment (re-crawl), refreshing selector state.
   void ReplaceFragment(p2p::PeerId peer, std::vector<graph::PageId> pages);
@@ -164,7 +156,6 @@ class JxpSimulation {
   p2p::Network network_;
   std::vector<JxpPeer> peers_;
   std::unique_ptr<PeerSelector> selector_;
-  std::unique_ptr<p2p::ChurnModel> churn_;
   /// Created only when config.faults.Enabled().
   std::unique_ptr<p2p::FaultInjector> injector_;
   /// Meeting count of each peer at its last stale-resume checkpoint; empty

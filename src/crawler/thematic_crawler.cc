@@ -5,12 +5,20 @@
 
 namespace jxp {
 namespace crawler {
+namespace {
+
+/// Number of random seed pages, drawn from the peer's category.
+constexpr size_t kNumSeeds = 5;
+/// Probability of following the links of an off-category page (the paper
+/// flips a fair coin).
+constexpr double kFollowOffCategoryProbability = 0.5;
+
+}  // namespace
 
 std::vector<graph::PageId> ThematicCrawl(const graph::CategorizedGraph& collection,
                                          graph::CategoryId category,
                                          const CrawlerOptions& options, Random& rng) {
   JXP_CHECK_LT(category, collection.num_categories);
-  JXP_CHECK_GT(options.num_seeds, 0u);
   const graph::Graph& g = collection.graph;
 
   // Candidate seeds: all pages of the category.
@@ -24,7 +32,7 @@ std::vector<graph::PageId> ThematicCrawl(const graph::CategorizedGraph& collecti
   std::unordered_set<graph::PageId> visited;
   std::deque<std::pair<graph::PageId, size_t>> frontier;  // (page, depth)
 
-  const size_t num_seeds = std::min(options.num_seeds, category_pages.size());
+  const size_t num_seeds = std::min(kNumSeeds, category_pages.size());
   for (size_t i : rng.SampleWithoutReplacement(category_pages.size(), num_seeds)) {
     const graph::PageId seed = category_pages[i];
     if (visited.insert(seed).second) frontier.emplace_back(seed, 0);
@@ -38,7 +46,7 @@ std::vector<graph::PageId> ThematicCrawl(const graph::CategorizedGraph& collecti
     // Follow this page's links: always for on-category pages, with a coin
     // flip for off-category ones.
     const bool follow = collection.category[page] == category ||
-                        rng.NextBool(options.follow_off_category_probability);
+                        rng.NextBool(kFollowOffCategoryProbability);
     if (!follow) continue;
     for (graph::PageId next : g.OutNeighbors(page)) {
       if (visited.insert(next).second) frontier.emplace_back(next, depth + 1);

@@ -11,21 +11,16 @@ namespace crawler {
 
 /// Options of the simulated focused crawler (paper Section 6.1).
 struct CrawlerOptions {
-  /// Number of random seed pages, drawn from the peer's category.
-  size_t num_seeds = 5;
   /// Crawl budget: stop after indexing this many pages.
   size_t max_pages = 600;
   /// BFS depth cap ("up to a certain predefined depth").
   size_t max_depth = 6;
-  /// Probability of following the links of an off-category page (the paper
-  /// flips a fair coin, i.e. 0.5).
-  double follow_off_category_probability = 0.5;
 };
 
-/// Simulates one peer's thematic crawl: breadth-first from random seeds of
-/// `category`, fetching pages along links; links of an off-category page are
-/// followed only with the configured probability. Returns the set of crawled
-/// pages (the peer's fragment), in crawl order.
+/// Simulates one peer's thematic crawl: breadth-first from five random seeds
+/// of `category`, fetching pages along links; links of an off-category page
+/// are followed only on a fair coin flip, as in the paper. Returns the set of
+/// crawled pages (the peer's fragment), in crawl order.
 std::vector<graph::PageId> ThematicCrawl(const graph::CategorizedGraph& collection,
                                          graph::CategoryId category,
                                          const CrawlerOptions& options, Random& rng);

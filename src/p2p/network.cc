@@ -28,34 +28,16 @@ PeerTrafficSummary PeerTraffic::Summary() const {
 }
 
 PeerId Network::AddPeer() {
-  alive_.push_back(true);
   traffic_.emplace_back();
-  ++num_alive_;
-  return static_cast<PeerId>(alive_.size() - 1);
+  return static_cast<PeerId>(traffic_.size() - 1);
 }
 
-void Network::Leave(PeerId peer) {
-  JXP_CHECK_LT(peer, alive_.size());
-  JXP_CHECK(alive_[peer]) << "peer " << peer << " already departed";
-  alive_[peer] = false;
-  --num_alive_;
-}
-
-void Network::Rejoin(PeerId peer) {
-  JXP_CHECK_LT(peer, alive_.size());
-  JXP_CHECK(!alive_[peer]) << "peer " << peer << " already alive";
-  alive_[peer] = true;
-  ++num_alive_;
-}
-
-PeerId Network::RandomAlivePeer(Random& rng, PeerId exclude) const {
-  size_t eligible = num_alive_;
-  if (exclude != kInvalidPeer && exclude < alive_.size() && alive_[exclude]) --eligible;
+PeerId Network::RandomPeer(Random& rng, PeerId exclude) const {
+  const size_t eligible = NumPeers() - (exclude < NumPeers() ? 1 : 0);
   JXP_CHECK_GT(eligible, 0u) << "no eligible peer to pick";
-  // Rejection sampling; the alive fraction is high in all our simulations.
   while (true) {
-    const PeerId p = static_cast<PeerId>(rng.NextBounded(alive_.size()));
-    if (alive_[p] && p != exclude) return p;
+    const PeerId p = static_cast<PeerId>(rng.NextBounded(NumPeers()));
+    if (p != exclude) return p;
   }
 }
 

@@ -54,38 +54,23 @@ struct PeerTraffic {
   PeerTrafficSummary Summary() const;
 };
 
-/// Registry of peers in a simulated P2P overlay: which peers are alive, and
-/// how much traffic each has caused. Peer state itself (graphs, scores)
-/// lives with the application (core::JxpNetwork); this class models overlay
-/// membership — including churn — and the wire.
+/// Registry of peers in a simulated P2P overlay: how much traffic each has
+/// caused, and a uniformly random pick among them. Peer state itself
+/// (graphs, scores) lives with the application (core::JxpSimulation); this
+/// class models the wire.
 class Network {
  public:
   Network() = default;
 
-  /// Adds a peer and returns its id. Peers join alive.
+  /// Adds a peer and returns its id.
   PeerId AddPeer();
 
-  /// Marks a peer as departed. Its traffic history is retained.
-  void Leave(PeerId peer);
-
-  /// Re-joins a departed peer.
-  void Rejoin(PeerId peer);
-
-  /// True iff the peer is currently alive.
-  bool IsAlive(PeerId peer) const {
-    JXP_CHECK_LT(peer, alive_.size());
-    return alive_[peer];
-  }
-
   /// Number of peers ever added.
-  size_t NumPeers() const { return alive_.size(); }
+  size_t NumPeers() const { return traffic_.size(); }
 
-  /// Number of currently alive peers.
-  size_t NumAlive() const { return num_alive_; }
-
-  /// A uniformly random alive peer different from `exclude` (pass
-  /// kInvalidPeer for no exclusion). Requires at least one eligible peer.
-  PeerId RandomAlivePeer(Random& rng, PeerId exclude) const;
+  /// A uniformly random peer different from `exclude` (pass kInvalidPeer
+  /// for no exclusion). Requires at least one eligible peer.
+  PeerId RandomPeer(Random& rng, PeerId exclude) const;
 
   /// Records that a meeting of `peer` moved `bytes` bytes.
   void RecordMeetingTraffic(PeerId peer, double bytes) {
@@ -118,9 +103,7 @@ class Network {
   PeerTrafficSummary AggregateTraffic() const;
 
  private:
-  std::vector<bool> alive_;
   std::vector<PeerTraffic> traffic_;
-  size_t num_alive_ = 0;
 };
 
 }  // namespace p2p

@@ -9,6 +9,10 @@ namespace search {
 
 namespace {
 
+/// Document lengths are uniform in [kMinDocLength, kMaxDocLength].
+constexpr uint32_t kMinDocLength = 40;
+constexpr uint32_t kMaxDocLength = 160;
+
 /// Draws a Zipf-like rank in [0, slots): log-uniform, so rank r is drawn
 /// with probability ~ 1/r (a Zipf(1) approximation that needs no tables).
 size_t DrawZipfRank(size_t slots, Random& rng) {
@@ -28,7 +32,6 @@ Corpus Corpus::Generate(const graph::CategorizedGraph& collection,
       << "vocabulary too small for the category slices";
   const size_t shared_base = reserved;
   const size_t shared_size = options.vocabulary_size - reserved;
-  JXP_CHECK_GE(options.max_doc_length, options.min_doc_length);
 
   Corpus corpus;
   corpus.options_ = options;
@@ -43,9 +46,8 @@ Corpus Corpus::Generate(const graph::CategorizedGraph& collection,
     Document& doc = corpus.documents_[p];
     doc.page = p;
     doc.topic = topic;
-    doc.length = options.min_doc_length +
-                 static_cast<uint32_t>(rng.NextBounded(
-                     options.max_doc_length - options.min_doc_length + 1));
+    doc.length = kMinDocLength +
+                 static_cast<uint32_t>(rng.NextBounded(kMaxDocLength - kMinDocLength + 1));
     bag.clear();
     for (uint32_t token = 0; token < doc.length; ++token) {
       TermId term;

@@ -35,9 +35,6 @@ struct CorpusOptions {
   size_t vocabulary_size = 20000;
   /// Characteristic terms per category.
   size_t category_vocab_size = 800;
-  /// Document lengths are uniform in [min, max].
-  uint32_t min_doc_length = 40;
-  uint32_t max_doc_length = 160;
   /// Probability that a token comes from the page's own category slice
   /// (otherwise from the shared slice).
   double on_topic_probability = 0.6;

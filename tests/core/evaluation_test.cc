@@ -36,22 +36,6 @@ TEST(EvaluationTest, AveragesReplicatedPages) {
   EXPECT_DOUBLE_EQ(scores.at(0), peers[0].ScoreOfGlobal(0));
 }
 
-TEST(EvaluationTest, NetworkFilterExcludesDepartedPeers) {
-  const graph::Graph g = SmallGraph();
-  JxpOptions options;
-  p2p::Network network;
-  std::vector<JxpPeer> peers;
-  peers.emplace_back(network.AddPeer(), graph::Subgraph::Induce(g, {0, 1, 2}),
-                     g.NumNodes(), options);
-  peers.emplace_back(network.AddPeer(), graph::Subgraph::Induce(g, {3, 4, 5}),
-                     g.NumNodes(), options);
-  network.Leave(1);
-  const auto scores = BuildGlobalJxpScores(peers, &network);
-  EXPECT_EQ(scores.size(), 3u);
-  EXPECT_TRUE(scores.count(0));
-  EXPECT_FALSE(scores.count(4));
-}
-
 TEST(EvaluationTest, AccuracyAgainstSelfIsPerfect) {
   const graph::Graph g = SmallGraph();
   JxpOptions options;

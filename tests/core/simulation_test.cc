@@ -59,11 +59,7 @@ TEST(JxpSimulationTest, DeterministicInSeed) {
   random.eval_top_k = 30;
   SimulationConfig pre_meetings = random;
   pre_meetings.strategy = SelectionStrategy::kPreMeetings;
-  SimulationConfig churn = random;
-  churn.churn.leave_probability = 0.02;
-  churn.churn.join_probability = 0.05;
-  churn.churn.min_alive = 3;
-  for (const SimulationConfig& config : {random, pre_meetings, churn}) {
+  for (const SimulationConfig& config : {random, pre_meetings}) {
     JxpSimulation a(fx.collection.graph, fx.fragments, config);
     JxpSimulation b(fx.collection.graph, fx.fragments, config);
     a.RunMeetings(50);
@@ -110,34 +106,6 @@ TEST(JxpSimulationTest, GlobalSizeEstimateOverride) {
   EXPECT_EQ(sim.peers()[0].global_size(), 800u);
   sim.RunMeetings(100);  // Still runs and improves.
   EXPECT_GT(sim.Evaluate().footrule, 0.0);
-}
-
-TEST(JxpSimulationTest, SurvivesChurn) {
-  SimFixture fx;
-  SimulationConfig config;
-  config.seed = 21;
-  config.eval_top_k = 50;
-  config.churn.leave_probability = 0.02;
-  config.churn.join_probability = 0.05;
-  config.churn.min_alive = 3;
-  JxpSimulation sim(fx.collection.graph, fx.fragments, config);
-  sim.RunMeetings(500);
-  // The run completes and the (alive-peer) snapshot is still a reasonable
-  // approximation.
-  EXPECT_LT(sim.Evaluate().footrule, 0.4);
-}
-
-TEST(JxpSimulationTest, ForceLeaveExcludesPeerFromEvaluation) {
-  SimFixture fx;
-  SimulationConfig config;
-  config.seed = 2;
-  JxpSimulation sim(fx.collection.graph, fx.fragments, config);
-  const size_t all = sim.GlobalJxpScores().size();
-  sim.ForceLeave(0);
-  const size_t without = sim.GlobalJxpScores().size();
-  EXPECT_LE(without, all);
-  sim.ForceRejoin(0);
-  EXPECT_EQ(sim.GlobalJxpScores().size(), all);
 }
 
 TEST(JxpSimulationTest, ReplaceFragmentIntegration) {

@@ -58,7 +58,6 @@ TEST(ThematicCrawlerTest, SeedsAreFromCategory) {
   Random rng(4);
   CrawlerOptions options;
   options.max_pages = 5;
-  options.num_seeds = 5;
   options.max_depth = 0;  // Only seeds.
   const auto pages = ThematicCrawl(collection, 3, options, rng);
   for (graph::PageId p : pages) EXPECT_EQ(collection.category[p], 3u);
