@@ -180,7 +180,7 @@ int RunDaemon(const ClusterConfig& config, size_t peer_id,
     proxy_options.plan.message_drop_probability = config.drop;
     proxy_options.plan.truncation_probability = config.truncate;
     proxy_options.plan.corruption_probability = config.corrupt;
-    proxy_options.seed = config.seed * 1000003 + peer_id;
+    proxy_options.plan.seed = config.seed * 1000003 + peer_id;
     proxy = std::make_unique<net::ChaosProxy>(proxy_options);
     if (Status status = proxy->Start(); !status.ok()) {
       std::fprintf(stderr, "peer %zu: proxy start failed: %s\n", peer_id,

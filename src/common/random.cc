@@ -22,12 +22,6 @@ uint64_t Random::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Random::NextInRange(int64_t lo, int64_t hi) {
-  JXP_CHECK_LE(lo, hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 std::vector<size_t> Random::SampleWithoutReplacement(size_t n, size_t k) {
   JXP_CHECK_LE(k, n);
   // For dense samples use a partial Fisher-Yates over an index vector; for

@@ -59,9 +59,6 @@ class Random {
   /// multiply-shift rejection method (unbiased).
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1) with 53 bits of entropy.
   double NextDouble() { return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53; }
 

@@ -141,10 +141,8 @@ RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
   return result;
 }
 
-MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
-                             const p2p::MeetingFaultDecision& faults) {
+MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner) {
   JXP_CHECK_NE(initiator.id_, partner.id_) << "peer meeting itself";
-  JXP_CHECK(!faults.abandoned) << "abandoned meeting must not run";
   JXP_CHECK(initiator.options_.merge_mode == partner.options_.merge_mode &&
             initiator.options_.combine_mode == partner.options_.combine_mode &&
             initiator.options_.wire_mode == partner.options_.wire_mode)
@@ -156,16 +154,14 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
   if (measured) span.AddAttr("wire_mode", "measured");
 
   // Snapshot both messages before either side applies: the exchange is
-  // simultaneous, so each side must see the other's pre-meeting state. Then
-  // resolve each direction's transport faults: what (if anything) of the
-  // sender's message reaches the receiver.
+  // simultaneous, so each side must see the other's pre-meeting state.
   MeetingOutcome outcome;
   outcome.estimated_bytes_initiator = initiator.MessageWireBytes();
   outcome.estimated_bytes_partner = partner.MessageWireBytes();
-  Delivery to_initiator;
-  Delivery to_partner;
+  PeerView to_initiator;
+  PeerView to_partner;
   if (measured) {
-    // From here on the bytes *are* the message, and faults act on them.
+    // From here on the bytes *are* the message.
     std::optional<ThreadCpuTimer> encode_timer;
     if (obs::Enabled()) encode_timer.emplace();
     const std::vector<uint8_t> initiator_bytes = initiator.EncodeMeetingBytes();
@@ -177,51 +173,27 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
     outcome.bytes_sent_partner = static_cast<double>(partner_bytes.size());
     std::optional<ThreadCpuTimer> decode_timer;
     if (obs::Enabled()) decode_timer.emplace();
-    to_initiator = DeliverBytes(partner_bytes, faults.drop_to_initiator,
-                                faults.keep_to_initiator, faults.corrupt_to_initiator,
-                                faults.corrupt_offset_to_initiator,
-                                faults.corrupt_bit_to_initiator);
-    to_partner = DeliverBytes(initiator_bytes, faults.drop_to_partner, faults.keep_to_partner,
-                              faults.corrupt_to_partner, faults.corrupt_offset_to_partner,
-                              faults.corrupt_bit_to_partner);
+    to_initiator = DecodedView(DecodeMeetingMessage(partner_bytes));
+    to_partner = DecodedView(DecodeMeetingMessage(initiator_bytes));
+    JXP_CHECK(to_initiator.fragment != nullptr && to_partner.fragment != nullptr)
+        << "a freshly encoded meeting message must decode";
     if (decode_timer.has_value()) {
       GetMeetingMetrics().wire_decode_ms.Observe(decode_timer->ElapsedMillis());
     }
   } else {
     outcome.bytes_sent_initiator = outcome.estimated_bytes_initiator;
     outcome.bytes_sent_partner = outcome.estimated_bytes_partner;
-    to_initiator = DeliverView(partner.MakeView(), faults.drop_to_initiator,
-                               faults.keep_to_initiator);
-    to_partner =
-        DeliverView(initiator.MakeView(), faults.drop_to_partner, faults.keep_to_partner);
+    to_initiator = partner.MakeView();
+    to_partner = initiator.MakeView();
   }
   outcome.wire_bytes = outcome.bytes_sent_initiator + outcome.bytes_sent_partner;
   outcome.estimated_wire_bytes =
       outcome.estimated_bytes_initiator + outcome.estimated_bytes_partner;
 
-  // A side applies its incoming message only when something was delivered
-  // and the side did not crash mid-meeting; a suppressed side's state does
-  // not advance at all (no meeting count, no history entry).
-  outcome.applied_initiator = to_initiator.arrived && !faults.crash_initiator;
-  outcome.applied_partner = to_partner.arrived && !faults.crash_partner;
-  if (outcome.applied_initiator) {
-    outcome.cpu_millis_initiator = initiator.ProcessMeeting(to_initiator.message);
-    outcome.pr_iterations_initiator = initiator.last_pr_iterations_;
-  }
-  if (outcome.applied_partner) {
-    outcome.cpu_millis_partner = partner.ProcessMeeting(to_partner.message);
-    outcome.pr_iterations_partner = partner.last_pr_iterations_;
-  }
-
-  // Wasted-byte accounting, attributed to the sender: everything the sender
-  // shipped beyond what the receiver actually applied.
-  outcome.wasted_bytes_initiator =
-      outcome.bytes_sent_initiator *
-      (1.0 - (outcome.applied_partner ? to_partner.fraction : 0.0));
-  outcome.wasted_bytes_partner =
-      outcome.bytes_sent_partner *
-      (1.0 - (outcome.applied_initiator ? to_initiator.fraction : 0.0));
-  outcome.wasted_bytes = outcome.wasted_bytes_initiator + outcome.wasted_bytes_partner;
+  outcome.cpu_millis_initiator = initiator.ProcessMeeting(to_initiator);
+  outcome.pr_iterations_initiator = initiator.last_pr_iterations_;
+  outcome.cpu_millis_partner = partner.ProcessMeeting(to_partner);
+  outcome.pr_iterations_partner = partner.last_pr_iterations_;
 
   if (obs::Enabled()) {
     MeetingMetrics& metrics = GetMeetingMetrics();
@@ -241,11 +213,6 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
     }
   }
   if (span.active()) {
-    if (!faults.Clean()) {
-      span.AddAttr("applied_initiator", outcome.applied_initiator);
-      span.AddAttr("applied_partner", outcome.applied_partner);
-      span.AddAttr("wasted_bytes", outcome.wasted_bytes);
-    }
     span.AddAttr("wire_bytes", outcome.wire_bytes);
     if (measured) span.AddAttr("estimated_wire_bytes", outcome.estimated_wire_bytes);
     span.AddAttr("cpu_ms_initiator", outcome.cpu_millis_initiator);
@@ -254,72 +221,6 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
                  outcome.pr_iterations_initiator + outcome.pr_iterations_partner);
   }
   return outcome;
-}
-
-JxpPeer::Delivery JxpPeer::DeliverView(PeerView sent, bool drop, double keep) {
-  Delivery delivery;
-  if (drop) return delivery;
-  const graph::Subgraph& frag = *sent.fragment;
-  const size_t n = frag.NumLocalPages();
-  const size_t k = keep < 1.0 ? static_cast<size_t>(keep * static_cast<double>(n)) : n;
-  if (k == 0) return delivery;
-  delivery.arrived = true;
-  delivery.fraction = std::min(keep, 1.0);
-  if (k >= n) {
-    // Nothing was actually cut; the delivered message is the full one.
-    delivery.message = std::move(sent);
-    return delivery;
-  }
-  // The page table is serialized in local-index order (ascending page id),
-  // so the first k records arrive complete (each with its full successor
-  // list) and keep their local indices.
-  std::vector<graph::PageId> pages(frag.Pages().begin(), frag.Pages().begin() + k);
-  std::vector<uint64_t> offsets = {0};
-  std::vector<graph::PageId> successors;
-  offsets.reserve(k + 1);
-  for (graph::Subgraph::LocalIndex i = 0; i < k; ++i) {
-    const auto succ = frag.Successors(i);
-    successors.insert(successors.end(), succ.begin(), succ.end());
-    offsets.push_back(successors.size());
-  }
-  // The world node rides at the tail of the message: the truncated view
-  // does not carry it.
-  PeerView& out = delivery.message;
-  out.owned_fragment = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
-      std::move(pages), std::move(offsets), std::move(successors)));
-  out.fragment = out.owned_fragment.get();
-  out.scores.assign(sent.scores.begin(), sent.scores.begin() + k);
-  return delivery;
-}
-
-JxpPeer::Delivery JxpPeer::DeliverBytes(const std::vector<uint8_t>& sent, bool drop,
-                                        double keep, bool corrupt, double corrupt_offset,
-                                        int corrupt_bit) {
-  Delivery delivery;
-  if (drop || sent.empty()) return delivery;
-  // What arrives is a prefix of `sent`; only a bit flip edits the bytes, so
-  // only a corrupted delivery decodes a copy.
-  std::span<const uint8_t> delivered = sent;
-  if (keep < 1.0) {
-    delivered = delivered.first(static_cast<size_t>(keep * static_cast<double>(sent.size())));
-    if (delivered.empty()) return delivery;
-  }
-  std::vector<uint8_t> corrupted;
-  if (corrupt) {
-    corrupted.assign(delivered.begin(), delivered.end());
-    const size_t at = std::min(
-        corrupted.size() - 1,
-        static_cast<size_t>(corrupt_offset * static_cast<double>(corrupted.size())));
-    corrupted[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
-    delivered = corrupted;
-  }
-  DecodedMeetingMessage decoded = DecodeMeetingMessage(delivered);
-  if (decoded.fragment == nullptr) return delivery;
-  delivery.arrived = true;
-  delivery.fraction =
-      static_cast<double>(decoded.bytes_consumed) / static_cast<double>(sent.size());
-  delivery.message = DecodedView(std::move(decoded));
-  return delivery;
 }
 
 JxpPeer::PeerView JxpPeer::DecodedView(DecodedMeetingMessage decoded) {

@@ -11,7 +11,6 @@
 #include "core/jxp_options.h"
 #include "core/world_node.h"
 #include "graph/subgraph.h"
-#include "p2p/faults.h"
 #include "p2p/network.h"
 
 namespace jxp {
@@ -41,16 +40,6 @@ struct MeetingOutcome {
   /// Power iterations each side's PageRank run needed.
   int pr_iterations_initiator = 0;
   int pr_iterations_partner = 0;
-  /// Whether each side actually applied the partner's message (false when
-  /// its incoming message was dropped or the side crashed mid-meeting).
-  bool applied_initiator = true;
-  bool applied_partner = true;
-  /// Bytes each side sent that produced no state change (fault injection);
-  /// see p2p::FaultStats::wasted_bytes. Zero in a clean meeting.
-  double wasted_bytes_initiator = 0;
-  double wasted_bytes_partner = 0;
-  /// Sum of the two per-side wasted counts.
-  double wasted_bytes = 0;
 };
 
 /// Outcome of applying a remotely-received meeting message (the networked
@@ -108,17 +97,10 @@ class JxpPeer {
   /// Only the delivery of each direction's message depends on the wire
   /// mode: under kEstimated the receiver gets a copy of the sender's state,
   /// under kMeasured the bytes of EncodeMeetingBytes, decoded as
-  /// ApplyMeetingBytes decodes them. `faults` (see p2p::FaultPlan) acts on
-  /// that delivery: lost messages and mid-meeting crashes suppress one
-  /// side's application entirely (that peer's state does not change at
-  /// all); a truncated message delivers only a prefix of the sender's page
-  /// table (the world node, at the message tail, is lost); under kMeasured
-  /// a flipped bit makes the receiver apply the intact frame prefix. The
-  /// default (clean) decision runs the unfaulted exchange. Stale-resume and
-  /// retry faults are handled by the caller (JxpSimulation) before this
-  /// runs.
-  static MeetingOutcome Meet(JxpPeer& initiator, JxpPeer& partner,
-                             const p2p::MeetingFaultDecision& faults = {});
+  /// ApplyMeetingBytes decodes them. Meet never faults a delivery: byte
+  /// faults (p2p::FaultPlan) act between EncodeMeetingBytes and
+  /// ApplyMeetingBytes, on a daemon's socket or in a test's meeting loop.
+  static MeetingOutcome Meet(JxpPeer& initiator, JxpPeer& partner);
 
   /// Serializes this peer's meeting message exactly as the in-process
   /// kMeasured meeting does (same codec), so a networked exchange of these
@@ -194,20 +176,9 @@ class JxpPeer {
     const graph::Subgraph* fragment = nullptr;
     std::vector<double> scores;  // By the fragment's local index.
     WorldNode world;
-    /// Storage backing `fragment` for truncated (fault-injected) and
-    /// wire-decoded views; the clean path points `fragment` at the sender's
-    /// own fragment instead.
+    /// Storage backing `fragment` for wire-decoded views; the estimated
+    /// path points `fragment` at the sender's own fragment instead.
     std::shared_ptr<const graph::Subgraph> owned_fragment;
-  };
-
-  /// What one direction of a meeting delivers to its receiver.
-  struct Delivery {
-    /// False when nothing usable arrived (drop, or damage so early that not
-    /// even one page did); `message` is then empty.
-    bool arrived = false;
-    /// Share of the sender's message the receiver got to use.
-    double fraction = 0;
-    PeerView message;
   };
 
   /// Copies the state this peer ships (corrupted per AttackOptions): the
@@ -215,21 +186,8 @@ class JxpPeer {
   /// a cheating peer.
   PeerView MakeView() const;
 
-  /// The kEstimated delivery of `sent`: a transfer that aborted after
-  /// `keep` of the message carries the prefix of the page table that fully
-  /// arrived, without the world node (it rides at the message tail); a cut
-  /// so early that not even one page arrived degenerates to a drop.
-  static Delivery DeliverView(PeerView sent, bool drop, double keep);
-
-  /// The kMeasured delivery of `sent`: truncation keeps a byte prefix,
-  /// corruption flips bit `corrupt_bit` of the byte at `corrupt_offset` of
-  /// what arrives, and the receiver applies what its decoder salvages. The
-  /// delivered fraction is decoded bytes over sent bytes.
-  static Delivery DeliverBytes(const std::vector<uint8_t>& sent, bool drop, double keep,
-                               bool corrupt, double corrupt_offset, int corrupt_bit);
-
-  /// The view a receiver applies from a decoded message whose fragment is
-  /// non-null.
+  /// The view a receiver applies from a decoded message (its fragment is
+  /// null when nothing decoded).
   static PeerView DecodedView(DecodedMeetingMessage decoded);
 
   /// One side of a meeting: absorb the partner's message, recompute.

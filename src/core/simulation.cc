@@ -9,6 +9,15 @@
 namespace jxp {
 namespace core {
 
+namespace {
+
+/// Convergence of the centralized PageRank baseline (damping mirrors
+/// jxp.damping).
+constexpr double kBaselineTolerance = 1e-12;
+constexpr int kBaselineMaxIterations = 500;
+
+}  // namespace
+
 JxpSimulation::JxpSimulation(const graph::Graph& global,
                              std::vector<std::vector<graph::PageId>> fragments,
                              const SimulationConfig& config)
@@ -18,8 +27,8 @@ JxpSimulation::JxpSimulation(const graph::Graph& global,
   // Centralized baseline.
   pagerank::PageRankOptions pr_options;
   pr_options.damping = config_.jxp.damping;
-  pr_options.tolerance = config_.baseline_tolerance;
-  pr_options.max_iterations = config_.baseline_max_iterations;
+  pr_options.tolerance = kBaselineTolerance;
+  pr_options.max_iterations = kBaselineMaxIterations;
   pagerank::PageRankResult baseline = ComputePageRank(global, pr_options);
   JXP_CHECK(baseline.converged) << "centralized PageRank did not converge";
   global_scores_ = std::move(baseline.scores);
@@ -43,21 +52,6 @@ JxpSimulation::JxpSimulation(const graph::Graph& global,
   } else {
     selector_ = std::make_unique<RandomPeerSelector>();
   }
-
-  // Fault injection (off unless the plan enables a fault). Stale-resume
-  // faults roll peers back to their last checkpoint, so every peer gets an
-  // initial checkpoint up front.
-  if (config_.faults.Enabled()) {
-    injector_ = std::make_unique<p2p::FaultInjector>(config_.faults);
-    if (config_.faults.stale_resume_probability > 0) {
-      JXP_CHECK(!config_.fault_checkpoint_dir.empty())
-          << "stale-resume faults need SimulationConfig::fault_checkpoint_dir";
-      JXP_CHECK_GT(config_.checkpoint_every, 0u);
-      std::filesystem::create_directories(config_.fault_checkpoint_dir);
-      meetings_at_checkpoint_.assign(peers_.size(), 0);
-      for (const JxpPeer& peer : peers_) CheckpointPeer(peer.id());
-    }
-  }
 }
 
 void JxpSimulation::RunMeetings(size_t count) {
@@ -65,12 +59,7 @@ void JxpSimulation::RunMeetings(size_t count) {
     const p2p::PeerId initiator = network_.RandomPeer(rng_, p2p::kInvalidPeer);
     const p2p::PeerId partner = selector_->SelectPartner(initiator, network_, rng_);
     JXP_CHECK(partner != initiator);
-    const p2p::MeetingFaultDecision faults = PlanFaults(initiator, partner);
-    // An abandoned attempt consumes the schedule slot (the initiator spent
-    // its meeting opportunity on failed contacts) but no meeting happens and
-    // meetings_done_ does not advance.
-    if (faults.abandoned) continue;
-    FinishMeeting(initiator, partner, JxpPeer::Meet(peers_[initiator], peers_[partner], faults));
+    FinishMeeting(initiator, partner, JxpPeer::Meet(peers_[initiator], peers_[partner]));
   }
 }
 
@@ -82,49 +71,6 @@ std::string JxpSimulation::PeerStatePath(const std::string& dir, p2p::PeerId pee
   return dir + "/peer_" + std::to_string(peer) + ".jxp";
 }
 
-void JxpSimulation::CheckpointPeer(p2p::PeerId peer) {
-  const Status status =
-      SavePeerState(peers_[peer], PeerStatePath(config_.fault_checkpoint_dir, peer));
-  JXP_CHECK(status.ok()) << "checkpoint of peer " << peer
-                         << " failed: " << status.ToString();
-  meetings_at_checkpoint_[peer] = peers_[peer].num_meetings();
-}
-
-void JxpSimulation::MaybeCheckpoint(p2p::PeerId peer) {
-  if (meetings_at_checkpoint_.empty()) return;
-  if (peers_[peer].num_meetings() - meetings_at_checkpoint_[peer] >=
-      config_.checkpoint_every) {
-    CheckpointPeer(peer);
-  }
-}
-
-p2p::MeetingFaultDecision JxpSimulation::PlanFaults(p2p::PeerId initiator,
-                                                   p2p::PeerId partner) {
-  if (injector_ == nullptr) return {};
-  const p2p::MeetingFaultDecision faults = injector_->NextMeeting(initiator, partner);
-  const double probes =
-      static_cast<double>(faults.failed_attempts) * config_.faults.probe_bytes;
-  if (probes > 0) {
-    network_.RecordWastedTraffic(initiator, probes);
-    injector_->RecordWasted(probes);
-  }
-  if (faults.abandoned) return faults;
-  const auto restore = [&](p2p::PeerId peer) {
-    StatusOr<JxpPeer> restored =
-        LoadPeerState(PeerStatePath(config_.fault_checkpoint_dir, peer),
-                      peers_[peer].options());
-    JXP_CHECK(restored.ok()) << "stale resume of peer " << peer
-                             << " failed: " << restored.status().ToString();
-    // The checkpointed fragment is identical to the live one, so selector
-    // caches keyed on fragment content stay valid.
-    peers_[peer] = std::move(restored).value();
-    meetings_at_checkpoint_[peer] = peers_[peer].num_meetings();
-  };
-  if (faults.stale_resume_initiator) restore(initiator);
-  if (faults.stale_resume_partner) restore(partner);
-  return faults;
-}
-
 void JxpSimulation::FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
                                   const MeetingOutcome& outcome) {
   if (config_.record_meeting_log) meeting_log_.emplace_back(initiator, partner);
@@ -134,15 +80,6 @@ void JxpSimulation::FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
   network_.RecordMeetingTraffic(initiator, outcome.bytes_sent_initiator + extra / 2);
   network_.RecordMeetingTraffic(partner, outcome.bytes_sent_partner + extra / 2);
   total_estimated_traffic_bytes_ += outcome.estimated_wire_bytes + extra;
-  if (injector_ != nullptr) {
-    if (outcome.wasted_bytes > 0) {
-      network_.RecordWastedTraffic(initiator, outcome.wasted_bytes_initiator);
-      network_.RecordWastedTraffic(partner, outcome.wasted_bytes_partner);
-      injector_->RecordWasted(outcome.wasted_bytes);
-    }
-    MaybeCheckpoint(initiator);
-    MaybeCheckpoint(partner);
-  }
   ++meetings_done_;
 }
 
@@ -164,9 +101,6 @@ Status JxpSimulation::LoadAllPeerStates(const std::string& dir) {
     if (!restored.ok()) return restored.status();
     JXP_CHECK_EQ(restored.value().id(), peer.id());
     peer = std::move(restored).value();
-  }
-  if (!meetings_at_checkpoint_.empty()) {
-    for (const JxpPeer& peer : peers_) CheckpointPeer(peer.id());
   }
   return Status::OK();
 }

@@ -11,7 +11,6 @@
 #include "core/jxp_options.h"
 #include "core/jxp_peer.h"
 #include "core/peer_selection.h"
-#include "p2p/faults.h"
 #include "p2p/network.h"
 #include "pagerank/pagerank.h"
 
@@ -38,9 +37,6 @@ struct SimulationConfig {
   /// Size of the top-k rankings compared in Evaluate() (the paper uses
   /// 1000, and 10000 for Figure 9).
   size_t eval_top_k = 1000;
-  /// Centralized-PR options for the baseline (damping mirrors jxp.damping).
-  double baseline_tolerance = 1e-12;
-  int baseline_max_iterations = 500;
   /// Override for the global page count announced to peers (the paper's
   /// "N is known or can be estimated"). 0 = use the true node count.
   size_t global_size_estimate = 0;
@@ -48,18 +44,6 @@ struct SimulationConfig {
   /// `num_attackers` peers run `attack`; all peers apply jxp.defense.
   size_t num_attackers = 0;
   AttackOptions attack;
-  /// Fault-injection plan (all faults off by default). When disabled, no
-  /// FaultInjector is created, no fault randomness is drawn, and the run is
-  /// bit-identical to a build without the fault layer.
-  p2p::FaultPlan faults;
-  /// Directory for the per-peer state_io checkpoints that back the
-  /// stale-resume fault (created if missing). Required — and only used —
-  /// when faults.stale_resume_probability > 0.
-  std::string fault_checkpoint_dir;
-  /// A peer is re-checkpointed every time it has applied this many meetings
-  /// since its last checkpoint (so a stale resume rolls it back by at most
-  /// this many meetings).
-  size_t checkpoint_every = 8;
   /// When true, every executed meeting's (initiator, partner) pair is
   /// recorded in meeting_log(), in execution order. External drivers replay
   /// the exact schedule elsewhere — the networked cluster driver feeds it
@@ -118,12 +102,6 @@ class JxpSimulation {
   /// Replaces a peer's fragment (re-crawl), refreshing selector state.
   void ReplaceFragment(p2p::PeerId peer, std::vector<graph::PageId> pages);
 
-  /// Fault accounting of the run so far; nullptr when config.faults is
-  /// disabled.
-  const p2p::FaultStats* fault_stats() const {
-    return injector_ == nullptr ? nullptr : &injector_->stats();
-  }
-
   /// Persists every peer's state under `dir` (one state_io file per peer,
   /// named peer_<id>.jxp) / restores every peer from such a directory.
   /// Fragments round-trip exactly, so selector state stays valid; a
@@ -132,21 +110,10 @@ class JxpSimulation {
   Status LoadAllPeerStates(const std::string& dir);
 
  private:
-  /// Path of a peer's stale-resume checkpoint / saved-state file.
+  /// Path of a peer's saved-state file.
   static std::string PeerStatePath(const std::string& dir, p2p::PeerId peer);
-  /// Writes a peer's stale-resume checkpoint and remembers its meeting count.
-  void CheckpointPeer(p2p::PeerId peer);
-  /// Re-checkpoints a participant that applied >= checkpoint_every meetings
-  /// since its last checkpoint (no-op unless stale resume is configured).
-  void MaybeCheckpoint(p2p::PeerId peer);
-  /// Pre-meeting bookkeeping: draws the meeting's fault schedule, charges
-  /// the initiator's failed-contact probe bytes and, unless the attempt was
-  /// abandoned, rolls the sides flagged for a stale resume back to their
-  /// last checkpoint. Returns a clean decision when fault injection is off.
-  p2p::MeetingFaultDecision PlanFaults(p2p::PeerId initiator, p2p::PeerId partner);
   /// Post-meeting bookkeeping: the meeting log, the selector, traffic (each
-  /// side's bytes plus half the selection overhead), wasted bytes,
-  /// checkpoints and the meeting count.
+  /// side's bytes plus half the selection overhead) and the meeting count.
   void FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
                      const MeetingOutcome& outcome);
 
@@ -156,11 +123,6 @@ class JxpSimulation {
   p2p::Network network_;
   std::vector<JxpPeer> peers_;
   std::unique_ptr<PeerSelector> selector_;
-  /// Created only when config.faults.Enabled().
-  std::unique_ptr<p2p::FaultInjector> injector_;
-  /// Meeting count of each peer at its last stale-resume checkpoint; empty
-  /// unless stale resume is configured.
-  std::vector<size_t> meetings_at_checkpoint_;
   std::vector<double> global_scores_;
   std::vector<metrics::ScoredItem> global_top_k_;
   size_t meetings_done_ = 0;

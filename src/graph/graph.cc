@@ -10,15 +10,6 @@ bool Graph::HasEdge(PageId u, PageId v) const {
   return std::binary_search(neighbors.begin(), neighbors.end(), v);
 }
 
-std::vector<Edge> Graph::Edges() const {
-  std::vector<Edge> edges;
-  edges.reserve(NumEdges());
-  for (PageId u = 0; u < num_nodes_; ++u) {
-    for (PageId v : OutNeighbors(u)) edges.push_back({u, v});
-  }
-  return edges;
-}
-
 void GraphBuilder::AddEdge(PageId u, PageId v) {
   JXP_CHECK_NE(u, kInvalidPage);
   JXP_CHECK_NE(v, kInvalidPage);

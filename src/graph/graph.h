@@ -73,9 +73,6 @@ class Graph {
   /// True iff the edge u -> v exists (binary search over OutNeighbors).
   bool HasEdge(PageId u, PageId v) const;
 
-  /// Materializes the edge list in (from, to) lexicographic order.
-  std::vector<Edge> Edges() const;
-
  private:
   friend class GraphBuilder;
 

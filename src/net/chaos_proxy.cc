@@ -3,8 +3,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "net/net_protocol.h"
@@ -14,7 +12,7 @@ namespace jxp {
 namespace net {
 
 ChaosProxy::ChaosProxy(ChaosProxyOptions options)
-    : options_(std::move(options)), rng_(options_.seed) {}
+    : options_(std::move(options)), rng_(options_.plan.seed) {}
 
 ChaosProxy::~ChaosProxy() { Stop(); }
 
@@ -85,21 +83,9 @@ void ChaosProxy::AcceptLoop() {
   }
 }
 
-ChaosProxy::BlobFault ChaosProxy::DrawFault() {
+p2p::BlobFault ChaosProxy::DrawFault(size_t size) {
   std::lock_guard<std::mutex> lock(mu_);
-  const double u = rng_.NextDouble();
-  double edge = options_.plan.message_drop_probability;
-  if (u < edge) return BlobFault::kDrop;
-  edge += options_.plan.truncation_probability;
-  if (u < edge) return BlobFault::kTruncate;
-  edge += options_.plan.corruption_probability;
-  if (u < edge) return BlobFault::kCorrupt;
-  return BlobFault::kNone;
-}
-
-uint64_t ChaosProxy::DrawBitIndex(uint64_t num_bits) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rng_.NextBounded(num_bits);
+  return options_.plan.Draw(size, rng_);
 }
 
 void ChaosProxy::Pump(Relay* relay, int src, int dst) {
@@ -140,29 +126,24 @@ void ChaosProxy::Pump(Relay* relay, int src, int dst) {
       (void)WriteAll(dst, blob);
       break;
     }
-    switch (blob.empty() ? BlobFault::kNone : DrawFault()) {
-      case BlobFault::kDrop:
+    const p2p::BlobFault fault = DrawFault(blob.size());
+    fault.ApplyTo(blob);
+    switch (fault.kind) {
+      case p2p::BlobFault::Kind::kDrop:
         blobs_dropped_.fetch_add(1);
         ShutdownBoth(relay);
         return;
-      case BlobFault::kTruncate: {
+      case p2p::BlobFault::Kind::kTruncate:
+        // The prefix is strict, so the receiver always sees EOF mid-blob.
         blobs_truncated_.fetch_add(1);
-        // Keep a strict prefix so the receiver always sees EOF mid-blob.
-        const double keep = std::clamp(options_.plan.truncation_keep_fraction, 0.0, 1.0);
-        const size_t kept = std::min(
-            blob.size() - 1, static_cast<size_t>(std::floor(keep * blob.size())));
-        (void)WriteAll(dst, std::span<const uint8_t>(blob.data(), kept));
+        (void)WriteAll(dst, blob);
         ShutdownBoth(relay);
         return;
-      }
-      case BlobFault::kCorrupt: {
+      case p2p::BlobFault::Kind::kCorrupt:
         blobs_corrupted_.fetch_add(1);
-        const uint64_t bit = DrawBitIndex(static_cast<uint64_t>(blob.size()) * 8);
-        blob[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
         if (!WriteAll(dst, blob).ok()) return;
         break;
-      }
-      case BlobFault::kNone:
+      case p2p::BlobFault::Kind::kNone:
         if (!WriteAll(dst, blob).ok()) return;
         if (!blob.empty()) blobs_forwarded_.fetch_add(1);
         break;

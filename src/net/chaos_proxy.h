@@ -23,12 +23,8 @@ struct ChaosProxyOptions {
   uint16_t listen_port = 0;
   /// The proxied daemon's real bound port.
   uint16_t target_port = 0;
-  /// Fault probabilities. Only message_drop_probability,
-  /// truncation_probability (+ truncation_keep_fraction) and
-  /// corruption_probability apply — the proxy faults the network path, not
-  /// peer processes.
+  /// Per-blob fault probabilities and the seed of the proxy's fault stream.
   p2p::FaultPlan plan;
-  uint64_t seed = 1;
 };
 
 /// Injected-fault accounting. The cluster driver compares these against the
@@ -45,12 +41,12 @@ struct ChaosProxyStats {
   uint64_t blobs_corrupted = 0;  // One bit flipped, all bytes delivered.
 };
 
-/// The network form of PR 3's fault layer (DESIGN.md §6k): a loopback TCP
-/// relay in front of one daemon that forwards protocol frames verbatim and
-/// faults ONLY meeting-blob bytes — drop (announce, deliver nothing),
-/// truncate (deliver a prefix, then close), or corrupt (flip one bit).
-/// Faulting only blobs keeps the failure modes identical to the
-/// simulation's fault model: a torn blob is salvage-decoded by the
+/// The socket side of the byte-fault model p2p::FaultPlan (DESIGN.md §6k):
+/// a loopback TCP relay in front of one daemon that forwards protocol
+/// frames verbatim and faults ONLY meeting-blob bytes — drop (announce,
+/// deliver nothing), truncate (deliver a prefix, then close), or corrupt
+/// (flip one bit). Faulting only blobs keeps the failure modes to the ones
+/// the theorem proptests check: a torn blob is salvage-decoded by the
 /// receiver, never a wedged framing layer.
 ///
 /// Threaded and blocking by design — the proxy is test harness code, and
@@ -83,10 +79,8 @@ class ChaosProxy {
   /// Relays src -> dst frame by frame, faulting meeting blobs. Returns when
   /// either side closes or a drop/truncate fault kills the connection.
   void Pump(Relay* relay, int src, int dst);
-  /// Draws one per-blob fault decision. 0 = clean, else the fault kind.
-  enum class BlobFault { kNone, kDrop, kTruncate, kCorrupt };
-  BlobFault DrawFault();
-  uint64_t DrawBitIndex(uint64_t num_bits);
+  /// Draws the fault of one `size`-byte blob from the proxy's stream.
+  p2p::BlobFault DrawFault(size_t size);
   static void ShutdownBoth(Relay* relay);
 
   ChaosProxyOptions options_;

@@ -16,6 +16,15 @@
 namespace jxp {
 namespace net {
 
+namespace {
+
+/// Outbound connection reuse: meetings and gossip share pooled connections
+/// keyed by partner port. Idle connections are swept at half their timeout.
+constexpr ConnectionPoolOptions kDaemonPool;
+constexpr uint64_t kPoolSweepPeriodMs = kDaemonPool.idle_timeout_ms / 2;
+
+}  // namespace
+
 PeerDaemon::PeerDaemon(std::unique_ptr<core::JxpPeer> peer, PeerDaemonOptions options)
     : peer_(std::move(peer)),
       options_(std::move(options)),
@@ -63,7 +72,7 @@ Status PeerDaemon::Start(EventLoop* loop) {
       return status;
     }
   }
-  pool_ = std::make_unique<ConnectionPool>(options_.pool,
+  pool_ = std::make_unique<ConnectionPool>(kDaemonPool,
                                            [this] { return loop_->NowMs(); });
   if (options_.scheduler.enabled) {
     // The scheduler gets its own Random stream, derived from (not equal to)
@@ -83,9 +92,7 @@ Status PeerDaemon::Start(EventLoop* loop) {
 }
 
 void PeerDaemon::ArmPoolSweepTimer() {
-  if (options_.pool.idle_timeout_ms == 0) return;
-  const uint64_t period = std::max<uint64_t>(options_.pool.idle_timeout_ms / 2, 1);
-  loop_->AddTimer(period, [this] {
+  loop_->AddTimer(kPoolSweepPeriodMs, [this] {
     pool_->SweepIdle();
     ArmPoolSweepTimer();
   });

@@ -38,10 +38,6 @@ struct PeerDaemonOptions {
   /// the driver-replay mode the oracle bit-identity comparison uses:
   /// meetings happen only on kMeetCommand.
   MeetingSchedulerOptions scheduler;
-  /// Outbound connection reuse (meetings + gossip share pooled connections
-  /// keyed by partner port). Always on — the pool with max_connections=0 is
-  /// not a supported configuration; use a large idle_timeout instead.
-  ConnectionPoolOptions pool;
   /// Gossip (kPeerExchange) cadence; 0 = off. Staleness eviction
   /// (kDirectoryStalenessMs) runs on the same tick.
   uint64_t gossip_interval_ms = 0;

@@ -9,7 +9,6 @@ void PeerTrafficSummary::MergeFrom(const PeerTrafficSummary& other) {
   total_bytes += other.total_bytes;
   max_bytes = std::max(max_bytes, other.max_bytes);
   num_meetings += other.num_meetings;
-  wasted_bytes += other.wasted_bytes;
   mean_bytes = num_meetings > 0 ? total_bytes / static_cast<double>(num_meetings) : 0;
 }
 
@@ -19,7 +18,6 @@ PeerTrafficSummary PeerTraffic::Summary() const {
     summary.max_bytes = std::max(summary.max_bytes, bytes);
   }
   summary.total_bytes = total_bytes;
-  summary.wasted_bytes = wasted_bytes;
   summary.num_meetings = bytes_per_meeting.size();
   summary.mean_bytes = summary.num_meetings > 0
                            ? total_bytes / static_cast<double>(summary.num_meetings)
@@ -44,12 +42,6 @@ PeerId Network::RandomPeer(Random& rng, PeerId exclude) const {
 double Network::TotalTrafficBytes() const {
   double total = 0;
   for (const PeerTraffic& t : traffic_) total += t.total_bytes;
-  return total;
-}
-
-double Network::TotalWastedBytes() const {
-  double total = 0;
-  for (const PeerTraffic& t : traffic_) total += t.wasted_bytes;
   return total;
 }
 

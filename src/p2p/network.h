@@ -22,11 +22,6 @@ struct PeerTrafficSummary {
   double mean_bytes = 0;
   double max_bytes = 0;
   size_t num_meetings = 0;
-  /// Bytes moved to no effect under fault injection (dropped messages,
-  /// truncated tails, unapplied deliveries, failed-contact probes); 0 in a
-  /// clean run. Not part of total_bytes' meeting series: probe overhead has
-  /// no meeting, while a dropped message's bytes appear in both.
-  double wasted_bytes = 0;
 
   /// Folds another summary into this one.
   void MergeFrom(const PeerTrafficSummary& other);
@@ -40,15 +35,11 @@ struct PeerTraffic {
   std::vector<double> bytes_per_meeting;
   /// Total bytes over all meetings.
   double total_bytes = 0;
-  /// Bytes this peer sent to no effect (see PeerTrafficSummary).
-  double wasted_bytes = 0;
 
   void RecordMeeting(double bytes) {
     bytes_per_meeting.push_back(bytes);
     total_bytes += bytes;
   }
-
-  void RecordWasted(double bytes) { wasted_bytes += bytes; }
 
   /// Summary statistics over the series.
   PeerTrafficSummary Summary() const;
@@ -78,13 +69,6 @@ class Network {
     traffic_[peer].RecordMeeting(bytes);
   }
 
-  /// Records that `peer` sent `bytes` that produced no state change (fault
-  /// injection: dropped/truncated/unapplied messages, contact probes).
-  void RecordWastedTraffic(PeerId peer, double bytes) {
-    JXP_CHECK_LT(peer, traffic_.size());
-    traffic_[peer].RecordWasted(bytes);
-  }
-
   /// Traffic history of a peer.
   const PeerTraffic& TrafficOf(PeerId peer) const {
     JXP_CHECK_LT(peer, traffic_.size());
@@ -93,9 +77,6 @@ class Network {
 
   /// Total bytes moved by all meetings so far.
   double TotalTrafficBytes() const;
-
-  /// Total wasted bytes over all peers (0 in a fault-free run).
-  double TotalWastedBytes() const;
 
   /// Network-wide traffic summary: every peer's series merged into one.
   /// Note each meeting is recorded by both endpoints, so totals here count

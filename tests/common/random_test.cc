@@ -42,18 +42,6 @@ TEST(RandomTest, BoundedIsRoughlyUniform) {
   }
 }
 
-TEST(RandomTest, NextInRangeInclusive) {
-  Random rng(5);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const int64_t v = rng.NextInRange(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);  // All five values hit.
-}
-
 TEST(RandomTest, NextDoubleInUnitInterval) {
   Random rng(11);
   double sum = 0;

@@ -35,7 +35,7 @@ TEST(VByteTest, SmallValuesAreOneByte) {
 TEST(UpperBoundFloatTest, NeverRoundsBelow) {
   Random rng(7);
   for (int i = 0; i < 10000; ++i) {
-    const double v = rng.NextDouble() * std::pow(10.0, rng.NextInRange(-12, 12));
+    const double v = rng.NextDouble() * std::pow(10.0, static_cast<int>(rng.NextBounded(25)) - 12);
     const float f = UpperBoundFloat(v);
     EXPECT_GE(static_cast<double>(f), v);
   }

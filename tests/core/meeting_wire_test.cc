@@ -215,6 +215,24 @@ TEST(MeetingWireTest, EstimatedModeReportsIdenticalMeasuredAndEstimatedBytes) {
   EXPECT_DOUBLE_EQ(outcome.estimated_wire_bytes, outcome.wire_bytes);
 }
 
+/// `sender`'s meeting blob after `fault`, as a receiving daemon gets it.
+std::vector<uint8_t> FaultedBlob(const JxpPeer& sender, const p2p::BlobFault& fault) {
+  std::vector<uint8_t> blob = sender.EncodeMeetingBytes();
+  fault.ApplyTo(blob);
+  return blob;
+}
+
+/// Scores stay a sub-distribution: non-negative, summing to 1 with the world
+/// score.
+void ExpectDistribution(const JxpPeer& peer) {
+  double total = peer.world_score();
+  for (double s : peer.local_scores()) {
+    EXPECT_GE(s, 0.0);
+    total += s;
+  }
+  EXPECT_NEAR(total, 1.0, 1e-6);
+}
+
 TEST(MeetingWireTest, DroppedMessageSuppressesOneSide) {
   const TwoPeerWorld world = MakeWorld(53);
   const JxpOptions options = WireOptions(MeetingWireMode::kMeasured);
@@ -222,15 +240,19 @@ TEST(MeetingWireTest, DroppedMessageSuppressesOneSide) {
   JxpPeer a(0, graph::Subgraph::Induce(world.graph, world.pages_a), n, options);
   JxpPeer b(1, graph::Subgraph::Induce(world.graph, world.pages_b), n, options);
 
-  p2p::MeetingFaultDecision faults;
-  faults.drop_to_initiator = true;
-  const MeetingOutcome outcome = JxpPeer::Meet(a, b, faults);
-  EXPECT_FALSE(outcome.applied_initiator);
-  EXPECT_TRUE(outcome.applied_partner);
+  p2p::BlobFault drop;
+  drop.kind = p2p::BlobFault::Kind::kDrop;
+  const std::vector<uint8_t> to_a = FaultedBlob(b, drop);
+  const std::vector<uint8_t> to_b = FaultedBlob(a, p2p::BlobFault{});
+  const RemoteMeetingApply applied_a = a.ApplyMeetingBytes(to_a);
+  const RemoteMeetingApply applied_b = b.ApplyMeetingBytes(to_b);
+  EXPECT_FALSE(applied_a.applied);
+  EXPECT_TRUE(applied_b.applied);
   EXPECT_EQ(a.num_meetings(), 0u);
   EXPECT_EQ(b.num_meetings(), 1u);
-  // The partner's whole message was wasted.
-  EXPECT_DOUBLE_EQ(outcome.wasted_bytes_partner, outcome.bytes_sent_partner);
+  // Nothing of the partner's message was used.
+  EXPECT_EQ(applied_a.bytes_consumed, 0u);
+  EXPECT_EQ(applied_b.bytes_consumed, to_b.size());
 }
 
 TEST(MeetingWireTest, BitCorruptionSalvagesPrefixOrDegeneratesToDrop) {
@@ -241,31 +263,28 @@ TEST(MeetingWireTest, BitCorruptionSalvagesPrefixOrDegeneratesToDrop) {
   for (const double offset : {0.0, 0.5, 0.95}) {
     JxpPeer a(0, graph::Subgraph::Induce(world.graph, world.pages_a), n, options);
     JxpPeer b(1, graph::Subgraph::Induce(world.graph, world.pages_b), n, options);
-    p2p::MeetingFaultDecision faults;
-    faults.corrupt_to_initiator = true;
-    faults.corrupt_offset_to_initiator = offset;
-    faults.corrupt_bit_to_initiator = 3;
-    const MeetingOutcome outcome = JxpPeer::Meet(a, b, faults);
+    const size_t sent = b.EncodeMeetingBytes().size();
+    p2p::BlobFault flip;
+    flip.kind = p2p::BlobFault::Kind::kCorrupt;
+    flip.bit = static_cast<uint64_t>(offset * static_cast<double>(sent)) * 8 + 3;
+    const std::vector<uint8_t> to_a = FaultedBlob(b, flip);
+    const std::vector<uint8_t> to_b = FaultedBlob(a, p2p::BlobFault{});
+    const RemoteMeetingApply applied_a = a.ApplyMeetingBytes(to_a);
+    b.ApplyMeetingBytes(to_b);
 
     // The damage is detected, never applied wholesale: either the initiator
     // salvaged a decodable prefix (some of the partner's bytes were wasted)
     // or nothing usable arrived (degenerate drop).
-    if (outcome.applied_initiator) {
-      EXPECT_GT(outcome.wasted_bytes_partner, 0.0) << "offset " << offset;
-      EXPECT_LT(outcome.wasted_bytes_partner, outcome.bytes_sent_partner);
+    EXPECT_TRUE(applied_a.salvaged) << "offset " << offset;
+    if (applied_a.applied) {
+      EXPECT_GT(applied_a.bytes_consumed, 0u) << "offset " << offset;
+      EXPECT_LT(applied_a.bytes_consumed, sent);
     } else {
-      EXPECT_DOUBLE_EQ(outcome.wasted_bytes_partner, outcome.bytes_sent_partner);
+      EXPECT_EQ(applied_a.bytes_consumed, 0u);
       EXPECT_EQ(a.num_meetings(), 0u);
     }
-    // Safety: scores stay a sub-distribution on both sides.
-    for (const JxpPeer* peer : {&a, &b}) {
-      double total = peer->world_score();
-      for (double s : peer->local_scores()) {
-        EXPECT_GE(s, 0.0);
-        total += s;
-      }
-      EXPECT_NEAR(total, 1.0, 1e-6);
-    }
+    ExpectDistribution(a);
+    ExpectDistribution(b);
   }
 }
 
@@ -301,30 +320,38 @@ TEST(MeetingWireTest, SimulationAccountsMeasuredAndEstimatedTraffic) {
 }
 
 TEST(MeetingWireTest, SimulationWithCorruptionFaultsStaysSafe) {
+  // Four peers meeting over faulted bytes, as daemons behind a chaos proxy.
   Random rng(73);
   const graph::Graph g = graph::BarabasiAlbert(200, 3, rng);
   std::vector<std::vector<graph::PageId>> fragments(4);
   for (graph::PageId p = 0; p < g.NumNodes(); ++p) fragments[p % 4].push_back(p);
-
-  SimulationConfig config;
-  config.jxp = WireOptions(MeetingWireMode::kMeasured);
-  config.seed = 9;
-  config.eval_top_k = 50;
-  config.faults.corruption_probability = 0.5;
-  config.faults.message_drop_probability = 0.1;
-  JxpSimulation sim(g, fragments, config);
-  sim.RunMeetings(40);
-
-  ASSERT_NE(sim.fault_stats(), nullptr);
-  EXPECT_GT(sim.fault_stats()->corruptions, 0u);
-  for (const JxpPeer& peer : sim.peers()) {
-    double total = peer.world_score();
-    for (double s : peer.local_scores()) {
-      EXPECT_GE(s, 0.0);
-      total += s;
-    }
-    EXPECT_NEAR(total, 1.0, 1e-6);
+  const JxpOptions options = WireOptions(MeetingWireMode::kMeasured);
+  std::vector<JxpPeer> peers;
+  for (p2p::PeerId p = 0; p < fragments.size(); ++p) {
+    peers.emplace_back(p, graph::Subgraph::Induce(g, fragments[p]), g.NumNodes(), options);
   }
+
+  p2p::FaultPlan plan;
+  plan.corruption_probability = 0.5;
+  plan.message_drop_probability = 0.1;
+  plan.seed = 9;
+  Random faults(plan.seed);
+  Random schedule(9);
+  size_t salvaged = 0;
+  for (int m = 0; m < 40; ++m) {
+    const size_t a = schedule.NextBounded(peers.size());
+    size_t b = schedule.NextBounded(peers.size() - 1);
+    if (b >= a) ++b;
+    std::vector<uint8_t> to_b = peers[a].EncodeMeetingBytes();
+    std::vector<uint8_t> to_a = peers[b].EncodeMeetingBytes();
+    plan.Draw(to_b.size(), faults).ApplyTo(to_b);
+    plan.Draw(to_a.size(), faults).ApplyTo(to_a);
+    salvaged += peers[a].ApplyMeetingBytes(to_a).salvaged;
+    salvaged += peers[b].ApplyMeetingBytes(to_b).salvaged;
+  }
+
+  EXPECT_GT(salvaged, 0u);
+  for (const JxpPeer& peer : peers) ExpectDistribution(peer);
 }
 
 }  // namespace

@@ -85,17 +85,6 @@ TEST(GraphTest, HasEdge) {
   EXPECT_FALSE(g.HasEdge(0, 1));
 }
 
-TEST(GraphTest, EdgesRoundTrip) {
-  GraphBuilder builder(3);
-  builder.AddEdge(2, 0);
-  builder.AddEdge(0, 1);
-  const Graph g = builder.Build();
-  const std::vector<Edge> edges = g.Edges();
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges[0], (Edge{0, 1}));
-  EXPECT_EQ(edges[1], (Edge{2, 0}));
-}
-
 }  // namespace
 }  // namespace graph
 }  // namespace jxp

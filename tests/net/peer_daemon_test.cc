@@ -315,7 +315,7 @@ TEST(PeerDaemonTest, ChaosCorruptionIsDetectedOnBothBlobsAndSalvaged) {
   ChaosProxyOptions proxy_options;
   proxy_options.target_port = b.daemon.bound_port();
   proxy_options.plan.corruption_probability = 1.0;
-  proxy_options.seed = 99;
+  proxy_options.plan.seed = 99;
   ChaosProxy proxy(proxy_options);
   ASSERT_TRUE(proxy.Start().ok());
 

@@ -13,7 +13,7 @@ TEST(NetworkTest, AddAndQueryPeers) {
   EXPECT_EQ(network.NumPeers(), 2u);
 }
 
-TEST(NetworkTest, RandomAlivePeerRespectsExclusionAndLiveness) {
+TEST(NetworkTest, RandomPeerRespectsExclusion) {
   Network network;
   for (int i = 0; i < 5; ++i) network.AddPeer();
   Random rng(1);

@@ -14,10 +14,8 @@ std::string FaultCase::Describe() const {
      << " meetings=" << num_meetings << " merge=" << (full_merge ? "full" : "light")
      << " drop=" << plan.message_drop_probability
      << " trunc=" << plan.truncation_probability << "@" << plan.truncation_keep_fraction
-     << " crash=" << plan.crash_probability
-     << " stale=" << plan.stale_resume_probability
-     << " unavail=" << plan.unavailable_probability << " retries=" << plan.max_retries
-     << " fault_seed=" << plan.seed;
+     << " corrupt=" << plan.corruption_probability << " crash=" << crash_probability
+     << " stale=" << stale_resume_probability << " fault_seed=" << plan.seed;
   return os.str();
 }
 
@@ -52,14 +50,14 @@ std::vector<FaultCase> FaultCase::Shrink() const {
   if (plan.truncation_probability > 0) {
     candidates.push_back(with([](FaultCase& c) { c.plan.truncation_probability = 0; }));
   }
-  if (plan.crash_probability > 0) {
-    candidates.push_back(with([](FaultCase& c) { c.plan.crash_probability = 0; }));
+  if (plan.corruption_probability > 0) {
+    candidates.push_back(with([](FaultCase& c) { c.plan.corruption_probability = 0; }));
   }
-  if (plan.stale_resume_probability > 0) {
-    candidates.push_back(with([](FaultCase& c) { c.plan.stale_resume_probability = 0; }));
+  if (crash_probability > 0) {
+    candidates.push_back(with([](FaultCase& c) { c.crash_probability = 0; }));
   }
-  if (plan.unavailable_probability > 0) {
-    candidates.push_back(with([](FaultCase& c) { c.plan.unavailable_probability = 0; }));
+  if (stale_resume_probability > 0) {
+    candidates.push_back(with([](FaultCase& c) { c.stale_resume_probability = 0; }));
   }
   return candidates;
 }
@@ -75,10 +73,9 @@ FaultCase GenerateFaultCase(uint64_t seed, const PlanLimits& limits) {
   c.plan.message_drop_probability = limits.max_drop * rng.NextDouble();
   c.plan.truncation_probability = limits.max_truncation * rng.NextDouble();
   c.plan.truncation_keep_fraction = 0.2 + 0.8 * rng.NextDouble();
-  c.plan.crash_probability = limits.max_crash * rng.NextDouble();
-  c.plan.stale_resume_probability = limits.max_stale_resume * rng.NextDouble();
-  c.plan.unavailable_probability = limits.max_unavailable * rng.NextDouble();
-  c.plan.max_retries = static_cast<int>(rng.NextBounded(4));  // 0..3
+  c.plan.corruption_probability = limits.max_corruption * rng.NextDouble();
+  c.crash_probability = limits.max_crash * rng.NextDouble();
+  c.stale_resume_probability = limits.max_stale_resume * rng.NextDouble();
   c.plan.seed = SplitMix64(seed ^ 0xfa0175ULL).Next();
   return c;
 }
@@ -120,11 +117,6 @@ std::string ChurnCase::Describe() const {
   os << "seed=" << seed << " nodes=" << num_nodes << " peers=" << num_peers
      << " events=" << num_events << " churn=" << churn_probability
      << " merge=" << (full_merge ? "full" : "light");
-  if (plan.Enabled()) {
-    os << " drop=" << plan.message_drop_probability
-       << " trunc=" << plan.truncation_probability
-       << " crash=" << plan.crash_probability << " fault_seed=" << plan.seed;
-  }
   return os.str();
 }
 
@@ -156,19 +148,10 @@ std::vector<ChurnCase> ChurnCase::Shrink() const {
   if (full_merge) {
     candidates.push_back(with([](ChurnCase& c) { c.full_merge = false; }));
   }
-  if (plan.message_drop_probability > 0) {
-    candidates.push_back(with([](ChurnCase& c) { c.plan.message_drop_probability = 0; }));
-  }
-  if (plan.truncation_probability > 0) {
-    candidates.push_back(with([](ChurnCase& c) { c.plan.truncation_probability = 0; }));
-  }
-  if (plan.crash_probability > 0) {
-    candidates.push_back(with([](ChurnCase& c) { c.plan.crash_probability = 0; }));
-  }
   return candidates;
 }
 
-ChurnCase GenerateChurnCase(uint64_t seed, const PlanLimits& limits) {
+ChurnCase GenerateChurnCase(uint64_t seed) {
   ChurnCase c;
   c.seed = seed;
   Random rng(seed ^ 0xc4125eedULL);
@@ -177,11 +160,6 @@ ChurnCase GenerateChurnCase(uint64_t seed, const PlanLimits& limits) {
   c.num_events = 24 + rng.NextBounded(73);   // 24..96
   c.churn_probability = 0.1 + 0.3 * rng.NextDouble();
   c.full_merge = rng.NextBool(0.25);
-  c.plan.message_drop_probability = limits.max_drop * rng.NextDouble();
-  c.plan.truncation_probability = limits.max_truncation * rng.NextDouble();
-  c.plan.truncation_keep_fraction = 0.2 + 0.8 * rng.NextDouble();
-  c.plan.crash_probability = limits.max_crash * rng.NextDouble();
-  c.plan.seed = SplitMix64(seed ^ 0xc412fa17ULL).Next();
   return c;
 }
 

@@ -19,12 +19,13 @@ namespace proptest {
 struct PlanLimits {
   double max_drop = 0;
   double max_truncation = 0;
+  double max_corruption = 0;
   double max_crash = 0;
   double max_stale_resume = 0;
-  double max_unavailable = 0;
 };
 
-/// One randomized test case: the world's size parameters plus a fault plan.
+/// One randomized test case: the world's size parameters, the byte faults
+/// of each meeting blob, and two faults of the peer processes themselves.
 /// Everything heavy (graph, fragments, schedules) is derived from `seed` as
 /// a pure function, so a case is reproducible from its parameters alone.
 struct FaultCase {
@@ -33,7 +34,14 @@ struct FaultCase {
   size_t num_peers = 3;
   size_t num_meetings = 80;
   bool full_merge = false;
+  /// Drop, truncation and corruption of each blob in transit.
   p2p::FaultPlan plan;
+  /// Per-side probability that a peer crashes after sending its blob and
+  /// before applying its partner's: it applies nothing.
+  double crash_probability = 0;
+  /// Per-side probability that a peer enters the meeting just restarted
+  /// from its last checkpoint.
+  double stale_resume_probability = 0;
 
   std::string Describe() const;
 
@@ -81,9 +89,7 @@ struct ChurnEvent {
 /// add/remove/edit events over a fixed global graph (churn re-partitions the
 /// graph, so centralized PageRank — the oracle — is unchanged by it).
 /// Everything heavy is a pure function of the parameters below; see
-/// FaultCase for the reproducibility contract. The fault plan defaults to
-/// clean and exists so the fault suite can combine churn with message
-/// faults.
+/// FaultCase for the reproducibility contract.
 struct ChurnCase {
   uint64_t seed = 0;
   size_t num_nodes = 40;
@@ -92,19 +98,17 @@ struct ChurnCase {
   /// Probability that an event is a fragment change instead of a meeting.
   double churn_probability = 0.2;
   bool full_merge = false;
-  p2p::FaultPlan plan;
 
   std::string Describe() const;
 
-  /// Shrink candidates: halved sizes, churn disabled, light-weight merge,
-  /// individually-disabled faults — each keeping the same seed.
+  /// Shrink candidates: halved sizes, churn disabled, light-weight merge —
+  /// each keeping the same seed.
   std::vector<ChurnCase> Shrink() const;
 };
 
-/// Draws a random churn case under `limits` (faults off with the default
-/// limits): 16-56 nodes, 2-5 peers, 24-96 events, churn probability in
-/// [0.1, 0.4].
-ChurnCase GenerateChurnCase(uint64_t seed, const PlanLimits& limits = PlanLimits());
+/// Draws a random churn case: 16-56 nodes, 2-5 peers, 24-96 events, churn
+/// probability in [0.1, 0.4].
+ChurnCase GenerateChurnCase(uint64_t seed);
 
 /// The case's world; same construction as the FaultCase overload.
 GeneratedWorld BuildWorld(const ChurnCase& c);

@@ -111,7 +111,7 @@ TEST(ProptestHarness, GeneratorIsDeterministic) {
   PlanLimits limits;
   limits.max_drop = 0.3;
   limits.max_crash = 0.2;
-  limits.max_unavailable = 0.4;
+  limits.max_corruption = 0.4;
   const FaultCase a = GenerateFaultCase(1234, limits);
   const FaultCase b = GenerateFaultCase(1234, limits);
   EXPECT_EQ(a.Describe(), b.Describe());
@@ -132,7 +132,11 @@ TEST(ProptestHarness, GeneratorRespectsLimits) {
   PlanLimits limits;  // All-zero: every fault disabled.
   for (uint64_t s = 0; s < 50; ++s) {
     const FaultCase c = GenerateFaultCase(CaseSeed(7, s), limits);
-    EXPECT_FALSE(c.plan.Enabled()) << c.Describe();
+    EXPECT_EQ(c.plan.message_drop_probability, 0.0) << c.Describe();
+    EXPECT_EQ(c.plan.truncation_probability, 0.0);
+    EXPECT_EQ(c.plan.corruption_probability, 0.0);
+    EXPECT_EQ(c.crash_probability, 0.0);
+    EXPECT_EQ(c.stale_resume_probability, 0.0);
     EXPECT_GE(c.num_nodes, 16u);
     EXPECT_LE(c.num_nodes, 56u);
     EXPECT_GE(c.num_peers, 2u);
@@ -148,7 +152,7 @@ TEST(ProptestHarness, ShrinkCandidatesAreSmallerOrFaultFree) {
   limits.max_truncation = 0.5;
   limits.max_crash = 0.3;
   limits.max_stale_resume = 0.3;
-  limits.max_unavailable = 0.5;
+  limits.max_corruption = 0.5;
   const FaultCase c = GenerateFaultCase(99, limits);
   for (const FaultCase& s : c.Shrink()) {
     EXPECT_EQ(s.seed, c.seed);
@@ -158,9 +162,9 @@ TEST(ProptestHarness, ShrinkCandidatesAreSmallerOrFaultFree) {
     const bool fault_removed =
         (c.plan.message_drop_probability > 0 && s.plan.message_drop_probability == 0) ||
         (c.plan.truncation_probability > 0 && s.plan.truncation_probability == 0) ||
-        (c.plan.crash_probability > 0 && s.plan.crash_probability == 0) ||
-        (c.plan.stale_resume_probability > 0 && s.plan.stale_resume_probability == 0) ||
-        (c.plan.unavailable_probability > 0 && s.plan.unavailable_probability == 0);
+        (c.plan.corruption_probability > 0 && s.plan.corruption_probability == 0) ||
+        (c.crash_probability > 0 && s.crash_probability == 0) ||
+        (c.stale_resume_probability > 0 && s.stale_resume_probability == 0);
     EXPECT_TRUE(smaller || fault_removed) << s.Describe();
   }
 }

@@ -18,15 +18,15 @@ std::vector<PostingIn> MakePostings(size_t count, uint64_t seed, uint32_t max_ga
   Random rng(seed);
   std::vector<PostingIn> postings;
   postings.reserve(count);
-  uint32_t docid = static_cast<uint32_t>(rng.NextInRange(0, 3));
+  uint32_t docid = static_cast<uint32_t>(rng.NextBounded(4));
   for (size_t i = 0; i < count; ++i) {
     PostingIn p;
     p.docid = docid;
-    p.tf = static_cast<uint32_t>(rng.NextInRange(1, 9));
+    p.tf = 1 + static_cast<uint32_t>(rng.NextBounded(9));
     p.impact = (1.0 + std::log(static_cast<double>(p.tf))) * 2.3;
     p.prior = rng.NextDouble() * 1e-3;
     postings.push_back(p);
-    docid += static_cast<uint32_t>(rng.NextInRange(1, static_cast<int>(max_gap)));
+    docid += 1 + static_cast<uint32_t>(rng.NextBounded(max_gap));
   }
   return postings;
 }
@@ -78,7 +78,7 @@ TEST(BlockPostingListTest, NextGEQMatchesLinearScan) {
   Random rng(13);
   for (int trial = 0; trial < 200; ++trial) {
     const uint32_t target = static_cast<uint32_t>(
-        rng.NextInRange(0, static_cast<int>(postings.back().docid) + 100));
+        rng.NextBounded(postings.back().docid + 101));
     BlockPostingList::Cursor cursor = list.OpenCursor(nullptr);
     const bool found = cursor.NextGEQ(target);
     const auto it = std::lower_bound(
@@ -105,11 +105,11 @@ TEST(BlockPostingListTest, ForwardSeekSequenceIsConsistent) {
   cursor.Next();
   while (pos < postings.size()) {
     ASSERT_EQ(cursor.docid(), postings[pos].docid);
-    if (rng.NextInRange(0, 1) == 0) {
+    if (rng.NextBounded(2) == 0) {
       cursor.Next();
       ++pos;
     } else {
-      const size_t jump = pos + static_cast<size_t>(rng.NextInRange(1, 120));
+      const size_t jump = pos + 1 + static_cast<size_t>(rng.NextBounded(120));
       if (jump >= postings.size()) break;
       const uint32_t target = postings[jump].docid;
       ASSERT_TRUE(cursor.NextGEQ(target));
@@ -138,7 +138,7 @@ TEST(BlockPostingListTest, SeekBlockReportsTrueUpperBounds) {
   Random rng(18);
   for (int trial = 0; trial < 100; ++trial) {
     const uint32_t target = static_cast<uint32_t>(
-        rng.NextInRange(0, static_cast<int>(postings.back().docid)));
+        rng.NextBounded(postings.back().docid + 1));
     DecodeStats stats;
     BlockPostingList::Cursor cursor = list.OpenCursor(&stats);
     float max_impact = -1;

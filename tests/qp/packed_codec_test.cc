@@ -19,15 +19,15 @@ std::vector<PostingIn> MakePostings(size_t count, uint64_t seed, uint32_t max_ga
   Random rng(seed);
   std::vector<PostingIn> postings;
   postings.reserve(count);
-  uint32_t docid = static_cast<uint32_t>(rng.NextInRange(0, 3));
+  uint32_t docid = static_cast<uint32_t>(rng.NextBounded(4));
   for (size_t i = 0; i < count; ++i) {
     PostingIn p;
     p.docid = docid;
-    p.tf = static_cast<uint32_t>(rng.NextInRange(1, 9));
+    p.tf = 1 + static_cast<uint32_t>(rng.NextBounded(9));
     p.impact = (1.0 + std::log(static_cast<double>(p.tf))) * 2.3;
     p.prior = rng.NextDouble() * 1e-3;
     postings.push_back(p);
-    docid += static_cast<uint32_t>(rng.NextInRange(1, static_cast<int>(max_gap)));
+    docid += 1 + static_cast<uint32_t>(rng.NextBounded(max_gap));
   }
   return postings;
 }
@@ -123,9 +123,9 @@ TEST(PackedCodecTest, CursorParityWithVByteAcrossSeeks) {
     while (pos < postings.size()) {
       ASSERT_EQ(cursor.docid(), postings[pos].docid);
       ASSERT_EQ(cursor.freq(), postings[pos].tf);
-      if (rng.NextInRange(0, 3) == 0) {
+      if (rng.NextBounded(4) == 0) {
         const uint32_t target =
-            cursor.docid() + static_cast<uint32_t>(rng.NextInRange(1, 900));
+            cursor.docid() + 1 + static_cast<uint32_t>(rng.NextBounded(900));
         const auto it = std::lower_bound(
             postings.begin() + static_cast<ptrdiff_t>(pos), postings.end(), target,
             [](const PostingIn& p, uint32_t t) { return p.docid < t; });
