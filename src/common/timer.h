@@ -38,34 +38,10 @@ inline uint64_t MonotonicNanos() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-/// Process-CPU-time stopwatch; used for Table 1 (merge CPU cost), matching
-/// the paper's "CPU time (in milliseconds)" measurement.
-class CpuTimer {
- public:
-  CpuTimer() : start_(Now()) {}
-
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Now(); }
-
-  /// Elapsed CPU time in seconds.
-  double ElapsedSeconds() const { return Now() - start_; }
-
-  /// Elapsed CPU time in milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
- private:
-  static double Now() {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-
-  double start_;
-};
-
-/// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID); used by trace
-/// spans, where the process-wide clock would charge one span for work other
-/// threads did concurrently.
+/// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID); times trace
+/// spans and the meeting path, including Table 1's merge CPU cost (the
+/// paper's "CPU time (in milliseconds)"), where the process-wide clock would
+/// charge work other threads did concurrently.
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(Now()) {}

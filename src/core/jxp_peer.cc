@@ -35,8 +35,9 @@ struct MeetingMetrics {
       obs::MetricsRegistry::Global().GetHistogram("jxp.merge.pr_iterations");
   obs::Histogram world_update_ms =
       obs::MetricsRegistry::Global().GetHistogram("jxp.merge.world_update_ms");
-  /// Measured-wire-mode observables: per-message encoded size, analytic /
-  /// measured compression ratio (both deterministic), and codec CPU.
+  /// Codec observables, one sample per message wherever the codec runs:
+  /// encoded size, analytic / measured compression ratio (both
+  /// deterministic), and codec CPU.
   obs::Histogram wire_message_bytes =
       obs::MetricsRegistry::Global().GetHistogram("jxp.wire.message_bytes");
   obs::Histogram wire_compression_ratio =
@@ -121,21 +122,43 @@ double JxpPeer::ScoreOfGlobal(graph::PageId page) const {
 }
 
 std::vector<uint8_t> JxpPeer::EncodeMeetingBytes() const {
+  std::optional<ThreadCpuTimer> timer;
+  if (obs::Enabled()) timer.emplace();
+  std::vector<uint8_t> bytes;
   if (options_.attack.type == AttackOptions::Type::kNone) {
     // An honest peer's message is its own state, encoded in place.
-    return EncodeMeetingMessage(fragment_, scores_, world_);
+    bytes = EncodeMeetingMessage(fragment_, scores_, world_);
+  } else {
+    const PeerView view = MakeView();
+    bytes = EncodeMeetingMessage(*view.fragment, view.scores, view.world);
   }
-  const PeerView view = MakeView();
-  return EncodeMeetingMessage(*view.fragment, view.scores, view.world);
+  if (timer.has_value()) {
+    MeetingMetrics& metrics = GetMeetingMetrics();
+    metrics.wire_encode_ms.Observe(timer->ElapsedMillis());
+    const double size = static_cast<double>(bytes.size());
+    metrics.wire_message_bytes.Observe(size);
+    metrics.wire_compression_ratio.Observe(MessageWireBytes() / size);
+  }
+  return bytes;
 }
 
 RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
   RemoteMeetingApply result;
+  std::optional<ThreadCpuTimer> timer;
+  if (obs::Enabled()) timer.emplace();
   DecodedMeetingMessage decoded = DecodeMeetingMessage(bytes);
+  if (timer.has_value()) {
+    GetMeetingMetrics().wire_decode_ms.Observe(timer->ElapsedMillis());
+  }
   result.bytes_consumed = decoded.bytes_consumed;
   result.salvaged = !decoded.error.ok();
   if (decoded.fragment == nullptr) return result;  // Degenerates to a drop.
-  result.cpu_millis = ProcessMeeting(DecodedView(std::move(decoded)));
+  PeerView view;
+  view.owned_fragment = std::move(decoded.fragment);
+  view.fragment = view.owned_fragment.get();
+  view.scores = std::move(decoded.scores);
+  view.world = std::move(decoded.world);
+  ProcessMeeting(view);
   result.pr_iterations = last_pr_iterations_;
   result.applied = true;
   return result;
@@ -158,78 +181,40 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner) {
   MeetingOutcome outcome;
   outcome.estimated_bytes_initiator = initiator.MessageWireBytes();
   outcome.estimated_bytes_partner = partner.MessageWireBytes();
-  PeerView to_initiator;
-  PeerView to_partner;
   if (measured) {
-    // From here on the bytes *are* the message.
-    std::optional<ThreadCpuTimer> encode_timer;
-    if (obs::Enabled()) encode_timer.emplace();
+    // The daemons' exchange: from here on the bytes *are* the message.
     const std::vector<uint8_t> initiator_bytes = initiator.EncodeMeetingBytes();
     const std::vector<uint8_t> partner_bytes = partner.EncodeMeetingBytes();
-    if (encode_timer.has_value()) {
-      GetMeetingMetrics().wire_encode_ms.Observe(encode_timer->ElapsedMillis());
-    }
     outcome.bytes_sent_initiator = static_cast<double>(initiator_bytes.size());
     outcome.bytes_sent_partner = static_cast<double>(partner_bytes.size());
-    std::optional<ThreadCpuTimer> decode_timer;
-    if (obs::Enabled()) decode_timer.emplace();
-    to_initiator = DecodedView(DecodeMeetingMessage(partner_bytes));
-    to_partner = DecodedView(DecodeMeetingMessage(initiator_bytes));
-    JXP_CHECK(to_initiator.fragment != nullptr && to_partner.fragment != nullptr)
-        << "a freshly encoded meeting message must decode";
-    if (decode_timer.has_value()) {
-      GetMeetingMetrics().wire_decode_ms.Observe(decode_timer->ElapsedMillis());
-    }
+    const RemoteMeetingApply initiator_side =
+        initiator.ApplyMeetingBytes(partner_bytes);
+    const RemoteMeetingApply partner_side = partner.ApplyMeetingBytes(initiator_bytes);
+    JXP_CHECK(initiator_side.applied && !initiator_side.salvaged &&
+              partner_side.applied && !partner_side.salvaged)
+        << "a freshly encoded meeting message must apply whole";
   } else {
     outcome.bytes_sent_initiator = outcome.estimated_bytes_initiator;
     outcome.bytes_sent_partner = outcome.estimated_bytes_partner;
-    to_initiator = partner.MakeView();
-    to_partner = initiator.MakeView();
+    const PeerView to_initiator = partner.MakeView();
+    const PeerView to_partner = initiator.MakeView();
+    initiator.ProcessMeeting(to_initiator);
+    partner.ProcessMeeting(to_partner);
   }
   outcome.wire_bytes = outcome.bytes_sent_initiator + outcome.bytes_sent_partner;
   outcome.estimated_wire_bytes =
       outcome.estimated_bytes_initiator + outcome.estimated_bytes_partner;
 
-  outcome.cpu_millis_initiator = initiator.ProcessMeeting(to_initiator);
-  outcome.pr_iterations_initiator = initiator.last_pr_iterations_;
-  outcome.cpu_millis_partner = partner.ProcessMeeting(to_partner);
-  outcome.pr_iterations_partner = partner.last_pr_iterations_;
-
   if (obs::Enabled()) {
     MeetingMetrics& metrics = GetMeetingMetrics();
     metrics.meetings.Increment();
     metrics.wire_bytes.Observe(outcome.wire_bytes);
-    if (measured) {
-      metrics.wire_message_bytes.Observe(outcome.bytes_sent_initiator);
-      metrics.wire_message_bytes.Observe(outcome.bytes_sent_partner);
-      if (outcome.bytes_sent_initiator > 0) {
-        metrics.wire_compression_ratio.Observe(outcome.estimated_bytes_initiator /
-                                               outcome.bytes_sent_initiator);
-      }
-      if (outcome.bytes_sent_partner > 0) {
-        metrics.wire_compression_ratio.Observe(outcome.estimated_bytes_partner /
-                                               outcome.bytes_sent_partner);
-      }
-    }
   }
   if (span.active()) {
     span.AddAttr("wire_bytes", outcome.wire_bytes);
     if (measured) span.AddAttr("estimated_wire_bytes", outcome.estimated_wire_bytes);
-    span.AddAttr("cpu_ms_initiator", outcome.cpu_millis_initiator);
-    span.AddAttr("cpu_ms_partner", outcome.cpu_millis_partner);
-    span.AddAttr("pr_iterations",
-                 outcome.pr_iterations_initiator + outcome.pr_iterations_partner);
   }
   return outcome;
-}
-
-JxpPeer::PeerView JxpPeer::DecodedView(DecodedMeetingMessage decoded) {
-  PeerView view;
-  view.owned_fragment = std::move(decoded.fragment);
-  view.fragment = view.owned_fragment.get();
-  view.scores = std::move(decoded.scores);
-  view.world = std::move(decoded.world);
-  return view;
 }
 
 JxpPeer::PeerView JxpPeer::MakeView() const {
@@ -286,13 +271,13 @@ bool JxpPeer::ShouldRejectMessage(const PeerView& partner) const {
   return median > std::log(options_.defense.max_overlap_divergence);
 }
 
-double JxpPeer::ProcessMeeting(const PeerView& partner) {
+void JxpPeer::ProcessMeeting(const PeerView& partner) {
   obs::TraceSpan span("jxp.process_meeting");
   span.AddAttr("peer", id_);
   span.AddAttr("merge_mode",
                options_.merge_mode == MergeMode::kLightWeight ? "light_weight"
                                                               : "full_merge");
-  CpuTimer timer;
+  ThreadCpuTimer timer;
   if (ShouldRejectMessage(partner)) {
     ++num_meetings_;
     ++rejected_meetings_;
@@ -300,7 +285,7 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
     world_score_history_.push_back(world_score_);
     if (obs::Enabled()) GetMeetingMetrics().merges_rejected.Increment();
     span.AddAttr("rejected", true);
-    return meeting_cpu_millis_.back();
+    return;
   }
   if (options_.merge_mode == MergeMode::kLightWeight) {
     ProcessLightWeight(partner);
@@ -322,7 +307,6 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
     span.AddAttr("pr_iterations", last_pr_iterations_);
     span.AddAttr("cpu_ms", millis);
   }
-  return millis;
 }
 
 void JxpPeer::CombineLocalScore(graph::Subgraph::LocalIndex i, double reported) {

@@ -16,8 +16,6 @@
 namespace jxp {
 namespace core {
 
-struct DecodedMeetingMessage;
-
 /// Measurements of one peer meeting.
 struct MeetingOutcome {
   /// Total bytes moved over the wire (both directions). Under
@@ -34,12 +32,6 @@ struct MeetingOutcome {
   double estimated_bytes_initiator = 0;
   double estimated_bytes_partner = 0;
   double estimated_wire_bytes = 0;
-  /// CPU milliseconds each side spent on its merge + local PR.
-  double cpu_millis_initiator = 0;
-  double cpu_millis_partner = 0;
-  /// Power iterations each side's PageRank run needed.
-  int pr_iterations_initiator = 0;
-  int pr_iterations_partner = 0;
 };
 
 /// Outcome of applying a remotely-received meeting message (the networked
@@ -55,7 +47,7 @@ struct RemoteMeetingApply {
   bool salvaged = false;
   /// Bytes of fully-decoded frames (wasted = received - consumed).
   size_t bytes_consumed = 0;
-  double cpu_millis = 0;
+  /// Power iterations this peer's PageRank run needed.
   int pr_iterations = 0;
 };
 
@@ -95,24 +87,26 @@ class JxpPeer {
   /// both peers must share them.
   ///
   /// Only the delivery of each direction's message depends on the wire
-  /// mode: under kEstimated the receiver gets a copy of the sender's state,
-  /// under kMeasured the bytes of EncodeMeetingBytes, decoded as
-  /// ApplyMeetingBytes decodes them. Meet never faults a delivery: byte
-  /// faults (p2p::FaultPlan) act between EncodeMeetingBytes and
-  /// ApplyMeetingBytes, on a daemon's socket or in a test's meeting loop.
+  /// mode: under kEstimated the receiver gets a copy of the sender's state;
+  /// under kMeasured the meeting is the daemons' exchange, both sides'
+  /// EncodeMeetingBytes and then each side's ApplyMeetingBytes of the
+  /// other's bytes. Meet never faults a delivery: byte faults
+  /// (p2p::FaultPlan) act between EncodeMeetingBytes and ApplyMeetingBytes,
+  /// on a daemon's socket or in a test's meeting loop.
   static MeetingOutcome Meet(JxpPeer& initiator, JxpPeer& partner);
 
-  /// Serializes this peer's meeting message exactly as the in-process
-  /// kMeasured meeting does (same codec), so a networked exchange of these
-  /// bytes is bit-identical to Meet().
+  /// Serializes this peer's meeting message; the kMeasured Meet() sends
+  /// these bytes, so a networked exchange of them is bit-identical to it.
   /// Snapshot semantics: callers exchanging messages must encode BOTH sides
   /// before applying either (the meeting is a simultaneous exchange).
+  /// Records the message's jxp.wire.{encode_ms,message_bytes,
+  /// compression_ratio} samples.
   std::vector<uint8_t> EncodeMeetingBytes() const;
 
   /// Applies a meeting message received as raw bytes: runs the
   /// fault-tolerant decode salvage, then this peer's half of the meeting
-  /// (merge + local PageRank). Mirrors one side of a kMeasured Meet(), so a
-  /// daemon pair doing Encode/exchange/Apply matches Meet() exactly.
+  /// (merge + local PageRank). One side of a kMeasured Meet(). Records the
+  /// decode's jxp.wire.decode_ms sample.
   RemoteMeetingApply ApplyMeetingBytes(std::span<const uint8_t> bytes);
 
   /// The peer's network id.
@@ -140,8 +134,8 @@ class JxpPeer {
   /// Number of meetings this peer has taken part in.
   size_t num_meetings() const { return num_meetings_; }
 
-  /// CPU milliseconds of each merge procedure this peer performed, in
-  /// meeting order (Table 1 reports the per-peer average).
+  /// CPU milliseconds (the calling thread's) of each merge procedure this
+  /// peer performed, in meeting order (Table 1 reports the per-peer average).
   const std::vector<double>& meeting_cpu_millis() const { return meeting_cpu_millis_; }
 
   /// Number of meetings whose incoming message this peer rejected as
@@ -176,8 +170,8 @@ class JxpPeer {
     const graph::Subgraph* fragment = nullptr;
     std::vector<double> scores;  // By the fragment's local index.
     WorldNode world;
-    /// Storage backing `fragment` for wire-decoded views; the estimated
-    /// path points `fragment` at the sender's own fragment instead.
+    /// Storage backing `fragment` for wire-decoded views; MakeView points
+    /// `fragment` at the sender's own fragment instead.
     std::shared_ptr<const graph::Subgraph> owned_fragment;
   };
 
@@ -186,13 +180,8 @@ class JxpPeer {
   /// a cheating peer.
   PeerView MakeView() const;
 
-  /// The view a receiver applies from a decoded message (its fragment is
-  /// null when nothing decoded).
-  static PeerView DecodedView(DecodedMeetingMessage decoded);
-
   /// One side of a meeting: absorb the partner's message, recompute.
-  /// Returns CPU milliseconds spent.
-  double ProcessMeeting(const PeerView& partner);
+  void ProcessMeeting(const PeerView& partner);
 
   /// Defense gate: true when the partner's message should be discarded as
   /// implausible (DefenseOptions).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <fstream>
@@ -15,6 +16,10 @@ namespace core {
 namespace {
 
 constexpr char kMagic[] = "JXPSTATE v1";
+
+/// How far the local scores plus the world score may sum from 1; a solve
+/// leaves them within a few ulps of it.
+constexpr double kMassTolerance = 1e-9;
 
 uint64_t ChecksumOf(const std::string& body) {
   return HashString(body);
@@ -162,27 +167,28 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
       }
     }
     if (count == 0) return Status::Corruption(path + ": world entry without targets");
-    // Validate before WorldNode::Append/Observe: their invariants are
-    // JXP_CHECKs, and a tampered file must surface as Corruption, not a
-    // process abort.
+    // Validate before WorldNode::Append: its invariants are JXP_CHECKs, and
+    // a tampered file must surface as Corruption, not a process abort.
     if (out_degree == 0) {
       return Status::Corruption(path + ": world entry with zero out-degree");
     }
     if (!(score >= 0)) {
       return Status::Corruption(path + ": negative world entry score");
     }
-    // A canonical file lists entries in page order with sorted targets and
-    // loads in one pass; anything else (a file written before the world
-    // node was page-sorted, or a repeated page) folds in one observation
-    // at a time.
+    // SavePeerState writes the world node's own layout: entries in strictly
+    // ascending page order, each with strictly ascending targets.
     const std::vector<graph::PageId>& known = world.columns().pages;
-    if ((known.empty() || known.back() < page) && targets.size() <= out_degree &&
-        std::adjacent_find(targets.begin(), targets.end(), std::greater_equal<>()) ==
-            targets.end()) {
-      world.Append(page, out_degree, score, targets);
-    } else {
-      world.Observe(page, out_degree, score, targets, options.combine_mode);
+    if (!known.empty() && known.back() >= page) {
+      return Status::Corruption(path + ": world entries out of page order");
     }
+    if (targets.size() > out_degree) {
+      return Status::Corruption(path + ": more world targets than out-degree");
+    }
+    if (std::adjacent_find(targets.begin(), targets.end(), std::greater_equal<>()) !=
+        targets.end()) {
+      return Status::Corruption(path + ": world targets out of order");
+    }
+    world.Append(page, out_degree, score, targets);
   }
   size_t num_dangling = 0;
   if (!(parse >> keyword >> num_dangling) || keyword != "dangling") {
@@ -198,11 +204,10 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
       return Status::Corruption(path + ": negative dangling score");
     }
     const std::vector<graph::PageId>& known = world.columns().dangling_pages;
-    if (known.empty() || known.back() < page) {
-      world.AppendDangling(page, score);
-    } else {
-      world.ObserveDangling(page, score, options.combine_mode);
+    if (!known.empty() && known.back() >= page) {
+      return Status::Corruption(path + ": dangling pages out of order");
     }
+    world.AppendDangling(page, score);
   }
 
   if (num_pages == 0) return Status::Corruption(path + ": peer without pages");
@@ -216,12 +221,19 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
   if (!(world_score > 0) || world_score >= 1 || global_size < num_pages) {
     return Status::Corruption(path + ": implausible scalar state");
   }
+  double mass = world_score;
   for (double s : scores) {
     // JXP scores live in (0, 1): they are entries of a (sub-)stochastic
     // distribution and the restore constructor assumes a positive score sum.
     if (!(s > 0) || s >= 1) {
       return Status::Corruption(path + ": implausible local score");
     }
+    mass += s;
+  }
+  // With the world score they form the last solve's distribution, and no
+  // solve runs after a load to repair a file whose mass is off.
+  if (!(std::abs(mass - 1.0) <= kMassTolerance)) {
+    return Status::Corruption(path + ": score mass differs from 1");
   }
   return JxpPeer(peer_id, std::move(fragment), global_size, options, std::move(scores),
                  std::move(world), world_score);

@@ -17,7 +17,8 @@ namespace core {
 /// Format: a line-based text file with a version header and a trailing
 /// FNV-1a checksum over everything before it. Loading verifies the
 /// checksum and every structural invariant, returning Corruption on any
-/// mismatch.
+/// mismatch: the world node must be in the page-sorted layout SavePeerState
+/// writes, and the local scores plus the world score must sum to 1.
 
 /// Writes `peer`'s state to `path` (atomically: temp file + rename).
 Status SavePeerState(const JxpPeer& peer, const std::string& path);

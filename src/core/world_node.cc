@@ -177,29 +177,6 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode) {
   if (conflicts > 0 && obs::Enabled()) OutDegreeConflicts().Increment(conflicts);
 }
 
-void WorldNode::Observe(graph::PageId page, uint32_t out_degree, double score,
-                        std::span<const graph::PageId> targets, CombineMode mode) {
-  JXP_CHECK_GT(out_degree, 0u) << "external in-linking page must have out-links";
-  std::vector<graph::PageId> sorted(targets.begin(), targets.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  // A report whose own target list outgrows its out-degree resolves like a
-  // conflict between two reports.
-  if (sorted.size() > out_degree) {
-    out_degree = static_cast<uint32_t>(sorted.size());
-    if (obs::Enabled()) OutDegreeConflicts().Increment();
-  }
-  WorldNode batch;
-  batch.Append(page, out_degree, score, sorted);
-  Merge(std::move(batch), mode);
-}
-
-void WorldNode::ObserveDangling(graph::PageId page, double score, CombineMode mode) {
-  WorldNode batch;
-  batch.AppendDangling(page, score);
-  Merge(std::move(batch), mode);
-}
-
 void WorldNode::ScaleScores(double factor) {
   JXP_CHECK_GE(factor, 0.0);
   for (double& score : columns_.scores) score *= factor;

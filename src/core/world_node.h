@@ -85,14 +85,6 @@ class WorldNode {
   /// jxp.world.out_degree_conflicts.
   void Merge(WorldNode batch, CombineMode mode);
 
-  /// One observation of an external page: Merge of a one-entry batch.
-  /// `targets` may be in any order.
-  void Observe(graph::PageId page, uint32_t out_degree, double score,
-               std::span<const graph::PageId> targets, CombineMode mode);
-
-  /// One observation of an external dangling page; same semantics.
-  void ObserveDangling(graph::PageId page, double score, CombineMode mode);
-
   /// Removes the entries and dangling records of the pages satisfying
   /// `erase` (pages that became local, or that a merged graph now holds).
   template <typename Predicate>

@@ -5,8 +5,6 @@
 namespace jxp {
 namespace obs {
 
-#if JXP_OBS_ENABLED
-
 namespace {
 std::atomic<bool> g_enabled{true};
 }  // namespace
@@ -14,8 +12,6 @@ std::atomic<bool> g_enabled{true};
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void SetEnabled(bool enabled) { g_enabled.store(enabled, std::memory_order_relaxed); }
-
-#endif  // JXP_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace jxp

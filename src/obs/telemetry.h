@@ -1,28 +1,15 @@
 #ifndef JXP_OBS_TELEMETRY_H_
 #define JXP_OBS_TELEMETRY_H_
 
-/// Master compile-time switch of the observability layer. Default-on; build
-/// with -DJXP_OBS_ENABLED=0 to compile every metric increment, histogram
-/// observation, and trace span down to nothing (the instrumentation calls
-/// stay in the source, the optimizer removes their bodies).
-#ifndef JXP_OBS_ENABLED
-#define JXP_OBS_ENABLED 1
-#endif
-
 namespace jxp {
 namespace obs {
 
-#if JXP_OBS_ENABLED
-/// Runtime switch, default-on. When off, every instrumentation call
-/// reduces to one relaxed atomic load. Telemetry never feeds back into the
-/// algorithms, so results are bit-identical with telemetry on or off (see
-/// tests/obs/telemetry_integration_test.cc).
+/// Runtime switch of the observability layer, default-on. When off, every
+/// instrumentation call reduces to one relaxed atomic load. Telemetry never
+/// feeds back into the algorithms, so results are bit-identical with
+/// telemetry on or off (see tests/obs/telemetry_integration_test.cc).
 bool Enabled();
 void SetEnabled(bool enabled);
-#else
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#endif
 
 /// RAII toggle, mainly for tests.
 class ScopedEnable {

@@ -26,14 +26,6 @@ TEST(WallTimerTest, ResetRestarts) {
   EXPECT_LT(timer.ElapsedSeconds(), before + 1e-3);
 }
 
-TEST(CpuTimerTest, MeasuresCpuWork) {
-  CpuTimer timer;
-  volatile double sink = 0;
-  for (int i = 0; i < 5000000; ++i) sink += static_cast<double>(i) * 1e-9;
-  EXPECT_GT(timer.ElapsedSeconds(), 0.0);
-  EXPECT_GE(timer.ElapsedMillis(), 0.0);
-}
-
 TEST(ThreadCpuTimerTest, MeasuresCallingThreadCpu) {
   ThreadCpuTimer timer;
   volatile double sink = 0;
@@ -47,8 +39,8 @@ TEST(ThreadCpuTimerTest, MeasuresCallingThreadCpu) {
   EXPECT_LT(timer.ElapsedMillis(), 15.0);
 }
 
-TEST(CpuTimerTest, MonotoneNonDecreasing) {
-  CpuTimer timer;
+TEST(ThreadCpuTimerTest, MonotoneNonDecreasing) {
+  ThreadCpuTimer timer;
   double last = 0;
   for (int round = 0; round < 5; ++round) {
     volatile double sink = 0;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "graph/graph.h"
 #include "graph/subgraph.h"
 #include "markov/power_iteration.h"
+#include "testing/world_folds.h"
 
 namespace jxp {
 namespace core {
@@ -32,8 +34,8 @@ void ExpectSystemsIdentical(const ExtendedGraphSystem& a, const ExtendedGraphSys
   EXPECT_EQ(a.world_row_clamped, b.world_row_clamped);
 }
 
-/// Deterministic per-page out-degree for Observe calls (WorldNode rejects
-/// conflicting out-degree reports for one page).
+/// Deterministic per-page out-degree, so that repeated reports of one page
+/// agree on it.
 uint32_t OutDegreeOf(graph::PageId page) { return 5 + page % 7; }
 
 /// A random global graph, a random fragment of it, and a world node with
@@ -70,19 +72,18 @@ struct RandomCase {
            rng.SampleWithoutReplacement(fragment.NumLocalPages(), num_targets)) {
         targets.push_back(fragment.GlobalId(static_cast<uint32_t>(idx)));
       }
-      // Out-degree is a function of the page id: repeated observations of
-      // one page must agree on it (WorldNode checks consistency).
-      world.Observe(page, OutDegreeOf(page), rng.NextDouble() * 0.02, targets,
-                    CombineMode::kTakeMax);
+      std::sort(targets.begin(), targets.end());
+      FoldEntry(world, page, OutDegreeOf(page), rng.NextDouble() * 0.02, targets,
+                CombineMode::kTakeMax);
     }
     for (size_t d = 0; d < 3; ++d) {
       const graph::PageId page = static_cast<graph::PageId>(rng.NextBounded(n));
       if (fragment.LocalIndexOf(page) != graph::Subgraph::kNotLocal) continue;
-      world.ObserveDangling(page, rng.NextDouble() * 0.01, CombineMode::kTakeMax);
+      FoldDangling(world, page, rng.NextDouble() * 0.01, CombineMode::kTakeMax);
     }
   }
 
-  /// A page guaranteed external to the fragment (and thus Observable).
+  /// A page guaranteed external to the fragment (so it can enter the world node).
   graph::PageId ExternalPage() const {
     graph::PageId page = static_cast<graph::PageId>(global_size - 1);
     while (fragment.LocalIndexOf(page) != graph::Subgraph::kNotLocal) --page;
@@ -138,9 +139,9 @@ TEST(ExtendedSystemCacheTest, ReusedAcrossWorldNodeChanges) {
   // pick them up while still reusing the local rows.
   std::vector<graph::PageId> targets = {c.fragment.GlobalId(0)};
   const graph::PageId external = c.ExternalPage();
-  c.world.Observe(external, OutDegreeOf(external), 0.015, targets,
-                  CombineMode::kTakeMax);
-  c.world.ObserveDangling(external, 0.004, CombineMode::kTakeMax);
+  FoldEntry(c.world, external, OutDegreeOf(external), 0.015, targets,
+            CombineMode::kTakeMax);
+  FoldDangling(c.world, external, 0.004, CombineMode::kTakeMax);
   const ExtendedGraphSystem& cached =
       cache.Prepare(c.fragment, c.world, 0.45, c.global_size,
                     WorldLinkWeighting::kScoreProportional);
@@ -172,8 +173,8 @@ TEST(ExtendedSystemCacheTest, ClampedFlagMatchesFreshBuild) {
   // denominator.
   std::vector<graph::PageId> targets = {c.fragment.GlobalId(0)};
   const graph::PageId external = c.ExternalPage();
-  c.world.Observe(external, OutDegreeOf(external), 0.9, targets,
-                  CombineMode::kTakeMax);
+  FoldEntry(c.world, external, OutDegreeOf(external), 0.9, targets,
+            CombineMode::kTakeMax);
   ExtendedSystemCache cache;
   const ExtendedGraphSystem& cached =
       cache.Prepare(c.fragment, c.world, 0.05, c.global_size,

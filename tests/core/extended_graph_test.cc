@@ -4,6 +4,7 @@
 
 #include "markov/dense_solver.h"
 #include "markov/power_iteration.h"
+#include "testing/world_folds.h"
 
 namespace jxp {
 namespace core {
@@ -44,7 +45,7 @@ TEST(ExtendedGraphTest, WorldRowFollowsEq8And9) {
   WorldNode world;
   // External page 2 (out-degree 1) points at local page 0 with score 0.2.
   const std::vector<graph::PageId> targets = {0};
-  world.Observe(2, 1, 0.2, targets, CombineMode::kTakeMax);
+  FoldEntry(world, 2, 1, 0.2, targets, CombineMode::kTakeMax);
   const double world_score = 0.5;
   const ExtendedGraphSystem system = BuildExtendedSystem(fragment, world, world_score, 4);
   // p_w0 = (1/out(2)) * alpha(2)/alpha_w = 0.2/0.5 = 0.4; self-loop 0.6.
@@ -76,7 +77,7 @@ TEST(ExtendedGraphTest, ClampsSuperStochasticWorldRow) {
   const graph::Subgraph fragment = graph::Subgraph::Induce(g, {0, 1});
   WorldNode world;
   const std::vector<graph::PageId> targets = {0};
-  world.Observe(2, 1, 0.9, targets, CombineMode::kTakeMax);
+  FoldEntry(world, 2, 1, 0.9, targets, CombineMode::kTakeMax);
   // World score far below the entry's score: flow would exceed 1.
   const ExtendedGraphSystem system = BuildExtendedSystem(fragment, world, 0.1, 4);
   EXPECT_TRUE(system.world_row_clamped);
@@ -87,7 +88,7 @@ TEST(ExtendedGraphTest, DanglingKnowledgeFlowsUniformly) {
   const graph::Graph g = TestGraph();
   const graph::Subgraph fragment = graph::Subgraph::Induce(g, {0, 1});
   WorldNode world;
-  world.ObserveDangling(3, 0.1, CombineMode::kTakeMax);
+  FoldDangling(world, 3, 0.1, CombineMode::kTakeMax);
   const ExtendedGraphSystem system = BuildExtendedSystem(fragment, world, 0.5, 4);
   // Each local page receives (0.1/0.5)/4 = 0.05 from the world row.
   const auto row = system.matrix.Row(2);
@@ -127,8 +128,8 @@ TEST(ExtendedGraphTest, AggregationExactness) {
   // Perfect knowledge: page 2 -> 0 with its true score; page 3 dangling
   // with its true score.
   const std::vector<graph::PageId> targets = {0};
-  world.Observe(2, 1, pi[2], targets, CombineMode::kTakeMax);
-  world.ObserveDangling(3, pi[3], CombineMode::kTakeMax);
+  FoldEntry(world, 2, 1, pi[2], targets, CombineMode::kTakeMax);
+  FoldDangling(world, 3, pi[3], CombineMode::kTakeMax);
   const double true_world = pi[2] + pi[3];
   const ExtendedGraphSystem system =
       BuildExtendedSystem(fragment, world, true_world, 4);

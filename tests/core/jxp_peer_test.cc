@@ -83,7 +83,6 @@ TEST(JxpPeerTest, MeetingTransfersInLinkKnowledge) {
   const double score_2_before = a.ScoreOfGlobal(2);
   MeetingOutcome outcome = JxpPeer::Meet(a, b);
   EXPECT_GT(outcome.wire_bytes, 0.0);
-  EXPECT_GT(outcome.pr_iterations_initiator, 0);
 
   // A now knows that page 3 (out-degree 1) points at its local page 2.
   ASSERT_EQ(a.world_node().NumEntries(), 1u);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "p2p/faults.h"
 
 namespace jxp {
@@ -253,6 +256,34 @@ TEST(MeetingWireTest, DroppedMessageSuppressesOneSide) {
   // Nothing of the partner's message was used.
   EXPECT_EQ(applied_a.bytes_consumed, 0u);
   EXPECT_EQ(applied_b.bytes_consumed, to_b.size());
+}
+
+/// Samples recorded so far in the registry histogram `name`.
+uint64_t HistogramCount(const std::string& name) {
+  for (const auto& histogram : obs::MetricsRegistry::Global().Snapshot().histograms) {
+    if (histogram.name == name) return histogram.data.count();
+  }
+  return 0;
+}
+
+TEST(MeetingWireTest, DaemonCallsRecordOneCodecSamplePerMessage) {
+  // The codec observables are recorded where the codec runs, so a daemon's
+  // encode → apply pair records what the simulator's Meet records.
+  const obs::ScopedEnable telemetry(true);
+  const TwoPeerWorld world = MakeWorld(59);
+  const JxpOptions options = WireOptions(MeetingWireMode::kMeasured);
+  const size_t n = world.graph.NumNodes();
+  JxpPeer a(0, graph::Subgraph::Induce(world.graph, world.pages_a), n, options);
+  JxpPeer b(1, graph::Subgraph::Induce(world.graph, world.pages_b), n, options);
+  const std::vector<std::string> names = {"jxp.wire.encode_ms", "jxp.wire.decode_ms",
+                                          "jxp.wire.message_bytes",
+                                          "jxp.wire.compression_ratio"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : names) before.push_back(HistogramCount(name));
+  ASSERT_TRUE(a.ApplyMeetingBytes(b.EncodeMeetingBytes()).applied);
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(HistogramCount(names[i]) - before[i], 1u) << names[i];
+  }
 }
 
 TEST(MeetingWireTest, BitCorruptionSalvagesPrefixOrDegeneratesToDrop) {

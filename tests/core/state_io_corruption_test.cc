@@ -8,6 +8,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -261,6 +262,38 @@ TEST_F(StateIoCorruptionTest, NegativeWorldEntryScore) {
   ExpectCorruption("negative world entry score");
 }
 
+TEST_F(StateIoCorruptionTest, WorldEntriesOutOfPageOrder) {
+  // SavePeerState writes entries in strictly ascending page order; a file
+  // that lists them otherwise is not one it wrote.
+  ASSERT_GE(CountAfter("world_entries "), 2u);
+  Mutate([this](std::vector<std::string>& lines) {
+    const size_t first = FindLine("world_entries ") + 1;
+    std::swap(lines[first], lines[first + 1]);
+  });
+  ExpectCorruption("world entries out of page order");
+  Mutate([this](std::vector<std::string>& lines) {
+    const size_t header = FindLine("world_entries ");
+    const std::string repeated = lines[header + 1];
+    InsertWorldEntry(lines, header, repeated);
+  });
+  ExpectCorruption("world entries out of page order");
+}
+
+TEST_F(StateIoCorruptionTest, MalformedWorldTargets) {
+  Mutate([this](std::vector<std::string>& lines) {
+    InsertWorldEntry(lines, FindLine("world_entries "), "5 3 0.1 2 9 7");
+  });
+  ExpectCorruption("world targets out of order");
+  Mutate([this](std::vector<std::string>& lines) {
+    InsertWorldEntry(lines, FindLine("world_entries "), "5 3 0.1 2 7 7");
+  });
+  ExpectCorruption("world targets out of order");
+  Mutate([this](std::vector<std::string>& lines) {
+    InsertWorldEntry(lines, FindLine("world_entries "), "5 1 0.1 2 7 9");
+  });
+  ExpectCorruption("more world targets than out-degree");
+}
+
 TEST_F(StateIoCorruptionTest, BadDanglingLine) {
   Mutate([this](std::vector<std::string>& lines) {
     std::string& line = lines[FindLine("dangling ")];
@@ -291,6 +324,19 @@ TEST_F(StateIoCorruptionTest, NegativeDanglingScore) {
     AppendDangling(lines, FindLine("dangling "), "7 -0.25");
   });
   ExpectCorruption("negative dangling score");
+}
+
+TEST_F(StateIoCorruptionTest, DanglingPagesOutOfOrder) {
+  Mutate([this](std::vector<std::string>& lines) {
+    AppendDangling(lines, FindLine("dangling "), "9 0.01");
+    AppendDangling(lines, FindLine("dangling "), "8 0.01");
+  });
+  ExpectCorruption("dangling pages out of order");
+  Mutate([this](std::vector<std::string>& lines) {  // A repeated page.
+    AppendDangling(lines, FindLine("dangling "), "8 0.01");
+    AppendDangling(lines, FindLine("dangling "), "8 0.01");
+  });
+  ExpectCorruption("dangling pages out of order");
 }
 
 TEST_F(StateIoCorruptionTest, PeerWithoutPages) {
@@ -346,6 +392,37 @@ TEST_F(StateIoCorruptionTest, ImplausibleLocalScore) {
   ExpectCorruption("implausible local score");
   set_first_score("0");
   ExpectCorruption("implausible local score");
+}
+
+TEST_F(StateIoCorruptionTest, LocalScoresMustSumToOneWithTheWorldScore) {
+  // Every local score stays inside (0, 1), so only the sum can tell: the
+  // scores plus the world score are one distribution, and no solve runs
+  // after a load to repair it.
+  std::istringstream world_line(lines_[FindLine("world_score ")]);
+  std::string keyword;
+  double world_score = 0;
+  world_line >> keyword >> world_score;
+  const auto scale_local_scores = [this](double factor) {
+    Mutate([this, factor](std::vector<std::string>& lines) {
+      const size_t first = FindLine("pages ") + 1;
+      for (size_t i = first; i < first + CountAfter("pages "); ++i) {
+        std::istringstream in(lines[i]);
+        std::string page, rest;
+        double score = 0;
+        in >> page >> score;
+        std::getline(in, rest);
+        ASSERT_LT(score * factor, 1.0);
+        std::ostringstream record;
+        record.precision(17);
+        record << page << " " << score * factor << rest;
+        lines[i] = record.str();
+      }
+    });
+  };
+  scale_local_scores((1.5 - world_score) / (1.0 - world_score));  // Mass 1.5.
+  ExpectCorruption("score mass differs from 1");
+  scale_local_scores(0.5);
+  ExpectCorruption("score mass differs from 1");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "common/hash.h"
+#include "testing/world_folds.h"
 
 namespace jxp {
 namespace core {
@@ -169,18 +170,18 @@ TEST_F(StateIoTest, EqualStatesWriteIdenticalFiles) {
   for (size_t e = 0; e < known.NumEntries(); ++e) {
     const ExternalPageInfo in_order = known.Entry(e);
     const ExternalPageInfo reversed = known.Entry(known.NumEntries() - 1 - e);
-    forward.Observe(in_order.page, in_order.out_degree, in_order.score, in_order.targets,
-                    CombineMode::kTakeMax);
-    backward.Observe(reversed.page, reversed.out_degree, reversed.score, reversed.targets,
-                     CombineMode::kTakeMax);
+    FoldEntry(forward, in_order.page, in_order.out_degree, in_order.score,
+              in_order.targets, CombineMode::kTakeMax);
+    FoldEntry(backward, reversed.page, reversed.out_degree, reversed.score,
+              reversed.targets, CombineMode::kTakeMax);
   }
   const auto& dangling = known.columns();
   for (size_t d = 0; d < dangling.dangling_pages.size(); ++d) {
     const size_t r = dangling.dangling_pages.size() - 1 - d;
-    forward.ObserveDangling(dangling.dangling_pages[d], dangling.dangling_scores[d],
-                            CombineMode::kTakeMax);
-    backward.ObserveDangling(dangling.dangling_pages[r], dangling.dangling_scores[r],
-                             CombineMode::kTakeMax);
+    FoldDangling(forward, dangling.dangling_pages[d], dangling.dangling_scores[d],
+                 CombineMode::kTakeMax);
+    FoldDangling(backward, dangling.dangling_pages[r], dangling.dangling_scores[r],
+                 CombineMode::kTakeMax);
   }
   const auto restore = [&](WorldNode world) {
     return JxpPeer(warm.id(), warm.fragment(), warm.global_size(), warm.options(),
@@ -196,10 +197,10 @@ TEST_F(StateIoTest, EqualStatesWriteIdenticalFiles) {
   std::remove(other.c_str());
 }
 
-TEST_F(StateIoTest, LoadsLegacyFileWithWorldEntriesOutOfPageOrder) {
+TEST_F(StateIoTest, RejectsLegacyFileWithWorldEntriesOutOfPageOrder) {
   // Files written while the world node was a hash map list entries, their
-  // targets and dangling pages in any order. They still load, into the
-  // same state, and re-save canonically.
+  // targets and dangling pages in any order. The loader reads only the
+  // page-sorted layout SavePeerState writes, so such a file is Corruption.
   const JxpPeer original = MakeWarmPeer();
   ASSERT_GT(original.world_node().NumEntries(), 1u);
   ASSERT_TRUE(SavePeerState(original, path_).ok());
@@ -244,10 +245,8 @@ TEST_F(StateIoTest, LoadsLegacyFileWithWorldEntriesOutOfPageOrder) {
   }
 
   auto loaded = LoadPeerState(path_, original.options());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->world_node().columns() == original.world_node().columns());
-  ASSERT_TRUE(SavePeerState(*loaded, path_).ok());
-  EXPECT_EQ(ReadFile(path_), canonical);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

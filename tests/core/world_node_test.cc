@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "testing/world_folds.h"
 
 namespace jxp {
 namespace core {
@@ -29,8 +30,8 @@ uint64_t OutDegreeConflicts() {
 
 TEST(WorldNodeTest, FirstObservationStoresEverything) {
   WorldNode w;
-  const std::vector<graph::PageId> targets = {5, 3, 5};  // Dup collapses.
-  w.Observe(10, 4, 0.2, targets, kMax);
+  const std::vector<graph::PageId> targets = {3, 5};
+  FoldEntry(w, 10, 4, 0.2, targets, kMax);
   ASSERT_EQ(w.NumEntries(), 1u);
   const auto info = w.Find(10);
   ASSERT_TRUE(info.has_value());
@@ -44,18 +45,18 @@ TEST(WorldNodeTest, FirstObservationStoresEverything) {
 TEST(WorldNodeTest, TakeMaxKeepsLargerScore) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1};
-  w.Observe(10, 2, 0.3, t, kMax);
-  w.Observe(10, 2, 0.1, t, kMax);
+  FoldEntry(w, 10, 2, 0.3, t, kMax);
+  FoldEntry(w, 10, 2, 0.1, t, kMax);
   EXPECT_DOUBLE_EQ(w.Find(10)->score, 0.3);
-  w.Observe(10, 2, 0.5, t, kMax);
+  FoldEntry(w, 10, 2, 0.5, t, kMax);
   EXPECT_DOUBLE_EQ(w.Find(10)->score, 0.5);
 }
 
 TEST(WorldNodeTest, AverageCombines) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1};
-  w.Observe(10, 2, 0.4, t, kAvg);
-  w.Observe(10, 2, 0.2, t, kAvg);
+  FoldEntry(w, 10, 2, 0.4, t, kAvg);
+  FoldEntry(w, 10, 2, 0.2, t, kAvg);
   EXPECT_DOUBLE_EQ(w.Find(10)->score, 0.3);
 }
 
@@ -63,16 +64,16 @@ TEST(WorldNodeTest, TargetListsUnion) {
   WorldNode w;
   const std::vector<graph::PageId> t1 = {1, 3};
   const std::vector<graph::PageId> t2 = {2, 3};
-  w.Observe(10, 5, 0.1, t1, kMax);
-  w.Observe(10, 5, 0.1, t2, kMax);
+  FoldEntry(w, 10, 5, 0.1, t1, kMax);
+  FoldEntry(w, 10, 5, 0.1, t2, kMax);
   EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{1, 2, 3}));
 }
 
 TEST(WorldNodeTest, DanglingScores) {
   WorldNode w;
-  w.ObserveDangling(7, 0.1, kMax);
-  w.ObserveDangling(8, 0.2, kMax);
-  w.ObserveDangling(7, 0.05, kMax);  // Smaller: ignored.
+  FoldDangling(w, 7, 0.1, kMax);
+  FoldDangling(w, 8, 0.2, kMax);
+  FoldDangling(w, 7, 0.05, kMax);  // Smaller: ignored.
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.3);
   EXPECT_EQ(w.FindDangling(7), 0.1);
   EXPECT_FALSE(w.FindDangling(9).has_value());
@@ -81,9 +82,9 @@ TEST(WorldNodeTest, DanglingScores) {
 TEST(WorldNodeTest, EraseRemovesBothKinds) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1};
-  w.Observe(10, 2, 0.3, t, kMax);
-  w.Observe(12, 2, 0.3, t, kMax);
-  w.ObserveDangling(11, 0.2, kMax);
+  FoldEntry(w, 10, 2, 0.3, t, kMax);
+  FoldEntry(w, 12, 2, 0.3, t, kMax);
+  FoldDangling(w, 11, 0.2, kMax);
   w.EraseIf([](graph::PageId page) { return page == 10 || page == 11; });
   EXPECT_EQ(w.NumEntries(), 1u);
   EXPECT_FALSE(w.Find(10).has_value());
@@ -96,9 +97,9 @@ TEST(WorldNodeTest, FilterTargetsDropsEmptyEntries) {
   const std::vector<graph::PageId> t1 = {1, 2};
   const std::vector<graph::PageId> t2 = {3};
   const std::vector<graph::PageId> t3 = {2, 3};
-  w.Observe(10, 4, 0.1, t1, kMax);
-  w.Observe(11, 4, 0.1, t2, kMax);
-  w.Observe(12, 4, 0.1, t3, kMax);
+  FoldEntry(w, 10, 4, 0.1, t1, kMax);
+  FoldEntry(w, 11, 4, 0.1, t2, kMax);
+  FoldEntry(w, 12, 4, 0.1, t3, kMax);
   w.FilterTargets([](graph::PageId t) { return t <= 2; });
   EXPECT_TRUE(w.Find(10).has_value());
   EXPECT_FALSE(w.Find(11).has_value());
@@ -110,8 +111,8 @@ TEST(WorldNodeTest, FilterTargetsDropsEmptyEntries) {
 TEST(WorldNodeTest, ScaleScores) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1};
-  w.Observe(10, 2, 0.4, t, kMax);
-  w.ObserveDangling(11, 0.2, kMax);
+  FoldEntry(w, 10, 2, 0.4, t, kMax);
+  FoldDangling(w, 11, 0.2, kMax);
   w.ScaleScores(0.5);
   EXPECT_DOUBLE_EQ(w.Find(10)->score, 0.2);
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.1);
@@ -120,8 +121,8 @@ TEST(WorldNodeTest, ScaleScores) {
 TEST(WorldNodeTest, WireBytes) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1, 2, 3};
-  w.Observe(10, 4, 0.1, t, kMax);
-  w.ObserveDangling(11, 0.2, kMax);
+  FoldEntry(w, 10, 4, 0.1, t, kMax);
+  FoldDangling(w, 11, 0.2, kMax);
   EXPECT_DOUBLE_EQ(w.WireBytes(), 20 + 3 * 8 + 16);
 }
 
@@ -129,8 +130,8 @@ TEST(WorldNodeTest, StoreStaysSortedByPage) {
   WorldNode w;
   for (graph::PageId page : {40u, 10u, 30u, 20u}) {
     const std::vector<graph::PageId> t = {page + 1};
-    w.Observe(page, 3, 0.1, t, kMax);
-    w.ObserveDangling(page + 2, 0.1, kMax);
+    FoldEntry(w, page, 3, 0.1, t, kMax);
+    FoldDangling(w, page + 2, 0.1, kMax);
   }
   EXPECT_EQ(w.columns().pages, (std::vector<graph::PageId>{10, 20, 30, 40}));
   EXPECT_EQ(w.columns().targets, (std::vector<graph::PageId>{11, 21, 31, 41}));
@@ -165,10 +166,10 @@ TEST(WorldNodeTest, ConflictingOutDegreesResolveToTheLarger) {
   const uint64_t conflicts_before = OutDegreeConflicts();
   WorldNode w;
   const std::vector<graph::PageId> t = {1};
-  w.Observe(10, 2, 0.3, t, kMax);
-  w.Observe(10, 5, 0.1, t, kMax);  // Must not abort the receiver.
+  FoldEntry(w, 10, 2, 0.3, t, kMax);
+  FoldEntry(w, 10, 5, 0.1, t, kMax);  // Must not abort the receiver.
   EXPECT_EQ(w.Find(10)->out_degree, 5u);
-  w.Observe(10, 3, 0.1, t, kMax);
+  FoldEntry(w, 10, 3, 0.1, t, kMax);
   EXPECT_EQ(w.Find(10)->out_degree, 5u);
   EXPECT_EQ(OutDegreeConflicts() - conflicts_before, 2u);
 }

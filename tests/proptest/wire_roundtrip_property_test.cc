@@ -121,12 +121,10 @@ WireState BuildState(const WireCase& c) {
     std::sort(targets.begin(), targets.end());
     const uint32_t out_degree =
         static_cast<uint32_t>(num_targets + rng.NextBounded(20));
-    state.world.Observe(world_pages[i], out_degree, rng.NextDouble(), targets,
-                        core::CombineMode::kTakeMax);
+    state.world.Append(world_pages[i], out_degree, rng.NextDouble(), targets);
   }
   for (size_t i = 0; i < c.num_dangling; ++i) {
-    state.world.ObserveDangling(world_pages[c.num_world + i], rng.NextDouble(),
-                                core::CombineMode::kTakeMax);
+    state.world.AppendDangling(world_pages[c.num_world + i], rng.NextDouble());
   }
   return state;
 }

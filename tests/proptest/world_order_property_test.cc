@@ -24,6 +24,7 @@
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "proptest.h"
+#include "testing/world_folds.h"
 
 namespace jxp {
 namespace proptest {
@@ -110,6 +111,7 @@ OrderWorld BuildOrderWorld(const OrderCase& c) {
     for (size_t index : rng.SampleWithoutReplacement(pages.size(), num_targets)) {
       o.targets.push_back(pages[index]);
     }
+    std::sort(o.targets.begin(), o.targets.end());
     o.out_degree = static_cast<uint32_t>(num_targets + rng.NextBounded(6));
     w.observations.push_back(o);
   }
@@ -122,10 +124,10 @@ core::WorldNode Fold(const std::vector<Observation>& observations) {
   core::WorldNode world;
   for (const Observation& o : observations) {
     if (o.out_degree == 0) {
-      world.ObserveDangling(o.page, o.score, core::CombineMode::kTakeMax);
+      core::FoldDangling(world, o.page, o.score, core::CombineMode::kTakeMax);
     } else {
-      world.Observe(o.page, o.out_degree, o.score, o.targets,
-                    core::CombineMode::kTakeMax);
+      core::FoldEntry(world, o.page, o.out_degree, o.score, o.targets,
+                      core::CombineMode::kTakeMax);
     }
   }
   return world;
@@ -144,20 +146,18 @@ core::WorldNode FoldInBatches(std::vector<Observation> observations, size_t batc
     core::WorldNode sorted;
     for (auto it = first; it != last; ++it) {
       // A batch holds each page at most once; later repeats fold singly.
-      std::vector<graph::PageId> targets = it->targets;
-      std::sort(targets.begin(), targets.end());
       const auto& c = sorted.columns();
       if (it->out_degree == 0) {
         if (c.dangling_pages.empty() || c.dangling_pages.back() < it->page) {
           sorted.AppendDangling(it->page, it->score);
         } else {
-          world.ObserveDangling(it->page, it->score, core::CombineMode::kTakeMax);
+          core::FoldDangling(world, it->page, it->score, core::CombineMode::kTakeMax);
         }
       } else if (c.pages.empty() || c.pages.back() < it->page) {
-        sorted.Append(it->page, it->out_degree, it->score, targets);
+        sorted.Append(it->page, it->out_degree, it->score, it->targets);
       } else {
-        world.Observe(it->page, it->out_degree, it->score, targets,
-                      core::CombineMode::kTakeMax);
+        core::FoldEntry(world, it->page, it->out_degree, it->score, it->targets,
+                        core::CombineMode::kTakeMax);
       }
     }
     world.Merge(std::move(sorted), core::CombineMode::kTakeMax);
