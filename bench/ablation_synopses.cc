@@ -18,6 +18,11 @@ namespace bench {
 
 namespace {
 
+/// Set pairs, one per containment step over [0, 1).
+constexpr size_t kTrials = 40;
+/// |A| = |B|.
+constexpr size_t kSetSize = 2000;
+
 struct Trial {
   std::vector<uint64_t> a;
   std::vector<uint64_t> b;
@@ -46,13 +51,11 @@ Trial MakeTrial(size_t size_a, size_t size_b, double containment, Random& rng) {
 void Run(int argc, char** argv) {
   Flags flags;
   JXP_CHECK_OK(flags.Parse(argc, argv));
-  const size_t trials = flags.GetCount("trials", 40);
-  const size_t set_size = flags.GetCount("set-size", 2000);
   Random rng(static_cast<uint64_t>(flags.GetInt("seed", 5)));
 
   std::printf("# Ablation A1: containment estimation error vs synopsis bytes\n");
-  std::printf("# %zu trials, |A| = |B| = %zu, containment swept over [0, 1]\n", trials,
-              set_size);
+  std::printf("# %zu trials, |A| = |B| = %zu, containment swept over [0, 1]\n", kTrials,
+              kSetSize);
   std::printf("synopsis\tbytes\tmean_abs_error\tmax_abs_error\n");
 
   const synopses::MinWiseFamily family_small(64, 42);
@@ -64,12 +67,12 @@ void Run(int argc, char** argv) {
   double err_sketch = 0, max_sketch = 0;
   double bytes_bloom = 0, bytes_sketch = 0;
 
-  for (size_t trial = 0; trial < trials; ++trial) {
-    const double containment = static_cast<double>(trial) / static_cast<double>(trials);
-    const Trial t = MakeTrial(set_size, set_size, containment, rng);
+  for (size_t trial = 0; trial < kTrials; ++trial) {
+    const double containment = static_cast<double>(trial) / static_cast<double>(kTrials);
+    const Trial t = MakeTrial(kSetSize, kSetSize, containment, rng);
     auto record = [&](double estimate, double& err, double& worst) {
       const double e = std::abs(estimate - t.true_containment);
-      err += e / static_cast<double>(trials);
+      err += e / static_cast<double>(kTrials);
       worst = std::max(worst, e);
     };
     // MIPs.
@@ -106,7 +109,7 @@ void Run(int argc, char** argv) {
               max_mips256);
   std::printf("bloom16k\t%.0f\t%.4f\t%.4f\n", bytes_bloom, err_bloom, max_bloom);
   std::printf("fm256\t%.0f\t%.4f\t%.4f\n", bytes_sketch, err_sketch, max_sketch);
-  std::printf("exact\t%zu\t0.0000\t0.0000\n", set_size * 8);
+  std::printf("exact\t%zu\t0.0000\t0.0000\n", kSetSize * 8);
 }
 
 }  // namespace bench

@@ -149,7 +149,7 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
   global_size_ = global_size;
   weighting_ = weighting;
 
-  // Teleport / dangling vectors (Eq. 10).
+  // Teleport vector (Eq. 10), which dangling mass follows as well.
   const size_t num_states = n + 1;
   const uint32_t world_state = static_cast<uint32_t>(n);
   const double uniform = 1.0 / static_cast<double>(global_size);
@@ -157,7 +157,6 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
   system_.teleport[world_state] =
       static_cast<double>(global_size - n) / static_cast<double>(global_size);
   if (global_size == n) system_.teleport[world_state] = 0.0;
-  system_.dangling = system_.teleport;
 
   RebuildWorldRow(world_score);
   prepared_ = true;

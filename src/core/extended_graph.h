@@ -26,15 +26,12 @@ enum class WorldLinkWeighting {
 struct ExtendedGraphSystem {
   /// (n+1) x (n+1) link matrix. Local rows follow Eq. 6/7; the world row
   /// follows Eq. 8/9. Dangling local pages have empty rows (their mass is
-  /// redistributed along `dangling`).
+  /// redistributed along `teleport`).
   markov::SparseMatrix matrix;
   /// Random-jump distribution (Eq. 10): 1/N per local page, (N-n)/N to the
-  /// world node.
+  /// world node. Dangling mass follows it too: a dangling page in the
+  /// global chain jumps uniformly over all N pages, of which n are local.
   std::vector<double> teleport;
-  /// Dangling-mass distribution: identical to teleport (a dangling page in
-  /// the global chain jumps uniformly over all N pages, of which n are
-  /// local).
-  std::vector<double> dangling;
   /// True iff the world row's outgoing mass had to be clamped because the
   /// stored external scores momentarily exceeded the world score (a
   /// transient of the take-max combination; see JxpPeer).
@@ -77,8 +74,8 @@ class ExtendedSystemCache {
                                      size_t global_size, WorldLinkWeighting weighting);
 
   /// Regenerates the world row for a new denominator, keeping the local
-  /// rows, the world snapshot, and the teleport/dangling vectors of the
-  /// last Prepare. Only valid after a Prepare.
+  /// rows, the world snapshot, and the teleport vector of the last Prepare.
+  /// Only valid after a Prepare.
   const ExtendedGraphSystem& Rescale(double world_score);
 
   /// Drops the cached local rows; the next Prepare rebuilds them. Must be
@@ -127,7 +124,7 @@ class ExtendedSystemCache {
 /// - world row: for each known external in-linking page r with targets T and
 ///   score alpha(r), weight (1/out(r)) * alpha(r)/world_score per target
 ///   (Eq. 8); the self-loop absorbs the rest (Eq. 9);
-/// - teleport/dangling per Eq. 10 with `global_size` = N.
+/// - teleport per Eq. 10 with `global_size` = N.
 ///
 /// `world_score` is the peer's current world-node score (alpha_w at meeting
 /// t-1), which weights the world row. One-shot convenience over

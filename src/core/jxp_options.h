@@ -43,8 +43,6 @@ struct DefenseOptions {
   /// overlapping pages exceeds this factor (honest divergence stems from
   /// knowledge asymmetry and is far smaller).
   double max_overlap_divergence = 8.0;
-  /// Overlap size required before the divergence test is trusted.
-  size_t min_overlap_to_judge = 3;
 };
 
 /// How a peer meeting combines the two peers' graph knowledge.

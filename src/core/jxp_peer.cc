@@ -242,6 +242,13 @@ JxpPeer::PeerView JxpPeer::MakeView() const {
   return view;
 }
 
+namespace {
+
+/// Overlap size required before the divergence test is trusted.
+constexpr size_t kMinOverlapToJudge = 3;
+
+}  // namespace
+
 bool JxpPeer::ShouldRejectMessage(const PeerView& partner) const {
   if (!options_.defense.enabled) return false;
   // Mass test: an honest score list is part of a distribution.
@@ -264,7 +271,7 @@ bool JxpPeer::ShouldRejectMessage(const PeerView& partner) const {
     }
     divergences.push_back(std::abs(std::log(partner.scores[k] / scores_[mine])));
   }
-  if (divergences.size() < options_.defense.min_overlap_to_judge) return false;
+  if (divergences.size() < kMinOverlapToJudge) return false;
   std::nth_element(divergences.begin(), divergences.begin() + divergences.size() / 2,
                    divergences.end());
   const double median = divergences[divergences.size() / 2];
@@ -481,8 +488,7 @@ std::vector<double> JxpPeer::SolveExtended(ExtendedSystemCache& cache,
                      options_.uniform_world_links ? WorldLinkWeighting::kUniform
                                                   : WorldLinkWeighting::kScoreProportional);
   for (int guard = 0; guard < 64; ++guard) {
-    result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
-                                    init, pi_options);
+    result = StationaryDistribution(system->matrix, system->teleport, init, pi_options);
     total_iterations += result.iterations;
     if (result.distribution[n] <= denominator + 1e-13) break;
     denominator = result.distribution[n];

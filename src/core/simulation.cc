@@ -1,10 +1,6 @@
 #include "core/simulation.h"
 
-#include <filesystem>
-#include <system_error>
 #include <utility>
-
-#include "core/state_io.h"
 
 namespace jxp {
 namespace core {
@@ -67,13 +63,8 @@ AccuracyPoint JxpSimulation::Evaluate() const {
   return EvaluateAccuracy(GlobalJxpScores(), global_top_k_);
 }
 
-std::string JxpSimulation::PeerStatePath(const std::string& dir, p2p::PeerId peer) {
-  return dir + "/peer_" + std::to_string(peer) + ".jxp";
-}
-
 void JxpSimulation::FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
                                   const MeetingOutcome& outcome) {
-  if (config_.record_meeting_log) meeting_log_.emplace_back(initiator, partner);
   // Attribute to each participant the bytes it sent plus half of the
   // selection/synopsis overhead.
   const double extra = selector_->AfterMeeting(initiator, partner);
@@ -81,28 +72,6 @@ void JxpSimulation::FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
   network_.RecordMeetingTraffic(partner, outcome.bytes_sent_partner + extra / 2);
   total_estimated_traffic_bytes_ += outcome.estimated_wire_bytes + extra;
   ++meetings_done_;
-}
-
-Status JxpSimulation::SaveAllPeerStates(const std::string& dir) const {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Status::IOError("cannot create " + dir + ": " + ec.message());
-  for (const JxpPeer& peer : peers_) {
-    const Status status = SavePeerState(peer, PeerStatePath(dir, peer.id()));
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
-}
-
-Status JxpSimulation::LoadAllPeerStates(const std::string& dir) {
-  for (JxpPeer& peer : peers_) {
-    StatusOr<JxpPeer> restored =
-        LoadPeerState(PeerStatePath(dir, peer.id()), peer.options());
-    if (!restored.ok()) return restored.status();
-    JXP_CHECK_EQ(restored.value().id(), peer.id());
-    peer = std::move(restored).value();
-  }
-  return Status::OK();
 }
 
 void JxpSimulation::ReplaceFragment(p2p::PeerId peer, std::vector<graph::PageId> pages) {

@@ -2,11 +2,8 @@
 #define JXP_CORE_SIMULATION_H_
 
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "core/evaluation.h"
 #include "core/jxp_options.h"
 #include "core/jxp_peer.h"
@@ -44,12 +41,6 @@ struct SimulationConfig {
   /// `num_attackers` peers run `attack`; all peers apply jxp.defense.
   size_t num_attackers = 0;
   AttackOptions attack;
-  /// When true, every executed meeting's (initiator, partner) pair is
-  /// recorded in meeting_log(), in execution order. External drivers replay
-  /// the exact schedule elsewhere — the networked cluster driver feeds it
-  /// to its daemons and compares their converged scores against this
-  /// simulation as an oracle.
-  bool record_meeting_log = false;
 };
 
 /// A complete JXP network simulation: the global graph, one JxpPeer per
@@ -70,11 +61,6 @@ class JxpSimulation {
 
   /// Number of meetings executed so far.
   size_t meetings_done() const { return meetings_done_; }
-
-  /// Executed meetings in order (empty unless config.record_meeting_log).
-  const std::vector<std::pair<p2p::PeerId, p2p::PeerId>>& meeting_log() const {
-    return meeting_log_;
-  }
 
   /// The peers, indexed by PeerId.
   const std::vector<JxpPeer>& peers() const { return peers_; }
@@ -102,18 +88,9 @@ class JxpSimulation {
   /// Replaces a peer's fragment (re-crawl), refreshing selector state.
   void ReplaceFragment(p2p::PeerId peer, std::vector<graph::PageId> pages);
 
-  /// Persists every peer's state under `dir` (one state_io file per peer,
-  /// named peer_<id>.jxp) / restores every peer from such a directory.
-  /// Fragments round-trip exactly, so selector state stays valid; a
-  /// save + load + continue run is bit-identical to an uninterrupted one.
-  Status SaveAllPeerStates(const std::string& dir) const;
-  Status LoadAllPeerStates(const std::string& dir);
-
  private:
-  /// Path of a peer's saved-state file.
-  static std::string PeerStatePath(const std::string& dir, p2p::PeerId peer);
-  /// Post-meeting bookkeeping: the meeting log, the selector, traffic (each
-  /// side's bytes plus half the selection overhead) and the meeting count.
+  /// Post-meeting bookkeeping: the selector, traffic (each side's bytes plus
+  /// half the selection overhead) and the meeting count.
   void FinishMeeting(p2p::PeerId initiator, p2p::PeerId partner,
                      const MeetingOutcome& outcome);
 
@@ -127,7 +104,6 @@ class JxpSimulation {
   std::vector<metrics::ScoredItem> global_top_k_;
   size_t meetings_done_ = 0;
   double total_estimated_traffic_bytes_ = 0;
-  std::vector<std::pair<p2p::PeerId, p2p::PeerId>> meeting_log_;
 };
 
 }  // namespace core

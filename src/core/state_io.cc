@@ -146,6 +146,16 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
     }
   }
 
+  if (num_pages == 0) return Status::Corruption(path + ": peer without pages");
+  graph::Subgraph fragment =
+      graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors));
+  if (fragment.NumLocalPages() != num_pages) {
+    return Status::Corruption(path + ": duplicate pages in fragment");
+  }
+
+  // Every path that changes the world node keeps it outside the fragment:
+  // world entries and dangling records are external pages, and a world
+  // entry's targets are the local pages it links to.
   WorldNode world;
   size_t num_entries = 0;
   if (!(parse >> keyword >> num_entries) || keyword != "world_entries") {
@@ -188,6 +198,14 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
         targets.end()) {
       return Status::Corruption(path + ": world targets out of order");
     }
+    if (fragment.Contains(page)) {
+      return Status::Corruption(path + ": world entry for a local page");
+    }
+    for (graph::PageId target : targets) {
+      if (!fragment.Contains(target)) {
+        return Status::Corruption(path + ": world target outside the fragment");
+      }
+    }
     world.Append(page, out_degree, score, targets);
   }
   size_t num_dangling = 0;
@@ -209,13 +227,12 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
     }
     world.AppendDangling(page, score);
   }
-
-  if (num_pages == 0) return Status::Corruption(path + ": peer without pages");
-  graph::Subgraph fragment =
-      graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors));
-  if (fragment.NumLocalPages() != num_pages) {
-    return Status::Corruption(path + ": duplicate pages in fragment");
+  for (graph::PageId page : world.columns().dangling_pages) {
+    if (fragment.Contains(page)) {
+      return Status::Corruption(path + ": dangling record for a local page");
+    }
   }
+
   // Scores were written in fragment order (sorted by global id), which
   // FromKnowledge preserves.
   if (!(world_score > 0) || world_score >= 1 || global_size < num_pages) {

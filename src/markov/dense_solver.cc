@@ -53,17 +53,15 @@ std::vector<std::vector<double>> ToDense(const SparseMatrix& matrix) {
 }
 
 std::vector<std::vector<double>> ToDenseDamped(const SparseMatrix& matrix,
-                                               const std::vector<double>& teleport,
-                                               const std::vector<double>& dangling,
+                                               const std::vector<double>& jump,
                                                double damping) {
   const size_t n = matrix.NumStates();
-  JXP_CHECK_EQ(teleport.size(), n);
-  JXP_CHECK_EQ(dangling.size(), n);
+  JXP_CHECK_EQ(jump.size(), n);
   std::vector<std::vector<double>> dense = ToDense(matrix);
   for (uint32_t i = 0; i < n; ++i) {
     const double lost = 1.0 - matrix.RowSum(i);
     for (size_t j = 0; j < n; ++j) {
-      dense[i][j] = damping * (dense[i][j] + lost * dangling[j]) + (1 - damping) * teleport[j];
+      dense[i][j] = damping * (dense[i][j] + lost * jump[j]) + (1 - damping) * jump[j];
     }
   }
   return dense;

@@ -25,14 +25,13 @@ std::vector<std::vector<double>> ToDense(const SparseMatrix& matrix);
 /// The damped chain StationaryDistribution iterates, materialized as a dense
 /// stochastic matrix:
 ///
-///   G[i][j] = damping * (M[i][j] + (1 - RowSum(i)) * dangling[j])
-///             + (1 - damping) * teleport[j]
+///   G[i][j] = damping * (M[i][j] + (1 - RowSum(i)) * jump[j])
+///             + (1 - damping) * jump[j]
 ///
 /// so that ExactStationaryDistribution(G) is the exact fixed point of the
 /// iteration.
 std::vector<std::vector<double>> ToDenseDamped(const SparseMatrix& matrix,
-                                               const std::vector<double>& teleport,
-                                               const std::vector<double>& dangling,
+                                               const std::vector<double>& jump,
                                                double damping);
 
 /// Computes the exact stationary distribution of an irreducible stochastic

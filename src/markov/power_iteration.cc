@@ -61,13 +61,13 @@ double CheckDistribution(const std::vector<double>& v, size_t n, const char* wha
 
 /// The push kernel: one LeftMultiply per iteration, with the 1 - RowSum(i)
 /// complement hoisted out of the loop.
-void Iterate(const SparseMatrix& matrix, const std::vector<double>& teleport,
-             const std::vector<double>& dangling, const std::vector<double>& complement,
-             const PowerIterationOptions& options, PowerIterationResult& result) {
+void Iterate(const SparseMatrix& matrix, const std::vector<double>& jump,
+             const std::vector<double>& complement, const PowerIterationOptions& options,
+             PowerIterationResult& result) {
   const size_t n = matrix.NumStates();
   std::vector<double>& x = result.distribution;
   std::vector<double> next(n);
-  const double jump = 1.0 - options.damping;
+  const double jump_probability = 1.0 - options.damping;
   for (result.iterations = 0; result.iterations < options.max_iterations;) {
     matrix.LeftMultiply(x, next);
     // Mass lost to substochastic rows.
@@ -77,7 +77,7 @@ void Iterate(const SparseMatrix& matrix, const std::vector<double>& teleport,
     double residual = 0;
     for (size_t i = 0; i < n; ++i) {
       const double v =
-          options.damping * (next[i] + missing * dangling[i]) + jump * teleport[i];
+          options.damping * (next[i] + missing * jump[i]) + jump_probability * jump[i];
       residual += std::abs(v - x[i]);
       next[i] = v;
     }
@@ -94,16 +94,14 @@ void Iterate(const SparseMatrix& matrix, const std::vector<double>& teleport,
 }  // namespace
 
 PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
-                                            const std::vector<double>& teleport,
-                                            const std::vector<double>& dangling,
+                                            const std::vector<double>& jump,
                                             const std::vector<double>& init,
                                             const PowerIterationOptions& options) {
   const size_t n = matrix.NumStates();
   JXP_CHECK_GT(n, 0u);
   JXP_CHECK_GT(options.damping, 0.0);
   JXP_CHECK_LE(options.damping, 1.0);
-  CheckDistribution(teleport, n, "teleport");
-  CheckDistribution(dangling, n, "dangling");
+  CheckDistribution(jump, n, "jump");
 
   obs::TraceSpan span("markov.power_iteration");
   span.AddAttr("states", n);
@@ -125,7 +123,7 @@ PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
   std::vector<double> complement(n);
   for (size_t i = 0; i < n; ++i) complement[i] = 1.0 - matrix.RowSum(i);
 
-  Iterate(matrix, teleport, dangling, complement, options, result);
+  Iterate(matrix, jump, complement, options, result);
   // Counter floating-point drift so downstream sums are exact.
   NormalizeL1(x);
 
@@ -153,7 +151,7 @@ PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
                                             const PowerIterationOptions& options) {
   const std::vector<double> uniform(matrix.NumStates(),
                                     1.0 / static_cast<double>(matrix.NumStates()));
-  return StationaryDistribution(matrix, uniform, uniform, {}, options);
+  return StationaryDistribution(matrix, uniform, {}, options);
 }
 
 }  // namespace markov

@@ -34,24 +34,23 @@ struct PowerIterationResult {
 
 /// Computes the stationary distribution of the damped chain
 ///
-///   x' = damping * (x * P + m(x) * dangling) + (1 - damping) * teleport
+///   x' = damping * (x * P + m(x) * jump) + (1 - damping) * jump
 ///
 /// where m(x) = sum_i x_i * (1 - RowSum(i)) is the mass lost to
-/// substochastic rows, redistributed along the `dangling` distribution.
+/// substochastic rows: a random jump and a step from a dangling state both
+/// land along the `jump` distribution.
 ///
-/// - `teleport` and `dangling` must be probability distributions over the
-///   matrix states (each sums to 1); pass the uniform distribution for
-///   classic PageRank.
+/// - `jump` must be a probability distribution over the matrix states (it
+///   sums to 1); pass the uniform distribution for classic PageRank.
 /// - `init` is the starting vector; it is normalized internally. Pass an
 ///   empty vector for the uniform start.
 PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
-                                            const std::vector<double>& teleport,
-                                            const std::vector<double>& dangling,
+                                            const std::vector<double>& jump,
                                             const std::vector<double>& init,
                                             const PowerIterationOptions& options);
 
-/// Convenience overload using uniform teleport and dangling distributions
-/// and a uniform start.
+/// Convenience overload using the uniform jump distribution and a uniform
+/// start.
 PowerIterationResult StationaryDistribution(const SparseMatrix& matrix,
                                             const PowerIterationOptions& options);
 

@@ -142,9 +142,6 @@ void AppendMeetResult(const MeetResultMessage& msg, std::vector<uint8_t>& out) {
   ByteWriter writer(payload);
   writer.PutU8(static_cast<uint8_t>((msg.applied ? 1 : 0) | (msg.salvaged ? 2 : 0) |
                                     (msg.declined ? 4 : 0)));
-  writer.PutVarint64(msg.bytes_sent);
-  writer.PutVarint64(msg.bytes_received);
-  writer.PutVarint64(msg.bytes_wasted);
   Seal(NetMessageType::kMeetResult, payload, out);
 }
 
@@ -248,9 +245,7 @@ Status ParseMeetCommand(std::span<const uint8_t> payload, MeetCommandMessage* ou
 Status ParseMeetResult(std::span<const uint8_t> payload, MeetResultMessage* out) {
   ByteReader reader(payload);
   uint8_t flags = 0;
-  if (!reader.GetU8(&flags) || !reader.GetVarint64(&out->bytes_sent) ||
-      !reader.GetVarint64(&out->bytes_received) ||
-      !reader.GetVarint64(&out->bytes_wasted) || !reader.AtEnd()) {
+  if (!reader.GetU8(&flags) || !reader.AtEnd()) {
     return Malformed("meet result");
   }
   out->applied = (flags & 1) != 0;

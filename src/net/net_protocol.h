@@ -39,7 +39,7 @@ enum class NetMessageType : uint8_t {
   // send. The gaps (0x20..0x25, 0x2c..0x2d) are retired type bytes; values
   // never move, so a stale driver's frame is rejected, not misread.
   kMeetCommand = 0x26,      // Initiate one meeting with the given peer now.
-  kMeetResult = 0x27,
+  kMeetResult = 0x27,       // One flags byte: applied, salvaged, declined.
   kScoresRequest = 0x28,    // Dump local scores (exact doubles).
   kScoresReply = 0x29,
   // Autonomous-mode control (DESIGN.md §6l). Start arms the meeting
@@ -101,10 +101,6 @@ struct MeetResultMessage {
   bool salvaged = false;
   /// The partner declined (quiesced).
   bool declined = false;
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-  /// Bytes received that decoding rejected (wasted traffic).
-  uint64_t bytes_wasted = 0;
 };
 
 /// One local page's exact score. Doubles cross as raw IEEE-754 bits so the

@@ -477,9 +477,7 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
     ++stats_.meeting_failures;
     return false;
   }
-  const uint64_t sent = frames.size() + message.size();
-  result->bytes_sent += sent;
-  stats_.bytes_sent += sent;
+  stats_.bytes_sent += frames.size() + message.size();
 
   uint8_t type = 0;
   std::vector<uint8_t> payload;
@@ -507,7 +505,6 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
 
   std::vector<uint8_t> blob;
   const size_t received = ReadUpTo(fd, reply.payload_bytes, &blob);
-  result->bytes_received += received;
   stats_.bytes_received += received;
   const bool complete = received == reply.payload_bytes;
   if (!complete) {
@@ -519,8 +516,7 @@ bool PeerDaemon::RunMeetingOnConnection(int fd, bool fresh, uint16_t port,
   if (complete && (!applied.applied || applied.salvaged)) {
     ++stats_.corruptions_detected;
   }
-  result->bytes_wasted = received - applied.bytes_consumed;
-  stats_.wasted_bytes += result->bytes_wasted;
+  stats_.wasted_bytes += received - applied.bytes_consumed;
   // A short blob means the connection died mid-reply; a complete one (even
   // bit-damaged — that's the payload's problem, not the stream's) leaves
   // the stream aligned for the next meeting.

@@ -294,6 +294,29 @@ TEST_F(StateIoCorruptionTest, MalformedWorldTargets) {
   ExpectCorruption("more world targets than out-degree");
 }
 
+TEST_F(StateIoCorruptionTest, WorldEntryForLocalPage) {
+  // A two-page peer whose world node holds one of its own pages (with a
+  // dangling record for the other): no meeting or re-crawl produces that,
+  // since both erase world knowledge of local pages.
+  WriteBody({"JXPSTATE v1", "peer 0", "global_size 4", "world_score 0.5", "pages 2",
+             "0 0.25 1 1", "1 0.25 0", "world_entries 1", "0 1 0.2 1 1", "dangling 1",
+             "1 0.1"});
+  ExpectCorruption("world entry for a local page");
+}
+
+TEST_F(StateIoCorruptionTest, WorldTargetOutsideTheFragment) {
+  // A world entry's targets are the local pages it links to.
+  Mutate([this](std::vector<std::string>& lines) {
+    std::string& record = lines[FindLine("world_entries ") + 1];
+    std::istringstream in(record);
+    std::string page, out_degree, score;
+    in >> page >> out_degree >> score;
+    const graph::PageId external = std::stoul(page) == 1 ? 2 : 1;  // Not a multiple of 3.
+    record = page + " " + out_degree + " " + score + " 1 " + std::to_string(external);
+  });
+  ExpectCorruption("world target outside the fragment");
+}
+
 TEST_F(StateIoCorruptionTest, BadDanglingLine) {
   Mutate([this](std::vector<std::string>& lines) {
     std::string& line = lines[FindLine("dangling ")];
@@ -337,6 +360,16 @@ TEST_F(StateIoCorruptionTest, DanglingPagesOutOfOrder) {
     AppendDangling(lines, FindLine("dangling "), "8 0.01");
   });
   ExpectCorruption("dangling pages out of order");
+}
+
+TEST_F(StateIoCorruptionTest, DanglingRecordForLocalPage) {
+  Mutate([this](std::vector<std::string>& lines) {
+    const size_t header = FindLine("dangling ");
+    lines.resize(header);
+    lines.push_back("dangling 1");
+    lines.push_back("3 0.01");  // Page 3 is local (a multiple of 3).
+  });
+  ExpectCorruption("dangling record for a local page");
 }
 
 TEST_F(StateIoCorruptionTest, PeerWithoutPages) {

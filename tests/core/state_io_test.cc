@@ -19,6 +19,13 @@ namespace jxp {
 namespace core {
 namespace {
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 class StateIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -52,13 +59,14 @@ TEST_F(StateIoTest, RoundTripPreservesEverything) {
   auto loaded = LoadPeerState(path_, original.options());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
+  // EXPECT_EQ, not DOUBLE_EQ: every score round-trips bit for bit.
   EXPECT_EQ(loaded->id(), original.id());
   EXPECT_EQ(loaded->global_size(), original.global_size());
-  EXPECT_DOUBLE_EQ(loaded->world_score(), original.world_score());
+  EXPECT_EQ(loaded->world_score(), original.world_score());
   ASSERT_EQ(loaded->fragment().NumLocalPages(), original.fragment().NumLocalPages());
   for (graph::Subgraph::LocalIndex i = 0; i < original.fragment().NumLocalPages(); ++i) {
     EXPECT_EQ(loaded->fragment().GlobalId(i), original.fragment().GlobalId(i));
-    EXPECT_DOUBLE_EQ(loaded->local_scores()[i], original.local_scores()[i]);
+    EXPECT_EQ(loaded->local_scores()[i], original.local_scores()[i]);
     EXPECT_EQ(loaded->fragment().GlobalOutDegree(i),
               original.fragment().GlobalOutDegree(i));
   }
@@ -68,11 +76,18 @@ TEST_F(StateIoTest, RoundTripPreservesEverything) {
     const auto restored = loaded->world_node().Find(info.page);
     ASSERT_TRUE(restored.has_value()) << "page " << info.page;
     EXPECT_EQ(restored->out_degree, info.out_degree);
-    EXPECT_DOUBLE_EQ(restored->score, info.score);
+    EXPECT_EQ(restored->score, info.score);
     EXPECT_TRUE(std::ranges::equal(restored->targets, info.targets));
   }
-  EXPECT_DOUBLE_EQ(loaded->world_node().TotalDanglingScore(),
-                   original.world_node().TotalDanglingScore());
+  EXPECT_EQ(loaded->world_node().TotalDanglingScore(),
+            original.world_node().TotalDanglingScore());
+
+  // Saving the loaded peer writes the same bytes: a load is a pure no-op,
+  // however often it is repeated.
+  const std::string resaved = path_ + ".resaved";
+  ASSERT_TRUE(SavePeerState(*loaded, resaved).ok());
+  EXPECT_EQ(ReadFile(resaved), ReadFile(path_));
+  std::remove(resaved.c_str());
 }
 
 TEST_F(StateIoTest, RestoredPeerResumesMeetings) {
@@ -141,6 +156,13 @@ TEST_F(StateIoTest, MissingFileIsIOError) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
 
+TEST_F(StateIoTest, SaveIntoMissingDirectoryIsIOError) {
+  const JxpPeer original = MakeWarmPeer();
+  const Status status = SavePeerState(original, path_ + ".absent/peer.jxp");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+}
+
 TEST_F(StateIoTest, RejectsWrongMagic) {
   {
     std::ofstream out(path_);
@@ -150,13 +172,6 @@ TEST_F(StateIoTest, RejectsWrongMagic) {
   auto loaded = LoadPeerState(path_, JxpOptions());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 TEST_F(StateIoTest, EqualStatesWriteIdenticalFiles) {

@@ -1,5 +1,5 @@
 // Cross-checks power iteration against the dense oracle on the *JXP
-// extended system* (local rows + world row + non-uniform teleport/dangling,
+// extended system* (local rows + world row + non-uniform teleport,
 // paper Eqs. 5-10), not just on plain link matrices. The extended system is
 // the input every local PageRank run operates on, so agreement here
 // underwrites the one solver the system runs.
@@ -31,10 +31,10 @@ void ExpectSolversAgree(const core::ExtendedGraphSystem& system) {
   options.tolerance = kSolverTolerance;
   options.max_iterations = 5000;
   const PowerIterationResult power = StationaryDistribution(
-      system.matrix, system.teleport, system.dangling, {}, options);
+      system.matrix, system.teleport, {}, options);
   ASSERT_TRUE(power.converged);
   const auto exact = ExactStationaryDistribution(
-      ToDenseDamped(system.matrix, system.teleport, system.dangling, options.damping));
+      ToDenseDamped(system.matrix, system.teleport, options.damping));
   ASSERT_TRUE(exact.ok()) << exact.status();
   ASSERT_EQ(power.distribution.size(), exact.value().size());
   for (size_t i = 0; i < power.distribution.size(); ++i) {

@@ -141,10 +141,10 @@ TEST(PowerIterationTest, MatchesDenseSolverOnWebGraph) {
   options.tolerance = 1e-13;
   options.max_iterations = 2000;
   const PowerIterationResult power =
-      StationaryDistribution(m, uniform, uniform, {}, options);
+      StationaryDistribution(m, uniform, {}, options);
   ASSERT_TRUE(power.converged);
   const auto exact =
-      ExactStationaryDistribution(ToDenseDamped(m, uniform, uniform, options.damping));
+      ExactStationaryDistribution(ToDenseDamped(m, uniform, options.damping));
   ASSERT_TRUE(exact.ok()) << exact.status();
   for (size_t i = 0; i < m.NumStates(); ++i) {
     EXPECT_NEAR(power.distribution[i], exact.value()[i], 1e-9) << "state " << i;
@@ -170,10 +170,10 @@ TEST(PowerIterationTest, MatchesDenseSolverOnSlowlyMixingChain) {
     options.tolerance = 1e-14;
     options.max_iterations = 5000;
     const PowerIterationResult power =
-        StationaryDistribution(m, uniform, uniform, {}, options);
+        StationaryDistribution(m, uniform, {}, options);
     ASSERT_TRUE(power.converged) << "damping " << damping;
     const auto exact =
-        ExactStationaryDistribution(ToDenseDamped(m, uniform, uniform, damping));
+        ExactStationaryDistribution(ToDenseDamped(m, uniform, damping));
     ASSERT_TRUE(exact.ok()) << exact.status();
     for (size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(power.distribution[i], exact.value()[i], 1e-10)
@@ -183,22 +183,21 @@ TEST(PowerIterationTest, MatchesDenseSolverOnSlowlyMixingChain) {
 }
 
 TEST(PowerIterationTest, DanglingMassRedistributed) {
-  // State 1 is dangling; its mass goes to the dangling distribution.
+  // State 1 is dangling; its mass, like a random jump, goes along the jump
+  // distribution, here all of it to state 0.
   SparseMatrixBuilder builder(2);
   builder.Add(0, 1, 1.0);
   SparseMatrix m = builder.Build();
-  const std::vector<double> teleport = {0.5, 0.5};
-  const std::vector<double> dangling = {1.0, 0.0};  // All dangling mass to 0.
+  const std::vector<double> jump = {1.0, 0.0};
   PowerIterationOptions options;
   options.damping = 0.85;
   options.tolerance = 1e-14;
-  PowerIterationResult result =
-      StationaryDistribution(m, teleport, dangling, {}, options);
+  PowerIterationResult result = StationaryDistribution(m, jump, {}, options);
   ASSERT_TRUE(result.converged);
-  // Fixpoint: x0 = 0.85 * x1 + 0.15 * 0.5 ; x1 = 0.85 * x0 + 0.15 * 0.5.
-  // Symmetric => x0 = x1 = 0.5.
-  EXPECT_NEAR(result.distribution[0], 0.5, 1e-10);
-  EXPECT_NEAR(result.distribution[1], 0.5, 1e-10);
+  // Fixpoint: x0 = 0.85 * x1 + 0.15 ; x1 = 0.85 * x0, so
+  // x0 = 0.15 / (1 - 0.85^2) = 20/37 and x1 = 17/37.
+  EXPECT_NEAR(result.distribution[0], 20.0 / 37.0, 1e-10);
+  EXPECT_NEAR(result.distribution[1], 17.0 / 37.0, 1e-10);
 }
 
 TEST(PowerIterationTest, DistributionSumsToOne) {
@@ -222,9 +221,9 @@ TEST(PowerIterationTest, InitDoesNotChangeFixpoint) {
   options.tolerance = 1e-14;
   const std::vector<double> teleport = {0.5, 0.5};
   PowerIterationResult from_uniform =
-      StationaryDistribution(m, teleport, teleport, {}, options);
+      StationaryDistribution(m, teleport, {}, options);
   PowerIterationResult from_skewed =
-      StationaryDistribution(m, teleport, teleport, {0.99, 0.01}, options);
+      StationaryDistribution(m, teleport, {0.99, 0.01}, options);
   EXPECT_NEAR(from_uniform.distribution[0], from_skewed.distribution[0], 1e-10);
 }
 

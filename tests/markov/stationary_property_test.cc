@@ -64,7 +64,7 @@ TEST_P(StationaryPropertyTest, SolversAgreeAndFixpointHolds) {
   options.tolerance = 1e-14;
   options.max_iterations = 5000;
   const PowerIterationResult power =
-      StationaryDistribution(m, uniform, uniform, {}, options);
+      StationaryDistribution(m, uniform, {}, options);
   ASSERT_TRUE(power.converged);
 
   // Fixpoint property: x = eps*(xP + m(x) u) + (1-eps) u, verified directly.
@@ -91,7 +91,7 @@ TEST_P(StationaryPropertyTest, SolversAgreeAndFixpointHolds) {
   // Agreement with the dense oracle on the full damped chain (dangling ->
   // uniform, plus the jump).
   const auto exact =
-      ExactStationaryDistribution(ToDenseDamped(m, uniform, uniform, param.damping));
+      ExactStationaryDistribution(ToDenseDamped(m, uniform, param.damping));
   ASSERT_TRUE(exact.ok()) << exact.status();
   for (size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(power.distribution[i], exact.value()[i], 1e-9) << "state " << i;

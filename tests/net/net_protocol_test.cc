@@ -115,9 +115,6 @@ TEST(NetProtocolTest, MeetCommandAndResultRoundTrip) {
   result.applied = true;
   result.salvaged = true;
   result.declined = false;
-  result.bytes_sent = 1ull << 40;
-  result.bytes_received = 77;
-  result.bytes_wasted = 33;
   frame.clear();
   AppendMeetResult(result, frame);
   MeetResultMessage result_out;
@@ -126,9 +123,13 @@ TEST(NetProtocolTest, MeetCommandAndResultRoundTrip) {
   EXPECT_TRUE(result_out.applied);
   EXPECT_TRUE(result_out.salvaged);
   EXPECT_FALSE(result_out.declined);
-  EXPECT_EQ(result_out.bytes_sent, 1ull << 40);
-  EXPECT_EQ(result_out.bytes_received, 77u);
-  EXPECT_EQ(result_out.bytes_wasted, 33u);
+
+  // The payload is the flags byte alone: the older layout, which trailed
+  // it with three byte-count varints (here 2^40, 77 and 33), no longer
+  // parses.
+  const std::vector<uint8_t> with_byte_counts = {0x03, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                                 0x20, 77, 33};
+  EXPECT_FALSE(ParseMeetResult(with_byte_counts, &result_out).ok());
 }
 
 TEST(NetProtocolTest, ScoresReplyRoundTripsDoublesBitExactly) {

@@ -121,8 +121,6 @@ TEST(PeerDaemonTest, TwoDaemonMeetingMatchesInProcessOracle) {
   EXPECT_TRUE(result.applied);
   EXPECT_FALSE(result.salvaged);
   EXPECT_FALSE(result.declined);
-  EXPECT_EQ(result.bytes_wasted, 0u);
-  EXPECT_GT(result.bytes_received, 0u);
   ASSERT_TRUE(control_b.Meet(0, a.daemon.bound_port(), &result).ok());
   EXPECT_TRUE(result.applied);
 
@@ -148,6 +146,8 @@ TEST(PeerDaemonTest, TwoDaemonMeetingMatchesInProcessOracle) {
   EXPECT_EQ(b.daemon.stats().meetings_accepted, 1u);
   EXPECT_EQ(a.daemon.stats().truncations_detected, 0u);
   EXPECT_EQ(a.daemon.stats().corruptions_detected, 0u);
+  EXPECT_EQ(a.daemon.stats().wasted_bytes, 0u);
+  EXPECT_GT(a.daemon.stats().bytes_received, 0u);
   // The responder learned the initiator's address from its Hello.
   const PeerDirectory::Entry* found = b.daemon.directory().Find(0);
   ASSERT_NE(found, nullptr);
@@ -326,7 +326,6 @@ TEST(PeerDaemonTest, ChaosCorruptionIsDetectedOnBothBlobsAndSalvaged) {
   // The reply blob arrived complete but with one bit flipped somewhere: the
   // frame checksums catch it and the decode degrades to a salvage.
   EXPECT_TRUE(result.salvaged);
-  EXPECT_GT(result.bytes_wasted, 0u);
 
   Settle();
   proxy.Stop();
@@ -344,7 +343,8 @@ TEST(PeerDaemonTest, ChaosCorruptionIsDetectedOnBothBlobsAndSalvaged) {
             injected.blobs_corrupted);
   EXPECT_EQ(a.daemon.stats().truncations_detected, 0u);
   EXPECT_EQ(b.daemon.stats().truncations_detected, 0u);
-  EXPECT_GT(a.daemon.stats().wasted_bytes + b.daemon.stats().wasted_bytes, 0u);
+  // The initiator's salvaged reply left bytes undecoded.
+  EXPECT_GT(a.daemon.stats().wasted_bytes, 0u);
 }
 
 TEST(PeerDaemonTest, ChaosDropIsDetectedAsTruncationByResponder) {

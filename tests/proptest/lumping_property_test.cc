@@ -145,7 +145,7 @@ CheckResult CheckWorldNodeIsExactAggregation(const LumpingCase& c) {
   // stationary vector.
   const std::vector<double> uniform(num_nodes, 1.0 / static_cast<double>(num_nodes));
   const std::vector<std::vector<double>> global = markov::ToDenseDamped(
-      pagerank::BuildLinkMatrix(w.graph), uniform, uniform, c.damping);
+      pagerank::BuildLinkMatrix(w.graph), uniform, c.damping);
   const auto pi = markov::ExactStationaryDistribution(global);
   if (!pi.ok()) return "global chain: " + pi.status().ToString();
 
@@ -157,7 +157,7 @@ CheckResult CheckWorldNodeIsExactAggregation(const LumpingCase& c) {
   const core::ExtendedGraphSystem system =
       core::BuildExtendedSystem(w.fragment, world, 1.0 - local_mass, num_nodes);
   const std::vector<std::vector<double>> extended =
-      markov::ToDenseDamped(system.matrix, system.teleport, system.dangling, c.damping);
+      markov::ToDenseDamped(system.matrix, system.teleport, c.damping);
 
   // Lump the global chain: local page p is block LocalIndexOf(p), every
   // external page is block n (the world state).
@@ -184,7 +184,7 @@ CheckResult CheckWorldNodeIsExactAggregation(const LumpingCase& c) {
   options.tolerance = 1e-14;
   options.max_iterations = 5000;
   const markov::PowerIterationResult local = markov::StationaryDistribution(
-      system.matrix, system.teleport, system.dangling, {}, options);
+      system.matrix, system.teleport, {}, options);
   if (!local.converged) return "local power iteration did not converge";
   for (graph::Subgraph::LocalIndex i = 0; i < n; ++i) {
     const graph::PageId p = w.fragment.GlobalId(i);

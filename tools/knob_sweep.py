@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Knob sweep: option fields that no experiment sets.
+"""Knob sweep: option fields that no experiment sets, and bench flags that no
+caller passes.
 
 The dead-code sweep cannot see an option that no bench, e2e workload or
 daemon flag sets: the code behind an always-default field sits inside
@@ -15,20 +16,30 @@ Tests and examples are not experiments and do not count. Matching is by
 field name only, so a name that one struct's setter uses counts as set for
 every struct that has a field of that name.
 
+A bench flag is a name that a bench/*.cc file reads with
+`flags.Get*("name", ...)` or `flags.Has("name")`. A flag is passed when
+`--name` appears in a file under .github/, tools/, tests/ or docs/, in
+README.md, EXPERIMENTS.md or DESIGN.md, or in a bench/ file other than the
+one that reads it (a bench's own usage comment does not count). Matching is
+by name, as for knobs.
+
 The check fails when
 
-  * a knob is unset and tools/knob_allowlist.txt lacks it, or
-  * an allowlist entry names a knob that is gone or is set again.
+  * a knob is unset and tools/knob_allowlist.txt lacks it,
+  * a flag is not passed and the allowlist lacks `--name`, or
+  * an allowlist entry names a knob or flag that is gone, or is set or
+    passed again.
 
-An unset knob either goes (fold it into a named constant) or gets an
-allowlist entry with its reason.
+An unset knob or unpassed flag either goes (fold it into a named constant)
+or gets an allowlist entry with its reason.
 
 Usage:
     python3 tools/knob_sweep.py            # compare with the allowlist
-    python3 tools/knob_sweep.py --list     # print the unset knobs only
+    python3 tools/knob_sweep.py --list     # print the unset knobs and flags
 
-Allowlist format: one knob per line, `<Struct>::<field>  -- <reason>`;
-blank lines and lines starting with `#` are ignored.
+Allowlist format: one entry per line, `<Struct>::<field>  -- <reason>` or
+`--<flag>  -- <reason>`; blank lines and lines starting with `#` are
+ignored.
 """
 
 import argparse
@@ -38,8 +49,13 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
-SETTER_ROOTS = (SRC, os.path.join(REPO, "bench"))
+BENCH = os.path.join(REPO, "bench")
+SETTER_ROOTS = (SRC, BENCH)
 ALLOWLIST = os.path.join(REPO, "tools", "knob_allowlist.txt")
+# Where a flag counts as passed (bench/ minus the file that reads it).
+CALLER_ROOTS = tuple(os.path.join(REPO, d) for d in (".github", "tools", "tests", "docs"))
+CALLER_FILES = tuple(os.path.join(REPO, f)
+                     for f in ("README.md", "EXPERIMENTS.md", "DESIGN.md"))
 SEPARATOR = "  -- "
 CPP_SUFFIXES = (".h", ".cc", ".cpp")
 
@@ -56,6 +72,7 @@ DECLARATOR = re.compile(r"(\w+)\s*(?:\[[^\]]*\])?\s*$")
 SETTER = re.compile(
     r"((?:(?:\.|->)\s*\w+\s*(?:\[[^\]]*\]\s*)*)+)=(?!=)")
 MEMBER = re.compile(r"(?:\.|->)\s*(\w+)")
+FLAG_READ = re.compile(r'\bflags\.(?:Get\w*|Has)\(\s*"([\w-]+)"')
 
 
 def blank(text):
@@ -164,6 +181,50 @@ def set_fields():
     return names
 
 
+def read_text(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (UnicodeDecodeError, OSError):
+        return ""
+
+
+def bench_flags():
+    """{"--name": the bench/*.cc paths that read the flag}."""
+    flags = {}
+    for name in sorted(os.listdir(BENCH)):
+        path = os.path.join(BENCH, name)
+        if name.endswith(".cc") and os.path.isfile(path):
+            for flag in FLAG_READ.findall(read_text(path)):
+                flags.setdefault("--" + flag, set()).add(path)
+    return flags
+
+
+def caller_texts():
+    """{path: text} of every file a flag's caller may live in."""
+    paths = list(CALLER_FILES)
+    for root in CALLER_ROOTS + (BENCH,):
+        for directory, dirs, files in os.walk(root):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            paths.extend(os.path.join(directory, name) for name in sorted(files))
+    # The allowlist and this script name flags without passing them.
+    skip = {ALLOWLIST, os.path.abspath(__file__)}
+    return {p: read_text(p) for p in paths if p not in skip}
+
+
+def unpassed_flags(flags):
+    """{"--name": its readers} for the `flags` that no caller passes."""
+    texts = caller_texts()
+    unpassed = {}
+    for flag, readers in flags.items():
+        passed = re.compile(re.escape(flag) + r"(?![\w-])")
+        if not any(passed.search(text) for path, text in texts.items()
+                   if path not in readers):
+            unpassed[flag] = ", ".join(
+                sorted(os.path.relpath(r, REPO) for r in readers))
+    return unpassed
+
+
 def read_allowlist(path):
     allowed = {}
     with open(path, encoding="utf-8") as f:
@@ -171,7 +232,8 @@ def read_allowlist(path):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            knob, sep, reason = line.partition(SEPARATOR.strip())
+            # " -- " with its spaces: a flag entry itself starts with "--".
+            knob, sep, reason = line.partition(" -- ")
             if not sep or not reason.strip():
                 sys.exit(f"{path}:{number}: expected '<knob>{SEPARATOR}"
                          "<reason>'")
@@ -182,13 +244,15 @@ def read_allowlist(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--list", action="store_true",
-                        help="print the unset knobs and exit")
+                        help="print the unset knobs and unpassed flags and exit")
     args = parser.parse_args()
 
     knobs = all_knobs()
     assigned = set_fields()
     unset = {k: h for k, h in knobs.items()
              if k.rsplit("::", 1)[1] not in assigned}
+    flags = bench_flags()
+    unset.update(unpassed_flags(flags))
     if args.list:
         for knob in sorted(unset):
             print(f"{knob}  ({unset[knob]})")
@@ -196,21 +260,24 @@ def main():
 
     allowed = read_allowlist(ALLOWLIST)
     missing = sorted(set(unset) - set(allowed))
-    gone = sorted(k for k in allowed if k not in knobs)
-    now_set = sorted(k for k in allowed if k in knobs and k not in unset)
+    gone = sorted(k for k in allowed if k not in knobs and k not in flags)
+    now_set = sorted(k for k in allowed
+                     if (k in knobs or k in flags) and k not in unset)
     for knob in missing:
-        print(f"unset and not allowlisted: {knob} ({unset[knob]})")
+        what = "flag passed by no caller" if knob.startswith("--") else "unset"
+        print(f"{what} and not allowlisted: {knob} ({unset[knob]})")
     for knob in gone:
-        print(f"allowlisted but no such field: {knob}")
+        print(f"allowlisted but no such field or flag: {knob}")
     for knob in now_set:
-        print(f"allowlisted but set under src/ or bench/: {knob}")
+        print(f"allowlisted but set under src/ or bench/, or passed: {knob}")
     if missing or gone or now_set:
-        print("Fold an unset knob into a named constant or allowlist it "
-              "with its reason; delete the entry of a knob that is gone "
-              "or set again.")
+        print("Fold an unset knob or unpassed flag into a named constant or "
+              "allowlist it with its reason; delete the entry of a knob or "
+              "flag that is gone, or set or passed again.")
         return 1
-    print(f"{len(knobs)} knobs in {len(set(knobs.values()))} headers; "
-          f"{len(unset)} unset, all allowlisted")
+    print(f"{len(knobs)} knobs in {len(set(knobs.values()))} headers and "
+          f"{len(flags)} bench flags; {len(unset)} unset or unpassed, all "
+          "allowlisted")
     return 0
 
 
