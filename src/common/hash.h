@@ -31,8 +31,8 @@ inline uint64_t Fnv1aUpdate(uint64_t h, const unsigned char* data, size_t size) 
   return h;
 }
 
-/// FNV-1a hash of a byte string, finalized with Mix64; used for term/URL
-/// keys and frame checksums.
+/// FNV-1a hash of a byte string, finalized with Mix64; checkpoint checksums
+/// (core/state_io) and test digests use it.
 inline uint64_t HashString(std::string_view s) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(s.data());
   return Mix64(Fnv1aUpdate(kFnv1aOffset, bytes, s.size()));

@@ -36,14 +36,22 @@ WireMetrics& GetWireMetrics() {
   return metrics;
 }
 
+/// The most bytes one record field takes on the wire; a frame's storage is
+/// sized from these once (ByteWriter's bound).
+constexpr size_t kMaxVarint32Bytes = 5;
+constexpr size_t kFloatBytes = 4;
+
 Status BadPayload(const char* what) {
   return Status::Corruption(std::string("bad frame payload: ") + what);
 }
 
+// The per-id helpers below are declared inline: GCC at -O2 otherwise keeps
+// some call sites out of line, and the codec loops pay that call per id.
+
 /// Reads a delta-encoded id: absolute when `first`, else prev + delta with
 /// delta >= 1 (ids are strictly ascending) and overflow rejected.
-bool ReadAscendingId(ByteReader& reader, bool first, graph::PageId prev,
-                     graph::PageId* id) {
+inline bool ReadAscendingId(ByteReader& reader, bool first, graph::PageId prev,
+                            graph::PageId* id) {
   uint32_t raw = 0;
   if (!reader.GetVarint32(&raw)) return false;
   if (first) {
@@ -58,12 +66,12 @@ bool ReadAscendingId(ByteReader& reader, bool first, graph::PageId prev,
 
 /// Reads a wire score: a finite, non-negative float (scores are probability
 /// masses; anything else is corruption).
-bool ReadScore(ByteReader& reader, float* score) {
+inline bool ReadScore(ByteReader& reader, float* score) {
   if (!reader.GetFloat(score)) return false;
   return std::isfinite(*score) && *score >= 0.0f;
 }
 
-void WriteAscendingIds(ByteWriter& writer, std::span<const graph::PageId> ids) {
+inline void WriteAscendingIds(ByteWriter& writer, std::span<const graph::PageId> ids) {
   graph::PageId prev = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (i == 0) {
@@ -148,6 +156,8 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
   world.out_degrees.reserve(num_entries);
   world.scores.reserve(num_entries);
   world.target_offsets.reserve(num_entries + 1);
+  // Every id takes at least one byte, so the payload bounds the targets.
+  world.targets.reserve(payload.size());
   graph::PageId prev_page = 0;
   for (uint32_t i = 0; i < num_entries; ++i) {
     graph::PageId page = 0;
@@ -216,8 +226,17 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
   size_t frames = 0;
   for (size_t begin = 0; begin < n; begin += kPagesPerChunk) {
     const size_t end = std::min(begin + kPagesPerChunk, n);
-    const size_t payload_start = out.size();
-    ByteWriter writer(out);
+    size_t num_successors = 0;
+    for (size_t i = begin; i < end; ++i) {
+      num_successors +=
+          fragment.Successors(static_cast<graph::Subgraph::LocalIndex>(i)).size();
+    }
+    const size_t frame_start = out.size();
+    // Chunk header, then per page its id, score and degree, then successors.
+    ByteWriter writer(out, kFrameHeaderBytes + 2 * kMaxVarint32Bytes +
+                               (end - begin) * (2 * kMaxVarint32Bytes + kFloatBytes) +
+                               num_successors * kMaxVarint32Bytes);
+    writer.Skip(kFrameHeaderBytes);
     writer.PutVarint32(static_cast<uint32_t>(begin));
     writer.PutVarint32(static_cast<uint32_t>(end - begin));
     graph::PageId prev = begin == 0 ? 0 : fragment.GlobalId(
@@ -238,7 +257,8 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
       writer.PutVarint32(static_cast<uint32_t>(successors.size()));
       WriteAscendingIds(writer, successors);
     }
-    SealFrame(MessageType::kScoreChunk, payload_start, out);
+    writer.Finish();
+    SealFrame(MessageType::kScoreChunk, frame_start, out);
     ++frames;
   }
   if (obs::Enabled()) {
@@ -250,9 +270,16 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
 
 void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out) {
   if (world.empty()) return;
-  const size_t payload_start = out.size();
-  ByteWriter writer(out);
+  const size_t frame_start = out.size();
   const size_t num_entries = world.NumEntries();
+  const size_t num_dangling = world.dangling_pages.size();
+  // Two counts; per entry its page, score, out-degree and target count, then
+  // the targets; per dangling record its page and score.
+  ByteWriter writer(out, kFrameHeaderBytes + 2 * kMaxVarint32Bytes +
+                             num_entries * (3 * kMaxVarint32Bytes + kFloatBytes) +
+                             world.targets.size() * kMaxVarint32Bytes +
+                             num_dangling * (kMaxVarint32Bytes + kFloatBytes));
+  writer.Skip(kFrameHeaderBytes);
   writer.PutVarint32(static_cast<uint32_t>(num_entries));
   for (size_t e = 0; e < num_entries; ++e) {
     const uint32_t out_degree = world.out_degrees[e];
@@ -272,8 +299,8 @@ void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out) 
     writer.PutVarint32(static_cast<uint32_t>(targets.size()));
     WriteAscendingIds(writer, targets);
   }
-  writer.PutVarint32(static_cast<uint32_t>(world.dangling_pages.size()));
-  for (size_t d = 0; d < world.dangling_pages.size(); ++d) {
+  writer.PutVarint32(static_cast<uint32_t>(num_dangling));
+  for (size_t d = 0; d < num_dangling; ++d) {
     if (d == 0) {
       writer.PutVarint32(world.dangling_pages[d]);
     } else {
@@ -283,10 +310,11 @@ void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out) 
     }
     writer.PutFloat(LowerBoundFloat(world.dangling_scores[d]));
   }
-  SealFrame(MessageType::kWorldKnowledge, payload_start, out);
+  writer.Finish();
+  SealFrame(MessageType::kWorldKnowledge, frame_start, out);
   if (obs::Enabled()) {
     WireMetrics& metrics = GetWireMetrics();
-    metrics.world_bytes.Increment(out.size() - payload_start);
+    metrics.world_bytes.Increment(out.size() - frame_start);
     metrics.frames_encoded.Increment();
   }
 }

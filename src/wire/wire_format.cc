@@ -1,15 +1,68 @@
 #include "wire/wire_format.h"
 
+#include <bit>
+
 #include "common/check.h"
 #include "common/hash.h"
 
 namespace jxp {
 namespace wire {
 
+ByteWriter::ByteWriter(std::vector<uint8_t>& out, size_t max_bytes)
+    : out_(out), bounded_(true) {
+  const size_t start = out.size();
+  out.resize(start + max_bytes);
+  cursor_ = out.data() + start;
+  end_ = out.data() + out.size();
+}
+
+void ByteWriter::Grow(size_t n) {
+  JXP_CHECK(!bounded_) << "encoder wrote past its computed bound";
+  const size_t start = out_.size();
+  out_.resize(start + n);
+  cursor_ = out_.data() + start;
+  end_ = cursor_ + n;
+}
+
+void ByteWriter::Trim() {
+  out_.resize(static_cast<size_t>(cursor_ - out_.data()));
+  end_ = cursor_;
+}
+
+namespace {
+
+// xxHash64's public primes.
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+uint64_t LoadLe64(const uint8_t* p) {
+  // Spelled out, so compilers merge the byte loads into one on
+  // little-endian targets (an 8-step loop is not unrolled at -O2).
+  return static_cast<uint64_t>(p[0]) | static_cast<uint64_t>(p[1]) << 8 |
+         static_cast<uint64_t>(p[2]) << 16 | static_cast<uint64_t>(p[3]) << 24 |
+         static_cast<uint64_t>(p[4]) << 32 | static_cast<uint64_t>(p[5]) << 40 |
+         static_cast<uint64_t>(p[6]) << 48 | static_cast<uint64_t>(p[7]) << 56;
+}
+
+uint64_t HashRound(uint64_t h, uint64_t w) {
+  return std::rotl(h + w * kPrime2, 31) * kPrime1;
+}
+
+}  // namespace
+
 uint64_t ComputeFrameChecksum(const uint8_t* header8, std::span<const uint8_t> payload) {
-  // HashString over header8 + payload, streamed without concatenating.
-  const uint64_t h = Fnv1aUpdate(kFnv1aOffset, header8, kChecksumOffset);
-  return Mix64(Fnv1aUpdate(h, payload.data(), payload.size()));
+  static_assert(kChecksumOffset == 8, "the header is exactly the first word");
+  uint64_t h = HashRound(kPrime5, LoadLe64(header8));
+  const uint8_t* p = payload.data();
+  size_t left = payload.size();
+  for (; left >= 8; p += 8, left -= 8) h = HashRound(h, LoadLe64(p));
+  if (left > 0) {
+    uint8_t tail[8] = {};
+    std::memcpy(tail, p, left);
+    h = HashRound(h, LoadLe64(tail));
+  }
+  return Mix64(h ^ (kChecksumOffset + payload.size()));
 }
 
 Status DecodeFrameHeader(const uint8_t* header, FrameHeader* out) {
@@ -80,17 +133,13 @@ void AppendFrameRaw(uint8_t type, std::span<const uint8_t> payload,
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
-void SealFrame(MessageType type, size_t payload_start, std::vector<uint8_t>& out) {
-  JXP_CHECK_LE(payload_start, out.size());
-  uint8_t header[kFrameHeaderBytes];
-  // The header depends only on the payload bytes, which insert() may move;
-  // compute it first, from the payload at its pre-insert location.
+void SealFrame(MessageType type, size_t frame_start, std::vector<uint8_t>& out) {
+  JXP_CHECK_LE(frame_start + kFrameHeaderBytes, out.size());
+  uint8_t* header = out.data() + frame_start;
   WriteHeader(static_cast<uint8_t>(type),
-              std::span<const uint8_t>(out.data() + payload_start,
-                                       out.size() - payload_start),
+              std::span<const uint8_t>(header + kFrameHeaderBytes,
+                                       out.size() - frame_start - kFrameHeaderBytes),
               header);
-  out.insert(out.begin() + static_cast<ptrdiff_t>(payload_start), header,
-             header + kFrameHeaderBytes);
 }
 
 Status ParseFrame(std::span<const uint8_t> data, size_t& offset, FrameView& frame) {

@@ -11,6 +11,7 @@
 
 #include "net/socket_util.h"
 #include "wire/frame_assembler.h"
+#include "wire/meeting_codec.h"
 #include "wire/wire_format.h"
 
 namespace jxp {
@@ -330,6 +331,41 @@ TEST(NetProtocolTest, AllThreeFrameReadersAgree) {
     EXPECT_EQ(ViaReadFrameBlocking(c.bytes), c.expected)
         << "ReadFrameBlocking: " << c.name;
   }
+}
+
+TEST(NetProtocolTest, VersionOneFramesFailOnTheVersionByte) {
+  // The golden meeting message of wire version 1 (FNV-1a checksums), byte for
+  // byte. Every reader must turn it away on the version field, not by a
+  // checksum mismatch and not with a crash.
+  const std::vector<uint8_t> version_one = {
+      0x4a, 0x58, 0x01, 0x01, 0x19, 0x00, 0x00, 0x00, 0x42, 0xc5, 0x81, 0xf5,
+      0x80, 0x70, 0x86, 0x84, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x3e, 0x02,
+      0x07, 0x21, 0x04, 0x00, 0x00, 0x80, 0x3d, 0x00, 0x05, 0x00, 0x00, 0x80,
+      0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x01, 0x02, 0x18, 0x00, 0x00,
+      0x00, 0x3c, 0xad, 0x33, 0x10, 0xda, 0xe2, 0x31, 0x49, 0x02, 0x14, 0x0a,
+      0xd7, 0x23, 0x3c, 0x03, 0x02, 0x03, 0x09, 0x15, 0x0a, 0xd7, 0xa3, 0x3b,
+      0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b};
+  const Status expected = Status::Corruption("unsupported wire version 1");
+
+  const wire::DecodedMeeting decoded = wire::DecodeMeeting(version_one);
+  EXPECT_EQ(decoded.error, expected);
+  EXPECT_EQ(decoded.frames_decoded, 0u);
+  EXPECT_TRUE(decoded.page_table.pages.empty());
+
+  wire::FrameAssembler assembler;
+  assembler.Feed(version_one);
+  EXPECT_FALSE(assembler.HasFrame());
+  EXPECT_EQ(assembler.error(), expected);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UniqueFd reader(fds[0]);
+  UniqueFd writer(fds[1]);
+  ASSERT_TRUE(WriteAll(writer.get(), version_one).ok());
+  writer.reset();
+  uint8_t type = 0;
+  std::vector<uint8_t> payload;
+  EXPECT_EQ(ReadFrameBlocking(reader.get(), &type, &payload), expected);
 }
 
 }  // namespace

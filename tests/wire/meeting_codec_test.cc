@@ -290,6 +290,31 @@ TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
   }
 }
 
+TEST(MeetingCodecTest, EveryBitFlipOfAThreeFrameMessageIsRejected) {
+  // Two score chunks and a world frame. The checksum is certain to catch a
+  // flip anywhere outside the length fields; a flipped length runs past the
+  // buffer or would need a 64-bit collision. So for this fixed message every
+  // single-bit flip must be rejected; the property test only samples
+  // positions.
+  const graph::Subgraph fragment = MakeFragment(kPagesPerChunk + 6);
+  std::vector<uint8_t> bytes;
+  EncodeScoreList(fragment, MakeScores(kPagesPerChunk + 6), bytes);
+  EncodeWorldKnowledge(
+      MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
+  const DecodedMeeting clean = DecodeMeeting(bytes);
+  ASSERT_TRUE(clean.error.ok()) << clean.error.ToString();
+  ASSERT_EQ(clean.frames_decoded, 3u);
+
+  for (size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> corrupt = bytes;
+      corrupt[byte] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_FALSE(DecodeMeeting(corrupt).error.ok())
+          << "flip at byte " << byte << " bit " << bit;
+    }
+  }
+}
+
 TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
   // A fixed message — three score-list pages (one dangling) and two world
   // entries plus a dangling record — pinned byte for byte, checksums
@@ -303,19 +328,19 @@ TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
       MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
 
   const std::vector<uint8_t> golden = {
-      0x4a, 0x58, 0x01, 0x01, 0x19, 0x00, 0x00, 0x00, 0x42, 0xc5, 0x81, 0xf5,
-      0x80, 0x70, 0x86, 0x84, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x3e, 0x02,
+      0x4a, 0x58, 0x02, 0x01, 0x19, 0x00, 0x00, 0x00, 0x5c, 0xe1, 0x47, 0x6d,
+      0x80, 0xd4, 0x6c, 0xcc, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x3e, 0x02,
       0x07, 0x21, 0x04, 0x00, 0x00, 0x80, 0x3d, 0x00, 0x05, 0x00, 0x00, 0x80,
-      0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x01, 0x02, 0x18, 0x00, 0x00,
-      0x00, 0x3c, 0xad, 0x33, 0x10, 0xda, 0xe2, 0x31, 0x49, 0x02, 0x14, 0x0a,
+      0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x02, 0x02, 0x18, 0x00, 0x00,
+      0x00, 0x72, 0xbd, 0x95, 0x2d, 0x8b, 0xb8, 0xc2, 0x9e, 0x02, 0x14, 0x0a,
       0xd7, 0x23, 0x3c, 0x03, 0x02, 0x03, 0x09, 0x15, 0x0a, 0xd7, 0xa3, 0x3b,
       0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b};
   EXPECT_EQ(bytes, golden);
 
   // The two frames and their checksums.
   const std::vector<std::pair<MessageType, uint64_t>> frames = {
-      {MessageType::kScoreChunk, 0x84867080f581c542ULL},
-      {MessageType::kWorldKnowledge, 0x4931e2da1033ad3cULL}};
+      {MessageType::kScoreChunk, 0xcc6cd4806d47e15cULL},
+      {MessageType::kWorldKnowledge, 0x9ec2b88b2d95bd72ULL}};
   size_t offset = 0;
   for (const auto& [type, checksum] : frames) {
     const uint8_t* header = golden.data() + offset;

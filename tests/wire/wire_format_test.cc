@@ -1,7 +1,7 @@
 #include "wire/wire_format.h"
 
+#include <bit>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,18 +29,40 @@ TEST(WireFormatTest, AppendAndParseFrameRoundTrips) {
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(), frame.payload.begin()));
 }
 
-TEST(WireFormatTest, ChecksumIsHashStringOfHeaderAndPayload) {
-  // The checksum streams over the two spans; it must equal HashString of
-  // their concatenation, the definition the frame format documents.
+/// The documented checksum, computed over one contiguous byte string (the 8
+/// pre-checksum header bytes followed by the payload): little-endian words,
+/// the last zero-padded, each folded as h = rotl(h + w * P2, 31) * P1 from
+/// the seed P5, then the length xored in and Mix64.
+uint64_t ReferenceChecksum(const std::vector<uint8_t>& bytes) {
+  constexpr uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  uint64_t h = 0x27d4eb2f165667c5ULL;
+  for (size_t word = 0; word < bytes.size(); word += 8) {
+    uint64_t w = 0;
+    for (size_t i = 0; i < 8 && word + i < bytes.size(); ++i) {
+      w |= static_cast<uint64_t>(bytes[word + i]) << (8 * i);
+    }
+    h = std::rotl(h + w * kP2, 31) * kP1;
+  }
+  return Mix64(h ^ bytes.size());
+}
+
+TEST(WireFormatTest, ChecksumStreamsHeaderThenPayload) {
+  // The checksum streams over the header and the payload, which sit apart
+  // in the socket readers; it must equal the checksum of their
+  // concatenation for every tail size of the final word.
   std::vector<uint8_t> payload(300);
   for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<uint8_t>(i * 37);
-  const uint8_t header[kChecksumOffset] = {0x4a, 0x58, 0x01, 0x02,
+  const uint8_t header[kChecksumOffset] = {0x4a, 0x58, 0x02, 0x02,
                                            0x2c, 0x01, 0x00, 0x00};
-  for (size_t len : {size_t{0}, size_t{1}, size_t{300}}) {
-    std::string joined(reinterpret_cast<const char*>(header), kChecksumOffset);
-    joined.append(reinterpret_cast<const char*>(payload.data()), len);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+  lengths.push_back(300);
+  for (const size_t len : lengths) {
+    std::vector<uint8_t> joined(header, header + kChecksumOffset);
+    joined.insert(joined.end(), payload.begin(), payload.begin() + len);
     EXPECT_EQ(ComputeFrameChecksum(header, std::span<const uint8_t>(payload.data(), len)),
-              HashString(joined))
+              ReferenceChecksum(joined))
         << "payload length " << len;
   }
 }
@@ -50,11 +72,13 @@ TEST(WireFormatTest, SealFrameMatchesAppendFrame) {
   std::vector<uint8_t> appended;
   AppendFrame(MessageType::kScoreChunk, payload, appended);
 
-  // SealFrame writes the payload first, then inserts the header in front.
+  // The payload is written behind 16 reserved bytes; SealFrame writes the
+  // header over them.
   std::vector<uint8_t> sealed = {9, 9, 9};  // Pre-existing bytes stay put.
-  const size_t payload_start = sealed.size();
+  const size_t frame_start = sealed.size();
+  sealed.resize(frame_start + kFrameHeaderBytes, 0xee);
   sealed.insert(sealed.end(), payload.begin(), payload.end());
-  SealFrame(MessageType::kScoreChunk, payload_start, sealed);
+  SealFrame(MessageType::kScoreChunk, frame_start, sealed);
 
   ASSERT_EQ(sealed.size(), 3 + appended.size());
   EXPECT_EQ(std::vector<uint8_t>(sealed.begin(), sealed.begin() + 3),
@@ -203,6 +227,34 @@ TEST(WireFormatTest, WriterReaderPrimitivesRoundTrip) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
+TEST(WireFormatTest, BoundedWriterTrimsToWhatItWrote) {
+  std::vector<uint8_t> unbounded = {7};
+  ByteWriter plain(unbounded);
+  plain.PutVarint32(300);
+  plain.PutFloat(1.5f);
+
+  std::vector<uint8_t> bounded = {7};
+  {
+    ByteWriter writer(bounded, 64);
+    writer.PutVarint32(300);
+    writer.PutFloat(1.5f);
+    EXPECT_EQ(bounded.size(), 65u);  // Slack until the writer finishes.
+  }
+  EXPECT_EQ(bounded, unbounded);
+}
+
+TEST(WireFormatDeathTest, BoundedWriterAbortsPastItsBound) {
+  // Room is checked for a record's largest size: a varint needs 5 bytes of
+  // bound even when its value takes one.
+  EXPECT_DEATH(
+      {
+        std::vector<uint8_t> out;
+        ByteWriter writer(out, 4);
+        writer.PutVarint32(1);
+      },
+      "computed bound");
+}
+
 TEST(WireFormatTest, ReaderFailuresLeaveCursorUntouched) {
   const std::vector<uint8_t> bytes = {1, 2};
   ByteReader reader(bytes);
@@ -247,6 +299,59 @@ TEST(WireFormatTest, VarintRejectsValueOverflow) {
   uint64_t v = 0;
   EXPECT_FALSE(reader.GetVarint64(&v));
   EXPECT_EQ(reader.position(), 0u);
+}
+
+TEST(WireFormatTest, VarintFastPathMatchesCheckedDecode) {
+  // Every encoding length, the largest legal 5th byte, an overlong 5th byte
+  // and a continuation bit in the 5th byte, each read by ByteReader both
+  // with room to spare (the unchecked path) and flush against the end of
+  // the buffer; value, position and verdict must match VByteDecode32Checked.
+  const std::vector<std::vector<uint8_t>> encodings = {
+      {0x00},
+      {0x7f},
+      {0x80, 0x01},
+      {0xff, 0x7f},
+      {0x80, 0x80, 0x01},
+      {0xff, 0xff, 0x7f},
+      {0x80, 0x80, 0x80, 0x01},
+      {0xff, 0xff, 0xff, 0x7f},
+      {0x80, 0x80, 0x80, 0x80, 0x01},
+      {0xff, 0xff, 0xff, 0xff, 0x0f},        // 0xffffffff
+      {0x80, 0x80, 0x80, 0x80, 0x10},        // 33 bits
+      {0xff, 0xff, 0xff, 0xff, 0x7f},        // 35 bits
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x00},  // continuation in the 5th byte
+      {0xff, 0xff, 0xff, 0xff, 0x8f, 0x01},
+      {0x80, 0x80},                          // unterminated
+  };
+  for (const std::vector<uint8_t>& encoding : encodings) {
+    for (const size_t padding : {size_t{0}, size_t{8}}) {
+      // A one-byte value first, so the read under test starts mid-buffer.
+      std::vector<uint8_t> bytes = {0x05};
+      bytes.insert(bytes.end(), encoding.begin(), encoding.end());
+      bytes.resize(bytes.size() + padding, 0x00);
+
+      size_t checked_pos = 1;
+      uint32_t checked = 0;
+      const bool checked_ok =
+          VByteDecode32Checked(bytes.data(), bytes.size(), checked_pos, &checked);
+
+      ByteReader reader(bytes);
+      uint32_t first = 0;
+      ASSERT_TRUE(reader.GetVarint32(&first));
+      ASSERT_EQ(first, 5u);
+      uint32_t fast = 0;
+      const bool fast_ok = reader.GetVarint32(&fast);
+      SCOPED_TRACE(::testing::Message()
+                   << "encoding of " << encoding.size() << " bytes ending 0x" << std::hex
+                   << static_cast<int>(encoding.back()) << std::dec << ", padding "
+                   << padding);
+      EXPECT_EQ(fast_ok, checked_ok);
+      EXPECT_EQ(reader.position(), checked_pos);
+      if (checked_ok) {
+        EXPECT_EQ(fast, checked);
+      }
+    }
+  }
 }
 
 TEST(WireFormatTest, VarintRejectsUnterminatedEncoding) {
