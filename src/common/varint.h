@@ -24,14 +24,6 @@ inline void VByteEncode32(uint32_t value, std::vector<uint8_t>& out) {
   out.push_back(static_cast<uint8_t>(value));
 }
 
-inline void VByteEncode64(uint64_t value, std::vector<uint8_t>& out) {
-  while (value >= 0x80u) {
-    out.push_back(static_cast<uint8_t>((value & 0x7fu) | 0x80u));
-    value >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(value));
-}
-
 /// Decodes one VByte value starting at `data[offset]`, advancing `offset`.
 /// Trusted-input variant (no bounds checking): the caller guarantees a
 /// complete encoding is present, as qp's in-memory blocks do. Untrusted

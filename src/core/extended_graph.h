@@ -1,6 +1,7 @@
 #ifndef JXP_CORE_EXTENDED_GRAPH_H_
 #define JXP_CORE_EXTENDED_GRAPH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/world_node.h"
@@ -45,20 +46,24 @@ struct ExtendedGraphSystem {
 /// - local rows are built once per fragment and reused across meetings;
 ///   they are dropped only by InvalidateFragment() (called on
 ///   ReplaceFragment, the sole structural fragment change);
-/// - Prepare() snapshots the world node's raw link terms (1/out(r),
-///   alpha(r)) grouped by local target — a counting sort that keeps the
-///   world node's page order within a target — and regenerates the world
-///   row for the given denominator: O(world links), no comparison sort, no
-///   local-row rebuild;
-/// - Rescale() regenerates the world row for a new denominator from the
-///   snapshot — the O(world links) step JxpPeer's self-consistent
-///   denominator guard loop runs instead of a full BuildExtendedSystem.
+/// - Prepare() groups the world node's links by local target — a counting
+///   sort that keeps the world node's page order within a target — and
+///   keeps one 4-byte world-entry index per projected link, then generates
+///   the world row for the given denominator: O(world links), no comparison
+///   sort, no local-row rebuild;
+/// - Rescale() regenerates the world row for a new denominator, reading
+///   out(r) and alpha(r) from the same world node — the O(world links) step
+///   JxpPeer's self-consistent denominator guard loop runs instead of a
+///   full BuildExtendedSystem.
 ///
-/// The world row is regenerated with arithmetic identical to a fresh
+/// Each rebuild computes one weight per world entry and sums the weights of
+/// a target's links in (target, page) order: the arithmetic of a fresh
 /// BuildExtendedSystem at the same denominator, so the cached and the
-/// freshly built systems agree bit for bit. Its floats accumulate in
-/// (target, page) order, which depends only on the world node's content:
-/// a peer restored from a state_io file computes bit-identical scores.
+/// freshly built systems agree bit for bit. That order depends only on the
+/// world node's content: a peer restored from a state_io file computes
+/// bit-identical scores. The per-link counting-sort and per-entry weight
+/// buffers are per-thread scratch shared by every cache, not held between
+/// calls.
 class ExtendedSystemCache {
  public:
   ExtendedSystemCache() = default;
@@ -68,15 +73,15 @@ class ExtendedSystemCache {
   /// returned reference stays valid — and is updated in place — across
   /// subsequent Prepare/Rescale calls. The fragment must be unchanged since
   /// the previous Prepare unless InvalidateFragment() was called in
-  /// between; the world node may change freely between calls.
+  /// between; the world node may change freely between Prepare calls.
   const ExtendedGraphSystem& Prepare(const graph::Subgraph& fragment,
                                      const WorldNode& world, double world_score,
                                      size_t global_size, WorldLinkWeighting weighting);
 
   /// Regenerates the world row for a new denominator, keeping the local
-  /// rows, the world snapshot, and the teleport vector of the last Prepare.
-  /// Only valid after a Prepare.
-  const ExtendedGraphSystem& Rescale(double world_score);
+  /// rows, the link grouping, and the teleport vector of the last Prepare.
+  /// `world` must be the world node of the last Prepare, unchanged since.
+  const ExtendedGraphSystem& Rescale(const WorldNode& world, double world_score);
 
   /// Drops the cached local rows; the next Prepare rebuilds them. Must be
   /// called whenever the fragment changes structurally (ReplaceFragment).
@@ -86,33 +91,23 @@ class ExtendedSystemCache {
   ExtendedGraphSystem TakeSystem() && { return std::move(system_); }
 
  private:
-  /// One raw world-row term: external page r contributes weight
-  /// (1/out(r)) * alpha(r)/alpha_w to the local page whose term group holds
-  /// it.
-  struct WorldTerm {
-    double inv_out = 0;
-    double score = 0;
-  };
-
   void RebuildLocalRows(const graph::Subgraph& fragment);
-  void RebuildWorldRow(double denominator);
+  void RebuildWorldRow(const WorldNode& world, double denominator);
 
   bool local_rows_valid_ = false;
   bool prepared_ = false;
   size_t num_local_ = 0;
   size_t global_size_ = 0;
   WorldLinkWeighting weighting_ = WorldLinkWeighting::kScoreProportional;
-  double uniform_share_ = 0;
-  double dangling_mass_ = 0;
-  /// Terms grouped by local target: target i's terms, in page order, are
-  /// terms_[term_offsets_[i], term_offsets_[i + 1]).
-  std::vector<WorldTerm> terms_;
-  std::vector<uint64_t> term_offsets_;
-  // Scratch for the counting sort: each world link's local target, and each
-  // target's next fill position.
-  std::vector<uint32_t> link_targets_;
-  std::vector<uint64_t> cursor_;
-  std::vector<markov::MatrixEntry> world_row_;  // Scratch, reused per rebuild.
+  /// The world node's shape at the last Prepare, which Rescale checks.
+  size_t world_entries_ = 0;
+  size_t world_links_ = 0;
+  /// World-entry indices grouped by local target: external page r =
+  /// pages[terms_[k]] contributes weight (1/out(r)) * alpha(r)/alpha_w to
+  /// target i for each k in [term_offsets_[i], term_offsets_[i + 1]), in
+  /// page order.
+  std::vector<uint32_t> terms_;
+  std::vector<uint32_t> term_offsets_;
   ExtendedGraphSystem system_;
 };
 

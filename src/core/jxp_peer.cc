@@ -493,7 +493,7 @@ std::vector<double> JxpPeer::SolveExtended(ExtendedSystemCache& cache,
     if (result.distribution[n] <= denominator + 1e-13) break;
     denominator = result.distribution[n];
     init = result.distribution;  // Warm start for the re-run.
-    system = &cache.Rescale(denominator);
+    system = &cache.Rescale(world, denominator);
   }
   last_pr_iterations_ = total_iterations;
   // Score update: Eq. 2 re-weights external (world-node) scores by

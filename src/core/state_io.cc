@@ -206,6 +206,9 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
         return Status::Corruption(path + ": world target outside the fragment");
       }
     }
+    if (world.NumLinks() + targets.size() > WorldNode::kMaxLinks) {
+      return Status::Corruption(path + ": world links exceed 32-bit offsets");
+    }
     world.Append(page, out_degree, score, targets);
   }
   size_t num_dangling = 0;

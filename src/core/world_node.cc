@@ -25,6 +25,19 @@ bool StrictlyAscending(std::span<const graph::PageId> ids) {
   return std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) == ids.end();
 }
 
+/// Merge builds its union here and copies it into the node at exact size:
+/// one buffer per thread, so no node keeps a merge's spare capacity.
+wire::WorldColumns& MergeScratch() {
+  thread_local wire::WorldColumns scratch;
+  return scratch;
+}
+
+/// Replaces `to` by a copy of `from` whose capacity is its size.
+template <typename T>
+void CopyExact(const std::vector<T>& from, std::vector<T>& to) {
+  to = std::vector<T>(from.begin(), from.end());
+}
+
 /// Appends entries [from, to) of `src` to the entry columns of `out`.
 void AppendEntries(const wire::WorldColumns& src, size_t from, size_t to,
                    wire::WorldColumns& out) {
@@ -32,11 +45,11 @@ void AppendEntries(const wire::WorldColumns& src, size_t from, size_t to,
   out.out_degrees.insert(out.out_degrees.end(), src.out_degrees.begin() + from,
                          src.out_degrees.begin() + to);
   out.scores.insert(out.scores.end(), src.scores.begin() + from, src.scores.begin() + to);
-  const uint64_t base = out.targets.size() - src.target_offsets[from];
+  const size_t base = out.targets.size() - src.target_offsets[from];
   out.targets.insert(out.targets.end(), src.targets.begin() + src.target_offsets[from],
                      src.targets.begin() + src.target_offsets[to]);
   for (size_t e = from; e < to; ++e) {
-    out.target_offsets.push_back(src.target_offsets[e + 1] + base);
+    out.target_offsets.push_back(static_cast<uint32_t>(src.target_offsets[e + 1] + base));
   }
 }
 
@@ -50,23 +63,16 @@ size_t RunBefore(const std::vector<graph::PageId>& pages, size_t from,
 }  // namespace
 
 WorldNode::WorldNode(wire::WorldColumns columns) : columns_(std::move(columns)) {
+  // The decoder validated every element (ascending pages, targets and
+  // dangling pages; 1 <= |targets| <= out-degree; non-negative scores), so
+  // only the column shapes are checked here.
   const wire::WorldColumns& c = columns_;
   const size_t n = c.pages.size();
   JXP_CHECK(c.out_degrees.size() == n && c.scores.size() == n &&
             c.target_offsets.size() == n + 1 && c.target_offsets.front() == 0 &&
-            c.target_offsets.back() == c.targets.size())
+            c.target_offsets.back() == c.targets.size() &&
+            c.dangling_pages.size() == c.dangling_scores.size())
       << "malformed world columns";
-  JXP_CHECK(StrictlyAscending(c.pages)) << "world pages not strictly ascending";
-  for (size_t e = 0; e < n; ++e) {
-    const std::span<const graph::PageId> targets = c.Targets(e);
-    JXP_CHECK(!targets.empty() && targets.size() <= c.out_degrees[e]);
-    JXP_CHECK(StrictlyAscending(targets)) << "world targets not strictly ascending";
-    JXP_CHECK_GE(c.scores[e], 0.0);
-  }
-  JXP_CHECK_EQ(c.dangling_pages.size(), c.dangling_scores.size());
-  JXP_CHECK(StrictlyAscending(c.dangling_pages))
-      << "dangling pages not strictly ascending";
-  for (double score : c.dangling_scores) JXP_CHECK_GE(score, 0.0);
 }
 
 void WorldNode::Append(graph::PageId page, uint32_t out_degree, double score,
@@ -78,11 +84,13 @@ void WorldNode::Append(graph::PageId page, uint32_t out_degree, double score,
       << out_degree;
   JXP_CHECK(StrictlyAscending(targets));
   JXP_CHECK_GE(score, 0.0);
+  JXP_CHECK_LE(c.targets.size() + targets.size(), kMaxLinks)
+      << "world links exceed the 32-bit offsets";
   c.pages.push_back(page);
   c.out_degrees.push_back(out_degree);
   c.scores.push_back(score);
   c.targets.insert(c.targets.end(), targets.begin(), targets.end());
-  c.target_offsets.push_back(c.targets.size());
+  c.target_offsets.push_back(static_cast<uint32_t>(c.targets.size()));
 }
 
 void WorldNode::AppendDangling(graph::PageId page, double score) {
@@ -97,15 +105,14 @@ void WorldNode::AppendDangling(graph::PageId page, double score) {
 void WorldNode::Merge(WorldNode batch, CombineMode mode) {
   const wire::WorldColumns& a = columns_;
   const wire::WorldColumns& b = batch.columns_;
+  wire::WorldColumns& out = MergeScratch();
   uint64_t conflicts = 0;
   if (!b.pages.empty()) {
-    wire::WorldColumns out;
-    const size_t entries = a.pages.size() + b.pages.size();
-    out.pages.reserve(entries);
-    out.out_degrees.reserve(entries);
-    out.scores.reserve(entries);
-    out.target_offsets.reserve(entries + 1);
-    out.targets.reserve(a.targets.size() + b.targets.size());
+    out.pages.clear();
+    out.out_degrees.clear();
+    out.scores.clear();
+    out.target_offsets.assign(1, 0);
+    out.targets.clear();
     size_t i = 0;
     size_t j = 0;
     while (i < a.pages.size() && j < b.pages.size()) {
@@ -123,7 +130,7 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode) {
         const std::span<const graph::PageId> reported = b.Targets(j);
         std::set_union(known.begin(), known.end(), reported.begin(), reported.end(),
                        std::back_inserter(out.targets));
-        const uint64_t num_targets = out.targets.size() - out.target_offsets.back();
+        const size_t num_targets = out.targets.size() - out.target_offsets.back();
         uint32_t out_degree = std::max(a.out_degrees[i], b.out_degrees[j]);
         if (a.out_degrees[i] != b.out_degrees[j]) ++conflicts;
         if (num_targets > out_degree) {
@@ -133,22 +140,25 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode) {
         out.pages.push_back(a.pages[i]);
         out.out_degrees.push_back(out_degree);
         out.scores.push_back(CombineScores(mode, a.scores[i], b.scores[j]));
-        out.target_offsets.push_back(out.targets.size());
+        out.target_offsets.push_back(static_cast<uint32_t>(out.targets.size()));
         ++i;
         ++j;
       }
     }
     AppendEntries(a, i, a.pages.size(), out);
     AppendEntries(b, j, b.pages.size(), out);
-    out.dangling_pages = std::move(columns_.dangling_pages);
-    out.dangling_scores = std::move(columns_.dangling_scores);
-    columns_ = std::move(out);
+    JXP_CHECK_LE(out.targets.size(), kMaxLinks) << "world links exceed the 32-bit offsets";
+    CopyExact(out.pages, columns_.pages);
+    CopyExact(out.out_degrees, columns_.out_degrees);
+    CopyExact(out.scores, columns_.scores);
+    CopyExact(out.target_offsets, columns_.target_offsets);
+    CopyExact(out.targets, columns_.targets);
   }
   if (!b.dangling_pages.empty()) {
-    std::vector<graph::PageId> pages;
-    std::vector<double> scores;
-    pages.reserve(a.dangling_pages.size() + b.dangling_pages.size());
-    scores.reserve(a.dangling_pages.size() + b.dangling_pages.size());
+    std::vector<graph::PageId>& pages = out.dangling_pages;
+    std::vector<double>& scores = out.dangling_scores;
+    pages.clear();
+    scores.clear();
     size_t i = 0;
     size_t j = 0;
     while (i < a.dangling_pages.size() && j < b.dangling_pages.size()) {
@@ -171,8 +181,8 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode) {
     scores.insert(scores.end(), a.dangling_scores.begin() + i, a.dangling_scores.end());
     pages.insert(pages.end(), b.dangling_pages.begin() + j, b.dangling_pages.end());
     scores.insert(scores.end(), b.dangling_scores.begin() + j, b.dangling_scores.end());
-    columns_.dangling_pages = std::move(pages);
-    columns_.dangling_scores = std::move(scores);
+    CopyExact(pages, columns_.dangling_pages);
+    CopyExact(scores, columns_.dangling_scores);
   }
   if (conflicts > 0 && obs::Enabled()) OutDegreeConflicts().Increment(conflicts);
 }

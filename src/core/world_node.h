@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -55,15 +56,20 @@ struct ExternalPageInfo {
 /// of the order of observation.
 class WorldNode {
  public:
+  /// The most links a node holds: its target offsets are 32-bit.
+  static constexpr size_t kMaxLinks = std::numeric_limits<uint32_t>::max();
+
   WorldNode() = default;
 
-  /// Adopts columns that satisfy the wire::WorldColumns invariants (as the
-  /// meeting codec decodes them); checks them.
+  /// Adopts columns that satisfy the wire::WorldColumns invariants, as the
+  /// meeting codec's decoder validates them element by element; checks only
+  /// their shape (column sizes, first and last offset).
   explicit WorldNode(wire::WorldColumns columns);
 
   /// Appends knowledge about external page `page`, which must sort after
   /// every entry already present: builds a batch for Merge in one pass.
-  /// `targets` must be sorted unique, non-empty and at most `out_degree`.
+  /// `targets` must be sorted unique, non-empty and at most `out_degree`,
+  /// and the node must stay within kMaxLinks links.
   void Append(graph::PageId page, uint32_t out_degree, double score,
               std::span<const graph::PageId> targets);
 
@@ -83,6 +89,10 @@ class WorldNode {
   /// keeps Theorem 5.3; so does raising it to the target count when a
   /// target union outgrows it. Each resolution counts in
   /// jxp.world.out_degree_conflicts.
+  ///
+  /// The union is built in a per-thread scratch store; each column it
+  /// rewrites (the entry columns when `batch` has entries, the dangling
+  /// ones when it has dangling records) is copied back at exact size.
   void Merge(WorldNode batch, CombineMode mode);
 
   /// Removes the entries and dangling records of the pages satisfying
@@ -144,12 +154,12 @@ class WorldNode {
     wire::WorldColumns& c = columns_;
     size_t entries = 0;
     size_t links = 0;
-    uint64_t begin = 0;  // Read ahead of the compaction, which rewrites offsets.
+    uint32_t begin = 0;  // Read ahead of the compaction, which rewrites offsets.
     for (size_t e = 0; e < c.pages.size(); ++e) {
-      const uint64_t end = c.target_offsets[e + 1];
+      const uint32_t end = c.target_offsets[e + 1];
       const size_t first = links;
       if (!erase(c.pages[e])) {
-        for (uint64_t l = begin; l < end; ++l) {
+        for (uint32_t l = begin; l < end; ++l) {
           if (keep(c.targets[l])) c.targets[links++] = c.targets[l];
         }
       }
@@ -158,7 +168,7 @@ class WorldNode {
       c.pages[entries] = c.pages[e];
       c.out_degrees[entries] = c.out_degrees[e];
       c.scores[entries] = c.scores[e];
-      c.target_offsets[++entries] = links;
+      c.target_offsets[++entries] = static_cast<uint32_t>(links);
     }
     c.pages.resize(entries);
     c.out_degrees.resize(entries);

@@ -97,11 +97,16 @@ Status ParseScoreChunk(ByteReader& reader, size_t payload_size, PageTableColumns
   if (first_index != table.pages.size()) {
     return BadPayload("score chunk out of sequence");
   }
-  table.pages.reserve(table.pages.size() + count);
-  table.scores.reserve(table.scores.size() + count);
-  table.successor_offsets.reserve(table.successor_offsets.size() + count);
-  graph::PageId prev_page = table.pages.empty() ? 0 : table.pages.back();
   const bool first_record_of_message = table.pages.empty();
+  if (first_record_of_message) {
+    // Reserve for the first chunk only: an exact reserve per chunk would
+    // reallocate and copy every column once per further chunk, where
+    // push_back's geometric growth copies each record O(1) times.
+    table.pages.reserve(count);
+    table.scores.reserve(count);
+    table.successor_offsets.reserve(count + 1);
+  }
+  graph::PageId prev_page = first_record_of_message ? 0 : table.pages.back();
   for (uint32_t i = 0; i < count; ++i) {
     graph::PageId page = 0;
     if (!ReadAscendingId(reader, first_record_of_message && i == 0, prev_page, &page)) {
@@ -189,7 +194,7 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
     world.pages.push_back(page);
     world.out_degrees.push_back(out_degree);
     world.scores.push_back(score);
-    world.target_offsets.push_back(world.targets.size());
+    world.target_offsets.push_back(static_cast<uint32_t>(world.targets.size()));
   }
   uint32_t num_dangling = 0;
   if (!reader.GetVarint32(&num_dangling)) return BadPayload("truncated dangling header");

@@ -39,12 +39,14 @@ struct PageTableColumns {
 /// scores[e] and the targets [target_offsets[e], target_offsets[e + 1]);
 /// dangling record d is dangling_pages[d] with dangling_scores[d]. Pages,
 /// each target list and the dangling pages are strictly ascending, and
-/// 1 <= |targets| <= out-degree.
+/// 1 <= |targets| <= out-degree. The offsets are 32-bit: a world node holds
+/// fewer than 2^32 links (a decoded frame's are bounded by its 64 MiB
+/// payload; core::WorldNode checks its merges and appends).
 struct WorldColumns {
   std::vector<graph::PageId> pages;
   std::vector<uint32_t> out_degrees;
   std::vector<double> scores;
-  std::vector<uint64_t> target_offsets = {0};
+  std::vector<uint32_t> target_offsets = {0};
   std::vector<graph::PageId> targets;
   std::vector<graph::PageId> dangling_pages;
   std::vector<double> dangling_scores;

@@ -58,20 +58,6 @@ TEST(VarintCheckedTest, RoundTrips32) {
   }
 }
 
-TEST(VarintCheckedTest, RoundTrips64) {
-  const uint64_t values[] = {0, 0x7fu, 0x80u, 1ull << 35, 1ull << 62,
-                             std::numeric_limits<uint64_t>::max()};
-  for (uint64_t v : values) {
-    std::vector<uint8_t> bytes;
-    VByteEncode64(v, bytes);
-    size_t offset = 0;
-    uint64_t decoded = 0;
-    ASSERT_TRUE(VByteDecode64Checked(bytes.data(), bytes.size(), offset, &decoded)) << v;
-    EXPECT_EQ(decoded, v);
-    EXPECT_EQ(offset, bytes.size());
-  }
-}
-
 TEST(VarintCheckedTest, RejectsTruncatedInput) {
   // Every proper prefix of a multi-byte encoding must fail and leave the
   // offset untouched (truncation surfaces as an error, never as a read past

@@ -161,6 +161,35 @@ TEST(WorldNodeTest, MergeFoldsASortedBatch) {
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.5);
 }
 
+TEST(WorldNodeTest, MergeLeavesExactSizeColumns) {
+  // Columns grown by Append carry spare capacity; the merge's union is
+  // copied back at exact size, however large the node was before.
+  WorldNode w;
+  for (graph::PageId page = 100; page < 140; ++page) {
+    const std::vector<graph::PageId> t = {page % 7, page % 7 + 10};
+    w.Append(page, 4, 0.01, t);
+    w.AppendDangling(page + 1000, 0.001);
+  }
+  WorldNode batch;
+  const std::vector<graph::PageId> t = {3};
+  batch.Append(50, 2, 0.2, t);
+  batch.Append(120, 4, 0.3, t);
+  batch.AppendDangling(1120, 0.01);
+  batch.AppendDangling(2000, 0.02);
+  w.Merge(std::move(batch), kMax);
+
+  const wire::WorldColumns& c = w.columns();
+  EXPECT_EQ(c.pages.size(), 41u);
+  EXPECT_EQ(c.dangling_pages.size(), 41u);
+  EXPECT_EQ(c.pages.capacity(), c.pages.size());
+  EXPECT_EQ(c.out_degrees.capacity(), c.out_degrees.size());
+  EXPECT_EQ(c.scores.capacity(), c.scores.size());
+  EXPECT_EQ(c.target_offsets.capacity(), c.target_offsets.size());
+  EXPECT_EQ(c.targets.capacity(), c.targets.size());
+  EXPECT_EQ(c.dangling_pages.capacity(), c.dangling_pages.size());
+  EXPECT_EQ(c.dangling_scores.capacity(), c.dangling_scores.size());
+}
+
 TEST(WorldNodeTest, ConflictingOutDegreesResolveToTheLarger) {
   const obs::ScopedEnable telemetry(true);
   const uint64_t conflicts_before = OutDegreeConflicts();

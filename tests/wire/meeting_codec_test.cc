@@ -290,6 +290,73 @@ TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
   }
 }
 
+/// One world entry as the frame spells it: page delta, score, out-degree,
+/// then the target count and target deltas.
+struct RawWorldEntry {
+  uint32_t page_delta;
+  float score;
+  uint32_t out_degree;
+  std::vector<uint32_t> target_deltas;
+};
+
+/// A message holding one kWorldKnowledge frame with `entries` and the
+/// dangling records (page delta, score) `dangling`, written field by field
+/// so that it can break any element invariant.
+std::vector<uint8_t> RawWorldFrame(const std::vector<RawWorldEntry>& entries,
+                                   const std::vector<std::pair<uint32_t, float>>& dangling) {
+  std::vector<uint8_t> payload;
+  ByteWriter writer(payload);
+  writer.PutVarint32(static_cast<uint32_t>(entries.size()));
+  for (const RawWorldEntry& entry : entries) {
+    writer.PutVarint32(entry.page_delta);
+    writer.PutFloat(entry.score);
+    writer.PutVarint32(entry.out_degree);
+    writer.PutVarint32(static_cast<uint32_t>(entry.target_deltas.size()));
+    for (uint32_t delta : entry.target_deltas) writer.PutVarint32(delta);
+  }
+  writer.PutVarint32(static_cast<uint32_t>(dangling.size()));
+  for (const auto& [page_delta, score] : dangling) {
+    writer.PutVarint32(page_delta);
+    writer.PutFloat(score);
+  }
+  writer.Finish();
+  std::vector<uint8_t> bytes;
+  AppendFrame(MessageType::kWorldKnowledge, payload, bytes);
+  return bytes;
+}
+
+TEST(MeetingCodecTest, WorldFrameElementInvariantsAreEnforcedByTheDecoder) {
+  // core::WorldNode adopts decoded columns checking only their shape, so
+  // the decoder must reject every element the WorldColumns invariants rule
+  // out. The well-formed frame decodes; each broken one is Corruption.
+  const RawWorldEntry a{100, 0.1f, 3, {5, 2}};
+  const RawWorldEntry b{20, 0.2f, 2, {9}};
+  const std::vector<std::pair<uint32_t, float>> dangling = {{40, 0.05f}, {3, 0.01f}};
+  ASSERT_TRUE(DecodeMeeting(RawWorldFrame({a, b}, dangling)).error.ok());
+
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const struct {
+    const char* what;
+    std::vector<uint8_t> bytes;
+  } cases[] = {
+      {"pages not ascending", RawWorldFrame({a, {0, 0.2f, 2, {9}}}, dangling)},
+      {"targets not ascending", RawWorldFrame({{100, 0.1f, 3, {5, 0}}, b}, dangling)},
+      {"dangling pages not ascending", RawWorldFrame({a, b}, {{40, 0.05f}, {0, 0.01f}})},
+      {"empty targets", RawWorldFrame({{100, 0.1f, 3, {}}, b}, dangling)},
+      {"more targets than out-degree", RawWorldFrame({{100, 0.1f, 1, {5, 2}}, b}, dangling)},
+      {"negative score", RawWorldFrame({{100, -0.1f, 3, {5, 2}}, b}, dangling)},
+      {"NaN score", RawWorldFrame({a, {20, nan, 2, {9}}}, dangling)},
+      {"negative dangling score", RawWorldFrame({a, b}, {{40, -0.05f}, {3, 0.01f}})},
+      {"NaN dangling score", RawWorldFrame({a, b}, {{40, 0.05f}, {3, nan}})},
+  };
+  for (const auto& c : cases) {
+    const DecodedMeeting decoded = DecodeMeeting(c.bytes);
+    EXPECT_EQ(decoded.error.code(), StatusCode::kCorruption) << c.what;
+    EXPECT_TRUE(decoded.world.empty()) << c.what;
+    EXPECT_EQ(decoded.frames_decoded, 0u) << c.what;
+  }
+}
+
 TEST(MeetingCodecTest, EveryBitFlipOfAThreeFrameMessageIsRejected) {
   // Two score chunks and a world frame. The checksum is certain to catch a
   // flip anywhere outside the length fields; a flipped length runs past the

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,6 +226,22 @@ TEST(WireFormatTest, WriterReaderPrimitivesRoundTrip) {
   ASSERT_TRUE(reader.GetFloat(&f));
   EXPECT_EQ(f, 1.5f);
   EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(WireFormatTest, Varint64RoundTrips) {
+  const uint64_t values[] = {0, 0x7fu, 0x80u, 1ull << 35, 1ull << 62,
+                             std::numeric_limits<uint64_t>::max()};
+  for (uint64_t v : values) {
+    std::vector<uint8_t> bytes;
+    ByteWriter writer(bytes);
+    writer.PutVarint64(v);
+    writer.Finish();
+    ByteReader reader(bytes);
+    uint64_t decoded = 0;
+    ASSERT_TRUE(reader.GetVarint64(&decoded)) << v;
+    EXPECT_EQ(decoded, v);
+    EXPECT_TRUE(reader.AtEnd());
+  }
 }
 
 TEST(WireFormatTest, BoundedWriterTrimsToWhatItWrote) {
