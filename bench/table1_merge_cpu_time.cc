@@ -1,6 +1,6 @@
 // Table 1: CPU time (milliseconds) per merge procedure — full merging vs
 // light-weight merging — for the three biggest and three smallest peers of
-// each collection. Paper shape: light-weight is consistently cheaper, and
+// each collection. Stdout lists the peers; the timing table goes to stderr. Paper shape: light-weight is consistently cheaper, and
 // dramatically so for small peers; absolute numbers differ from the paper's
 // 2005 hardware.
 
@@ -52,15 +52,23 @@ void Run(int argc, char** argv) {
     // Sort by fragment size, descending, as the paper does.
     std::sort(costs.begin(), costs.end(),
               [](const PeerCost& a, const PeerCost& b) { return a.pages > b.pages; });
-    std::printf("peer\tlocal_pages\tfull_merging_ms\tlightweight_ms\tspeedup\n");
+    // The CPU-time columns vary from run to run, so they go to stderr: the
+    // deterministic rest of stdout is a golden (bench/goldens/).
+    std::printf("peer\tlocal_pages\n");
+    std::fprintf(stderr, "# Table 1 (%s)\n", name);
+    std::fprintf(stderr, "peer\tlocal_pages\tfull_merging_ms\tlightweight_ms\tspeedup\n");
     const size_t n = costs.size();
     auto print = [&](size_t rank) {
       const PeerCost& c = costs[rank];
-      std::printf("%zu\t%zu\t%.3f\t%.3f\t%.2fx\n", rank + 1, c.pages, c.full_ms,
-                  c.light_ms, c.light_ms > 0 ? c.full_ms / c.light_ms : 0.0);
+      std::printf("%zu\t%zu\n", rank + 1, c.pages);
+      std::fprintf(stderr, "%zu\t%zu\t%.3f\t%.3f\t%.2fx\n", rank + 1, c.pages, c.full_ms,
+                   c.light_ms, c.light_ms > 0 ? c.full_ms / c.light_ms : 0.0);
     };
     for (size_t r = 0; r < std::min<size_t>(3, n); ++r) print(r);
-    if (n > 6) std::printf("...\n");
+    if (n > 6) {
+      std::printf("...\n");
+      std::fprintf(stderr, "...\n");
+    }
     for (size_t r = n >= 3 ? n - 3 : 0; r < n; ++r) print(r);
     std::printf("\n");
   }

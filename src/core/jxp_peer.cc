@@ -35,6 +35,13 @@ struct MeetingMetrics {
       obs::MetricsRegistry::Global().GetHistogram("jxp.merge.pr_iterations");
   obs::Histogram world_update_ms =
       obs::MetricsRegistry::Global().GetHistogram("jxp.merge.world_update_ms");
+  /// How the light-weight merge folded the partner's reports (FoldTally).
+  obs::Counter reports_unchanged =
+      obs::MetricsRegistry::Global().GetCounter("jxp.world.reports_unchanged");
+  obs::Counter reports_in_place =
+      obs::MetricsRegistry::Global().GetCounter("jxp.world.reports_in_place");
+  obs::Counter reports_structural =
+      obs::MetricsRegistry::Global().GetCounter("jxp.world.reports_structural");
   /// Codec observables, one sample per message wherever the codec runs:
   /// encoded size, analytic / measured compression ratio (both
   /// deterministic), and codec CPU.
@@ -53,21 +60,22 @@ MeetingMetrics& GetMeetingMetrics() {
   return metrics;
 }
 
-/// Collects external pages into a sorted world batch as `fragment` sees
-/// them: a page without out-links becomes a dangling record, any other page
-/// an entry carrying only its successors inside the fragment (a page with
-/// none is skipped). Pages must arrive in ascending order.
+/// Reports external pages to `fold` as `fragment` sees them: a page without
+/// out-links becomes a dangling report, any other page a report carrying
+/// only its successors inside the fragment (a page with none is skipped).
+/// Pages must arrive in ascending order within each of the fold's streams.
 struct ExternalFold {
-  explicit ExternalFold(const graph::Subgraph& fragment) : fragment(fragment) {}
+  ExternalFold(const graph::Subgraph& fragment, WorldFold& fold)
+      : fragment(fragment), fold(fold) {}
 
   const graph::Subgraph& fragment;
-  WorldNode batch;
+  WorldFold& fold;
   std::vector<graph::PageId> targets;
 
   void Add(graph::PageId page, size_t out_degree, double score,
            std::span<const graph::PageId> successors) {
     if (out_degree == 0) {
-      batch.AppendDangling(page, score);
+      fold.AddDangling(page, score);
       return;
     }
     targets.clear();
@@ -75,10 +83,25 @@ struct ExternalFold {
       if (fragment.Contains(successor)) targets.push_back(successor);
     }
     if (!targets.empty()) {
-      batch.Append(page, static_cast<uint32_t>(out_degree), score, targets);
+      fold.Add(page, static_cast<uint32_t>(out_degree), score, targets);
     }
   }
 };
+
+/// True when the ascending lists `a` and `b` share an element.
+bool ShareAPage(std::span<const graph::PageId> a, std::span<const graph::PageId> b) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
 
 /// Numerical floor for the world score; Theorem 5.3 keeps the true value
 /// well above this, so the floor only guards against pathological inputs.
@@ -127,10 +150,10 @@ std::vector<uint8_t> JxpPeer::EncodeMeetingBytes() const {
   std::vector<uint8_t> bytes;
   if (options_.attack.type == AttackOptions::Type::kNone) {
     // An honest peer's message is its own state, encoded in place.
-    bytes = EncodeMeetingMessage(fragment_, scores_, world_);
+    bytes = EncodeMeetingMessage(fragment_.Table(), scores_, world_);
   } else {
     const PeerView view = MakeView();
-    bytes = EncodeMeetingMessage(*view.fragment, view.scores, view.world);
+    bytes = EncodeMeetingMessage(view.pages, view.scores, view.world);
   }
   if (timer.has_value()) {
     MeetingMetrics& metrics = GetMeetingMetrics();
@@ -152,11 +175,10 @@ RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
   }
   result.bytes_consumed = decoded.bytes_consumed;
   result.salvaged = !decoded.error.ok();
-  if (decoded.fragment == nullptr) return result;  // Degenerates to a drop.
+  if (decoded.page_table.pages.empty()) return result;  // Degenerates to a drop.
   PeerView view;
-  view.owned_fragment = std::move(decoded.fragment);
-  view.fragment = view.owned_fragment.get();
-  view.scores = std::move(decoded.scores);
+  view.pages = decoded.page_table.View();
+  view.scores = std::move(decoded.page_table.scores);
   view.world = std::move(decoded.world);
   ProcessMeeting(view);
   result.pr_iterations = last_pr_iterations_;
@@ -219,7 +241,7 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner) {
 
 JxpPeer::PeerView JxpPeer::MakeView() const {
   PeerView view;
-  view.fragment = &fragment_;
+  view.pages = fragment_.Table();
   view.scores = scores_;
   view.world = world_;
   // A cheating peer corrupts its outgoing message (Section 7's open
@@ -261,9 +283,9 @@ bool JxpPeer::ShouldRejectMessage(const PeerView& partner) const {
   // random noise both push it up. (Two-sided so that undervaluing garbage
   // is caught as well.)
   std::vector<double> divergences;
-  const graph::Subgraph& other = *partner.fragment;
-  for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(other.GlobalId(k));
+  const std::span<const graph::PageId> pages = partner.pages.pages;
+  for (size_t k = 0; k < pages.size(); ++k) {
+    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(pages[k]);
     if (mine == graph::Subgraph::kNotLocal) continue;
     if (scores_[mine] <= 0 || partner.scores[k] <= 0) {
       divergences.push_back(std::numeric_limits<double>::infinity());
@@ -323,53 +345,58 @@ void JxpPeer::CombineLocalScore(graph::Subgraph::LocalIndex i, double reported) 
 void JxpPeer::ProcessLightWeight(const PeerView& partner) {
   std::optional<ThreadCpuTimer> world_timer;
   if (obs::Enabled()) world_timer.emplace();
-  const graph::Subgraph& other = *partner.fragment;
-  // Fold the partner's local pages into our view: overlapping pages combine
-  // score lists; external pages that link into our fragment enter the world
-  // node with their out-degree, score, and the in-links they contribute
-  // (external dangling pages reach us via the uniform redistribution, which
-  // the world row models in aggregate). The partner's pages arrive in
-  // ascending order, so they form a sorted batch for one merge.
-  ExternalFold hosted(fragment_);
-  for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::PageId page = other.GlobalId(k);
-    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
-    if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, partner.scores[k]);
+  const graph::PageTableView other = partner.pages;
+  const wire::WorldColumns& heard_of = partner.world.columns();
+  // The partner's pages and its world node are two page-sorted report
+  // streams, folded against our world node in one join. Under take-max a
+  // report about a page we know, whose targets we hold, raises that entry in
+  // place; new pages and new links go through one Merge. An honest partner's
+  // two streams share no page. A forged message that repeats one sends every
+  // report through Merge, which combines the repeated reports first.
+  const bool in_place = options_.combine_mode == CombineMode::kTakeMax &&
+                        !ShareAPage(other.pages, heard_of.pages);
+  WorldFold fold(world_, options_.combine_mode, in_place);
+  ExternalFold external(fragment_, fold);
+  // Overlapping pages combine score lists; external pages that link into
+  // our fragment enter the world node with their out-degree, score, and the
+  // in-links they contribute (external dangling pages reach us via the
+  // uniform redistribution, which the world row models in aggregate).
+  for (size_t k = 0; k < other.NumPages(); ++k) {
+    const graph::PageId page = other.pages[k];
+    if (fragment_.Contains(page)) {
+      CombineLocalScore(fragment_.LocalIndexOf(page), partner.scores[k]);
     } else {
-      hosted.Add(page, other.GlobalOutDegree(k), partner.scores[k], other.Successors(k));
+      const std::span<const graph::PageId> successors = other.Successors(k);
+      external.Add(page, successors.size(), partner.scores[k], successors);
     }
   }
-  // Fold the partner's world node: entries about our own pages refresh our
-  // score list; entries about external pages that link into our fragment
-  // extend our world node (the "union of the links represented in them").
-  const wire::WorldColumns& heard_of = partner.world.columns();
-  ExternalFold relayed(fragment_);
+  // The partner's world node: entries about our own pages refresh our score
+  // list; entries about external pages that link into our fragment extend
+  // our world node (the "union of the links represented in them").
+  fold.NextStream();
   for (size_t e = 0; e < heard_of.NumEntries(); ++e) {
     const graph::PageId page = heard_of.pages[e];
-    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
-    if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, heard_of.scores[e]);
+    if (fragment_.Contains(page)) {
+      CombineLocalScore(fragment_.LocalIndexOf(page), heard_of.scores[e]);
     } else {
-      relayed.Add(page, heard_of.out_degrees[e], heard_of.scores[e], heard_of.Targets(e));
+      external.Add(page, heard_of.out_degrees[e], heard_of.scores[e], heard_of.Targets(e));
     }
   }
   for (size_t d = 0; d < heard_of.dangling_pages.size(); ++d) {
     const graph::PageId page = heard_of.dangling_pages[d];
-    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
-    if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, heard_of.dangling_scores[d]);
+    if (fragment_.Contains(page)) {
+      CombineLocalScore(fragment_.LocalIndexOf(page), heard_of.dangling_scores[d]);
     } else {
-      relayed.batch.AppendDangling(page, heard_of.dangling_scores[d]);
+      fold.AddDangling(page, heard_of.dangling_scores[d]);
     }
   }
-  // An honest partner's pages and world node are disjoint, so the two
-  // batches share no entry and one merge into the world node suffices (a
-  // forged message that repeats a page has its two reports combined first).
-  hosted.batch.Merge(std::move(relayed.batch), options_.combine_mode);
-  world_.Merge(std::move(hosted.batch), options_.combine_mode);
+  fold.Finish();
   if (world_timer.has_value()) {
-    GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
+    MeetingMetrics& metrics = GetMeetingMetrics();
+    metrics.world_update_ms.Observe(world_timer->ElapsedMillis());
+    metrics.reports_unchanged.Increment(fold.tally().unchanged);
+    metrics.reports_in_place.Increment(fold.tally().in_place);
+    metrics.reports_structural.Increment(fold.tally().structural);
   }
   RunLocalPageRank();
 }
@@ -377,7 +404,7 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
 void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   std::optional<ThreadCpuTimer> world_timer;
   if (obs::Enabled()) world_timer.emplace();
-  const graph::Subgraph& other = *partner.fragment;
+  const graph::PageTableView other = partner.pages;
   // Merged graph G_M = union of the two fragments with full out-link
   // knowledge; merged score list L_M combines overlapping pages.
   graph::Subgraph merged = graph::Subgraph::Merge(fragment_, other);
@@ -385,9 +412,9 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
     merged_scores[merged.LocalIndexOf(fragment_.GlobalId(i))] = scores_[i];
   }
-  for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::Subgraph::LocalIndex mi = merged.LocalIndexOf(other.GlobalId(k));
-    if (fragment_.Contains(other.GlobalId(k))) {
+  for (size_t k = 0; k < other.NumPages(); ++k) {
+    const graph::Subgraph::LocalIndex mi = merged.LocalIndexOf(other.pages[k]);
+    if (fragment_.Contains(other.pages[k])) {
       merged_scores[mi] =
           CombineScores(options_.combine_mode, merged_scores[mi], partner.scores[k]);
     } else {
@@ -427,17 +454,18 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   // ... and a new world node: W_M's links into V_A, plus the partner's pages
   // (E_B links) that point into V_A, now valued at their merged PR scores.
   // The two sets are disjoint (W_M excludes every page of G_M).
-  WorldNode new_world = std::move(merged_world);
-  new_world.FilterTargets([this](graph::PageId page) { return fragment_.Contains(page); });
-  ExternalFold partner_pages(fragment_);
-  for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::PageId page = other.GlobalId(k);
+  world_ = std::move(merged_world);
+  world_.FilterTargets([this](graph::PageId page) { return fragment_.Contains(page); });
+  WorldFold fold(world_, options_.combine_mode, /*in_place=*/false);
+  ExternalFold partner_pages(fragment_, fold);
+  for (size_t k = 0; k < other.NumPages(); ++k) {
+    const graph::PageId page = other.pages[k];
     if (fragment_.Contains(page)) continue;
-    partner_pages.Add(page, other.GlobalOutDegree(k),
-                      distribution[merged.LocalIndexOf(page)], other.Successors(k));
+    const std::span<const graph::PageId> successors = other.Successors(k);
+    partner_pages.Add(page, successors.size(), distribution[merged.LocalIndexOf(page)],
+                      successors);
   }
-  new_world.Merge(std::move(partner_pages.batch), options_.combine_mode);
-  world_ = std::move(new_world);
+  fold.Finish();
   // The world node again represents *everything* outside V_A (including the
   // partner's pages), so its score is the complement of the local mass.
   double my_mass = 0;
@@ -549,14 +577,15 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
   // Retain what the peer learned from crawling the dropped pages: a dropped
   // page that links into the retained set becomes a world-node entry with
   // its last known score.
-  ExternalFold dropped(fragment_);
+  WorldFold fold(world_, options_.combine_mode, /*in_place=*/false);
+  ExternalFold dropped(fragment_, fold);
   for (graph::Subgraph::LocalIndex i = 0; i < old_fragment.NumLocalPages(); ++i) {
     const graph::PageId page = old_fragment.GlobalId(i);
     if (fragment_.Contains(page)) continue;
     dropped.Add(page, old_fragment.GlobalOutDegree(i), old_scores[i],
                 old_fragment.Successors(i));
   }
-  world_.Merge(std::move(dropped.batch), options_.combine_mode);
+  fold.Finish();
   RunLocalPageRank();
 }
 

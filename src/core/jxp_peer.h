@@ -5,8 +5,6 @@
 #include <span>
 #include <vector>
 
-#include <memory>
-
 #include "core/extended_graph.h"
 #include "core/jxp_options.h"
 #include "core/world_node.h"
@@ -167,12 +165,11 @@ class JxpPeer {
  private:
   /// Immutable snapshot of the state a peer ships in a meeting message.
   struct PeerView {
-    const graph::Subgraph* fragment = nullptr;
-    std::vector<double> scores;  // By the fragment's local index.
+    /// The sender's pages: MakeView views its fragment, ApplyMeetingBytes
+    /// the decoded message's columns. No page index is built for them.
+    graph::PageTableView pages;
+    std::vector<double> scores;  // By page-table position.
     WorldNode world;
-    /// Storage backing `fragment` for wire-decoded views; MakeView points
-    /// `fragment` at the sender's own fragment instead.
-    std::shared_ptr<const graph::Subgraph> owned_fragment;
   };
 
   /// Copies the state this peer ships (corrupted per AttackOptions): the

@@ -5,11 +5,11 @@
 namespace jxp {
 namespace core {
 
-std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
+std::vector<uint8_t> EncodeMeetingMessage(graph::PageTableView pages,
                                           std::span<const double> scores,
                                           const WorldNode& world) {
   std::vector<uint8_t> out;
-  wire::EncodeScoreList(fragment, scores, out);
+  wire::EncodeScoreList(pages, scores, out);
   // The world node keeps the codec's page-sorted layout: encoded in place.
   wire::EncodeWorldKnowledge(world.columns(), out);
   return out;
@@ -23,15 +23,9 @@ DecodedMeetingMessage DecodeMeetingMessage(std::span<const uint8_t> bytes) {
 
   // The codec validated what it returns (ascending pages, ascending
   // successor and target lists, 1 <= |targets| <= out-degree), which is
-  // exactly the canonical form the fragment and the world node keep: both
+  // exactly the canonical form a page table and the world node keep: both
   // adopt the columns without re-sorting.
-  wire::PageTableColumns& table = decoded.page_table;
-  if (!table.pages.empty()) {
-    result.fragment = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
-        std::move(table.pages), std::move(table.successor_offsets),
-        std::move(table.successors)));
-    result.scores = std::move(table.scores);
-  }
+  result.page_table = std::move(decoded.page_table);
   result.world = WorldNode(std::move(decoded.world));
   return result;
 }

@@ -2,7 +2,6 @@
 #define JXP_CORE_MEETING_WIRE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -14,27 +13,26 @@
 namespace jxp {
 namespace core {
 
-/// Bridge between the peer vocabulary (Subgraph, WorldNode) and
+/// Bridge between the peer vocabulary (page tables, WorldNode) and
 /// the wire codec (DESIGN.md §6g): the world node and the decoded page table
 /// already have the codec's page-sorted column layout, so both directions
 /// pass the columns through without flattening or sorting. Lives in core —
 /// not wire — so the wire library never depends on core types.
 
-/// Serializes one complete meeting message: the page table (fragment +
-/// scores, chunked) and the world knowledge (skipped when empty).
-std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
+/// Serializes one complete meeting message: the page table (pages + scores,
+/// chunked) and the world knowledge (skipped when empty).
+std::vector<uint8_t> EncodeMeetingMessage(graph::PageTableView pages,
                                           std::span<const double> scores,
                                           const WorldNode& world);
 
 /// What a receiver recovers from a (possibly truncated or corrupted)
 /// meeting message.
 struct DecodedMeetingMessage {
-  /// The sender's fragment as reconstructed from the decoded page table (a
-  /// prefix of the sender's real fragment under truncation); null when not
-  /// even one page decoded — the message then degenerates to a drop.
-  std::shared_ptr<const graph::Subgraph> fragment;
-  /// Scores by the rebuilt fragment's local index.
-  std::vector<double> scores;
+  /// The sender's page table and scores (a prefix of them under
+  /// truncation), kept as decoded: no page index is built for them. Empty
+  /// when not even one page decoded — the message then degenerates to a
+  /// drop.
+  wire::PageTableColumns page_table;
   /// World knowledge; empty when the world frame was absent or lost.
   WorldNode world;
   /// Bytes of fully-decoded frames.

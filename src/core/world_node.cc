@@ -60,6 +60,18 @@ size_t RunBefore(const std::vector<graph::PageId>& pages, size_t from,
       std::lower_bound(pages.begin() + from, pages.end(), bound) - pages.begin());
 }
 
+/// The first position at or after `from` whose page is not below `page`
+/// (`pages` ascending): probes 1, 2, 4, ... entries ahead of `from`, then
+/// binary-searches the last step, so passing over d pages costs O(log d)
+/// comparisons.
+size_t Gallop(std::span<const graph::PageId> pages, size_t from, graph::PageId page) {
+  size_t bound = 1;
+  while (from + bound <= pages.size() && pages[from + bound - 1] < page) bound *= 2;
+  const auto first = pages.begin() + static_cast<ptrdiff_t>(from + bound / 2);
+  const auto last = pages.begin() + static_cast<ptrdiff_t>(std::min(from + bound, pages.size()));
+  return static_cast<size_t>(std::lower_bound(first, last, page) - pages.begin());
+}
+
 }  // namespace
 
 WorldNode::WorldNode(wire::WorldColumns columns) : columns_(std::move(columns)) {
@@ -185,6 +197,63 @@ void WorldNode::Merge(WorldNode batch, CombineMode mode) {
     CopyExact(scores, columns_.dangling_scores);
   }
   if (conflicts > 0 && obs::Enabled()) OutDegreeConflicts().Increment(conflicts);
+}
+
+WorldFold::WorldFold(WorldNode& world, CombineMode mode, bool in_place)
+    : world_(world), mode_(mode), in_place_(in_place) {
+  JXP_CHECK(!in_place || mode == CombineMode::kTakeMax)
+      << "the in-place fold is exact under take-max only";
+}
+
+void WorldFold::NextStream() {
+  JXP_CHECK_EQ(stream_, 0u) << "a fold has two report streams";
+  stream_ = 1;
+  entry_cursor_ = 0;
+  dangling_cursor_ = 0;
+}
+
+void WorldFold::Add(graph::PageId page, uint32_t out_degree, double score,
+                    std::span<const graph::PageId> targets) {
+  if (in_place_) {
+    wire::WorldColumns& c = world_.columns_;
+    const size_t e = entry_cursor_ = Gallop(c.pages, entry_cursor_, page);
+    if (e < c.pages.size() && c.pages[e] == page &&
+        std::ranges::includes(c.Targets(e), targets)) {
+      // Merge would union to `known`, whose size the out-degree already
+      // covers, so only the out-degree and the score can change.
+      uint32_t& degree = c.out_degrees[e];
+      double& stored = c.scores[e];
+      if (degree != out_degree) ++conflicts_;
+      const bool raised = degree < out_degree || stored < score;
+      degree = std::max(degree, out_degree);
+      stored = CombineScores(mode_, stored, score);
+      ++(raised ? tally_.in_place : tally_.unchanged);
+      return;
+    }
+  }
+  ++tally_.structural;
+  batches_[stream_].Append(page, out_degree, score, targets);
+}
+
+void WorldFold::AddDangling(graph::PageId page, double score) {
+  if (in_place_) {
+    wire::WorldColumns& c = world_.columns_;
+    const size_t d = dangling_cursor_ = Gallop(c.dangling_pages, dangling_cursor_, page);
+    if (d < c.dangling_pages.size() && c.dangling_pages[d] == page) {
+      double& stored = c.dangling_scores[d];
+      ++(stored < score ? tally_.in_place : tally_.unchanged);
+      stored = CombineScores(mode_, stored, score);
+      return;
+    }
+  }
+  ++tally_.structural;
+  batches_[stream_].AppendDangling(page, score);
+}
+
+void WorldFold::Finish() {
+  batches_[0].Merge(std::move(batches_[1]), mode_);
+  world_.Merge(std::move(batches_[0]), mode_);
+  if (conflicts_ > 0 && obs::Enabled()) OutDegreeConflicts().Increment(conflicts_);
 }
 
 void WorldNode::ScaleScores(double factor) {

@@ -49,9 +49,10 @@ struct ExternalPageInfo {
 ///
 /// Storage is one flat store sorted by page (wire::WorldColumns): parallel
 /// page / out-degree / score arrays, the targets as one CSR array, and a
-/// sorted dangling array. Every meeting step is a linear pass over it: the
+/// sorted dangling array. Every meeting step is a sorted pass over it: the
 /// codec encodes it in place and decodes straight into it, and a meeting
-/// folds its observations in with one sorted Merge. Its content — and so
+/// folds its observations in with a WorldFold, which raises known entries in
+/// place and merges what is new with one sorted Merge. Its content — and so
 /// everything computed from it — is a function of what was observed, never
 /// of the order of observation.
 class WorldNode {
@@ -185,7 +186,75 @@ class WorldNode {
     c.dangling_scores.resize(dangling);
   }
 
+  friend class WorldFold;
+
   wire::WorldColumns columns_;
+};
+
+/// How a WorldFold disposed of its reports.
+struct FoldTally {
+  /// A known page and targets the node already held; nothing was raised.
+  uint64_t unchanged = 0;
+  /// A known page and targets the node already held; its score or
+  /// out-degree was raised in place.
+  uint64_t in_place = 0;
+  /// A new page or a new target (or any report with the in-place step
+  /// off): it went through Merge.
+  uint64_t structural = 0;
+};
+
+/// One meeting's fold of reports about external pages into a WorldNode
+/// (the light-weight merge, Section 4.1): a merge join of page-sorted
+/// report streams against the node's page-sorted columns.
+///
+/// With `in_place` set, a report about a page the node knows, whose targets
+/// the node already holds, raises that entry's out-degree and score in
+/// place; a disagreeing out-degree counts in jxp.world.out_degree_conflicts,
+/// as in Merge. A dangling report about a known dangling page raises its
+/// score. Every other report — a new page, a new target, or any report
+/// without `in_place` — joins its stream's batch, and Finish folds the
+/// batches in with Merge. The node, conflict count included, ends exactly as
+/// if every report had gone through Merge, provided `in_place` is only set
+/// under kTakeMax and for streams that report no entry page twice.
+///
+/// Each stream reports ascending pages (entries and dangling pages each in
+/// order). The cursors into the node gallop, so a stream costs
+/// O(reports * log gap) comparisons, not one per entry of the node.
+class WorldFold {
+ public:
+  WorldFold(WorldNode& world, CombineMode mode, bool in_place);
+
+  /// Starts the second report stream (the first starts with the fold). Its
+  /// batch merges into the first stream's before the node, so a page both
+  /// streams report combines first, as from one message.
+  void NextStream();
+
+  /// Folds the report of page `page`, whose targets inside the receiver's
+  /// fragment are `targets` (as WorldNode::Append requires them).
+  void Add(graph::PageId page, uint32_t out_degree, double score,
+           std::span<const graph::PageId> targets);
+
+  /// Folds the report of dangling page `page`.
+  void AddDangling(graph::PageId page, double score);
+
+  /// Merges the structural reports into the node; call once, last.
+  void Finish();
+
+  const FoldTally& tally() const { return tally_; }
+
+ private:
+  WorldNode& world_;
+  CombineMode mode_;
+  bool in_place_;
+  /// One batch per stream.
+  WorldNode batches_[2];
+  size_t stream_ = 0;
+  /// Where the current stream's last entry and dangling reports landed.
+  size_t entry_cursor_ = 0;
+  size_t dangling_cursor_ = 0;
+  /// Out-degree conflicts of the in-place step.
+  uint64_t conflicts_ = 0;
+  FoldTally tally_;
 };
 
 }  // namespace core

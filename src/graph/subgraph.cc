@@ -53,43 +53,24 @@ Subgraph Subgraph::FromKnowledge(std::vector<PageId> pages,
   return sg;
 }
 
-Subgraph Subgraph::FromSortedCsr(std::vector<PageId> pages,
-                                 std::vector<uint64_t> succ_offsets,
-                                 std::vector<PageId> succ) {
-  JXP_CHECK_EQ(succ_offsets.size(), pages.size() + 1);
-  JXP_CHECK_EQ(succ_offsets.front(), 0u);
-  JXP_CHECK_EQ(succ_offsets.back(), succ.size());
-  for (size_t i = 0; i < pages.size(); ++i) {
-    JXP_CHECK(i == 0 || pages[i - 1] < pages[i]) << "pages not strictly ascending";
-    JXP_CHECK_LE(succ_offsets[i], succ_offsets[i + 1]);
-    for (uint64_t j = succ_offsets[i] + 1; j < succ_offsets[i + 1]; ++j) {
-      JXP_CHECK_LT(succ[j - 1], succ[j]) << "successors not strictly ascending";
-    }
-  }
+Subgraph Subgraph::Merge(const Subgraph& a, PageTableView b) {
   Subgraph sg;
-  sg.pages_ = std::move(pages);
-  sg.succ_offsets_ = std::move(succ_offsets);
-  sg.succ_ = std::move(succ);
+  sg.pages_.reserve(a.NumLocalPages() + b.NumPages());
+  const auto append = [&sg](PageId page, std::span<const PageId> successors) {
+    sg.pages_.push_back(page);
+    sg.succ_.insert(sg.succ_.end(), successors.begin(), successors.end());
+    sg.succ_offsets_.push_back(sg.succ_.size());
+  };
+  size_t j = 0;
+  for (LocalIndex i = 0; i < a.NumLocalPages(); ++i) {
+    const PageId page = a.pages_[i];
+    for (; j < b.NumPages() && b.pages[j] < page; ++j) append(b.pages[j], b.Successors(j));
+    if (j < b.NumPages() && b.pages[j] == page) ++j;  // Shared page: knowledge identical.
+    append(page, a.Successors(i));
+  }
+  for (; j < b.NumPages(); ++j) append(b.pages[j], b.Successors(j));
   sg.BuildDerivedIndexes();
   return sg;
-}
-
-Subgraph Subgraph::Merge(const Subgraph& a, const Subgraph& b) {
-  std::vector<PageId> pages;
-  std::vector<std::vector<PageId>> successors;
-  pages.reserve(a.NumLocalPages() + b.NumLocalPages());
-  for (LocalIndex i = 0; i < a.NumLocalPages(); ++i) {
-    pages.push_back(a.GlobalId(i));
-    const auto succ = a.Successors(i);
-    successors.emplace_back(succ.begin(), succ.end());
-  }
-  for (LocalIndex i = 0; i < b.NumLocalPages(); ++i) {
-    if (a.Contains(b.GlobalId(i))) continue;  // Shared page: knowledge identical.
-    pages.push_back(b.GlobalId(i));
-    const auto succ = b.Successors(i);
-    successors.emplace_back(succ.begin(), succ.end());
-  }
-  return FromKnowledge(std::move(pages), std::move(successors));
 }
 
 std::vector<PageId> Subgraph::AllSuccessors() const {
@@ -110,6 +91,16 @@ void Subgraph::BuildDerivedIndexes() {
     size_t s = HomeSlot(pages_[i]);
     while (index_[s].local != kNotLocal) s = (s + 1) & mask;
     index_[s] = {pages_[i], i};
+  }
+  members_.clear();
+  const uint64_t span = pages_.empty() ? 0 : uint64_t{pages_.back()} - pages_.front() + 1;
+  if (!pages_.empty() && (span + 63) / 64 <= index_.size()) {
+    members_base_ = pages_.front();
+    members_.assign((span + 63) / 64, 0);
+    for (PageId page : pages_) {
+      const uint64_t bit = page - members_base_;
+      members_[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
   }
 
   local_out_offsets_.assign(pages_.size() + 1, 0);

@@ -10,6 +10,25 @@
 namespace jxp {
 namespace graph {
 
+/// A read-only page table: pages in strictly ascending order, page i with
+/// its complete successor list successors[successor_offsets[i],
+/// successor_offsets[i + 1]) (global ids, strictly ascending). It views a
+/// fragment's own arrays (Subgraph::Table) or a decoded meeting message's
+/// columns. It keeps no page index, so it answers no membership query.
+struct PageTableView {
+  std::span<const PageId> pages;
+  /// pages.size() + 1 offsets into `successors`.
+  std::span<const uint64_t> successor_offsets;
+  std::span<const PageId> successors;
+
+  size_t NumPages() const { return pages.size(); }
+
+  std::span<const PageId> Successors(size_t i) const {
+    return successors.subspan(successor_offsets[i],
+                              successor_offsets[i + 1] - successor_offsets[i]);
+  }
+};
+
 /// A peer's local Web fragment.
 ///
 /// A Subgraph holds a set of crawled pages (identified by their global
@@ -41,19 +60,11 @@ class Subgraph {
   static Subgraph FromKnowledge(std::vector<PageId> pages,
                                 std::vector<std::vector<PageId>> successors);
 
-  /// Builds a fragment from out-link knowledge already in canonical form:
-  /// `pages` strictly ascending, and page i's successors the strictly
-  /// ascending ids succ[succ_offsets[i], succ_offsets[i + 1]). Adopts the
-  /// arrays without sorting (the meeting decoder's page table).
-  static Subgraph FromSortedCsr(std::vector<PageId> pages,
-                                std::vector<uint64_t> succ_offsets,
-                                std::vector<PageId> succ);
-
-  /// Merges two fragments (the paper's full-merge step): the page set is the
-  /// union, and each page keeps its full successor knowledge. Pages known to
-  /// both peers must agree on their successor lists, which holds by
-  /// construction since both crawled the same global page.
-  static Subgraph Merge(const Subgraph& a, const Subgraph& b);
+  /// Merges fragment `a` with a partner's page table `b` (the paper's
+  /// full-merge step) in one sorted pass: the page set is the union, and
+  /// each page keeps its full successor knowledge. A page in both keeps
+  /// a's list; both crawled the same global page, so the lists agree.
+  static Subgraph Merge(const Subgraph& a, PageTableView b);
 
   /// Number of local pages.
   size_t NumLocalPages() const { return pages_.size(); }
@@ -73,6 +84,9 @@ class Subgraph {
   /// All local pages, sorted by global id ascending.
   std::span<const PageId> Pages() const { return pages_; }
 
+  /// The pages and their complete successor lists, as a page table.
+  PageTableView Table() const { return {pages_, succ_offsets_, succ_}; }
+
   /// Local index of a global page, or kNotLocal.
   LocalIndex LocalIndexOf(PageId global) const {
     if (index_.empty()) return kNotLocal;
@@ -83,8 +97,13 @@ class Subgraph {
     }
   }
 
-  /// True iff the fragment contains `global`.
-  bool Contains(PageId global) const { return LocalIndexOf(global) != kNotLocal; }
+  /// True iff the fragment contains `global`: a bit test when the pages
+  /// are dense in their id range (see members_), else an index probe.
+  bool Contains(PageId global) const {
+    if (members_.empty()) return LocalIndexOf(global) != kNotLocal;
+    const uint64_t bit = uint64_t{global} - members_base_;  // Wraps below the base.
+    return bit < members_.size() * 64 && (members_[bit >> 6] >> (bit & 63) & 1) != 0;
+  }
 
   /// The complete successor list (global ids, sorted) of local page `i` —
   /// the page's true global out-links.
@@ -125,7 +144,8 @@ class Subgraph {
     return static_cast<size_t>((uint64_t{global} * 0x9E3779B97F4A7C15ull) >> index_shift_);
   }
 
-  /// Rebuilds index_ and the local adjacency CSR from pages_ / succ_.
+  /// Rebuilds index_, members_ and the local adjacency CSR from pages_ /
+  /// succ_.
   void BuildDerivedIndexes();
 
   std::vector<PageId> pages_;
@@ -134,6 +154,12 @@ class Subgraph {
   // meet an empty slot). Empty for a default-constructed fragment.
   std::vector<IndexSlot> index_;
   int index_shift_ = 63;
+  // Membership bitmap for Contains: one bit per id of [members_base_,
+  // members_base_ + 64 * members_.size()), set for local pages. Built only
+  // when it is no larger than index_ (pages dense in their id range), else
+  // empty.
+  std::vector<uint64_t> members_;
+  PageId members_base_ = 0;
   // CSR over pages_ of complete successor lists (global ids, sorted).
   std::vector<uint64_t> succ_offsets_ = {0};
   std::vector<PageId> succ_;

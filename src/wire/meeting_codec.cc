@@ -223,19 +223,16 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
 
 }  // namespace
 
-void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
+void EncodeScoreList(graph::PageTableView table, std::span<const double> scores,
                      std::vector<uint8_t>& out) {
-  JXP_CHECK_EQ(scores.size(), fragment.NumLocalPages());
+  JXP_CHECK_EQ(scores.size(), table.NumPages());
   const size_t start = out.size();
-  const size_t n = fragment.NumLocalPages();
+  const size_t n = table.NumPages();
   size_t frames = 0;
   for (size_t begin = 0; begin < n; begin += kPagesPerChunk) {
     const size_t end = std::min(begin + kPagesPerChunk, n);
-    size_t num_successors = 0;
-    for (size_t i = begin; i < end; ++i) {
-      num_successors +=
-          fragment.Successors(static_cast<graph::Subgraph::LocalIndex>(i)).size();
-    }
+    const size_t num_successors =
+        table.successor_offsets[end] - table.successor_offsets[begin];
     const size_t frame_start = out.size();
     // Chunk header, then per page its id, score and degree, then successors.
     ByteWriter writer(out, kFrameHeaderBytes + 2 * kMaxVarint32Bytes +
@@ -244,21 +241,19 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
     writer.Skip(kFrameHeaderBytes);
     writer.PutVarint32(static_cast<uint32_t>(begin));
     writer.PutVarint32(static_cast<uint32_t>(end - begin));
-    graph::PageId prev = begin == 0 ? 0 : fragment.GlobalId(
-        static_cast<graph::Subgraph::LocalIndex>(begin - 1));
+    graph::PageId prev = begin == 0 ? 0 : table.pages[begin - 1];
     for (size_t i = begin; i < end; ++i) {
-      const auto local = static_cast<graph::Subgraph::LocalIndex>(i);
-      const graph::PageId page = fragment.GlobalId(local);
+      const graph::PageId page = table.pages[i];
       if (i == 0) {
         writer.PutVarint32(page);
       } else {
-        // Local-index order is ascending-global-id order, by construction.
+        // A page table is in ascending page order, by construction.
         JXP_CHECK_GT(page, prev);
         writer.PutVarint32(page - prev);
       }
       prev = page;
       writer.PutFloat(LowerBoundFloat(scores[i]));
-      const auto successors = fragment.Successors(local);
+      const auto successors = table.Successors(i);
       writer.PutVarint32(static_cast<uint32_t>(successors.size()));
       WriteAscendingIds(writer, successors);
     }

@@ -31,6 +31,8 @@ struct PageTableColumns {
   std::vector<double> scores;
   std::vector<uint64_t> successor_offsets = {0};
   std::vector<graph::PageId> successors;
+
+  graph::PageTableView View() const { return {pages, successor_offsets, successors}; }
 };
 
 /// World knowledge as flat columns sorted by page: the layout
@@ -79,9 +81,9 @@ struct DecodedMeeting {
   Status error = Status::OK();
 };
 
-/// Appends the page-table frames (kScoreChunk) for `fragment` + `scores`
-/// (by local index) to `out`.
-void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
+/// Appends the page-table frames (kScoreChunk) for `table` + `scores` (by
+/// table position) to `out`.
+void EncodeScoreList(graph::PageTableView table, std::span<const double> scores,
                      std::vector<uint8_t>& out);
 
 /// Appends one kWorldKnowledge frame holding `world` (which must satisfy

@@ -58,24 +58,24 @@ TEST(MeetingWireTest, MessageRoundTripsThroughTheCodec) {
   ASSERT_GT(a.world_node().NumEntries(), 0u);
 
   const std::vector<uint8_t> bytes =
-      EncodeMeetingMessage(a.fragment(), a.local_scores(), a.world_node());
+      EncodeMeetingMessage(a.fragment().Table(), a.local_scores(), a.world_node());
   const DecodedMeetingMessage decoded = DecodeMeetingMessage(bytes);
   ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
 
-  ASSERT_NE(decoded.fragment, nullptr);
-  ASSERT_EQ(decoded.fragment->NumLocalPages(), a.fragment().NumLocalPages());
-  ASSERT_EQ(decoded.scores.size(), a.local_scores().size());
-  for (size_t i = 0; i < decoded.scores.size(); ++i) {
+  const wire::PageTableColumns& table = decoded.page_table;
+  ASSERT_EQ(table.pages.size(), a.fragment().NumLocalPages());
+  ASSERT_EQ(table.scores.size(), a.local_scores().size());
+  for (size_t i = 0; i < table.scores.size(); ++i) {
     const auto local = static_cast<graph::Subgraph::LocalIndex>(i);
-    EXPECT_EQ(decoded.fragment->GlobalId(local), a.fragment().GlobalId(local));
+    EXPECT_EQ(table.pages[i], a.fragment().GlobalId(local));
     const auto expected = a.fragment().Successors(local);
-    const auto got = decoded.fragment->Successors(local);
+    const auto got = table.View().Successors(i);
     ASSERT_EQ(got.size(), expected.size());
     EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin()));
     // Quantization rounds down, never up (Theorem 5.3 safety).
-    EXPECT_LE(decoded.scores[i], a.local_scores()[i]);
-    EXPECT_NEAR(decoded.scores[i], a.local_scores()[i],
+    EXPECT_LE(table.scores[i], a.local_scores()[i]);
+    EXPECT_NEAR(table.scores[i], a.local_scores()[i],
                 a.local_scores()[i] * 1e-6 + 1e-30);
   }
 
@@ -99,7 +99,7 @@ std::vector<uint8_t> CraftMessage(const graph::Graph& graph,
   const graph::Subgraph fragment =
       graph::Subgraph::Induce(graph, std::move(sender_pages));
   const std::vector<double> scores(fragment.NumLocalPages(), 1e-4);
-  return EncodeMeetingMessage(fragment, scores, world);
+  return EncodeMeetingMessage(fragment.Table(), scores, world);
 }
 
 /// The score invariants an applied message must keep: finite,

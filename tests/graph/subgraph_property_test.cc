@@ -86,7 +86,7 @@ TEST_P(SubgraphPropertyTest, MergeEqualsInduceOnUnion) {
   const std::vector<PageId> pages_b =
       RandomFragment(param.num_nodes, param.fragment_fraction, rng);
   const Subgraph merged =
-      Subgraph::Merge(Subgraph::Induce(g, pages_a), Subgraph::Induce(g, pages_b));
+      Subgraph::Merge(Subgraph::Induce(g, pages_a), Subgraph::Induce(g, pages_b).Table());
   std::vector<PageId> union_pages = pages_a;
   union_pages.insert(union_pages.end(), pages_b.begin(), pages_b.end());
   const Subgraph direct = Subgraph::Induce(g, union_pages);

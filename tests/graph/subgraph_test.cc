@@ -80,7 +80,7 @@ TEST(SubgraphTest, MergeIsUnionOfKnowledge) {
   const Graph g = TestGraph();
   const Subgraph a = Subgraph::Induce(g, {0, 1});
   const Subgraph b = Subgraph::Induce(g, {1, 2, 3});
-  const Subgraph merged = Subgraph::Merge(a, b);
+  const Subgraph merged = Subgraph::Merge(a, b.Table());
   EXPECT_EQ(merged.NumLocalPages(), 4u);  // {0,1,2,3}
   // The merged fragment equals the induced fragment on the union.
   const Subgraph expected = Subgraph::Induce(g, {0, 1, 2, 3});
@@ -94,7 +94,7 @@ TEST(SubgraphTest, MergeIsUnionOfKnowledge) {
 TEST(SubgraphTest, MergeWithSelfIsIdentity) {
   const Graph g = TestGraph();
   const Subgraph a = Subgraph::Induce(g, {0, 1, 2});
-  const Subgraph merged = Subgraph::Merge(a, a);
+  const Subgraph merged = Subgraph::Merge(a, a.Table());
   EXPECT_EQ(merged.NumLocalPages(), a.NumLocalPages());
   EXPECT_EQ(merged.NumLocalEdges(), a.NumLocalEdges());
 }
@@ -188,27 +188,40 @@ TEST(SubgraphTest, PageIndexMatchesBinarySearch) {
     }
     const Subgraph induced = Subgraph::Induce(g, a_pages);
     ExpectIndexMatchesPages(induced, Probes(induced, rng));
-    const Subgraph merged = Subgraph::Merge(induced, Subgraph::Induce(g, b_pages));
+    const Subgraph merged =
+        Subgraph::Merge(induced, Subgraph::Induce(g, b_pages).Table());
     ExpectIndexMatchesPages(merged, Probes(merged, rng));
 
     const Subgraph known = RandomKnowledge(1 + rng.NextBounded(2000), rng);
     ExpectIndexMatchesPages(known, Probes(known, rng));
-    const Subgraph known_merged = Subgraph::Merge(known, RandomKnowledge(500, rng));
+    const Subgraph known_merged =
+        Subgraph::Merge(known, RandomKnowledge(500, rng).Table());
     ExpectIndexMatchesPages(known_merged, Probes(known_merged, rng));
 
-    // The decoder's canonical-CSR constructor, fed a fragment's own arrays.
-    std::vector<PageId> pages(known.Pages().begin(), known.Pages().end());
-    std::vector<uint64_t> offsets = {0};
-    std::vector<PageId> succ;
-    for (Subgraph::LocalIndex i = 0; i < known.NumLocalPages(); ++i) {
-      const auto s = known.Successors(i);
-      succ.insert(succ.end(), s.begin(), s.end());
-      offsets.push_back(succ.size());
+    // A bare page table (a decoded message's) indexed by the merge.
+    const Subgraph table = Subgraph::Merge(Subgraph(), known.Table());
+    ExpectIndexMatchesPages(table, Probes(table, rng));
+    EXPECT_EQ(table.NumLocalEdges(), known.NumLocalEdges());
+  }
+}
+
+TEST(SubgraphTest, PageIndexHandlesDenseIdRangesAtBothEnds) {
+  // Pages packed at the bottom and the top of the id space, with gaps: the
+  // membership test must answer for ids just outside, inside and between.
+  Random rng(11);
+  for (const PageId base : {PageId{0}, PageId{1000}, kInvalidPage - 300}) {
+    std::vector<PageId> pages;
+    std::vector<std::vector<PageId>> successors;
+    for (PageId offset = 0; offset <= 300; ++offset) {
+      if (rng.NextBool(0.7)) continue;
+      pages.push_back(base + offset);
+      successors.push_back({base + 300 - offset, kInvalidPage, 0});
     }
-    const Subgraph csr =
-        Subgraph::FromSortedCsr(std::move(pages), std::move(offsets), std::move(succ));
-    ExpectIndexMatchesPages(csr, Probes(csr, rng));
-    EXPECT_EQ(csr.NumLocalEdges(), known.NumLocalEdges());
+    const Subgraph sg = Subgraph::FromKnowledge(pages, std::move(successors));
+    std::vector<PageId> probes = Probes(sg, rng);
+    for (PageId offset = 0; offset <= 301; ++offset) probes.push_back(base + offset);
+    probes.push_back(base - 1);
+    ExpectIndexMatchesPages(sg, probes);
   }
 }
 

@@ -130,7 +130,7 @@ WireState BuildState(const WireCase& c) {
 }
 
 std::vector<uint8_t> Encode(const WireState& state) {
-  return core::EncodeMeetingMessage(state.fragment, state.scores, state.world);
+  return core::EncodeMeetingMessage(state.fragment.Table(), state.scores, state.world);
 }
 
 TEST(WireRoundTripProperty, EncodeDecodeReencodeIsBitIdentical) {
@@ -147,8 +147,9 @@ TEST(WireRoundTripProperty, EncodeDecodeReencodeIsBitIdentical) {
         if (decoded.bytes_consumed != bytes.size()) {
           return "clean decode left trailing bytes";
         }
-        if (decoded.fragment == nullptr) return "decode produced no fragment";
-        if (decoded.fragment->NumLocalPages() != state.fragment.NumLocalPages()) {
+        const wire::PageTableColumns& table = decoded.page_table;
+        if (table.pages.empty()) return "decode produced no page table";
+        if (table.pages.size() != state.fragment.NumLocalPages()) {
           return "page count changed across the wire";
         }
         if (decoded.world.NumEntries() != state.world.NumEntries() ||
@@ -156,21 +157,16 @@ TEST(WireRoundTripProperty, EncodeDecodeReencodeIsBitIdentical) {
             decoded.world.NumDangling() != state.world.NumDangling()) {
           return "world knowledge changed across the wire";
         }
-        for (size_t i = 0; i < decoded.scores.size(); ++i) {
-          const auto local = static_cast<graph::Subgraph::LocalIndex>(i);
-          if (decoded.scores[i] > state.scores[state.fragment.LocalIndexOf(
-                  decoded.fragment->GlobalId(local))]) {
+        for (size_t i = 0; i < table.scores.size(); ++i) {
+          if (table.scores[i] > state.scores[state.fragment.LocalIndexOf(table.pages[i])]) {
             return "a decoded score exceeds the sender's exact double";
           }
         }
 
         // Quantization happened once, on the first encode; a second trip
         // through the codec must be the identity on the bytes.
-        WireState rebuilt;
-        rebuilt.fragment = *decoded.fragment;
-        rebuilt.scores = decoded.scores;
-        rebuilt.world = decoded.world;
-        const std::vector<uint8_t> again = Encode(rebuilt);
+        const std::vector<uint8_t> again =
+            core::EncodeMeetingMessage(table.View(), table.scores, decoded.world);
         if (again != bytes) return "re-encoded bytes differ from the original";
         return std::nullopt;
       });

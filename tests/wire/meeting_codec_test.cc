@@ -72,7 +72,7 @@ TEST(MeetingCodecTest, ScoreListRoundTripsAcrossChunks) {
   const std::vector<double> scores = MakeScores(n);
 
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, scores, bytes);
+  EncodeScoreList(fragment.Table(), scores, bytes);
 
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
@@ -100,7 +100,7 @@ TEST(MeetingCodecTest, ScoresAreQuantizedNeverUpward) {
   const graph::Subgraph fragment = MakeFragment(n);
   const std::vector<double> scores = MakeScores(n);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, scores, bytes);
+  EncodeScoreList(fragment.Table(), scores, bytes);
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
   for (size_t i = 0; i < n; ++i) {
@@ -120,7 +120,7 @@ TEST(MeetingCodecTest, CompressionStaysUnderEightBytesPerEntry) {
   const graph::Subgraph fragment = graph::Subgraph::FromKnowledge(
       std::move(pages), std::vector<std::vector<graph::PageId>>(n));
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(n), bytes);
+  EncodeScoreList(fragment.Table(), MakeScores(n), bytes);
   EXPECT_LT(static_cast<double>(bytes.size()) / static_cast<double>(n), 8.0);
 }
 
@@ -159,7 +159,7 @@ TEST(MeetingCodecTest, TruncatedTransferSalvagesWholeChunkPrefix) {
   const size_t n = 150;
   const graph::Subgraph fragment = MakeFragment(n);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(n), bytes);
+  EncodeScoreList(fragment.Table(), MakeScores(n), bytes);
 
   // Find the second chunk boundary by parsing two frames.
   size_t offset = 0;
@@ -187,7 +187,7 @@ TEST(MeetingCodecTest, BitFlipRejectsOnlyTheDamagedSuffix) {
   const size_t n = 150;
   const graph::Subgraph fragment = MakeFragment(n);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(n), bytes);
+  EncodeScoreList(fragment.Table(), MakeScores(n), bytes);
   size_t offset = 0;
   FrameView frame;
   ASSERT_TRUE(ParseFrame(bytes, offset, frame).ok());
@@ -211,7 +211,7 @@ TEST(MeetingCodecTest, RejectedChunkLeavesWholeFramesOnly) {
   // the frame is rejected and the page table keeps exactly the first chunk.
   const graph::Subgraph fragment = MakeFragment(10);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(10), bytes);
+  EncodeScoreList(fragment.Table(), MakeScores(10), bytes);
   std::vector<uint8_t> payload;
   ByteWriter writer(payload);
   writer.PutVarint32(10);  // first_index
@@ -245,7 +245,7 @@ TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
   // chunk is rejected.
   std::vector<uint8_t> bytes;
   EncodeWorldKnowledge(world, bytes);
-  EncodeScoreList(fragment, MakeScores(40), bytes);
+  EncodeScoreList(fragment.Table(), MakeScores(40), bytes);
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.world.NumEntries(), 1u);
@@ -365,7 +365,7 @@ TEST(MeetingCodecTest, EveryBitFlipOfAThreeFrameMessageIsRejected) {
   // positions.
   const graph::Subgraph fragment = MakeFragment(kPagesPerChunk + 6);
   std::vector<uint8_t> bytes;
-  EncodeScoreList(fragment, MakeScores(kPagesPerChunk + 6), bytes);
+  EncodeScoreList(fragment.Table(), MakeScores(kPagesPerChunk + 6), bytes);
   EncodeWorldKnowledge(
       MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
   const DecodedMeeting clean = DecodeMeeting(bytes);
@@ -390,7 +390,7 @@ TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
       graph::Subgraph::FromKnowledge({3, 7, 12}, {{7, 40}, {}, {3, 7, 99}});
   std::vector<uint8_t> bytes;
   const std::vector<double> scores = {0.125, 0.0625, 0.25};
-  EncodeScoreList(fragment, scores, bytes);
+  EncodeScoreList(fragment.Table(), scores, bytes);
   EncodeWorldKnowledge(
       MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
 
