@@ -1,6 +1,7 @@
 #ifndef JXP_COMMON_VARINT_H_
 #define JXP_COMMON_VARINT_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -86,32 +87,31 @@ inline bool VByteDecode64Checked(const uint8_t* data, size_t size, size_t& offse
 
 /// Decodes `count` consecutive VByte values from `data[offset..size)` into
 /// `out`, advancing `offset`. Bounds-checked like VByteDecode32Checked, with
-/// an unrolled fast path: whenever the next eight bytes are all single-byte
-/// encodings (no continuation bits — the common case for small deltas and
-/// term frequencies), one 8-byte load and a mask test emit eight values with
-/// no per-byte branching. Falls back to the checked scalar loop around any
-/// multi-byte value and re-enters the wide path after it.
+/// a branch-free fast path while nine values and ten bytes remain: one
+/// 8-byte load emits every byte up to the first continuation bit as a
+/// one-byte value (all eight when there is none — the common case for small
+/// deltas and term frequencies), and a two-byte value right after them is
+/// emitted too. The checked scalar decoder takes any longer value.
 inline bool VByteDecodeArray32(const uint8_t* data, size_t size, size_t& offset,
                                size_t count, uint32_t* out) {
   size_t pos = offset;
   size_t i = 0;
   while (i < count) {
-    if (i + 8 <= count && pos + 8 <= size) {
+    if (i + 9 <= count && pos + 10 <= size) {
       uint64_t window;
       std::memcpy(&window, data + pos, sizeof(window));
-      if ((window & 0x8080808080808080ull) == 0) {
-        out[i + 0] = static_cast<uint8_t>(window);
-        out[i + 1] = static_cast<uint8_t>(window >> 8);
-        out[i + 2] = static_cast<uint8_t>(window >> 16);
-        out[i + 3] = static_cast<uint8_t>(window >> 24);
-        out[i + 4] = static_cast<uint8_t>(window >> 32);
-        out[i + 5] = static_cast<uint8_t>(window >> 40);
-        out[i + 6] = static_cast<uint8_t>(window >> 48);
-        out[i + 7] = static_cast<uint8_t>(window >> 56);
-        i += 8;
-        pos += 8;
-        continue;
-      }
+      // All eight lanes and the lane after the one-byte prefix are written;
+      // those past what is emitted are overwritten by the values that
+      // follow.
+      for (int b = 0; b < 8; ++b) out[i + b] = static_cast<uint8_t>(window >> (8 * b));
+      const uint64_t continued = window & 0x8080808080808080ull;
+      const size_t singles = continued == 0 ? 8 : std::countr_zero(continued) / 8;
+      const uint32_t pair = data[pos + singles] | uint32_t{data[pos + singles + 1]} << 8;
+      out[i + singles] = (pair & 0x7fu) | (pair >> 8 & 0x7fu) << 7;
+      const size_t two = (singles < 8) & ((pair & 0x8000u) == 0);
+      i += singles + two;
+      pos += singles + 2 * two;
+      if (singles == 8 || two == 1) continue;
     }
     if (!VByteDecode32Checked(data, size, pos, &out[i])) return false;
     ++i;
@@ -135,12 +135,18 @@ inline float UpperBoundFloat(double v) {
 /// scores, which must never *overestimate* the sender's exact value (JXP
 /// safety, Theorem 5.3: reported scores are underestimates of the true
 /// PageRank, and quantization must not break that).
+///
+/// The step down is std::nextafter(f, -inf) on the bits, and the choice a
+/// select rather than a branch: rounding to nearest overshoots for about
+/// half of all scores, at random, and the wire encodes thousands per
+/// message. A positive float steps down by one ulp at bits − 1; zero and
+/// negative floats step away from zero at (bits | sign) + 1 (so ±0 goes to
+/// −denorm_min). NaN compares false and passes through.
 inline float LowerBoundFloat(double v) {
-  float f = static_cast<float>(v);
-  if (static_cast<double>(f) > v) {
-    f = std::nextafter(f, -std::numeric_limits<float>::infinity());
-  }
-  return f;
+  const float f = static_cast<float>(v);
+  const uint32_t bits = std::bit_cast<uint32_t>(f);
+  const uint32_t down = static_cast<int32_t>(bits) > 0 ? bits - 1 : (bits | 0x80000000u) + 1;
+  return std::bit_cast<float>(static_cast<double>(f) > v ? down : bits);
 }
 
 }  // namespace jxp

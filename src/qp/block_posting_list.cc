@@ -2,53 +2,21 @@
 
 #include <algorithm>
 
+#include "common/bitpack.h"
 #include "common/varint.h"
-#include "qp/bitpack.h"
 
 namespace jxp {
 namespace qp {
 
-void BlockPostingList::AppendArea(const std::vector<uint32_t>& values) {
-  // The choice between packed lanes and the VByte fallback is a pure
-  // function of the values, so the layout stays deterministic. Both sizes
-  // are computed before anything is written: a VByte value takes one byte
-  // per started 7-bit group of its width.
-  uint32_t width = 1;
-  size_t vbyte_bytes = 0;
-  for (uint32_t v : values) {
-    const uint32_t bits = BitWidth32(v);
-    width = std::max(width, bits);
-    vbyte_bytes += (bits + 6) / 7;
-  }
-  const size_t packed_bytes = (values.size() * width + 7) / 8;
-  if (vbyte_bytes < packed_bytes) {
-    bytes_.push_back(0);
-    for (uint32_t v : values) VByteEncode32(v, bytes_);
-  } else {
-    bytes_.push_back(static_cast<uint8_t>(width));
-    PackBits(values.data(), values.size(), width, bytes_);
-  }
-}
-
 void BlockPostingList::DecodeArea(size_t begin, size_t end, uint32_t count,
                                   uint32_t* out) const {
-  const uint8_t* data = bytes_.data();
-  const size_t size = bytes_.size();
+  // Packed lanes may load bytes of the following area, never past the
+  // buffer; the area itself must end within its declared span.
   JXP_CHECK_LT(begin, end);
-  const uint8_t width = data[begin];
-  if (width == 0) {
-    size_t offset = begin + 1;
-    JXP_CHECK(VByteDecodeArray32(data, size, offset, count, out))
-        << "truncated VByte-fallback block area";
-    JXP_CHECK_LE(offset, end);
-    return;
-  }
-  // The packed area must fit its declared span; wide loads may read past
-  // `end` into the following area but never past the buffer (UnpackBits
-  // masks the excess bits and bounds every load by `size`).
-  JXP_CHECK_LE(begin + 1 + (static_cast<size_t>(count) * width + 7) / 8, end);
-  JXP_CHECK(UnpackBits(data, size, begin + 1, count, width, out))
-      << "truncated packed block area";
+  size_t offset = begin;
+  const Status status = ReadArea(bytes_.data(), bytes_.size(), offset, count, out);
+  JXP_CHECK(status.ok()) << "malformed block area: " << status;
+  JXP_CHECK_LE(offset, end);
 }
 
 BlockPostingList BlockPostingList::Build(std::span<const PostingIn> postings,
@@ -86,10 +54,10 @@ BlockPostingList BlockPostingList::Build(std::span<const PostingIn> postings,
       max_impact = std::max(max_impact, posting.impact);
       max_prior = std::max(max_prior, posting.prior);
     }
-    list.AppendArea(deltas);
+    AppendArea(deltas.data(), deltas.size(), list.bytes_);
     meta.last_docid = prev;
     meta.freq_begin = static_cast<uint32_t>(list.bytes_.size());
-    list.AppendArea(freqs);
+    AppendArea(freqs.data(), freqs.size(), list.bytes_);
     meta.max_impact = UpperBoundFloat(max_impact);
     meta.max_prior = UpperBoundFloat(max_prior);
     list.max_impact_ = std::max(list.max_impact_, meta.max_impact);

@@ -52,11 +52,12 @@ enum class BlockCodec : uint8_t { kPacked };
 /// block skippable without decompression: a cursor can rule a block out (by
 /// docid range or by score bound) from metadata alone.
 ///
-/// Each area (deltas, then frequencies) starts with one width byte: 1..32 is
-/// the lane width of fixed-width bit-packed values, decoded branch-free per
-/// value (load, shift, mask — the SIMD-friendly layout of DESIGN.md §6h); 0
-/// means the area is VByte-encoded because packing would have been larger
-/// (e.g. one huge delta in an otherwise dense block).
+/// Each block holds two areas of the shared block codec (common/bitpack.h),
+/// its docid deltas, then its frequencies: one width byte, then fixed-width
+/// bit-packed lanes decoded branch-free per value (load, shift, mask — the
+/// SIMD-friendly layout of DESIGN.md §6h), or the VByte fallback when
+/// packing would have been larger (e.g. one huge delta in an otherwise
+/// dense block).
 class BlockPostingList {
  public:
   /// Postings per block; the last block may be short.
@@ -92,6 +93,8 @@ class BlockPostingList {
   size_t docid_bytes() const { return docid_bytes_; }
   size_t freq_bytes() const { return bytes_.size() - docid_bytes_; }
   size_t metadata_bytes() const { return blocks_.size() * kBlockMetadataBytes; }
+  /// The compressed areas of every block, back to back.
+  std::span<const uint8_t> bytes() const { return bytes_; }
 
   /// A forward cursor over the list. Traversal is strictly docid-ascending:
   /// Next / NextGEQ never move backwards, matching document-at-a-time query
@@ -183,9 +186,6 @@ class BlockPostingList {
     return block == 0 ? 0 : blocks_[block - 1].last_docid;
   }
 
-  /// Appends one block area (docid deltas or frequencies): the width byte,
-  /// then packed lanes or the VByte fallback, whichever is smaller.
-  void AppendArea(const std::vector<uint32_t>& values);
   /// Decodes the `count` values of the area at bytes_[begin..end) into
   /// `out`. Bounds-checked: a malformed area aborts (JXP_CHECK) instead of
   /// reading past the buffer.

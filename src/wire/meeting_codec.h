@@ -16,6 +16,27 @@ namespace wire {
 /// This layer speaks graph vocabulary only; the core layer bridges
 /// WorldNode and PeerView to/from the plain columns here (core depends on
 /// wire, never the reverse).
+///
+/// Both payloads are columns. Counts are VByte varints; every integer
+/// column is split into areas of the shared block codec (common/bitpack.h);
+/// an id column holds ascending ids as gaps − 1, the first id absolute; an
+/// id-run column (successors per page, targets per entry) is two columns,
+/// the run heads (each run's first id) and the other ids as gaps − 1 from
+/// their predecessor; scores are 4-byte floats rounded down
+/// (LowerBoundFloat).
+///
+///   kScoreChunk      first page index, page count n, successor count s;
+///                    page ids (the first continues from the previous
+///                    chunk's last page); n scores; n degrees; the
+///                    successor runs, one per page with successors.
+///   kWorldKnowledge  entry count n, target count t, dangling count d;
+///                    page ids; n scores; target counts − 1; out-degree
+///                    slack (out-degree − target count); the target runs,
+///                    one per entry; dangling page ids; d scores.
+///
+/// The layout cannot express a non-ascending id, an empty target list or
+/// more targets than the out-degree; what the decoder still checks is
+/// overflow past 32 bits, the count totals and the scores.
 
 /// Page-table records per kScoreChunk frame. Smaller chunks lose less to a
 /// torn transfer but pay 16 header bytes each; 64 keeps the overhead at a
@@ -92,8 +113,10 @@ void EncodeWorldKnowledge(const WorldColumns& world, std::vector<uint8_t>& out);
 
 /// Decodes the longest valid frame prefix of `data` (the fault-tolerant
 /// entry point: a truncated or bit-flipped transfer yields the intact
-/// prefix plus a non-OK `error`). Strict per-frame validation: out-of-range
-/// counts, non-finite or negative scores, non-ascending ids, duplicate or
+/// prefix plus a non-OK `error`). Strict per-frame validation: counts the
+/// payload cannot hold (checked before anything is allocated), ids past
+/// 2^32 − 1, counts that miss their totals, malformed or truncated areas,
+/// trailing bytes, non-finite or negative scores, and duplicate or
 /// out-of-order frames all reject the frame.
 DecodedMeeting DecodeMeeting(std::span<const uint8_t> data);
 

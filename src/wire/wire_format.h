@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitpack.h"
 #include "common/status.h"
 #include "common/varint.h"
 
@@ -17,7 +18,7 @@ namespace wire {
 /// message is a sequence of self-contained frames:
 ///
 ///   [0:2)   magic 0x4A 0x58 ("JX")
-///   [2]     version (currently 2)
+///   [2]     version (currently 3)
 ///   [3]     message type (MessageType)
 ///   [4:8)   payload length, uint32 little-endian
 ///   [8:16)  checksum, uint64 little-endian — ComputeFrameChecksum over the
@@ -34,21 +35,24 @@ namespace wire {
 /// Versioning rules: the header layout is frozen; `version` is bumped when
 /// any payload encoding or the checksum changes incompatibly, and decoders
 /// reject frames from versions they do not understand (Status, never a
-/// crash). Version 1 frames carried an FNV-1a checksum. New message types
-/// may be added within a version; decoders reject unknown types.
+/// crash). Version 1 frames carried an FNV-1a checksum; version 2 payloads
+/// were per-record varints. New message types may be added within a
+/// version; decoders reject unknown types.
 ///
-/// Integers inside payloads are VByte varints (common/varint.h), id
-/// sequences are delta-encoded (first absolute, then strictly positive
-/// deltas), and scores are 4-byte little-endian floats quantized with
-/// LowerBoundFloat so a decoded score never exceeds the sender's exact
-/// double (JXP safety, Theorem 5.3).
+/// Payloads are columns (wire/meeting_codec.h): a few VByte counts
+/// (common/varint.h), id columns as areas of the shared block codec
+/// (common/bitpack.h) holding ascending ids as gaps − 1, and scores as
+/// 4-byte little-endian floats quantized with LowerBoundFloat so a decoded
+/// score never exceeds the sender's exact double (JXP safety, Theorem
+/// 5.3).
 
 /// Kinds of meeting payload frames.
 enum class MessageType : uint8_t {
-  /// A chunk of the sender's page table: (page id, score, successor list)
-  /// records in local-index order. Chunking bounds the blast radius of a
-  /// torn or corrupted transfer: every chunk frame that arrived intact
-  /// still decodes, exactly like the analytic model's prefix truncation.
+  /// A chunk of the sender's page table: the page ids, scores and
+  /// successor lists of up to kPagesPerChunk pages in local-index order.
+  /// Chunking bounds the blast radius of a torn or corrupted transfer:
+  /// every chunk frame that arrived intact still decodes, exactly like the
+  /// analytic model's prefix truncation.
   kScoreChunk = 1,
   /// The sender's world-node knowledge (external in-link entries and
   /// dangling scores). Rides behind the score chunks, so a truncated
@@ -60,7 +64,7 @@ enum class MessageType : uint8_t {
 
 inline constexpr uint8_t kMagic0 = 0x4a;  // 'J'
 inline constexpr uint8_t kMagic1 = 0x58;  // 'X'
-inline constexpr uint8_t kVersion = 2;
+inline constexpr uint8_t kVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Offset of the checksum field within the header.
 inline constexpr size_t kChecksumOffset = 8;
@@ -114,6 +118,10 @@ class ByteWriter {
     uint32_t bits = 0;
     std::memcpy(&bits, &v, sizeof(bits));
     PutU32(bits);
+  }
+  /// One area of the shared block codec (common/bitpack.h).
+  void PutArea(const uint32_t* values, size_t count) {
+    Commit(WriteArea(values, count, Room(MaxAreaBytes(count))));
   }
   /// Leaves `n` bytes, zero until written in place (a frame header; see
   /// SealFrame).
@@ -237,6 +245,19 @@ class ByteReader {
     uint32_t bits = 0;
     if (!GetU32(&bits)) return false;
     std::memcpy(v, &bits, sizeof(*v));
+    return true;
+  }
+  /// One area of `count` values of the shared block codec
+  /// (common/bitpack.h); Corruption when it is malformed or runs off the
+  /// end.
+  Status GetArea(size_t count, uint32_t* out) {
+    return ReadArea(data_.data(), data_.size(), pos_, count, out);
+  }
+  /// A view of the next `n` bytes; false when fewer remain.
+  bool GetBytes(size_t n, std::span<const uint8_t>* bytes) {
+    if (n > remaining()) return false;
+    *bytes = data_.subspan(pos_, n);
+    pos_ += n;
     return true;
   }
 

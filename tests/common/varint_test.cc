@@ -1,5 +1,6 @@
 #include "common/varint.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -161,6 +162,84 @@ TEST(VarintArrayTest, RejectsTruncatedTail) {
         VByteDecodeArray32(bytes.data(), cut, offset, values.size(), decoded.data()))
         << cut;
   }
+}
+
+TEST(VarintArrayTest, AgreesWithScalarDecoderOnRandomMixedWidths) {
+  // One-byte runs of every length between multi-byte values, so the wide
+  // path stops at every lane; then every prefix of the stream must fail
+  // exactly where the scalar decoder fails.
+  Random rng(17);
+  std::vector<uint32_t> values;
+  for (int i = 0; i < 2000; ++i) {
+    const uint32_t bits = rng.NextBounded(4) == 0 ? 8 + rng.NextBounded(25) : 7;
+    values.push_back(static_cast<uint32_t>(rng.NextUint64()) & ((uint64_t{1} << bits) - 1));
+  }
+  std::vector<uint8_t> bytes;
+  for (uint32_t v : values) VByteEncode32(v, bytes);
+
+  std::vector<uint32_t> wide(values.size());
+  size_t offset = 0;
+  ASSERT_TRUE(
+      VByteDecodeArray32(bytes.data(), bytes.size(), offset, values.size(), wide.data()));
+  EXPECT_EQ(offset, bytes.size());
+  EXPECT_EQ(wide, values);
+
+  for (size_t cut = 0; cut < 64; ++cut) {
+    size_t scalar_offset = 0;
+    size_t whole = 0;
+    uint32_t value = 0;
+    while (whole < values.size() &&
+           VByteDecode32Checked(bytes.data(), cut, scalar_offset, &value)) {
+      ++whole;
+    }
+    for (size_t n : {whole, whole + 1}) {
+      size_t cut_offset = 0;
+      EXPECT_EQ(VByteDecodeArray32(bytes.data(), cut, cut_offset, n, wide.data()),
+                n == whole)
+          << "cut " << cut << " count " << n;
+    }
+  }
+}
+
+TEST(LowerBoundFloatTest, MatchesNextafterStepDown) {
+  // The bit-level step down equals the std::nextafter definition on edge
+  // cases of both signs and on random doubles across the float range.
+  const auto reference = [](double v) {
+    float f = static_cast<float>(v);
+    if (static_cast<double>(f) > v) f = std::nextafter(f, -std::numeric_limits<float>::infinity());
+    return f;
+  };
+  const auto same = [](float a, float b) {
+    return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+  };
+  const double max_float = std::numeric_limits<float>::max();
+  const double denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<double> cases = {0.0,
+                               -0.0,
+                               0.1,
+                               -0.1,
+                               1.0 / 3,
+                               -1.0 / 3,
+                               denorm,
+                               denorm / 3,
+                               -denorm / 3,
+                               max_float,
+                               max_float * (1 + 1e-9),
+                               -max_float * (1 + 1e-9),
+                               std::numeric_limits<double>::max(),
+                               -std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  Random rng(23);
+  for (int i = 0; i < 100000; ++i) {
+    const double magnitude = std::ldexp(rng.NextDouble(), static_cast<int>(rng.NextBounded(300)) - 160);
+    cases.push_back(rng.NextBounded(2) == 0 ? magnitude : -magnitude);
+  }
+  for (const double v : cases) {
+    EXPECT_TRUE(same(LowerBoundFloat(v), reference(v))) << v;
+    EXPECT_LE(static_cast<double>(LowerBoundFloat(v)), v) << v;
+  }
+  EXPECT_TRUE(std::isnan(LowerBoundFloat(std::numeric_limits<double>::quiet_NaN())));
 }
 
 }  // namespace

@@ -156,13 +156,13 @@ TEST(SimulationTest, EveryMeetingModeIsFrozen) {
   constexpr MeetingWireMode kMeas = MeetingWireMode::kMeasured;
   const FrozenMode modes[] = {
       {kRand, kLight, kMax, kEst, 0xb840d05fc4f8162eULL},
-      {kRand, kLight, kMax, kMeas, 0xf4d239627b5510baULL},
+      {kRand, kLight, kMax, kMeas, 0xe1eb9a33da690b2cULL},
       {kRand, kLight, kAvg, kEst, 0xa47ec9339847f93dULL},
-      {kRand, kLight, kAvg, kMeas, 0x0d1a7570ace41b2eULL},
+      {kRand, kLight, kAvg, kMeas, 0x959d3d0bff0e0f10ULL},
       {kRand, kFull, kMax, kEst, 0xa7f48a79ad309513ULL},
-      {kRand, kFull, kMax, kMeas, 0x8921c4dcdaa4fb00ULL},
+      {kRand, kFull, kMax, kMeas, 0xeccc4dafb2ce4efeULL},
       {kRand, kFull, kAvg, kEst, 0x6b44de9cf3091c79ULL},
-      {kRand, kFull, kAvg, kMeas, 0x9c8b85b41e24545cULL},
+      {kRand, kFull, kAvg, kMeas, 0xde51db150ed00dcaULL},
       {kPre, kLight, kMax, kEst, 0x806d94b7e822136cULL},
   };
   SimFixture fx;

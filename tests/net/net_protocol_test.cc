@@ -368,6 +368,41 @@ TEST(NetProtocolTest, VersionOneFramesFailOnTheVersionByte) {
   EXPECT_EQ(ReadFrameBlocking(reader.get(), &type, &payload), expected);
 }
 
+TEST(NetProtocolTest, VersionTwoFramesFailOnTheVersionByte) {
+  // The golden meeting message of wire version 2 (per-record varint
+  // payloads), byte for byte. Its checksums are valid under the current
+  // hash, so every reader must turn it away on the version field alone.
+  const std::vector<uint8_t> version_two = {
+      0x4a, 0x58, 0x02, 0x01, 0x19, 0x00, 0x00, 0x00, 0x5c, 0xe1, 0x47, 0x6d,
+      0x80, 0xd4, 0x6c, 0xcc, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x3e, 0x02,
+      0x07, 0x21, 0x04, 0x00, 0x00, 0x80, 0x3d, 0x00, 0x05, 0x00, 0x00, 0x80,
+      0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x02, 0x02, 0x18, 0x00, 0x00,
+      0x00, 0x72, 0xbd, 0x95, 0x2d, 0x8b, 0xb8, 0xc2, 0x9e, 0x02, 0x14, 0x0a,
+      0xd7, 0x23, 0x3c, 0x03, 0x02, 0x03, 0x09, 0x15, 0x0a, 0xd7, 0xa3, 0x3b,
+      0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b};
+  const Status expected = Status::Corruption("unsupported wire version 2");
+
+  const wire::DecodedMeeting decoded = wire::DecodeMeeting(version_two);
+  EXPECT_EQ(decoded.error, expected);
+  EXPECT_EQ(decoded.frames_decoded, 0u);
+  EXPECT_TRUE(decoded.page_table.pages.empty());
+
+  wire::FrameAssembler assembler;
+  assembler.Feed(version_two);
+  EXPECT_FALSE(assembler.HasFrame());
+  EXPECT_EQ(assembler.error(), expected);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UniqueFd reader(fds[0]);
+  UniqueFd writer(fds[1]);
+  ASSERT_TRUE(WriteAll(writer.get(), version_two).ok());
+  writer.reset();
+  uint8_t type = 0;
+  std::vector<uint8_t> payload;
+  EXPECT_EQ(ReadFrameBlocking(reader.get(), &type, &payload), expected);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace jxp

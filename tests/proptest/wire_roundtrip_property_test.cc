@@ -1,9 +1,11 @@
 // Property tests of the meeting wire format (DESIGN.md §6g): random peer
-// states encode -> decode -> re-encode bit-identically, and any single-byte
+// states encode -> decode -> re-encode bit-identically, any single-byte
 // corruption of a message is rejected with an error Status — never a crash,
-// never silent acceptance.
+// never silent acceptance — and payload edits behind a valid checksum end
+// as Corruption or as columns that keep every invariant.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "core/world_node.h"
 #include "graph/subgraph.h"
 #include "proptest.h"
+#include "wire/meeting_codec.h"
+#include "wire/wire_format.h"
 
 namespace jxp {
 namespace proptest {
@@ -205,6 +209,138 @@ TEST(WireRoundTripProperty, AnySingleByteCorruptionIsRejected) {
         }
         return std::nullopt;
       });
+}
+
+/// Whether `ids[begin, end)` ascends strictly.
+bool StrictlyAscending(const std::vector<graph::PageId>& ids, size_t begin, size_t end) {
+  for (size_t i = begin + 1; i < end; ++i) {
+    if (ids[i - 1] >= ids[i]) return false;
+  }
+  return true;
+}
+
+bool ValidScores(const std::vector<double>& scores) {
+  return std::all_of(scores.begin(), scores.end(),
+                     [](double s) { return std::isfinite(s) && s >= 0.0; });
+}
+
+/// The PageTableColumns invariants a decoded table must keep, whatever the
+/// bytes were.
+CheckResult CheckPageTable(const wire::PageTableColumns& table) {
+  const size_t n = table.pages.size();
+  if (table.scores.size() != n) return "page table: score column size";
+  if (!ValidScores(table.scores)) return "page table: invalid score";
+  if (!StrictlyAscending(table.pages, 0, n)) return "page table: pages not ascending";
+  const std::vector<uint64_t>& offsets = table.successor_offsets;
+  if (offsets.size() != n + 1 || offsets[0] != 0 || offsets[n] != table.successors.size()) {
+    return "page table: successor offsets do not frame the successors";
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (offsets[i] > offsets[i + 1]) return "page table: offsets not monotone";
+    if (!StrictlyAscending(table.successors, offsets[i], offsets[i + 1])) {
+      return "page table: successors not ascending";
+    }
+  }
+  return std::nullopt;
+}
+
+/// The WorldColumns invariants a decoded world must keep.
+CheckResult CheckWorld(const wire::WorldColumns& world) {
+  const size_t n = world.NumEntries();
+  if (world.out_degrees.size() != n || world.scores.size() != n) {
+    return "world: entry column sizes";
+  }
+  if (world.dangling_scores.size() != world.dangling_pages.size()) {
+    return "world: dangling column sizes";
+  }
+  if (!ValidScores(world.scores) || !ValidScores(world.dangling_scores)) {
+    return "world: invalid score";
+  }
+  if (!StrictlyAscending(world.pages, 0, n)) return "world: pages not ascending";
+  if (!StrictlyAscending(world.dangling_pages, 0, world.dangling_pages.size())) {
+    return "world: dangling pages not ascending";
+  }
+  const std::vector<uint32_t>& offsets = world.target_offsets;
+  if (offsets.size() != n + 1 || offsets[0] != 0 || offsets[n] != world.targets.size()) {
+    return "world: target offsets do not frame the targets";
+  }
+  for (size_t e = 0; e < n; ++e) {
+    if (offsets[e] >= offsets[e + 1]) return "world: empty or inverted target list";
+    if (offsets[e + 1] - offsets[e] > world.out_degrees[e]) {
+      return "world: more targets than the out-degree";
+    }
+    if (!StrictlyAscending(world.targets, offsets[e], offsets[e + 1])) {
+      return "world: targets not ascending";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(WireRoundTripProperty, ResealedPayloadEditsAreCorruptionOrValidColumns) {
+  // Each trial edits the payload of one frame (overwrites or flips bytes,
+  // cuts its tail or appends a byte) and re-seals the checksum, so the edit
+  // reaches the column parser instead of dying on the frame check. The
+  // decode must end as Corruption or as columns that keep every invariant;
+  // either way, the frames it kept must keep them too.
+  constexpr size_t kCases = 30;
+  size_t accepted = 0;
+  size_t rejected = 0;
+  ForAll<WireCase>(
+      0x3d17ed03, kCases, GenerateWireCase, [&](const WireCase& c) -> CheckResult {
+        const std::vector<uint8_t> bytes = Encode(BuildState(c));
+        std::vector<std::pair<wire::MessageType, std::span<const uint8_t>>> frames;
+        for (size_t offset = 0; offset < bytes.size();) {
+          wire::FrameView frame;
+          if (!wire::ParseFrame(bytes, offset, frame).ok()) return "clean frame rejected";
+          frames.emplace_back(frame.type, frame.payload);
+        }
+        Random rng(c.seed ^ 0xed17ULL);
+        for (int trial = 0; trial < 24; ++trial) {
+          const size_t victim = rng.NextBounded(frames.size());
+          std::vector<uint8_t> payload(frames[victim].second.begin(),
+                                       frames[victim].second.end());
+          switch (rng.NextBounded(4)) {
+            case 0:  // Overwrite 1..3 bytes.
+              for (uint64_t k = 1 + rng.NextBounded(3); k > 0; --k) {
+                payload[rng.NextBounded(payload.size())] =
+                    static_cast<uint8_t>(rng.NextBounded(256));
+              }
+              break;
+            case 1:  // Flip one bit.
+              payload[rng.NextBounded(payload.size())] ^=
+                  static_cast<uint8_t>(1u << rng.NextBounded(8));
+              break;
+            case 2:  // Cut the tail.
+              payload.resize(rng.NextBounded(payload.size()));
+              break;
+            default:  // Append a byte.
+              payload.push_back(static_cast<uint8_t>(rng.NextBounded(256)));
+              break;
+          }
+          std::vector<uint8_t> message;
+          for (size_t f = 0; f < frames.size(); ++f) {
+            wire::AppendFrame(frames[f].first, f == victim ? payload : frames[f].second, message);
+          }
+
+          const wire::DecodedMeeting decoded = wire::DecodeMeeting(message);
+          if (decoded.error.ok()) {
+            ++accepted;
+          } else if (decoded.error.code() == StatusCode::kCorruption) {
+            ++rejected;
+          } else {
+            return "edit ended as " + decoded.error.ToString() + ", not Corruption";
+          }
+          if (CheckResult bad = CheckPageTable(decoded.page_table)) return *bad;
+          if (CheckResult bad = CheckWorld(decoded.world)) return *bad;
+        }
+        return std::nullopt;
+      });
+  // At the default case count, both outcomes occur: the property is not
+  // vacuous on either side.
+  if (NumCases(kCases) >= kCases) {
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitpack.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/varint.h"
-#include "qp/bitpack.h"
 #include "qp/block_posting_list.h"
 
 namespace jxp {
@@ -51,9 +52,9 @@ TEST(PackedCodecTest, PackUnpackRoundTripsEveryWidth) {
       for (uint32_t& v : values) {
         v = static_cast<uint32_t>(rng.NextUint64() & mask);
       }
-      std::vector<uint8_t> bytes;
-      PackBits(values.data(), values.size(), width, bytes);
-      EXPECT_EQ(bytes.size(), (count * width + 7) / 8);
+      std::vector<uint8_t> bytes((count * width + 7) / 8);
+      EXPECT_EQ(PackBits(values.data(), values.size(), width, bytes.data()),
+                bytes.data() + bytes.size());
 
       std::vector<uint32_t> decoded(count);
       ASSERT_TRUE(
@@ -66,8 +67,8 @@ TEST(PackedCodecTest, PackUnpackRoundTripsEveryWidth) {
 
 TEST(PackedCodecTest, UnpackRejectsTruncatedBuffer) {
   std::vector<uint32_t> values(16, 0x1ffu);
-  std::vector<uint8_t> bytes;
-  PackBits(values.data(), values.size(), 9, bytes);
+  std::vector<uint8_t> bytes((values.size() * 9 + 7) / 8);
+  PackBits(values.data(), values.size(), 9, bytes.data());
   std::vector<uint32_t> decoded(values.size());
   EXPECT_FALSE(
       UnpackBits(bytes.data(), bytes.size() - 1, 0, values.size(), 9, decoded.data()));
@@ -175,6 +176,33 @@ TEST(PackedCodecTest, PackedShrinksDenseLists) {
   const auto postings = MakePostings(2000, 5, 6);
   const BlockPostingList list = BlockPostingList::Build(postings, 128);
   EXPECT_LT(list.docid_bytes(), VByteBytes(Deltas(postings)));
+}
+
+TEST(PackedCodecTest, ListBytesArePinned) {
+  // The area layout is shared with the meeting wire codec; these lists'
+  // bytes are pinned so that a change to the shared encoder cannot move a
+  // posting list's layout. Dense and sparse gaps, short blocks, and a
+  // block with a 30-bit delta (the VByte fallback) and a 32-bit one.
+  std::vector<PostingIn> huge = MakePostings(300, 23, 40);
+  for (size_t i = 100; i < huge.size(); ++i) huge[i].docid += 0x20000000u;
+  for (size_t i = 250; i < huge.size(); ++i) huge[i].docid += 0x9fff0000u;
+  const struct {
+    std::vector<PostingIn> postings;
+    size_t block_size;
+    uint64_t hash;
+  } cases[] = {
+      {MakePostings(1000, 11, 50), 128, 0x185c87889520126eULL},
+      {MakePostings(2000, 5, 6), 128, 0x458de96372e45bcdULL},
+      {MakePostings(700, 17, 120), 64, 0x06ccf41f1c38813bULL},
+      {MakePostings(129, 3, 70000), 128, 0xb89d3b3504606a28ULL},
+      {huge, 128, 0xff3e0fcf9d49a614ULL},
+  };
+  for (const auto& c : cases) {
+    const BlockPostingList list = BlockPostingList::Build(c.postings, c.block_size);
+    const std::span<const uint8_t> bytes = list.bytes();
+    const uint64_t hash = Mix64(Fnv1aUpdate(kFnv1aOffset, bytes.data(), bytes.size()));
+    EXPECT_EQ(hash, c.hash) << std::hex << hash << " over " << bytes.size() << " bytes";
+  }
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bitpack.h"
 #include "common/random.h"
 #include "common/varint.h"
 #include "graph/subgraph.h"
@@ -64,6 +66,42 @@ std::vector<double> MakeScores(size_t n) {
   std::vector<double> scores(n);
   for (size_t i = 0; i < n; ++i) scores[i] = 1.0 / static_cast<double>(n + i + 1);
   return scores;
+}
+
+/// Writes `values` as a column of areas (the codec's own area encoder).
+void PutColumn(ByteWriter& writer, const std::vector<uint32_t>& values) {
+  for (size_t begin = 0; begin < values.size(); begin += kAreaValues) {
+    writer.PutArea(values.data() + begin, std::min(kAreaValues, values.size() - begin));
+  }
+}
+
+/// A kScoreChunk payload spelled column by column, so that it can break any
+/// count or id rule: three counts, page gaps − 1, scores, degrees, and the
+/// successor runs (the first successor of each page with any, then the
+/// others as gaps − 1).
+struct RawChunk {
+  uint32_t first_index = 0;
+  uint32_t count = 0;
+  uint32_t num_successors = 0;
+  std::vector<uint32_t> page_gaps;
+  std::vector<float> scores;
+  std::vector<uint32_t> degrees;
+  std::vector<uint32_t> successor_heads;
+  std::vector<uint32_t> successor_gaps;
+};
+
+std::vector<uint8_t> RawChunkPayload(const RawChunk& chunk) {
+  std::vector<uint8_t> payload;
+  ByteWriter writer(payload);
+  writer.PutVarint32(chunk.first_index);
+  writer.PutVarint32(chunk.count);
+  writer.PutVarint32(chunk.num_successors);
+  PutColumn(writer, chunk.page_gaps);
+  for (float score : chunk.scores) writer.PutFloat(score);
+  PutColumn(writer, chunk.degrees);
+  PutColumn(writer, chunk.successor_heads);
+  PutColumn(writer, chunk.successor_gaps);
+  return payload;
 }
 
 TEST(MeetingCodecTest, ScoreListRoundTripsAcrossChunks) {
@@ -207,26 +245,18 @@ TEST(MeetingCodecTest, BitFlipRejectsOnlyTheDamagedSuffix) {
 }
 
 TEST(MeetingCodecTest, RejectedChunkLeavesWholeFramesOnly) {
-  // The second chunk's first record parses, its second is out of order:
-  // the frame is rejected and the page table keeps exactly the first chunk.
+  // The second chunk's pages and scores parse, its degrees miss the
+  // successor count: the frame is rejected and the page table keeps
+  // exactly the first chunk.
   const graph::Subgraph fragment = MakeFragment(10);
   std::vector<uint8_t> bytes;
   EncodeScoreList(fragment.Table(), MakeScores(10), bytes);
-  std::vector<uint8_t> payload;
-  ByteWriter writer(payload);
-  writer.PutVarint32(10);  // first_index
-  writer.PutVarint32(2);   // count
-  writer.PutVarint32(3);   // page 27 + 3 = 30
-  writer.PutFloat(0.01f);
-  writer.PutVarint32(1);   // degree
-  writer.PutVarint32(31);  // successor
-  writer.PutVarint32(0);   // page delta 0: not strictly ascending
-  writer.PutFloat(0.01f);
-  writer.PutVarint32(0);
-  AppendFrame(MessageType::kScoreChunk, payload, bytes);
+  // Pages 30 and 31 (gaps − 1 from page 27), one successor, two declared.
+  AppendFrame(MessageType::kScoreChunk,
+              RawChunkPayload({10, 2, 2, {2, 0}, {0.01f, 0.01f}, {1, 0}, {31}, {}}), bytes);
 
   const DecodedMeeting decoded = DecodeMeeting(bytes);
-  EXPECT_FALSE(decoded.error.ok());
+  EXPECT_EQ(decoded.error.code(), StatusCode::kCorruption);
   EXPECT_EQ(decoded.frames_decoded, 1u);
   const PageTableColumns& table = decoded.page_table;
   ASSERT_EQ(table.pages.size(), 10u);
@@ -261,65 +291,69 @@ TEST(MeetingCodecTest, DuplicateWorldFrameRejected) {
 }
 
 TEST(MeetingCodecTest, CorruptCountsCannotForceHugeAllocations) {
-  // A kScoreChunk whose count field claims far more records than the payload
-  // could hold must be rejected up front (no multi-GB reserve on garbage).
-  std::vector<uint8_t> payload;
-  ByteWriter writer(payload);
-  writer.PutVarint32(0);           // first_index
-  writer.PutVarint32(0x0fffffff);  // absurd record count
-  std::vector<uint8_t> bytes;
-  AppendFrame(MessageType::kScoreChunk, payload, bytes);
-  const DecodedMeeting out = DecodeMeeting(bytes);
-  EXPECT_FALSE(out.error.ok());
-  EXPECT_TRUE(out.page_table.pages.empty());
+  // A kScoreChunk whose counts claim far more pages or successors than the
+  // payload could hold must be rejected up front (no multi-GB reserve on
+  // garbage).
+  for (const auto& [count, num_successors] :
+       {std::pair<uint32_t, uint32_t>{0x0fffffff, 0}, {1, 0x80000000u}}) {
+    std::vector<uint8_t> bytes;
+    AppendFrame(MessageType::kScoreChunk,
+                RawChunkPayload({0, count, num_successors, {3}, {0.5f}, {0}, {}, {}}), bytes);
+    const DecodedMeeting out = DecodeMeeting(bytes);
+    EXPECT_EQ(out.error, Status::Corruption("bad frame payload: chunk counts exceed payload"))
+        << count << " pages, " << num_successors << " successors";
+    EXPECT_TRUE(out.page_table.pages.empty());
+  }
 }
 
 TEST(MeetingCodecTest, NonFiniteAndNegativeScoresRejected) {
   for (const float bad : {-0.25f, std::numeric_limits<float>::infinity(),
                           std::numeric_limits<float>::quiet_NaN()}) {
-    std::vector<uint8_t> payload;
-    ByteWriter writer(payload);
-    writer.PutVarint32(0);  // first_index
-    writer.PutVarint32(1);  // count
-    writer.PutVarint32(3);  // page id
-    writer.PutFloat(bad);
-    writer.PutVarint32(0);  // degree
     std::vector<uint8_t> bytes;
-    AppendFrame(MessageType::kScoreChunk, payload, bytes);
-    EXPECT_FALSE(DecodeMeeting(bytes).error.ok()) << "score " << bad;
+    AppendFrame(MessageType::kScoreChunk, RawChunkPayload({0, 1, 0, {3}, {bad}, {0}, {}, {}}),
+                bytes);
+    EXPECT_EQ(DecodeMeeting(bytes).error,
+              Status::Corruption("bad frame payload: invalid page score"))
+        << "score " << bad;
   }
 }
 
-/// One world entry as the frame spells it: page delta, score, out-degree,
-/// then the target count and target deltas.
-struct RawWorldEntry {
-  uint32_t page_delta;
-  float score;
-  uint32_t out_degree;
-  std::vector<uint32_t> target_deltas;
+/// A kWorldKnowledge payload spelled column by column, so that it can
+/// break any count, id or score rule the layout can still express.
+struct RawWorld {
+  uint32_t num_entries = 0;
+  uint32_t num_targets = 0;
+  uint32_t num_dangling = 0;
+  std::vector<uint32_t> page_gaps;
+  std::vector<float> scores;
+  std::vector<uint32_t> target_counts_minus_one;
+  std::vector<uint32_t> out_degree_slack;
+  /// Each entry's first target, absolute.
+  std::vector<uint32_t> target_heads;
+  /// Each entry's other targets, as gaps − 1.
+  std::vector<uint32_t> target_gaps;
+  std::vector<uint32_t> dangling_gaps;
+  std::vector<float> dangling_scores;
 };
 
-/// A message holding one kWorldKnowledge frame with `entries` and the
-/// dangling records (page delta, score) `dangling`, written field by field
-/// so that it can break any element invariant.
-std::vector<uint8_t> RawWorldFrame(const std::vector<RawWorldEntry>& entries,
-                                   const std::vector<std::pair<uint32_t, float>>& dangling) {
+std::vector<uint8_t> RawWorldPayload(const RawWorld& world) {
   std::vector<uint8_t> payload;
   ByteWriter writer(payload);
-  writer.PutVarint32(static_cast<uint32_t>(entries.size()));
-  for (const RawWorldEntry& entry : entries) {
-    writer.PutVarint32(entry.page_delta);
-    writer.PutFloat(entry.score);
-    writer.PutVarint32(entry.out_degree);
-    writer.PutVarint32(static_cast<uint32_t>(entry.target_deltas.size()));
-    for (uint32_t delta : entry.target_deltas) writer.PutVarint32(delta);
-  }
-  writer.PutVarint32(static_cast<uint32_t>(dangling.size()));
-  for (const auto& [page_delta, score] : dangling) {
-    writer.PutVarint32(page_delta);
-    writer.PutFloat(score);
-  }
-  writer.Finish();
+  writer.PutVarint32(world.num_entries);
+  writer.PutVarint32(world.num_targets);
+  writer.PutVarint32(world.num_dangling);
+  PutColumn(writer, world.page_gaps);
+  for (float score : world.scores) writer.PutFloat(score);
+  PutColumn(writer, world.target_counts_minus_one);
+  PutColumn(writer, world.out_degree_slack);
+  PutColumn(writer, world.target_heads);
+  PutColumn(writer, world.target_gaps);
+  PutColumn(writer, world.dangling_gaps);
+  for (float score : world.dangling_scores) writer.PutFloat(score);
+  return payload;
+}
+
+std::vector<uint8_t> WorldFrame(const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> bytes;
   AppendFrame(MessageType::kWorldKnowledge, payload, bytes);
   return bytes;
@@ -328,33 +362,113 @@ std::vector<uint8_t> RawWorldFrame(const std::vector<RawWorldEntry>& entries,
 TEST(MeetingCodecTest, WorldFrameElementInvariantsAreEnforcedByTheDecoder) {
   // core::WorldNode adopts decoded columns checking only their shape, so
   // the decoder must reject every element the WorldColumns invariants rule
-  // out. The well-formed frame decodes; each broken one is Corruption.
-  const RawWorldEntry a{100, 0.1f, 3, {5, 2}};
-  const RawWorldEntry b{20, 0.2f, 2, {9}};
-  const std::vector<std::pair<uint32_t, float>> dangling = {{40, 0.05f}, {3, 0.01f}};
-  ASSERT_TRUE(DecodeMeeting(RawWorldFrame({a, b}, dangling)).error.ok());
+  // out. The layout cannot spell a non-ascending id, an empty target list
+  // or more targets than the out-degree; every rule it can still break has
+  // one row here. The well-formed frame decodes; each broken one is
+  // Corruption for the stated reason.
+  //
+  // Entries: page 100 (score 0.1, out-degree 3, targets 5 and 8) and page
+  // 121 (score 0.2, out-degree 2, target 9); dangling pages 40 and 44.
+  const RawWorld good{2,      3,      2,   {100, 20}, {0.1f, 0.2f},  {1, 0},
+                      {1, 1}, {5, 9}, {2}, {40, 3},   {0.05f, 0.01f}};
+  const DecodedMeeting decoded = DecodeMeeting(WorldFrame(RawWorldPayload(good)));
+  ASSERT_TRUE(decoded.error.ok()) << decoded.error.ToString();
+  EXPECT_EQ(decoded.world, MakeWorld({{100, 3, 0.1f, {5, 8}}, {121, 2, 0.2f, {9}}},
+                                     {{40, 0.05f}, {44, 0.01f}}));
+
+  const auto with = [&good](auto mutate) {
+    RawWorld world = good;
+    mutate(world);
+    return RawWorldPayload(world);
+  };
+  // Good frames with their dangling records dropped, so that the target
+  // gaps are the last area of the payload.
+  const RawWorld no_dangling{2,      3,      0,   {100, 20}, {0.1f, 0.2f}, {1, 0},
+                             {1, 1}, {5, 9}, {2}, {},        {}};
+  // One entry whose seven target gaps take the VByte fallback (one 29-bit
+  // gap among zeros), again as the last area.
+  const RawWorld vbyte_tail{1,   8,   0,
+                            {100}, {0.1f}, {7}, {0}, {3}, {0x10000000u, 0, 0, 0, 0, 0, 0},
+                            {},    {}};
+  ASSERT_TRUE(DecodeMeeting(WorldFrame(RawWorldPayload(no_dangling))).error.ok());
+  ASSERT_TRUE(DecodeMeeting(WorldFrame(RawWorldPayload(vbyte_tail))).error.ok());
+  std::vector<uint8_t> truncated_packed = RawWorldPayload(no_dangling);
+  truncated_packed.pop_back();
+  std::vector<uint8_t> truncated_vbyte = RawWorldPayload(vbyte_tail);
+  ASSERT_EQ(truncated_vbyte[truncated_vbyte.size() - 12], 0u);  // The VByte marker.
+  truncated_vbyte.pop_back();
+  std::vector<uint8_t> wide = RawWorldPayload(good);
+  ASSERT_EQ(wide[3], 7u);  // The page area's width byte follows the counts.
+  wide[3] = 33;
+  std::vector<uint8_t> trailing = RawWorldPayload(good);
+  trailing.push_back(0);
 
   const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
   const struct {
     const char* what;
-    std::vector<uint8_t> bytes;
+    std::vector<uint8_t> payload;
+    const char* error;
   } cases[] = {
-      {"pages not ascending", RawWorldFrame({a, {0, 0.2f, 2, {9}}}, dangling)},
-      {"targets not ascending", RawWorldFrame({{100, 0.1f, 3, {5, 0}}, b}, dangling)},
-      {"dangling pages not ascending", RawWorldFrame({a, b}, {{40, 0.05f}, {0, 0.01f}})},
-      {"empty targets", RawWorldFrame({{100, 0.1f, 3, {}}, b}, dangling)},
-      {"more targets than out-degree", RawWorldFrame({{100, 0.1f, 1, {5, 2}}, b}, dangling)},
-      {"negative score", RawWorldFrame({{100, -0.1f, 3, {5, 2}}, b}, dangling)},
-      {"NaN score", RawWorldFrame({a, {20, nan, 2, {9}}}, dangling)},
-      {"negative dangling score", RawWorldFrame({a, b}, {{40, -0.05f}, {3, 0.01f}})},
-      {"NaN dangling score", RawWorldFrame({a, b}, {{40, 0.05f}, {3, nan}})},
+      {"page gap past 2^32", with([](RawWorld& w) { w.page_gaps[1] = 0xffffffffu; }),
+       "world page id past 2^32 - 1"},
+      {"target gap past 2^32", with([](RawWorld& w) { w.target_gaps[0] = 0xfffffffeu; }),
+       "world target id past 2^32 - 1"},
+      {"first target past 2^32 after its gaps",
+       with([](RawWorld& w) { w.target_heads[0] = 0xffffffffu; }),
+       "world target id past 2^32 - 1"},
+      {"fewer targets than entries", with([](RawWorld& w) { w.num_targets = 1; }),
+       "fewer targets than entries"},
+      {"dangling gap past 2^32", with([](RawWorld& w) { w.dangling_gaps[1] = 0xffffffffu; }),
+       "dangling page id past 2^32 - 1"},
+      {"out-degree slack overflow", with([](RawWorld& w) { w.out_degree_slack[0] = 0xfffffffeu; }),
+       "world out-degree past 2^32 - 1"},
+      {"target counts above the target total",
+       with([](RawWorld& w) { w.target_counts_minus_one = {2, 0}; }),
+       "target counts miss the target count"},
+      {"target counts below the target total",
+       with([](RawWorld& w) {
+         w.num_targets = 4;
+         w.target_gaps.push_back(1);
+       }),
+       "target counts miss the target count"},
+      {"width above 32", wide, "area width above 32"},
+      {"truncated packed area", truncated_packed, "truncated packed area"},
+      {"truncated VByte tail", truncated_vbyte, "truncated or overlong VByte area"},
+      {"trailing bytes", trailing, "trailing bytes in world frame"},
+      {"counts the payload cannot hold", with([](RawWorld& w) { w.num_targets = 1000; }),
+       "world counts exceed payload"},
+      {"no entries and no dangling records", RawWorldPayload({}), "empty world frame"},
+      {"negative score", with([](RawWorld& w) { w.scores[0] = -0.1f; }), "invalid world score"},
+      {"NaN score", with([nan](RawWorld& w) { w.scores[1] = nan; }), "invalid world score"},
+      {"infinite score", with([inf](RawWorld& w) { w.scores[1] = inf; }),
+       "invalid world score"},
+      {"negative dangling score", with([](RawWorld& w) { w.dangling_scores[0] = -0.05f; }),
+       "invalid dangling score"},
+      {"NaN dangling score", with([nan](RawWorld& w) { w.dangling_scores[1] = nan; }),
+       "invalid dangling score"},
   };
   for (const auto& c : cases) {
-    const DecodedMeeting decoded = DecodeMeeting(c.bytes);
+    const DecodedMeeting decoded = DecodeMeeting(WorldFrame(c.payload));
     EXPECT_EQ(decoded.error.code(), StatusCode::kCorruption) << c.what;
+    EXPECT_NE(decoded.error.message().find(c.error), std::string::npos)
+        << c.what << ": " << decoded.error.ToString();
     EXPECT_TRUE(decoded.world.empty()) << c.what;
     EXPECT_EQ(decoded.frames_decoded, 0u) << c.what;
   }
+}
+
+TEST(MeetingCodecTest, HugeTargetCountIsRejectedBeforeAllocating) {
+  // A payload of under 20 bytes declaring 2^31 targets. The decoder checks every count
+  // against the fewest bytes its column can take (a width byte per 128
+  // values and at least one bit per value) before it sizes a single
+  // column, so nothing is allocated for the claim.
+  const std::vector<uint8_t> payload =
+      RawWorldPayload({1, 0x80000000u, 0, {100}, {0.1f}, {0}, {0}, {5}, {}, {}, {}});
+  ASSERT_LT(payload.size(), 20u);
+  const DecodedMeeting decoded = DecodeMeeting(WorldFrame(payload));
+  EXPECT_EQ(decoded.error, Status::Corruption("bad frame payload: world counts exceed payload"));
+  EXPECT_TRUE(decoded.world.empty());
 }
 
 TEST(MeetingCodecTest, EveryBitFlipOfAThreeFrameMessageIsRejected) {
@@ -395,19 +509,20 @@ TEST(MeetingCodecTest, GoldenMessageBytesAreFrozen) {
       MakeWorld({{20, 3, 0.01, {3, 12}}, {41, 1, 0.005, {7}}}, {{50, 0.002}}), bytes);
 
   const std::vector<uint8_t> golden = {
-      0x4a, 0x58, 0x02, 0x01, 0x19, 0x00, 0x00, 0x00, 0x5c, 0xe1, 0x47, 0x6d,
-      0x80, 0xd4, 0x6c, 0xcc, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x3e, 0x02,
-      0x07, 0x21, 0x04, 0x00, 0x00, 0x80, 0x3d, 0x00, 0x05, 0x00, 0x00, 0x80,
-      0x3e, 0x03, 0x03, 0x04, 0x5c, 0x4a, 0x58, 0x02, 0x02, 0x18, 0x00, 0x00,
-      0x00, 0x72, 0xbd, 0x95, 0x2d, 0x8b, 0xb8, 0xc2, 0x9e, 0x02, 0x14, 0x0a,
-      0xd7, 0x23, 0x3c, 0x03, 0x02, 0x03, 0x09, 0x15, 0x0a, 0xd7, 0xa3, 0x3b,
-      0x01, 0x01, 0x07, 0x01, 0x32, 0x6e, 0x12, 0x03, 0x3b};
+      0x4a, 0x58, 0x03, 0x01, 0x1a, 0x00, 0x00, 0x00, 0x4c, 0xb1, 0xb6, 0x11,
+      0x10, 0xf9, 0xb4, 0x0d, 0x00, 0x03, 0x05, 0x03, 0x1b, 0x01, 0x00, 0x00,
+      0x00, 0x3e, 0x00, 0x00, 0x80, 0x3d, 0x00, 0x00, 0x80, 0x3e, 0x02, 0x32,
+      0x03, 0x1f, 0x07, 0xa0, 0xc1, 0x16, 0x4a, 0x58, 0x03, 0x02, 0x1c, 0x00,
+      0x00, 0x00, 0x5d, 0x19, 0xbc, 0x28, 0xd0, 0x40, 0xf0, 0xe7, 0x02, 0x03,
+      0x01, 0x05, 0x94, 0x02, 0x0a, 0xd7, 0x23, 0x3c, 0x0a, 0xd7, 0xa3, 0x3b,
+      0x01, 0x01, 0x01, 0x01, 0x03, 0x3b, 0x04, 0x08, 0x06, 0x32, 0x6e, 0x12,
+      0x03, 0x3b};
   EXPECT_EQ(bytes, golden);
 
   // The two frames and their checksums.
   const std::vector<std::pair<MessageType, uint64_t>> frames = {
-      {MessageType::kScoreChunk, 0xcc6cd4806d47e15cULL},
-      {MessageType::kWorldKnowledge, 0x9ec2b88b2d95bd72ULL}};
+      {MessageType::kScoreChunk, 0x0db4f91011b6b14cULL},
+      {MessageType::kWorldKnowledge, 0xe7f040d028bc195dULL}};
   size_t offset = 0;
   for (const auto& [type, checksum] : frames) {
     const uint8_t* header = golden.data() + offset;
